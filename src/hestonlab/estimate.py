@@ -18,6 +18,9 @@ solved in closed form.  Two algebraically equivalent routes are provided:
 Their agreement on any path is one of the package's standing self-checks.
 All denominators are evaluated in centered form, so they are nonnegative by
 construction and vanish only for a constant regressor.
+
+The functionals are folded block by block (:class:`PathSums`), so a Monte
+Carlo run never holds a whole path; a single path is folded as one block.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from .errors import (
     PathTooShort,
 )
 from .model import ModelParams
-from .simulate import XYPath
+from .simulate import TimeGrid, XYPath
 
 __all__ = [
+    "SUM_TILE",
+    "PathSums",
     "PathFunctionals",
     "LseEstimate",
     "IntegralDiagnostic",
@@ -85,49 +90,133 @@ class PathFunctionals:
     denom: float
 
 
+# Steps per summation tile.  Every left-endpoint sum is formed tile by tile,
+# tiles counted from the start of the path, and the tile sums are added in
+# time order.  A lane's functionals therefore do not depend on how its path
+# was cut into blocks, provided every block but the last is whole tiles, nor
+# on how many lanes were folded together.
+SUM_TILE = 128
+
+
+class PathSums:
+    """Running left-endpoint sums of a group of paths (lanes), fed block by block.
+
+    Holds per lane the sums of Y, Y^2, Y^3, Y dY, Y dX and dY^2 over the
+    steps folded so far (rows of ``sums``, in that order), the end point of
+    the path so far, and the centered spread of the left endpoints: the
+    deviations from the lane's first value ``y_start`` are reduced tile by
+    tile to (mean, sum of squared deviations from the tile mean) and merged
+    with the pairwise update of Chan, Golub and LeVeque, so that a constant
+    path keeps an exact zero spread.
+    """
+
+    def __init__(self, y_start, x_start):
+        self.y_start = np.atleast_1d(np.asarray(y_start, dtype=float)).copy()
+        self.x_start = np.atleast_1d(np.asarray(x_start, dtype=float)).copy()
+        lanes = self.y_start.shape[0]
+        self.y_end = self.y_start.copy()
+        self.x_end = self.x_start.copy()
+        self.steps = 0
+        self.sums = np.zeros((6, lanes))
+        self.mean = np.zeros(lanes)
+        self.m2 = np.zeros(lanes)
+
+    def fold(self, y: np.ndarray, x: np.ndarray) -> None:
+        """Add one block: (lanes, steps + 1) points, the previous end point first.
+
+        Raises:
+            ValueError: a block follows one that ended inside a tile.
+        """
+        if self.steps % SUM_TILE:
+            raise ValueError("only the last block of a path may end inside a tile")
+        # a tile at a time: the temporaries stay lanes x SUM_TILE, which the
+        # allocator reuses, where block-sized ones would be returned to the
+        # system and faulted in again on every block
+        for lo in range(0, y.shape[1] - 1, SUM_TILE):
+            self._fold_tile(y[:, lo : lo + SUM_TILE + 1], x[:, lo : lo + SUM_TILE + 1])
+        self.y_end = y[:, -1].copy()
+        self.x_end = x[:, -1].copy()
+
+    def _fold_tile(self, y: np.ndarray, x: np.ndarray) -> None:
+        y_left = y[:, :-1]
+        y2 = y_left * y_left
+        dy = np.diff(y, axis=1)
+        dx = np.diff(x, axis=1)
+        # each product is summed as soon as it is formed, so that few
+        # tile-sized temporaries are alive at once
+        self.sums += np.stack([
+            y_left.sum(axis=1),
+            y2.sum(axis=1),
+            (y2 * y_left).sum(axis=1),
+            (y_left * dy).sum(axis=1),
+            (y_left * dx).sum(axis=1),
+            (dy * dy).sum(axis=1),
+        ])
+        dev = y_left - self.y_start[:, None]
+        size = dev.shape[1]
+        tile_mean = dev.sum(axis=1) / size
+        centered = dev - tile_mean[:, None]
+        tile_m2 = (centered * centered).sum(axis=1)
+        merged = self.steps + size
+        delta = tile_mean - self.mean
+        self.mean = self.mean + delta * (size / merged)
+        self.m2 = self.m2 + tile_m2 + delta * delta * (self.steps * size / merged)
+        self.steps = merged
+
+    def select(self, keep: np.ndarray) -> None:
+        """Keep only the lanes where ``keep`` is true."""
+        for name in ("y_start", "x_start", "y_end", "x_end", "mean", "m2"):
+            setattr(self, name, getattr(self, name)[keep])
+        self.sums = self.sums[:, keep]
+
+    def functionals(self, grid: TimeGrid) -> list[PathFunctionals]:
+        """The functionals of every lane, once the whole grid has been folded.
+
+        Raises:
+            LengthMismatch: the folded steps do not cover the grid.
+        """
+        if self.steps != grid.steps:
+            raise LengthMismatch(f"folded {self.steps} steps, grid has {grid.steps}")
+        dt = grid.dt
+        t_horizon = grid.horizon
+        s_y, s_y2, s_y3, s_ydy, s_ydx, s_dy2 = self.sums
+        i1 = dt * s_y
+        i2 = dt * s_y2
+        e3 = dt * s_y3 / t_horizon
+        denom = dt * dt * grid.steps * self.m2
+        return [
+            PathFunctionals(
+                t_horizon=t_horizon,
+                n_steps=grid.steps,
+                y0=float(self.y_start[j]),
+                x0=float(self.x_start[j]),
+                y_terminal=float(self.y_end[j]),
+                x_terminal=float(self.x_end[j]),
+                i1=float(i1[j]),
+                i2=float(i2[j]),
+                i3=float(s_ydy[j]),
+                i4=float(s_ydx[j]),
+                e1=float(i1[j]) / t_horizon,
+                e2=float(i2[j]) / t_horizon,
+                e3=float(e3[j]),
+                qv_y=float(s_dy2[j]),
+                denom=float(denom[j]),
+            )
+            for j in range(self.y_start.shape[0])
+        ]
+
+
 def path_functionals(path: XYPath) -> PathFunctionals:
-    """Compute every functional of a path needed downstream, in one pass."""
-    y = path.y
-    x = path.x
-    n = path.grid.steps
-    if n < 1 or y.shape[0] < 2:
+    """Compute every functional of a path needed downstream, in one pass.
+
+    The path is folded as a single block of :class:`PathSums`, the reducer
+    that Monte Carlo runs feed block by block, so both give the same bits.
+    """
+    if path.grid.steps < 1 or path.y.shape[0] < 2:
         raise PathTooShort("need at least two grid points")
-    dt = path.grid.dt
-    t_horizon = path.grid.horizon
-    y_left = y[:-1]
-    dy = np.diff(y)
-    dx = np.diff(x)
-
-    i1 = dt * float(np.sum(y_left))
-    i2 = dt * float(np.sum(y_left * y_left))
-    i3 = float(np.sum(y_left * dy))
-    i4 = float(np.sum(y_left * dx))
-    e3 = dt * float(np.sum(y_left ** 3)) / t_horizon
-    qv_y = float(np.sum(dy * dy))
-
-    # centered spread: shift by the first value so a constant path gives an
-    # exact zero, then remove the mean of the shifted values
-    dev = y_left - y_left[0]
-    centered = dev - float(np.mean(dev))
-    denom = dt * dt * n * float(np.sum(centered * centered))
-
-    return PathFunctionals(
-        t_horizon=t_horizon,
-        n_steps=n,
-        y0=float(y[0]),
-        x0=float(x[0]),
-        y_terminal=float(y[-1]),
-        x_terminal=float(x[-1]),
-        i1=i1,
-        i2=i2,
-        i3=i3,
-        i4=i4,
-        e1=i1 / t_horizon,
-        e2=i2 / t_horizon,
-        e3=e3,
-        qv_y=qv_y,
-        denom=denom,
-    )
+    sums = PathSums(path.y[:1], path.x[:1])
+    sums.fold(path.y[None, :], path.x[None, :])
+    return sums.functionals(path.grid)[0]
 
 
 # ---------------------------------------------------------------------------

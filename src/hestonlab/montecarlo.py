@@ -24,13 +24,25 @@ piecewise approximation on the modified statistic A*^2 = A^2 (1 + 0.75/n +
     0.200 <  A*^2 < 0.34: p = 1 - exp(-8.318 + 42.796 A*^2 - 59.938 A*^4)
     A*^2 <= 0.200:        p = 1 - exp(-13.436 + 101.14 A*^2 - 223.73 A*^4)
 
-with the standard-normal log-distribution function evaluated through the
+The first branch is a parabola in A*^2 with its vertex at 5.709/(2*0.0186),
+about 153.5, beyond which it would climb back towards 1 and then overflow; it
+is evaluated at min(A*^2, vertex), and capped at the second branch's value at
+0.6, where the two branches meet with an upward step of 0.0025.  The p-value
+is thus non-increasing in the statistic over the whole half-line.  The
+standard-normal log-distribution function is evaluated through the
 complementary error function (scipy.special.log_ndtr).  A calibration sweep
 test pins this approximation against uniform p-values under the null.
 
 Replicate r of an experiment draws its noise from the streams of
 ``SeedLineage(master_seed, r)`` and from nothing else, so results are
-independent of batching, chunking, and thread count.
+independent of lane grouping, block length and thread count.
+
+Replicates are simulated as lanes.  A lane group advances together through
+blocks of B steps: each lane draws the block's normals from its own two
+streams, the group takes the block's variance and price steps, and the block
+is folded into per-lane path sums and then discarded.  Memory is therefore
+set by the lane group and B, not by the number of steps N.  A DESRE lane that
+aborts is dropped at the end of the block in which it aborted.
 """
 
 from __future__ import annotations
@@ -52,22 +64,22 @@ from .errors import (
     TiesDegenerate,
 )
 from .estimate import (
+    SUM_TILE,
     LseEstimate,
+    PathSums,
     ScalingStatistic,
     lse_from_functionals,
     normalized_error,
-    path_functionals,
     random_scaling_transform,
 )
 from .model import AsymptoticCovariance, ModelParams, kron
 from .simulate import (
-    GaussianDraws,
     Scheme,
     SeedLineage,
     TimeGrid,
-    XYPath,
-    _simulate_y_batch,
-    _x_from_y,
+    advance_variance,
+    price_block,
+    variance_state,
 )
 
 __all__ = [
@@ -94,9 +106,13 @@ __all__ = [
 
 PARAM_NAMES = ("a", "b", "alpha", "beta")
 
-# Rough per-chunk element budget for batched simulation; keeps the four
-# (rows x steps) work arrays of a chunk around a few hundred megabytes total.
-_CHUNK_ELEMENTS = 8_000_000
+# Element budget (lanes x steps) of one block of a lane group.  It sets both
+# the number of replicates advanced together and the block length B, a
+# multiple of the summation tile.  A block's arrays are of this size (4 MB
+# each) whatever N is, and each worker thread runs one lane group at a time.
+# Wide groups spread the step loop's per-step overhead; blocks much shorter
+# than a few hundred steps spend more on per-lane draw calls.
+_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -195,73 +211,106 @@ class McRun:
     failures: tuple[ReplicateFailure, ...] = field(default=())
 
 
-def _run_chunk(config: ExperimentConfig, lo: int, hi: int):
+def _lane_plan(replicates: int, threads: int) -> tuple[int, int]:
+    """(lanes per group, block steps) under the element budget.
+
+    Lanes are split evenly across the threads, and no group is so wide that
+    its blocks would be shorter than one summation tile.
+    """
+    lanes = min(-(-replicates // max(threads, 1)), max(1, _BLOCK_ELEMENTS // SUM_TILE))
+    block = max(1, _BLOCK_ELEMENTS // lanes // SUM_TILE) * SUM_TILE
+    return lanes, block
+
+
+def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
+    """Simulate replicates lo..hi-1 as one lane group, block by block.
+
+    Returns the group's results and failures, each in replicate order.
+    """
     params, grid, scheme = config.params, config.grid, config.scheme
-    n = grid.steps
-    rows = hi - lo
-    eta = np.empty((rows, n))
-    zeta = np.empty((rows, n))
-    for j, r in enumerate(range(lo, hi)):
-        draws = GaussianDraws.from_lineage(
-            SeedLineage(config.master_seed, r), n
+    dt, n = grid.dt, grid.steps
+    index = np.arange(lo, hi)
+    streams = [SeedLineage(config.master_seed, r).generators() for r in index]
+    state = variance_state(params, scheme, len(index))
+    failed = np.full(len(index), -1, dtype=np.int64)
+    sums = PathSums(np.full(len(index), params.y0), np.full(len(index), params.x0))
+    failures: list[ReplicateFailure] = []
+
+    for start in range(0, n, block):
+        steps, lanes = min(block, n - start), len(index)
+        eta, zeta = np.empty((lanes, steps)), np.empty((lanes, steps))
+        for (gen_eta, gen_zeta), eta_row, zeta_row in zip(streams, eta, zeta):
+            gen_eta.standard_normal(out=eta_row)
+            gen_zeta.standard_normal(out=zeta_row)
+        # the step loop runs time-major, one row of lanes per step
+        y_steps = np.empty((steps + 1, lanes))
+        y_steps[0] = sums.y_end
+        state = advance_variance(
+            params, dt, scheme, state, np.ascontiguousarray(eta.T), y_steps[1:],
+            failed, start,
         )
-        eta[j] = draws.eta
-        zeta[j] = draws.zeta
-    y, failed_step = _simulate_y_batch(params, grid, scheme, eta)
-    x = _x_from_y(params, grid, y, eta, zeta)
-    truth = params.drift_vector()
+        y_b = np.ascontiguousarray(y_steps.T)
+        x_b = price_block(params, dt, y_b, eta, zeta, sums.x_end)
+        sums.fold(y_b, x_b)
+        if scheme is Scheme.DESRE and (failed >= 0).any():
+            keep = failed < 0
+            failures.extend(
+                ReplicateFailure(index=int(r), reason="NonPositiveZ", step=int(k))
+                for r, k in zip(index[~keep], failed[~keep])
+            )
+            index, state, failed = index[keep], state[keep], failed[keep]
+            streams = [s for s, live in zip(streams, keep) if live]
+            sums.select(keep)
+            if not len(index):
+                break
 
     results: list[ReplicateResult] = []
-    failures: list[ReplicateFailure] = []
-    for j, r in enumerate(range(lo, hi)):
-        if failed_step[j] >= 0:
-            failures.append(
-                ReplicateFailure(index=r, reason="NonPositiveZ", step=int(failed_step[j]))
+    truth = params.drift_vector()
+    if len(index):  # else every lane aborted and the sums stop short of N
+        for r, f in zip(index, sums.functionals(grid)):
+            try:
+                est = lse_from_functionals(f)
+                nrm = normalized_error(est, truth)
+                scl = random_scaling_transform(est, truth, f)
+            except (DegeneratePath, NonPositiveScalingDiscriminant) as exc:
+                failures.append(ReplicateFailure(index=int(r), reason=type(exc).__name__))
+                continue
+            results.append(
+                ReplicateResult(
+                    index=int(r),
+                    estimate=est,
+                    normalized=nrm,
+                    scaled=scl,
+                    y_terminal=f.y_terminal,
+                    x_terminal=f.x_terminal,
+                )
             )
-            continue
-        path = XYPath(grid=grid, y=y[j], x=x[j], scheme=scheme)
-        try:
-            f = path_functionals(path)
-            est = lse_from_functionals(f)
-            nrm = normalized_error(est, truth)
-            scl = random_scaling_transform(est, truth, f)
-        except (DegeneratePath, NonPositiveScalingDiscriminant) as exc:
-            failures.append(ReplicateFailure(index=r, reason=type(exc).__name__))
-            continue
-        results.append(
-            ReplicateResult(
-                index=r,
-                estimate=est,
-                normalized=nrm,
-                scaled=scl,
-                y_terminal=float(y[j, -1]),
-                x_terminal=float(x[j, -1]),
-            )
-        )
+    failures.sort(key=lambda fl: fl.index)
     return results, failures
 
 
 def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
     """Run all replicates of an experiment, optionally across threads.
 
-    Thread count affects wall time only: each replicate's noise comes from
-    its own seed lineage and chunks are merged in index order, so any value
-    of ``threads`` produces identical results.
+    Replicates are split into lane groups under the element budget, and
+    worker threads take whole groups.  Thread count affects wall time only:
+    each replicate's noise comes from its own seed lineage, its sums do not
+    depend on its group or block length, and groups are merged in index
+    order, so any value of ``threads`` produces identical results.
 
     Raises:
         AllReplicatesFailed: no replicate produced a usable estimate.
     """
-    n = config.grid.steps
-    chunk = max(1, min(config.replicates, _CHUNK_ELEMENTS // max(n, 1)))
+    lanes, block = _lane_plan(config.replicates, threads)
     bounds = [
-        (lo, min(lo + chunk, config.replicates))
-        for lo in range(0, config.replicates, chunk)
+        (lo, min(lo + lanes, config.replicates))
+        for lo in range(0, config.replicates, lanes)
     ]
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _run_chunk(config, *b), bounds))
+            parts = list(pool.map(lambda b: _run_lanes(config, *b, block), bounds))
     else:
-        parts = [_run_chunk(config, lo, hi) for lo, hi in bounds]
+        parts = [_run_lanes(config, lo, hi, block) for lo, hi in bounds]
 
     results: list[ReplicateResult] = []
     failures: list[ReplicateFailure] = []
@@ -317,17 +366,29 @@ def jarque_bera(sample) -> tuple[float, float]:
     return float(stat), jarque_bera_pvalue(stat)
 
 
+def _ad_upper_branch(aa: float) -> float:
+    return math.exp(0.9177 - 4.279 * aa - 1.38 * aa * aa)
+
+
+# where the tail branch's exponent turns upward, and the upper branch's value
+# at the tail branch's start, which caps the tail branch
+_AD_TAIL_VERTEX = 5.709 / (2.0 * 0.0186)
+_AD_TAIL_CAP = _ad_upper_branch(0.6)
+
+
 def anderson_darling_pvalue(stat: float, n: int) -> float:
     """Estimated-parameters p-value for an Anderson-Darling statistic.
 
     Applies the small-sample modification for sample size ``n`` and the
-    piecewise exponential approximation documented in the module docstring.
+    piecewise exponential approximation documented in the module docstring;
+    the result is non-increasing in ``stat`` and never overflows.
     """
     aa = stat * (1.0 + 0.75 / n + 2.25 / (n * n))
     if aa >= 0.6:
-        p = math.exp(1.2937 - 5.709 * aa + 0.0186 * aa * aa)
+        tail = min(aa, _AD_TAIL_VERTEX)
+        p = min(_AD_TAIL_CAP, math.exp(1.2937 - 5.709 * tail + 0.0186 * tail * tail))
     elif aa >= 0.34:
-        p = math.exp(0.9177 - 4.279 * aa - 1.38 * aa * aa)
+        p = _ad_upper_branch(aa)
     elif aa > 0.2:
         p = 1.0 - math.exp(-8.318 + 42.796 * aa - 59.938 * aa * aa)
     else:

@@ -15,7 +15,10 @@ All numbers are written with 17 significant digits, so every file re-parses
 to exactly the double-precision values that produced it.  In particular
 ``replicates.csv`` retains enough per-path functionals that
 :func:`regenerate_report` can rebuild every table and figure without
-re-simulating.
+re-simulating, and it checks that the estimates it recomputes from them equal
+the stored ones.  ``report.json`` is strict JSON: a statistic that is not a
+finite number (for example a normality test on fewer than 8 results) is
+written as ``null``.
 """
 
 from __future__ import annotations
@@ -164,6 +167,13 @@ def _write_replicates_csv(path: Path, run: McRun) -> None:
 
 
 def _read_replicates_csv(path: Path, config: ExperimentConfig) -> list[ReplicateResult]:
+    """Rebuild the replicate records from their stored functionals.
+
+    Raises:
+        CsvFormatError: wrong header or column count, a non-numeric cell, or
+            a stored estimate that differs from the one its row's
+            functionals give.
+    """
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     if not lines or lines[0] != ",".join(_REPLICATE_COLUMNS):
         raise CsvFormatError(f"{path}: unexpected replicate-file header")
@@ -174,8 +184,11 @@ def _read_replicates_csv(path: Path, config: ExperimentConfig) -> list[Replicate
         parts = line.split(",")
         if len(parts) != len(_REPLICATE_COLUMNS):
             raise CsvFormatError(f"{path}: line {lineno}: wrong column count")
-        idx = int(parts[0])
-        vals = [float(p) for p in parts[1:]]
+        try:
+            idx = int(parts[0])
+            vals = [float(p) for p in parts[1:]]
+        except ValueError:
+            raise CsvFormatError(f"{path}: line {lineno}: non-numeric value") from None
         (a_hat, b_hat, alpha_hat, beta_hat, y_term, x_term,
          i1, i2, i3, i4, e1, e2, e3, qv_y, denom) = vals
         f = PathFunctionals(
@@ -186,6 +199,14 @@ def _read_replicates_csv(path: Path, config: ExperimentConfig) -> list[Replicate
             qv_y=qv_y, denom=denom,
         )
         est = lse_from_functionals(f)
+        stored = (a_hat, b_hat, alpha_hat, beta_hat)
+        for column, want, got in zip(_REPLICATE_COLUMNS[1:5], stored, est.vector()):
+            if got != want:
+                raise CsvFormatError(
+                    f"{path}: line {lineno} (replicate {idx}): stored {column} "
+                    f"{_fmt(want)} differs from {_fmt(got)} recomputed from the "
+                    f"row's functionals"
+                )
         results.append(
             ReplicateResult(
                 index=idx,
@@ -253,6 +274,17 @@ def _theory_for(config: ExperimentConfig):
     return None
 
 
+def _finite_or_null(value):
+    """The payload with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,8 +293,10 @@ def _emit(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None]:
     deviations = covariance_check(summary, theory) if theory is not None else None
     selected = set(run.config.outputs)
 
-    payload = report_payload(run, summary, deviations)
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = _finite_or_null(report_payload(run, summary, deviations))
+    (out / "report.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
     if "replicates" in selected:
         _write_replicates_csv(out / "replicates.csv", run)
     if "tables" in selected:

@@ -25,6 +25,14 @@ Randomness contract: every replicate owns two independent Gaussian streams
 (eta for the variance, zeta for the price) derived from a master seed, the
 replicate index and a fixed stream tag.  Identical (seed, replicate) input
 yields bit-identical paths no matter how replicates are batched or threaded.
+
+Lanes and blocks: :func:`advance_variance` is the package's one step loop.
+It advances a group of replicates side by side (the lanes) through a block of
+steps, and :func:`price_block` turns a block of variance points into the
+matching log-price points, carrying the price across blocks.  A single path
+is one lane and one block; a Monte Carlo run streams many lanes through
+blocks of B steps.  Both see the same per-element arithmetic, and a path cut
+into blocks reproduces the path computed in one piece bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +64,9 @@ __all__ = [
     "step_se",
     "step_desre",
     "step_disre",
+    "variance_state",
+    "advance_variance",
+    "price_block",
     "simulate_y",
     "simulate_x",
     "simulate_xy",
@@ -186,8 +197,8 @@ class GaussianDraws:
 #
 # The private _*_update functions hold the arithmetic and accept scalars or
 # arrays; the public step_* wrappers add the validation described in their
-# docstrings.  Batch simulation reuses the updates unchanged, so a batched
-# row and a lone path see exactly the same sequence of operations.
+# docstrings.  The step loop reuses the updates unchanged, so a lane of a
+# batch and a lone path see exactly the same sequence of operations.
 
 
 def _require_feller(params: ModelParams) -> None:
@@ -282,13 +293,106 @@ def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
 
 
 # ---------------------------------------------------------------------------
+# the step loop: lanes advanced through a block of steps
+
+_UPDATES = {
+    Scheme.AVE: _ave_update,
+    Scheme.TE: _te_update,
+    Scheme.SE: _se_update,
+    Scheme.DESRE: _desre_update,
+    Scheme.DISRE: _disre_update,
+}
+
+
+def variance_state(params: ModelParams, scheme: Scheme, lanes: int) -> np.ndarray:
+    """Initial state of ``lanes`` lanes: y0, or sqrt(y0) for DESRE/DISRE.
+
+    Raises:
+        FellerViolated: for DESRE/DISRE without a > sigma1^2/2.
+    """
+    if not scheme.uses_sqrt_state:
+        return np.full(lanes, float(params.y0))
+    _require_feller(params)
+    return np.full(lanes, math.sqrt(params.y0))
+
+
+def advance_variance(
+    params: ModelParams,
+    dt: float,
+    scheme: Scheme,
+    state: np.ndarray,
+    eta: np.ndarray,
+    out: np.ndarray,
+    failed: np.ndarray,
+    start: int = 0,
+) -> np.ndarray:
+    """Advance lanes through one block of steps; returns the new state.
+
+    Args:
+        state: (lanes,) scheme state from :func:`variance_state` or from the
+            previous block.
+        eta: (steps, lanes) draws, one row per step (time-major).
+        out: (steps, lanes) array that receives Y after each step.
+        failed: (lanes,) grid index of each lane's DESRE abort, -1 for a live
+            lane; updated in place.  An aborted lane is NaN from its abort on.
+        start: grid index of the block's first point, so that abort indices
+            count from the start of the path.
+    """
+    update = _UPDATES[scheme]
+    if not scheme.uses_sqrt_state:
+        for k in range(eta.shape[0]):
+            state = update(params, state, dt, eta[k])
+            out[k] = state
+        return state
+    for k in range(eta.shape[0]):
+        state = update(params, state, dt, eta[k])
+        if scheme is Scheme.DESRE:
+            bad = (state <= 0.0) & (failed < 0)
+            if bad.any():
+                failed[bad] = start + k + 1
+                state = np.where(bad, np.nan, state)
+        out[k] = state * state
+    return state
+
+
+def price_block(
+    params: ModelParams,
+    dt: float,
+    y: np.ndarray,
+    eta: np.ndarray,
+    zeta: np.ndarray,
+    x_start,
+) -> np.ndarray:
+    """Euler log-price points over a block, lanes along the leading axes.
+
+    ``y`` holds the block's variance points with its left endpoint, shape
+    (..., steps + 1); ``eta`` and ``zeta`` hold (..., steps) draws; ``x_start``
+    is the price at the left endpoint.  Returns the (..., steps + 1) price
+    points, ``x_start`` first.
+    """
+    y_left = y[..., :-1]
+    mix = params.rho * eta + math.sqrt(1.0 - params.rho * params.rho) * zeta
+    x = np.empty(y.shape)
+    x[..., 0] = x_start
+    x[..., 1:] = (params.alpha - params.beta * y_left) * dt + (
+        params.sigma2 * np.sqrt(np.maximum(y_left, 0.0)) * np.sqrt(dt) * mix
+    )
+    # the cumulative sum over [x_start, inc_1, inc_2, ...] reproduces the
+    # left-to-right recursion x_k = x_{k-1} + inc_k including its
+    # floating-point association, in one block or in many
+    return np.cumsum(x, axis=-1, out=x)
+
+
+# ---------------------------------------------------------------------------
 # whole-path simulation
 
 
 def _simulate_y_batch(
     params: ModelParams, grid: TimeGrid, scheme: Scheme, eta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a batch of variance paths; rows are independent replicates.
+    """Advance a batch of whole variance paths; rows are independent replicates.
+
+    One block of ``grid.steps`` steps through :func:`advance_variance`.
 
     Args:
         eta: array of shape (rows, steps) of standard-normal draws.
@@ -301,35 +405,14 @@ def _simulate_y_batch(
     rows, n = eta.shape
     if n != grid.steps:
         raise LengthMismatch(f"draws provide {n} steps, grid has {grid.steps}")
-    dt = grid.dt
-    y = np.empty((rows, n + 1), dtype=float)
-    y[:, 0] = params.y0
+    state = variance_state(params, scheme, rows)
+    y = np.empty((n + 1, rows), dtype=float)
+    y[0] = params.y0
     failed = np.full(rows, -1, dtype=np.int64)
-
-    if not scheme.uses_sqrt_state:
-        update = {
-            Scheme.AVE: _ave_update,
-            Scheme.TE: _te_update,
-            Scheme.SE: _se_update,
-        }[scheme]
-        cur = np.full(rows, float(params.y0))
-        for k in range(n):
-            cur = update(params, cur, dt, eta[:, k])
-            y[:, k + 1] = cur
-        return y, failed
-
-    _require_feller(params)
-    update = _desre_update if scheme is Scheme.DESRE else _disre_update
-    z = np.full(rows, math.sqrt(params.y0))
-    for k in range(n):
-        z = update(params, z, dt, eta[:, k])
-        if scheme is Scheme.DESRE:
-            bad = (z <= 0.0) & (failed < 0)
-            if bad.any():
-                failed[bad] = k + 1
-                z = np.where(bad, np.nan, z)
-        y[:, k + 1] = z * z
-    return y, failed
+    advance_variance(
+        params, grid.dt, scheme, state, np.ascontiguousarray(eta.T), y[1:], failed
+    )
+    return np.ascontiguousarray(y.T), failed
 
 
 def simulate_y(
@@ -357,22 +440,6 @@ def simulate_y(
     return y[0]
 
 
-def _x_from_y(
-    params: ModelParams, grid: TimeGrid, y: np.ndarray, eta: np.ndarray, zeta: np.ndarray
-) -> np.ndarray:
-    """Euler log-price path(s) from variance path(s); works on 1-d or 2-d input."""
-    dt = grid.dt
-    y_left = y[..., :-1]
-    mix = params.rho * eta + math.sqrt(1.0 - params.rho * params.rho) * zeta
-    increments = (params.alpha - params.beta * y_left) * dt + (
-        params.sigma2 * np.sqrt(np.maximum(y_left, 0.0)) * np.sqrt(dt) * mix
-    )
-    head = np.full(y.shape[:-1] + (1,), float(params.x0))
-    # cumulative sum over [x0, inc_1, inc_2, ...] reproduces the left-to-right
-    # recursion x_k = x_{k-1} + inc_k including its floating-point association
-    return np.cumsum(np.concatenate([head, increments], axis=-1), axis=-1)
-
-
 def simulate_x(
     params: ModelParams, grid: TimeGrid, y_path: np.ndarray, draws: GaussianDraws
 ) -> np.ndarray:
@@ -392,7 +459,7 @@ def simulate_x(
         )
     if len(draws) != grid.steps:
         raise LengthMismatch(f"draws provide {len(draws)} steps, grid has {grid.steps}")
-    return _x_from_y(params, grid, y_path, draws.eta, draws.zeta)
+    return price_block(params, grid.dt, y_path, draws.eta, draws.zeta, params.x0)
 
 
 @dataclass(frozen=True)

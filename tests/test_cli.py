@@ -276,6 +276,44 @@ def test_report_regenerates_identical_tables(tmp_path, config_file):
         assert (out / name).read_bytes() == originals[name], name
 
 
+def test_report_rejects_a_tampered_estimate(tmp_path, config_file, capsys):
+    out = tmp_path / "rep"
+    out.mkdir()
+    assert main(["mc", "--config", str(config_file), "--out", str(out),
+                 "--set", "replicates=5"]) == 0
+    lines = (out / "replicates.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    col = header.index("alpha_hat")
+    cells = lines[3].split(",")
+    cells[col] = repr(float(cells[col]) * (1 + 1e-9))
+    lines[3] = ",".join(cells)
+    (out / "replicates.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "CsvFormatError" in err
+    assert "line 4" in err and "alpha_hat" in err
+
+
+def test_report_json_is_strict_on_a_small_run(tmp_path, config_file):
+    """Fewer than 8 results leave the normality fields undefined: null, not NaN."""
+    out = tmp_path / "rep"
+    out.mkdir()
+    assert main(["mc", "--config", str(config_file), "--out", str(out),
+                 "--set", "replicates=5"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert set(payload) == {"config", "failures", "summary", "covariance_check"}
+    assert payload["summary"]["n_results"] == 5
+    for name in ("a", "b", "alpha", "beta"):
+        block = payload["summary"]["per_param"][name]
+        assert block["jb_stat"] is None and block["ad_pvalue"] is None
+        assert isinstance(block["l2_error"], float)
+
+
 def test_mc_failure_accounting_through_cli(tmp_path, capsys):
     cfg = tmp_path / "edge.cfg"
     cfg.write_text(
@@ -319,4 +357,4 @@ def test_mc_requires_some_config(capsys):
 def test_bad_override_reports_key(config_file, capsys):
     rc = main(["mc", "--config", str(config_file), "--set", "rho=5"])
     assert rc == 1
-    assert "Rho" in capsys.readouterr().err or True  # structured cause printed
+    assert "RhoOutOfRange" in capsys.readouterr().err

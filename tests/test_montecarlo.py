@@ -2,12 +2,14 @@
 normality tests, histogram records, covariance deviation reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import hestonlab as hl
+import hestonlab.montecarlo as mc
 
 
 def small_config(**over):
@@ -109,6 +111,92 @@ def test_failed_paths_are_counted_not_silent():
     # determinism extends to the failure set
     again = hl.run_replicates(cfg)
     assert [f.index for f in again.failures] == [f.index for f in run.failures]
+
+
+# explicit square-root scheme near its boundary: 18 of 24 replicates abort,
+# at steps spread over the whole path
+EDGE = hl.ModelParams(a=0.09, b=0.3, alpha=0.1, beta=0.15, sigma1=0.4,
+                      sigma2=0.3, rho=0.2, y0=0.05, x0=0.0)
+
+
+def edge_config():
+    return hl.ExperimentConfig(params=EDGE, grid=hl.TimeGrid(200.0, 1000),
+                               scheme=hl.Scheme.DESRE, replicates=24, master_seed=5)
+
+
+def run_record(run):
+    """Everything a run reports, as exactly comparable values."""
+    return (
+        [(r.index, r.estimate.vector().tolist(), r.normalized.tolist(),
+          r.scaled.vector.tolist(), r.y_terminal, r.x_terminal,
+          vars(r.estimate.functionals)) for r in run.results],
+        [(f.index, f.reason, f.step) for f in run.failures],
+    )
+
+
+def test_results_do_not_depend_on_lane_groups_blocks_or_threads(monkeypatch):
+    """Two element budgets (8 lanes x 128 steps and 24 lanes x 640 steps, so
+    different lane groups and block boundaries) and 1 or 2 threads give the
+    same bits, aborted lanes included."""
+    plans = []
+    for budget in (1 << 10, 1 << 14):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", budget)
+        plans.append(mc._lane_plan(24, 1))
+    assert plans == [(8, 128), (24, 640)]
+    for cfg in (small_config(replicates=24), edge_config()):
+        records = []
+        for budget in (1 << 10, 1 << 14):
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", budget)
+            for threads in (1, 2):
+                records.append(run_record(hl.run_replicates(cfg, threads=threads)))
+        assert all(rec == records[0] for rec in records[1:])
+
+
+def test_aborted_lanes_draw_nothing_after_their_block(monkeypatch):
+    cfg = edge_config()
+    block = 128
+    monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", cfg.replicates * block)
+    assert mc._lane_plan(cfg.replicates, 1) == (cfg.replicates, block)
+    drawn = {}
+
+    class CountingStream:
+        def __init__(self, gen, key):
+            self.gen, self.key = gen, key
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            drawn[self.key] = drawn.get(self.key, 0) + out.size
+            return self.gen.standard_normal(*args, out=out, **kwargs)
+
+    class CountingLineage(hl.SeedLineage):
+        def generators(self):
+            return tuple(CountingStream(g, (self.replicate, tag))
+                         for tag, g in enumerate(super().generators()))
+
+    monkeypatch.setattr(mc, "SeedLineage", CountingLineage)
+    run = hl.run_replicates(cfg)
+    n = cfg.grid.steps
+    steps = {f.index: f.step for f in run.failures}
+    assert len(steps) == 18 and min(steps.values()) < n - block
+    for r in range(cfg.replicates):
+        want = min(n, -(-steps[r] // block) * block) if r in steps else n
+        assert drawn[(r, 0)] == drawn[(r, 1)] == want, r
+    assert sum(drawn.values()) < 2 * n * cfg.replicates * 0.7
+
+
+def test_peak_memory_does_not_grow_with_steps():
+    """At a fixed replicate count the kernel's arrays are lanes x B, so the
+    peak traced allocation is the same at N = 2000 and N = 20000."""
+    peaks = []
+    for steps in (2000, 20_000):
+        cfg = small_config(grid=hl.TimeGrid(steps / 10.0, steps), replicates=300)
+        assert mc._lane_plan(cfg.replicates, 1)[1] <= 2000
+        tracemalloc.start()
+        try:
+            hl.run_replicates(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_all_replicates_failed():
@@ -254,6 +342,25 @@ def test_anderson_darling_published_pvalue_points():
     for stat, p_ref in [(0.34486, 0.4857), (0.62481, 0.1037),
                         (0.34078, 0.4962), (0.35232, 0.467)]:
         assert hl.anderson_darling_pvalue(stat, 10_000) == pytest.approx(p_ref, abs=5e-4)
+
+
+def test_anderson_darling_pvalue_tail_stays_small():
+    # the tail branch's parabola turns upward near A*^2 = 153.5; past it the
+    # p-value used to climb back to 1 (at 350) and overflow (from 401.7)
+    vertex = 5.709 / (2 * 0.0186)
+    floor = math.exp(1.2937 - 5.709 * vertex + 0.0186 * vertex * vertex)
+    for stat in (350.0, 402.0, 1e4, 1e300, math.inf):
+        assert hl.anderson_darling_pvalue(stat, 1000) == floor
+    assert 0.0 < floor < 1e-180
+
+
+def test_anderson_darling_pvalue_non_increasing():
+    # fine near the branch boundaries (0.2, 0.34, 0.6), coarse beyond
+    grid = np.concatenate([np.linspace(0.0, 2.0, 40_001), np.linspace(2.0, 1e4, 20_001)])
+    for n in (8, 1000):
+        ps = np.array([hl.anderson_darling_pvalue(s, n) for s in grid])
+        assert np.all(np.diff(ps) <= 0.0)
+        assert np.all((ps >= 0.0) & (ps <= 1.0))
 
 
 def test_anderson_darling_calibration_sweep():
