@@ -40,6 +40,10 @@ class NotSubcritical(HestonLabError):
 # ---------------------------------------------------------------------------
 # path simulation
 
+class InvalidGrid(HestonLabError, ValueError):
+    """A time grid needs a finite horizon > 0 and a positive integer step count."""
+
+
 class FellerViolated(HestonLabError):
     """Square-root-transform schemes require ``a > sigma1**2 / 2``."""
 

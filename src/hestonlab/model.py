@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (
+    InvalidParams,
     NonPositiveA,
     NonPositiveSigma,
     NonPositiveY0,
@@ -79,6 +81,10 @@ class ModelParams:
     x0: float
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InvalidParams(f"{field.name} must be a finite number, got {value!r}")
         if not self.a > 0.0:
             raise NonPositiveA(f"a must be > 0, got {self.a}")
         if not self.sigma1 > 0.0:

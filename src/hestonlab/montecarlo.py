@@ -250,8 +250,14 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
             failed, start,
         )
         y_b = np.ascontiguousarray(y_steps.T)
-        x_b = price_block(params, dt, y_b, eta, zeta, sums.x_end)
-        sums.fold(y_b, x_b)
+        # price and fold a tile at a time, carrying the price in the sums: the
+        # price temporaries stay (lanes, SUM_TILE) and are reused by the
+        # allocator, where block-sized ones are faulted in again every block
+        for lo in range(0, steps, SUM_TILE):
+            hi = min(lo + SUM_TILE, steps)
+            y_t = y_b[:, lo : hi + 1]
+            sums.fold(y_t, price_block(
+                params, dt, y_t, eta[:, lo:hi], zeta[:, lo:hi], sums.x_end))
         if scheme is Scheme.DESRE and (failed >= 0).any():
             keep = failed < 0
             failures.extend(

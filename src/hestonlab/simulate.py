@@ -17,6 +17,17 @@ no-touching-zero condition a > sigma1^2/2:
 * ``DISRE`` -- drift-implicit Euler for Z, solved exactly by the closed-form
   positive root of its quadratic, hence strictly positive for any draw.
 
+With step dt and draw eta, each recursion is evaluated from left to right
+as written:
+
+    AVE    y' = y + (a - b*y)*dt + sigma1*sqrt(|y|)*sqrt(dt)*eta
+    TE     y' = y + (a - b*y)*dt + sigma1*sqrt(max(y, 0))*sqrt(dt)*eta
+    SE     y' = |y + (a - b*y)*dt + sigma1*sqrt(y)*sqrt(dt)*eta|
+    DESRE  z' = z + (level/z - 0.5*b*z)*dt + 0.5*sigma1*sqrt(dt)*eta,
+                level = 0.5*a - 0.125*sigma1**2
+    DISRE  u  = (z + 0.5*sigma1*sqrt(dt)*eta)/den,  den = 2 + b*dt,
+           z' = u + sqrt(u*u + (a - 0.25*sigma1**2)*dt/den)
+
 The log-price is advanced by an explicit Euler recursion driven by the
 correlated pair (eta, zeta); its diffusion uses sqrt(max(y, 0)) so that the
 recursion stays defined for schemes whose variance iterate can be negative.
@@ -39,7 +50,9 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +60,7 @@ import numpy as np
 from .errors import (
     CsvFormatError,
     FellerViolated,
+    InvalidGrid,
     LengthMismatch,
     NegativeInput,
     NonPositiveZ,
@@ -77,16 +91,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``steps`` intervals covering [0, horizon]."""
+    """Uniform grid of ``steps`` intervals covering [0, horizon].
+
+    An integral float ``steps`` such as 10.0 is stored as the int 10.
+
+    Raises:
+        InvalidGrid: a horizon that is not a finite number > 0, or a step
+            count that is not a positive integer.
+    """
 
     horizon: float
     steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps}")
+        if not (isinstance(self.horizon, numbers.Real) and 0.0 < self.horizon < math.inf):
+            raise InvalidGrid(f"horizon must be a finite number > 0, got {self.horizon!r}")
+        steps = self.steps
+        if not (isinstance(steps, numbers.Real) and steps >= 1 and float(steps).is_integer()):
+            raise InvalidGrid(f"steps must be a positive integer, got {steps!r}")
+        object.__setattr__(self, "steps", int(steps))
 
     @property
     def dt(self) -> float:
@@ -193,12 +216,21 @@ class GaussianDraws:
 
 
 # ---------------------------------------------------------------------------
-# one-step kernels
+# the step loop: lanes advanced through a block of steps
 #
-# The private _*_update functions hold the arithmetic and accept scalars or
-# arrays; the public step_* wrappers add the validation described in their
-# docstrings.  The step loop reuses the updates unchanged, so a lane of a
-# batch and a lone path see exactly the same sequence of operations.
+# Each _*_steps function advances (lanes,) states through a block: ``eta``
+# holds one row of draws per step, and row k of ``out`` receives the state
+# after step k (Y, or Z = sqrt(Y) for DESRE/DISRE).  It evaluates the
+# scheme's formula (module docstring) from left to right, as written there.
+# A product of scalars that the formula forms before it meets an array is
+# formed once per block and held as a 0-d array (numpy takes those faster
+# than Python floats; the arithmetic is the same), and so is the noise term
+# of DESRE and DISRE, a scalar times eta.  Every per-step operation writes
+# into one of three preallocated lane buffers or into ``out``, not into its
+# own operand (numpy takes that slowly on a one-element array), except for
+# DESRE's last add.  So a block gives the bits of the formula applied step
+# by step, with six to ten numpy calls a step.  The public step_* wrappers
+# run these same functions on a block of one step.
 
 
 def _require_feller(params: ModelParams) -> None:
@@ -209,49 +241,100 @@ def _require_feller(params: ModelParams) -> None:
         )
 
 
-def _ave_update(params: ModelParams, y_prev, dt, eta_k):
-    drift = (params.a - params.b * y_prev) * dt
-    noise = params.sigma1 * np.sqrt(np.abs(y_prev)) * np.sqrt(dt) * eta_k
-    return y_prev + drift + noise
+def _euler_steps(scheme: Scheme, params: ModelParams, dt, y, eta, out) -> None:
+    # AVE, TE and SE: y + (a - b*y)*dt + sigma1*sqrt(g(y))*sqrt(dt)*eta
+    a, b, dt_, sigma1, sqrt_dt = (
+        np.array(v, dtype=float)
+        for v in (params.a, params.b, dt, params.sigma1, np.sqrt(dt))
+    )
+    p, q, r = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    for eta_k, y_k in zip(eta, out):
+        np.multiply(b, y, p)
+        np.subtract(a, p, q)
+        np.multiply(q, dt_, p)  # p = drift
+        if scheme is Scheme.AVE:
+            np.sqrt(np.abs(y, q), r)
+        elif scheme is Scheme.TE:
+            np.sqrt(np.maximum(y, 0.0, out=q), r)
+        else:
+            np.sqrt(y, r)
+        np.multiply(sigma1, r, q)
+        np.multiply(q, sqrt_dt, r)
+        np.multiply(r, eta_k, q)  # q = noise
+        np.add(y, p, r)
+        if scheme is Scheme.SE:
+            np.abs(np.add(r, q, p), y_k)
+        else:
+            np.add(r, q, y_k)
+        y = y_k
 
 
-def _te_update(params: ModelParams, y_prev, dt, eta_k):
-    drift = (params.a - params.b * y_prev) * dt
-    noise = params.sigma1 * np.sqrt(np.maximum(y_prev, 0.0)) * np.sqrt(dt) * eta_k
-    return y_prev + drift + noise
+def _desre_steps(params: ModelParams, dt, z, eta, out) -> None:
+    # z + (level/z - 0.5*b*z)*dt + 0.5*sigma1*sqrt(dt)*eta; the noise term
+    # is a scalar times eta, formed for the whole block in ``out``
+    level = np.array(0.5 * params.a - 0.125 * params.sigma1 ** 2)
+    half_b, dt_ = np.array(0.5 * params.b), np.array(dt, dtype=float)
+    np.multiply(0.5 * params.sigma1 * np.sqrt(dt), eta, out)
+    p, q, r = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    for z_k in out:
+        np.divide(level, z, p)
+        np.multiply(half_b, z, q)
+        np.subtract(p, q, r)
+        np.multiply(r, dt_, p)  # p = drift
+        np.add(z, p, q)
+        np.add(q, z_k, z_k)  # z_k held the noise
+        z = z_k
 
 
-def _se_update(params: ModelParams, y_prev, dt, eta_k):
-    drift = (params.a - params.b * y_prev) * dt
-    noise = params.sigma1 * np.sqrt(y_prev) * np.sqrt(dt) * eta_k
-    return np.abs(y_prev + drift + noise)
-
-
-def _desre_update(params: ModelParams, z_prev, dt, eta_k):
-    level = 0.5 * params.a - 0.125 * params.sigma1 ** 2
-    drift = (level / z_prev - 0.5 * params.b * z_prev) * dt
-    return z_prev + drift + 0.5 * params.sigma1 * np.sqrt(dt) * eta_k
-
-
-def _disre_update(params: ModelParams, z_prev, dt, eta_k):
+def _disre_steps(params: ModelParams, dt, z, eta, out) -> None:
+    # u = (z + 0.5*sigma1*sqrt(dt)*eta)/den with den = 2 + b*dt, then
+    # z' = u + sqrt(u*u + (a - 0.25*sigma1^2)*dt/den); the noise term is a
+    # scalar times eta, formed for the whole block in ``out``
     den = 2.0 + params.b * dt
     if den <= 0.0:
         raise ValueError(
             f"implicit square-root step needs 2 + b*dt > 0, got b={params.b}, dt={dt}"
         )
-    u = (z_prev + 0.5 * params.sigma1 * np.sqrt(dt) * eta_k) / den
-    disc = u * u + (params.a - 0.25 * params.sigma1 ** 2) * dt / den
-    return u + np.sqrt(disc)
+    lift = np.array((params.a - 0.25 * params.sigma1 ** 2) * dt / den)
+    den = np.array(den)
+    np.multiply(0.5 * params.sigma1 * np.sqrt(dt), eta, out)
+    u, p, q = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    for z_k in out:
+        np.add(z, z_k, p)  # z_k holds the noise
+        np.divide(p, den, u)
+        np.multiply(u, u, p)
+        np.add(p, lift, q)
+        np.add(u, np.sqrt(q, p), z_k)
+        z = z_k
+
+
+_STEPS = {
+    Scheme.AVE: partial(_euler_steps, Scheme.AVE),
+    Scheme.TE: partial(_euler_steps, Scheme.TE),
+    Scheme.SE: partial(_euler_steps, Scheme.SE),
+    Scheme.DESRE: _desre_steps,
+    Scheme.DISRE: _disre_steps,
+}
+
+
+def _one_step(scheme: Scheme, params: ModelParams, state, dt, eta_k):
+    """One step of ``scheme`` on scalars or arrays of one shape."""
+    state, eta_k = np.broadcast_arrays(
+        np.asarray(state, dtype=float), np.asarray(eta_k, dtype=float)
+    )
+    out = np.empty((1, state.size))
+    _STEPS[scheme](params, dt, state.reshape(-1), eta_k.reshape(1, -1), out)
+    return out.reshape(state.shape)[()]
 
 
 def step_ave(params: ModelParams, y_prev, dt: float, eta_k):
     """Absolute-value Euler variance step; accepts any real state."""
-    return _ave_update(params, y_prev, dt, eta_k)
+    return _one_step(Scheme.AVE, params, y_prev, dt, eta_k)
 
 
 def step_te(params: ModelParams, y_prev, dt: float, eta_k):
     """Truncated Euler variance step; negative states diffuse with zero volatility."""
-    return _te_update(params, y_prev, dt, eta_k)
+    return _one_step(Scheme.TE, params, y_prev, dt, eta_k)
 
 
 def step_se(params: ModelParams, y_prev, dt: float, eta_k):
@@ -263,7 +346,7 @@ def step_se(params: ModelParams, y_prev, dt: float, eta_k):
     """
     if np.any(np.asarray(y_prev) < 0.0):
         raise NegativeInput(f"symmetrized step expects y_prev >= 0, got {y_prev}")
-    return _se_update(params, y_prev, dt, eta_k)
+    return _one_step(Scheme.SE, params, y_prev, dt, eta_k)
 
 
 def step_desre(params: ModelParams, z_prev, dt: float, eta_k):
@@ -276,7 +359,7 @@ def step_desre(params: ModelParams, z_prev, dt: float, eta_k):
     _require_feller(params)
     if np.any(np.asarray(z_prev) <= 0.0):
         raise NonPositiveZ(f"explicit square-root step needs z_prev > 0, got {z_prev}")
-    return _desre_update(params, z_prev, dt, eta_k)
+    return _one_step(Scheme.DESRE, params, z_prev, dt, eta_k)
 
 
 def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
@@ -289,19 +372,7 @@ def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
         FellerViolated: unless a > sigma1^2/2.
     """
     _require_feller(params)
-    return _disre_update(params, z_prev, dt, eta_k)
-
-
-# ---------------------------------------------------------------------------
-# the step loop: lanes advanced through a block of steps
-
-_UPDATES = {
-    Scheme.AVE: _ave_update,
-    Scheme.TE: _te_update,
-    Scheme.SE: _se_update,
-    Scheme.DESRE: _desre_update,
-    Scheme.DISRE: _disre_update,
-}
+    return _one_step(Scheme.DISRE, params, z_prev, dt, eta_k)
 
 
 def variance_state(params: ModelParams, scheme: Scheme, lanes: int) -> np.ndarray:
@@ -338,20 +409,22 @@ def advance_variance(
         start: grid index of the block's first point, so that abort indices
             count from the start of the path.
     """
-    update = _UPDATES[scheme]
-    if not scheme.uses_sqrt_state:
-        for k in range(eta.shape[0]):
-            state = update(params, state, dt, eta[k])
-            out[k] = state
-        return state
-    for k in range(eta.shape[0]):
-        state = update(params, state, dt, eta[k])
-        if scheme is Scheme.DESRE:
-            bad = (state <= 0.0) & (failed < 0)
-            if bad.any():
-                failed[bad] = start + k + 1
-                state = np.where(bad, np.nan, state)
-        out[k] = state * state
+    if scheme is Scheme.DESRE:
+        # a lane runs on past its first nonpositive Z to the end of the block;
+        # those values are replaced by NaN below, and so are their warnings
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            _desre_steps(params, dt, state, eta, out)
+        bad = out <= 0.0
+        hit = bad.any(axis=0) & (failed < 0)
+        if hit.any():
+            first = bad.argmax(axis=0)
+            failed[hit] = start + first[hit] + 1
+            out[(np.arange(out.shape[0])[:, None] >= first) & hit] = np.nan
+    else:
+        _STEPS[scheme](params, dt, state, eta, out)
+    state = out[-1].copy()
+    if scheme.uses_sqrt_state:
+        np.multiply(out, out, out)
     return state
 
 
@@ -518,8 +591,9 @@ def read_path_csv(src) -> XYPath:
     """Read a path CSV written by :func:`write_path_csv` (or equivalent).
 
     Raises:
-        CsvFormatError: wrong header, malformed row, fewer than two rows,
-            or a time column that is not the uniform grid starting at 0.
+        CsvFormatError: wrong header, malformed row, a non-finite value,
+            fewer than two rows, or a time column that is not the uniform
+            grid starting at 0.
     """
     if hasattr(src, "read"):
         text = src.read()
@@ -540,9 +614,13 @@ def read_path_csv(src) -> XYPath:
         t_vals.append(tv)
         y_vals.append(yv)
         x_vals.append(xv)
+    cells = np.array([t_vals, y_vals, x_vals])
+    finite = np.isfinite(cells).all(axis=0)
+    if not finite.all():
+        raise CsvFormatError(f"line {int(np.argmin(finite)) + 2}: non-finite value")
     if len(t_vals) < 2:
         raise CsvFormatError("need at least two rows (initial point plus one step)")
-    t = np.asarray(t_vals)
+    t, y, x = cells
     if t[0] != 0.0:
         raise CsvFormatError(f"time column must start at 0, got {t[0]}")
     if not t[-1] > 0.0:
@@ -551,4 +629,4 @@ def read_path_csv(src) -> XYPath:
     tol = 1e-9 * max(1.0, abs(grid.horizon))
     if np.max(np.abs(t - grid.times())) > tol:
         raise CsvFormatError("time column is not a uniform grid")
-    return XYPath(grid=grid, y=np.asarray(y_vals), x=np.asarray(x_vals), scheme=None)
+    return XYPath(grid=grid, y=y, x=x, scheme=None)

@@ -347,6 +347,15 @@ def test_estimate_missing_file_returns_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_estimate_rejects_a_non_finite_cell(tmp_path, capsys):
+    f = tmp_path / "nan.csv"
+    f.write_text("t,y,x\n0,1,0\n1,nan,0.5\n2,2,0.5\n")
+    assert main(["estimate", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CsvFormatError" in captured.err and "line 3" in captured.err
+
+
 def test_mc_requires_some_config(capsys):
     rc = main(["mc"])
     assert rc == 1

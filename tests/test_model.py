@@ -45,6 +45,15 @@ def test_invalid_params_rejected(field, value, exc):
         make_params(**{field: value})
 
 
+@pytest.mark.parametrize("field", sorted(CANON))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_params_rejected_naming_the_field(field, value):
+    with pytest.raises(hl.InvalidParams, match=f"^{field} must be a finite number"):
+        make_params(**{field: value})
+    with pytest.raises(hl.InvalidParams, match=f"^{field} must be a finite number"):
+        hl.validate_params({**CANON, field: str(value)})
+
+
 def test_validate_params_from_mapping():
     p = hl.validate_params(CANON)
     assert isinstance(p, hl.ModelParams)

@@ -2,12 +2,13 @@
 simulation, draw lineage, and CSV round-trips."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import hestonlab as hl
-from hestonlab.simulate import _simulate_y_batch
+from hestonlab.simulate import _simulate_y_batch, advance_variance, variance_state
 
 P = hl.canonical_params()
 SQRT_DT = math.sqrt(0.1)
@@ -38,6 +39,22 @@ def test_time_grid_basics():
 def test_time_grid_rejects_bad_inputs(horizon, steps):
     with pytest.raises(ValueError):
         hl.TimeGrid(horizon, steps)
+
+
+@pytest.mark.parametrize("horizon,steps", [
+    (math.nan, 10), (math.inf, 10), (5.0, math.nan), (5.0, math.inf), (5.0, 2.5), (5.0, "10"),
+])
+def test_time_grid_rejects_non_finite_and_fractional_inputs(horizon, steps):
+    with pytest.raises(hl.InvalidGrid):
+        hl.TimeGrid(horizon, steps)
+    assert issubclass(hl.InvalidGrid, hl.HestonLabError)
+
+
+def test_time_grid_stores_integral_steps_as_int():
+    grid = hl.TimeGrid(10.0, 10.0)
+    assert grid.steps == 10 and type(grid.steps) is int
+    path = hl.simulate_xy(P, grid, hl.Scheme.DISRE, hl.SeedLineage(1, 0))
+    assert path.y.shape == (11,)
 
 
 def test_scheme_parse():
@@ -275,6 +292,110 @@ def test_desre_aborts_on_nonpositive_z():
 
 
 # ---------------------------------------------------------------------------
+# the step loop against plain Python recursions
+#
+# Each recursion is its scheme's formula from the module docstring of
+# hestonlab.simulate, evaluated on Python floats from left to right.  IEEE
+# arithmetic and math.sqrt round correctly, so every lane of the step loop
+# must give exactly these bits.
+
+NEAR_ZERO = hl.ModelParams(a=0.15, b=0.3, alpha=0.1, beta=0.15, sigma1=0.4,
+                           sigma2=0.3, rho=0.2, y0=0.5, x0=0.1)
+
+
+def python_recursion(scheme, p, dt):
+    sq = math.sqrt(dt)
+    if scheme is hl.Scheme.AVE:
+        return lambda y, e: y + (p.a - p.b * y) * dt + p.sigma1 * math.sqrt(abs(y)) * sq * e
+    if scheme is hl.Scheme.TE:
+        return lambda y, e: (y + (p.a - p.b * y) * dt
+                             + p.sigma1 * math.sqrt(max(y, 0.0)) * sq * e)
+    if scheme is hl.Scheme.SE:
+        return lambda y, e: abs(y + (p.a - p.b * y) * dt + p.sigma1 * math.sqrt(y) * sq * e)
+    if scheme is hl.Scheme.DESRE:
+        level = 0.5 * p.a - 0.125 * p.sigma1 ** 2
+        return lambda z, e: z + (level / z - 0.5 * p.b * z) * dt + 0.5 * p.sigma1 * sq * e
+    den = 2.0 + p.b * dt
+
+    def disre(z, e):
+        u = (z + 0.5 * p.sigma1 * sq * e) / den
+        return u + math.sqrt(u * u + (p.a - 0.25 * p.sigma1 ** 2) * dt / den)
+
+    return disre
+
+
+def python_lanes(scheme, p, dt, eta):
+    """Y after every step, each lane's final state, and each lane's abort index."""
+    step = python_recursion(scheme, p, dt)
+    steps, lanes = eta.shape
+    y = np.empty((steps, lanes))
+    final = np.empty(lanes)
+    failed = np.full(lanes, -1)
+    for lane in range(lanes):
+        s = math.sqrt(p.y0) if scheme.uses_sqrt_state else p.y0
+        for k in range(steps):
+            if not math.isnan(s):
+                s = step(s, float(eta[k, lane]))
+                if scheme is hl.Scheme.DESRE and s <= 0.0:
+                    failed[lane], s = k + 1, math.nan
+            y[k, lane] = s * s if scheme.uses_sqrt_state else s
+        final[lane] = s
+    return y, final, failed
+
+
+@pytest.mark.parametrize("blocks", [(128, 256), (200, 77)], ids=["on-tile", "inside-tile"])
+@pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
+def test_step_loop_matches_python_recursion(scheme, blocks):
+    dt, lanes = 0.1, 5
+    steps = sum(blocks)
+    eta = np.random.default_rng(7).standard_normal((steps, lanes))
+    # spikes that send the explicit square-root lanes 1, 2 and 3 below zero in
+    # the middle of the first block, on its last step and on the first step of
+    # the second block; the other schemes go negative or reflect there
+    eta[40, 1] = eta[blocks[0] - 1, 2] = eta[blocks[0], 3] = -60.0
+    want_y, want_final, want_failed = python_lanes(scheme, NEAR_ZERO, dt, eta)
+
+    state = variance_state(NEAR_ZERO, scheme, lanes)
+    failed = np.full(lanes, -1, dtype=np.int64)
+    got = np.empty((steps, lanes))
+    start = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in blocks:
+            state = advance_variance(NEAR_ZERO, dt, scheme, state, eta[start:start + n],
+                                     got[start:start + n], failed, start)
+            start += n
+
+    assert np.array_equal(got, want_y, equal_nan=True)
+    assert np.array_equal(state, want_final, equal_nan=True)
+    assert failed.tolist() == want_failed.tolist()
+    if scheme is hl.Scheme.DESRE:
+        assert failed.tolist() == [-1, 41, blocks[0], blocks[0] + 1, -1]
+        for lane in (1, 2, 3):
+            k = failed[lane] - 1
+            assert not np.isnan(got[:k, lane]).any() and np.isnan(got[k:, lane]).all()
+    else:
+        assert not np.isnan(got).any()
+
+
+@pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
+def test_step_functions_match_python_recursion(scheme):
+    step_fn = {hl.Scheme.AVE: hl.step_ave, hl.Scheme.TE: hl.step_te,
+               hl.Scheme.SE: hl.step_se, hl.Scheme.DESRE: hl.step_desre,
+               hl.Scheme.DISRE: hl.step_disre}[scheme]
+    dt = 0.1
+    step = python_recursion(scheme, NEAR_ZERO, dt)
+    rng = np.random.default_rng(3)
+    states = rng.uniform(0.05, 2.0, 50)
+    etas = rng.standard_normal(50)
+    for s, e in zip(states, etas):
+        assert step_fn(NEAR_ZERO, float(s), dt, float(e)) == step(float(s), float(e))
+    batch = step_fn(NEAR_ZERO, states, dt, etas)
+    assert batch.shape == (50,)
+    assert batch.tolist() == [step(float(s), float(e)) for s, e in zip(states, etas)]
+
+
+# ---------------------------------------------------------------------------
 # log-price simulation
 
 
@@ -408,4 +529,12 @@ def test_path_csv_rejects_malformed(tmp_path, content):
     f = tmp_path / "bad.csv"
     f.write_text(content)
     with pytest.raises(hl.CsvFormatError):
+        hl.read_path_csv(f)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_path_csv_rejects_non_finite_cells_naming_the_line(tmp_path, cell):
+    f = tmp_path / "bad.csv"
+    f.write_text(f"t,y,x\n0,0.2,0.1\n1,0.3,0.2\n2,{cell},0.3\n")
+    with pytest.raises(hl.CsvFormatError, match="line 4"):
         hl.read_path_csv(f)
