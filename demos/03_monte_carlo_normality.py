@@ -48,7 +48,7 @@ print(f"  worst entrywise deviation: {report.max_scaled_dev:.3f}")
 
 # histogram of the first normalized error component with its normal overlay
 h = hl.histogram_overlay(
-    np.array([r.normalized[0] for r in run.results]),
+    run.results.normalized[:, 0],
     theoretical_variance=float(np.diag(theory.sigma_matrix)[0]))
 peak = np.argmax(h.density)
 print()

@@ -23,16 +23,11 @@ from pathlib import Path
 
 from .errors import ConfigParseError, HestonLabError
 from .estimate import estimate_record, ito_cross_check, lse_from_functionals, path_functionals
-from .model import ModelParams
-from .montecarlo import ExperimentConfig, PARAM_NAMES, preset_config, run_replicates
-from .reports import config_to_mapping, regenerate_report, write_report
-from .simulate import Scheme, SeedLineage, TimeGrid, read_path_csv, simulate_xy, write_path_csv
+from .montecarlo import CONFIG_KEYS, ExperimentConfig, PARAM_NAMES, preset_config, run_replicates
+from .reports import regenerate_report, write_report
+from .simulate import Scheme, SeedLineage, read_path_csv, simulate_xy, write_path_csv
 
-__all__ = ["main", "parse_config", "cmd_simulate", "cmd_estimate", "cmd_mc", "cmd_report"]
-
-_FLOAT_KEYS = ("a", "b", "alpha", "beta", "sigma1", "sigma2", "rho", "y0", "x0", "T")
-_INT_KEYS = ("N", "replicates", "seed")
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + ("scheme",)
+__all__ = ["main", "parse_config", "cmd_simulate", "cmd_estimate", "cmd_mc"]
 
 _PATH_NAME = re.compile(r"path_(?P<scheme>[A-Za-z]+)_s(?P<seed>\d+)_r(?P<rep>\d+)\.csv$")
 
@@ -65,7 +60,7 @@ def read_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigParseError(f"{path}: line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigParseError(f"{path}: line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigParseError(f"{path}: line {lineno}: empty value for {key!r}")
@@ -73,65 +68,19 @@ def read_config_file(path) -> dict[str, str]:
     return mapping
 
 
-def build_config(mapping: dict[str, str]) -> ExperimentConfig:
-    """Validate a complete string mapping into an ExperimentConfig.
-
-    Raises:
-        ConfigParseError: missing key or uncastable value (names the key).
-        InvalidParams / FellerViolated: delegated coefficient validation.
-    """
-    missing = [key for key in _ALL_KEYS if key not in mapping]
-    if missing:
-        raise ConfigParseError(f"missing config key(s): {', '.join(missing)}")
-    values: dict[str, object] = {}
-    for key in _FLOAT_KEYS:
-        try:
-            values[key] = float(mapping[key])
-        except ValueError:
-            raise ConfigParseError(
-                f"config key {key!r}: not a number: {mapping[key]!r}"
-            ) from None
-    for key in _INT_KEYS:
-        try:
-            values[key] = int(mapping[key])
-        except ValueError:
-            raise ConfigParseError(
-                f"config key {key!r}: not an integer: {mapping[key]!r}"
-            ) from None
-    try:
-        scheme = Scheme.parse(mapping["scheme"])
-    except ValueError as exc:
-        raise ConfigParseError(f"config key 'scheme': {exc}") from None
-    params = ModelParams(
-        a=values["a"], b=values["b"], alpha=values["alpha"], beta=values["beta"],
-        sigma1=values["sigma1"], sigma2=values["sigma2"], rho=values["rho"],
-        y0=values["y0"], x0=values["x0"],
-    )
-    return ExperimentConfig(
-        params=params,
-        grid=TimeGrid(horizon=values["T"], steps=values["N"]),
-        scheme=scheme,
-        replicates=values["replicates"],
-        master_seed=values["seed"],
-    )
-
-
 def _parse_override(text: str) -> tuple[str, str]:
     if "=" not in text:
         raise ConfigParseError(f"--set expects key=value, got {text!r}")
     key, value = (part.strip() for part in text.split("=", 1))
-    if key not in _ALL_KEYS:
+    if key not in CONFIG_KEYS:
         raise ConfigParseError(f"--set: unknown key {key!r}")
     if not value:
         raise ConfigParseError(f"--set: empty value for {key!r}")
     return key, value
 
 
-def _resolve_mapping(config_path, overrides, preset) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    if preset:
-        base = config_to_mapping(preset_config(preset))
-        mapping.update({key: _fmt(base[key]) for key in _ALL_KEYS})
+def _resolve_mapping(config_path, overrides, preset) -> dict:
+    mapping = preset_config(preset).to_mapping() if preset else {}
     if config_path:
         mapping.update(read_config_file(config_path))
     for item in overrides or ():
@@ -142,7 +91,7 @@ def _resolve_mapping(config_path, overrides, preset) -> dict[str, str]:
 
 def parse_config(path, overrides=(), preset: str | None = None) -> ExperimentConfig:
     """Resolve preset, file, and overrides into a validated ExperimentConfig."""
-    return build_config(_resolve_mapping(path, overrides, preset))
+    return ExperimentConfig.from_mapping(_resolve_mapping(path, overrides, preset))
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +144,6 @@ def cmd_mc(config: ExperimentConfig, out_dir, threads: int = 1):
     run = run_replicates(config, threads=threads)
     summary, deviations = write_report(out_dir, run)
     return run, summary, deviations
-
-
-def cmd_report(out_dir):
-    """Rebuild tables and figures from a stored report directory."""
-    return regenerate_report(out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +210,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"report written to {args.out}")
         return 0
     if args.command == "report":
-        cmd_report(args.out)
+        regenerate_report(args.out)
         print(f"report regenerated in {args.out}")
         return 0
     raise ConfigParseError(f"unknown command {args.command!r}")

@@ -71,6 +71,10 @@ class PathTooShort(HestonLabError, ValueError):
     """At least two grid points (one increment) are required."""
 
 
+class NonFinitePath(HestonLabError):
+    """A path functional is not a finite number, for example after the variance overflowed."""
+
+
 class DegeneratePath(HestonLabError):
     """Regressor values carry no spread; the normal equations are singular."""
 

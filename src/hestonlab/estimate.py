@@ -21,18 +21,22 @@ construction and vanish only for a constant regressor.
 
 The functionals are folded block by block (:class:`PathSums`), so a Monte
 Carlo run never holds a whole path; a single path is folded as one block.
+The plug-in route, the error normalizations and :func:`failure_reasons` are
+elementwise numpy expressions: the same code serves one path (floats) and a
+Monte Carlo run's R replicates (columns of length R).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import (
     DegeneratePath,
     LengthMismatch,
+    NonFinitePath,
     NonPositiveScalingDiscriminant,
     PathTooShort,
 )
@@ -45,13 +49,14 @@ __all__ = [
     "PathFunctionals",
     "LseEstimate",
     "IntegralDiagnostic",
-    "ScalingStatistic",
     "path_functionals",
     "lse_discrete_ab",
     "lse_discrete_alphabeta",
     "lse_from_functionals",
     "ls_objective",
     "ito_cross_check",
+    "failure_reasons",
+    "truth_vector",
     "normalized_error",
     "random_scaling_transform",
     "estimate_record",
@@ -65,6 +70,10 @@ _DEGENERACY_REL_TOL = 1e-14
 @dataclass(frozen=True)
 class PathFunctionals:
     """Integral functionals of a path that the closed-form estimators consume.
+
+    ``t_horizon`` and ``n_steps`` describe the grid; every other field is a
+    float for one path, or a (lanes,) column with one entry per path, as
+    :meth:`PathSums.functionals` returns them.
 
     All Riemann sums use the left endpoint.  ``i3``/``i4`` are the stochastic
     cross sums sum Y_{k-1} dY_k and sum Y_{k-1} dX_k; ``qv_y`` is the realized
@@ -89,6 +98,21 @@ class PathFunctionals:
     qv_y: float
     denom: float
 
+    def take(self, rows) -> "PathFunctionals":
+        """The selected rows of a columnar record."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in _COLUMNS})
+
+    @staticmethod
+    def concat(parts) -> "PathFunctionals":
+        """Columnar records on one grid, joined row after row."""
+        return replace(parts[0], **{
+            name: np.concatenate([getattr(part, name) for part in parts])
+            for name in _COLUMNS
+        })
+
+
+# the per-path fields of PathFunctionals: all but t_horizon and n_steps
+_COLUMNS = tuple(field.name for field in fields(PathFunctionals))[2:]
 
 # Steps per summation tile.  Every left-endpoint sum is formed tile by tile,
 # tiles counted from the start of the path, and the tile sums are added in
@@ -169,8 +193,8 @@ class PathSums:
             setattr(self, name, getattr(self, name)[keep])
         self.sums = self.sums[:, keep]
 
-    def functionals(self, grid: TimeGrid) -> list[PathFunctionals]:
-        """The functionals of every lane, once the whole grid has been folded.
+    def functionals(self, grid: TimeGrid) -> PathFunctionals:
+        """The functionals of every lane as columns, once the whole grid has been folded.
 
         Raises:
             LengthMismatch: the folded steps do not cover the grid.
@@ -182,28 +206,13 @@ class PathSums:
         s_y, s_y2, s_y3, s_ydy, s_ydx, s_dy2 = self.sums
         i1 = dt * s_y
         i2 = dt * s_y2
-        e3 = dt * s_y3 / t_horizon
-        denom = dt * dt * grid.steps * self.m2
-        return [
-            PathFunctionals(
-                t_horizon=t_horizon,
-                n_steps=grid.steps,
-                y0=float(self.y_start[j]),
-                x0=float(self.x_start[j]),
-                y_terminal=float(self.y_end[j]),
-                x_terminal=float(self.x_end[j]),
-                i1=float(i1[j]),
-                i2=float(i2[j]),
-                i3=float(s_ydy[j]),
-                i4=float(s_ydx[j]),
-                e1=float(i1[j]) / t_horizon,
-                e2=float(i2[j]) / t_horizon,
-                e3=float(e3[j]),
-                qv_y=float(s_dy2[j]),
-                denom=float(denom[j]),
-            )
-            for j in range(self.y_start.shape[0])
-        ]
+        return PathFunctionals(
+            t_horizon=t_horizon, n_steps=grid.steps,
+            y0=self.y_start, x0=self.x_start, y_terminal=self.y_end, x_terminal=self.x_end,
+            i1=i1, i2=i2, i3=s_ydy, i4=s_ydx,
+            e1=i1 / t_horizon, e2=i2 / t_horizon, e3=dt * s_y3 / t_horizon,
+            qv_y=s_dy2, denom=dt * dt * grid.steps * self.m2,
+        )
 
 
 def path_functionals(path: XYPath) -> PathFunctionals:
@@ -216,24 +225,41 @@ def path_functionals(path: XYPath) -> PathFunctionals:
         raise PathTooShort("need at least two grid points")
     sums = PathSums(path.y[:1], path.x[:1])
     sums.fold(path.y[None, :], path.x[None, :])
-    return sums.functionals(path.grid)[0]
+    f = sums.functionals(path.grid)
+    return replace(f, **{name: float(getattr(f, name)[0]) for name in _COLUMNS})
 
 
 # ---------------------------------------------------------------------------
 # discrete normal-equations route
 
 
-def _left_spread(y_left: np.ndarray) -> float:
-    dev = y_left - y_left[0]
-    centered = dev - float(np.mean(dev))
-    return float(np.sum(centered * centered))
-
-
-def _check_y_samples(y_samples) -> np.ndarray:
+def _check_samples(y_samples, x_samples) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y_samples, dtype=float)
     if y.ndim != 1 or y.shape[0] < 2:
         raise PathTooShort("need at least two samples")
-    return y
+    x = np.asarray(x_samples, dtype=float)
+    if x.shape != y.shape:
+        raise LengthMismatch(
+            f"y and x must have equal length, got {y.shape[0]} and {x.shape[0]}"
+        )
+    return y, x
+
+
+def _lse_discrete(y_samples, response, dt: float) -> tuple[float, float]:
+    # the 2x2 normal equations of one response on the regressors (1, -Y_{k-1})
+    y, r = _check_samples(y_samples, response)
+    y_left = y[:-1]
+    m = y_left.shape[0]
+    s1 = float(np.sum(y_left))
+    s2 = float(np.sum(y_left * y_left))
+    dev = y_left - y_left[0]
+    centered = dev - float(np.mean(dev))
+    det = m * float(np.sum(centered * centered))  # equals m*s2 - s1^2, but >= 0 always
+    if det <= _DEGENERACY_REL_TOL * max(1.0, m * s2):
+        raise DegeneratePath("variance samples carry no spread")
+    total = float(r[-1] - r[0])
+    cross = -float(np.sum(np.diff(r) * y_left))
+    return (s2 * total + s1 * cross) / (dt * det), (s1 * total + m * cross) / (dt * det)
 
 
 def lse_discrete_ab(y_samples, dt: float) -> tuple[float, float]:
@@ -241,25 +267,14 @@ def lse_discrete_ab(y_samples, dt: float) -> tuple[float, float]:
 
     Solves the 2x2 normal equations of the discrete least-squares objective
     by the adjugate inverse; the determinant is evaluated in centered form.
+    This route works on the raw samples, apart from :class:`PathSums`, so it
+    is an independent reference for the plug-in route.
 
     Raises:
         PathTooShort: fewer than two samples.
         DegeneratePath: the regressor has (numerically) no spread.
     """
-    y = _check_y_samples(y_samples)
-    y_left = y[:-1]
-    m = y_left.shape[0]
-    s1 = float(np.sum(y_left))
-    s2 = float(np.sum(y_left * y_left))
-    det = m * _left_spread(y_left)  # equals m*s2 - s1^2, but >= 0 always
-    if det <= _DEGENERACY_REL_TOL * max(1.0, m * s2):
-        raise DegeneratePath("variance samples carry no spread")
-    dy = np.diff(y)
-    total = float(y[-1] - y[0])
-    cross = -float(np.sum(dy * y_left))
-    a_hat = (s2 * total + s1 * cross) / (dt * det)
-    b_hat = (s1 * total + m * cross) / (dt * det)
-    return a_hat, b_hat
+    return _lse_discrete(y_samples, y_samples, dt)
 
 
 def lse_discrete_alphabeta(y_samples, x_samples, dt: float) -> tuple[float, float]:
@@ -268,25 +283,7 @@ def lse_discrete_alphabeta(y_samples, x_samples, dt: float) -> tuple[float, floa
     Same normal-equations route as :func:`lse_discrete_ab`; the regressor is
     the variance sample, the response the log-price increments.
     """
-    y = _check_y_samples(y_samples)
-    x = np.asarray(x_samples, dtype=float)
-    if x.shape != y.shape:
-        raise LengthMismatch(
-            f"y and x must have equal length, got {y.shape[0]} and {x.shape[0]}"
-        )
-    y_left = y[:-1]
-    m = y_left.shape[0]
-    s1 = float(np.sum(y_left))
-    s2 = float(np.sum(y_left * y_left))
-    det = m * _left_spread(y_left)
-    if det <= _DEGENERACY_REL_TOL * max(1.0, m * s2):
-        raise DegeneratePath("variance samples carry no spread")
-    dx = np.diff(x)
-    total = float(x[-1] - x[0])
-    cross = -float(np.sum(dx * y_left))
-    alpha_hat = (s2 * total + s1 * cross) / (dt * det)
-    beta_hat = (s1 * total + m * cross) / (dt * det)
-    return alpha_hat, beta_hat
+    return _lse_discrete(y_samples, x_samples, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +292,11 @@ def lse_discrete_alphabeta(y_samples, x_samples, dt: float) -> tuple[float, floa
 
 @dataclass(frozen=True)
 class LseEstimate:
-    """Joint drift estimate with the functionals it was computed from."""
+    """Joint drift estimate with the functionals it was computed from.
+
+    The estimates are floats for one path and columns for columnar
+    functionals.
+    """
 
     a_hat: float
     b_hat: float
@@ -304,18 +305,56 @@ class LseEstimate:
     functionals: PathFunctionals
 
     def vector(self) -> np.ndarray:
-        return np.array([self.a_hat, self.b_hat, self.alpha_hat, self.beta_hat])
+        """(a_hat, b_hat, alpha_hat, beta_hat): shape (4,), or (rows, 4)."""
+        return np.stack([self.a_hat, self.b_hat, self.alpha_hat, self.beta_hat], axis=-1)
+
+
+# The checks a row of functionals must pass, in the order they are made, with
+# the message of each.  An estimate needs the first two, the scaling
+# transform all three.
+_ROW_CHECKS = {
+    NonFinitePath: "a path functional is not a finite number",
+    DegeneratePath: "variance path carries no spread",
+    NonPositiveScalingDiscriminant: "need e1 > 0 and e1*e3 - e2^2 > 0",
+}
+
+
+def failure_reasons(f: PathFunctionals) -> np.ndarray:
+    """Why each row cannot be estimated and scaled: the name of the first
+    failing check (``NonFinitePath``, ``DegeneratePath`` or
+    ``NonPositiveScalingDiscriminant``), or '' for a usable row.
+
+    A row is degenerate when ``denom`` is at or below the degeneracy threshold
+    of its natural scale T * i2, and it cannot be scaled unless e1 > 0 and
+    e1*e3 - e2^2 > 0.  A 0-d array for the floats of one path.
+    """
+    t = f.t_horizon
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.logical_and.reduce([np.isfinite(getattr(f, name)) for name in _COLUMNS])
+        spread = f.denom > _DEGENERACY_REL_TOL * np.maximum(1.0, t * f.i2)
+        scalable = np.logical_and(f.e1 > 0.0, f.e1 * f.e3 - f.e2 * f.e2 > 0.0)
+    return np.select(
+        [~finite, ~spread, ~scalable], [check.__name__ for check in _ROW_CHECKS], ""
+    )
+
+
+def _require(f: PathFunctionals, checks) -> None:
+    reasons = failure_reasons(f)
+    for check in checks:
+        if np.any(reasons == check.__name__):
+            raise check(_ROW_CHECKS[check])
 
 
 def lse_from_functionals(f: PathFunctionals) -> LseEstimate:
-    """Closed-form drift estimates from path functionals.
+    """Closed-form drift estimates from path functionals, row by row.
 
     Raises:
-        DegeneratePath: ``denom`` is at or below the degeneracy threshold.
+        NonFinitePath: a row holds a value that is not a finite number.
+        DegeneratePath: a row's ``denom`` is at or below the degeneracy
+            threshold.
     """
+    _require(f, (NonFinitePath, DegeneratePath))
     t = f.t_horizon
-    if f.denom <= _DEGENERACY_REL_TOL * max(1.0, t * f.i2):
-        raise DegeneratePath("variance path carries no spread")
     dy_total = f.y_terminal - f.y0
     dx_total = f.x_terminal - f.x0
     a_hat = (dy_total * f.i2 - f.i1 * f.i3) / f.denom
@@ -335,12 +374,7 @@ def ls_objective(candidate, y_samples, x_samples, dt: float) -> float:
     oracle.
     """
     a, b, alpha, beta = (float(v) for v in candidate)
-    y = _check_y_samples(y_samples)
-    x = np.asarray(x_samples, dtype=float)
-    if x.shape != y.shape:
-        raise LengthMismatch(
-            f"y and x must have equal length, got {y.shape[0]} and {x.shape[0]}"
-        )
+    y, x = _check_samples(y_samples, x_samples)
     y_left = y[:-1]
     res_y = np.diff(y) - (a - b * y_left) * dt
     res_x = np.diff(x) - (alpha - beta * y_left) * dt
@@ -376,7 +410,8 @@ def ito_cross_check(f: PathFunctionals, sigma1: float) -> IntegralDiagnostic:
     return IntegralDiagnostic(i3_direct=f.i3, i3_ito=i3_ito, qv_ratio=qv_ratio)
 
 
-def _truth_vector(truth) -> np.ndarray:
+def truth_vector(truth) -> np.ndarray:
+    """The drift coefficients (a, b, alpha, beta) of a ModelParams or a 4-sequence."""
     if isinstance(truth, ModelParams):
         return truth.drift_vector()
     arr = np.asarray(truth, dtype=float)
@@ -387,24 +422,17 @@ def _truth_vector(truth) -> np.ndarray:
 
 def normalized_error(est: LseEstimate, truth) -> np.ndarray:
     """sqrt(T) times the estimation error, the scale with a Gaussian limit."""
-    return math.sqrt(est.functionals.t_horizon) * (est.vector() - _truth_vector(truth))
+    return math.sqrt(est.functionals.t_horizon) * (est.vector() - truth_vector(truth))
 
 
-@dataclass(frozen=True)
-class ScalingStatistic:
+def random_scaling_transform(est: LseEstimate, truth, f: PathFunctionals) -> np.ndarray:
     """Self-normalized estimation error with a parameter-free Gaussian limit.
 
-    The 4-vector is obtained from the raw error by an invertible linear map
-    built solely from path moments; under the model it converges to a
-    centered Gaussian whose covariance involves only the diffusion constants
-    (sigma1, sigma2, rho), not the drift.
-    """
-
-    vector: np.ndarray
-
-
-def random_scaling_transform(est: LseEstimate, truth, f: PathFunctionals) -> ScalingStatistic:
-    """Apply the path-moment scaling to an estimation error.
+    The 4-vector (a row of the (rows, 4) result for columnar functionals) is
+    obtained from the raw error by an invertible linear map built solely
+    from path moments; under the model it converges to a centered Gaussian
+    whose covariance involves only the diffusion constants (sigma1, sigma2,
+    rho), not the drift.
 
     Two algebraically equal formulations exist: one in terms of the raw
     time-integral functionals applied to the unnormalized error, one in
@@ -412,28 +440,24 @@ def random_scaling_transform(est: LseEstimate, truth, f: PathFunctionals) -> Sca
     implements the time-averaged form.
 
     Raises:
+        NonFinitePath: a row holds a value that is not a finite number.
         DegeneratePath: the spread denominator is at the degeneracy threshold.
         NonPositiveScalingDiscriminant: e1 <= 0 or e1*e3 - e2^2 <= 0, so the
             scaling map is not defined.
     """
+    _require(f, _ROW_CHECKS)
     t = f.t_horizon
-    if f.denom <= _DEGENERACY_REL_TOL * max(1.0, t * f.i2):
-        raise DegeneratePath("variance path carries no spread")
     disc = f.e1 * f.e3 - f.e2 * f.e2
-    if f.e1 <= 0.0 or disc <= 0.0:
-        raise NonPositiveScalingDiscriminant(
-            f"need e1 > 0 and e1*e3 - e2^2 > 0, got e1={f.e1}, discriminant={disc}"
-        )
     var_bar = f.denom / (t * t)  # e2 - e1^2, centered evaluation
-    r11 = var_bar / math.sqrt(disc)
-    err = math.sqrt(t) * (est.vector() - _truth_vector(truth))
-    pref = 1.0 / math.sqrt(f.e1)
-    out = np.empty(4)
-    out[0] = pref * r11 * err[0]
-    out[1] = pref * (-err[0] + f.e1 * err[1])
-    out[2] = pref * r11 * err[2]
-    out[3] = pref * (-err[2] + f.e1 * err[3])
-    return ScalingStatistic(vector=out)
+    r11 = var_bar / np.sqrt(disc)
+    err = normalized_error(est, truth)
+    pref = 1.0 / np.sqrt(f.e1)
+    return np.stack([
+        pref * r11 * err[..., 0],
+        pref * (-err[..., 0] + f.e1 * err[..., 1]),
+        pref * r11 * err[..., 2],
+        pref * (-err[..., 2] + f.e1 * err[..., 3]),
+    ], axis=-1)
 
 
 def estimate_record(

@@ -114,9 +114,6 @@ class Regime(enum.Enum):
     SUPERCRITICAL = "supercritical"
 
 
-_FIELD_NAMES = ("a", "b", "alpha", "beta", "sigma1", "sigma2", "rho", "y0", "x0")
-
-
 def validate_params(raw) -> ModelParams:
     """Build a validated :class:`ModelParams` from a mapping of coefficients.
 
@@ -127,7 +124,7 @@ def validate_params(raw) -> ModelParams:
         KeyError: a coefficient is missing.
         InvalidParams: a hard constraint is violated (subclass names which one).
     """
-    return ModelParams(**{name: float(raw[name]) for name in _FIELD_NAMES})
+    return ModelParams(**{field.name: float(raw[field.name]) for field in fields(ModelParams)})
 
 
 def classify_regime(params: ModelParams) -> Regime:

@@ -43,34 +43,42 @@ streams, the group takes the block's variance and price steps, and the block
 is folded into per-lane path sums and then discarded.  Memory is therefore
 set by the lane group and B, not by the number of steps N.  A DESRE lane that
 aborts is dropped at the end of the block in which it aborted.
+
+Results are columnar: a :class:`ReplicateTable` holds one row per successful
+replicate, and the estimator, its normalizations and the summary work on its
+columns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import log_ndtr
 
 from .errors import (
     AllReplicatesFailed,
-    DegeneratePath,
+    ConfigParseError,
     DegenerateSample,
     FellerViolated,
     InsufficientData,
-    NonPositiveScalingDiscriminant,
+    InvalidGrid,
     TiesDegenerate,
 )
 from .estimate import (
     SUM_TILE,
-    LseEstimate,
+    PathFunctionals,
     PathSums,
-    ScalingStatistic,
+    failure_reasons,
     lse_from_functionals,
     normalized_error,
     random_scaling_transform,
+    truth_vector,
 )
 from .model import AsymptoticCovariance, ModelParams, kron
 from .simulate import (
@@ -83,8 +91,9 @@ from .simulate import (
 )
 
 __all__ = [
+    "CONFIG_KEYS",
     "ExperimentConfig",
-    "ReplicateResult",
+    "ReplicateTable",
     "ReplicateFailure",
     "McRun",
     "ParamStats",
@@ -115,6 +124,37 @@ PARAM_NAMES = ("a", "b", "alpha", "beta")
 _BLOCK_ELEMENTS = 1 << 19
 
 
+def _as_float(value) -> float:
+    with contextlib.suppress(TypeError, ValueError):
+        return float(value)
+    raise ValueError(f"not a number: {value!r}")
+
+
+def _as_int(value) -> int:
+    # a float, even an integral one, is refused rather than truncated
+    if isinstance(value, (str, numbers.Integral)):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise ValueError(f"not an integer: {value!r}")
+
+
+_PARAM_KEYS = tuple(field.name for field in fields(ModelParams))
+
+# The one table of config keys, in file order: how a key's value is parsed
+# (from text or from a number) and which attribute of an ExperimentConfig
+# holds it.  Config files, --set overrides, presets and the config echo of
+# report.json all go through it.
+_CONFIG_KEYS = {
+    **{name: (_as_float, f"params.{name}") for name in _PARAM_KEYS},
+    "T": (_as_float, "grid.horizon"),
+    "N": (_as_int, "grid.steps"),
+    "scheme": (Scheme.parse, "scheme.value"),
+    "replicates": (_as_int, "replicates"),
+    "seed": (_as_int, "master_seed"),
+}
+CONFIG_KEYS = tuple(_CONFIG_KEYS)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, validated description of a replicate experiment."""
@@ -124,57 +164,87 @@ class ExperimentConfig:
     scheme: Scheme
     replicates: int
     master_seed: int
-    outputs: tuple[str, ...] = ("summary", "tables", "figures", "replicates")
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        if not (isinstance(self.replicates, numbers.Integral) and self.replicates >= 1):
+            raise ConfigParseError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
+            raise ConfigParseError(
+                f"seed (master_seed) must be an integer >= 0, got {self.master_seed!r}"
+            )
         if self.scheme.uses_sqrt_state and not self.params.feller_strict:
             raise FellerViolated(
                 f"scheme {self.scheme.value} needs a > sigma1^2/2, "
                 f"got a={self.params.a}, sigma1={self.params.sigma1}"
             )
+        if self.scheme is Scheme.DISRE and not 2.0 + self.params.b * self.grid.dt > 0.0:
+            raise InvalidGrid(
+                f"scheme DISRE needs 2 + b*dt > 0, got b={self.params.b}, "
+                f"dt={self.grid.dt} (T={self.grid.horizon}, N={self.grid.steps})"
+            )
+
+    @classmethod
+    def from_mapping(cls, mapping) -> "ExperimentConfig":
+        """Validate a mapping of every config key (other keys are ignored).
+
+        Raises:
+            ConfigParseError: a missing key, or a value that is not a number,
+                an integer or a scheme as the key needs; names the key.
+            InvalidParams / InvalidGrid / FellerViolated: delegated validation.
+        """
+        missing = [key for key in CONFIG_KEYS if key not in mapping]
+        if missing:
+            raise ConfigParseError(f"missing config key(s): {', '.join(missing)}")
+        values = {}
+        for key, (parse, _) in _CONFIG_KEYS.items():
+            try:
+                values[key] = parse(mapping[key])
+            except ValueError as exc:
+                raise ConfigParseError(f"config key {key!r}: {exc}") from None
+        return cls(
+            params=ModelParams(**{name: values[name] for name in _PARAM_KEYS}),
+            grid=TimeGrid(horizon=values["T"], steps=values["N"]),
+            scheme=values["scheme"],
+            replicates=values["replicates"],
+            master_seed=values["seed"],
+        )
+
+    def to_mapping(self) -> dict:
+        """Every config key with its value, as :meth:`from_mapping` reads it."""
+        return {key: attrgetter(path)(self) for key, (_, path) in _CONFIG_KEYS.items()}
+
+
+_CANONICAL = dict(
+    a=0.4, b=0.3, alpha=0.1, beta=0.15, sigma1=0.4, sigma2=0.3, rho=0.2, y0=0.2, x0=0.1
+)
 
 
 def canonical_params() -> ModelParams:
     """The benchmark coefficient set used by every named preset."""
-    return ModelParams(
-        a=0.4, b=0.3, alpha=0.1, beta=0.15,
-        sigma1=0.4, sigma2=0.3, rho=0.2,
-        y0=0.2, x0=0.1,
-    )
+    return ModelParams(**_CANONICAL)
 
 
 _PRESETS = {
-    # name: (horizon, steps, replicates, master_seed)
-    "table1": (3000.0, 30_000, 10_000, 101),
-    "paper": (5000.0, 50_000, 10_000, 102),
-    "desk": (2000.0, 20_000, 2_000, 103),
+    "table1": {"T": 3000.0, "N": 30_000, "replicates": 10_000, "seed": 101},
+    "paper": {"T": 5000.0, "N": 50_000, "replicates": 10_000, "seed": 102},
+    "desk": {"T": 2000.0, "N": 20_000, "replicates": 2_000, "seed": 103},
 }
 
 
 def preset_config(name: str) -> ExperimentConfig:
-    """Named experiment presets, all on the canonical coefficients.
+    """Named experiment presets, all DISRE on the canonical coefficients.
 
     ``table1``: T=3000, N=30000, 10^4 replicates (long-run means at scale).
     ``paper``:  T=5000, N=50000, 10^4 replicates (full-scale study; slow).
     ``desk``:   T=2000, N=20000, 2000 replicates (minutes; the gated scale).
     """
     try:
-        horizon, steps, replicates, seed = _PRESETS[name]
+        preset = _PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown preset {name!r}; expected one of {sorted(_PRESETS)}"
         ) from None
-    return ExperimentConfig(
-        params=canonical_params(),
-        grid=TimeGrid(horizon=horizon, steps=steps),
-        scheme=Scheme.DISRE,
-        replicates=replicates,
-        master_seed=seed,
-    )
+    return ExperimentConfig.from_mapping({**_CANONICAL, "scheme": "DISRE", **preset})
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +252,37 @@ def preset_config(name: str) -> ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ReplicateResult:
-    """Everything retained per successful replicate."""
+class ReplicateTable:
+    """The successful replicates of a run, one row each, in index order.
 
-    index: int
-    estimate: LseEstimate
+    ``index`` (R,) holds the replicate indices, ``functionals`` the path
+    functionals as (R,) columns (``y_terminal`` and ``x_terminal`` among
+    them), and ``estimates``, ``normalized`` and ``scaled`` the (R, 4) drift
+    estimates, their sqrt(T)-normalized errors and their path-scaled errors,
+    columns in the order of :data:`PARAM_NAMES`.
+    """
+
+    index: np.ndarray
+    functionals: PathFunctionals
+    estimates: np.ndarray
     normalized: np.ndarray
-    scaled: ScalingStatistic
-    y_terminal: float
-    x_terminal: float
+    scaled: np.ndarray
+
+    def __len__(self) -> int:
+        return self.index.shape[0]
+
+    @classmethod
+    def from_functionals(cls, index, f: PathFunctionals, truth) -> "ReplicateTable":
+        """Estimate, normalize and scale every row of columnar functionals;
+        raises the failure of a row that fails :func:`failure_reasons`."""
+        est = lse_from_functionals(f)
+        return cls(
+            index=np.asarray(index),
+            functionals=f,
+            estimates=est.vector(),
+            normalized=normalized_error(est, truth),
+            scaled=random_scaling_transform(est, truth, f),
+        )
 
 
 @dataclass(frozen=True)
@@ -207,7 +299,7 @@ class McRun:
     """Outcome of run_replicates: results, failures, and the config used."""
 
     config: ExperimentConfig
-    results: tuple[ReplicateResult, ...]
+    results: ReplicateTable
     failures: tuple[ReplicateFailure, ...] = field(default=())
 
 
@@ -225,7 +317,9 @@ def _lane_plan(replicates: int, threads: int) -> tuple[int, int]:
 def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
     """Simulate replicates lo..hi-1 as one lane group, block by block.
 
-    Returns the group's results and failures, each in replicate order.
+    Returns the indices and functionals of the lanes that pass
+    :func:`failure_reasons` (no functionals if every lane aborted), and the
+    group's failures in replicate order.
     """
     params, grid, scheme = config.params, config.grid, config.scheme
     dt, n = grid.dt, grid.steps
@@ -239,6 +333,7 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
     for start in range(0, n, block):
         steps, lanes = min(block, n - start), len(index)
         eta, zeta = np.empty((lanes, steps)), np.empty((lanes, steps))
+        # each lane draws from its own two streams
         for (gen_eta, gen_zeta), eta_row, zeta_row in zip(streams, eta, zeta):
             gen_eta.standard_normal(out=eta_row)
             gen_zeta.standard_normal(out=zeta_row)
@@ -270,29 +365,18 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
             if not len(index):
                 break
 
-    results: list[ReplicateResult] = []
-    truth = params.drift_vector()
+    f = None
     if len(index):  # else every lane aborted and the sums stop short of N
-        for r, f in zip(index, sums.functionals(grid)):
-            try:
-                est = lse_from_functionals(f)
-                nrm = normalized_error(est, truth)
-                scl = random_scaling_transform(est, truth, f)
-            except (DegeneratePath, NonPositiveScalingDiscriminant) as exc:
-                failures.append(ReplicateFailure(index=int(r), reason=type(exc).__name__))
-                continue
-            results.append(
-                ReplicateResult(
-                    index=int(r),
-                    estimate=est,
-                    normalized=nrm,
-                    scaled=scl,
-                    y_terminal=f.y_terminal,
-                    x_terminal=f.x_terminal,
-                )
-            )
+        f = sums.functionals(grid)
+        reasons = failure_reasons(f)
+        ok = reasons == ""
+        failures.extend(
+            ReplicateFailure(index=int(r), reason=str(why))
+            for r, why in zip(index[~ok], reasons[~ok])
+        )
+        index, f = index[ok], f.take(ok)
     failures.sort(key=lambda fl: fl.index)
-    return results, failures
+    return index, f, failures
 
 
 def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
@@ -302,7 +386,9 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
     worker threads take whole groups.  Thread count affects wall time only:
     each replicate's noise comes from its own seed lineage, its sums do not
     depend on its group or block length, and groups are merged in index
-    order, so any value of ``threads`` produces identical results.
+    order, so any value of ``threads`` produces identical results.  A
+    replicate whose functionals fail :func:`failure_reasons` (a non-finite
+    value, no spread, no scaling) is recorded as a failure with that reason.
 
     Raises:
         AllReplicatesFailed: no replicate produced a usable estimate.
@@ -318,17 +404,19 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
     else:
         parts = [_run_lanes(config, lo, hi, block) for lo, hi in bounds]
 
-    results: list[ReplicateResult] = []
-    failures: list[ReplicateFailure] = []
-    for res, fail in parts:
-        results.extend(res)
-        failures.extend(fail)
-    if not results:
+    failures = tuple(fl for _, _, fails in parts for fl in fails)
+    kept = [(index, f) for index, f, _ in parts if len(index)]
+    if not kept:
         raise AllReplicatesFailed(
-            f"all {config.replicates} replicates aborted "
+            f"all {config.replicates} replicates failed "
             f"({failures[0].reason} at first failure)"
         )
-    return McRun(config=config, results=tuple(results), failures=tuple(failures))
+    results = ReplicateTable.from_functionals(
+        np.concatenate([index for index, _ in kept]),
+        PathFunctionals.concat([f for _, f in kept]),
+        config.params.drift_vector(),
+    )
+    return McRun(config=config, results=results, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +603,7 @@ class McSummary:
     cov_scaled: np.ndarray
 
 
-def summarize(results, truth) -> McSummary:
+def summarize(results: ReplicateTable, truth) -> McSummary:
     """Per-parameter and covariance statistics over successful replicates.
 
     Shape and normality diagnostics need at least 8 results; below that they
@@ -525,21 +613,12 @@ def summarize(results, truth) -> McSummary:
     Raises:
         InsufficientData: fewer than 2 results.
     """
-    results = list(results)
     n = len(results)
     if n < 2:
         raise InsufficientData("summary needs at least 2 results")
-    if isinstance(truth, ModelParams):
-        truth_vec = truth.drift_vector()
-    else:
-        truth_vec = np.asarray(truth, dtype=float)
-        if truth_vec.shape != (4,):
-            raise ValueError("truth must be (a, b, alpha, beta) or a ModelParams")
-
-    estimates = np.array([r.estimate.vector() for r in results])
-    normalized = np.array([r.normalized for r in results])
-    scaled = np.array([r.scaled.vector for r in results])
-    horizon = results[0].estimate.functionals.t_horizon
+    truth_vec = truth_vector(truth)
+    estimates, normalized = results.estimates, results.normalized
+    f = results.functionals
 
     per_param: dict[str, ParamStats] = {}
     for idx, name in enumerate(PARAM_NAMES):
@@ -577,10 +656,10 @@ def summarize(results, truth) -> McSummary:
         n_results=n,
         truth=truth_vec,
         per_param=per_param,
-        mean_y_terminal=float(np.mean([r.y_terminal for r in results])),
-        mean_x_terminal_over_t=float(np.mean([r.x_terminal for r in results])) / horizon,
+        mean_y_terminal=float(np.mean(f.y_terminal)),
+        mean_x_terminal_over_t=float(np.mean(f.x_terminal)) / f.t_horizon,
         cov_normalized=np.cov(normalized, rowvar=False),
-        cov_scaled=np.cov(scaled, rowvar=False),
+        cov_scaled=np.cov(results.scaled, rowvar=False),
     )
 
 

@@ -31,13 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvFormatError
-from .estimate import (
-    PathFunctionals,
-    lse_from_functionals,
-    normalized_error,
-    random_scaling_transform,
-)
-from .model import ModelParams, asymptotic_covariance, classify_regime, Regime
+from .estimate import PathFunctionals
+from .model import asymptotic_covariance, classify_regime, Regime
 from .montecarlo import (
     DeviationReport,
     ExperimentConfig,
@@ -45,55 +40,24 @@ from .montecarlo import (
     McSummary,
     PARAM_NAMES,
     ReplicateFailure,
-    ReplicateResult,
+    ReplicateTable,
     covariance_check,
     histogram_overlay,
     summarize,
 )
-from .simulate import Scheme, TimeGrid
 
 __all__ = [
     "write_report",
     "regenerate_report",
     "report_payload",
-    "config_to_mapping",
-    "config_from_mapping",
 ]
+
+# the files a report holds, as the config echo in report.json lists them
+_OUTPUTS = ("summary", "tables", "figures", "replicates")
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
-
-
-def config_to_mapping(config: ExperimentConfig) -> dict:
-    p = config.params
-    return {
-        "a": p.a, "b": p.b, "alpha": p.alpha, "beta": p.beta,
-        "sigma1": p.sigma1, "sigma2": p.sigma2, "rho": p.rho,
-        "y0": p.y0, "x0": p.x0,
-        "T": config.grid.horizon, "N": config.grid.steps,
-        "scheme": config.scheme.value,
-        "replicates": config.replicates,
-        "seed": config.master_seed,
-        "outputs": list(config.outputs),
-    }
-
-
-def config_from_mapping(data: dict) -> ExperimentConfig:
-    params = ModelParams(
-        a=float(data["a"]), b=float(data["b"]),
-        alpha=float(data["alpha"]), beta=float(data["beta"]),
-        sigma1=float(data["sigma1"]), sigma2=float(data["sigma2"]),
-        rho=float(data["rho"]), y0=float(data["y0"]), x0=float(data["x0"]),
-    )
-    return ExperimentConfig(
-        params=params,
-        grid=TimeGrid(horizon=float(data["T"]), steps=int(data["N"])),
-        scheme=Scheme.parse(data["scheme"]),
-        replicates=int(data["replicates"]),
-        master_seed=int(data["seed"]),
-        outputs=tuple(data.get("outputs", ("summary", "tables", "figures", "replicates"))),
-    )
 
 
 def _summary_payload(summary: McSummary) -> dict:
@@ -126,7 +90,7 @@ def report_payload(
     run: McRun, summary: McSummary, deviations: DeviationReport | None
 ) -> dict:
     return {
-        "config": config_to_mapping(run.config),
+        "config": {**run.config.to_mapping(), "outputs": list(_OUTPUTS)},
         "failures": {
             "count": len(run.failures),
             "items": [
@@ -149,25 +113,21 @@ _REPLICATE_COLUMNS = (
 )
 
 
-def _write_replicates_csv(path: Path, run: McRun) -> None:
+def _write_replicates_csv(path: Path, results: ReplicateTable) -> None:
+    f = results.functionals
+    values = np.column_stack(
+        [results.estimates] + [getattr(f, name) for name in _REPLICATE_COLUMNS[5:]]
+    )
     lines = [",".join(_REPLICATE_COLUMNS)]
-    for r in run.results:
-        f = r.estimate.functionals
-        row = [str(r.index)] + [
-            _fmt(v)
-            for v in (
-                r.estimate.a_hat, r.estimate.b_hat,
-                r.estimate.alpha_hat, r.estimate.beta_hat,
-                r.y_terminal, r.x_terminal,
-                f.i1, f.i2, f.i3, f.i4, f.e1, f.e2, f.e3, f.qv_y, f.denom,
-            )
-        ]
-        lines.append(",".join(row))
+    lines += [
+        ",".join([str(index), *map(_fmt, row)])
+        for index, row in zip(results.index.tolist(), values.tolist())
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_replicates_csv(path: Path, config: ExperimentConfig) -> list[ReplicateResult]:
-    """Rebuild the replicate records from their stored functionals.
+def _read_replicates_csv(path: Path, config: ExperimentConfig) -> ReplicateTable:
+    """Rebuild the replicate table from the stored functionals.
 
     Raises:
         CsvFormatError: wrong header or column count, a non-numeric cell, or
@@ -177,47 +137,34 @@ def _read_replicates_csv(path: Path, config: ExperimentConfig) -> list[Replicate
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     if not lines or lines[0] != ",".join(_REPLICATE_COLUMNS):
         raise CsvFormatError(f"{path}: unexpected replicate-file header")
-    truth = config.params.drift_vector()
-    grid = config.grid
-    results = []
+    index, rows = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != len(_REPLICATE_COLUMNS):
             raise CsvFormatError(f"{path}: line {lineno}: wrong column count")
         try:
-            idx = int(parts[0])
-            vals = [float(p) for p in parts[1:]]
+            index.append(int(parts[0]))
+            rows.append([float(p) for p in parts[1:]])
         except ValueError:
             raise CsvFormatError(f"{path}: line {lineno}: non-numeric value") from None
-        (a_hat, b_hat, alpha_hat, beta_hat, y_term, x_term,
-         i1, i2, i3, i4, e1, e2, e3, qv_y, denom) = vals
-        f = PathFunctionals(
-            t_horizon=grid.horizon, n_steps=grid.steps,
-            y0=config.params.y0, x0=config.params.x0,
-            y_terminal=y_term, x_terminal=x_term,
-            i1=i1, i2=i2, i3=i3, i4=i4, e1=e1, e2=e2, e3=e3,
-            qv_y=qv_y, denom=denom,
+    values = np.array(rows, dtype=float).reshape(len(rows), len(_REPLICATE_COLUMNS) - 1)
+    stored, columns = values[:, :4], np.ascontiguousarray(values[:, 4:].T)
+    params, grid = config.params, config.grid
+    f = PathFunctionals(
+        t_horizon=grid.horizon, n_steps=grid.steps,
+        y0=np.full(len(rows), params.y0), x0=np.full(len(rows), params.x0),
+        **dict(zip(_REPLICATE_COLUMNS[5:], columns)),
+    )
+    table = ReplicateTable.from_functionals(index, f, params.drift_vector())
+    differs = np.argwhere(table.estimates != stored)
+    if differs.size:
+        row, col = differs[0]
+        raise CsvFormatError(
+            f"{path}: line {row + 2} (replicate {index[row]}): stored "
+            f"{_REPLICATE_COLUMNS[1 + col]} {_fmt(stored[row, col])} differs from "
+            f"{_fmt(table.estimates[row, col])} recomputed from the row's functionals"
         )
-        est = lse_from_functionals(f)
-        stored = (a_hat, b_hat, alpha_hat, beta_hat)
-        for column, want, got in zip(_REPLICATE_COLUMNS[1:5], stored, est.vector()):
-            if got != want:
-                raise CsvFormatError(
-                    f"{path}: line {lineno} (replicate {idx}): stored {column} "
-                    f"{_fmt(want)} differs from {_fmt(got)} recomputed from the "
-                    f"row's functionals"
-                )
-        results.append(
-            ReplicateResult(
-                index=idx,
-                estimate=est,
-                normalized=normalized_error(est, truth),
-                scaled=random_scaling_transform(est, truth, f),
-                y_terminal=y_term,
-                x_terminal=x_term,
-            )
-        )
-    return results
+    return table
 
 
 def _write_tables(out: Path, config: ExperimentConfig, summary: McSummary) -> None:
@@ -251,12 +198,9 @@ def _write_tables(out: Path, config: ExperimentConfig, summary: McSummary) -> No
     (out / "table5.csv").write_text("\n".join(rows5) + "\n")
 
 
-def _write_figures(
-    out: Path, run: McRun, summary: McSummary, theory_diag: np.ndarray | None
-) -> None:
-    normalized = np.array([r.normalized for r in run.results])
+def _write_figures(out: Path, results: ReplicateTable, theory_diag: np.ndarray | None) -> None:
     for idx, name in enumerate(PARAM_NAMES):
-        sample = normalized[:, idx]
+        sample = results.normalized[:, idx]
         if theory_diag is not None:
             var = float(theory_diag[idx])
         else:
@@ -266,12 +210,6 @@ def _write_figures(
         for c, d, o in zip(hist.bin_centers, hist.density, hist.overlay):
             lines.append(f"{_fmt(c)},{_fmt(d)},{_fmt(o)}")
         (out / f"fig1_{name}.csv").write_text("\n".join(lines) + "\n")
-
-
-def _theory_for(config: ExperimentConfig):
-    if classify_regime(config.params) is Regime.SUBCRITICAL:
-        return asymptotic_covariance(config.params)
-    return None
 
 
 def _finite_or_null(value):
@@ -285,31 +223,28 @@ def _finite_or_null(value):
     return value
 
 
-def _emit(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None]:
+def write_report(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None]:
+    """Write the full report directory for a finished run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = summarize(run.results, run.config.params)
-    theory = _theory_for(run.config)
+    params = run.config.params
+    summary = summarize(run.results, params)
+    theory = (
+        asymptotic_covariance(params)
+        if classify_regime(params) is Regime.SUBCRITICAL
+        else None
+    )
     deviations = covariance_check(summary, theory) if theory is not None else None
-    selected = set(run.config.outputs)
 
     payload = _finite_or_null(report_payload(run, summary, deviations))
     (out / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
-    if "replicates" in selected:
-        _write_replicates_csv(out / "replicates.csv", run)
-    if "tables" in selected:
-        _write_tables(out, run.config, summary)
-    if "figures" in selected:
-        diag = np.diag(theory.sigma_matrix) if theory is not None else None
-        _write_figures(out, run, summary, diag)
+    _write_replicates_csv(out / "replicates.csv", run.results)
+    _write_tables(out, run.config, summary)
+    diag = np.diag(theory.sigma_matrix) if theory is not None else None
+    _write_figures(out, run.results, diag)
     return summary, deviations
-
-
-def write_report(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None]:
-    """Write the full report directory for a finished run."""
-    return _emit(out_dir, run)
 
 
 def regenerate_report(out_dir) -> tuple[McSummary, DeviationReport | None]:
@@ -319,16 +254,17 @@ def regenerate_report(out_dir) -> tuple[McSummary, DeviationReport | None]:
     functionals from ``replicates.csv``; nothing is re-simulated.
 
     Raises:
+        ConfigParseError: a config echo value that does not parse.
         CsvFormatError: malformed replicate file.
         OSError: missing report files.
     """
     out = Path(out_dir)
     payload = json.loads((out / "report.json").read_text())
-    config = config_from_mapping(payload["config"])
+    config = ExperimentConfig.from_mapping(payload["config"])
     results = _read_replicates_csv(out / "replicates.csv", config)
     failures = tuple(
         ReplicateFailure(index=f["index"], reason=f["reason"], step=f.get("step"))
         for f in payload["failures"]["items"]
     )
-    run = McRun(config=config, results=tuple(results), failures=failures)
-    return _emit(out, run)
+    run = McRun(config=config, results=results, failures=failures)
+    return write_report(out, run)

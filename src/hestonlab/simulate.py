@@ -292,7 +292,7 @@ def _disre_steps(params: ModelParams, dt, z, eta, out) -> None:
     # scalar times eta, formed for the whole block in ``out``
     den = 2.0 + params.b * dt
     if den <= 0.0:
-        raise ValueError(
+        raise InvalidGrid(
             f"implicit square-root step needs 2 + b*dt > 0, got b={params.b}, dt={dt}"
         )
     lift = np.array((params.a - 0.25 * params.sigma1 ** 2) * dt / den)

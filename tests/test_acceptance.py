@@ -102,7 +102,7 @@ def test_criterion_4_consistency_trend():
                                   scheme=hl.Scheme.DISRE, replicates=50,
                                   master_seed=MASTER_SEED)
         run = hl.run_replicates(cfg)
-        errs = np.abs(np.array([r.estimate.vector() for r in run.results])
+        errs = np.abs(run.results.estimates
                       - np.array([PARAMS.a, PARAMS.b, PARAMS.alpha, PARAMS.beta]))
         medians[i] = np.median(errs, axis=0)
     monotone = bool(np.all(medians[1:] <= medians[:-1] + 1e-15))
@@ -220,7 +220,7 @@ def test_criterion_7_scheme_invariants():
 
 def test_criterion_8_desk_scale_normality(desk_run):
     run, _, _ = desk_run
-    normalized = np.array([r.normalized for r in run.results])
+    normalized = run.results.normalized
     p_values = {}
     for idx, name in enumerate(("a", "b", "alpha", "beta")):
         _, p = hl.anderson_darling(normalized[:, idx])

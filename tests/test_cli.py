@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hestonlab as hl
-from hestonlab.cli import build_config, cmd_estimate, main, parse_config, read_config_file
+from hestonlab.cli import cmd_estimate, main, parse_config, read_config_file
 
 CANONICAL_LINES = """\
 # canonical experiment, small enough for a test run
@@ -68,7 +68,7 @@ def test_read_config_rejects_malformed_line(tmp_path):
 def test_build_config_missing_key_named():
     mapping = read_config_file_lines_without("sigma1")
     with pytest.raises(hl.ConfigParseError) as exc:
-        build_config(mapping)
+        hl.ExperimentConfig.from_mapping(mapping)
     assert "sigma1" in str(exc.value)
 
 
@@ -88,7 +88,7 @@ def test_build_config_bad_value_named():
     mapping = read_config_file_lines_without("")
     mapping["a"] = "fast"
     with pytest.raises(hl.ConfigParseError) as exc:
-        build_config(mapping)
+        hl.ExperimentConfig.from_mapping(mapping)
     assert "'a'" in str(exc.value) or " a " in str(exc.value) or "a=" in str(exc.value)
 
 
@@ -295,6 +295,22 @@ def test_report_rejects_a_tampered_estimate(tmp_path, config_file, capsys):
     assert "line 4" in err and "alpha_hat" in err
 
 
+@pytest.mark.parametrize("key,value", [("N", 500.7), ("replicates", 5.0), ("seed", 9.5)])
+def test_report_rejects_a_non_integral_config_echo(tmp_path, config_file, capsys, key, value):
+    """A config echo that int() would truncate is refused, naming the key."""
+    out = tmp_path / "rep"
+    out.mkdir()
+    assert main(["mc", "--config", str(config_file), "--out", str(out),
+                 "--set", "replicates=5"]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    payload["config"][key] = value
+    (out / "report.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigParseError" in err and f"'{key}'" in err
+
+
 def test_report_json_is_strict_on_a_small_run(tmp_path, config_file):
     """Fewer than 8 results leave the normality fields undefined: null, not NaN."""
     out = tmp_path / "rep"
@@ -329,6 +345,26 @@ def test_mc_failure_accounting_through_cli(tmp_path, capsys):
     payload = json.loads((out / "report.json").read_text())
     assert payload["failures"]["count"] == 41
     assert payload["failures"]["count"] + payload["summary"]["n_results"] == 64
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mc_overflowing_variance_fails_cleanly(tmp_path, config_file, capsys):
+    """A supercritical variance that overflows writes no report of NaN."""
+    out = tmp_path / "rep"
+    rc = main(["mc", "--config", str(config_file), "--out", str(out),
+               "--set", "b=-1", "--set", "T=800", "--set", "N=8000",
+               "--set", "replicates=10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "AllReplicatesFailed" in err and "NonFinitePath" in err
+    assert not (out / "report.json").exists()
+
+
+def test_mc_rejects_an_implicit_step_that_divides_by_zero(config_file, capsys):
+    rc = main(["mc", "--config", str(config_file),
+               "--set", "b=-30", "--set", "T=1", "--set", "N=10"])
+    assert rc == 1
+    assert "InvalidGrid" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

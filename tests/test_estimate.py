@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hestonlab as hl
 
@@ -250,7 +251,7 @@ def test_scaling_zero_error_gives_zero_vector():
     f = fixed_functionals()
     est = hl.LseEstimate(a_hat=0.4, b_hat=0.3, alpha_hat=0.1, beta_hat=0.15,
                          functionals=f)
-    assert np.array_equal(hl.random_scaling_transform(est, P, f).vector, np.zeros(4))
+    assert np.array_equal(hl.random_scaling_transform(est, P, f), np.zeros(4))
 
 
 def test_scaling_time_averaged_equals_unscaled_form():
@@ -262,7 +263,7 @@ def test_scaling_time_averaged_equals_unscaled_form():
                               hl.SeedLineage(71, r))
         f = hl.path_functionals(path)
         est = hl.lse_from_functionals(f)
-        got = hl.random_scaling_transform(est, P, f).vector
+        got = hl.random_scaling_transform(est, P, f)
 
         T = f.t_horizon
         e1, e2, e3 = f.i1, f.i2, f.e3 * T
@@ -294,3 +295,92 @@ def test_estimate_record_fields(three_point):
     assert rec["scheme"] == "DISRE" and rec["seed"] == 7
     assert set(rec) == {"a_hat", "b_hat", "alpha_hat", "beta_hat",
                         "T", "N", "scheme", "seed"}
+
+
+# ---------------------------------------------------------------------------
+# one path and many rows
+
+
+COLUMNS = ("y0", "x0", "y_terminal", "x_terminal", "i1", "i2", "i3", "i4",
+           "e1", "e2", "e3", "qv_y", "denom")
+
+
+@st.composite
+def functional_rows(draw):
+    """A row of functionals: small values of both signs make rows that cannot
+    be scaled common, a zero or tiny denominator a degenerate row, and in half
+    the rows one cell is replaced by 0, a tiny number, NaN or an infinity."""
+    row = {name: draw(st.floats(-4.0, 4.0)) for name in COLUMNS}
+    row["e1"] = draw(st.floats(0.0, 4.0))
+    row["denom"] = draw(st.floats(0.0, 4.0))
+    if draw(st.booleans()):
+        special = st.sampled_from([0.0, 1e-300, math.nan, math.inf, -math.inf])
+        row[draw(st.sampled_from(COLUMNS))] = draw(special)
+    return row
+
+
+def scalar_route(f, truth):
+    """(failure name or '', estimate, scaled) of one path, through the
+    functions a single path goes through."""
+    est = scaled = None
+    try:
+        est = hl.lse_from_functionals(f)
+        hl.normalized_error(est, truth)
+        scaled = hl.random_scaling_transform(est, truth, f)
+    except hl.HestonLabError as exc:
+        return type(exc).__name__, est and est.vector(), scaled
+    return "", est.vector(), scaled
+
+
+def reference_route(row, t):
+    """The same as scalar_route, written out on Python floats in the order of
+    operations the estimator and the scaling transform are defined with."""
+    f = SimpleNamespace(**row)
+    if not all(math.isfinite(v) for v in row.values()):
+        return "NonFinitePath", None, None
+    if f.denom <= 1e-14 * max(1.0, t * f.i2):
+        return "DegeneratePath", None, None
+    dy, dx = f.y_terminal - f.y0, f.x_terminal - f.x0
+    est = np.array([(dy * f.i2 - f.i1 * f.i3) / f.denom, (dy * f.i1 - t * f.i3) / f.denom,
+                    (dx * f.i2 - f.i1 * f.i4) / f.denom, (dx * f.i1 - t * f.i4) / f.denom])
+    disc = f.e1 * f.e3 - f.e2 * f.e2
+    if f.e1 <= 0.0 or disc <= 0.0:
+        return "NonPositiveScalingDiscriminant", est, None
+    r11 = f.denom / (t * t) / math.sqrt(disc)
+    err = math.sqrt(t) * (est - np.array([P.a, P.b, P.alpha, P.beta]))
+    pref = 1.0 / math.sqrt(f.e1)
+    return "", est, np.array([pref * r11 * err[0], pref * (-err[0] + f.e1 * err[1]),
+                              pref * r11 * err[2], pref * (-err[2] + f.e1 * err[3])])
+
+
+def same_bits(a, b):
+    return (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+# rows with e1 near 1e-300 overflow the scaled error to inf on every route
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(functional_rows(), min_size=1, max_size=12),
+       horizon=st.floats(0.5, 100.0))
+def test_columnar_estimator_matches_scalar_route_row_by_row(rows, horizon):
+    """R rows at once give, row by row, the failure reason and the bits of
+    one path at a time, and of the reference arithmetic."""
+    columns = hl.PathFunctionals(
+        t_horizon=horizon, n_steps=7,
+        **{name: np.array([row[name] for row in rows]) for name in COLUMNS})
+    reasons = hl.failure_reasons(columns)
+    estimable = np.isin(reasons, ["", "NonPositiveScalingDiscriminant"])
+    ok = reasons == ""
+    est = hl.lse_from_functionals(columns.take(estimable)).vector()
+    scaled = hl.random_scaling_transform(
+        hl.lse_from_functionals(columns.take(ok)), P, columns.take(ok))
+    for j, row in enumerate(rows):
+        f = hl.PathFunctionals(t_horizon=horizon, n_steps=7, **row)
+        want = reference_route(row, horizon)
+        got = scalar_route(f, P)
+        assert got[0] == want[0] == reasons[j] == hl.failure_reasons(f)
+        assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+        if estimable[j]:
+            assert est[np.count_nonzero(estimable[:j])].tobytes() == want[1].tobytes()
+        if ok[j]:
+            assert scaled[np.count_nonzero(ok[:j])].tobytes() == want[2].tobytes()

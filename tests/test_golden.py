@@ -3,7 +3,9 @@ small DISRE experiment and a small DESRE experiment in which 4 of 24
 replicates abort, pinned at one and two threads and with lane blocks cut
 short.
 
-A change that keeps the results bit-identical keeps these hashes.  The files
+A change that keeps the results bit-identical keeps these hashes, and
+`heston-lab report` must rebuild the same files from report.json and
+replicates.csv.  The files
 also hold values computed by numpy's and scipy's transcendental functions
 (the histogram overlay, the normality p-values), so another numpy or scipy
 build may move their last bits; the failure then names the file.
@@ -103,3 +105,17 @@ def test_report_files_are_golden(tmp_path, monkeypatch, name, threads, budget):
     assert sorted(got) == sorted(GOLDEN[name])
     for file_name, digest in GOLDEN[name].items():
         assert got[file_name] == digest, file_name
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_regenerates_golden_files(tmp_path, name):
+    """`heston-lab report` rebuilds every file from report.json and
+    replicates.csv with the same bytes."""
+    report_hashes(tmp_path, name, 1)
+    out = tmp_path / "report"
+    for path in out.iterdir():
+        if path.name not in ("report.json", "replicates.csv"):
+            path.unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == GOLDEN[name]

@@ -56,6 +56,39 @@ def test_config_validation():
     small_config(params=tight, scheme=hl.Scheme.TE)
 
 
+def test_config_rejections_name_the_field():
+    for bad in (0, 2.5):
+        with pytest.raises(hl.ConfigParseError, match="replicates"):
+            small_config(replicates=bad)
+    for bad in (-1, 1.5):
+        with pytest.raises(hl.ConfigParseError, match="seed"):
+            small_config(master_seed=bad)
+    # the implicit square-root step divides by 2 + b*dt: rejected when the
+    # config is built, not when the first block runs
+    steep = hl.ModelParams(a=0.4, b=-30.0, alpha=0.1, beta=0.15, sigma1=0.4,
+                           sigma2=0.3, rho=0.2, y0=0.2, x0=0.1)
+    with pytest.raises(hl.InvalidGrid, match=r"2 \+ b\*dt"):
+        small_config(params=steep, grid=hl.TimeGrid(1.0, 10))
+    with pytest.raises(hl.InvalidGrid):
+        hl.simulate_y(steep, hl.TimeGrid(1.0, 10), hl.Scheme.DISRE,
+                      hl.GaussianDraws.from_lineage(hl.SeedLineage(1, 0), 10))
+    small_config(params=steep, grid=hl.TimeGrid(1.0, 100))  # 2 - 30*0.01 > 0
+
+
+def test_config_mapping_round_trip():
+    for cfg in (small_config(), hl.preset_config("desk")):
+        mapping = cfg.to_mapping()
+        assert tuple(mapping) == mc.CONFIG_KEYS
+        assert hl.ExperimentConfig.from_mapping(mapping) == cfg
+        as_text = {key: str(value) for key, value in mapping.items()}
+        assert hl.ExperimentConfig.from_mapping(as_text) == cfg
+    mapping = small_config().to_mapping()
+    for key, value in (("N", 500.7), ("N", "500.7"), ("replicates", 12.0),
+                       ("seed", "9.5"), ("seed", None), ("a", None), ("a", "fast")):
+        with pytest.raises(hl.ConfigParseError, match=f"'{key}'"):
+            hl.ExperimentConfig.from_mapping({**mapping, key: value})
+
+
 # ---------------------------------------------------------------------------
 # replicate runs
 
@@ -65,34 +98,35 @@ def test_run_deterministic():
     run1 = hl.run_replicates(cfg)
     run2 = hl.run_replicates(cfg)
     assert len(run1.results) == len(run2.results) == 12
-    for a, b in zip(run1.results, run2.results):
-        assert a.index == b.index
-        assert np.array_equal(a.estimate.vector(), b.estimate.vector())
-        assert np.array_equal(a.normalized, b.normalized)
-        assert np.array_equal(a.scaled.vector, b.scaled.vector)
-        assert a.y_terminal == b.y_terminal and a.x_terminal == b.x_terminal
+    a, b = run1.results, run2.results
+    assert np.array_equal(a.index, b.index)
+    assert np.array_equal(a.estimates, b.estimates)
+    assert np.array_equal(a.normalized, b.normalized)
+    assert np.array_equal(a.scaled, b.scaled)
+    assert np.array_equal(a.functionals.y_terminal, b.functionals.y_terminal)
+    assert np.array_equal(a.functionals.x_terminal, b.functionals.x_terminal)
 
 
 def test_run_thread_count_does_not_change_results():
     cfg = small_config(replicates=24)
     serial = hl.run_replicates(cfg, threads=1)
     threaded = hl.run_replicates(cfg, threads=3)
-    assert [r.index for r in serial.results] == [r.index for r in threaded.results]
-    for a, b in zip(serial.results, threaded.results):
-        assert np.array_equal(a.estimate.vector(), b.estimate.vector())
-        assert np.array_equal(a.scaled.vector, b.scaled.vector)
+    assert serial.results.index.tolist() == threaded.results.index.tolist()
+    assert np.array_equal(serial.results.estimates, threaded.results.estimates)
+    assert np.array_equal(serial.results.scaled, threaded.results.scaled)
 
 
 def test_single_replicate_reproducible_from_lineage():
     """Row r of a batch run equals the standalone pipeline for replicate r."""
     cfg = small_config(replicates=5)
     run = hl.run_replicates(cfg)
-    r = run.results[3]
+    rows, r = run.results, 3
     path = hl.simulate_xy(cfg.params, cfg.grid, cfg.scheme,
-                          hl.SeedLineage(cfg.master_seed, r.index))
+                          hl.SeedLineage(cfg.master_seed, int(rows.index[r])))
     est = hl.lse_from_functionals(hl.path_functionals(path))
-    assert np.array_equal(r.estimate.vector(), est.vector())
-    assert r.y_terminal == path.y[-1] and r.x_terminal == path.x[-1]
+    assert np.array_equal(rows.estimates[r], est.vector())
+    assert rows.functionals.y_terminal[r] == path.y[-1]
+    assert rows.functionals.x_terminal[r] == path.x[-1]
 
 
 def test_failed_paths_are_counted_not_silent():
@@ -126,10 +160,11 @@ def edge_config():
 
 def run_record(run):
     """Everything a run reports, as exactly comparable values."""
+    rows = run.results
     return (
-        [(r.index, r.estimate.vector().tolist(), r.normalized.tolist(),
-          r.scaled.vector.tolist(), r.y_terminal, r.x_terminal,
-          vars(r.estimate.functionals)) for r in run.results],
+        (rows.index.tolist(), rows.estimates.tolist(), rows.normalized.tolist(),
+         rows.scaled.tolist(),
+         {name: np.asarray(col).tolist() for name, col in vars(rows.functionals).items()}),
         [(f.index, f.reason, f.step) for f in run.failures],
     )
 
@@ -208,28 +243,48 @@ def test_all_replicates_failed():
         hl.run_replicates(cfg)
 
 
+SUPERCRITICAL = hl.ModelParams(a=0.4, b=-1.0, alpha=0.1, beta=0.15, sigma1=0.4,
+                               sigma2=0.3, rho=0.2, y0=0.2, x0=0.1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_variance_fails_replicates_not_silently():
+    """A supercritical variance that overflows gives no NaN estimates: every
+    replicate fails with the reason NonFinitePath."""
+    for scheme in (hl.Scheme.DISRE, hl.Scheme.AVE):
+        cfg = hl.ExperimentConfig(params=SUPERCRITICAL, grid=hl.TimeGrid(800.0, 8000),
+                                  scheme=scheme, replicates=10, master_seed=1)
+        with pytest.raises(hl.AllReplicatesFailed, match="NonFinitePath"):
+            hl.run_replicates(cfg)
+    # at the edge of overflow the reasons are mixed: Y^3 overflows in most
+    # rows, e2^2 in the discriminant of the others; recorded in replicate order
+    cfg = hl.ExperimentConfig(params=SUPERCRITICAL, grid=hl.TimeGrid(231.0, 2310),
+                              scheme=hl.Scheme.DISRE, replicates=12, master_seed=1)
+    index, f, failures = mc._run_lanes(cfg, 0, 12, 2304)
+    assert index.shape == f.y_terminal.shape == (0,)
+    assert [fl.index for fl in failures] == list(range(12))
+    reasons = [fl.reason for fl in failures]
+    assert set(reasons) == {"NonFinitePath", "NonPositiveScalingDiscriminant"}
+    assert reasons.count("NonFinitePath") == 10
+
+
 # ---------------------------------------------------------------------------
 # summary statistics
 
 
 def synthetic_results(errors, truth, horizon=4.0):
-    """Build replicate records whose estimates sit at truth + error."""
-    out = []
+    """Build a replicate table whose estimates sit at truth + error."""
+    n = len(errors)
     root_t = math.sqrt(horizon)
-    f = hl.PathFunctionals(t_horizon=horizon, n_steps=4, y0=0.2, x0=0.1,
-                           y_terminal=1.0, x_terminal=0.5, i1=6.0, i2=11.0,
-                           i3=0.5, i4=0.2, e1=1.5, e2=2.75, e3=6.0,
-                           qv_y=0.8, denom=8.0)
-    for i, e in enumerate(errors):
-        est = hl.LseEstimate(a_hat=truth[0] + e, b_hat=truth[1] + e,
-                             alpha_hat=truth[2] + e, beta_hat=truth[3] + e,
-                             functionals=f)
-        out.append(hl.ReplicateResult(
-            index=i, estimate=est,
-            normalized=root_t * np.full(4, e),
-            scaled=hl.ScalingStatistic(vector=np.full(4, e)),
-            y_terminal=1.0, x_terminal=0.5))
-    return out
+    columns = dict(y0=0.2, x0=0.1, y_terminal=1.0, x_terminal=0.5, i1=6.0,
+                   i2=11.0, i3=0.5, i4=0.2, e1=1.5, e2=2.75, e3=6.0,
+                   qv_y=0.8, denom=8.0)
+    f = hl.PathFunctionals(t_horizon=horizon, n_steps=4,
+                           **{name: np.full(n, v) for name, v in columns.items()})
+    e = np.repeat(np.asarray(errors, dtype=float)[:, None], 4, axis=1)
+    return hl.ReplicateTable(index=np.arange(n), functionals=f,
+                             estimates=np.asarray(truth) + e,
+                             normalized=root_t * e, scaled=e)
 
 
 TRUTH = (0.4, 0.3, 0.1, 0.15)
