@@ -72,7 +72,8 @@ class PathTooShort(HestonLabError, ValueError):
 
 
 class NonFinitePath(HestonLabError):
-    """A path functional is not a finite number, for example after the variance overflowed."""
+    """A path functional, or the scaling discriminant e1*e3 - e2^2, is not a
+    finite number, for example after the variance overflowed."""
 
 
 class DegeneratePath(HestonLabError):

@@ -148,6 +148,9 @@ class PathSums:
     def fold(self, y: np.ndarray, x: np.ndarray) -> None:
         """Add one block: (lanes, steps + 1) points, the previous end point first.
 
+        A path that overflows gives sums of inf or NaN without a warning;
+        :func:`failure_reasons` judges the functionals they lead to.
+
         Raises:
             ValueError: a block follows one that ended inside a tile.
         """
@@ -156,8 +159,10 @@ class PathSums:
         # a tile at a time: the temporaries stay lanes x SUM_TILE, which the
         # allocator reuses, where block-sized ones would be returned to the
         # system and faulted in again on every block
-        for lo in range(0, y.shape[1] - 1, SUM_TILE):
-            self._fold_tile(y[:, lo : lo + SUM_TILE + 1], x[:, lo : lo + SUM_TILE + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, y.shape[1] - 1, SUM_TILE):
+                self._fold_tile(
+                    y[:, lo : lo + SUM_TILE + 1], x[:, lo : lo + SUM_TILE + 1])
         self.y_end = y[:, -1].copy()
         self.x_end = x[:, -1].copy()
 
@@ -313,7 +318,7 @@ class LseEstimate:
 # the message of each.  An estimate needs the first two, the scaling
 # transform all three.
 _ROW_CHECKS = {
-    NonFinitePath: "a path functional is not a finite number",
+    NonFinitePath: "a path functional, or e1*e3 - e2^2, is not a finite number",
     DegeneratePath: "variance path carries no spread",
     NonPositiveScalingDiscriminant: "need e1 > 0 and e1*e3 - e2^2 > 0",
 }
@@ -324,15 +329,20 @@ def failure_reasons(f: PathFunctionals) -> np.ndarray:
     failing check (``NonFinitePath``, ``DegeneratePath`` or
     ``NonPositiveScalingDiscriminant``), or '' for a usable row.
 
-    A row is degenerate when ``denom`` is at or below the degeneracy threshold
-    of its natural scale T * i2, and it cannot be scaled unless e1 > 0 and
-    e1*e3 - e2^2 > 0.  A 0-d array for the floats of one path.
+    A row is not finite when one of its functionals is not, or when the
+    scaling discriminant e1*e3 - e2^2 overflows (a variance that grew past
+    about 1e77).  A row is degenerate when ``denom`` is at or below the
+    degeneracy threshold of its natural scale T * i2, and it cannot be scaled
+    unless e1 > 0 and e1*e3 - e2^2 > 0.  A 0-d array for the floats of one
+    path.
     """
     t = f.t_horizon
     with np.errstate(invalid="ignore", over="ignore"):
-        finite = np.logical_and.reduce([np.isfinite(getattr(f, name)) for name in _COLUMNS])
+        disc = f.e1 * f.e3 - f.e2 * f.e2
+        finite = np.logical_and.reduce(
+            [np.isfinite(getattr(f, name)) for name in _COLUMNS] + [np.isfinite(disc)])
         spread = f.denom > _DEGENERACY_REL_TOL * np.maximum(1.0, t * f.i2)
-        scalable = np.logical_and(f.e1 > 0.0, f.e1 * f.e3 - f.e2 * f.e2 > 0.0)
+        scalable = np.logical_and(f.e1 > 0.0, disc > 0.0)
     return np.select(
         [~finite, ~spread, ~scalable], [check.__name__ for check in _ROW_CHECKS], ""
     )
@@ -349,7 +359,8 @@ def lse_from_functionals(f: PathFunctionals) -> LseEstimate:
     """Closed-form drift estimates from path functionals, row by row.
 
     Raises:
-        NonFinitePath: a row holds a value that is not a finite number.
+        NonFinitePath: a row holds a value, or has an e1*e3 - e2^2, that is
+            not a finite number.
         DegeneratePath: a row's ``denom`` is at or below the degeneracy
             threshold.
     """
@@ -440,7 +451,8 @@ def random_scaling_transform(est: LseEstimate, truth, f: PathFunctionals) -> np.
     implements the time-averaged form.
 
     Raises:
-        NonFinitePath: a row holds a value that is not a finite number.
+        NonFinitePath: a row holds a value, or has an e1*e3 - e2^2, that is
+            not a finite number.
         DegeneratePath: the spread denominator is at the degeneracy threshold.
         NonPositiveScalingDiscriminant: e1 <= 0 or e1*e3 - e2^2 <= 0, so the
             scaling map is not defined.

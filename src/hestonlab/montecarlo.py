@@ -35,14 +35,16 @@ test pins this approximation against uniform p-values under the null.
 
 Replicate r of an experiment draws its noise from the streams of
 ``SeedLineage(master_seed, r)`` and from nothing else, so results are
-independent of lane grouping, block length and thread count.
+independent of lane grouping, block length and thread count.  A lane group
+seeds all of its streams at once (:func:`lane_generators`).
 
-Replicates are simulated as lanes.  A lane group advances together through
-blocks of B steps: each lane draws the block's normals from its own two
-streams, the group takes the block's variance and price steps, and the block
-is folded into per-lane path sums and then discarded.  Memory is therefore
-set by the lane group and B, not by the number of steps N.  A DESRE lane that
-aborts is dropped at the end of the block in which it aborted.
+Replicates are simulated as lanes.  A lane group of at most 1024 replicates
+advances together through blocks of B steps: each lane draws the block's
+normals from its own two streams, the group takes the block's variance and
+price steps, and the block is folded into per-lane path sums and then
+discarded.  Memory is therefore set by the lane group and B, not by the
+number of steps N.  A DESRE lane that aborts is dropped at the end of the
+block in which it aborted.
 
 Results are columnar: a :class:`ReplicateTable` holds one row per successful
 replicate, and the estimator, its normalizations and the summary work on its
@@ -83,9 +85,9 @@ from .estimate import (
 from .model import AsymptoticCovariance, ModelParams, kron
 from .simulate import (
     Scheme,
-    SeedLineage,
     TimeGrid,
     advance_variance,
+    lane_generators,
     price_block,
     variance_state,
 )
@@ -115,13 +117,22 @@ __all__ = [
 
 PARAM_NAMES = ("a", "b", "alpha", "beta")
 
-# Element budget (lanes x steps) of one block of a lane group.  It sets both
-# the number of replicates advanced together and the block length B, a
-# multiple of the summation tile.  A block's arrays are of this size (4 MB
+# Element budget (lanes x steps) of one block of a lane group.  With the
+# lane cap below it sets both the number of replicates advanced together and
+# the block length B, a multiple of the summation tile: at least 512 steps
+# once the group is at the cap.  A block's arrays are of this size (4 MB
 # each) whatever N is, and each worker thread runs one lane group at a time.
-# Wide groups spread the step loop's per-step overhead; blocks much shorter
-# than a few hundred steps spend more on per-lane draw calls.
 _BLOCK_ELEMENTS = 1 << 19
+
+# Most lanes in one group.  Wide groups spread the step loop's per-step
+# numpy calls over more lanes, but past about a thousand lanes that cost is
+# already spread thin.  Wider groups then only shorten the blocks, so that
+# each lane draws its normals in more, shorter calls, and they make the
+# (lanes, SUM_TILE) price and fold temporaries outgrow the L2 cache (1 MB
+# each at 1024 lanes, 4 MB at 4096, against 2 MB of L2 a core on a 2-vCPU
+# Xeon).  There, 10^4 replicates of 1000 steps took a median 1.47 s with a
+# cap of 512 lanes, 1.41 s with 1024, 1.65 s with 2048 and 1.71 s with 4096.
+_MAX_LANES = 1024
 
 
 def _as_float(value) -> float:
@@ -306,12 +317,32 @@ class McRun:
 def _lane_plan(replicates: int, threads: int) -> tuple[int, int]:
     """(lanes per group, block steps) under the element budget.
 
-    Lanes are split evenly across the threads, and no group is so wide that
-    its blocks would be shorter than one summation tile.
+    Lanes are split evenly across the threads, no group is so wide that its
+    blocks would be shorter than one summation tile, and no group has more
+    than ``_MAX_LANES`` lanes.
     """
-    lanes = min(-(-replicates // max(threads, 1)), max(1, _BLOCK_ELEMENTS // SUM_TILE))
+    lanes = min(
+        -(-replicates // max(threads, 1)),
+        max(1, _BLOCK_ELEMENTS // SUM_TILE),
+        _MAX_LANES,
+    )
     block = max(1, _BLOCK_ELEMENTS // lanes // SUM_TILE) * SUM_TILE
     return lanes, block
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``a.T``, made 64 rows of ``a`` at a time.
+
+    The 64 rows stay in cache while their columns are written out.
+    numpy's whole-array copy walks down every row of ``a`` for each row it
+    writes, and at a power-of-two row stride (a block of 512 steps, a group
+    of 1024 lanes) those rows evict one another from the cache.  A copy, so
+    the bits are those of ``a``.
+    """
+    out = np.empty(a.shape[::-1])
+    for lo in range(0, a.shape[0], 64):
+        out[:, lo : lo + 64] = a[lo : lo + 64].T
+    return out
 
 
 def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
@@ -324,46 +355,48 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
     params, grid, scheme = config.params, config.grid, config.scheme
     dt, n = grid.dt, grid.steps
     index = np.arange(lo, hi)
-    streams = [SeedLineage(config.master_seed, r).generators() for r in index]
+    streams = lane_generators(config.master_seed, index)
     state = variance_state(params, scheme, len(index))
     failed = np.full(len(index), -1, dtype=np.int64)
     sums = PathSums(np.full(len(index), params.y0), np.full(len(index), params.x0))
     failures: list[ReplicateFailure] = []
 
-    for start in range(0, n, block):
-        steps, lanes = min(block, n - start), len(index)
-        eta, zeta = np.empty((lanes, steps)), np.empty((lanes, steps))
-        # each lane draws from its own two streams
-        for (gen_eta, gen_zeta), eta_row, zeta_row in zip(streams, eta, zeta):
-            gen_eta.standard_normal(out=eta_row)
-            gen_zeta.standard_normal(out=zeta_row)
-        # the step loop runs time-major, one row of lanes per step
-        y_steps = np.empty((steps + 1, lanes))
-        y_steps[0] = sums.y_end
-        state = advance_variance(
-            params, dt, scheme, state, np.ascontiguousarray(eta.T), y_steps[1:],
-            failed, start,
-        )
-        y_b = np.ascontiguousarray(y_steps.T)
-        # price and fold a tile at a time, carrying the price in the sums: the
-        # price temporaries stay (lanes, SUM_TILE) and are reused by the
-        # allocator, where block-sized ones are faulted in again every block
-        for lo in range(0, steps, SUM_TILE):
-            hi = min(lo + SUM_TILE, steps)
-            y_t = y_b[:, lo : hi + 1]
-            sums.fold(y_t, price_block(
-                params, dt, y_t, eta[:, lo:hi], zeta[:, lo:hi], sums.x_end))
-        if scheme is Scheme.DESRE and (failed >= 0).any():
-            keep = failed < 0
-            failures.extend(
-                ReplicateFailure(index=int(r), reason="NonPositiveZ", step=int(k))
-                for r, k in zip(index[~keep], failed[~keep])
+    # a variance that overflows runs on as inf or NaN without warnings, and
+    # failure_reasons fails its replicate as NonFinitePath
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, block):
+            steps, lanes = min(block, n - start), len(index)
+            eta, zeta = np.empty((lanes, steps)), np.empty((lanes, steps))
+            # each lane draws from its own two streams
+            for (gen_eta, gen_zeta), eta_row, zeta_row in zip(streams, eta, zeta):
+                gen_eta.standard_normal(out=eta_row)
+                gen_zeta.standard_normal(out=zeta_row)
+            # the step loop runs time-major, one row of lanes per step
+            y_steps = np.empty((steps + 1, lanes))
+            y_steps[0] = sums.y_end
+            state = advance_variance(
+                params, dt, scheme, state, _transposed(eta), y_steps[1:], failed, start,
             )
-            index, state, failed = index[keep], state[keep], failed[keep]
-            streams = [s for s, live in zip(streams, keep) if live]
-            sums.select(keep)
-            if not len(index):
-                break
+            y_b = _transposed(y_steps)
+            # price and fold a tile at a time, carrying the price in the sums: the
+            # price temporaries stay (lanes, SUM_TILE) and are reused by the
+            # allocator, where block-sized ones are faulted in again every block
+            for lo in range(0, steps, SUM_TILE):
+                hi = min(lo + SUM_TILE, steps)
+                y_t = y_b[:, lo : hi + 1]
+                sums.fold(y_t, price_block(
+                    params, dt, y_t, eta[:, lo:hi], zeta[:, lo:hi], sums.x_end))
+            if scheme is Scheme.DESRE and (failed >= 0).any():
+                keep = failed < 0
+                failures.extend(
+                    ReplicateFailure(index=int(r), reason="NonPositiveZ", step=int(k))
+                    for r, k in zip(index[~keep], failed[~keep])
+                )
+                index, state, failed = index[keep], state[keep], failed[keep]
+                streams = [s for s, live in zip(streams, keep) if live]
+                sums.select(keep)
+                if not len(index):
+                    break
 
     f = None
     if len(index):  # else every lane aborted and the sums stop short of N

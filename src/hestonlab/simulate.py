@@ -36,6 +36,10 @@ Randomness contract: every replicate owns two independent Gaussian streams
 (eta for the variance, zeta for the price) derived from a master seed, the
 replicate index and a fixed stream tag.  Identical (seed, replicate) input
 yields bit-identical paths no matter how replicates are batched or threaded.
+:func:`lane_generators` is the one place where streams are seeded: it gives
+each stream the state that NumPy's ``SeedSequence`` would, for a whole lane
+group in one pass, and :meth:`SeedLineage.generators` calls it for one
+replicate.
 
 Lanes and blocks: :func:`advance_variance` is the package's one step loop.
 It advances a group of replicates side by side (the lanes) through a block of
@@ -56,6 +60,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     CsvFormatError,
@@ -71,6 +76,7 @@ __all__ = [
     "TimeGrid",
     "Scheme",
     "SeedLineage",
+    "lane_generators",
     "GaussianDraws",
     "XYPath",
     "step_ave",
@@ -170,17 +176,125 @@ class SeedLineage:
             raise ValueError("replicate index must be nonnegative")
 
     def generators(self) -> tuple[np.random.Generator, np.random.Generator]:
-        return tuple(
-            np.random.Generator(
-                np.random.PCG64(
-                    np.random.SeedSequence(
-                        entropy=self.master_seed,
-                        spawn_key=(self.replicate, tag),
-                    )
-                )
-            )
-            for tag in (_ETA_STREAM, _ZETA_STREAM)
+        return lane_generators(self.master_seed, [self.replicate])[0]
+
+
+# SeedSequence's constants (numpy.random.bit_generator, after O'Neill's
+# seed_seq_fe): the entropy pool size in 32-bit words, the two hash
+# multiplier sequences and the mixing multipliers
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer, least significant first;
+    one word for 0 (SeedSequence's coercion of an int)."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..count: the hash constant that
+    SeedSequence holds before each of ``count`` hashes, and after the last."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for each row of assembled
+    entropy, shape (rows, words) uint32, in one pass; returns (rows, 4) uint64.
+
+    SeedSequence's hash constants evolve the same way for every row, and the
+    hashes it mixes into the pool words one after another do not depend on
+    each other; so each of its loops over pool words is one uint32 operation
+    on a (rows, pool words) array (numpy array arithmetic wraps modulo 2**32,
+    as the mixing needs).
+    """
+    # one hash per pool word for each entropy word
+    hash_a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * entropy.shape[1])
+    done = 0
+
+    def hashmix(value, n):
+        # the next n hashes, of one column broadcast or of n columns
+        nonlocal done
+        value = (value ^ hash_a[done : done + n]) * hash_a[done + 1 : done + n + 1]
+        done += n
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = hashmix(entropy[:, :_POOL_SIZE], _POOL_SIZE)
+    for i_src in range(_POOL_SIZE):
+        others = [i for i in range(_POOL_SIZE) if i != i_src]
+        hashed = hashmix(pool[:, i_src : i_src + 1], len(others))
+        pool[:, others] = mix(pool[:, others], hashed)
+    for i_src in range(_POOL_SIZE, entropy.shape[1]):
+        pool = mix(pool, hashmix(entropy[:, i_src : i_src + 1], _POOL_SIZE))
+
+    # generate_state: 8 words from the pool, cycled, then joined in
+    # little-endian pairs
+    hash_b = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = (np.tile(pool, 2) ^ hash_b[:8]) * hash_b[1:]
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state was generated beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def lane_generators(
+    master_seed: int, replicates
+) -> list[tuple[np.random.Generator, np.random.Generator]]:
+    """The (eta, zeta) generators of each replicate index, in order.
+
+    Each is a PCG64 in the state that ``SeedSequence(entropy=master_seed,
+    spawn_key=(replicate, tag))`` gives it, tag 0 for eta and 1 for zeta.
+    The seeds of all streams are hashed together; replicates whose indices
+    take the same number of 32-bit words share one pass.
+
+    Raises:
+        ValueError: a negative master seed or replicate index.
+    """
+    replicates = [int(r) for r in replicates]
+    if master_seed < 0 or any(r < 0 for r in replicates):
+        raise ValueError("master_seed and replicate indices must be nonnegative")
+    seed = _uint32_words(int(master_seed))
+    # SeedSequence pads the entropy to the pool size when a spawn key follows
+    seed += [0] * (_POOL_SIZE - len(seed))
+    spawn = [_uint32_words(r) for r in replicates]
+    by_words: dict[int, list[int]] = {}
+    for i, words in enumerate(spawn):
+        by_words.setdefault(len(words), []).append(i)
+
+    streams = [None] * len(replicates)
+    for lanes in by_words.values():
+        entropy = np.array(
+            [seed + spawn[i] + [tag] for i in lanes for tag in (_ETA_STREAM, _ZETA_STREAM)],
+            dtype=np.uint32,
         )
+        words = _pcg64_seeds(entropy).reshape(len(lanes), 2, 4)
+        for i, pair in zip(lanes, words):
+            streams[i] = tuple(
+                np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in pair)
+    return streams
 
 
 @dataclass(frozen=True)
@@ -189,7 +303,6 @@ class GaussianDraws:
 
     eta: np.ndarray
     zeta: np.ndarray
-    lineage: SeedLineage | None = None
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
@@ -211,7 +324,6 @@ class GaussianDraws:
         return cls(
             eta=gen_eta.standard_normal(n_steps),
             zeta=gen_zeta.standard_normal(n_steps),
-            lineage=lineage,
         )
 
 

@@ -347,7 +347,6 @@ def test_mc_failure_accounting_through_cli(tmp_path, capsys):
     assert payload["failures"]["count"] + payload["summary"]["n_results"] == 64
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mc_overflowing_variance_fails_cleanly(tmp_path, config_file, capsys):
     """A supercritical variance that overflows writes no report of NaN."""
     out = tmp_path / "rep"

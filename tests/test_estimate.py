@@ -287,6 +287,15 @@ def test_scaling_guards():
         hl.random_scaling_transform(est, P, bad)
 
 
+def test_overflowing_discriminant_is_not_finite():
+    """Finite functionals whose e2^2 overflows fail as NonFinitePath, not as
+    a path without scaling, and raise no numpy warning."""
+    f = fixed_functionals(e2=1e200, e3=1e200)
+    assert hl.failure_reasons(f) == "NonFinitePath"
+    with pytest.raises(hl.NonFinitePath):
+        hl.lse_from_functionals(f)
+
+
 def test_estimate_record_fields(three_point):
     est = hl.lse_from_functionals(hl.path_functionals(three_point))
     rec = hl.estimate_record(est, scheme=hl.Scheme.DISRE, seed=7)
@@ -336,14 +345,14 @@ def reference_route(row, t):
     """The same as scalar_route, written out on Python floats in the order of
     operations the estimator and the scaling transform are defined with."""
     f = SimpleNamespace(**row)
-    if not all(math.isfinite(v) for v in row.values()):
+    disc = f.e1 * f.e3 - f.e2 * f.e2
+    if not all(math.isfinite(v) for v in (*row.values(), disc)):
         return "NonFinitePath", None, None
     if f.denom <= 1e-14 * max(1.0, t * f.i2):
         return "DegeneratePath", None, None
     dy, dx = f.y_terminal - f.y0, f.x_terminal - f.x0
     est = np.array([(dy * f.i2 - f.i1 * f.i3) / f.denom, (dy * f.i1 - t * f.i3) / f.denom,
                     (dx * f.i2 - f.i1 * f.i4) / f.denom, (dx * f.i1 - t * f.i4) / f.denom])
-    disc = f.e1 * f.e3 - f.e2 * f.e2
     if f.e1 <= 0.0 or disc <= 0.0:
         return "NonPositiveScalingDiscriminant", est, None
     r11 = f.denom / (t * t) / math.sqrt(disc)

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hestonlab as hl
 from hestonlab.simulate import _simulate_y_batch, advance_variance, variance_state
@@ -451,6 +453,38 @@ def test_replicates_draw_distinct_streams():
     p0 = hl.simulate_xy(P, grid, hl.Scheme.DISRE, hl.SeedLineage(77, 0))
     p1 = hl.simulate_xy(P, grid, hl.Scheme.DISRE, hl.SeedLineage(77, 1))
     assert not np.array_equal(p0.y, p1.y)
+
+
+@st.composite
+def replicate_batches(draw):
+    """Replicate indices below 2**40, so of one or two 32-bit words, mixed in
+    one batch in any order, with 2**32 - 1 and 2**32 in every batch."""
+    drawn = draw(st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=6))
+    return draw(st.permutations(drawn + [2**32 - 1, 2**32]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(master_seed=st.integers(0, 2**130 - 1)
+       | st.sampled_from([2**32 - 1, 2**32, 2**128 - 1, 2**128]),
+       replicates=replicate_batches())
+def test_lane_generators_match_seed_sequence(master_seed, replicates):
+    """Each stream seeded for a lane group is NumPy's PCG64 on
+    SeedSequence(master_seed, spawn_key=(replicate, tag)): same state, same
+    normals."""
+    streams = hl.lane_generators(master_seed, replicates)
+    assert len(streams) == len(replicates)
+    for r, pair in zip(replicates, streams):
+        for tag, gen in enumerate(pair):
+            want = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(master_seed, spawn_key=(r, tag))))
+            assert gen.bit_generator.state == want.bit_generator.state, (r, tag)
+            assert gen.standard_normal(16).tobytes() == want.standard_normal(16).tobytes()
+
+
+def test_lane_generators_reject_negative_seeds():
+    for seed, replicates in ((-1, [0]), (0, [3, -1])):
+        with pytest.raises(ValueError):
+            hl.lane_generators(seed, replicates)
 
 
 def test_eta_zeta_streams_independent_of_each_other():
