@@ -122,6 +122,32 @@ _COLUMNS = tuple(field.name for field in fields(PathFunctionals))[2:]
 SUM_TILE = 128
 
 
+def _tile_stats(y: np.ndarray, x: np.ndarray, y_start: np.ndarray, size: int):
+    """The six sums of :class:`PathSums` (6, lanes, tiles) and the (mean, m2)
+    of the deviations from ``y_start`` (lanes, tiles) of each tile of (lanes,
+    tiles * size + 1) points.  A tile is a row of a (lanes, tiles, size) view,
+    summed over the same contiguous values as a (lanes, size) tile alone."""
+    shape = (y.shape[0], (y.shape[1] - 1) // size, size)
+    y_left = y[:, :-1].reshape(shape)
+    y2 = y_left * y_left
+    dy = np.diff(y, axis=1).reshape(shape)
+    dx = np.diff(x, axis=1).reshape(shape)
+    # each product is summed as soon as it is formed, so that few
+    # temporaries are alive at once
+    sums = np.stack([
+        y_left.sum(axis=-1),
+        y2.sum(axis=-1),
+        (y2 * y_left).sum(axis=-1),
+        (y_left * dy).sum(axis=-1),
+        (y_left * dx).sum(axis=-1),
+        (dy * dy).sum(axis=-1),
+    ])
+    dev = y_left - y_start[:, None, None]
+    mean = dev.sum(axis=-1) / size
+    centered = dev - mean[..., None]
+    return sums, mean, (centered * centered).sum(axis=-1)
+
+
 class PathSums:
     """Running left-endpoint sums of a group of paths (lanes), fed block by block.
 
@@ -156,41 +182,30 @@ class PathSums:
         """
         if self.steps % SUM_TILE:
             raise ValueError("only the last block of a path may end inside a tile")
-        # a tile at a time: the temporaries stay lanes x SUM_TILE, which the
-        # allocator reuses, where block-sized ones would be returned to the
-        # system and faulted in again on every block
+        steps = y.shape[1] - 1
+        whole = steps - steps % SUM_TILE
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, y.shape[1] - 1, SUM_TILE):
-                self._fold_tile(
-                    y[:, lo : lo + SUM_TILE + 1], x[:, lo : lo + SUM_TILE + 1])
+            # every whole tile in one set of calls, a partial last tile in another
+            parts = [_tile_stats(y[:, : whole + 1], x[:, : whole + 1], self.y_start, SUM_TILE)]
+            if whole < steps:
+                parts.append(_tile_stats(y[:, whole:], x[:, whole:], self.y_start, steps - whole))
+            tile_sums, tile_mean, tile_m2 = (np.concatenate(c, axis=-1) for c in zip(*parts))
+            # then the tiles in time order, as a fold of one tile at a time takes
+            # them: a cumulative sum adds from left to right, and the spread is
+            # merged tile after tile
+            running = np.concatenate([self.sums[..., None], tile_sums], axis=-1)
+            self.sums = running.cumsum(axis=-1)[..., -1]
+            sizes = np.minimum(SUM_TILE, steps - np.arange(0, steps, SUM_TILE))
+            merged = self.steps + np.cumsum(sizes)
+            for t_mean, t_m2, w_mean, w_m2 in zip(
+                tile_mean.T, tile_m2.T, sizes / merged, (merged - sizes) * sizes / merged
+            ):
+                delta = t_mean - self.mean
+                self.mean = self.mean + delta * w_mean
+                self.m2 = self.m2 + t_m2 + delta * delta * w_m2
+            self.steps = int(merged[-1])
         self.y_end = y[:, -1].copy()
         self.x_end = x[:, -1].copy()
-
-    def _fold_tile(self, y: np.ndarray, x: np.ndarray) -> None:
-        y_left = y[:, :-1]
-        y2 = y_left * y_left
-        dy = np.diff(y, axis=1)
-        dx = np.diff(x, axis=1)
-        # each product is summed as soon as it is formed, so that few
-        # tile-sized temporaries are alive at once
-        self.sums += np.stack([
-            y_left.sum(axis=1),
-            y2.sum(axis=1),
-            (y2 * y_left).sum(axis=1),
-            (y_left * dy).sum(axis=1),
-            (y_left * dx).sum(axis=1),
-            (dy * dy).sum(axis=1),
-        ])
-        dev = y_left - self.y_start[:, None]
-        size = dev.shape[1]
-        tile_mean = dev.sum(axis=1) / size
-        centered = dev - tile_mean[:, None]
-        tile_m2 = (centered * centered).sum(axis=1)
-        merged = self.steps + size
-        delta = tile_mean - self.mean
-        self.mean = self.mean + delta * (size / merged)
-        self.m2 = self.m2 + tile_m2 + delta * delta * (self.steps * size / merged)
-        self.steps = merged
 
     def select(self, keep: np.ndarray) -> None:
         """Keep only the lanes where ``keep`` is true."""

@@ -42,7 +42,6 @@ __all__ = [
     "Regime",
     "StationaryMoments",
     "AsymptoticCovariance",
-    "validate_params",
     "classify_regime",
     "stationary_laplace",
     "stationary_moments",
@@ -112,19 +111,6 @@ class Regime(enum.Enum):
     SUBCRITICAL = "subcritical"
     CRITICAL = "critical"
     SUPERCRITICAL = "supercritical"
-
-
-def validate_params(raw) -> ModelParams:
-    """Build a validated :class:`ModelParams` from a mapping of coefficients.
-
-    Args:
-        raw: mapping with keys a, b, alpha, beta, sigma1, sigma2, rho, y0, x0.
-
-    Raises:
-        KeyError: a coefficient is missing.
-        InvalidParams: a hard constraint is violated (subclass names which one).
-    """
-    return ModelParams(**{field.name: float(raw[field.name]) for field in fields(ModelParams)})
 
 
 def classify_regime(params: ModelParams) -> Regime:

@@ -38,13 +38,14 @@ Replicate r of an experiment draws its noise from the streams of
 independent of lane grouping, block length and thread count.  A lane group
 seeds all of its streams at once (:func:`lane_generators`).
 
-Replicates are simulated as lanes.  A lane group of at most 1024 replicates
-advances together through blocks of B steps: each lane draws the block's
-normals from its own two streams, the group takes the block's variance and
-price steps, and the block is folded into per-lane path sums and then
-discarded.  Memory is therefore set by the lane group and B, not by the
-number of steps N.  A DESRE lane that aborts is dropped at the end of the
-block in which it aborted.
+Replicates are simulated as lanes, by the functions that simulate a single
+path.  A lane group of at most 1024 replicates advances together through
+blocks of B steps: it draws the block (:func:`draw_normals`), takes its
+variance steps (:func:`advance_variance`), then prices it and folds it into
+per-lane path sums (:class:`PathSums`) a tile at a time, and discards it.
+Memory is therefore set by the lane group and B, not by the number of steps
+N.  A DESRE lane that aborts is dropped at the end of the block in which it
+aborted.
 
 Results are columnar: a :class:`ReplicateTable` holds one row per successful
 replicate, and the estimator, its normalizations and the summary work on its
@@ -87,6 +88,7 @@ from .simulate import (
     Scheme,
     TimeGrid,
     advance_variance,
+    draw_normals,
     lane_generators,
     price_block,
     variance_state,
@@ -330,21 +332,6 @@ def _lane_plan(replicates: int, threads: int) -> tuple[int, int]:
     return lanes, block
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``a.T``, made 64 rows of ``a`` at a time.
-
-    The 64 rows stay in cache while their columns are written out.
-    numpy's whole-array copy walks down every row of ``a`` for each row it
-    writes, and at a power-of-two row stride (a block of 512 steps, a group
-    of 1024 lanes) those rows evict one another from the cache.  A copy, so
-    the bits are those of ``a``.
-    """
-    out = np.empty(a.shape[::-1])
-    for lo in range(0, a.shape[0], 64):
-        out[:, lo : lo + 64] = a[lo : lo + 64].T
-    return out
-
-
 def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
     """Simulate replicates lo..hi-1 as one lane group, block by block.
 
@@ -365,27 +352,19 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
     # failure_reasons fails its replicate as NonFinitePath
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, block):
-            steps, lanes = min(block, n - start), len(index)
-            eta, zeta = np.empty((lanes, steps)), np.empty((lanes, steps))
-            # each lane draws from its own two streams
-            for (gen_eta, gen_zeta), eta_row, zeta_row in zip(streams, eta, zeta):
-                gen_eta.standard_normal(out=eta_row)
-                gen_zeta.standard_normal(out=zeta_row)
-            # the step loop runs time-major, one row of lanes per step
-            y_steps = np.empty((steps + 1, lanes))
-            y_steps[0] = sums.y_end
-            state = advance_variance(
-                params, dt, scheme, state, _transposed(eta), y_steps[1:], failed, start,
-            )
-            y_b = _transposed(y_steps)
+            steps = min(block, n - start)
+            eta, zeta = draw_normals(streams, steps)
+            y, state = advance_variance(
+                params, dt, scheme, state, eta, sums.y_end, failed, start)
             # price and fold a tile at a time, carrying the price in the sums: the
             # price temporaries stay (lanes, SUM_TILE) and are reused by the
             # allocator, where block-sized ones are faulted in again every block
-            for lo in range(0, steps, SUM_TILE):
-                hi = min(lo + SUM_TILE, steps)
-                y_t = y_b[:, lo : hi + 1]
+            # (pricing and folding whole 1024 x 512 blocks took 40-70% longer)
+            for t0 in range(0, steps, SUM_TILE):
+                t1 = min(t0 + SUM_TILE, steps)
+                y_t = y[:, t0 : t1 + 1]
                 sums.fold(y_t, price_block(
-                    params, dt, y_t, eta[:, lo:hi], zeta[:, lo:hi], sums.x_end))
+                    params, dt, y_t, eta[:, t0:t1], zeta[:, t0:t1], sums.x_end))
             if scheme is Scheme.DESRE and (failed >= 0).any():
                 keep = failed < 0
                 failures.extend(

@@ -41,13 +41,14 @@ each stream the state that NumPy's ``SeedSequence`` would, for a whole lane
 group in one pass, and :meth:`SeedLineage.generators` calls it for one
 replicate.
 
-Lanes and blocks: :func:`advance_variance` is the package's one step loop.
-It advances a group of replicates side by side (the lanes) through a block of
-steps, and :func:`price_block` turns a block of variance points into the
-matching log-price points, carrying the price across blocks.  A single path
-is one lane and one block; a Monte Carlo run streams many lanes through
-blocks of B steps.  Both see the same per-element arithmetic, and a path cut
-into blocks reproduces the path computed in one piece bit for bit.
+Lanes and blocks: replicates advanced side by side are lanes, and a block
+of draws or points holds one row per lane.  :func:`draw_normals` draws a
+block, :func:`advance_variance` (the one step loop, which alone knows that it
+runs time-major) turns it into variance points, and :func:`price_block` into
+log-price points.  A single path is one lane and one block; a Monte Carlo run
+streams many lanes through blocks of B steps.  Both call these three
+functions, and a path cut into blocks reproduces the path computed in one
+piece bit for bit.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .errors import (
     InvalidGrid,
     LengthMismatch,
     NegativeInput,
+    NonFinitePath,
     NonPositiveZ,
 )
 from .model import ModelParams
@@ -77,6 +79,7 @@ __all__ = [
     "Scheme",
     "SeedLineage",
     "lane_generators",
+    "draw_normals",
     "GaussianDraws",
     "XYPath",
     "step_ave",
@@ -297,6 +300,19 @@ def lane_generators(
     return streams
 
 
+def draw_normals(streams, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``steps`` normals of each (eta, zeta) stream pair.
+
+    Returns (eta, zeta), each of shape (len(streams), steps): row i holds the
+    draws of pair i, so a lane's noise does not depend on the other lanes.
+    """
+    eta, zeta = np.empty((len(streams), steps)), np.empty((len(streams), steps))
+    for (gen_eta, gen_zeta), eta_row, zeta_row in zip(streams, eta, zeta):
+        gen_eta.standard_normal(out=eta_row)
+        gen_zeta.standard_normal(out=zeta_row)
+    return eta, zeta
+
+
 @dataclass(frozen=True)
 class GaussianDraws:
     """Pair of equal-length standard-normal draw vectors (eta, zeta)."""
@@ -320,11 +336,8 @@ class GaussianDraws:
 
     @classmethod
     def from_lineage(cls, lineage: SeedLineage, n_steps: int) -> "GaussianDraws":
-        gen_eta, gen_zeta = lineage.generators()
-        return cls(
-            eta=gen_eta.standard_normal(n_steps),
-            zeta=gen_zeta.standard_normal(n_steps),
-        )
+        eta, zeta = draw_normals([lineage.generators()], n_steps)
+        return cls(eta=eta[0], zeta=zeta[0])
 
 
 # ---------------------------------------------------------------------------
@@ -499,33 +512,56 @@ def variance_state(params: ModelParams, scheme: Scheme, lanes: int) -> np.ndarra
     return np.full(lanes, math.sqrt(params.y0))
 
 
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``a.T``, made 64 rows of ``a`` at a time.
+
+    The 64 rows stay in cache while their columns are written out; numpy's
+    whole-array copy walks down every row of ``a`` for each row it writes,
+    and at a power-of-two row stride (a block of 512 steps, a group of 1024
+    lanes) those rows evict one another from the cache.
+    """
+    out = np.empty(a.shape[::-1])
+    for lo in range(0, a.shape[0], 64):
+        out[:, lo : lo + 64] = a[lo : lo + 64].T
+    return out
+
+
 def advance_variance(
     params: ModelParams,
     dt: float,
     scheme: Scheme,
     state: np.ndarray,
     eta: np.ndarray,
-    out: np.ndarray,
+    y_start,
     failed: np.ndarray,
     start: int = 0,
-) -> np.ndarray:
-    """Advance lanes through one block of steps; returns the new state.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance lanes through one block of steps.
 
     Args:
         state: (lanes,) scheme state from :func:`variance_state` or from the
             previous block.
-        eta: (steps, lanes) draws, one row per step (time-major).
-        out: (steps, lanes) array that receives Y after each step.
+        eta: (lanes, steps) draws, one row per lane.
+        y_start: (lanes,) Y at the block's left endpoint.
         failed: (lanes,) grid index of each lane's DESRE abort, -1 for a live
             lane; updated in place.  An aborted lane is NaN from its abort on.
         start: grid index of the block's first point, so that abort indices
             count from the start of the path.
+
+    Returns:
+        (y, state): the (lanes, steps + 1) variance points, ``y_start`` first,
+        and the new state.
     """
+    # the step loop runs time-major, one row of lanes per step; the
+    # time-major draws are freed as soon as the loop is done
+    y = np.empty((eta.shape[1] + 1, eta.shape[0]))
+    y[0] = y_start
+    out = y[1:]
     if scheme is Scheme.DESRE:
         # a lane runs on past its first nonpositive Z to the end of the block;
         # those values are replaced by NaN below, and so are their warnings
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            _desre_steps(params, dt, state, eta, out)
+            _desre_steps(params, dt, state, _transposed(eta), out)
         bad = out <= 0.0
         hit = bad.any(axis=0) & (failed < 0)
         if hit.any():
@@ -533,11 +569,11 @@ def advance_variance(
             failed[hit] = start + first[hit] + 1
             out[(np.arange(out.shape[0])[:, None] >= first) & hit] = np.nan
     else:
-        _STEPS[scheme](params, dt, state, eta, out)
+        _STEPS[scheme](params, dt, state, _transposed(eta), out)
     state = out[-1].copy()
     if scheme.uses_sqrt_state:
         np.multiply(out, out, out)
-    return state
+    return _transposed(y), state
 
 
 def price_block(
@@ -572,34 +608,6 @@ def price_block(
 # whole-path simulation
 
 
-def _simulate_y_batch(
-    params: ModelParams, grid: TimeGrid, scheme: Scheme, eta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a batch of whole variance paths; rows are independent replicates.
-
-    One block of ``grid.steps`` steps through :func:`advance_variance`.
-
-    Args:
-        eta: array of shape (rows, steps) of standard-normal draws.
-
-    Returns:
-        (y, failed_step): y has shape (rows, steps + 1); failed_step[r] is -1
-        for a clean row, otherwise the first grid index at which the DESRE
-        iterate left the positive half-line (that row is NaN from there on).
-    """
-    rows, n = eta.shape
-    if n != grid.steps:
-        raise LengthMismatch(f"draws provide {n} steps, grid has {grid.steps}")
-    state = variance_state(params, scheme, rows)
-    y = np.empty((n + 1, rows), dtype=float)
-    y[0] = params.y0
-    failed = np.full(rows, -1, dtype=np.int64)
-    advance_variance(
-        params, grid.dt, scheme, state, np.ascontiguousarray(eta.T), y[1:], failed
-    )
-    return np.ascontiguousarray(y.T), failed
-
-
 def simulate_y(
     params: ModelParams, grid: TimeGrid, scheme: Scheme, draws: GaussianDraws
 ) -> np.ndarray:
@@ -611,12 +619,11 @@ def simulate_y(
         NonPositiveZ: if the DESRE iterate leaves the positive half-line
             (carries the offending grid index in ``.step``).
     """
-    eta = np.asarray(draws.eta, dtype=float)
-    if eta.shape != (grid.steps,):
-        raise LengthMismatch(
-            f"draws provide {eta.shape[0]} steps, grid has {grid.steps}"
-        )
-    y, failed = _simulate_y_batch(params, grid, scheme, eta[None, :])
+    if len(draws) != grid.steps:
+        raise LengthMismatch(f"draws provide {len(draws)} steps, grid has {grid.steps}")
+    failed = np.full(1, -1, dtype=np.int64)
+    state = variance_state(params, scheme, 1)
+    y, _ = advance_variance(params, grid.dt, scheme, state, draws.eta[None, :], params.y0, failed)
     if failed[0] >= 0:
         raise NonPositiveZ(
             f"square-root state hit zero at grid index {int(failed[0])}",
@@ -675,10 +682,22 @@ class XYPath:
 def simulate_xy(
     params: ModelParams, grid: TimeGrid, scheme: Scheme, lineage: SeedLineage
 ) -> XYPath:
-    """Simulate the joint (Y, X) path for one replicate of a seed lineage."""
+    """Simulate the joint (Y, X) path for one replicate of a seed lineage.
+
+    Raises:
+        NonFinitePath: Y or X overflows; names the first grid index at which
+            either is not finite.
+        FellerViolated / NonPositiveZ: as :func:`simulate_y`.
+    """
     draws = GaussianDraws.from_lineage(lineage, grid.steps)
-    y = simulate_y(params, grid, scheme, draws)
-    x = simulate_x(params, grid, y, draws)
+    # a variance that overflows runs on as inf or NaN without warnings, and
+    # the path fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = simulate_y(params, grid, scheme, draws)
+        x = simulate_x(params, grid, y, draws)
+    finite = np.isfinite(y) & np.isfinite(x)
+    if not finite.all():
+        raise NonFinitePath(f"Y or X is not finite at grid index {int(np.argmin(finite))}")
     return XYPath(grid=grid, y=y, x=x, scheme=scheme)
 
 

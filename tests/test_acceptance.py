@@ -12,13 +12,23 @@ import numpy as np
 import pytest
 
 import hestonlab as hl
-from hestonlab.simulate import _simulate_y_batch
+from hestonlab.simulate import advance_variance, variance_state
 
 MASTER_SEED = 2024
 PARAMS = hl.canonical_params()
 
 LIMIT_DIAG = (1.28, 0.84, 0.72, 0.4725)
 SCALED_DIAG = (0.16, 0.16, 0.09, 0.09)
+
+
+def simulate_rows(params, grid, scheme, eta):
+    """Whole variance paths, one per row of ``eta``, in one block; and each
+    row's abort index (-1 for none)."""
+    rows = eta.shape[0]
+    failed = np.full(rows, -1, dtype=np.int64)
+    y, _ = advance_variance(params, grid.dt, scheme, variance_state(params, scheme, rows),
+                            eta, params.y0, failed)
+    return y, failed
 
 
 def _line(num: int, label: str, ok: bool, detail: str) -> None:
@@ -165,8 +175,8 @@ def test_criterion_7_scheme_invariants():
     grid = hl.TimeGrid(20.0, 200)
     rng = np.random.default_rng(MASTER_SEED)
     eta = rng.standard_normal((1000, 200))
-    y_se, failed_se = _simulate_y_batch(PARAMS, grid, hl.Scheme.SE, eta)
-    y_di, failed_di = _simulate_y_batch(PARAMS, grid, hl.Scheme.DISRE, eta)
+    y_se, failed_se = simulate_rows(PARAMS, grid, hl.Scheme.SE, eta)
+    y_di, failed_di = simulate_rows(PARAMS, grid, hl.Scheme.DISRE, eta)
     se_ok = bool(np.all(failed_se < 0) and np.min(y_se) >= 0.0)
     disre_pos_ok = bool(np.all(failed_di < 0) and np.min(y_di) > 0.0)
 
@@ -208,7 +218,7 @@ def test_criterion_7_scheme_invariants():
     p_noisy = hl.ModelParams(a=0.4, b=0.3, alpha=0.1, beta=0.15, sigma1=1.5,
                              sigma2=0.3, rho=0.2, y0=0.01, x0=0.1)
     eta_noisy = np.random.default_rng(0).standard_normal((200, 100))
-    y_ave, _ = _simulate_y_batch(p_noisy, hl.TimeGrid(10.0, 100), hl.Scheme.AVE, eta_noisy)
+    y_ave, _ = simulate_rows(p_noisy, hl.TimeGrid(10.0, 100), hl.Scheme.AVE, eta_noisy)
     ave_neg_ok = bool(np.min(y_ave) < 0.0)
 
     ok = se_ok and disre_pos_ok and resid_ok and noiseless_ok and ave_neg_ok

@@ -359,6 +359,18 @@ def test_mc_overflowing_variance_fails_cleanly(tmp_path, config_file, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_simulate_overflowing_variance_fails_cleanly(tmp_path, config_file, capsys):
+    """A single path whose variance overflows is refused before it is written."""
+    out = tmp_path / "paths"
+    rc = main(["simulate", "--config", str(config_file), "--out", str(out),
+               "--set", "b=-1", "--set", "T=800", "--set", "N=8000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    # the path CSV this config used to give was refused at line 6925
+    assert "NonFinitePath" in err and "grid index 6923" in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_mc_rejects_an_implicit_step_that_divides_by_zero(config_file, capsys):
     rc = main(["mc", "--config", str(config_file),
                "--set", "b=-30", "--set", "T=1", "--set", "N=10"])

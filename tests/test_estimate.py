@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hestonlab as hl
+from hestonlab.estimate import SUM_TILE, PathSums
 
 P = hl.canonical_params()
 
@@ -86,6 +87,38 @@ def test_abel_identity_on_simulated_paths():
         rhs = 0.5 * (f.y_terminal**2 - f.y0**2)
         scale = max(1.0, f.qv_y, abs(f.i3))
         assert abs(lhs - rhs) <= 5e-13 * scale
+
+
+def folded(y, x, cuts):
+    """PathSums of one lane folded in blocks that end at the given step indices."""
+    sums = PathSums(y[:1], x[:1])
+    lo = 0
+    for hi in cuts:
+        sums.fold(y[None, lo:hi + 1], x[None, lo:hi + 1])
+        lo = hi
+    return sums
+
+
+@pytest.mark.parametrize("n", [1, SUM_TILE, 20077])
+def test_path_sums_do_not_depend_on_how_the_path_is_cut(n):
+    rng = np.random.default_rng(n)
+    y = np.abs(rng.normal(0.3, 0.2, n + 1)) + 0.01
+    x = np.cumsum(rng.normal(0.0, 0.1, n + 1))
+    whole = folded(y, x, [n])
+    by_tile = folded(y, x, list(range(SUM_TILE, n, SUM_TILE)) + [n])
+    by_three = folded(y, x, list(range(3 * SUM_TILE, n, 3 * SUM_TILE)) + [n])
+    assert whole.steps == n
+    for other in (by_tile, by_three):
+        assert other.steps == n
+        for name in ("sums", "mean", "m2", "y_end", "x_end"):
+            assert np.array_equal(getattr(other, name), getattr(whole, name)), name
+
+
+def test_path_sums_refuse_a_block_after_a_partial_tile():
+    y = np.linspace(0.1, 0.5, 2 * SUM_TILE + 1)
+    sums = folded(y, y, [SUM_TILE + 5])
+    with pytest.raises(ValueError):
+        sums.fold(y[None, SUM_TILE + 5:], y[None, SUM_TILE + 5:])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import hestonlab as hl
 
 CANON = dict(a=0.4, b=0.3, alpha=0.1, beta=0.15, sigma1=0.4, sigma2=0.3,
              rho=0.2, y0=0.2, x0=0.1)
+# the config keys other than the coefficients
+EXPERIMENT = dict(T=50.0, N=500, scheme="DISRE", replicates=1, seed=0)
 
 
 def make_params(**over):
@@ -51,14 +53,14 @@ def test_non_finite_params_rejected_naming_the_field(field, value):
     with pytest.raises(hl.InvalidParams, match=f"^{field} must be a finite number"):
         make_params(**{field: value})
     with pytest.raises(hl.InvalidParams, match=f"^{field} must be a finite number"):
-        hl.validate_params({**CANON, field: str(value)})
+        hl.ExperimentConfig.from_mapping({**CANON, **EXPERIMENT, field: str(value)})
 
 
 def test_validate_params_from_mapping():
-    p = hl.validate_params(CANON)
+    p = hl.ModelParams(**CANON)
     assert isinstance(p, hl.ModelParams)
     with pytest.raises(hl.InvalidParams):
-        hl.validate_params({**CANON, "a": -1.0})
+        hl.ModelParams(**{**CANON, "a": -1.0})
 
 
 def test_negative_b_and_arbitrary_x0_allowed():
@@ -220,8 +222,10 @@ def test_conditional_mean_y_against_simulation():
     want = hl.conditional_mean_y(p, p.y0, 0.0, 1.0)
     rng = np.random.default_rng(2718)
     eta = rng.standard_normal((20_000, 100))
-    from hestonlab.simulate import _simulate_y_batch
-    y, failed = _simulate_y_batch(p, grid, hl.Scheme.DISRE, eta)
+    from hestonlab.simulate import advance_variance, variance_state
+    failed = np.full(eta.shape[0], -1, dtype=np.int64)
+    y, _ = advance_variance(p, grid.dt, hl.Scheme.DISRE,
+                            variance_state(p, hl.Scheme.DISRE, eta.shape[0]), eta, p.y0, failed)
     assert np.all(failed < 0)
     assert np.mean(y[:, -1]) == pytest.approx(want, abs=0.01)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hestonlab as hl
-from hestonlab.simulate import _simulate_y_batch, advance_variance, variance_state
+from hestonlab.simulate import advance_variance, variance_state
 
 P = hl.canonical_params()
 SQRT_DT = math.sqrt(0.1)
@@ -23,6 +23,16 @@ DISRE_Z_ROOT = 0.4777261896044577
 
 def zero_draws(n):
     return hl.GaussianDraws(eta=np.zeros(n), zeta=np.zeros(n))
+
+
+def simulate_rows(params, grid, scheme, eta):
+    """Whole variance paths, one per row of ``eta``, in one block; and each
+    row's abort index (-1 for none)."""
+    rows = eta.shape[0]
+    failed = np.full(rows, -1, dtype=np.int64)
+    y, _ = advance_variance(params, grid.dt, scheme, variance_state(params, scheme, rows),
+                            eta, params.y0, failed)
+    return y, failed
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +268,7 @@ def test_tiny_noise_trajectories_near_ode():
 def test_se_positivity_sweep():
     rng = np.random.default_rng(4242)
     eta = rng.standard_normal((1000, 200))
-    y, failed = _simulate_y_batch(P, hl.TimeGrid(20.0, 200), hl.Scheme.SE, eta)
+    y, failed = simulate_rows(P, hl.TimeGrid(20.0, 200), hl.Scheme.SE, eta)
     assert np.all(failed < 0)
     assert np.min(y) >= 0.0
 
@@ -266,7 +276,7 @@ def test_se_positivity_sweep():
 def test_disre_positivity_sweep():
     rng = np.random.default_rng(4242)
     eta = rng.standard_normal((1000, 200))
-    y, failed = _simulate_y_batch(P, hl.TimeGrid(20.0, 200), hl.Scheme.DISRE, eta)
+    y, failed = simulate_rows(P, hl.TimeGrid(20.0, 200), hl.Scheme.DISRE, eta)
     assert np.all(failed < 0)
     assert np.min(y) > 0.0
 
@@ -277,7 +287,7 @@ def test_ave_goes_negative_under_large_noise():
                        sigma2=0.3, rho=0.2, y0=0.01, x0=0.1)
     rng = np.random.default_rng(0)
     eta = rng.standard_normal((200, 100))
-    y, _ = _simulate_y_batch(p, hl.TimeGrid(10.0, 100), hl.Scheme.AVE, eta)
+    y, _ = simulate_rows(p, hl.TimeGrid(10.0, 100), hl.Scheme.AVE, eta)
     assert np.min(y) < 0.0
 
 
@@ -364,8 +374,9 @@ def test_step_loop_matches_python_recursion(scheme, blocks):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in blocks:
-            state = advance_variance(NEAR_ZERO, dt, scheme, state, eta[start:start + n],
-                                     got[start:start + n], failed, start)
+            y, state = advance_variance(NEAR_ZERO, dt, scheme, state, eta[start:start + n].T,
+                                        got[start - 1] if start else NEAR_ZERO.y0, failed, start)
+            got[start:start + n] = y[:, 1:].T
             start += n
 
     assert np.array_equal(got, want_y, equal_nan=True)
@@ -520,7 +531,7 @@ def test_batch_rows_match_single_paths_exactly():
     grid = hl.TimeGrid(5.0, 50)
     eta = np.stack([hl.GaussianDraws.from_lineage(hl.SeedLineage(31, r), 50).eta
                     for r in range(4)])
-    y_batch, failed = _simulate_y_batch(P, grid, hl.Scheme.DISRE, eta)
+    y_batch, failed = simulate_rows(P, grid, hl.Scheme.DISRE, eta)
     assert np.all(failed < 0)
     for r in range(4):
         single = hl.simulate_y(P, grid, hl.Scheme.DISRE,
