@@ -1,16 +1,17 @@
 """Command-line driver: simulate paths, estimate drifts, run experiments.
 
-Commands
---------
-simulate   write one path CSV per replicate of the configured experiment
-estimate   read a path CSV, print the drift estimates and Itô diagnostic
-mc         run the full replicate experiment and write the report directory
-report     rebuild tables/figures from a stored report directory
+command   options                                  what it does
+simulate  --config --set --preset --out            write one path CSV per replicate
+estimate  PATH --config --set --preset             print a path CSV's drift estimates
+mc        --config --set --preset --out --threads  run replicates, write the report
+report    --out                                    rebuild a report's tables, figures
 
 Configuration is a flat ``key = value`` text file with ``#`` comments and
 the keys a, b, alpha, beta, sigma1, sigma2, rho, y0, x0, T, N, scheme,
 replicates, seed.  Values resolve in the order preset < config file <
-``--set key=value`` overrides.  Exit status is 0 exactly when no error
+``--set key=value`` overrides.  ``simulate`` and ``mc`` need every key;
+``estimate`` parses whichever keys it is given, as a full config would, and
+uses sigma1 for the Itô diagnostic.  Exit status is 0 exactly when no error
 occurred; every error prints its structured cause to stderr.
 """
 
@@ -23,11 +24,12 @@ from pathlib import Path
 
 from .errors import ConfigParseError, HestonLabError
 from .estimate import estimate_record, ito_cross_check, lse_from_functionals, path_functionals
-from .montecarlo import CONFIG_KEYS, ExperimentConfig, PARAM_NAMES, preset_config, run_replicates
+from .montecarlo import (CONFIG_KEYS, PARAM_NAMES, PRESET_NAMES, ExperimentConfig,
+                         parse_config_values, preset_config, run_replicates)
 from .reports import regenerate_report, write_report
 from .simulate import Scheme, SeedLineage, read_path_csv, simulate_xy, write_path_csv
 
-__all__ = ["main", "parse_config", "cmd_simulate", "cmd_estimate", "cmd_mc"]
+__all__ = ["main", "parse_config", "cmd_simulate", "cmd_estimate"]
 
 _PATH_NAME = re.compile(r"path_(?P<scheme>[A-Za-z]+)_s(?P<seed>\d+)_r(?P<rep>\d+)\.csv$")
 
@@ -40,6 +42,18 @@ def _fmt(value) -> str:
 
 # ---------------------------------------------------------------------------
 # configuration resolution
+
+
+def _parse_line(text: str, where: str) -> tuple[str, str]:
+    """Split a ``key = value`` line; ``where`` (``path: line N``, ``--set``) leads its errors."""
+    key, sep, value = (part.strip() for part in text.partition("="))
+    if not sep:
+        raise ConfigParseError(f"{where}: expected 'key = value', got {text!r}")
+    if key not in CONFIG_KEYS:
+        raise ConfigParseError(f"{where}: unknown key {key!r}")
+    if not value:
+        raise ConfigParseError(f"{where}: empty value for {key!r}")
+    return key, value
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -55,37 +69,17 @@ def read_config_file(path) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigParseError(f"{path}: line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigParseError(f"{path}: line {lineno}: unknown key {key!r}")
-        if not value:
-            raise ConfigParseError(f"{path}: line {lineno}: empty value for {key!r}")
-        mapping[key] = value
+        if line:
+            key, value = _parse_line(line, f"{path}: line {lineno}")
+            mapping[key] = value
     return mapping
-
-
-def _parse_override(text: str) -> tuple[str, str]:
-    if "=" not in text:
-        raise ConfigParseError(f"--set expects key=value, got {text!r}")
-    key, value = (part.strip() for part in text.split("=", 1))
-    if key not in CONFIG_KEYS:
-        raise ConfigParseError(f"--set: unknown key {key!r}")
-    if not value:
-        raise ConfigParseError(f"--set: empty value for {key!r}")
-    return key, value
 
 
 def _resolve_mapping(config_path, overrides, preset) -> dict:
     mapping = preset_config(preset).to_mapping() if preset else {}
     if config_path:
         mapping.update(read_config_file(config_path))
-    for item in overrides or ():
-        key, value = _parse_override(item)
-        mapping[key] = value
+    mapping.update(_parse_line(item, "--set") for item in overrides)
     return mapping
 
 
@@ -139,13 +133,6 @@ def cmd_estimate(path_csv, sigma1: float | None = None) -> dict:
     return record
 
 
-def cmd_mc(config: ExperimentConfig, out_dir, threads: int = 1):
-    """Run the replicate experiment and write the full report directory."""
-    run = run_replicates(config, threads=threads)
-    summary, deviations = write_report(out_dir, run)
-    return run, summary, deviations
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
@@ -157,28 +144,22 @@ def build_parser() -> argparse.ArgumentParser:
         "square-root stochastic volatility model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    p_sim = sub.add_parser("simulate", help="write simulated path CSVs")
+    p_est = sub.add_parser("estimate", help="estimate drift coefficients from a path CSV")
+    p_est.add_argument("path_csv", help="path CSV file (header t,y,x)")
+    p_mc = sub.add_parser("mc", help="run a replicate experiment and write reports")
+    p_rep = sub.add_parser("report", help="regenerate tables from a report directory")
+    for p in (p_sim, p_est, p_mc):
         p.add_argument("--config", metavar="PATH", help="key-value config file")
         p.add_argument(
             "--set", dest="overrides", action="append", default=[],
             metavar="KEY=VALUE", help="override one config key (repeatable)",
         )
+        p.add_argument("--preset", choices=PRESET_NAMES, help="named base config")
+    for p in (p_sim, p_mc, p_rep):
         p.add_argument("--out", metavar="DIR", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, metavar="K",
-                       help="worker thread cap (never affects results)")
-        p.add_argument("--preset", choices=("table1", "paper", "desk"),
-                       help="named base config")
-
-    p_sim = sub.add_parser("simulate", help="write simulated path CSVs")
-    add_common(p_sim)
-    p_est = sub.add_parser("estimate", help="estimate drift coefficients from a path CSV")
-    p_est.add_argument("path_csv", help="path CSV file (header t,y,x)")
-    add_common(p_est)
-    p_mc = sub.add_parser("mc", help="run a replicate experiment and write reports")
-    add_common(p_mc)
-    p_rep = sub.add_parser("report", help="regenerate tables from a report directory")
-    add_common(p_rep)
+    p_mc.add_argument("--threads", type=int, default=1, metavar="K",
+                      help="worker thread cap (never affects results)")
     return parser
 
 
@@ -190,14 +171,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "estimate":
         mapping = _resolve_mapping(args.config, args.overrides, args.preset)
-        sigma1 = float(mapping["sigma1"]) if "sigma1" in mapping else None
+        sigma1 = parse_config_values(mapping).get("sigma1")
         record = cmd_estimate(args.path_csv, sigma1=sigma1)
         for key, value in record.items():
             print(f"{key}={_fmt(value)}")
         return 0
     if args.command == "mc":
         config = parse_config(args.config, args.overrides, args.preset)
-        run, summary, deviations = cmd_mc(config, args.out, threads=args.threads)
+        run = run_replicates(config, threads=args.threads)
+        summary, deviations = write_report(args.out, run)
         print(f"replicates: {summary.n_results} ok, {len(run.failures)} failed")
         for name in PARAM_NAMES:
             s = summary.per_param[name]
@@ -209,11 +191,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             print("covariance check: low confidence (fewer than 100 replicates)")
         print(f"report written to {args.out}")
         return 0
-    if args.command == "report":
-        regenerate_report(args.out)
-        print(f"report regenerated in {args.out}")
-        return 0
-    raise ConfigParseError(f"unknown command {args.command!r}")
+    # report: argparse admits no other command
+    regenerate_report(args.out)
+    print(f"report regenerated in {args.out}")
+    return 0
 
 
 def main(argv=None) -> int:

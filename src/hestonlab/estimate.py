@@ -29,6 +29,7 @@ Monte Carlo run's R replicates (columns of length R).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import (
     LengthMismatch,
     NonFinitePath,
     NonPositiveScalingDiscriminant,
+    NonPositiveSigma,
     PathTooShort,
 )
 from .model import ModelParams
@@ -428,8 +430,13 @@ class IntegralDiagnostic:
 
 
 def ito_cross_check(f: PathFunctionals, sigma1: float) -> IntegralDiagnostic:
-    if not sigma1 > 0.0:
-        raise ValueError(f"sigma1 must be > 0, got {sigma1}")
+    """The diagnostic of a path's functionals at a given sigma1.
+
+    Raises:
+        NonPositiveSigma: sigma1 is not a finite number > 0.
+    """
+    if not (isinstance(sigma1, numbers.Real) and math.isfinite(sigma1) and sigma1 > 0.0):
+        raise NonPositiveSigma(f"sigma1 must be a finite number > 0, got {sigma1!r}")
     s1sq = sigma1 * sigma1
     i3_ito = 0.5 * (f.y_terminal ** 2 - f.y0 ** 2 - s1sq * f.i1)
     qv_ratio = f.qv_y / (s1sq * f.i1) if f.i1 > 0.0 else math.nan

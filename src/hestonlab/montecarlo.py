@@ -104,7 +104,9 @@ __all__ = [
     "McSummary",
     "DeviationReport",
     "PARAM_NAMES",
+    "PRESET_NAMES",
     "canonical_params",
+    "parse_config_values",
     "preset_config",
     "run_replicates",
     "summarize",
@@ -168,6 +170,22 @@ _CONFIG_KEYS = {
 CONFIG_KEYS = tuple(_CONFIG_KEYS)
 
 
+def parse_config_values(mapping) -> dict:
+    """Parse each config key that ``mapping`` holds, as text or a number.
+
+    Raises:
+        ConfigParseError: a value its key cannot take; names the key.
+    """
+    values = {}
+    for key, (parse, _) in _CONFIG_KEYS.items():
+        if key in mapping:
+            try:
+                values[key] = parse(mapping[key])
+            except ValueError as exc:
+                raise ConfigParseError(f"config key {key!r}: {exc}") from None
+    return values
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, validated description of a replicate experiment."""
@@ -208,12 +226,7 @@ class ExperimentConfig:
         missing = [key for key in CONFIG_KEYS if key not in mapping]
         if missing:
             raise ConfigParseError(f"missing config key(s): {', '.join(missing)}")
-        values = {}
-        for key, (parse, _) in _CONFIG_KEYS.items():
-            try:
-                values[key] = parse(mapping[key])
-            except ValueError as exc:
-                raise ConfigParseError(f"config key {key!r}: {exc}") from None
+        values = parse_config_values(mapping)
         return cls(
             params=ModelParams(**{name: values[name] for name in _PARAM_KEYS}),
             grid=TimeGrid(horizon=values["T"], steps=values["N"]),
@@ -242,6 +255,7 @@ _PRESETS = {
     "paper": {"T": 5000.0, "N": 50_000, "replicates": 10_000, "seed": 102},
     "desk": {"T": 2000.0, "N": 20_000, "replicates": 2_000, "seed": 103},
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str) -> ExperimentConfig:
@@ -324,7 +338,7 @@ def _lane_plan(replicates: int, threads: int) -> tuple[int, int]:
     than ``_MAX_LANES`` lanes.
     """
     lanes = min(
-        -(-replicates // max(threads, 1)),
+        -(-replicates // threads),
         max(1, _BLOCK_ELEMENTS // SUM_TILE),
         _MAX_LANES,
     )
@@ -403,8 +417,11 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
     value, no spread, no scaling) is recorded as a failure with that reason.
 
     Raises:
+        ConfigParseError: ``threads`` is not an integer >= 1.
         AllReplicatesFailed: no replicate produced a usable estimate.
     """
+    if not (isinstance(threads, numbers.Integral) and threads >= 1):
+        raise ConfigParseError(f"threads must be an integer >= 1, got {threads!r}")
     lanes, block = _lane_plan(config.replicates, threads)
     bounds = [
         (lo, min(lo + lanes, config.replicates))

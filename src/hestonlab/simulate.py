@@ -608,6 +608,13 @@ def price_block(
 # whole-path simulation
 
 
+def _finite(name: str, path: np.ndarray) -> np.ndarray:
+    finite = np.isfinite(path)
+    if not finite.all():
+        raise NonFinitePath(f"{name} is not finite at grid index {int(np.argmin(finite))}")
+    return path
+
+
 def simulate_y(
     params: ModelParams, grid: TimeGrid, scheme: Scheme, draws: GaussianDraws
 ) -> np.ndarray:
@@ -618,18 +625,24 @@ def simulate_y(
         FellerViolated: for DESRE/DISRE without a > sigma1^2/2.
         NonPositiveZ: if the DESRE iterate leaves the positive half-line
             (carries the offending grid index in ``.step``).
+        NonFinitePath: Y overflows; names the first grid index at which it is
+            not finite.
     """
     if len(draws) != grid.steps:
         raise LengthMismatch(f"draws provide {len(draws)} steps, grid has {grid.steps}")
     failed = np.full(1, -1, dtype=np.int64)
     state = variance_state(params, scheme, 1)
-    y, _ = advance_variance(params, grid.dt, scheme, state, draws.eta[None, :], params.y0, failed)
+    # a variance that overflows runs on as inf or NaN without warnings, and
+    # the path fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, _ = advance_variance(
+            params, grid.dt, scheme, state, draws.eta[None, :], params.y0, failed)
     if failed[0] >= 0:
         raise NonPositiveZ(
             f"square-root state hit zero at grid index {int(failed[0])}",
             step=int(failed[0]),
         )
-    return y[0]
+    return _finite("Y", y[0])
 
 
 def simulate_x(
@@ -643,6 +656,8 @@ def simulate_x(
     Raises:
         LengthMismatch: if ``y_path`` does not have steps+1 points or the
             draws do not provide steps values per stream.
+        NonFinitePath: X is not finite, for example where ``y_path`` is not;
+            names the first grid index at which it is not finite.
     """
     y_path = np.asarray(y_path, dtype=float)
     if y_path.shape != (grid.steps + 1,):
@@ -651,7 +666,9 @@ def simulate_x(
         )
     if len(draws) != grid.steps:
         raise LengthMismatch(f"draws provide {len(draws)} steps, grid has {grid.steps}")
-    return price_block(params, grid.dt, y_path, draws.eta, draws.zeta, params.x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = price_block(params, grid.dt, y_path, draws.eta, draws.zeta, params.x0)
+    return _finite("X", x)
 
 
 @dataclass(frozen=True)
@@ -685,19 +702,12 @@ def simulate_xy(
     """Simulate the joint (Y, X) path for one replicate of a seed lineage.
 
     Raises:
-        NonFinitePath: Y or X overflows; names the first grid index at which
-            either is not finite.
-        FellerViolated / NonPositiveZ: as :func:`simulate_y`.
+        FellerViolated / NonPositiveZ / NonFinitePath: as :func:`simulate_y`
+            and :func:`simulate_x`.
     """
     draws = GaussianDraws.from_lineage(lineage, grid.steps)
-    # a variance that overflows runs on as inf or NaN without warnings, and
-    # the path fails below
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = simulate_y(params, grid, scheme, draws)
-        x = simulate_x(params, grid, y, draws)
-    finite = np.isfinite(y) & np.isfinite(x)
-    if not finite.all():
-        raise NonFinitePath(f"Y or X is not finite at grid index {int(np.argmin(finite))}")
+    y = simulate_y(params, grid, scheme, draws)
+    x = simulate_x(params, grid, y, draws)
     return XYPath(grid=grid, y=y, x=x, scheme=scheme)
 
 

@@ -2,12 +2,14 @@
 and exit-code behavior."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import hestonlab as hl
 from hestonlab.cli import cmd_estimate, main, parse_config, read_config_file
+from hestonlab.montecarlo import PRESET_NAMES
 
 CANONICAL_LINES = """\
 # canonical experiment, small enough for a test run
@@ -63,6 +65,14 @@ def test_read_config_rejects_malformed_line(tmp_path):
     f.write_text("a 0.4\n")
     with pytest.raises(hl.ConfigParseError):
         read_config_file(f)
+
+
+def test_set_lines_are_checked_as_config_file_lines(config_file, capsys):
+    for item, cause in (("b", "--set: expected 'key = value', got 'b'"),
+                        ("volatility=2", "--set: unknown key 'volatility'"),
+                        ("b= ", "--set: empty value for 'b'")):
+        assert main(["mc", "--config", str(config_file), "--set", item]) == 1
+        assert capsys.readouterr().err == f"error: ConfigParseError: {cause}\n"
 
 
 def test_build_config_missing_key_named():
@@ -401,6 +411,75 @@ def test_estimate_rejects_a_non_finite_cell(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "CsvFormatError" in captured.err and "line 3" in captured.err
+
+
+def test_mc_refuses_a_bad_thread_count(tmp_path, config_file, capsys):
+    out = tmp_path / "rep"
+    assert main(["mc", "--config", str(config_file), "--out", str(out),
+                 "--threads", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "ConfigParseError: threads must be an integer >= 1, got 0" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "inf", "nan", "0", "-1"])
+def test_estimate_refuses_a_bad_sigma1(tmp_path, capsys, value):
+    f = tmp_path / "fixture.csv"
+    f.write_text(FIXTURE_CSV)
+    assert main(["estimate", str(f), "--set", f"sigma1={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    cause = "ConfigParseError" if value == "abc" else "NonPositiveSigma"
+    assert cause in captured.err and "sigma1" in captured.err
+
+
+def test_estimate_parses_every_config_key_it_is_given(tmp_path, capsys):
+    f = tmp_path / "fixture.csv"
+    f.write_text(FIXTURE_CSV)
+    assert main(["estimate", str(f), "--set", "a=garbage"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ConfigParseError: config key 'a'" in captured.err
+    # a partial config is enough: sigma1 alone adds the diagnostic
+    assert main(["estimate", str(f), "--set", "sigma1=0.4"]) == 0
+    assert "qv_ratio=" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# option surface
+
+OPTIONS = {
+    "simulate": {"--config", "--set", "--preset", "--out"},
+    "estimate": {"--config", "--set", "--preset"},
+    "mc": {"--config", "--set", "--preset", "--out", "--threads"},
+    "report": {"--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_each_command_takes_only_the_options_it_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert set(re.findall(r"--[a-z]+", usage)) == OPTIONS[command]
+    assert usage.rstrip().endswith("path_csv") == (command == "estimate")
+    if "--preset" in OPTIONS[command]:
+        assert "--preset {" + ",".join(PRESET_NAMES) + "}" in usage
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["simulate", "--threads", "2"], "unrecognized arguments"),
+    (["estimate", "P", "--out", "d"], "unrecognized arguments"),
+    (["report", "--config", "c"], "unrecognized arguments"),
+    (["mc", "--preset", "nope"], "invalid choice"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(
+        argv, cause, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a command that ran would write
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert cause in capsys.readouterr().err
 
 
 def test_mc_requires_some_config(capsys):

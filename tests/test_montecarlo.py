@@ -89,6 +89,14 @@ def test_config_mapping_round_trip():
             hl.ExperimentConfig.from_mapping({**mapping, key: value})
 
 
+def test_parse_config_values_parses_the_keys_it_is_given():
+    assert mc.parse_config_values({"sigma1": "0.4", "N": "20", "other": "x"}) == {
+        "sigma1": 0.4, "N": 20}
+    assert mc.parse_config_values({}) == {}
+    with pytest.raises(hl.ConfigParseError, match="'scheme'"):
+        mc.parse_config_values({"scheme": "EULER"})
+
+
 # ---------------------------------------------------------------------------
 # replicate runs
 
@@ -114,6 +122,12 @@ def test_run_thread_count_does_not_change_results():
     assert serial.results.index.tolist() == threaded.results.index.tolist()
     assert np.array_equal(serial.results.estimates, threaded.results.estimates)
     assert np.array_equal(serial.results.scaled, threaded.results.scaled)
+
+
+@pytest.mark.parametrize("threads", [1.5, "2", 0, -2, None])
+def test_run_refuses_a_bad_thread_count(threads):
+    with pytest.raises(hl.ConfigParseError, match="^threads must be an integer >= 1"):
+        hl.run_replicates(small_config(replicates=2), threads=threads)
 
 
 def test_single_replicate_reproducible_from_lineage():

@@ -459,6 +459,23 @@ def test_simulate_xy_deterministic():
     assert np.array_equal(p1.y, p2.y) and np.array_equal(p1.x, p2.x)
 
 
+def test_overflowing_variance_fails_each_path_function_cleanly():
+    """Called directly, simulate_y and simulate_x refuse an overflowing path,
+    naming the first grid index of their own output that is not finite, and
+    raise no numpy warning on the way."""
+    params = hl.ModelParams(a=0.4, b=-1.0, alpha=0.1, beta=0.15, sigma1=0.4,
+                            sigma2=0.3, rho=0.2, y0=0.2, x0=0.1)
+    grid = hl.TimeGrid(800.0, 8000)
+    draws = hl.GaussianDraws.from_lineage(hl.SeedLineage(9, 0), grid.steps)
+    with pytest.raises(hl.NonFinitePath, match=r"^Y .* grid index 6923$"):
+        hl.simulate_y(params, grid, hl.Scheme.DISRE, draws)
+    with np.errstate(over="ignore"):
+        y, _ = simulate_rows(params, grid, hl.Scheme.DISRE, draws.eta[None, :])
+    assert np.isfinite(y[0, :6923]).all() and not np.isfinite(y[0, 6923])
+    with pytest.raises(hl.NonFinitePath, match=r"^X .* grid index 6924$"):
+        hl.simulate_x(params, grid, y[0], draws)
+
+
 def test_replicates_draw_distinct_streams():
     grid = hl.TimeGrid(5.0, 50)
     p0 = hl.simulate_xy(P, grid, hl.Scheme.DISRE, hl.SeedLineage(77, 0))
