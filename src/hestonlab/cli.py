@@ -27,7 +27,7 @@ from .estimate import estimate_record, ito_cross_check, lse_from_functionals, pa
 from .montecarlo import (CONFIG_KEYS, PARAM_NAMES, PRESET_NAMES, ExperimentConfig,
                          parse_config_values, preset_config, run_replicates)
 from .reports import regenerate_report, write_report
-from .simulate import Scheme, SeedLineage, read_path_csv, simulate_xy, write_path_csv
+from .simulate import Scheme, read_path_csv, simulate_paths, write_path_csv
 
 __all__ = ["main", "parse_config", "cmd_simulate", "cmd_estimate"]
 
@@ -97,15 +97,14 @@ def _path_filename(scheme: Scheme, seed: int, replicate: int) -> str:
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir) -> list[Path]:
-    """Simulate every replicate of the config and write one CSV per path."""
+    """Simulate the config's replicates in lane groups and write one CSV per path,
+    in replicate order; a failing replicate raises once those before it are written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for r in range(config.replicates):
-        path_obj = simulate_xy(
-            config.params, config.grid, config.scheme,
-            SeedLineage(config.master_seed, r),
-        )
+    paths = simulate_paths(config.params, config.grid, config.scheme,
+                           config.master_seed, config.replicates)
+    for r, path_obj in enumerate(paths):
         dest = out / _path_filename(config.scheme, config.master_seed, r)
         write_path_csv(path_obj, dest)
         written.append(dest)

@@ -85,6 +85,7 @@ from .estimate import (
 )
 from .model import AsymptoticCovariance, ModelParams, kron
 from .simulate import (
+    BLOCK_ELEMENTS,
     Scheme,
     TimeGrid,
     advance_variance,
@@ -121,12 +122,12 @@ __all__ = [
 
 PARAM_NAMES = ("a", "b", "alpha", "beta")
 
-# Element budget (lanes x steps) of one block of a lane group.  With the
-# lane cap below it sets both the number of replicates advanced together and
-# the block length B, a multiple of the summation tile: at least 512 steps
-# once the group is at the cap.  A block's arrays are of this size (4 MB
-# each) whatever N is, and each worker thread runs one lane group at a time.
-_BLOCK_ELEMENTS = 1 << 19
+# The lane kernel's element budget, bound here so that a test can set it for
+# Monte Carlo alone.  With the lane cap below it sets both the number of
+# replicates advanced together and the block length B (a multiple of the
+# summation tile, at least 512 steps once the group is at the cap).  Each
+# worker thread runs one lane group at a time.
+_BLOCK_ELEMENTS = BLOCK_ELEMENTS
 
 # Most lanes in one group.  Wide groups spread the step loop's per-step
 # numpy calls over more lanes, but past about a thousand lanes that cost is

@@ -114,16 +114,11 @@ _REPLICATE_COLUMNS = (
 
 
 def _write_replicates_csv(path: Path, results: ReplicateTable) -> None:
-    f = results.functionals
-    values = np.column_stack(
-        [results.estimates] + [getattr(f, name) for name in _REPLICATE_COLUMNS[5:]]
-    )
-    lines = [",".join(_REPLICATE_COLUMNS)]
-    lines += [
-        ",".join([str(index), *map(_fmt, row)])
-        for index, row in zip(results.index.tolist(), values.tolist())
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    columns = [getattr(results.functionals, name) for name in _REPLICATE_COLUMNS[5:]]
+    values = np.column_stack([results.index, results.estimates, *columns])
+    row = "%d," + ",".join(["%.17g"] * (len(_REPLICATE_COLUMNS) - 1)) + "\n"
+    path.write_text(",".join(_REPLICATE_COLUMNS) + "\n"
+                    + (row * len(values)) % tuple(values.ravel().tolist()))
 
 
 def _read_replicates_csv(path: Path, config: ExperimentConfig) -> ReplicateTable:
@@ -137,22 +132,30 @@ def _read_replicates_csv(path: Path, config: ExperimentConfig) -> ReplicateTable
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     if not lines or lines[0] != ",".join(_REPLICATE_COLUMNS):
         raise CsvFormatError(f"{path}: unexpected replicate-file header")
-    index, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(_REPLICATE_COLUMNS):
-            raise CsvFormatError(f"{path}: line {lineno}: wrong column count")
-        try:
-            index.append(int(parts[0]))
-            rows.append([float(p) for p in parts[1:]])
-        except ValueError:
-            raise CsvFormatError(f"{path}: line {lineno}: non-numeric value") from None
-    values = np.array(rows, dtype=float).reshape(len(rows), len(_REPLICATE_COLUMNS) - 1)
+    body, width = lines[1:], len(_REPLICATE_COLUMNS)
+    try:
+        if any(line.count(",") != width - 1 for line in body):
+            raise ValueError
+        cells = ",".join(body).split(",") if body else []
+        index = list(map(int, cells[::width]))
+        del cells[::width]
+        values = np.array(list(map(float, cells))).reshape(len(body), width - 1)
+    except ValueError:
+        # a line that fails here fails on its own too: name the first one
+        for lineno, line in enumerate(body, start=2):
+            parts = line.split(",")
+            if len(parts) != width:
+                raise CsvFormatError(f"{path}: line {lineno}: wrong column count") from None
+            try:
+                int(parts[0])
+                list(map(float, parts[1:]))
+            except ValueError:
+                raise CsvFormatError(f"{path}: line {lineno}: non-numeric value") from None
     stored, columns = values[:, :4], np.ascontiguousarray(values[:, 4:].T)
     params, grid = config.params, config.grid
     f = PathFunctionals(
         t_horizon=grid.horizon, n_steps=grid.steps,
-        y0=np.full(len(rows), params.y0), x0=np.full(len(rows), params.x0),
+        y0=np.full(len(body), params.y0), x0=np.full(len(body), params.x0),
         **dict(zip(_REPLICATE_COLUMNS[5:], columns)),
     )
     table = ReplicateTable.from_functionals(index, f, params.drift_vector())

@@ -45,10 +45,10 @@ Lanes and blocks: replicates advanced side by side are lanes, and a block
 of draws or points holds one row per lane.  :func:`draw_normals` draws a
 block, :func:`advance_variance` (the one step loop, which alone knows that it
 runs time-major) turns it into variance points, and :func:`price_block` into
-log-price points.  A single path is one lane and one block; a Monte Carlo run
-streams many lanes through blocks of B steps.  Both call these three
-functions, and a path cut into blocks reproduces the path computed in one
-piece bit for bit.
+log-price points.  Through these three, :func:`simulate_xy` runs one lane,
+:func:`simulate_paths` lane groups of whole paths within ``BLOCK_ELEMENTS``,
+and a Monte Carlo run up to 1024 lanes through blocks of B steps.  Lanes do
+not mix, and a path cut into blocks gives the bits of the path in one piece.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ __all__ = [
     "simulate_y",
     "simulate_x",
     "simulate_xy",
+    "simulate_paths",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -338,6 +339,11 @@ class GaussianDraws:
     def from_lineage(cls, lineage: SeedLineage, n_steps: int) -> "GaussianDraws":
         eta, zeta = draw_normals([lineage.generators()], n_steps)
         return cls(eta=eta[0], zeta=zeta[0])
+
+
+# Element budget (lanes x steps) of one block of a lane group: each array the
+# group holds is about this size (4 MB), however many replicates run.
+BLOCK_ELEMENTS = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +621,14 @@ def _finite(name: str, path: np.ndarray) -> np.ndarray:
     return path
 
 
+def _variance_path(y: np.ndarray, failed: int) -> np.ndarray:
+    """A lane's variance points, unless it aborted (``failed`` >= 0) or is not finite."""
+    if failed >= 0:
+        raise NonPositiveZ(
+            f"square-root state hit zero at grid index {int(failed)}", step=int(failed))
+    return _finite("Y", y)
+
+
 def simulate_y(
     params: ModelParams, grid: TimeGrid, scheme: Scheme, draws: GaussianDraws
 ) -> np.ndarray:
@@ -637,12 +651,7 @@ def simulate_y(
     with np.errstate(over="ignore", invalid="ignore"):
         y, _ = advance_variance(
             params, grid.dt, scheme, state, draws.eta[None, :], params.y0, failed)
-    if failed[0] >= 0:
-        raise NonPositiveZ(
-            f"square-root state hit zero at grid index {int(failed[0])}",
-            step=int(failed[0]),
-        )
-    return _finite("Y", y[0])
+    return _variance_path(y[0], failed[0])
 
 
 def simulate_x(
@@ -711,17 +720,41 @@ def simulate_xy(
     return XYPath(grid=grid, y=y, x=x, scheme=scheme)
 
 
+def simulate_paths(
+    params: ModelParams, grid: TimeGrid, scheme: Scheme, master_seed: int, replicates: int
+):
+    """Yield the joint path of replicates 0, 1, ... of a master seed, in order.
+
+    Replicates run as lane groups of as many whole paths as
+    ``BLOCK_ELEMENTS`` holds, at least one, and each group is drawn, advanced
+    and priced as one block.  Path r has the bits of ``simulate_xy(params,
+    grid, scheme, SeedLineage(master_seed, r))``.
+
+    Raises:
+        FellerViolated / NonPositiveZ / NonFinitePath: as :func:`simulate_xy`,
+            for the first failing replicate, once those before it are yielded.
+    """
+    lanes = max(1, BLOCK_ELEMENTS // grid.steps)
+    for lo in range(0, replicates, lanes):
+        group = range(lo, min(lo + lanes, replicates))
+        state = variance_state(params, scheme, len(group))
+        eta, zeta = draw_normals(lane_generators(master_seed, group), grid.steps)
+        failed = np.full(len(group), -1, dtype=np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, _ = advance_variance(params, grid.dt, scheme, state, eta, params.y0, failed)
+            x = price_block(params, grid.dt, y, eta, zeta, params.x0)
+        for y_r, x_r, failed_r in zip(y, x, failed):
+            yield XYPath(grid, _variance_path(y_r, failed_r), _finite("X", x_r), scheme)
+
+
 # ---------------------------------------------------------------------------
 # CSV import/export (header "t,y,x", 17 significant digits, row 0 = start)
 
 
 def write_path_csv(path_obj: XYPath, dest) -> None:
     """Write a path as CSV with full double-precision round-trip fidelity."""
-    t = path_obj.grid.times()
-    lines = ["t,y,x"]
-    for k in range(t.shape[0]):
-        lines.append(f"{t[k]:.17g},{path_obj.y[k]:.17g},{path_obj.x[k]:.17g}")
-    text = "\n".join(lines) + "\n"
+    rows = np.column_stack([path_obj.grid.times(), path_obj.y, path_obj.x])
+    text = "t,y,x\n" + ("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
     if hasattr(dest, "write"):
         dest.write(text)
     else:
@@ -743,30 +776,33 @@ def read_path_csv(src) -> XYPath:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != "t,y,x":
         raise CsvFormatError("expected header 't,y,x'")
-    t_vals, y_vals, x_vals = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise CsvFormatError(f"line {lineno}: expected 3 comma-separated values")
-        try:
-            tv, yv, xv = (float(p) for p in parts)
-        except ValueError:
-            raise CsvFormatError(f"line {lineno}: non-numeric value") from None
-        t_vals.append(tv)
-        y_vals.append(yv)
-        x_vals.append(xv)
-    cells = np.array([t_vals, y_vals, x_vals])
+    body = lines[1:]
+    try:
+        if any(line.count(",") != 2 for line in body):
+            raise ValueError
+        cells = np.array(list(map(float, ",".join(body).split(",") if body else [])))
+    except ValueError:
+        # a line that fails here fails on its own too: name the first one
+        for lineno, line in enumerate(body, start=2):
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise CsvFormatError(f"line {lineno}: expected 3 comma-separated values") from None
+            try:
+                list(map(float, parts))
+            except ValueError:
+                raise CsvFormatError(f"line {lineno}: non-numeric value") from None
+    cells = cells.reshape(len(body), 3).T.copy()
     finite = np.isfinite(cells).all(axis=0)
     if not finite.all():
         raise CsvFormatError(f"line {int(np.argmin(finite)) + 2}: non-finite value")
-    if len(t_vals) < 2:
+    if len(body) < 2:
         raise CsvFormatError("need at least two rows (initial point plus one step)")
     t, y, x = cells
     if t[0] != 0.0:
         raise CsvFormatError(f"time column must start at 0, got {t[0]}")
     if not t[-1] > 0.0:
         raise CsvFormatError(f"final time must be positive, got {t[-1]}")
-    grid = TimeGrid(horizon=float(t[-1]), steps=len(t_vals) - 1)
+    grid = TimeGrid(horizon=float(t[-1]), steps=len(body) - 1)
     tol = 1e-9 * max(1.0, abs(grid.horizon))
     if np.max(np.abs(t - grid.times())) > tol:
         raise CsvFormatError("time column is not a uniform grid")

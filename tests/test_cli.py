@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hestonlab as hl
+import hestonlab.simulate as sim
 from hestonlab.cli import cmd_estimate, main, parse_config, read_config_file
 from hestonlab.montecarlo import PRESET_NAMES
 
@@ -162,6 +163,56 @@ def test_simulate_matches_library_pipeline(tmp_path, config_file):
     ref = tmp_path / "ref.csv"
     hl.write_path_csv(want, ref)
     assert produced.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_simulate_runs_replicates_as_lane_groups(tmp_path, config_file, monkeypatch, lanes):
+    """A group budget of 1, 2 or 3 whole paths runs five replicates in groups
+    of that many lanes, and every CSV has the bytes that simulate_xy and
+    write_path_csv give for its replicate alone."""
+    steps, groups = 40, []
+
+    def counting_generators(master_seed, replicates):
+        replicates = list(replicates)
+        groups.append(len(replicates))
+        return hl.lane_generators(master_seed, replicates)
+
+    monkeypatch.setattr(sim, "BLOCK_ELEMENTS", lanes * steps)
+    monkeypatch.setattr(sim, "lane_generators", counting_generators)
+    out = tmp_path / "paths"
+    assert main(["simulate", "--config", str(config_file), "--out", str(out), "--set",
+                 f"N={steps}", "--set", "T=4", "--set", "replicates=5"]) == 0
+    assert groups == [lanes] * (5 // lanes) + [5 % lanes] * (5 % lanes > 0)
+    for r in range(5):
+        want = hl.simulate_xy(hl.canonical_params(), hl.TimeGrid(4.0, steps),
+                              hl.Scheme.DISRE, hl.SeedLineage(9, r))
+        ref = tmp_path / "ref.csv"
+        hl.write_path_csv(want, ref)
+        assert (out / f"path_DISRE_s9_r{r:04d}.csv").read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("argv,cause,written", [
+    # replicate 2 of 4 aborts; 0 and 1 run in its lane group, ahead of it
+    (["--preset", "desk", "--set", "a=0.15", "--set", "y0=0.5", "--set", "scheme=DESRE",
+      "--set", "T=115", "--set", "N=2300", "--set", "seed=3", "--set", "replicates=4"],
+     "NonPositiveZ: square-root state hit zero at grid index 2283", 2),
+    # replicate 4 of 5 overflows in Y, then in X with a large beta
+    (["--set", "b=-1", "--set", "T=691.9", "--set", "N=6919", "--set", "replicates=5"],
+     "NonFinitePath: Y is not finite at grid index 6916", 4),
+    (["--set", "b=-1", "--set", "beta=1000", "--set", "T=685.4", "--set", "N=6854",
+      "--set", "replicates=5"],
+     "NonFinitePath: X is not finite at grid index 6849", 4),
+])
+def test_simulate_stops_at_the_first_failing_replicate(
+        tmp_path, config_file, capsys, argv, cause, written):
+    """The replicates before the failing one are written, and none after it."""
+    out = tmp_path / "paths"
+    config = [] if "--preset" in argv else ["--config", str(config_file)]
+    assert main(["simulate", *config, *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cause}\n"
+    assert sorted(p.name[-9:-4] for p in out.glob("*.csv")) == [
+        f"r{r:04d}" for r in range(written)]
 
 
 # ---------------------------------------------------------------------------

@@ -600,3 +600,36 @@ def test_path_csv_rejects_non_finite_cells_naming_the_line(tmp_path, cell):
     f.write_text(f"t,y,x\n0,0.2,0.1\n1,0.3,0.2\n2,{cell},0.3\n")
     with pytest.raises(hl.CsvFormatError, match="line 4"):
         hl.read_path_csv(f)
+
+
+@pytest.mark.parametrize("body,cause", [
+    # a 4-cell and a 2-cell line hold 3 cells a line between them
+    ("0,0.2,0.1\n1,0.3,0.2,9\n2,0.4\n", "line 3: expected 3 comma-separated values"),
+    ("0,0.2,0.1\n1,0.3\n2,0.4,0.3,9\n", "line 3: expected 3 comma-separated values"),
+    # the first bad line wins, whatever its fault
+    ("0,0.2,0.1\nzz,0.3,0.2\n2,0.4,0.3\n3,0.5\n", "line 3: non-numeric value"),
+    ("0,0.2,0.1\n1,0.3\n2,0.4,0.3\n3,zz,0.4\n", "line 3: expected 3 comma-separated values"),
+    ("0,0.2,0.1\n1,,0.2\n", "line 3: non-numeric value"),
+    # a cell that does not parse outranks a non-finite one on an earlier line
+    ("0,0.2,0.1\n1,inf,0.2\n2,0.4,0x1\n", "line 4: non-numeric value"),
+    ("0,0.2,0.1\n1,0.3,0.2\n2,0.4,-inf\n", "line 4: non-finite value"),
+    # line numbers count the lines that are not blank
+    ("\n0,0.2,0.1\n\n1,0.3,0.2\n  \n2,nan,0.3\n", "line 4: non-finite value"),
+    ("\n", "need at least two rows (initial point plus one step)"),
+])
+def test_path_csv_names_the_first_bad_line(tmp_path, body, cause):
+    f = tmp_path / "bad.csv"
+    f.write_text("t,y,x\n" + body)
+    with pytest.raises(hl.CsvFormatError) as exc:
+        hl.read_path_csv(f)
+    assert str(exc.value) == cause
+
+
+def test_path_csv_reads_cells_with_float_grammar(tmp_path):
+    """Blank lines, spaces around cells and a header with trailing spaces are
+    accepted, and a cell is whatever float() reads."""
+    f = tmp_path / "loose.csv"
+    f.write_text("t,y,x  \n\n 0 ,0.2, 1_0\n\n1,+3e-1 ,-0.5\n \t\n2.0,4E-1,.25\n")
+    path = hl.read_path_csv(f)
+    assert path.grid == hl.TimeGrid(2.0, 2)
+    assert path.y.tolist() == [0.2, 0.3, 0.4] and path.x.tolist() == [10.0, -0.5, 0.25]
