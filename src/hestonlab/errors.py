@@ -107,8 +107,9 @@ class AllReplicatesFailed(HestonLabError):
 # configuration / file formats
 
 class ConfigParseError(HestonLabError, ValueError):
-    """Experiment configuration text is malformed or incomplete."""
+    """Experiment configuration text, or the report.json that echoes it, is
+    malformed or incomplete."""
 
 
 class CsvFormatError(HestonLabError, ValueError):
-    """A path CSV file does not follow the ``t,y,x`` layout."""
+    """A path or report CSV file does not follow its layout."""

@@ -225,7 +225,7 @@ def conditional_mean_x(
 
 
 def kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices as an explicit 4x4 block layout.
+    """Kronecker product of two 2x2 matrices, a 4x4 matrix of 2x2 blocks.
 
     Row/column order is (a, b, alpha, beta): the left factor indexes the
     (variance, log-price) equation pair and the right factor the
@@ -235,12 +235,7 @@ def kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     right = np.asarray(right, dtype=float)
     if left.shape != (2, 2) or right.shape != (2, 2):
         raise ValueError("kron expects two 2x2 matrices")
-    out = np.empty((4, 4), dtype=float)
-    out[:2, :2] = left[0, 0] * right
-    out[:2, 2:] = left[0, 1] * right
-    out[2:, :2] = left[1, 0] * right
-    out[2:, 2:] = left[1, 1] * right
-    return out
+    return np.kron(left, right)
 
 
 @dataclass(frozen=True)

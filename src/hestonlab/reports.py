@@ -11,26 +11,27 @@ Layout of an experiment directory written by :func:`write_report`:
     table5.csv       Anderson-Darling and Jarque-Bera statistics and p-values
     fig1_<name>.csv  histogram of the normalized error with its normal overlay
 
-All numbers are written with 17 significant digits, so every file re-parses
-to exactly the double-precision values that produced it.  In particular
-``replicates.csv`` retains enough per-path functionals that
-:func:`regenerate_report` can rebuild every table and figure without
-re-simulating, and it checks that the estimates it recomputes from them equal
-the stored ones.  ``report.json`` is strict JSON: a statistic that is not a
-finite number (for example a normality test on fewer than 8 results) is
-written as ``null``.
+The CSV files are written and read by the one codec of path files, under
+its one rule (:mod:`hestonlab.simulate`): 17 significant digits, so every
+file re-parses to exactly the doubles that produced it.  ``replicates.csv``
+retains enough per-path functionals that :func:`regenerate_report` can
+rebuild every table and figure without re-simulating, and it checks that the
+estimates it recomputes from them equal the stored ones.  ``report.json``
+holds the fields of ``McSummary``, ``DeviationReport`` and
+``ReplicateFailure`` and is strict JSON: a statistic that is not a finite
+number (for example a normality test on fewer than 8 results) is ``null``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError
+from .errors import ConfigParseError, CsvFormatError
 from .estimate import PathFunctionals
 from .model import asymptotic_covariance, classify_regime, Regime
 from .montecarlo import (
@@ -45,6 +46,7 @@ from .montecarlo import (
     histogram_overlay,
     summarize,
 )
+from .simulate import format_csv, parse_csv
 
 __all__ = [
     "write_report",
@@ -56,167 +58,21 @@ __all__ = [
 _OUTPUTS = ("summary", "tables", "figures", "replicates")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _summary_payload(summary: McSummary) -> dict:
-    return {
-        "n_results": summary.n_results,
-        "truth": summary.truth.tolist(),
-        "mean_y_terminal": summary.mean_y_terminal,
-        "mean_x_terminal_over_t": summary.mean_x_terminal_over_t,
-        "per_param": {
-            name: vars(stats).copy() for name, stats in summary.per_param.items()
-        },
-        "cov_normalized": summary.cov_normalized.tolist(),
-        "cov_scaled": summary.cov_scaled.tolist(),
-    }
-
-
-def _deviation_payload(dev: DeviationReport | None) -> dict | None:
-    if dev is None:
-        return None
-    return {
-        "normalized_dev": dev.normalized_dev.tolist(),
-        "scaled_dev": dev.scaled_dev.tolist(),
-        "max_normalized_dev": dev.max_normalized_dev,
-        "max_scaled_dev": dev.max_scaled_dev,
-        "low_confidence": dev.low_confidence,
-    }
-
-
-def report_payload(
-    run: McRun, summary: McSummary, deviations: DeviationReport | None
-) -> dict:
-    return {
+def report_payload(run: McRun, summary: McSummary, deviations: DeviationReport | None) -> dict:
+    """The ``report.json`` document of a run: its config echo, its failures,
+    the summary and the covariance check, as their dataclasses hold them,
+    with arrays as lists and every non-finite number as None (JSON null)."""
+    return _finite_or_null({
         "config": {**run.config.to_mapping(), "outputs": list(_OUTPUTS)},
-        "failures": {
-            "count": len(run.failures),
-            "items": [
-                {"index": f.index, "reason": f.reason, "step": f.step}
-                for f in run.failures
-            ],
-        },
-        "summary": _summary_payload(summary),
-        "covariance_check": _deviation_payload(deviations),
-    }
-
-
-# ---------------------------------------------------------------------------
-# CSV blocks
-
-_REPLICATE_COLUMNS = (
-    "index", "a_hat", "b_hat", "alpha_hat", "beta_hat",
-    "y_terminal", "x_terminal",
-    "i1", "i2", "i3", "i4", "e1", "e2", "e3", "qv_y", "denom",
-)
-
-
-def _write_replicates_csv(path: Path, results: ReplicateTable) -> None:
-    columns = [getattr(results.functionals, name) for name in _REPLICATE_COLUMNS[5:]]
-    values = np.column_stack([results.index, results.estimates, *columns])
-    row = "%d," + ",".join(["%.17g"] * (len(_REPLICATE_COLUMNS) - 1)) + "\n"
-    path.write_text(",".join(_REPLICATE_COLUMNS) + "\n"
-                    + (row * len(values)) % tuple(values.ravel().tolist()))
-
-
-def _read_replicates_csv(path: Path, config: ExperimentConfig) -> ReplicateTable:
-    """Rebuild the replicate table from the stored functionals.
-
-    Raises:
-        CsvFormatError: wrong header or column count, a non-numeric cell, or
-            a stored estimate that differs from the one its row's
-            functionals give.
-    """
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    if not lines or lines[0] != ",".join(_REPLICATE_COLUMNS):
-        raise CsvFormatError(f"{path}: unexpected replicate-file header")
-    body, width = lines[1:], len(_REPLICATE_COLUMNS)
-    try:
-        if any(line.count(",") != width - 1 for line in body):
-            raise ValueError
-        cells = ",".join(body).split(",") if body else []
-        index = list(map(int, cells[::width]))
-        del cells[::width]
-        values = np.array(list(map(float, cells))).reshape(len(body), width - 1)
-    except ValueError:
-        # a line that fails here fails on its own too: name the first one
-        for lineno, line in enumerate(body, start=2):
-            parts = line.split(",")
-            if len(parts) != width:
-                raise CsvFormatError(f"{path}: line {lineno}: wrong column count") from None
-            try:
-                int(parts[0])
-                list(map(float, parts[1:]))
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}: non-numeric value") from None
-    stored, columns = values[:, :4], np.ascontiguousarray(values[:, 4:].T)
-    params, grid = config.params, config.grid
-    f = PathFunctionals(
-        t_horizon=grid.horizon, n_steps=grid.steps,
-        y0=np.full(len(body), params.y0), x0=np.full(len(body), params.x0),
-        **dict(zip(_REPLICATE_COLUMNS[5:], columns)),
-    )
-    table = ReplicateTable.from_functionals(index, f, params.drift_vector())
-    differs = np.argwhere(table.estimates != stored)
-    if differs.size:
-        row, col = differs[0]
-        raise CsvFormatError(
-            f"{path}: line {row + 2} (replicate {index[row]}): stored "
-            f"{_REPLICATE_COLUMNS[1 + col]} {_fmt(stored[row, col])} differs from "
-            f"{_fmt(table.estimates[row, col])} recomputed from the row's functionals"
-        )
-    return table
-
-
-def _write_tables(out: Path, config: ExperimentConfig, summary: McSummary) -> None:
-    p = config.params
-    if classify_regime(p) is Regime.SUBCRITICAL:
-        mean_y_theory = p.a / p.b
-        slope_theory = p.alpha - p.beta * p.a / p.b
-    else:
-        mean_y_theory = math.nan
-        slope_theory = math.nan
-    (out / "table1.csv").write_text(
-        "quantity,empirical,theoretical\n"
-        f"mean_y_terminal,{_fmt(summary.mean_y_terminal)},{_fmt(mean_y_theory)}\n"
-        f"mean_x_terminal_over_t,{_fmt(summary.mean_x_terminal_over_t)},{_fmt(slope_theory)}\n"
-    )
-    rows2 = ["parameter,expected_bias,l1_error,l2_error"]
-    rows3 = ["parameter,relative_error"]
-    rows4 = ["parameter,skewness,excess_kurtosis"]
-    rows5 = ["parameter,ad_stat,ad_pvalue,jb_stat,jb_pvalue"]
-    for name in PARAM_NAMES:
-        s = summary.per_param[name]
-        rows2.append(f"{name},{_fmt(s.expected_bias)},{_fmt(s.l1_error)},{_fmt(s.l2_error)}")
-        rows3.append(f"{name},{_fmt(s.relative_error)}")
-        rows4.append(f"{name},{_fmt(s.skewness)},{_fmt(s.excess_kurtosis)}")
-        rows5.append(
-            f"{name},{_fmt(s.ad_stat)},{_fmt(s.ad_pvalue)},{_fmt(s.jb_stat)},{_fmt(s.jb_pvalue)}"
-        )
-    (out / "table2.csv").write_text("\n".join(rows2) + "\n")
-    (out / "table3.csv").write_text("\n".join(rows3) + "\n")
-    (out / "table4.csv").write_text("\n".join(rows4) + "\n")
-    (out / "table5.csv").write_text("\n".join(rows5) + "\n")
-
-
-def _write_figures(out: Path, results: ReplicateTable, theory_diag: np.ndarray | None) -> None:
-    for idx, name in enumerate(PARAM_NAMES):
-        sample = results.normalized[:, idx]
-        if theory_diag is not None:
-            var = float(theory_diag[idx])
-        else:
-            var = float(np.var(sample, ddof=1))
-        hist = histogram_overlay(sample, var)
-        lines = ["bin_center,density,overlay_density"]
-        for c, d, o in zip(hist.bin_centers, hist.density, hist.overlay):
-            lines.append(f"{_fmt(c)},{_fmt(d)},{_fmt(o)}")
-        (out / f"fig1_{name}.csv").write_text("\n".join(lines) + "\n")
+        "failures": {"count": len(run.failures), "items": [asdict(f) for f in run.failures]},
+        "summary": asdict(summary),
+        "covariance_check": None if deviations is None else asdict(deviations),
+    })
 
 
 def _finite_or_null(value):
-    """The payload with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, dict):
         return {key: _finite_or_null(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -224,6 +80,100 @@ def _finite_or_null(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
+
+
+def _member(value, key: str, kind: type, where: str):
+    """``value[key]`` of a ``report.json`` object at ``where``, a ``kind``."""
+    if not isinstance(value, dict):
+        raise ConfigParseError(f"{where} is not a JSON object")
+    if key not in value or not isinstance(value[key], kind):
+        raise ConfigParseError(f"{where}: missing or malformed key {key!r}")
+    return value[key]
+
+
+# ---------------------------------------------------------------------------
+# CSV files, in simulate's one codec
+
+_REPLICATE_COLUMNS = (
+    "index", "a_hat", "b_hat", "alpha_hat", "beta_hat",
+    "y_terminal", "x_terminal",
+    "i1", "i2", "i3", "i4", "e1", "e2", "e3", "qv_y", "denom",
+)
+_REPLICATE_CELLS = ("%d",) + ("%.17g",) * (len(_REPLICATE_COLUMNS) - 1)
+
+# table file -> the ParamStats fields it holds, one row per parameter
+_PARAM_TABLES = {
+    "table2.csv": ("expected_bias", "l1_error", "l2_error"),
+    "table3.csv": ("relative_error",),
+    "table4.csv": ("skewness", "excess_kurtosis"),
+    "table5.csv": ("ad_stat", "ad_pvalue", "jb_stat", "jb_pvalue"),
+}
+
+
+def _write_replicates_csv(path: Path, results: ReplicateTable) -> None:
+    columns = [getattr(results.functionals, name) for name in _REPLICATE_COLUMNS[5:]]
+    values = np.column_stack([results.index, results.estimates, *columns])
+    path.write_text(format_csv(_REPLICATE_COLUMNS, _REPLICATE_CELLS, values))
+
+
+def _read_replicates_csv(path: Path, config: ExperimentConfig) -> ReplicateTable:
+    """Rebuild the replicate table from the stored functionals.
+
+    Raises:
+        CsvFormatError: as :func:`~hestonlab.simulate.parse_csv`, or a stored
+            estimate that differs from the one its row's functionals give.
+    """
+    (index, *columns), lines = parse_csv(
+        path.read_text(), _REPLICATE_COLUMNS, (int,) + (float,) * (len(_REPLICATE_COLUMNS) - 1),
+        str(path),
+    )
+    stored = np.column_stack(columns[:4])
+    params, grid = config.params, config.grid
+    f = PathFunctionals(
+        t_horizon=grid.horizon, n_steps=grid.steps,
+        y0=np.full(len(index), params.y0), x0=np.full(len(index), params.x0),
+        **dict(zip(_REPLICATE_COLUMNS[5:], columns[4:])),
+    )
+    table = ReplicateTable.from_functionals(index, f, params.drift_vector())
+    differs = np.argwhere(table.estimates != stored)
+    if differs.size:
+        row, col = differs[0]
+        raise CsvFormatError(
+            f"{path}: line {lines[row]} (replicate {index[row]}): stored "
+            f"{_REPLICATE_COLUMNS[1 + col]} {stored[row, col]:.17g} differs from "
+            f"{table.estimates[row, col]:.17g} recomputed from the row's functionals"
+        )
+    return table
+
+
+def _write_tables(out: Path, config: ExperimentConfig, summary: McSummary) -> None:
+    p = config.params
+    subcritical = classify_regime(p) is Regime.SUBCRITICAL
+    mean_y_theory = p.a / p.b if subcritical else math.nan
+    slope_theory = p.alpha - p.beta * p.a / p.b if subcritical else math.nan
+    table1 = np.array([
+        ("mean_y_terminal", summary.mean_y_terminal, mean_y_theory),
+        ("mean_x_terminal_over_t", summary.mean_x_terminal_over_t, slope_theory),
+    ], dtype=object)
+    (out / "table1.csv").write_text(
+        format_csv(("quantity", "empirical", "theoretical"), ("%s", "%.17g", "%.17g"), table1))
+    for name, fields in _PARAM_TABLES.items():
+        rows = np.array([
+            (param, *(getattr(summary.per_param[param], field) for field in fields))
+            for param in PARAM_NAMES
+        ], dtype=object)
+        (out / name).write_text(
+            format_csv(("parameter", *fields), ("%s",) + ("%.17g",) * len(fields), rows))
+
+
+def _write_figures(out: Path, results: ReplicateTable, theory_diag: np.ndarray | None) -> None:
+    for idx, name in enumerate(PARAM_NAMES):
+        sample = results.normalized[:, idx]
+        var = np.var(sample, ddof=1) if theory_diag is None else theory_diag[idx]
+        hist = histogram_overlay(sample, float(var))
+        rows = np.column_stack([hist.bin_centers, hist.density, hist.overlay])
+        (out / f"fig1_{name}.csv").write_text(format_csv(
+            ("bin_center", "density", "overlay_density"), ("%.17g",) * 3, rows))
 
 
 def write_report(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None]:
@@ -239,7 +189,7 @@ def write_report(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None
     )
     deviations = covariance_check(summary, theory) if theory is not None else None
 
-    payload = _finite_or_null(report_payload(run, summary, deviations))
+    payload = report_payload(run, summary, deviations)
     (out / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
@@ -257,17 +207,24 @@ def regenerate_report(out_dir) -> tuple[McSummary, DeviationReport | None]:
     functionals from ``replicates.csv``; nothing is re-simulated.
 
     Raises:
-        ConfigParseError: a config echo value that does not parse.
+        ConfigParseError: a ``report.json`` that is not an object, lacks
+            ``config``, ``failures``, ``failures.items`` or a failure's
+            ``index`` or ``reason``, or holds one of the wrong JSON type;
+            names the key.  A config echo value that does not parse.
         CsvFormatError: malformed replicate file.
         OSError: missing report files.
     """
     out = Path(out_dir)
-    payload = json.loads((out / "report.json").read_text())
-    config = ExperimentConfig.from_mapping(payload["config"])
+    path = out / "report.json"
+    payload = json.loads(path.read_text())
+    config = ExperimentConfig.from_mapping(_member(payload, "config", dict, str(path)))
+    items = _member(_member(payload, "failures", dict, str(path)), "items", list,
+                    f"{path}: failures")
+    failures = []
+    for i, f in enumerate(items):
+        index, reason = (
+            _member(f, key, object, f"{path}: failures.items[{i}]") for key in ("index", "reason"))
+        failures.append(ReplicateFailure(index, reason, f.get("step")))
     results = _read_replicates_csv(out / "replicates.csv", config)
-    failures = tuple(
-        ReplicateFailure(index=f["index"], reason=f["reason"], step=f.get("step"))
-        for f in payload["failures"]["items"]
-    )
-    run = McRun(config=config, results=results, failures=failures)
+    run = McRun(config=config, results=results, failures=tuple(failures))
     return write_report(out, run)

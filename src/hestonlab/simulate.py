@@ -49,6 +49,13 @@ log-price points.  Through these three, :func:`simulate_xy` runs one lane,
 :func:`simulate_paths` lane groups of whole paths within ``BLOCK_ELEMENTS``,
 and a Monte Carlo run up to 1024 lanes through blocks of B steps.  Lanes do
 not mix, and a path cut into blocks gives the bits of the path in one piece.
+
+CSV files: :func:`format_csv` and :func:`parse_csv` are the one codec of path
+files (``t,y,x``, row 0 the start) and report files.  A file is a header, then
+lines of the header's number of comma-separated cells, floats written with 17
+significant digits.  A reader skips blank lines but counts them in the line
+numbers it names, allows spaces around the header and cells, reads a cell as
+``int()`` or ``float()`` does, and refuses a non-finite cell.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -94,6 +102,8 @@ __all__ = [
     "simulate_x",
     "simulate_xy",
     "simulate_paths",
+    "format_csv",
+    "parse_csv",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -743,18 +753,75 @@ def simulate_paths(
         with np.errstate(over="ignore", invalid="ignore"):
             y, _ = advance_variance(params, grid.dt, scheme, state, eta, params.y0, failed)
             x = price_block(params, grid.dt, y, eta, zeta, params.x0)
-        for y_r, x_r, failed_r in zip(y, x, failed):
-            yield XYPath(grid, _variance_path(y_r, failed_r), _finite("X", x_r), scheme)
+        # no array of this group outlives it: a yielded path owns its rows
+        del eta, zeta
+        for r in range(len(group)):
+            yield XYPath(grid, _variance_path(y[r], failed[r]).copy(), _finite("X", x[r]).copy(),
+                         scheme)
+        del y, x
 
 
 # ---------------------------------------------------------------------------
-# CSV import/export (header "t,y,x", 17 significant digits, row 0 = start)
+# CSV files: the one codec of path files and report files (module docstring)
+
+
+def format_csv(header, cells, rows) -> str:
+    """The CSV text of ``rows``, a 2-d array, under ``header``: row i is
+    written with the %-formats ``cells``, one per column."""
+    line = ",".join(cells) + "\n"
+    return ",".join(header) + "\n" + (line * len(rows)) % tuple(np.ravel(rows).tolist())
+
+
+def parse_csv(text: str, header, kinds, where: str = "") -> tuple[list[np.ndarray], Sequence[int]]:
+    """One column per kind (``int`` or ``float``) of CSV text under
+    ``header``, and the file line number of each row.
+
+    Raises:
+        CsvFormatError: a first non-blank line other than the header, else the
+            first line with the wrong cell count or a cell its kind does not
+            read, else the first line with a non-finite cell; the message
+            begins with ``where`` (a file name) when it is given.
+    """
+    def fail(message):
+        raise CsvFormatError(f"{where}: {message}" if where else message) from None
+
+    lines = text.splitlines()
+    body = [line for line in lines if line.strip()]
+    numbers = (range(1, len(lines) + 1) if len(body) == len(lines) else
+               [n for n, line in enumerate(lines, start=1) if line.strip()])
+    head = ",".join(header)
+    if not body or body[0].strip() != head:
+        fail(f"expected header '{head}'")
+    body, numbers = body[1:], numbers[1:]
+    width = len(kinds)
+    try:
+        if any(line.count(",") != width - 1 for line in body):
+            raise ValueError
+        cells = ",".join(body).split(",") if body else []
+        columns = [np.array(list(map(kind, cells[j::width]))) for j, kind in enumerate(kinds)]
+    except ValueError:
+        # a line that fails here fails on its own too: name the first one
+        for n, line in zip(numbers, body):
+            parts = line.split(",")
+            if len(parts) != width:
+                fail(f"line {n}: expected {width} comma-separated values")
+            try:
+                [kind(part) for kind, part in zip(kinds, parts)]
+            except ValueError:
+                fail(f"line {n}: non-numeric value")
+    finite = np.all([np.isfinite(c) for kind, c in zip(kinds, columns) if kind is float], axis=0)
+    if not finite.all():
+        fail(f"line {numbers[int(np.argmin(finite))]}: non-finite value")
+    return columns, numbers
+
+
+_PATH_HEADER = ("t", "y", "x")
 
 
 def write_path_csv(path_obj: XYPath, dest) -> None:
     """Write a path as CSV with full double-precision round-trip fidelity."""
     rows = np.column_stack([path_obj.grid.times(), path_obj.y, path_obj.x])
-    text = "t,y,x\n" + ("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    text = format_csv(_PATH_HEADER, ("%.17g",) * 3, rows)
     if hasattr(dest, "write"):
         dest.write(text)
     else:
@@ -769,40 +836,15 @@ def read_path_csv(src) -> XYPath:
             fewer than two rows, or a time column that is not the uniform
             grid starting at 0.
     """
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        text = Path(src).read_text()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].strip() != "t,y,x":
-        raise CsvFormatError("expected header 't,y,x'")
-    body = lines[1:]
-    try:
-        if any(line.count(",") != 2 for line in body):
-            raise ValueError
-        cells = np.array(list(map(float, ",".join(body).split(",") if body else [])))
-    except ValueError:
-        # a line that fails here fails on its own too: name the first one
-        for lineno, line in enumerate(body, start=2):
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise CsvFormatError(f"line {lineno}: expected 3 comma-separated values") from None
-            try:
-                list(map(float, parts))
-            except ValueError:
-                raise CsvFormatError(f"line {lineno}: non-numeric value") from None
-    cells = cells.reshape(len(body), 3).T.copy()
-    finite = np.isfinite(cells).all(axis=0)
-    if not finite.all():
-        raise CsvFormatError(f"line {int(np.argmin(finite)) + 2}: non-finite value")
-    if len(body) < 2:
+    text = src.read() if hasattr(src, "read") else Path(src).read_text()
+    (t, y, x), _ = parse_csv(text, _PATH_HEADER, (float,) * 3)
+    if len(t) < 2:
         raise CsvFormatError("need at least two rows (initial point plus one step)")
-    t, y, x = cells
     if t[0] != 0.0:
         raise CsvFormatError(f"time column must start at 0, got {t[0]}")
     if not t[-1] > 0.0:
         raise CsvFormatError(f"final time must be positive, got {t[-1]}")
-    grid = TimeGrid(horizon=float(t[-1]), steps=len(body) - 1)
+    grid = TimeGrid(horizon=float(t[-1]), steps=len(t) - 1)
     tol = 1e-9 * max(1.0, abs(grid.horizon))
     if np.max(np.abs(t - grid.times())) > tol:
         raise CsvFormatError("time column is not a uniform grid")

@@ -1,5 +1,6 @@
 """The replicate file of a report: what its reader accepts and refuses."""
 
+import json
 import shutil
 
 import pytest
@@ -61,22 +62,22 @@ def add_cell(lines, line):
 
 
 @pytest.mark.parametrize("edit,cause", [
-    (lambda ls: [ls[0] + " "] + ls[1:], "unexpected replicate-file header"),
+    (lambda ls: ["index," + ls[0]] + ls[1:], "expected header 'index,a_hat,"),
     # a 17-cell and a 15-cell line hold 16 cells a line between them
-    (lambda ls: cut_cell(add_cell(ls, 3), 4), "line 3: wrong column count"),
-    (lambda ls: add_cell(cut_cell(ls, 3), 4), "line 3: wrong column count"),
+    (lambda ls: cut_cell(add_cell(ls, 3), 4), "line 3: expected 16 comma-separated values"),
+    (lambda ls: add_cell(cut_cell(ls, 3), 4), "line 3: expected 16 comma-separated values"),
     # the first bad line wins, whatever its fault
     (lambda ls: cut_cell(set_cell(ls, 3, 2, "zz"), 5), "line 3: non-numeric value"),
-    (lambda ls: set_cell(cut_cell(ls, 3), 5, 2, "zz"), "line 3: wrong column count"),
+    (lambda ls: set_cell(cut_cell(ls, 3), 5, 2, "zz"), "line 3: expected 16 comma-separated values"),
     (lambda ls: set_cell(ls, 4, 7, ""), "line 4: non-numeric value"),
     # the index is an integer
     (lambda ls: set_cell(ls, 2, 0, "0.0"), "line 2: non-numeric value"),
     (lambda ls: set_cell(ls, 6, 0, "inf"), "line 6: non-numeric value"),
-    # a non-finite estimate differs from the one its functionals give
-    (lambda ls: set_cell(ls, 4, 3, "nan"), "line 4 (replicate 2): stored alpha_hat nan"),
-    (lambda ls: set_cell(ls, 5, 1, "-inf"), "line 5 (replicate 3): stored a_hat -inf"),
-    # line numbers count the lines that are not blank
-    (lambda ls: ls[:2] + ["", " "] + set_cell(ls, 3, 0, "x")[2:], "line 3: non-numeric value"),
+    # a non-finite cell fails its line once every cell has parsed
+    (lambda ls: set_cell(ls, 4, 3, "nan"), "line 4: non-finite value"),
+    (lambda ls: set_cell(ls, 5, 1, "-inf"), "line 5: non-finite value"),
+    # line numbers count every line of the file, blank ones too
+    (lambda ls: ls[:2] + ["", " "] + set_cell(ls, 3, 0, "x")[2:], "line 5: non-numeric value"),
 ])
 def test_replicates_csv_names_the_first_bad_line(tmp_path, report_dir, edit, cause):
     out = with_replicates(tmp_path, report_dir, edit)
@@ -86,11 +87,11 @@ def test_replicates_csv_names_the_first_bad_line(tmp_path, report_dir, edit, cau
 
 
 def test_a_non_finite_functional_fails_its_row(tmp_path, report_dir):
-    """A functional the estimates do not reach back to fails the row as the
-    estimator does, without a line number."""
+    """A non-finite functional fails its line, as any non-finite cell does."""
     out = with_replicates(tmp_path, report_dir, lambda ls: set_cell(ls, 4, 5, "nan"))
-    with pytest.raises(hl.NonFinitePath, match="path functional"):
+    with pytest.raises(hl.CsvFormatError) as exc:
         regenerate_report(out)
+    assert str(exc.value) == f"{out / 'replicates.csv'}: line 4: non-finite value"
 
 
 def test_replicates_csv_reads_blank_lines_and_spaced_cells(tmp_path, report_dir):
@@ -98,8 +99,49 @@ def test_replicates_csv_reads_blank_lines_and_spaced_cells(tmp_path, report_dir)
 
     def loosen(lines):
         spaced = [" " + line.replace(",", " , ") + " " for line in lines[1:]]
-        return [lines[0], ""] + spaced[:2] + ["  "] + spaced[2:] + [""]
+        return [" " + lines[0] + " ", ""] + spaced[:2] + ["  "] + spaced[2:] + [""]
 
     out = with_replicates(tmp_path, report_dir, loosen)
     regenerate_report(out)
     assert (out / "replicates.csv").read_bytes() == original
+
+
+def with_payload(tmp_path, report_dir, edit):
+    """A copy of the report whose report.json went through ``edit``."""
+    out = tmp_path / "rep"
+    shutil.copytree(report_dir, out)
+    payload = json.loads((out / "report.json").read_text())
+    (out / "report.json").write_text(json.dumps(edit(payload)))
+    return out
+
+
+def drop(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+def with_items(payload, items):
+    return {**payload, "failures": {"count": 1, "items": items}}
+
+
+FAILURE = {"index": 5, "reason": "NonPositiveZ", "step": 17}
+
+
+@pytest.mark.parametrize("edit,cause", [
+    (lambda p: [p], " is not a JSON object"),
+    (lambda p: drop(p, "config"), ": missing or malformed key 'config'"),
+    (lambda p: drop(p, "failures"), ": missing or malformed key 'failures'"),
+    (lambda p: {**p, "failures": [FAILURE]}, ": missing or malformed key 'failures'"),
+    (lambda p: {**p, "failures": {"count": 0}}, ": failures: missing or malformed key 'items'"),
+    (lambda p: with_items(p, FAILURE), ": failures: missing or malformed key 'items'"),
+    (lambda p: with_items(p, [3]), ": failures.items[0] is not a JSON object"),
+    (lambda p: with_items(p, [FAILURE, drop(FAILURE, "index")]),
+     ": failures.items[1]: missing or malformed key 'index'"),
+    (lambda p: with_items(p, [drop(FAILURE, "reason")]),
+     ": failures.items[0]: missing or malformed key 'reason'"),
+])
+def test_a_malformed_report_json_names_the_key(tmp_path, report_dir, edit, cause):
+    out = with_payload(tmp_path, report_dir, edit)
+    with pytest.raises(hl.HestonLabError) as exc:
+        regenerate_report(out)
+    assert str(exc.value) == f"{out / 'report.json'}{cause}"
+    assert main(["report", "--out", str(out)]) == 1

@@ -2,6 +2,7 @@
 simulation, draw lineage, and CSV round-trips."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hestonlab as hl
-from hestonlab.simulate import advance_variance, variance_state
+from hestonlab.simulate import advance_variance, format_csv, parse_csv, variance_state
 
 P = hl.canonical_params()
 SQRT_DT = math.sqrt(0.1)
@@ -556,6 +557,25 @@ def test_batch_rows_match_single_paths_exactly():
         assert np.array_equal(y_batch[r], single)
 
 
+def test_simulate_paths_frees_each_lane_group_before_the_next(monkeypatch):
+    """Four lane groups peak at about the memory of one: a group's draws and
+    points are gone before the next is drawn, and a yielded path holds only
+    its own rows."""
+    monkeypatch.setattr(hl.simulate, "BLOCK_ELEMENTS", 10 * 2000)
+    grid = hl.TimeGrid(20.0, 2000)
+
+    def peak(replicates):
+        tracemalloc.start()
+        try:
+            for path in hl.simulate_paths(P, grid, hl.Scheme.DISRE, 5, replicates):
+                assert path.y.base is None and path.x.base is None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) <= 1.1 * peak(10)
+
+
 # ---------------------------------------------------------------------------
 # CSV round-trip
 
@@ -613,8 +633,8 @@ def test_path_csv_rejects_non_finite_cells_naming_the_line(tmp_path, cell):
     # a cell that does not parse outranks a non-finite one on an earlier line
     ("0,0.2,0.1\n1,inf,0.2\n2,0.4,0x1\n", "line 4: non-numeric value"),
     ("0,0.2,0.1\n1,0.3,0.2\n2,0.4,-inf\n", "line 4: non-finite value"),
-    # line numbers count the lines that are not blank
-    ("\n0,0.2,0.1\n\n1,0.3,0.2\n  \n2,nan,0.3\n", "line 4: non-finite value"),
+    # line numbers count every line of the file, blank ones too
+    ("\n0,0.2,0.1\n\n1,0.3,0.2\n  \n2,nan,0.3\n", "line 7: non-finite value"),
     ("\n", "need at least two rows (initial point plus one step)"),
 ])
 def test_path_csv_names_the_first_bad_line(tmp_path, body, cause):
@@ -633,3 +653,37 @@ def test_path_csv_reads_cells_with_float_grammar(tmp_path):
     path = hl.read_path_csv(f)
     assert path.grid == hl.TimeGrid(2.0, 2)
     assert path.y.tolist() == [0.2, 0.3, 0.4] and path.x.tolist() == [10.0, -0.5, 0.25]
+
+
+FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(-2 ** 62, 2 ** 62), FINITE_DOUBLES, FINITE_DOUBLES),
+                  max_size=12),
+    pad=st.sampled_from(["", " ", "  ", "\t"]),
+    blanks=st.lists(st.integers(0, 14), max_size=4),
+)
+def test_csv_codec_round_trips_the_bits(rows, pad, blanks):
+    """format_csv then parse_csv gives back every int and the bits of every
+    finite double, through blank lines and spaces around the header and
+    cells, and names each row's line of the file."""
+    header, kinds = ("n", "u", "v"), (int, float, float)
+    table = np.array(rows, dtype=object).reshape(len(rows), 3)
+    lines = format_csv(header, ("%d", "%.17g", "%.17g"), table).splitlines()
+    lines = [pad + lines[0] + pad] + [
+        pad + (pad + "," + pad).join(line.split(",")) + pad for line in lines[1:]]
+    for at in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), pad)
+    text = "\n".join(lines) + "\n"
+    columns, numbers = parse_csv(text, header, kinds)
+    assert columns[0].tolist() == [r[0] for r in rows]
+    for j in (1, 2):
+        assert columns[j].tobytes() == np.array([r[j] for r in rows], dtype=float).tobytes()
+    data = [n for n, line in enumerate(lines, start=1) if line.strip()][1:]
+    assert list(numbers) == data
