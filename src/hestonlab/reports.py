@@ -125,7 +125,7 @@ def _read_replicates_csv(path: Path, config: ExperimentConfig) -> ReplicateTable
     """
     (index, *columns), lines = parse_csv(
         path.read_text(), _REPLICATE_COLUMNS, (int,) + (float,) * (len(_REPLICATE_COLUMNS) - 1),
-        str(path),
+        str(path), "replicate-file",
     )
     stored = np.column_stack(columns[:4])
     params, grid = config.params, config.grid

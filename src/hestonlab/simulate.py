@@ -772,14 +772,15 @@ def format_csv(header, cells, rows) -> str:
     return ",".join(header) + "\n" + (line * len(rows)) % tuple(np.ravel(rows).tolist())
 
 
-def parse_csv(text: str, header, kinds, where: str = "") -> tuple[list[np.ndarray], Sequence[int]]:
+def parse_csv(text: str, header, kinds, where: str = "",
+              name: str = "CSV") -> tuple[list[np.ndarray], Sequence[int]]:
     """One column per kind (``int`` or ``float``) of CSV text under
     ``header``, and the file line number of each row.
 
     Raises:
-        CsvFormatError: a first non-blank line other than the header, else the
-            first line with the wrong cell count or a cell its kind does not
-            read, else the first line with a non-finite cell; the message
+        CsvFormatError: a first non-blank line other than the header
+            (``unexpected <name> header``), else the first line with the
+            wrong cell count or a cell its kind does not read, else the first line with a non-finite cell; the message
             begins with ``where`` (a file name) when it is given.
     """
     def fail(message):
@@ -791,7 +792,7 @@ def parse_csv(text: str, header, kinds, where: str = "") -> tuple[list[np.ndarra
                [n for n, line in enumerate(lines, start=1) if line.strip()])
     head = ",".join(header)
     if not body or body[0].strip() != head:
-        fail(f"expected header '{head}'")
+        fail(f"unexpected {name} header, expected '{head}'")
     body, numbers = body[1:], numbers[1:]
     width = len(kinds)
     try:
@@ -837,7 +838,7 @@ def read_path_csv(src) -> XYPath:
             grid starting at 0.
     """
     text = src.read() if hasattr(src, "read") else Path(src).read_text()
-    (t, y, x), _ = parse_csv(text, _PATH_HEADER, (float,) * 3)
+    (t, y, x), _ = parse_csv(text, _PATH_HEADER, (float,) * 3, name="path-file")
     if len(t) < 2:
         raise CsvFormatError("need at least two rows (initial point plus one step)")
     if t[0] != 0.0:

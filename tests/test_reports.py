@@ -62,7 +62,7 @@ def add_cell(lines, line):
 
 
 @pytest.mark.parametrize("edit,cause", [
-    (lambda ls: ["index," + ls[0]] + ls[1:], "expected header 'index,a_hat,"),
+    (lambda ls: ["index," + ls[0]] + ls[1:], "unexpected replicate-file header"),
     # a 17-cell and a 15-cell line hold 16 cells a line between them
     (lambda ls: cut_cell(add_cell(ls, 3), 4), "line 3: expected 16 comma-separated values"),
     (lambda ls: add_cell(cut_cell(ls, 3), 4), "line 3: expected 16 comma-separated values"),
