@@ -111,5 +111,9 @@ class ConfigParseError(HestonLabError, ValueError):
     malformed or incomplete."""
 
 
+class InvalidSeed(ConfigParseError):
+    """A master seed or replicate index is not an integer >= 0."""
+
+
 class CsvFormatError(HestonLabError, ValueError):
     """A path or report CSV file does not follow its layout."""

@@ -40,6 +40,7 @@ from .errors import (
     NonFinitePath,
     NonPositiveScalingDiscriminant,
     NonPositiveSigma,
+    NonPositiveZ,
     PathTooShort,
 )
 from .model import ModelParams
@@ -58,6 +59,7 @@ __all__ = [
     "ls_objective",
     "ito_cross_check",
     "failure_reasons",
+    "FAILURE_REASONS",
     "truth_vector",
     "normalized_error",
     "random_scaling_transform",
@@ -339,6 +341,10 @@ _ROW_CHECKS = {
     DegeneratePath: "variance path carries no spread",
     NonPositiveScalingDiscriminant: "need e1 > 0 and e1*e3 - e2^2 > 0",
 }
+
+# Every reason a Monte Carlo replicate fails for, as its failure record names
+# it: a DESRE abort first, then the row checks in order.
+FAILURE_REASONS = (NonPositiveZ.__name__, *(check.__name__ for check in _ROW_CHECKS))
 
 
 def failure_reasons(f: PathFunctionals) -> np.ndarray:

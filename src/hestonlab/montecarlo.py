@@ -68,12 +68,11 @@ from .errors import (
     AllReplicatesFailed,
     ConfigParseError,
     DegenerateSample,
-    FellerViolated,
     InsufficientData,
-    InvalidGrid,
     TiesDegenerate,
 )
 from .estimate import (
+    FAILURE_REASONS,
     SUM_TILE,
     PathFunctionals,
     PathSums,
@@ -87,6 +86,7 @@ from .model import AsymptoticCovariance, ModelParams, kron
 from .simulate import (
     BLOCK_ELEMENTS,
     Scheme,
+    SeedLineage,
     TimeGrid,
     advance_variance,
     draw_normals,
@@ -154,6 +154,12 @@ def _as_int(value) -> int:
     raise ValueError(f"not an integer: {value!r}")
 
 
+def _require_count(value, name: str) -> None:
+    # a bool is refused, not read as 0 or 1
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ConfigParseError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 _PARAM_KEYS = tuple(field.name for field in fields(ModelParams))
 
 # The one table of config keys, in file order: how a key's value is parsed
@@ -198,22 +204,9 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.replicates, numbers.Integral) and self.replicates >= 1):
-            raise ConfigParseError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
-            raise ConfigParseError(
-                f"seed (master_seed) must be an integer >= 0, got {self.master_seed!r}"
-            )
-        if self.scheme.uses_sqrt_state and not self.params.feller_strict:
-            raise FellerViolated(
-                f"scheme {self.scheme.value} needs a > sigma1^2/2, "
-                f"got a={self.params.a}, sigma1={self.params.sigma1}"
-            )
-        if self.scheme is Scheme.DISRE and not 2.0 + self.params.b * self.grid.dt > 0.0:
-            raise InvalidGrid(
-                f"scheme DISRE needs 2 + b*dt > 0, got b={self.params.b}, "
-                f"dt={self.grid.dt} (T={self.grid.horizon}, N={self.grid.steps})"
-            )
+        _require_count(self.replicates, "replicates")
+        SeedLineage(self.master_seed)
+        self.scheme.check(self.params, self.grid.dt)
 
     @classmethod
     def from_mapping(cls, mapping) -> "ExperimentConfig":
@@ -222,6 +215,7 @@ class ExperimentConfig:
         Raises:
             ConfigParseError: a missing key, or a value that is not a number,
                 an integer or a scheme as the key needs; names the key.
+            InvalidSeed: a seed that is not an integer >= 0.
             InvalidParams / InvalidGrid / FellerViolated: delegated validation.
         """
         missing = [key for key in CONFIG_KEYS if key not in mapping]
@@ -383,7 +377,7 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
             if scheme is Scheme.DESRE and (failed >= 0).any():
                 keep = failed < 0
                 failures.extend(
-                    ReplicateFailure(index=int(r), reason="NonPositiveZ", step=int(k))
+                    ReplicateFailure(index=int(r), reason=FAILURE_REASONS[0], step=int(k))
                     for r, k in zip(index[~keep], failed[~keep])
                 )
                 index, state, failed = index[keep], state[keep], failed[keep]
@@ -421,8 +415,7 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
         ConfigParseError: ``threads`` is not an integer >= 1.
         AllReplicatesFailed: no replicate produced a usable estimate.
     """
-    if not (isinstance(threads, numbers.Integral) and threads >= 1):
-        raise ConfigParseError(f"threads must be an integer >= 1, got {threads!r}")
+    _require_count(threads, "threads")
     lanes, block = _lane_plan(config.replicates, threads)
     bounds = [
         (lo, min(lo + lanes, config.replicates))

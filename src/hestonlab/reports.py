@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, CsvFormatError
-from .estimate import PathFunctionals
+from .estimate import FAILURE_REASONS, PathFunctionals
 from .model import asymptotic_covariance, classify_regime, Regime
 from .montecarlo import (
     DeviationReport,
@@ -89,6 +89,35 @@ def _member(value, key: str, kind: type, where: str):
     if key not in value or not isinstance(value[key], kind):
         raise ConfigParseError(f"{where}: missing or malformed key {key!r}")
     return value[key]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_failures(failures, count, replicates: int, kept, path: Path) -> None:
+    """Refuse the failure items and count of a run of ``replicates`` whose
+    ``replicates.csv`` holds ``kept``, as :func:`regenerate_report` says."""
+    taken = set(kept.tolist())
+    for i, fl in enumerate(failures):
+        where = f"{path}: failures.items[{i}]: key"
+        if not (_is_int(fl.index) and 0 <= fl.index < replicates) or fl.index in taken:
+            raise ConfigParseError(
+                f"{where} 'index' must be an int in [0, {replicates}) that no "
+                f"replicates.csv row or other item holds, got {fl.index!r}")
+        taken.add(fl.index)
+        if fl.reason not in FAILURE_REASONS:
+            raise ConfigParseError(
+                f"{where} 'reason' must be one of {', '.join(FAILURE_REASONS)}, got {fl.reason!r}")
+        abort = fl.reason == FAILURE_REASONS[0]
+        if not (_is_int(fl.step) and fl.step >= 1 if abort else fl.step is None):
+            raise ConfigParseError(
+                f"{where} 'step' must be {'an int >= 1' if abort else 'null'} "
+                f"for {fl.reason}, got {fl.step!r}")
+    if not (_is_int(count) and count == len(failures)):
+        raise ConfigParseError(
+            f"{path}: failures: key 'count' must be the number of items, "
+            f"{len(failures)}, got {count!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +238,13 @@ def regenerate_report(out_dir) -> tuple[McSummary, DeviationReport | None]:
     Raises:
         ConfigParseError: a ``report.json`` that is not an object, lacks
             ``config``, ``failures``, ``failures.items`` or a failure's
-            ``index`` or ``reason``, or holds one of the wrong JSON type;
-            names the key.  A config echo value that does not parse.
+            ``index`` or ``reason``, or holds one of the wrong JSON type.  A
+            failure item whose index is not an int in [0, replicates) held by
+            no ``replicates.csv`` row or other item, whose reason is not in
+            ``FAILURE_REASONS``, or whose step is not an int >= 1 for a DESRE
+            abort and null otherwise; a ``failures.count`` other than the
+            number of items.  Each error names the key.  A config echo value
+            that does not parse.
         CsvFormatError: malformed replicate file.
         OSError: missing report files.
     """
@@ -218,13 +252,14 @@ def regenerate_report(out_dir) -> tuple[McSummary, DeviationReport | None]:
     path = out / "report.json"
     payload = json.loads(path.read_text())
     config = ExperimentConfig.from_mapping(_member(payload, "config", dict, str(path)))
-    items = _member(_member(payload, "failures", dict, str(path)), "items", list,
-                    f"{path}: failures")
+    recorded = _member(payload, "failures", dict, str(path))
+    items = _member(recorded, "items", list, f"{path}: failures")
     failures = []
     for i, f in enumerate(items):
         index, reason = (
             _member(f, key, object, f"{path}: failures.items[{i}]") for key in ("index", "reason"))
         failures.append(ReplicateFailure(index, reason, f.get("step")))
     results = _read_replicates_csv(out / "replicates.csv", config)
+    _check_failures(failures, recorded.get("count"), config.replicates, results.index, path)
     run = McRun(config=config, results=results, failures=tuple(failures))
     return write_report(out, run)

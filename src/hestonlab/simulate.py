@@ -38,17 +38,18 @@ replicate index and a fixed stream tag.  Identical (seed, replicate) input
 yields bit-identical paths no matter how replicates are batched or threaded.
 :func:`lane_generators` is the one place where streams are seeded: it gives
 each stream the state that NumPy's ``SeedSequence`` would, for a whole lane
-group in one pass, and :meth:`SeedLineage.generators` calls it for one
-replicate.
+group in one pass.  It and :class:`SeedLineage` refuse (``InvalidSeed``) a
+seed or replicate index that is not an integer >= 0, a bool or float too.
 
 Lanes and blocks: replicates advanced side by side are lanes, and a block
 of draws or points holds one row per lane.  :func:`draw_normals` draws a
 block, :func:`advance_variance` (the one step loop, which alone knows that it
 runs time-major) turns it into variance points, and :func:`price_block` into
-log-price points.  Through these three, :func:`simulate_xy` runs one lane,
-:func:`simulate_paths` lane groups of whole paths within ``BLOCK_ELEMENTS``,
-and a Monte Carlo run up to 1024 lanes through blocks of B steps.  Lanes do
-not mix, and a path cut into blocks gives the bits of the path in one piece.
+log-price points.  Through these three, one lane-group generator runs whole
+paths within ``BLOCK_ELEMENTS`` for :func:`simulate_paths` and, as one lane,
+:func:`simulate_xy`; a Monte Carlo run takes up to 1024 lanes through blocks
+of B steps.  Lanes do not mix, and a path cut into blocks gives the bits of
+the path in one piece.
 
 CSV files: :func:`format_csv` and :func:`parse_csv` are the one codec of path
 files (``t,y,x``, row 0 the start) and report files.  A file is a header, then
@@ -63,6 +64,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -72,9 +74,11 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
+    ConfigParseError,
     CsvFormatError,
     FellerViolated,
     InvalidGrid,
+    InvalidSeed,
     LengthMismatch,
     NegativeInput,
     NonFinitePath,
@@ -155,12 +159,22 @@ class Scheme(enum.Enum):
             return cls(str(text).strip().upper())
         except ValueError:
             names = ", ".join(s.value for s in cls)
-            raise ValueError(f"unknown scheme {text!r}; expected one of {names}") from None
+            raise ConfigParseError(
+                f"unknown scheme {text!r}; expected one of {names}") from None
 
     @property
     def uses_sqrt_state(self) -> bool:
         """True for the schemes that evolve Z = sqrt(Y)."""
         return self in (Scheme.DESRE, Scheme.DISRE)
+
+    def check(self, params: ModelParams, dt: float) -> None:
+        """Raise ``FellerViolated`` for DESRE or DISRE without a > sigma1^2/2,
+        and ``InvalidGrid`` for DISRE without 2 + b*dt > 0, its divisor."""
+        if self.uses_sqrt_state and not params.feller_strict:
+            raise FellerViolated(f"scheme {self.value} needs a > sigma1^2/2, "
+                                 f"got a={params.a}, sigma1={params.sigma1}")
+        if self is Scheme.DISRE and not 2.0 + params.b * dt > 0.0:
+            raise InvalidGrid(f"scheme DISRE needs 2 + b*dt > 0, got b={params.b}, dt={dt}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +198,8 @@ class SeedLineage:
     replicate: int = 0
 
     def __post_init__(self):
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        if self.replicate < 0:
-            raise ValueError("replicate index must be nonnegative")
-
-    def generators(self) -> tuple[np.random.Generator, np.random.Generator]:
-        return lane_generators(self.master_seed, [self.replicate])[0]
+        _uint32_words(self.master_seed, "master_seed")
+        _uint32_words(self.replicate, "replicate")
 
 
 # SeedSequence's constants (numpy.random.bit_generator, after O'Neill's
@@ -203,14 +212,21 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 
 
-def _uint32_words(n: int) -> list[int]:
-    """The 32-bit words of a nonnegative integer, least significant first;
-    one word for 0 (SeedSequence's coercion of an int)."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
+def _uint32_words(n, name: str) -> list[int]:
+    """The 32-bit words of a seed or replicate index, least significant
+    first; one word for 0 (SeedSequence's coercion of an int).  Anything but
+    an integer >= 0, a bool too, raises ``InvalidSeed`` naming ``name``."""
+    try:
+        value = -1 if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise InvalidSeed(f"{name} must be an integer >= 0, got {n!r}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
     return words
 
 
@@ -285,20 +301,17 @@ def lane_generators(
     take the same number of 32-bit words share one pass.
 
     Raises:
-        ValueError: a negative master seed or replicate index.
+        InvalidSeed: a seed or replicate index that is not an integer >= 0.
     """
-    replicates = [int(r) for r in replicates]
-    if master_seed < 0 or any(r < 0 for r in replicates):
-        raise ValueError("master_seed and replicate indices must be nonnegative")
-    seed = _uint32_words(int(master_seed))
+    seed = _uint32_words(master_seed, "master_seed")
     # SeedSequence pads the entropy to the pool size when a spawn key follows
     seed += [0] * (_POOL_SIZE - len(seed))
-    spawn = [_uint32_words(r) for r in replicates]
+    spawn = [_uint32_words(r, "replicate") for r in replicates]
     by_words: dict[int, list[int]] = {}
     for i, words in enumerate(spawn):
         by_words.setdefault(len(words), []).append(i)
 
-    streams = [None] * len(replicates)
+    streams = [None] * len(spawn)
     for lanes in by_words.values():
         entropy = np.array(
             [seed + spawn[i] + [tag] for i in lanes for tag in (_ETA_STREAM, _ZETA_STREAM)],
@@ -347,7 +360,8 @@ class GaussianDraws:
 
     @classmethod
     def from_lineage(cls, lineage: SeedLineage, n_steps: int) -> "GaussianDraws":
-        eta, zeta = draw_normals([lineage.generators()], n_steps)
+        eta, zeta = draw_normals(
+            lane_generators(lineage.master_seed, [lineage.replicate]), n_steps)
         return cls(eta=eta[0], zeta=zeta[0])
 
 
@@ -372,14 +386,6 @@ BLOCK_ELEMENTS = 1 << 19
 # DESRE's last add.  So a block gives the bits of the formula applied step
 # by step, with six to ten numpy calls a step.  The public step_* wrappers
 # run these same functions on a block of one step.
-
-
-def _require_feller(params: ModelParams) -> None:
-    if not params.feller_strict:
-        raise FellerViolated(
-            f"square-root schemes need a > sigma1^2/2, "
-            f"got a={params.a}, sigma1^2/2={0.5 * params.sigma1 ** 2}"
-        )
 
 
 def _euler_steps(scheme: Scheme, params: ModelParams, dt, y, eta, out) -> None:
@@ -432,10 +438,6 @@ def _disre_steps(params: ModelParams, dt, z, eta, out) -> None:
     # z' = u + sqrt(u*u + (a - 0.25*sigma1^2)*dt/den); the noise term is a
     # scalar times eta, formed for the whole block in ``out``
     den = 2.0 + params.b * dt
-    if den <= 0.0:
-        raise InvalidGrid(
-            f"implicit square-root step needs 2 + b*dt > 0, got b={params.b}, dt={dt}"
-        )
     lift = np.array((params.a - 0.25 * params.sigma1 ** 2) * dt / den)
     den = np.array(den)
     np.multiply(0.5 * params.sigma1 * np.sqrt(dt), eta, out)
@@ -497,7 +499,7 @@ def step_desre(params: ModelParams, z_prev, dt: float, eta_k):
         FellerViolated: unless a > sigma1^2/2.
         NonPositiveZ: if ``z_prev`` is not strictly positive.
     """
-    _require_feller(params)
+    Scheme.DESRE.check(params, dt)
     if np.any(np.asarray(z_prev) <= 0.0):
         raise NonPositiveZ(f"explicit square-root step needs z_prev > 0, got {z_prev}")
     return _one_step(Scheme.DESRE, params, z_prev, dt, eta_k)
@@ -511,21 +513,16 @@ def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
 
     Raises:
         FellerViolated: unless a > sigma1^2/2.
+        InvalidGrid: unless 2 + b*dt > 0.
     """
-    _require_feller(params)
+    Scheme.DISRE.check(params, dt)
     return _one_step(Scheme.DISRE, params, z_prev, dt, eta_k)
 
 
 def variance_state(params: ModelParams, scheme: Scheme, lanes: int) -> np.ndarray:
-    """Initial state of ``lanes`` lanes: y0, or sqrt(y0) for DESRE/DISRE.
-
-    Raises:
-        FellerViolated: for DESRE/DISRE without a > sigma1^2/2.
-    """
-    if not scheme.uses_sqrt_state:
-        return np.full(lanes, float(params.y0))
-    _require_feller(params)
-    return np.full(lanes, math.sqrt(params.y0))
+    """Initial state of ``lanes`` lanes: y0, or sqrt(y0) for DESRE/DISRE."""
+    y0 = float(params.y0)
+    return np.full(lanes, math.sqrt(y0) if scheme.uses_sqrt_state else y0)
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -567,7 +564,11 @@ def advance_variance(
     Returns:
         (y, state): the (lanes, steps + 1) variance points, ``y_start`` first,
         and the new state.
+
+    Raises:
+        FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
     """
+    scheme.check(params, dt)
     # the step loop runs time-major, one row of lanes per step; the
     # time-major draws are freed as soon as the loop is done
     y = np.empty((eta.shape[1] + 1, eta.shape[0]))
@@ -646,7 +647,7 @@ def simulate_y(
 
     Raises:
         LengthMismatch: if the draws do not provide exactly ``grid.steps`` values.
-        FellerViolated: for DESRE/DISRE without a > sigma1^2/2.
+        FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
         NonPositiveZ: if the DESRE iterate leaves the positive half-line
             (carries the offending grid index in ``.step``).
         NonFinitePath: Y overflows; names the first grid index at which it is
@@ -718,35 +719,45 @@ class XYPath:
 def simulate_xy(
     params: ModelParams, grid: TimeGrid, scheme: Scheme, lineage: SeedLineage
 ) -> XYPath:
-    """Simulate the joint (Y, X) path for one replicate of a seed lineage.
+    """Simulate the joint (Y, X) path for one replicate of a seed lineage,
+    as a lane group of one lane.
 
     Raises:
-        FellerViolated / NonPositiveZ / NonFinitePath: as :func:`simulate_y`
-            and :func:`simulate_x`.
+        FellerViolated / InvalidGrid / NonPositiveZ / NonFinitePath: as
+            :func:`simulate_y` and :func:`simulate_x`.
     """
-    draws = GaussianDraws.from_lineage(lineage, grid.steps)
-    y = simulate_y(params, grid, scheme, draws)
-    x = simulate_x(params, grid, y, draws)
-    return XYPath(grid=grid, y=y, x=x, scheme=scheme)
+    return next(_lane_paths(params, grid, scheme, lineage.master_seed, [lineage.replicate]))
 
 
 def simulate_paths(
     params: ModelParams, grid: TimeGrid, scheme: Scheme, master_seed: int, replicates: int
 ):
-    """Yield the joint path of replicates 0, 1, ... of a master seed, in order.
-
-    Replicates run as lane groups of as many whole paths as
-    ``BLOCK_ELEMENTS`` holds, at least one, and each group is drawn, advanced
-    and priced as one block.  Path r has the bits of ``simulate_xy(params,
-    grid, scheme, SeedLineage(master_seed, r))``.
+    """An iterator over the joint paths of replicates 0, 1, ... of a master
+    seed, in order; path r has the bits of ``simulate_xy(params, grid,
+    scheme, SeedLineage(master_seed, r))``.
 
     Raises:
-        FellerViolated / NonPositiveZ / NonFinitePath: as :func:`simulate_xy`,
-            for the first failing replicate, once those before it are yielded.
+        InvalidSeed / ConfigParseError: at the call, a bad master seed, or a
+            replicate count that is a bool or not an integer >= 0.
+        FellerViolated / InvalidGrid / NonPositiveZ / NonFinitePath: as
+            :func:`simulate_xy`, for the first failing replicate, once those
+            before it are yielded.
     """
+    SeedLineage(master_seed)
+    if isinstance(replicates, bool) or not (
+            isinstance(replicates, numbers.Integral) and replicates >= 0):
+        raise ConfigParseError(f"replicates must be an integer >= 0, got {replicates!r}")
+    return _lane_paths(params, grid, scheme, master_seed, range(replicates))
+
+
+def _lane_paths(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_seed: int,
+                replicates: Sequence[int]):
+    """Yield the joint path of each index in ``replicates``, in order, from
+    lane groups of as many whole paths as ``BLOCK_ELEMENTS`` holds, at least
+    one; each group is drawn, advanced and priced as one block."""
     lanes = max(1, BLOCK_ELEMENTS // grid.steps)
-    for lo in range(0, replicates, lanes):
-        group = range(lo, min(lo + lanes, replicates))
+    for lo in range(0, len(replicates), lanes):
+        group = replicates[lo : lo + lanes]
         state = variance_state(params, scheme, len(group))
         eta, zeta = draw_normals(lane_generators(master_seed, group), grid.steps)
         failed = np.full(len(group), -1, dtype=np.int64)

@@ -124,7 +124,7 @@ def test_run_thread_count_does_not_change_results():
     assert np.array_equal(serial.results.scaled, threaded.results.scaled)
 
 
-@pytest.mark.parametrize("threads", [1.5, "2", 0, -2, None])
+@pytest.mark.parametrize("threads", [1.5, "2", 0, -2, None, True])
 def test_run_refuses_a_bad_thread_count(threads):
     with pytest.raises(hl.ConfigParseError, match="^threads must be an integer >= 1"):
         hl.run_replicates(small_config(replicates=2), threads=threads)

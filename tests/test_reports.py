@@ -145,3 +145,68 @@ def test_a_malformed_report_json_names_the_key(tmp_path, report_dir, edit, cause
         regenerate_report(out)
     assert str(exc.value) == f"{out / 'report.json'}{cause}"
     assert main(["report", "--out", str(out)]) == 1
+
+
+@pytest.fixture(scope="module")
+def aborted_report_dir(tmp_path_factory):
+    """A DESRE report whose replicate 2 of 4 aborted: its one failure item is
+    index 2, reason NonPositiveZ, step 2283."""
+    root = tmp_path_factory.mktemp("aborted")
+    config = CONFIG.replace("a = 0.4", "a = 0.15").replace("y0 = 0.2", "y0 = 0.5")
+    config = config.replace("T = 50", "T = 115").replace("N = 500", "N = 2300")
+    config = config.replace("DISRE", "DESRE").replace("replicates = 5", "replicates = 4")
+    (root / "exp.cfg").write_text(config.replace("seed = 9", "seed = 3"))
+    assert main(["mc", "--config", str(root / "exp.cfg"), "--out", str(root / "rep")]) == 0
+    return root / "rep"
+
+
+def with_failure(count=1, **over):
+    """An edit of the aborted report's one failure item, and of the count."""
+    def edit(payload):
+        items = payload["failures"]["items"]
+        assert items == [{"index": 2, "reason": "NonPositiveZ", "step": 2283}]
+        return {**payload, "failures": {"count": count, "items": [{**items[0], **over}]}}
+    return edit
+
+
+@pytest.mark.parametrize("over,key", [
+    # an index is an int below the replicate count that no row or other item holds
+    ({"index": "x"}, "items[0]: key 'index'"),
+    ({"index": True}, "items[0]: key 'index'"),
+    ({"index": 2.0}, "items[0]: key 'index'"),
+    ({"index": -4}, "items[0]: key 'index'"),
+    ({"index": 99999}, "items[0]: key 'index'"),
+    ({"index": 4}, "items[0]: key 'index'"),
+    ({"index": [1, 2]}, "items[0]: key 'index'"),
+    ({"index": 0}, "items[0]: key 'index'"),
+    # a reason is one a run records
+    ({"reason": 7}, "items[0]: key 'reason'"),
+    ({"reason": "FellerViolated"}, "items[0]: key 'reason'"),
+    # a DESRE abort has a step >= 1, another failure none
+    ({"step": [1, 2]}, "items[0]: key 'step'"),
+    ({"step": "x"}, "items[0]: key 'step'"),
+    ({"step": True}, "items[0]: key 'step'"),
+    ({"step": 0}, "items[0]: key 'step'"),
+    ({"step": None}, "items[0]: key 'step'"),
+    ({"reason": "NonFinitePath"}, "items[0]: key 'step'"),
+    # the count is the number of items
+    ({"count": 999}, "failures: key 'count'"),
+    ({"count": True}, "failures: key 'count'"),
+])
+def test_report_json_failure_items_are_checked(tmp_path, aborted_report_dir, over, key):
+    out = with_payload(tmp_path, aborted_report_dir, with_failure(**over))
+    with pytest.raises(hl.ConfigParseError) as exc:
+        regenerate_report(out)
+    assert str(exc.value).startswith(f"{out / 'report.json'}: ") and key in str(exc.value)
+    assert main(["report", "--out", str(out)]) == 1
+
+
+def test_report_json_failure_items_read_back(tmp_path, aborted_report_dir):
+    out = with_payload(tmp_path, aborted_report_dir, with_failure())
+    before = (out / "report.json").read_text()
+    regenerate_report(out)
+    assert json.loads((out / "report.json").read_text()) == json.loads(before)
+    # another reason than an abort carries no step
+    out = with_payload(tmp_path / "other", aborted_report_dir,
+                       with_failure(reason="DegeneratePath", step=None))
+    regenerate_report(out)

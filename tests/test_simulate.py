@@ -1,6 +1,7 @@
 """Path generation: grids, the five variance-step kernels, joint (Y, X)
 simulation, draw lineage, and CSV round-trips."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -73,7 +74,7 @@ def test_time_grid_stores_integral_steps_as_int():
 def test_scheme_parse():
     assert hl.Scheme.parse("DISRE") is hl.Scheme.DISRE
     assert hl.Scheme.parse("ave") is hl.Scheme.AVE
-    with pytest.raises(ValueError):
+    with pytest.raises(hl.ConfigParseError, match="unknown scheme 'euler'"):
         hl.Scheme.parse("euler")
 
 
@@ -514,6 +515,121 @@ def test_lane_generators_reject_negative_seeds():
     for seed, replicates in ((-1, [0]), (0, [3, -1])):
         with pytest.raises(ValueError):
             hl.lane_generators(seed, replicates)
+
+
+BAD_SEEDS = [1.5, 2.0, -1, "a", True, np.True_, None]
+SEED_DOORS = {
+    "SeedLineage.master_seed": lambda bad: hl.SeedLineage(bad, 0),
+    "SeedLineage.replicate": lambda bad: hl.SeedLineage(0, bad),
+    "lane_generators.master_seed": lambda bad: hl.lane_generators(bad, [0]),
+    "lane_generators.replicate": lambda bad: hl.lane_generators(0, [3, bad]),
+    "simulate_paths": lambda bad: hl.simulate_paths(P, hl.TimeGrid(1.0, 10),
+                                                    hl.Scheme.DISRE, bad, 2),
+    "ExperimentConfig": lambda bad: dataclasses.replace(hl.preset_config("desk"),
+                                                        master_seed=bad),
+}
+
+
+@pytest.mark.parametrize("door", SEED_DOORS)
+@pytest.mark.parametrize("bad", BAD_SEEDS, ids=repr)
+def test_every_seed_door_refuses_a_non_integer_or_negative_seed(door, bad):
+    """A float, even an integral one, a bool, a str, None or a negative value
+    is refused as a seed or replicate index, naming the argument."""
+    name = "replicate" if door.endswith("replicate") else "master_seed"
+    with pytest.raises(hl.InvalidSeed, match=f"^{name} must be an integer >= 0, got "):
+        SEED_DOORS[door](bad)
+    assert issubclass(hl.InvalidSeed, hl.ConfigParseError)
+
+
+def test_numpy_and_wide_integer_seeds_keep_their_bits():
+    grid = hl.TimeGrid(1.0, 20)
+    want = hl.simulate_xy(P, grid, hl.Scheme.DISRE, hl.SeedLineage(7, 3))
+    for seed, replicate in ((np.int64(7), 3), (7, np.uint64(3)), (np.uint32(7), np.int8(3))):
+        got = hl.simulate_xy(P, grid, hl.Scheme.DISRE, hl.SeedLineage(seed, replicate))
+        assert got.y.tobytes() == want.y.tobytes() and got.x.tobytes() == want.x.tobytes()
+    (eta, zeta), = hl.lane_generators(2**64, [2**64])
+    for tag, gen in enumerate((eta, zeta)):
+        ref = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(2**64, spawn_key=(2**64, tag))))
+        assert gen.standard_normal(8).tobytes() == ref.standard_normal(8).tobytes()
+
+
+@pytest.mark.parametrize("replicates", [2.5, True, -1, "3", None])
+def test_simulate_paths_refuses_a_bad_replicate_count(replicates):
+    with pytest.raises(hl.ConfigParseError, match="^replicates must be an integer >= 0"):
+        hl.simulate_paths(P, hl.TimeGrid(1.0, 10), hl.Scheme.DISRE, 3, replicates)
+
+
+def given_draws_path(params, grid, scheme, lineage):
+    """The joint path of a lineage through the given-draws functions."""
+    draws = hl.GaussianDraws.from_lineage(lineage, grid.steps)
+    y = hl.simulate_y(params, grid, scheme, draws)
+    return y, hl.simulate_x(params, grid, y, draws)
+
+
+@pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
+def test_simulate_xy_is_a_lane_of_simulate_paths(scheme):
+    """Replicate r alone, as row r of a lane group and through the given-draws
+    functions: the same bits."""
+    grid = hl.TimeGrid(5.0, 50)
+    rows = list(hl.simulate_paths(P, grid, scheme, 31, 4))
+    for r, row in enumerate(rows):
+        path = hl.simulate_xy(P, grid, scheme, hl.SeedLineage(31, r))
+        y, x = given_draws_path(P, grid, scheme, hl.SeedLineage(31, r))
+        assert path.scheme is row.scheme is scheme
+        for got in (path.y, row.y, y):
+            assert got.tobytes() == rows[r].y.tobytes()
+        for got in (path.x, row.x, x):
+            assert got.tobytes() == rows[r].x.tobytes()
+
+
+def failure(call):
+    with pytest.raises(hl.HestonLabError) as exc:
+        call()
+    return type(exc.value), str(exc.value), getattr(exc.value, "step", None)
+
+
+@pytest.mark.parametrize("over,scheme,grid,seed,r,want", [
+    # replicate 2 aborts; 0 and 1 run ahead of it in its lane group
+    ({"a": 0.15, "y0": 0.5}, hl.Scheme.DESRE, hl.TimeGrid(115.0, 2300), 3, 2,
+     (hl.NonPositiveZ, "square-root state hit zero at grid index 2283", 2283)),
+    ({"b": -1.0}, hl.Scheme.DISRE, hl.TimeGrid(800.0, 8000), 9, 0,
+     (hl.NonFinitePath, "Y is not finite at grid index 6923", None)),
+], ids=["desre-abort", "overflow"])
+def test_a_failing_replicate_fails_alike_on_every_route(over, scheme, grid, seed, r, want):
+    params = dataclasses.replace(P, **over)
+    lineage = hl.SeedLineage(seed, r)
+    paths = hl.simulate_paths(params, grid, scheme, seed, r + 1)
+    for _ in range(r):
+        next(paths)
+    assert failure(lambda: next(paths)) == want
+    assert failure(lambda: hl.simulate_xy(params, grid, scheme, lineage)) == want
+    assert failure(lambda: given_draws_path(params, grid, scheme, lineage)) == want
+
+
+def test_scheme_check_is_the_one_rule_of_each_scheme():
+    """A square-root scheme needs a > sigma1^2/2, DISRE also 2 + b*dt > 0;
+    the step loop, a step function and simulate_xy refuse as the rule does,
+    and the initial state is built without a check."""
+    tight = dataclasses.replace(P, a=0.08)
+    steep = dataclasses.replace(P, b=-30.0)
+    for scheme in hl.Scheme:
+        if scheme.uses_sqrt_state:
+            with pytest.raises(hl.FellerViolated, match=f"^scheme {scheme.value} needs a > "):
+                scheme.check(tight, 0.1)
+        else:
+            scheme.check(tight, 0.1)
+        variance_state(tight, scheme, 2)
+    hl.Scheme.DESRE.check(steep, 0.1)
+    with pytest.raises(hl.InvalidGrid, match=r"^scheme DISRE needs 2 \+ b\*dt > 0"):
+        hl.Scheme.DISRE.check(steep, 0.1)
+    with pytest.raises(hl.InvalidGrid):
+        hl.step_disre(steep, 0.5, 0.1, 0.0)
+    with pytest.raises(hl.FellerViolated):
+        advance_variance(tight, 0.1, hl.Scheme.DESRE, np.ones(1), np.zeros((1, 3)), 1.0,
+                         np.full(1, -1))
+    with pytest.raises(hl.FellerViolated):
+        hl.simulate_xy(tight, hl.TimeGrid(1.0, 10), hl.Scheme.DISRE, hl.SeedLineage(1))
 
 
 def test_eta_zeta_streams_independent_of_each_other():
