@@ -91,6 +91,10 @@ class InsufficientData(HestonLabError, ValueError):
     """Sample too small for the requested statistic."""
 
 
+class NonFiniteSample(HestonLabError, ValueError):
+    """A sample holds a NaN or an infinite observation."""
+
+
 class TiesDegenerate(HestonLabError):
     """Sample has zero spread; order-statistic test undefined."""
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -69,6 +70,7 @@ from .errors import (
     ConfigParseError,
     DegenerateSample,
     InsufficientData,
+    NonFiniteSample,
     TiesDegenerate,
 )
 from .estimate import (
@@ -207,6 +209,10 @@ class ExperimentConfig:
         _require_count(self.replicates, "replicates")
         SeedLineage(self.master_seed)
         self.scheme.check(self.params, self.grid.dt)
+        # a numpy integer is held as the int it stands for, so that the
+        # config echo of report.json serializes it
+        object.__setattr__(self, "replicates", operator.index(self.replicates))
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
 
     @classmethod
     def from_mapping(cls, mapping) -> "ExperimentConfig":
@@ -446,6 +452,13 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
 # moment statistics and normality tests
 
 
+def _require_finite(x: np.ndarray, test: str) -> None:
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteSample(f"{test} needs finite observations, got {x[i]} at index {i}")
+
+
 def _central_moments(sample: np.ndarray):
     mean = float(np.mean(sample))
     d = sample - mean
@@ -473,10 +486,12 @@ def jarque_bera(sample) -> tuple[float, float]:
 
     Raises:
         InsufficientData: fewer than 8 observations.
+        NonFiniteSample: a NaN or infinite observation.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1 or x.shape[0] < 8:
         raise InsufficientData("Jarque-Bera needs at least 8 observations")
+    _require_finite(x, "Jarque-Bera")
     n = x.shape[0]
     g1, g2 = _skew_excess_kurtosis(x)
     stat = n / 6.0 * (g1 * g1 + 0.25 * g2 * g2)
@@ -522,11 +537,13 @@ def anderson_darling(sample) -> tuple[float, float]:
 
     Raises:
         InsufficientData: fewer than 8 observations.
+        NonFiniteSample: a NaN or infinite observation.
         TiesDegenerate: zero sample variance.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1 or x.shape[0] < 8:
         raise InsufficientData("Anderson-Darling needs at least 8 observations")
+    _require_finite(x, "Anderson-Darling")
     n = x.shape[0]
     sd = float(np.std(x, ddof=1))
     if not sd > 0.0:
@@ -563,14 +580,16 @@ def histogram_overlay(sample, theoretical_variance: float) -> HistogramOverlay:
 
     Raises:
         DegenerateSample: fewer than 2 points, zero sample spread, or a
-            nonpositive theoretical variance.
+            theoretical variance that is not a finite number > 0.
+        NonFiniteSample: a NaN or infinite observation.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise DegenerateSample("histogram needs at least 2 observations")
-    if not theoretical_variance > 0.0:
+    _require_finite(x, "histogram")
+    if not 0.0 < theoretical_variance < math.inf:
         raise DegenerateSample(
-            f"theoretical variance must be > 0, got {theoretical_variance}"
+            f"theoretical variance must be a finite number > 0, got {theoretical_variance}"
         )
     if float(np.max(x)) == float(np.min(x)):
         raise DegenerateSample("sample has zero spread")

@@ -43,13 +43,18 @@ seed or replicate index that is not an integer >= 0, a bool or float too.
 
 Lanes and blocks: replicates advanced side by side are lanes, and a block
 of draws or points holds one row per lane.  :func:`draw_normals` draws a
-block, :func:`advance_variance` (the one step loop, which alone knows that it
-runs time-major) turns it into variance points, and :func:`price_block` into
+block, :func:`advance_variance` (the one step loop, which alone knows in
+which order it runs) turns it into variance points, and :func:`price_block` into
 log-price points.  Through these three, one lane-group generator runs whole
 paths within ``BLOCK_ELEMENTS`` for :func:`simulate_paths` and, as one lane,
 :func:`simulate_xy`; a Monte Carlo run takes up to 1024 lanes through blocks
 of B steps.  Lanes do not mix, and a path cut into blocks gives the bits of
-the path in one piece.
+the path in one piece.  A group of more than ``_SCALAR_LANES`` (8) lanes
+advances time-major through buffered numpy kernels, six to ten calls a step
+for all its lanes; a narrower one, such as a single path or a group that
+aborted lanes have thinned, advances lane by lane on Python floats, where a
+step costs a few hundred ns.  Both routes give the same bits; 8 lanes is
+below the measured crossover of every scheme.
 
 CSV files: :func:`format_csv` and :func:`parse_csv` are the one codec of path
 files (``t,y,x``, row 0 the start) and report files.  A file is a header, then
@@ -68,6 +73,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -385,7 +391,9 @@ BLOCK_ELEMENTS = 1 << 19
 # own operand (numpy takes that slowly on a one-element array), except for
 # DESRE's last add.  So a block gives the bits of the formula applied step
 # by step, with six to ten numpy calls a step.  The public step_* wrappers
-# run these same functions on a block of one step.
+# run these same functions on a block of one step.  advance_variance runs
+# them for groups of more than _SCALAR_LANES lanes, and narrower groups on
+# the scalar steps below, which give the same bits.
 
 
 def _euler_steps(scheme: Scheme, params: ModelParams, dt, y, eta, out) -> None:
@@ -458,6 +466,75 @@ _STEPS = {
     Scheme.DESRE: _desre_steps,
     Scheme.DISRE: _disre_steps,
 }
+
+
+# The narrow-lane route.  A group of at most _SCALAR_LANES lanes runs lane by
+# lane on Python floats: each scheme's formula is one scalar step, driven by
+# ``accumulate`` over a lane's draws _SCALAR_CHUNK steps at a time, so that
+# no list of a whole path is held.  A step costs a few hundred ns a lane
+# there, where the kernels above pay about 1 us a numpy call whatever the
+# lane count.  advance_variance on 20000 steps, ms, scalar / buffered
+# (2-vCPU Xeon, min of 9):
+#
+#     lanes      AVE        TE         SE        DESRE      DISRE
+#       1      6 / 147    6 / 92     4 / 84     5 / 65     4 / 47
+#       8     33 / 86    34 / 108   46 / 100   32 / 55    33 / 50
+#      16     81 / 119   77 / 188  105 / 127   73 / 66    77 / 60
+#
+# Wider groups keep the buffered kernels: at 1024 lanes the same formulas
+# written as whole-array operators ran 10-60% slower than they do.  The
+# scalar route holds the interpreter lock for its whole loop.
+_SCALAR_LANES = 8
+_SCALAR_CHUNK = 1 << 16
+
+
+def _scalar_step(scheme: Scheme, params: ModelParams, dt):
+    """The formula of ``scheme`` (module docstring) as a step (state, draw)
+    -> state on Python floats.
+
+    It is evaluated left to right as written there, with the constants the
+    buffered kernels form, so it gives their bits.  Where a float operation
+    would raise and numpy's gives a value, the step gives that value:
+    DESRE's level/z is +-inf at z = +-0 (level > 0), and SE's sqrt of a
+    negative state is NaN.
+    """
+    sqrt, dt = math.sqrt, float(dt)
+    if scheme is Scheme.DESRE:
+        level = float(0.5 * params.a - 0.125 * params.sigma1 ** 2)
+        half_b, noise = float(0.5 * params.b), float(0.5 * params.sigma1 * np.sqrt(dt))
+        return lambda z, e: (
+            z + ((level / z if z else math.copysign(math.inf, z)) - half_b * z) * dt + noise * e)
+    if scheme is Scheme.DISRE:
+        den = 2.0 + params.b * dt
+        lift = float((params.a - 0.25 * params.sigma1 ** 2) * dt / den)
+        den, noise = float(den), float(0.5 * params.sigma1 * np.sqrt(dt))
+
+        def disre(z, e):
+            u = (z + noise * e) / den
+            return u + sqrt(u * u + lift)
+
+        return disre
+    a, b, sigma1, sqrt_dt = float(params.a), float(params.b), float(params.sigma1), sqrt(dt)
+    if scheme is Scheme.AVE:
+        return lambda y, e: y + (a - b * y) * dt + sigma1 * sqrt(abs(y)) * sqrt_dt * e
+    if scheme is Scheme.TE:
+        # sqrt(max(y, 0)) without a call to max: 0.0 at y = -0.0, as np.maximum
+        # gives, and at a NaN y the sum is NaN either way
+        return lambda y, e: (
+            y + (a - b * y) * dt + sigma1 * (sqrt(y) if y > 0.0 else 0.0) * sqrt_dt * e)
+    return lambda y, e: abs(
+        y + (a - b * y) * dt + sigma1 * (sqrt(y) if y >= 0.0 else math.nan) * sqrt_dt * e)
+
+
+def _scalar_steps(step, state, eta, out) -> None:
+    # as the buffered kernels, but ``eta`` and ``out`` hold one row per lane
+    steps = eta.shape[1]
+    for s, eta_lane, out_lane in zip(state.tolist(), eta, out):
+        for lo in range(0, steps, _SCALAR_CHUNK):
+            hi = min(lo + _SCALAR_CHUNK, steps)
+            points = accumulate(eta_lane[lo:hi].tolist(), step, initial=s)
+            out_lane[lo:hi] = np.fromiter(points, float, hi - lo + 1)[1:]
+            s = float(out_lane[hi - 1])
 
 
 def _one_step(scheme: Scheme, params: ModelParams, state, dt, eta_k):
@@ -569,16 +646,31 @@ def advance_variance(
         FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
     """
     scheme.check(params, dt)
-    # the step loop runs time-major, one row of lanes per step; the
-    # time-major draws are freed as soon as the loop is done
-    y = np.empty((eta.shape[1] + 1, eta.shape[0]))
-    y[0] = y_start
-    out = y[1:]
+    lanes, steps = eta.shape
+    scalar = lanes <= _SCALAR_LANES
+    if scalar:
+        # lane by lane on floats, into lane-major points; ``out`` is their
+        # time-major view
+        y = np.empty((lanes, steps + 1))
+        y[:, 0] = y_start
+        out = y[:, 1:].T
+
+        def step_loop():
+            _scalar_steps(_scalar_step(scheme, params, dt), state, eta, y[:, 1:])
+    else:
+        # time-major, one row of lanes per step; the time-major draws are
+        # freed as soon as the loop is done
+        y = np.empty((steps + 1, lanes))
+        y[0] = y_start
+        out = y[1:]
+
+        def step_loop():
+            _STEPS[scheme](params, dt, state, _transposed(eta), out)
     if scheme is Scheme.DESRE:
         # a lane runs on past its first nonpositive Z to the end of the block;
         # those values are replaced by NaN below, and so are their warnings
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            _desre_steps(params, dt, state, _transposed(eta), out)
+            step_loop()
         bad = out <= 0.0
         hit = bad.any(axis=0) & (failed < 0)
         if hit.any():
@@ -586,11 +678,11 @@ def advance_variance(
             failed[hit] = start + first[hit] + 1
             out[(np.arange(out.shape[0])[:, None] >= first) & hit] = np.nan
     else:
-        _STEPS[scheme](params, dt, state, _transposed(eta), out)
+        step_loop()
     state = out[-1].copy()
     if scheme.uses_sqrt_state:
         np.multiply(out, out, out)
-    return _transposed(y), state
+    return (y if scalar else _transposed(y)), state
 
 
 def price_block(

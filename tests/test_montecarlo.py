@@ -10,6 +10,7 @@ from scipy import stats
 
 import hestonlab as hl
 import hestonlab.montecarlo as mc
+import hestonlab.simulate as simulate
 
 
 def small_config(**over):
@@ -73,6 +74,20 @@ def test_config_rejections_name_the_field():
         hl.simulate_y(steep, hl.TimeGrid(1.0, 10), hl.Scheme.DISRE,
                       hl.GaussianDraws.from_lineage(hl.SeedLineage(1, 0), 10))
     small_config(params=steep, grid=hl.TimeGrid(1.0, 100))  # 2 - 30*0.01 > 0
+
+
+def test_numpy_integer_seed_and_count_are_stored_as_ints(tmp_path):
+    grid = hl.TimeGrid(20.0, 200)
+    plain = small_config(grid=grid, replicates=20, master_seed=7)
+    numpy_ints = small_config(grid=grid, replicates=np.int64(20), master_seed=np.int64(7))
+    assert type(numpy_ints.replicates) is int and type(numpy_ints.master_seed) is int
+    assert numpy_ints == plain
+    for name, cfg in (("plain", plain), ("numpy", numpy_ints)):
+        hl.write_report(tmp_path / name, hl.run_replicates(cfg))
+    files = sorted(f.name for f in (tmp_path / "plain").iterdir())
+    assert files == sorted(f.name for f in (tmp_path / "numpy").iterdir())
+    for name in files:
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_config_mapping_round_trip():
@@ -199,6 +214,35 @@ def test_results_do_not_depend_on_lane_groups_blocks_or_threads(monkeypatch):
             for threads in (1, 2):
                 records.append(run_record(hl.run_replicates(cfg, threads=threads)))
         assert all(rec == records[0] for rec in records[1:])
+
+
+def test_groups_narrowing_onto_the_scalar_route_keep_their_results(monkeypatch):
+    """DESRE groups of _SCALAR_LANES + 2 lanes that aborting lanes thin
+    below the narrow-lane threshold give the record of one group that runs
+    wide throughout."""
+    cfg = edge_config()
+    monkeypatch.setattr(simulate, "_SCALAR_LANES", 0)
+    want = run_record(hl.run_replicates(cfg))
+    monkeypatch.undo()
+
+    lanes = simulate._SCALAR_LANES + 2
+    monkeypatch.setattr(mc, "_MAX_LANES", lanes)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", lanes * 128)
+    widths = []
+
+    def recording(params, dt, scheme, state, eta, *args):
+        widths.append((args[-1], eta.shape[0]))
+        return simulate.advance_variance(params, dt, scheme, state, eta, *args)
+
+    monkeypatch.setattr(mc, "advance_variance", recording)
+    assert run_record(hl.run_replicates(cfg)) == want
+    groups = []
+    for start, width in widths:
+        if start == 0:
+            groups.append([])
+        groups[-1].append(width)
+    assert [g[0] for g in groups] == [lanes, lanes, cfg.replicates - 2 * lanes]
+    assert any(g[0] > simulate._SCALAR_LANES >= g[-1] for g in groups), groups
 
 
 def test_aborted_lanes_draw_nothing_after_their_block(monkeypatch):
@@ -438,6 +482,18 @@ def test_anderson_darling_calibration_sweep():
     assert ks <= 0.1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("statistic", [
+    hl.jarque_bera, hl.anderson_darling, lambda x: hl.histogram_overlay(x, 1.0),
+], ids=["jarque_bera", "anderson_darling", "histogram_overlay"])
+def test_statistics_refuse_a_non_finite_sample(statistic, bad):
+    x = np.random.default_rng(3).standard_normal(20)
+    x[7], x[12] = bad, math.nan
+    with pytest.raises(hl.NonFiniteSample, match=r"at index 7$"):
+        statistic(x)
+    assert issubclass(hl.NonFiniteSample, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # histogram records
 
@@ -472,8 +528,9 @@ def test_histogram_guards():
         hl.histogram_overlay(np.full(10, 1.0), 1.0)
     with pytest.raises(hl.DegenerateSample):
         hl.histogram_overlay(np.array([1.0]), 1.0)
-    with pytest.raises(hl.DegenerateSample):
-        hl.histogram_overlay(np.random.default_rng(0).normal(size=40), 0.0)
+    for variance in (0.0, math.nan, math.inf):
+        with pytest.raises(hl.DegenerateSample, match="finite number > 0"):
+            hl.histogram_overlay(np.random.default_rng(0).normal(size=40), variance)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hestonlab as hl
+import hestonlab.simulate as simulate
 from hestonlab.simulate import advance_variance, format_csv, parse_csv, variance_state
 
 P = hl.canonical_params()
@@ -357,16 +358,25 @@ def python_lanes(scheme, p, dt, eta):
     return y, final, failed
 
 
+# lane counts on both sides of the narrow-lane route's threshold
+LANE_COUNTS = (1, 5, simulate._SCALAR_LANES, simulate._SCALAR_LANES + 1, 40)
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
 @pytest.mark.parametrize("blocks", [(128, 256), (200, 77)], ids=["on-tile", "inside-tile"])
 @pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
-def test_step_loop_matches_python_recursion(scheme, blocks):
-    dt, lanes = 0.1, 5
+def test_step_loop_matches_python_recursion(scheme, blocks, lanes):
+    dt = 0.1
     steps = sum(blocks)
     eta = np.random.default_rng(7).standard_normal((steps, lanes))
-    # spikes that send the explicit square-root lanes 1, 2 and 3 below zero in
-    # the middle of the first block, on its last step and on the first step of
-    # the second block; the other schemes go negative or reflect there
-    eta[40, 1] = eta[blocks[0] - 1, 2] = eta[blocks[0], 3] = -60.0
+    # spikes that send the explicit square-root lanes 1, 2 and 3 (modulo the
+    # lane count) below zero in the middle of the first block, on its last
+    # step and on the first step of the second block; the other schemes go
+    # negative or reflect there
+    spikes = {}
+    for lane, k in ((1, 40), (2, blocks[0] - 1), (3, blocks[0])):
+        eta[k, lane % lanes] = -60.0
+        spikes.setdefault(lane % lanes, k + 1)
     want_y, want_final, want_failed = python_lanes(scheme, NEAR_ZERO, dt, eta)
 
     state = variance_state(NEAR_ZERO, scheme, lanes)
@@ -385,12 +395,76 @@ def test_step_loop_matches_python_recursion(scheme, blocks):
     assert np.array_equal(state, want_final, equal_nan=True)
     assert failed.tolist() == want_failed.tolist()
     if scheme is hl.Scheme.DESRE:
-        assert failed.tolist() == [-1, 41, blocks[0], blocks[0] + 1, -1]
-        for lane in (1, 2, 3):
+        assert {lane: failed[lane] for lane in spikes} == spikes
+        if lanes == 5:
+            assert failed.tolist() == [-1, 41, blocks[0], blocks[0] + 1, -1]
+        for lane in spikes:
             k = failed[lane] - 1
             assert not np.isnan(got[:k, lane]).any() and np.isnan(got[k:, lane]).all()
     else:
         assert not np.isnan(got).any()
+
+
+@pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
+def test_hostile_states_give_the_same_bits_on_both_routes(scheme):
+    """States a step on floats could raise on (DESRE's level/z at z = +-0,
+    SE's sqrt of a negative state) or that propagate NaN and inf: a narrow
+    group and the same lanes inside a wide group give the same bits, and
+    neither raises or warns under the errstate its callers set."""
+    states = np.array([0.0, -0.0, -0.5, -1e-300, math.nan, math.inf, -math.inf, 0.2])
+    assert len(states) <= simulate._SCALAR_LANES
+    eta = np.random.default_rng(11).standard_normal((len(states), 30))
+    eta[:, 0] = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0]
+
+    def run(copies):
+        lanes = len(states) * copies
+        failed = np.full(lanes, -1, dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                y, state = advance_variance(NEAR_ZERO, 0.1, scheme, np.tile(states, copies),
+                                            np.tile(eta, (copies, 1)), np.tile(states, copies),
+                                            failed, 3)
+        return y[: len(states)], state[: len(states)], failed[: len(states)]
+
+    narrow, wide = run(1), run(simulate._SCALAR_LANES // len(states) + 1)
+    for got, want in zip(narrow, wide):
+        assert got.tobytes() == want.tobytes()
+    if scheme is hl.Scheme.DESRE:
+        # the lanes that start at -0.0 or below zero abort at their first
+        # step; at +0.0, level/z sends Z to +inf instead
+        assert narrow[2].tolist()[1:4] == [4, 4, 4]
+
+
+@pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
+def test_scalar_route_chunks_give_the_bits_of_one_chunk(scheme, monkeypatch):
+    eta = np.random.default_rng(13).standard_normal((3, 300))
+    runs = []
+    for chunk in (1 << 16, 7):
+        monkeypatch.setattr(simulate, "_SCALAR_CHUNK", chunk)
+        failed = np.full(3, -1, dtype=np.int64)
+        runs.append(advance_variance(NEAR_ZERO, 0.1, scheme, variance_state(NEAR_ZERO, scheme, 3),
+                                     eta, NEAR_ZERO.y0, failed))
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scalar_route_holds_no_whole_path_list():
+    """One lane of 2e6 steps: the narrow route's traced peak is its points
+    (16 MB) and a chunk of draws, below the 32 MB that one lane took on the
+    buffered kernels with their time-major copies."""
+    steps = 2_000_000
+    eta = np.random.default_rng(5).standard_normal((1, steps))
+    failed = np.full(1, -1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        y, _ = advance_variance(P, 0.1, hl.Scheme.DISRE, variance_state(P, hl.Scheme.DISRE, 1),
+                                eta, P.y0, failed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (1, steps + 1) and np.isfinite(y).all()
+    assert peak < 1.5 * y.nbytes, peak
 
 
 @pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
