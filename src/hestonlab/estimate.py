@@ -441,7 +441,7 @@ def ito_cross_check(f: PathFunctionals, sigma1: float) -> IntegralDiagnostic:
     Raises:
         NonPositiveSigma: sigma1 is not a finite number > 0.
     """
-    if not (isinstance(sigma1, numbers.Real) and math.isfinite(sigma1) and sigma1 > 0.0):
+    if isinstance(sigma1, bool) or not (isinstance(sigma1, numbers.Real) and 0.0 < sigma1 < math.inf):
         raise NonPositiveSigma(f"sigma1 must be a finite number > 0, got {sigma1!r}")
     s1sq = sigma1 * sigma1
     i3_ito = 0.5 * (f.y_terminal ** 2 - f.y0 ** 2 - s1sq * f.i1)

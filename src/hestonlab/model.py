@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (
+    InvalidGrid,
     InvalidParams,
     NonPositiveA,
     NonPositiveSigma,
@@ -82,7 +83,8 @@ class ModelParams:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise InvalidParams(f"{field.name} must be a finite number, got {value!r}")
         if not self.a > 0.0:
             raise NonPositiveA(f"a must be > 0, got {self.a}")
@@ -185,13 +187,13 @@ def stationary_moments(params: ModelParams) -> StationaryMoments:
 
 
 def conditional_mean_y(params: ModelParams, y_s: float, s: float, t: float) -> float:
-    """Exact conditional mean E[Y_t | Y_s = y_s] for t >= s.
+    """Exact conditional mean E[Y_t | Y_s = y_s] for t >= s, else ``InvalidGrid``.
 
     Uses the b = 0 limit exactly when b == 0, and an expm1-based evaluation
     otherwise so that the two branches agree continuously as b -> 0.
     """
-    if t < s:
-        raise ValueError(f"need t >= s, got s={s}, t={t}")
+    if not t >= s:
+        raise InvalidGrid(f"need t >= s, got s={s}, t={t}")
     tau = t - s
     a, b = params.a, params.b
     if b == 0.0:
@@ -204,13 +206,13 @@ def conditional_mean_y(params: ModelParams, y_s: float, s: float, t: float) -> f
 def conditional_mean_x(
     params: ModelParams, y_s: float, x_s: float, s: float, t: float
 ) -> float:
-    """Exact conditional mean E[X_t | Y_s = y_s, X_s = x_s] for t >= s.
+    """Exact conditional mean E[X_t | Y_s = y_s, X_s = x_s] for t >= s, else ``InvalidGrid``.
 
     For large t - s the map tau -> E[X] has slope alpha - beta*a/b, the
     ergodic drift rate of the log-price.
     """
-    if t < s:
-        raise ValueError(f"need t >= s, got s={s}, t={t}")
+    if not t >= s:
+        raise InvalidGrid(f"need t >= s, got s={s}, t={t}")
     tau = t - s
     a, b, alpha, beta = params.a, params.b, params.alpha, params.beta
     if b == 0.0:

@@ -94,7 +94,6 @@ from .simulate import (
     draw_normals,
     lane_generators,
     price_block,
-    variance_state,
 )
 
 __all__ = [
@@ -143,14 +142,15 @@ _MAX_LANES = 1024
 
 
 def _as_float(value) -> float:
-    with contextlib.suppress(TypeError, ValueError):
-        return float(value)
+    if not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(TypeError, ValueError):
+            return float(value)
     raise ValueError(f"not a number: {value!r}")
 
 
 def _as_int(value) -> int:
-    # a float, even an integral one, is refused rather than truncated
-    if isinstance(value, (str, numbers.Integral)):
+    # a float, even an integral one, is refused rather than truncated; a bool too
+    if isinstance(value, (str, numbers.Integral)) and not isinstance(value, bool):
         with contextlib.suppress(ValueError):
             return int(value)
     raise ValueError(f"not an integer: {value!r}")
@@ -269,7 +269,7 @@ def preset_config(name: str) -> ExperimentConfig:
     try:
         preset = _PRESETS[name]
     except KeyError:
-        raise ValueError(
+        raise ConfigParseError(
             f"unknown preset {name!r}; expected one of {sorted(_PRESETS)}"
         ) from None
     return ExperimentConfig.from_mapping({**_CANONICAL, "scheme": "DISRE", **preset})
@@ -358,39 +358,36 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
     dt, n = grid.dt, grid.steps
     index = np.arange(lo, hi)
     streams = lane_generators(config.master_seed, index)
-    state = variance_state(params, scheme, len(index))
-    failed = np.full(len(index), -1, dtype=np.int64)
+    state = None
     sums = PathSums(np.full(len(index), params.y0), np.full(len(index), params.x0))
     failures: list[ReplicateFailure] = []
 
-    # a variance that overflows runs on as inf or NaN without warnings, and
-    # failure_reasons fails its replicate as NonFinitePath
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, block):
-            steps = min(block, n - start)
-            eta, zeta = draw_normals(streams, steps)
-            y, state = advance_variance(
-                params, dt, scheme, state, eta, sums.y_end, failed, start)
-            # price and fold a tile at a time, carrying the price in the sums: the
-            # price temporaries stay (lanes, SUM_TILE) and are reused by the
-            # allocator, where block-sized ones are faulted in again every block
-            # (pricing and folding whole 1024 x 512 blocks took 40-70% longer)
-            for t0 in range(0, steps, SUM_TILE):
-                t1 = min(t0 + SUM_TILE, steps)
-                y_t = y[:, t0 : t1 + 1]
-                sums.fold(y_t, price_block(
-                    params, dt, y_t, eta[:, t0:t1], zeta[:, t0:t1], sums.x_end))
-            if scheme is Scheme.DESRE and (failed >= 0).any():
-                keep = failed < 0
-                failures.extend(
-                    ReplicateFailure(index=int(r), reason=FAILURE_REASONS[0], step=int(k))
-                    for r, k in zip(index[~keep], failed[~keep])
-                )
-                index, state, failed = index[keep], state[keep], failed[keep]
-                streams = [s for s, live in zip(streams, keep) if live]
-                sums.select(keep)
-                if not len(index):
-                    break
+    # a variance that overflows runs on as inf or NaN, and failure_reasons
+    # fails its replicate as NonFinitePath
+    for start in range(0, n, block):
+        steps = min(block, n - start)
+        eta, zeta = draw_normals(streams, steps)
+        y, state, aborted = advance_variance(params, dt, scheme, eta, state)
+        # price and fold a tile at a time, carrying the price in the sums: the
+        # price temporaries stay (lanes, SUM_TILE) and are reused by the
+        # allocator, where block-sized ones are faulted in again every block
+        # (pricing and folding whole 1024 x 512 blocks took 40-70% longer)
+        for t0 in range(0, steps, SUM_TILE):
+            t1 = min(t0 + SUM_TILE, steps)
+            y_t = y[:, t0 : t1 + 1]
+            sums.fold(y_t, price_block(
+                params, dt, y_t, eta[:, t0:t1], zeta[:, t0:t1], sums.x_end))
+        if aborted.any():
+            keep = aborted == 0
+            failures.extend(
+                ReplicateFailure(index=int(r), reason=FAILURE_REASONS[0], step=start + int(k))
+                for r, k in zip(index[~keep], aborted[~keep])
+            )
+            index, state = index[keep], state[keep]
+            streams = [s for s, live in zip(streams, keep) if live]
+            sums.select(keep)
+            if not len(index):
+                break
 
     f = None
     if len(index):  # else every lane aborted and the sums stop short of N
@@ -580,17 +577,17 @@ def histogram_overlay(sample, theoretical_variance: float) -> HistogramOverlay:
 
     Raises:
         DegenerateSample: fewer than 2 points, zero sample spread, or a
-            theoretical variance that is not a finite number > 0.
+            theoretical variance that is not a finite number > 0 (a bool too).
         NonFiniteSample: a NaN or infinite observation.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise DegenerateSample("histogram needs at least 2 observations")
     _require_finite(x, "histogram")
-    if not 0.0 < theoretical_variance < math.inf:
+    if isinstance(theoretical_variance, bool) or not (
+            isinstance(theoretical_variance, numbers.Real) and 0.0 < theoretical_variance < math.inf):
         raise DegenerateSample(
-            f"theoretical variance must be a finite number > 0, got {theoretical_variance}"
-        )
+            f"theoretical variance must be a finite number > 0, got {theoretical_variance!r}")
     if float(np.max(x)) == float(np.min(x)):
         raise DegenerateSample("sample has zero spread")
     mu = float(np.mean(x))

@@ -43,18 +43,23 @@ seed or replicate index that is not an integer >= 0, a bool or float too.
 
 Lanes and blocks: replicates advanced side by side are lanes, and a block
 of draws or points holds one row per lane.  :func:`draw_normals` draws a
-block, :func:`advance_variance` (the one step loop, which alone knows in
-which order it runs) turns it into variance points, and :func:`price_block` into
-log-price points.  Through these three, one lane-group generator runs whole
-paths within ``BLOCK_ELEMENTS`` for :func:`simulate_paths` and, as one lane,
-:func:`simulate_xy`; a Monte Carlo run takes up to 1024 lanes through blocks
-of B steps.  Lanes do not mix, and a path cut into blocks gives the bits of
-the path in one piece.  A group of more than ``_SCALAR_LANES`` (8) lanes
-advances time-major through buffered numpy kernels, six to ten calls a step
-for all its lanes; a narrower one, such as a single path or a group that
-aborted lanes have thinned, advances lane by lane on Python floats, where a
-step costs a few hundred ns.  Both routes give the same bits; 8 lanes is
-below the measured crossover of every scheme.
+block, :func:`advance_variance` (the one step loop) turns it into variance
+points, and :func:`price_block` into log-price points.  The step loop takes
+a block's draws and the state it returned for the block before, or none to
+start; it alone forms the initial state and each left endpoint, and gives
+each DESRE abort as a step within the block.  It and :func:`price_block`
+let overflow run on as inf or NaN, without warnings.  Through these three,
+one lane-group generator runs whole paths within ``BLOCK_ELEMENTS`` for
+:func:`simulate_paths` and, as one lane, :func:`simulate_xy`; a Monte Carlo
+run takes up to 1024 lanes through blocks of B steps.  Lanes do not mix, and
+a path cut into blocks gives the bits of the path in one piece.  A group of
+more than ``_SCALAR_LANES`` (8) lanes advances time-major through buffered
+numpy kernels, six to ten calls a step for all its lanes; a narrower one,
+such as a single path or a group that aborted lanes have thinned, advances
+lane by lane on Python floats, where a step costs a few hundred ns.  8 lanes
+is below the measured crossover of every scheme.  Both routes give the same
+bits but for a NaN's sign: of -NaN + NaN, CPython's specialized float add
+keeps the left NaN and its generic add, which a tracer runs, the right one.
 
 CSV files: :func:`format_csv` and :func:`parse_csv` are the one codec of path
 files (``t,y,x``, row 0 the start) and report files.  A file is a header, then
@@ -105,7 +110,6 @@ __all__ = [
     "step_se",
     "step_desre",
     "step_disre",
-    "variance_state",
     "advance_variance",
     "price_block",
     "simulate_y",
@@ -127,17 +131,19 @@ class TimeGrid:
 
     Raises:
         InvalidGrid: a horizon that is not a finite number > 0, or a step
-            count that is not a positive integer.
+            count that is not a positive integer; a bool is neither.
     """
 
     horizon: float
     steps: int
 
     def __post_init__(self):
-        if not (isinstance(self.horizon, numbers.Real) and 0.0 < self.horizon < math.inf):
+        if isinstance(self.horizon, bool) or not (
+                isinstance(self.horizon, numbers.Real) and 0.0 < self.horizon < math.inf):
             raise InvalidGrid(f"horizon must be a finite number > 0, got {self.horizon!r}")
         steps = self.steps
-        if not (isinstance(steps, numbers.Real) and steps >= 1 and float(steps).is_integer()):
+        if isinstance(steps, bool) or not (
+                isinstance(steps, numbers.Real) and steps >= 1 and float(steps).is_integer()):
             raise InvalidGrid(f"steps must be a positive integer, got {steps!r}")
         object.__setattr__(self, "steps", int(steps))
 
@@ -393,7 +399,7 @@ BLOCK_ELEMENTS = 1 << 19
 # by step, with six to ten numpy calls a step.  The public step_* wrappers
 # run these same functions on a block of one step.  advance_variance runs
 # them for groups of more than _SCALAR_LANES lanes, and narrower groups on
-# the scalar steps below, which give the same bits.
+# the scalar steps below, which give the same bits but for a NaN's sign.
 
 
 def _euler_steps(scheme: Scheme, params: ModelParams, dt, y, eta, out) -> None:
@@ -596,12 +602,6 @@ def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
     return _one_step(Scheme.DISRE, params, z_prev, dt, eta_k)
 
 
-def variance_state(params: ModelParams, scheme: Scheme, lanes: int) -> np.ndarray:
-    """Initial state of ``lanes`` lanes: y0, or sqrt(y0) for DESRE/DISRE."""
-    y0 = float(params.y0)
-    return np.full(lanes, math.sqrt(y0) if scheme.uses_sqrt_state else y0)
-
-
 def _transposed(a: np.ndarray) -> np.ndarray:
     """A C-contiguous copy of ``a.T``, made 64 rows of ``a`` at a time.
 
@@ -620,27 +620,23 @@ def advance_variance(
     params: ModelParams,
     dt: float,
     scheme: Scheme,
-    state: np.ndarray,
     eta: np.ndarray,
-    y_start,
-    failed: np.ndarray,
-    start: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+    state: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance lanes through one block of steps.
 
     Args:
-        state: (lanes,) scheme state from :func:`variance_state` or from the
-            previous block.
         eta: (lanes, steps) draws, one row per lane.
-        y_start: (lanes,) Y at the block's left endpoint.
-        failed: (lanes,) grid index of each lane's DESRE abort, -1 for a live
-            lane; updated in place.  An aborted lane is NaN from its abort on.
-        start: grid index of the block's first point, so that abort indices
-            count from the start of the path.
+        state: (lanes,) state returned for the previous block, or None for
+            the first block of a path.
 
     Returns:
-        (y, state): the (lanes, steps + 1) variance points, ``y_start`` first,
-        and the new state.
+        (y, state, aborted): the (lanes, steps + 1) variance points, whose
+        first is y0 for a first block and else the previous block's last
+        point; the new state (Y, or Z = sqrt(Y) for DESRE/DISRE); and for
+        each lane the step within the block, from 1, of its first Z <= 0
+        under DESRE, else 0.  An aborted lane is NaN from that step on, so
+        it aborts once.  Overflow runs on as inf or NaN, without warnings.
 
     Raises:
         FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
@@ -648,41 +644,42 @@ def advance_variance(
     scheme.check(params, dt)
     lanes, steps = eta.shape
     scalar = lanes <= _SCALAR_LANES
-    if scalar:
-        # lane by lane on floats, into lane-major points; ``out`` is their
-        # time-major view
-        y = np.empty((lanes, steps + 1))
-        y[:, 0] = y_start
-        out = y[:, 1:].T
-
-        def step_loop():
+    aborted = np.zeros(lanes, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if state is None:
+            left = float(params.y0)
+            state = np.full(lanes, math.sqrt(left) if scheme.uses_sqrt_state else left)
+        else:
+            # the bits of the previous block's last point
+            left = state * state if scheme.uses_sqrt_state else state
+        if scalar:
+            # lane by lane on floats, into lane-major points; ``out`` is
+            # their time-major view
+            y = np.empty((lanes, steps + 1))
+            y[:, 0] = left
+            out = y[:, 1:].T
             _scalar_steps(_scalar_step(scheme, params, dt), state, eta, y[:, 1:])
-    else:
-        # time-major, one row of lanes per step; the time-major draws are
-        # freed as soon as the loop is done
-        y = np.empty((steps + 1, lanes))
-        y[0] = y_start
-        out = y[1:]
-
-        def step_loop():
+        else:
+            # time-major, one row of lanes per step; the time-major draws are
+            # freed as soon as the loop is done
+            y = np.empty((steps + 1, lanes))
+            y[0] = left
+            out = y[1:]
             _STEPS[scheme](params, dt, state, _transposed(eta), out)
-    if scheme is Scheme.DESRE:
-        # a lane runs on past its first nonpositive Z to the end of the block;
-        # those values are replaced by NaN below, and so are their warnings
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step_loop()
-        bad = out <= 0.0
-        hit = bad.any(axis=0) & (failed < 0)
-        if hit.any():
-            first = bad.argmax(axis=0)
-            failed[hit] = start + first[hit] + 1
-            out[(np.arange(out.shape[0])[:, None] >= first) & hit] = np.nan
-    else:
-        step_loop()
-    state = out[-1].copy()
-    if scheme.uses_sqrt_state:
-        np.multiply(out, out, out)
-    return (y if scalar else _transposed(y)), state
+        if scheme is Scheme.DESRE:
+            # a lane runs on past its first nonpositive Z to the end of the
+            # block; those values are replaced by NaN, which no later step
+            # takes below zero
+            bad = out <= 0.0
+            hit = bad.any(axis=0)
+            if hit.any():
+                first = bad.argmax(axis=0)
+                aborted[hit] = first[hit] + 1
+                out[(np.arange(steps)[:, None] >= first) & hit] = np.nan
+        state = out[-1].copy()
+        if scheme.uses_sqrt_state:
+            np.multiply(out, out, out)
+    return (y if scalar else _transposed(y)), state, aborted
 
 
 def price_block(
@@ -698,19 +695,21 @@ def price_block(
     ``y`` holds the block's variance points with its left endpoint, shape
     (..., steps + 1); ``eta`` and ``zeta`` hold (..., steps) draws; ``x_start``
     is the price at the left endpoint.  Returns the (..., steps + 1) price
-    points, ``x_start`` first.
+    points, ``x_start`` first; a price that overflows, or that a non-finite
+    ``y`` drives, runs on as inf or NaN without warnings.
     """
     y_left = y[..., :-1]
     mix = params.rho * eta + math.sqrt(1.0 - params.rho * params.rho) * zeta
     x = np.empty(y.shape)
     x[..., 0] = x_start
-    x[..., 1:] = (params.alpha - params.beta * y_left) * dt + (
-        params.sigma2 * np.sqrt(np.maximum(y_left, 0.0)) * np.sqrt(dt) * mix
-    )
-    # the cumulative sum over [x_start, inc_1, inc_2, ...] reproduces the
-    # left-to-right recursion x_k = x_{k-1} + inc_k including its
-    # floating-point association, in one block or in many
-    return np.cumsum(x, axis=-1, out=x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x[..., 1:] = (params.alpha - params.beta * y_left) * dt + (
+            params.sigma2 * np.sqrt(np.maximum(y_left, 0.0)) * np.sqrt(dt) * mix
+        )
+        # the cumulative sum over [x_start, inc_1, inc_2, ...] reproduces the
+        # left-to-right recursion x_k = x_{k-1} + inc_k including its
+        # floating-point association, in one block or in many
+        return np.cumsum(x, axis=-1, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +723,11 @@ def _finite(name: str, path: np.ndarray) -> np.ndarray:
     return path
 
 
-def _variance_path(y: np.ndarray, failed: int) -> np.ndarray:
-    """A lane's variance points, unless it aborted (``failed`` >= 0) or is not finite."""
-    if failed >= 0:
+def _variance_path(y: np.ndarray, aborted: int) -> np.ndarray:
+    """A lane's variance points, unless it aborted (at grid index ``aborted``) or is not finite."""
+    if aborted:
         raise NonPositiveZ(
-            f"square-root state hit zero at grid index {int(failed)}", step=int(failed))
+            f"square-root state hit zero at grid index {int(aborted)}", step=int(aborted))
     return _finite("Y", y)
 
 
@@ -747,14 +746,8 @@ def simulate_y(
     """
     if len(draws) != grid.steps:
         raise LengthMismatch(f"draws provide {len(draws)} steps, grid has {grid.steps}")
-    failed = np.full(1, -1, dtype=np.int64)
-    state = variance_state(params, scheme, 1)
-    # a variance that overflows runs on as inf or NaN without warnings, and
-    # the path fails below
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, _ = advance_variance(
-            params, grid.dt, scheme, state, draws.eta[None, :], params.y0, failed)
-    return _variance_path(y[0], failed[0])
+    y, _, aborted = advance_variance(params, grid.dt, scheme, draws.eta[None, :])
+    return _variance_path(y[0], aborted[0])
 
 
 def simulate_x(
@@ -778,9 +771,7 @@ def simulate_x(
         )
     if len(draws) != grid.steps:
         raise LengthMismatch(f"draws provide {len(draws)} steps, grid has {grid.steps}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = price_block(params, grid.dt, y_path, draws.eta, draws.zeta, params.x0)
-    return _finite("X", x)
+    return _finite("X", price_block(params, grid.dt, y_path, draws.eta, draws.zeta, params.x0))
 
 
 @dataclass(frozen=True)
@@ -850,16 +841,13 @@ def _lane_paths(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_seed
     lanes = max(1, BLOCK_ELEMENTS // grid.steps)
     for lo in range(0, len(replicates), lanes):
         group = replicates[lo : lo + lanes]
-        state = variance_state(params, scheme, len(group))
         eta, zeta = draw_normals(lane_generators(master_seed, group), grid.steps)
-        failed = np.full(len(group), -1, dtype=np.int64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            y, _ = advance_variance(params, grid.dt, scheme, state, eta, params.y0, failed)
-            x = price_block(params, grid.dt, y, eta, zeta, params.x0)
+        y, _, aborted = advance_variance(params, grid.dt, scheme, eta)
+        x = price_block(params, grid.dt, y, eta, zeta, params.x0)
         # no array of this group outlives it: a yielded path owns its rows
         del eta, zeta
         for r in range(len(group)):
-            yield XYPath(grid, _variance_path(y[r], failed[r]).copy(), _finite("X", x[r]).copy(),
+            yield XYPath(grid, _variance_path(y[r], aborted[r]).copy(), _finite("X", x[r]).copy(),
                          scheme)
         del y, x
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hestonlab as hl
-from hestonlab.simulate import advance_variance, variance_state
+from hestonlab.simulate import advance_variance
 
 MASTER_SEED = 2024
 PARAMS = hl.canonical_params()
@@ -24,11 +24,8 @@ SCALED_DIAG = (0.16, 0.16, 0.09, 0.09)
 def simulate_rows(params, grid, scheme, eta):
     """Whole variance paths, one per row of ``eta``, in one block; and each
     row's abort index (-1 for none)."""
-    rows = eta.shape[0]
-    failed = np.full(rows, -1, dtype=np.int64)
-    y, _ = advance_variance(params, grid.dt, scheme, variance_state(params, scheme, rows),
-                            eta, params.y0, failed)
-    return y, failed
+    y, _, aborted = advance_variance(params, grid.dt, scheme, eta)
+    return y, np.where(aborted > 0, aborted, -1)
 
 
 def _line(num: int, label: str, ok: bool, detail: str) -> None:

@@ -237,6 +237,12 @@ def test_ito_identity_exact(three_point):
     assert d.i3_direct == (f.y_terminal**2 - f.y0**2) / 2 - f.qv_y / 2
 
 
+@pytest.mark.parametrize("sigma1", [0.0, -0.4, math.nan, math.inf, True, np.True_, None, "0.4"])
+def test_ito_cross_check_refuses_a_bad_sigma1(three_point, sigma1):
+    with pytest.raises(hl.NonPositiveSigma, match="^sigma1 must be a finite number > 0"):
+        hl.ito_cross_check(hl.path_functionals(three_point), sigma1)
+
+
 def test_qv_ratio_near_one_for_disre():
     # averaged over paths: the discrete quadratic variation matches sigma1^2 * I1
     ratios = []

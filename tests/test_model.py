@@ -41,6 +41,7 @@ def test_valid_params_construct():
     ("rho", -1.0001, hl.RhoOutOfRange),
     ("y0", 0.0, hl.NonPositiveY0),
     ("y0", -0.2, hl.NonPositiveY0),
+    *[(field, value, hl.InvalidParams) for field in sorted(CANON) for value in (True, np.True_)],
 ])
 def test_invalid_params_rejected(field, value, exc):
     with pytest.raises(exc):
@@ -195,6 +196,15 @@ def test_conditional_mean_y_degenerate_interval():
     assert hl.conditional_mean_y(p, 0.7, 2.0, 2.0) == 0.7
 
 
+def test_conditional_means_refuse_a_backward_or_nan_interval():
+    p = make_params()
+    for s, t in ((2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(hl.InvalidGrid, match="need t >= s"):
+            hl.conditional_mean_y(p, 0.2, s, t)
+        with pytest.raises(hl.InvalidGrid, match="need t >= s"):
+            hl.conditional_mean_x(p, 0.2, 0.1, s, t)
+
+
 def test_conditional_mean_y_zero_reversion_branch():
     p = make_params(b=0.0)
     assert hl.conditional_mean_y(p, 0.2, 0.0, 1.0) == pytest.approx(0.6, rel=1e-15)
@@ -222,11 +232,9 @@ def test_conditional_mean_y_against_simulation():
     want = hl.conditional_mean_y(p, p.y0, 0.0, 1.0)
     rng = np.random.default_rng(2718)
     eta = rng.standard_normal((20_000, 100))
-    from hestonlab.simulate import advance_variance, variance_state
-    failed = np.full(eta.shape[0], -1, dtype=np.int64)
-    y, _ = advance_variance(p, grid.dt, hl.Scheme.DISRE,
-                            variance_state(p, hl.Scheme.DISRE, eta.shape[0]), eta, p.y0, failed)
-    assert np.all(failed < 0)
+    from hestonlab.simulate import advance_variance
+    y, _, aborted = advance_variance(p, grid.dt, hl.Scheme.DISRE, eta)
+    assert not aborted.any()
     assert np.mean(y[:, -1]) == pytest.approx(want, abs=0.01)
 
 

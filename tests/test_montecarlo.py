@@ -40,7 +40,7 @@ def test_presets():
     desk = hl.preset_config("desk")
     assert desk.grid.horizon == 2000.0 and desk.grid.steps == 20_000
     assert desk.replicates == 2000
-    with pytest.raises(ValueError):
+    with pytest.raises(hl.ConfigParseError, match="unknown preset 'weekend'"):
         hl.preset_config("weekend")
 
 
@@ -99,7 +99,9 @@ def test_config_mapping_round_trip():
         assert hl.ExperimentConfig.from_mapping(as_text) == cfg
     mapping = small_config().to_mapping()
     for key, value in (("N", 500.7), ("N", "500.7"), ("replicates", 12.0),
-                       ("seed", "9.5"), ("seed", None), ("a", None), ("a", "fast")):
+                       ("seed", "9.5"), ("seed", None), ("a", None), ("a", "fast"),
+                       *((key, bad) for key in ("seed", "N", "replicates", "T", "a")
+                         for bad in (True, np.True_))):
         with pytest.raises(hl.ConfigParseError, match=f"'{key}'"):
             hl.ExperimentConfig.from_mapping({**mapping, key: value})
 
@@ -230,15 +232,15 @@ def test_groups_narrowing_onto_the_scalar_route_keep_their_results(monkeypatch):
     monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", lanes * 128)
     widths = []
 
-    def recording(params, dt, scheme, state, eta, *args):
-        widths.append((args[-1], eta.shape[0]))
-        return simulate.advance_variance(params, dt, scheme, state, eta, *args)
+    def recording(params, dt, scheme, eta, state):
+        widths.append((state is None, eta.shape[0]))
+        return simulate.advance_variance(params, dt, scheme, eta, state)
 
     monkeypatch.setattr(mc, "advance_variance", recording)
     assert run_record(hl.run_replicates(cfg)) == want
     groups = []
-    for start, width in widths:
-        if start == 0:
+    for first, width in widths:
+        if first:
             groups.append([])
         groups[-1].append(width)
     assert [g[0] for g in groups] == [lanes, lanes, cfg.replicates - 2 * lanes]
@@ -528,7 +530,7 @@ def test_histogram_guards():
         hl.histogram_overlay(np.full(10, 1.0), 1.0)
     with pytest.raises(hl.DegenerateSample):
         hl.histogram_overlay(np.array([1.0]), 1.0)
-    for variance in (0.0, math.nan, math.inf):
+    for variance in (0.0, math.nan, math.inf, True, np.True_, None, "a"):
         with pytest.raises(hl.DegenerateSample, match="finite number > 0"):
             hl.histogram_overlay(np.random.default_rng(0).normal(size=40), variance)
 

@@ -3,6 +3,7 @@ simulation, draw lineage, and CSV round-trips."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import hestonlab as hl
 import hestonlab.simulate as simulate
-from hestonlab.simulate import advance_variance, format_csv, parse_csv, variance_state
+from hestonlab.simulate import advance_variance, format_csv, parse_csv
 
 P = hl.canonical_params()
 SQRT_DT = math.sqrt(0.1)
@@ -31,11 +32,19 @@ def zero_draws(n):
 def simulate_rows(params, grid, scheme, eta):
     """Whole variance paths, one per row of ``eta``, in one block; and each
     row's abort index (-1 for none)."""
-    rows = eta.shape[0]
-    failed = np.full(rows, -1, dtype=np.int64)
-    y, _ = advance_variance(params, grid.dt, scheme, variance_state(params, scheme, rows),
-                            eta, params.y0, failed)
-    return y, failed
+    y, _, aborted = advance_variance(params, grid.dt, scheme, eta)
+    return y, np.where(aborted > 0, aborted, -1)
+
+
+def assert_same_bits(got, want):
+    """The same shape and bit patterns, where a NaN matches any NaN: CPython's
+    float add gives -NaN + NaN the sign of one operand or the other, as its
+    specialized or generic form runs (a tracer runs the generic one).
+    ``array_equal`` would also let -0.0 match 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(got)
+    assert got.shape == want.shape and np.array_equal(nan, np.isnan(want))
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +67,7 @@ def test_time_grid_rejects_bad_inputs(horizon, steps):
 
 @pytest.mark.parametrize("horizon,steps", [
     (math.nan, 10), (math.inf, 10), (5.0, math.nan), (5.0, math.inf), (5.0, 2.5), (5.0, "10"),
+    (True, 10), (np.True_, 10), (1.0, True), (1.0, np.True_),
 ])
 def test_time_grid_rejects_non_finite_and_fractional_inputs(horizon, steps):
     with pytest.raises(hl.InvalidGrid):
@@ -379,15 +389,17 @@ def test_step_loop_matches_python_recursion(scheme, blocks, lanes):
         spikes.setdefault(lane % lanes, k + 1)
     want_y, want_final, want_failed = python_lanes(scheme, NEAR_ZERO, dt, eta)
 
-    state = variance_state(NEAR_ZERO, scheme, lanes)
-    failed = np.full(lanes, -1, dtype=np.int64)
+    failed = np.full(lanes, -1)
     got = np.empty((steps, lanes))
-    start = 0
+    state, start = None, 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in blocks:
-            y, state = advance_variance(NEAR_ZERO, dt, scheme, state, eta[start:start + n].T,
-                                        got[start - 1] if start else NEAR_ZERO.y0, failed, start)
+            y, state, aborted = advance_variance(NEAR_ZERO, dt, scheme, eta[start:start + n].T,
+                                                 state)
+            # the left endpoint is y0, then the previous block's last point
+            assert_same_bits(y[:, 0], got[start - 1] if start else np.full(lanes, NEAR_ZERO.y0))
+            failed[aborted > 0] = start + aborted[aborted > 0]
             got[start:start + n] = y[:, 1:].T
             start += n
 
@@ -409,31 +421,34 @@ def test_step_loop_matches_python_recursion(scheme, blocks, lanes):
 def test_hostile_states_give_the_same_bits_on_both_routes(scheme):
     """States a step on floats could raise on (DESRE's level/z at z = +-0,
     SE's sqrt of a negative state) or that propagate NaN and inf: a narrow
-    group and the same lanes inside a wide group give the same bits, and
-    neither raises or warns under the errstate its callers set."""
+    group and the same lanes inside a wide group give the same bits (a NaN
+    matching any NaN), untraced and under a tracer, and neither raises or
+    warns."""
     states = np.array([0.0, -0.0, -0.5, -1e-300, math.nan, math.inf, -math.inf, 0.2])
     assert len(states) <= simulate._SCALAR_LANES
     eta = np.random.default_rng(11).standard_normal((len(states), 30))
     eta[:, 0] = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0]
 
     def run(copies):
-        lanes = len(states) * copies
-        failed = np.full(lanes, -1, dtype=np.int64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(over="ignore", invalid="ignore"):
-                y, state = advance_variance(NEAR_ZERO, 0.1, scheme, np.tile(states, copies),
-                                            np.tile(eta, (copies, 1)), np.tile(states, copies),
-                                            failed, 3)
-        return y[: len(states)], state[: len(states)], failed[: len(states)]
+            y, state, aborted = advance_variance(NEAR_ZERO, 0.1, scheme, np.tile(eta, (copies, 1)),
+                                                 np.tile(states, copies))
+        return y[: len(states)], state[: len(states)], aborted[: len(states)]
 
-    narrow, wide = run(1), run(simulate._SCALAR_LANES // len(states) + 1)
-    for got, want in zip(narrow, wide):
-        assert got.tobytes() == want.tobytes()
+    tracer = sys.gettrace()
+    for traced in (False, True):
+        sys.settrace((lambda *args: None) if traced else tracer)
+        try:
+            narrow, wide = run(1), run(simulate._SCALAR_LANES // len(states) + 1)
+        finally:
+            sys.settrace(tracer)
+        for got, want in zip(narrow, wide):
+            assert_same_bits(got, want)
     if scheme is hl.Scheme.DESRE:
         # the lanes that start at -0.0 or below zero abort at their first
         # step; at +0.0, level/z sends Z to +inf instead
-        assert narrow[2].tolist()[1:4] == [4, 4, 4]
+        assert narrow[2].tolist()[1:4] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
@@ -442,24 +457,22 @@ def test_scalar_route_chunks_give_the_bits_of_one_chunk(scheme, monkeypatch):
     runs = []
     for chunk in (1 << 16, 7):
         monkeypatch.setattr(simulate, "_SCALAR_CHUNK", chunk)
-        failed = np.full(3, -1, dtype=np.int64)
-        runs.append(advance_variance(NEAR_ZERO, 0.1, scheme, variance_state(NEAR_ZERO, scheme, 3),
-                                     eta, NEAR_ZERO.y0, failed))
+        runs.append(advance_variance(NEAR_ZERO, 0.1, scheme, eta))
     for got, want in zip(*runs):
         assert got.tobytes() == want.tobytes()
 
 
-def test_scalar_route_holds_no_whole_path_list():
-    """One lane of 2e6 steps: the narrow route's traced peak is its points
-    (16 MB) and a chunk of draws, below the 32 MB that one lane took on the
-    buffered kernels with their time-major copies."""
-    steps = 2_000_000
+def test_scalar_route_holds_no_whole_path_list(monkeypatch):
+    """One lane of 2e5 steps in chunks of 4096: the narrow route's traced
+    peak is its points (1.6 MB) and a chunk of draws, about 1.2 times the
+    points, where a list of the whole path takes about 6 times them and the
+    buffered kernels with their time-major copies twice."""
+    monkeypatch.setattr(simulate, "_SCALAR_CHUNK", 4096)
+    steps = 200_000
     eta = np.random.default_rng(5).standard_normal((1, steps))
-    failed = np.full(1, -1, dtype=np.int64)
     tracemalloc.start()
     try:
-        y, _ = advance_variance(P, 0.1, hl.Scheme.DISRE, variance_state(P, hl.Scheme.DISRE, 1),
-                                eta, P.y0, failed)
+        y, _, _ = advance_variance(P, 0.1, hl.Scheme.DISRE, eta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -683,8 +696,7 @@ def test_a_failing_replicate_fails_alike_on_every_route(over, scheme, grid, seed
 
 def test_scheme_check_is_the_one_rule_of_each_scheme():
     """A square-root scheme needs a > sigma1^2/2, DISRE also 2 + b*dt > 0;
-    the step loop, a step function and simulate_xy refuse as the rule does,
-    and the initial state is built without a check."""
+    the step loop, a step function and simulate_xy refuse as the rule does."""
     tight = dataclasses.replace(P, a=0.08)
     steep = dataclasses.replace(P, b=-30.0)
     for scheme in hl.Scheme:
@@ -693,15 +705,13 @@ def test_scheme_check_is_the_one_rule_of_each_scheme():
                 scheme.check(tight, 0.1)
         else:
             scheme.check(tight, 0.1)
-        variance_state(tight, scheme, 2)
     hl.Scheme.DESRE.check(steep, 0.1)
     with pytest.raises(hl.InvalidGrid, match=r"^scheme DISRE needs 2 \+ b\*dt > 0"):
         hl.Scheme.DISRE.check(steep, 0.1)
     with pytest.raises(hl.InvalidGrid):
         hl.step_disre(steep, 0.5, 0.1, 0.0)
     with pytest.raises(hl.FellerViolated):
-        advance_variance(tight, 0.1, hl.Scheme.DESRE, np.ones(1), np.zeros((1, 3)), 1.0,
-                         np.full(1, -1))
+        advance_variance(tight, 0.1, hl.Scheme.DESRE, np.zeros((1, 3)))
     with pytest.raises(hl.FellerViolated):
         hl.simulate_xy(tight, hl.TimeGrid(1.0, 10), hl.Scheme.DISRE, hl.SeedLineage(1))
 
