@@ -54,6 +54,13 @@ __all__ = [
 ]
 
 
+def _require_finite_value(value, name: str) -> None:
+    # a bool is refused, not read as 0 or 1
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise InvalidParams(f"{name} must be a finite number, got {value!r}")
+
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Validated coefficient record for the two-factor model.
@@ -82,10 +89,7 @@ class ModelParams:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise InvalidParams(f"{field.name} must be a finite number, got {value!r}")
+            _require_finite_value(getattr(self, field.name), field.name)
         if not self.a > 0.0:
             raise NonPositiveA(f"a must be > 0, got {self.a}")
         if not self.sigma1 > 0.0:
@@ -186,15 +190,27 @@ def stationary_moments(params: ModelParams) -> StationaryMoments:
 # conditional means over an interval
 
 
+def _interval(s, t) -> float:
+    """t - s, for a finite s and t with t >= s; else ``InvalidGrid``."""
+    if not t >= s:
+        raise InvalidGrid(f"need t >= s, got s={s}, t={t}")
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise InvalidGrid(f"s and t must be finite numbers, got s={s}, t={t}")
+    return t - s
+
+
 def conditional_mean_y(params: ModelParams, y_s: float, s: float, t: float) -> float:
     """Exact conditional mean E[Y_t | Y_s = y_s] for t >= s, else ``InvalidGrid``.
 
     Uses the b = 0 limit exactly when b == 0, and an expm1-based evaluation
     otherwise so that the two branches agree continuously as b -> 0.
+
+    Raises:
+        InvalidGrid: t < s, or an s or t that is not a finite number.
+        InvalidParams: a y_s that is not a finite number, a bool too.
     """
-    if not t >= s:
-        raise InvalidGrid(f"need t >= s, got s={s}, t={t}")
-    tau = t - s
+    tau = _interval(s, t)
+    _require_finite_value(y_s, "y_s")
     a, b = params.a, params.b
     if b == 0.0:
         return y_s + a * tau
@@ -210,10 +226,14 @@ def conditional_mean_x(
 
     For large t - s the map tau -> E[X] has slope alpha - beta*a/b, the
     ergodic drift rate of the log-price.
+
+    Raises:
+        InvalidGrid / InvalidParams: as :func:`conditional_mean_y`, and an
+            x_s that is not a finite number.
     """
-    if not t >= s:
-        raise InvalidGrid(f"need t >= s, got s={s}, t={t}")
-    tau = t - s
+    tau = _interval(s, t)
+    _require_finite_value(y_s, "y_s")
+    _require_finite_value(x_s, "x_s")
     a, b, alpha, beta = params.a, params.b, params.alpha, params.beta
     if b == 0.0:
         return x_s + alpha * tau - beta * y_s * tau - 0.5 * a * beta * tau * tau

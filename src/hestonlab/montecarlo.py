@@ -84,6 +84,7 @@ from .estimate import (
     random_scaling_transform,
     truth_vector,
 )
+from .kernel import lane_kernel
 from .model import AsymptoticCovariance, ModelParams, kron
 from .simulate import (
     BLOCK_ELEMENTS,
@@ -362,21 +363,29 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
     sums = PathSums(np.full(len(index), params.y0), np.full(len(index), params.x0))
     failures: list[ReplicateFailure] = []
 
+    kernel = lane_kernel()
+
     # a variance that overflows runs on as inf or NaN, and failure_reasons
     # fails its replicate as NonFinitePath
     for start in range(0, n, block):
         steps = min(block, n - start)
         eta, zeta = draw_normals(streams, steps)
-        y, state, aborted = advance_variance(params, dt, scheme, eta, state)
-        # price and fold a tile at a time, carrying the price in the sums: the
-        # price temporaries stay (lanes, SUM_TILE) and are reused by the
-        # allocator, where block-sized ones are faulted in again every block
-        # (pricing and folding whole 1024 x 512 blocks took 40-70% longer)
-        for t0 in range(0, steps, SUM_TILE):
-            t1 = min(t0 + SUM_TILE, steps)
-            y_t = y[:, t0 : t1 + 1]
-            sums.fold(y_t, price_block(
-                params, dt, y_t, eta[:, t0:t1], zeta[:, t0:t1], sums.x_end))
+        if kernel is not None:
+            state, aborted = kernel(params, dt, scheme, eta, zeta, state, sums)
+        else:
+            y, state, aborted = advance_variance(params, dt, scheme, eta, state)
+            # price and fold a tile at a time, carrying the price in the sums:
+            # the price temporaries stay (lanes, SUM_TILE) and are reused by
+            # the allocator, where block-sized ones are faulted in again every
+            # block (pricing and folding whole 1024 x 512 blocks took 40-70%
+            # longer)
+            for t0 in range(0, steps, SUM_TILE):
+                t1 = min(t0 + SUM_TILE, steps)
+                y_t = y[:, t0 : t1 + 1]
+                sums.fold(y_t, price_block(
+                    params, dt, y_t, eta[:, t0:t1], zeta[:, t0:t1], sums.x_end))
+        # so that the next block's draws do not meet this block's
+        del eta, zeta
         if aborted.any():
             keep = aborted == 0
             failures.extend(
@@ -456,18 +465,29 @@ def _require_finite(x: np.ndarray, test: str) -> None:
         raise NonFiniteSample(f"{test} needs finite observations, got {x[i]} at index {i}")
 
 
-def _central_moments(sample: np.ndarray):
-    mean = float(np.mean(sample))
-    d = sample - mean
-    m2 = float(np.mean(d * d))
-    m3 = float(np.mean(d ** 3))
-    m4 = float(np.mean(d ** 4))
-    return mean, m2, m3, m4
+def _unit_scaled(sample: np.ndarray) -> np.ndarray:
+    """The sample over the power of two just above its largest magnitude:
+    an exact scaling, after which no power up to the fourth of a deviation
+    from the mean overflows."""
+    return np.ldexp(sample, -math.frexp(float(np.max(np.abs(sample))))[1])
+
+
+def _central_moments(sample: np.ndarray) -> tuple[float, float, float]:
+    """The second to fourth central moments.  Where they overflow, those of
+    the sample scaled by :func:`_unit_scaled`, whose ratios skewness and
+    kurtosis are the same."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(sample))
+        d = sample - mean
+        moments = (float(np.mean(d * d)), float(np.mean(d ** 3)), float(np.mean(d ** 4)))
+    if all(map(math.isfinite, moments)):
+        return moments
+    return _central_moments(_unit_scaled(sample))
 
 
 def _skew_excess_kurtosis(sample: np.ndarray) -> tuple[float, float]:
     """Population-moment skewness and excess kurtosis (NaN on zero spread)."""
-    _, m2, m3, m4 = _central_moments(sample)
+    m2, m3, m4 = _central_moments(sample)
     if m2 <= 0.0:
         return math.nan, math.nan
     return m3 / m2 ** 1.5, m4 / (m2 * m2) - 3.0
@@ -542,7 +562,12 @@ def anderson_darling(sample) -> tuple[float, float]:
         raise InsufficientData("Anderson-Darling needs at least 8 observations")
     _require_finite(x, "Anderson-Darling")
     n = x.shape[0]
-    sd = float(np.std(x, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(x, ddof=1))
+    if not math.isfinite(sd):
+        # the statistic does not change when the sample is scaled
+        x = _unit_scaled(x)
+        sd = float(np.std(x, ddof=1))
     if not sd > 0.0:
         raise TiesDegenerate("sample has zero variance")
     z = np.sort((x - float(np.mean(x))) / sd)

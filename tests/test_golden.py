@@ -5,7 +5,8 @@ short.
 
 A change that keeps the results bit-identical keeps these hashes, and
 `heston-lab report` must rebuild the same files from report.json and
-replicates.csv.  The files
+replicates.csv.  Runs take the compiled lane kernel where it builds, and
+the same hashes are pinned for the numpy pipeline it replaces.  The files
 also hold values computed by numpy's and scipy's transcendental functions
 (the histogram overlay, the normality p-values), so another numpy or scipy
 build may move their last bits; the failure then names the file.
@@ -105,6 +106,17 @@ def test_report_files_are_golden(tmp_path, monkeypatch, name, threads, budget):
     assert sorted(got) == sorted(GOLDEN[name])
     for file_name, digest in GOLDEN[name].items():
         assert got[file_name] == digest, file_name
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 12], ids=["one-block", "short-blocks"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_files_are_golden_without_the_kernel(tmp_path, monkeypatch, name, threads,
+                                                    budget):
+    """The numpy block pipeline, which runs where the compiled lane kernel
+    does not build, writes the same files."""
+    monkeypatch.setattr(mc, "lane_kernel", lambda: None)
+    test_report_files_are_golden(tmp_path, monkeypatch, name, threads, budget)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -203,6 +203,20 @@ def test_conditional_means_refuse_a_backward_or_nan_interval():
             hl.conditional_mean_y(p, 0.2, s, t)
         with pytest.raises(hl.InvalidGrid, match="need t >= s"):
             hl.conditional_mean_x(p, 0.2, 0.1, s, t)
+    # an infinite end point: inf - inf is NaN, and t = inf gives NaN for X
+    for s, t in ((math.inf, math.inf), (-math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(hl.InvalidGrid, match="finite"):
+            hl.conditional_mean_y(p, 0.2, s, t)
+        with pytest.raises(hl.InvalidGrid, match="finite"):
+            hl.conditional_mean_x(p, 0.2, 0.1, s, t)
+    # a start value that is not a finite number, or a bool read as 1.0
+    for bad in (math.nan, math.inf, True):
+        with pytest.raises(hl.InvalidParams, match="y_s"):
+            hl.conditional_mean_y(p, bad, 0.0, 1.0)
+        with pytest.raises(hl.InvalidParams, match="y_s"):
+            hl.conditional_mean_x(p, bad, 0.1, 0.0, 1.0)
+        with pytest.raises(hl.InvalidParams, match="x_s"):
+            hl.conditional_mean_x(p, 0.2, bad, 0.0, 1.0)
 
 
 def test_conditional_mean_y_zero_reversion_branch():

@@ -221,11 +221,14 @@ def test_results_do_not_depend_on_lane_groups_blocks_or_threads(monkeypatch):
 def test_groups_narrowing_onto_the_scalar_route_keep_their_results(monkeypatch):
     """DESRE groups of _SCALAR_LANES + 2 lanes that aborting lanes thin
     below the narrow-lane threshold give the record of one group that runs
-    wide throughout."""
+    wide throughout.  The narrow route is the numpy pipeline's, so the
+    compiled kernel is left out."""
     cfg = edge_config()
+    monkeypatch.setattr(mc, "lane_kernel", lambda: None)
     monkeypatch.setattr(simulate, "_SCALAR_LANES", 0)
     want = run_record(hl.run_replicates(cfg))
     monkeypatch.undo()
+    monkeypatch.setattr(mc, "lane_kernel", lambda: None)
 
     lanes = simulate._SCALAR_LANES + 2
     monkeypatch.setattr(mc, "_MAX_LANES", lanes)
@@ -494,6 +497,20 @@ def test_statistics_refuse_a_non_finite_sample(statistic, bad):
     with pytest.raises(hl.NonFiniteSample, match=r"at index 7$"):
         statistic(x)
     assert issubclass(hl.NonFiniteSample, ValueError)
+
+
+@pytest.mark.parametrize("statistic, scale", [
+    (hl.jarque_bera, 1e100), (hl.jarque_bera, 1e300), (hl.jarque_bera, 1e307),
+    (hl.anderson_darling, 1e300), (hl.anderson_darling, 1e307),
+])
+def test_statistics_of_a_sample_whose_moments_overflow(statistic, scale):
+    """A finite sample whose fourth powers, or squares, overflow gives the
+    statistic of the unscaled sample (it used to give NaN, or p = 1.3e-19
+    for a normal sample); scaled by a power of two, the same bits."""
+    x = np.random.default_rng(3).standard_normal(20)
+    want = statistic(x)
+    assert statistic(x * scale) == pytest.approx(want, rel=1e-12)
+    assert statistic(x * 2.0 ** 1000) == want
 
 
 # ---------------------------------------------------------------------------
