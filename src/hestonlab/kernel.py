@@ -110,7 +110,9 @@ def lane_kernel() -> "LaneKernel | None":
         if not _loaded:
             try:
                 _loaded.append(load())
-            except Exception:  # any failure leaves the numpy pipeline
+            except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError):
+                # no compiler, no home directory or cache, a failed build or
+                # a library without the kernel: the numpy pipeline runs
                 _loaded.append(None)
         return _loaded[0]
 
@@ -150,9 +152,15 @@ class LaneKernel:
             state = np.full(lanes, math.sqrt(y0) if scheme.uses_sqrt_state else y0)
         else:
             state = np.array(state, dtype=float)
+        # the kernel reads and writes these through bare pointers
         eta, zeta = (np.ascontiguousarray(a, dtype=float) for a in (eta, zeta))
         for name in _SUMS_ARRAYS:
             setattr(sums, name, np.require(getattr(sums, name), float, ["C", "W"]))
+        shapes = [zeta.shape, state.shape, sums.sums.shape] + [
+            getattr(sums, name).shape for name in _SUMS_ARRAYS if name != "sums"]
+        if shapes != [(lanes, steps), (lanes,), (6, lanes)] + [(lanes,)] * 5:
+            raise ValueError(f"a block of {lanes} lanes needs (lanes,) states and sums, got "
+                             f"draws {eta.shape} and {zeta.shape} and {shapes[1:]}")
         aborted = np.zeros(lanes, dtype=np.int64)
         k = np.array(_scheme_constants(scheme, params, dt), dtype=float)
         p = np.array(_price_constants(params, dt), dtype=float)

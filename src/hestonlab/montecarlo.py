@@ -38,14 +38,20 @@ Replicate r of an experiment draws its noise from the streams of
 independent of lane grouping, block length and thread count.  A lane group
 seeds all of its streams at once (:func:`lane_generators`).
 
-Replicates are simulated as lanes, by the functions that simulate a single
-path.  A lane group of at most 1024 replicates advances together through
-blocks of B steps: it draws the block (:func:`draw_normals`), takes its
-variance steps (:func:`advance_variance`), then prices it and folds it into
-per-lane path sums (:class:`PathSums`) a tile at a time, and discards it.
-Memory is therefore set by the lane group and B, not by the number of steps
-N.  A DESRE lane that aborts is dropped at the end of the block in which it
-aborted.
+Replicates are simulated as lanes.  A lane group of at most 1024
+replicates advances together through blocks of B steps: it draws the block
+(:func:`draw_normals`), and the compiled lane kernel
+(:func:`hestonlab.kernel.lane_kernel`) takes the variance and price steps of
+each lane and folds them into per-lane path sums (:class:`PathSums`) a tile
+at a time; then the block is discarded.  Memory is therefore set by the lane
+group and B, not by the number of steps N.  A DESRE lane that aborts is
+dropped at the end of the block in which it aborted.  The kernel is a C
+loop per lane, built with the system C compiler the first time a run needs
+it and cached per user; it runs without the interpreter lock, so worker
+threads advance their groups in parallel.  It gives the bits of the numpy
+pipeline of a single path (:func:`advance_variance`, :func:`price_block`,
+then ``PathSums.fold`` a tile at a time), which runs instead, with the same
+results, where the kernel cannot be built.
 
 Results are columnar: a :class:`ReplicateTable` holds one row per successful
 replicate, and the estimator, its normalizations and the summary work on its
@@ -139,6 +145,8 @@ _BLOCK_ELEMENTS = BLOCK_ELEMENTS
 # each at 1024 lanes, 4 MB at 4096, against 2 MB of L2 a core on a 2-vCPU
 # Xeon).  There, 10^4 replicates of 1000 steps took a median 1.47 s with a
 # cap of 512 lanes, 1.41 s with 1024, 1.65 s with 2048 and 1.71 s with 4096.
+# These are the numpy pipeline's figures; the compiled kernel's cost per lane
+# and step does not depend on the group's width.
 _MAX_LANES = 1024
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -275,6 +276,41 @@ def test_the_loader_caches_one_build_per_source(lane_kernel, tmp_path, monkeypat
     monkeypatch.setattr(kernel, "SOURCE", source)
     kernel.load()
     assert len(list(cache.iterdir())) == 2
+
+
+def test_threads_that_ask_at_once_share_one_build(lane_kernel, tmp_path, monkeypatch):
+    monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(kernel, "_loaded", [])
+    compiles = []
+    run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        compiles.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = [f.result(timeout=120) for f in
+                   [pool.submit(kernel.lane_kernel) for _ in range(6)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(compiles) == 1
+    assert got[0] is not None and all(k is got[0] for k in got)
+
+
+def test_a_block_whose_arrays_disagree_is_refused(lane_kernel):
+    p = hl.canonical_params()
+    sums = PathSums(np.full(4, p.y0), np.full(4, p.x0))
+    eta = np.zeros((4, 10))
+    for zeta, state in ((np.zeros((4, 9)), None), (eta, np.zeros(3))):
+        with pytest.raises(ValueError, match="lanes"):
+            lane_kernel(p, 0.1, hl.Scheme.DISRE, eta, zeta, state, sums)
+    with pytest.raises(ValueError, match="lanes"):
+        lane_kernel(p, 0.1, hl.Scheme.DISRE, np.zeros((5, 10)), np.zeros((5, 10)), None, sums)
+    assert sums.steps == 0
 
 
 def test_the_loader_refuses_a_cache_others_can_write(lane_kernel, tmp_path, monkeypatch):
