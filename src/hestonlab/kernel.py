@@ -122,7 +122,7 @@ _SUMS_ARRAYS = ("y_start", "y_end", "x_end", "sums", "mean", "m2")
 
 
 class LaneKernel:
-    """A callable of the opened kernel."""
+    """The opened kernel: a call advances one lane group through one block."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -141,7 +141,8 @@ class LaneKernel:
 
         Raises:
             FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
-            ValueError: a block follows one that ended inside a tile.
+            ValueError: a block follows one that ended inside a tile, or the
+                draws, the state and the sums do not hold the same lanes.
         """
         scheme.check(params, dt)
         if sums.steps % SUM_TILE:

@@ -60,7 +60,6 @@ def _require_finite_value(value, name: str) -> None:
         raise InvalidParams(f"{name} must be a finite number, got {value!r}")
 
 
-
 @dataclass(frozen=True)
 class ModelParams:
     """Validated coefficient record for the two-factor model.

@@ -392,7 +392,7 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
                 y_t = y[:, t0 : t1 + 1]
                 sums.fold(y_t, price_block(
                     params, dt, y_t, eta[:, t0:t1], zeta[:, t0:t1], sums.x_end))
-        # so that the next block's draws do not meet this block's
+        # freed before the next block is drawn: a group holds one block of draws
         del eta, zeta
         if aborted.any():
             keep = aborted == 0
@@ -474,21 +474,31 @@ def _require_finite(x: np.ndarray, test: str) -> None:
 
 
 def _unit_scaled(sample: np.ndarray) -> np.ndarray:
-    """The sample over the power of two just above its largest magnitude:
-    an exact scaling, after which no power up to the fourth of a deviation
-    from the mean overflows."""
+    """The sample over the power of two just above its largest magnitude.
+
+    The scaling is exact, and it leaves skewness, kurtosis and the
+    Anderson-Darling statistic as they are.  A sample that is not constant
+    has a deviation from its mean of at least about 2^-54 of its largest
+    magnitude, so after it no power up to the fourth of a deviation
+    overflows, and no variance underflows below the normal doubles.
+    """
     return np.ldexp(sample, -math.frexp(float(np.max(np.abs(sample))))[1])
 
 
+# below this a variance, or its square, has lost precision to underflow
+_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
+
+
 def _central_moments(sample: np.ndarray) -> tuple[float, float, float]:
-    """The second to fourth central moments.  Where they overflow, those of
-    the sample scaled by :func:`_unit_scaled`, whose ratios skewness and
-    kurtosis are the same."""
+    """The second to fourth central moments; those of :func:`_unit_scaled`
+    of a sample that is not constant, where they overflow or the second
+    one's square underflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(sample))
         d = sample - mean
         moments = (float(np.mean(d * d)), float(np.mean(d ** 3)), float(np.mean(d ** 4)))
-    if all(map(math.isfinite, moments)):
+    if (all(map(math.isfinite, moments)) and moments[0] * moments[0] >= _SMALLEST_NORMAL
+            or np.ptp(sample) == 0.0):
         return moments
     return _central_moments(_unit_scaled(sample))
 
@@ -572,8 +582,7 @@ def anderson_darling(sample) -> tuple[float, float]:
     n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(np.std(x, ddof=1))
-    if not math.isfinite(sd):
-        # the statistic does not change when the sample is scaled
+    if not (math.isfinite(sd) and sd * sd >= _SMALLEST_NORMAL) and np.ptp(x) > 0.0:
         x = _unit_scaled(x)
         sd = float(np.std(x, ddof=1))
     if not sd > 0.0:

@@ -502,15 +502,17 @@ def test_statistics_refuse_a_non_finite_sample(statistic, bad):
 @pytest.mark.parametrize("statistic, scale", [
     (hl.jarque_bera, 1e100), (hl.jarque_bera, 1e300), (hl.jarque_bera, 1e307),
     (hl.anderson_darling, 1e300), (hl.anderson_darling, 1e307),
+    (hl.jarque_bera, 1e-160), (hl.jarque_bera, 1e-200), (hl.anderson_darling, 1e-160),
 ])
-def test_statistics_of_a_sample_whose_moments_overflow(statistic, scale):
-    """A finite sample whose fourth powers, or squares, overflow gives the
-    statistic of the unscaled sample (it used to give NaN, or p = 1.3e-19
-    for a normal sample); scaled by a power of two, the same bits."""
+def test_statistics_of_a_sample_whose_moments_overflow_or_underflow(statistic, scale):
+    """A finite sample whose fourth powers or squares overflow, or underflow,
+    gives the statistic of the unscaled sample; it used to give NaN, p =
+    1.3e-19 for a normal sample, or a bare ZeroDivisionError.  Scaled by a
+    power of two, it gives the same bits."""
     x = np.random.default_rng(3).standard_normal(20)
     want = statistic(x)
     assert statistic(x * scale) == pytest.approx(want, rel=1e-12)
-    assert statistic(x * 2.0 ** 1000) == want
+    assert statistic(x * 2.0 ** 1000) == statistic(x * 2.0 ** -1000) == want
 
 
 # ---------------------------------------------------------------------------
