@@ -27,9 +27,18 @@
  * Overflow runs on as inf or NaN, as in numpy.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 
+/* doubles must be evaluated in double precision, as numpy's are (not in
+   the x87's extended precision); elsewhere the build fails and Python falls
+   back to numpy */
+#if FLT_EVAL_METHOD != 0
+#error "the lane kernel needs FLT_EVAL_METHOD == 0"
+#endif
+
+/* the scheme codes hestonlab.kernel passes */
 enum { AVE, TE, SE, DESRE, DISRE };
 
 /* the longest summation tile: numpy's pairwise block, which the tile sums
