@@ -118,6 +118,15 @@ def test_random_groups_give_numpy_bits(scheme):
         both_routes(params, dt, scheme, draws(rng, lanes, *tiles, int(rng.integers(1, 300))))
 
 
+@pytest.mark.parametrize("last", [5, 32, 104, 127, 128])
+def test_every_shape_of_tile_sum_gives_numpy_bits(last):
+    """numpy sums a row of fewer than 8 values in one loop, and up to 128 in
+    8 accumulators and a remainder: last tiles of each shape."""
+    rng = np.random.default_rng(last)
+    for scheme in (hl.Scheme.AVE, hl.Scheme.DISRE):
+        both_routes(hl.canonical_params(), 0.1, scheme, draws(rng, 5, SUM_TILE, SUM_TILE + last))
+
+
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
 def test_special_draws_and_states_give_numpy_bits(scheme):
     """Draws of +-0.0, NaN and +-inf, and states of +-0.0, NaN and +-inf,
