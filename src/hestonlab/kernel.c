@@ -2,13 +2,19 @@
  *
  * hl_lane_block runs, for each lane, the variance recursion of a scheme,
  * the Euler log-price recursion and the fold of each summation tile into
- * the running path sums, reading the lane's (steps,) rows of eta and zeta;
- * lanes go four at a time, their variance steps interleaved.
- * It gives the bits of the numpy pipeline of hestonlab (simulate's step
- * loop and price_block, then estimate.PathSums.fold a tile at a time), so
- * every operation below is the IEEE operation numpy performs there, in the
- * same order:
+ * the running path sums; lanes go four at a time, their variance steps
+ * interleaved.  Its noise is either drawn here, a tile at a time, from each
+ * lane's pair of numpy bit generators, or read from given (steps,) rows of
+ * eta and zeta.
+ * It gives the bits of the numpy pipeline of hestonlab (draw_normals, then
+ * simulate's step loop and price_block, then estimate.PathSums.fold a tile
+ * at a time), so every operation below is the IEEE operation numpy
+ * performs there, in the same order:
  *
+ *   - a normal is numpy's random_standard_normal, the ziggurat that
+ *     Generator.standard_normal runs, linked from numpy's libnpyrandom.a;
+ *     a generator gives the same sequence whether it is drawn in blocks or
+ *     in tiles;
  *   - each formula is evaluated left to right as the simulate module
  *     docstring writes it, with the constants that Python forms
  *     (hestonlab.kernel passes them in);
@@ -21,15 +27,21 @@
  * (-ffp-contract=off) and without -ffast-math, or the bits move.
  *
  * A DESRE lane whose Z falls to zero or below aborts: its step within the
- * block, from 1, goes to aborted[lane], it is neither priced nor folded for
- * the rest of the block, and its state and sums are left unfinished, since
- * the caller drops it.
+ * block, from 1, goes to aborted[lane], it neither draws, nor is priced or
+ * folded, for the rest of the block, and its state, sums and generators are
+ * left unfinished, since the caller drops it.
  * Overflow runs on as inf or NaN, as in numpy.
  */
 
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+
+#include <numpy/random/bitgen.h>
+
+/* numpy/random/distributions.h declares it too, but includes Python.h;
+   hidden, so that the calls bind to the archive's copy linked in here */
+__attribute__((visibility("hidden"))) double random_standard_normal(bitgen_t *bitgen_state);
 
 /* doubles must be evaluated in double precision, as numpy's are (not in
    the x87's extended precision); elsewhere the build fails and Python falls
@@ -188,19 +200,31 @@ static void fold_tile(const double *y, const double *x, int64_t n, int64_t done,
     *m2 = (*m2 + t_m2) + delta * delta * w_m2;
 }
 
+/* the next n normals of a generator */
+static void draw(bitgen_t *gen, double *out, int64_t n)
+{
+    int64_t i;
+    for (i = 0; i < n; i++)
+        out[i] = random_standard_normal(gen);
+}
+
 /* Advance `lanes` lanes through one block of `steps` steps, `done` steps
- * into their paths.  eta and zeta are (lanes, steps), row-major; state,
- * y_start, y_end, x_end, mean, m2 and aborted are (lanes,), and sums is
- * (6, lanes), row-major: PathSums's arrays, updated in place.  Tiles are
- * `tile` steps, counted from the block's start; every tile but the last
- * must be whole, so `done` is a multiple of `tile`.  Lanes go GROUP at a
- * time, a last short group padded with copies of its first lane, whose
- * results are dropped.  Returns 0, or -1 for a tile outside [1, 128],
- * where nothing is done. */
+ * into their paths.  The noise comes from gens, (lanes, 2) row-major, each
+ * lane's eta and zeta bit generators: for each tile, each live lane draws
+ * its tile's eta normals, then its zeta normals.  Where gens is NULL it is
+ * read from eta and zeta, (lanes, steps), row-major.  state, y_start,
+ * y_end, x_end, mean, m2 and aborted are (lanes,), and sums is (6, lanes),
+ * row-major: PathSums's arrays, updated in place.  Tiles are `tile` steps,
+ * counted from the block's start; every tile but the last must be whole,
+ * so `done` is a multiple of `tile`.  Lanes go GROUP at a time, a last
+ * short group padded with copies of its first lane, which never draw and
+ * whose results are dropped.  Returns 0, or -1 for a tile outside
+ * [1, 128], where nothing is done. */
 int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lanes,
-                      int64_t steps, int64_t tile, int64_t done, const double *eta,
-                      const double *zeta, double *state, const double *y_start, double *y_end,
-                      double *x_end, double *sums, double *mean, double *m2, int64_t *aborted)
+                      int64_t steps, int64_t tile, int64_t done, bitgen_t *const *gens,
+                      const double *eta, const double *zeta, double *state,
+                      const double *y_start, double *y_end, double *x_end, double *sums,
+                      double *mean, double *m2, int64_t *aborted)
 {
     int64_t g0, t0;
     int j;
@@ -208,13 +232,12 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
         return -1;
     for (g0 = 0; g0 < lanes; g0 += GROUP) {
         int real = lanes - g0 < GROUP ? (int)(lanes - g0) : GROUP, live = real;
-        const double *eta_l[GROUP], *eta_t[GROUP], *zeta_l[GROUP];
+        const double *eta_t[GROUP], *zeta_t[GROUP];
+        double drawn[2][GROUP][TILE_CAP];
         double y[GROUP][TILE_CAP + 1], x[GROUP][TILE_CAP + 1], s[GROUP];
         int64_t hit[GROUP];
         for (j = 0; j < GROUP; j++) {
             int64_t lane = g0 + (j < real ? j : 0);
-            eta_l[j] = eta + lane * steps;
-            zeta_l[j] = zeta + lane * steps;
             s[j] = state[lane];
             y[j][0] = y_end[lane];
             x[j][0] = x_end[lane];
@@ -224,8 +247,21 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
         }
         for (t0 = 0; t0 < steps && live; t0 += tile) {
             int64_t n = steps - t0 < tile ? steps - t0 : tile;
-            for (j = 0; j < GROUP; j++)
-                eta_t[j] = eta_l[j] + t0;
+            for (j = 0; j < GROUP; j++) {
+                int first = j < real ? j : 0;
+                int64_t lane = g0 + first;
+                if (gens == NULL) {
+                    eta_t[j] = eta + lane * steps + t0;
+                    zeta_t[j] = zeta + lane * steps + t0;
+                    continue;
+                }
+                if (j < real && !hit[j]) {
+                    draw(gens[2 * lane], drawn[0][j], n);
+                    draw(gens[2 * lane + 1], drawn[1][j], n);
+                }
+                eta_t[j] = drawn[0][first];
+                zeta_t[j] = drawn[1][first];
+            }
             variance_steps((int)scheme, k, s, eta_t, n, y, t0, hit);
             for (j = 0; j < real; j++) {
                 int64_t lane = g0 + j;
@@ -236,7 +272,7 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
                     }
                     continue;
                 }
-                price_steps(p, y[j], eta_t[j], zeta_l[j] + t0, n, x[j]);
+                price_steps(p, y[j], eta_t[j], zeta_t[j], n, x[j]);
                 fold_tile(y[j], x[j], n, done + t0, y_start[lane], sums + lane, lanes,
                           mean + lane, m2 + lane);
                 y[j][0] = y[j][n];

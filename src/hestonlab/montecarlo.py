@@ -38,20 +38,24 @@ Replicate r of an experiment draws its noise from the streams of
 independent of lane grouping, block length and thread count.  A lane group
 seeds all of its streams at once (:func:`lane_generators`).
 
-Replicates are simulated as lanes.  A lane group of at most 1024
-replicates advances together through blocks of B steps: it draws the block
-(:func:`draw_normals`), and the compiled lane kernel
-(:func:`hestonlab.kernel.lane_kernel`) takes the variance and price steps of
-each lane and folds them into per-lane path sums (:class:`PathSums`) a tile
-at a time; then the block is discarded.  Memory is therefore set by the lane
-group and B, not by the number of steps N.  A DESRE lane that aborts is
-dropped at the end of the block in which it aborted.  The kernel is a C
-loop per lane, built with the system C compiler the first time a run needs
-it and cached per user; it runs without the interpreter lock, so worker
-threads advance their groups in parallel.  It gives the bits of the numpy
-pipeline of a single path (:func:`advance_variance`, :func:`price_block`,
-then ``PathSums.fold`` a tile at a time), which runs instead, with the same
-results, where the kernel cannot be built.
+Replicates are simulated as lanes, in lane groups of at most 1024
+replicates.  The compiled lane kernel (:func:`hestonlab.kernel.lane_kernel`)
+takes a group through its whole path in one call: for each lane and each
+summation tile it draws the tile's normals from the lane's two generators
+(numpy's own sampler, so the draws of :func:`draw_normals`), takes the
+variance and price steps, and folds them into the lane's path sums
+(:class:`PathSums`).  No block of draws is held, and a DESRE lane that
+aborts stops drawing.  The kernel is a C loop per lane, built with the
+system C compiler the first time a run needs it and cached per user; it
+runs without the interpreter lock, so worker threads advance their groups
+in parallel.  It gives the bits of the numpy pipeline of a single path
+(:func:`draw_normals`, :func:`advance_variance`, :func:`price_block`, then
+``PathSums.fold`` a tile at a time), which runs instead, with the same
+results, where the kernel cannot be built.  That pipeline takes a group
+through blocks of B steps: it draws a block, advances it, folds it and
+discards it, so its memory is set by the lane group and B, not by the
+number of steps N.  Either way, lanes that abort are dropped at the end
+of the call or block in which they aborted.
 
 Results are columnar: a :class:`ReplicateTable` holds one row per successful
 replicate, and the estimator, its normalizations and the summary work on its
@@ -130,23 +134,26 @@ __all__ = [
 
 PARAM_NAMES = ("a", "b", "alpha", "beta")
 
-# The lane kernel's element budget, bound here so that a test can set it for
-# Monte Carlo alone.  With the lane cap below it sets both the number of
-# replicates advanced together and the block length B (a multiple of the
-# summation tile, at least 512 steps once the group is at the cap).  Each
-# worker thread runs one lane group at a time.
+# The numpy pipeline's element budget, bound here so that a test can set it
+# for Monte Carlo alone.  With the lane cap below it sets the number of
+# replicates advanced together and that pipeline's block length B (a
+# multiple of the summation tile, at least 512 steps once the group is at
+# the cap), and so the draws a group holds.  The compiled kernel holds no
+# draws and ignores B: it takes a group through its whole path in one call.
+# Each worker thread runs one lane group at a time.
 _BLOCK_ELEMENTS = BLOCK_ELEMENTS
 
-# Most lanes in one group.  Wide groups spread the step loop's per-step
-# numpy calls over more lanes, but past about a thousand lanes that cost is
-# already spread thin.  Wider groups then only shorten the blocks, so that
-# each lane draws its normals in more, shorter calls, and they make the
-# (lanes, SUM_TILE) price and fold temporaries outgrow the L2 cache (1 MB
-# each at 1024 lanes, 4 MB at 4096, against 2 MB of L2 a core on a 2-vCPU
-# Xeon).  There, 10^4 replicates of 1000 steps took a median 1.47 s with a
-# cap of 512 lanes, 1.41 s with 1024, 1.65 s with 2048 and 1.71 s with 4096.
-# These are the numpy pipeline's figures; the compiled kernel's cost per lane
-# and step does not depend on the group's width.
+# Most lanes in one group.  On the numpy pipeline, wide groups spread the
+# step loop's per-step numpy calls over more lanes, but past about a
+# thousand lanes that cost is already spread thin.  Wider groups then only
+# shorten the blocks, so that each lane draws its normals in more, shorter
+# calls, and they make the (lanes, SUM_TILE) price and fold temporaries
+# outgrow the L2 cache (1 MB each at 1024 lanes, 4 MB at 4096, against 2 MB
+# of L2 a core on a 2-vCPU Xeon).  There, 10^4 replicates of 1000 steps took
+# a median 1.47 s with a cap of 512 lanes, 1.41 s with 1024, 1.65 s with
+# 2048 and 1.71 s with 4096.  The compiled kernel's cost per lane and step
+# does not depend on the group's width, and its draws are a tile of each of
+# four lanes at a time, whatever the width.
 _MAX_LANES = 1024
 
 
@@ -345,7 +352,8 @@ def _lane_plan(replicates: int, threads: int) -> tuple[int, int]:
 
     Lanes are split evenly across the threads, no group is so wide that its
     blocks would be shorter than one summation tile, and no group has more
-    than ``_MAX_LANES`` lanes.
+    than ``_MAX_LANES`` lanes.  The blocks are the numpy pipeline's; the
+    compiled kernel takes a group's whole path in one call.
     """
     lanes = min(
         -(-replicates // threads),
@@ -357,7 +365,8 @@ def _lane_plan(replicates: int, threads: int) -> tuple[int, int]:
 
 
 def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
-    """Simulate replicates lo..hi-1 as one lane group, block by block.
+    """Simulate replicates lo..hi-1 as one lane group: in one call of the
+    compiled kernel, or block by block on the numpy pipeline.
 
     Returns the indices and functionals of the lanes that pass
     :func:`failure_reasons` (no functionals if every lane aborted), and the
@@ -372,15 +381,21 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
     failures: list[ReplicateFailure] = []
 
     kernel = lane_kernel()
+    if kernel is not None:
+        # it draws each tile's normals itself: one call takes the group
+        # through its whole path, and no block of draws is held
+        block = n
 
     # a variance that overflows runs on as inf or NaN, and failure_reasons
     # fails its replicate as NonFinitePath
     for start in range(0, n, block):
         steps = min(block, n - start)
-        eta, zeta = draw_normals(streams, steps)
         if kernel is not None:
-            state, aborted = kernel(params, dt, scheme, eta, zeta, state, sums)
+            # the kernel takes no Generator lock: these generators were made
+            # above for this group alone, and no other thread holds them
+            state, aborted = kernel.draw(params, dt, scheme, streams, steps, state, sums)
         else:
+            eta, zeta = draw_normals(streams, steps)
             y, state, aborted = advance_variance(params, dt, scheme, eta, state)
             # price and fold a tile at a time, carrying the price in the sums:
             # the price temporaries stay (lanes, SUM_TILE) and are reused by
@@ -392,8 +407,8 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
                 y_t = y[:, t0 : t1 + 1]
                 sums.fold(y_t, price_block(
                     params, dt, y_t, eta[:, t0:t1], zeta[:, t0:t1], sums.x_end))
-        # freed before the next block is drawn: a group holds one block of draws
-        del eta, zeta
+            # freed before the next block is drawn: a group holds one block of draws
+            del eta, zeta
         if aborted.any():
             keep = aborted == 0
             failures.extend(
@@ -490,15 +505,18 @@ _SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
 
 
 def _central_moments(sample: np.ndarray) -> tuple[float, float, float]:
-    """The second to fourth central moments; those of :func:`_unit_scaled`
-    of a sample that is not constant, where they overflow or the second
-    one's square underflows."""
+    """The second to fourth central moments; zero for a constant sample,
+    and those of :func:`_unit_scaled` of any other sample where they
+    overflow or the second one's square underflows."""
+    if np.ptp(sample) == 0.0:
+        # the mean of a constant sample need not round back to its value
+        # (20 copies of 0.1), so its deviations are not all zero
+        return 0.0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(sample))
         d = sample - mean
         moments = (float(np.mean(d * d)), float(np.mean(d ** 3)), float(np.mean(d ** 4)))
-    if (all(map(math.isfinite, moments)) and moments[0] * moments[0] >= _SMALLEST_NORMAL
-            or np.ptp(sample) == 0.0):
+    if all(map(math.isfinite, moments)) and moments[0] * moments[0] >= _SMALLEST_NORMAL:
         return moments
     return _central_moments(_unit_scaled(sample))
 
@@ -517,7 +535,8 @@ def jarque_bera_pvalue(stat: float) -> float:
 
 
 def jarque_bera(sample) -> tuple[float, float]:
-    """Jarque-Bera normality statistic and p-value on a sample.
+    """Jarque-Bera normality statistic and p-value on a sample; (nan, nan)
+    for a constant one.
 
     Raises:
         InsufficientData: fewer than 8 observations.
@@ -573,20 +592,22 @@ def anderson_darling(sample) -> tuple[float, float]:
     Raises:
         InsufficientData: fewer than 8 observations.
         NonFiniteSample: a NaN or infinite observation.
-        TiesDegenerate: zero sample variance.
+        TiesDegenerate: a constant sample.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1 or x.shape[0] < 8:
         raise InsufficientData("Anderson-Darling needs at least 8 observations")
     _require_finite(x, "Anderson-Darling")
     n = x.shape[0]
+    # before any moment: the mean of a constant sample need not round back
+    # to its value, which would leave a spread of rounding errors
+    if np.ptp(x) == 0.0:
+        raise TiesDegenerate("sample has zero variance")
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(np.std(x, ddof=1))
-    if not (math.isfinite(sd) and sd * sd >= _SMALLEST_NORMAL) and np.ptp(x) > 0.0:
+    if not (math.isfinite(sd) and sd * sd >= _SMALLEST_NORMAL):
         x = _unit_scaled(x)
         sd = float(np.std(x, ddof=1))
-    if not sd > 0.0:
-        raise TiesDegenerate("sample has zero variance")
     z = np.sort((x - float(np.mean(x))) / sd)
     i = np.arange(1, n + 1)
     # log F(z_(i)) and log(1 - F(z_(n+1-i))) via the erfc-based log-ndtr

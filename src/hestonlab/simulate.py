@@ -51,8 +51,9 @@ each DESRE abort as a step within the block.  It and :func:`price_block`
 let overflow run on as inf or NaN, without warnings.  Through these three,
 one lane-group generator runs whole paths within ``BLOCK_ELEMENTS`` for
 :func:`simulate_paths` and, as one lane, :func:`simulate_xy`; a Monte Carlo
-run takes up to 1024 lanes through blocks of B steps, in a compiled kernel
-that gives these functions' bits (:mod:`hestonlab.kernel`), or through them
+run takes up to 1024 lanes through their whole paths in a compiled kernel
+that draws its own normals and gives these functions' bits
+(:mod:`hestonlab.kernel`), or through blocks of B steps of these functions
 where the kernel does not build.  Lanes do not mix, and
 a path cut into blocks gives the bits of the path in one piece.  A group of
 more than ``_SCALAR_LANES`` (8) lanes advances time-major through buffered

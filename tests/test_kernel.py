@@ -1,8 +1,11 @@
 """The compiled lane kernel against the numpy block pipeline it replaces in
-Monte Carlo runs: the same bits, block by block and run by run, and a
-loader that falls back to numpy quietly when it cannot build."""
+Monte Carlo runs: the same bits, block by block and run by run, with draws
+given or drawn in the kernel, and a loader that falls back to numpy quietly
+when it cannot build."""
 
+import copy
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -18,7 +21,7 @@ import hestonlab.kernel as kernel
 import hestonlab.montecarlo as mc
 from hestonlab.cli import main
 from hestonlab.estimate import SUM_TILE, PathSums
-from hestonlab.simulate import advance_variance, price_block
+from hestonlab.simulate import advance_variance, draw_normals, price_block
 
 SCHEMES = list(hl.Scheme)
 
@@ -217,18 +220,98 @@ def test_overflowing_runs_fail_as_numpy_fails_them(lane_kernel, monkeypatch, sch
 
 
 def test_monte_carlo_runs_use_the_kernel(lane_kernel, monkeypatch):
+    """One call per lane group takes it through all N steps, drawing its
+    own normals."""
     calls = []
 
-    def counting(*args):
-        calls.append(args[3].shape)
-        return lane_kernel(*args)
+    class Counting:
+        def draw(self, params, dt, scheme, streams, steps, state, sums):
+            calls.append((len(streams), steps))
+            return lane_kernel.draw(params, dt, scheme, streams, steps, state, sums)
 
-    monkeypatch.setattr(mc, "lane_kernel", lambda: counting)
-    monkeypatch.setattr(mc, "advance_variance", None)  # never reached
+    monkeypatch.setattr(mc, "lane_kernel", Counting)
+    monkeypatch.setattr(mc, "_MAX_LANES", 5)
+    for name in ("advance_variance", "draw_normals"):
+        monkeypatch.setattr(mc, name, None)  # never reached
     cfg = hl.ExperimentConfig(params=hl.canonical_params(), grid=hl.TimeGrid(100.0, 1000),
                               scheme=hl.Scheme.DISRE, replicates=12, master_seed=901)
     hl.run_replicates(cfg)
-    assert calls == [(12, 1000)]
+    assert calls == [(5, 1000), (5, 1000), (2, 1000)]
+
+
+# ---------------------------------------------------------------------------
+# noise drawn in the kernel
+
+
+def advanced(stream_pair, count):
+    """Copies of an (eta, zeta) pair of generators after ``count`` more
+    normals of each."""
+    copies = copy.deepcopy(stream_pair)
+    for gen in copies:
+        gen.standard_normal(count)
+    return copies
+
+
+def drawn_against_given(params, dt, scheme, lanes, steps, seed=23, k=None):
+    """A kernel call that draws a group's noise against draw_normals and a
+    call on the draws it gives, from generators in the same states: the
+    same bits.  A lane that does not abort leaves its generators where
+    draw_normals does; an aborted lane stops drawing after the tile of its
+    abort.  Returns the abort steps (0 for none)."""
+    k = k or lane_kernel_or_skip()
+    drawn, given = (hl.lane_generators(seed, range(lanes)) for _ in range(2))
+    start = [advanced(pair, 0) for pair in drawn]
+    out = []
+    for advance in (lambda sums: k.draw(params, dt, scheme, drawn, steps, None, sums),
+                    lambda sums: k(params, dt, scheme, *draw_normals(given, steps), None, sums)):
+        sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
+        out.append((*advance(sums), sums))
+    (state_d, aborted_d, sums_d), (state_g, aborted_g, sums_g) = out
+    assert aborted_d.tolist() == aborted_g.tolist()
+    assert bits(state_d) == bits(state_g)
+    assert sums_d.steps == sums_g.steps == steps
+    for name in ("y_start", "x_start", "y_end", "x_end", "sums", "mean", "m2"):
+        assert bits(getattr(sums_d, name)) == bits(getattr(sums_g, name)), name
+    for lane, step in enumerate(aborted_d.tolist()):
+        if step:
+            want = advanced(start[lane], min(steps, -(-step // SUM_TILE) * SUM_TILE))
+        else:
+            want = given[lane]
+        for gen, ref in zip(drawn[lane], want):
+            assert gen.bit_generator.state == ref.bit_generator.state, lane
+            assert gen.standard_normal() == ref.standard_normal(), lane
+    return aborted_d
+
+
+@pytest.mark.parametrize("steps", [5, 128, 1000, 20077])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+def test_drawn_noise_gives_the_bits_of_draw_normals(scheme, steps):
+    """Every scheme near the boundary, 1 to 13 lanes (so that the last of
+    the kernel's groups of four is padded), whole tiles and partial ones."""
+    for lanes in range(1, 14):
+        drawn_against_given(NEAR_ZERO, 0.1, scheme, lanes, steps, seed=lanes)
+
+
+@pytest.mark.parametrize("steps", [1000, 20077])
+def test_drawn_noise_of_desre_groups_that_abort(steps):
+    aborted = drawn_against_given(NEAR_ZERO, 0.2, hl.Scheme.DESRE, 64, steps)
+    assert 0 < np.count_nonzero(aborted) < 64
+    assert np.count_nonzero(aborted % SUM_TILE) > 0
+
+
+def test_drawn_noise_in_two_calls_gives_the_bits_of_one(lane_kernel):
+    params, scheme, n = hl.canonical_params(), hl.Scheme.DISRE, 2077
+    results = []
+    for cuts in ([n], [2 * SUM_TILE, n - 2 * SUM_TILE]):
+        streams = hl.lane_generators(7, range(6))
+        sums = PathSums(np.full(6, params.y0), np.full(6, params.x0))
+        state = None
+        for steps in cuts:
+            state, aborted = lane_kernel.draw(params, 0.1, scheme, streams, steps, state, sums)
+            assert not aborted.any()
+        results.append([bits(state)] + [bits(getattr(sums, name)) for name in vars(sums)
+                                        if name != "steps"])
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +328,9 @@ def report_files(tmp_path, name):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("compiler", ["false", "no-such-compiler-here"])
-def test_a_failing_compiler_leaves_the_numpy_pipeline_quietly(tmp_path, monkeypatch, capfd,
-                                                                compiler):
-    monkeypatch.setattr(kernel, "COMPILER", compiler)
+def assert_quiet_fallback(tmp_path, monkeypatch, capfd):
+    """With the loader patched to fail: no warning, no stderr, no kernel,
+    and mc files byte-identical to the forced fallback's."""
     monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "cache")
     monkeypatch.setattr(kernel, "_loaded", [])
     with warnings.catch_warnings(record=True) as seen:
@@ -261,6 +343,19 @@ def test_a_failing_compiler_leaves_the_numpy_pipeline_quietly(tmp_path, monkeypa
         kernel.load()
     monkeypatch.setattr(mc, "lane_kernel", lambda: None)
     assert got == report_files(tmp_path, "fallback")
+
+
+@pytest.mark.parametrize("compiler", ["false", "no-such-compiler-here"])
+def test_a_failing_compiler_leaves_the_numpy_pipeline_quietly(tmp_path, monkeypatch, capfd,
+                                                                compiler):
+    monkeypatch.setattr(kernel, "COMPILER", compiler)
+    assert_quiet_fallback(tmp_path, monkeypatch, capfd)
+
+
+def test_a_missing_numpy_archive_leaves_the_numpy_pipeline_quietly(tmp_path, monkeypatch,
+                                                                   capfd):
+    monkeypatch.setattr(kernel, "NPYRANDOM", tmp_path / "no-such-dir" / "libnpyrandom.a")
+    assert_quiet_fallback(tmp_path, monkeypatch, capfd)
 
 
 def test_the_loader_caches_one_build_per_source(lane_kernel, tmp_path, monkeypatch):
@@ -285,6 +380,26 @@ def test_the_loader_caches_one_build_per_source(lane_kernel, tmp_path, monkeypat
     monkeypatch.setattr(kernel, "SOURCE", source)
     kernel.load()
     assert len(list(cache.iterdir())) == 2
+
+
+def test_a_changed_numpy_archive_is_built_afresh(lane_kernel, tmp_path, monkeypatch):
+    """Another numpy's sampler archive is another library, as after an
+    upgrade."""
+    cache, archive = tmp_path / "cache", tmp_path / "libnpyrandom.a"
+    archive.write_bytes(kernel.NPYRANDOM.read_bytes())
+    monkeypatch.setattr(kernel, "CACHE_DIR", cache)
+    monkeypatch.setattr(kernel, "NPYRANDOM", archive)
+    kernel.load()
+    [first] = cache.iterdir()
+    # one more archive member, which the link does not use
+    data = archive.read_bytes()
+    note = b"changed\n"
+    header = b"%-16s%-12s%-6s%-6s%-8s%-10s`\n" % (
+        b"note.txt/", b"0", b"0", b"0", b"644", str(len(note)).encode())
+    archive.write_bytes(data + b"\n" * (len(data) % 2) + header + note)
+    rebuilt = kernel.load()
+    assert len(list(cache.iterdir())) == 2 and first.is_file()
+    drawn_against_given(NEAR_ZERO, 0.1, hl.Scheme.DISRE, 3, 300, k=rebuilt)
 
 
 def test_threads_that_ask_at_once_share_one_build(lane_kernel, tmp_path, monkeypatch):
@@ -319,6 +434,11 @@ def test_a_block_whose_arrays_disagree_is_refused(lane_kernel):
             lane_kernel(p, 0.1, hl.Scheme.DISRE, eta, zeta, state, sums)
     with pytest.raises(ValueError, match="lanes"):
         lane_kernel(p, 0.1, hl.Scheme.DISRE, np.zeros((5, 10)), np.zeros((5, 10)), None, sums)
+    streams = hl.lane_generators(1, range(4))
+    for lanes, steps in ((streams[:3], 10), (streams, -1), (streams, 2.0), (streams, True),
+                         ([pair + pair[:1] for pair in streams], 10)):
+        with pytest.raises(ValueError):
+            lane_kernel.draw(p, 0.1, hl.Scheme.DISRE, lanes, steps, None, sums)
     assert sums.steps == 0
 
 
@@ -333,10 +453,24 @@ def test_the_loader_refuses_a_cache_others_can_write(lane_kernel, tmp_path, monk
 
 
 def test_importing_the_cli_builds_and_opens_nothing():
-    code = ("import hestonlab.cli, hestonlab.kernel as k, sys; "
-            "print(k._loaded == [], 'ctypes' in vars(k))")
+    """Nor does it hash the source or numpy's archive."""
+    code = (
+        "import builtins, hashlib, io, json\n"
+        "seen = []\n"
+        "def recording(fn, what):\n"
+        "    def call(*args, **kwargs):\n"
+        "        seen.append(what if what else str(args[0]))\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return call\n"
+        "builtins.open = io.open = recording(io.open, None)\n"
+        "hashlib.sha256 = recording(hashlib.sha256, 'sha256')\n"
+        "import hestonlab.cli, hestonlab.kernel as k\n"
+        "print(json.dumps([k._loaded == [], 'ctypes' in vars(k), seen]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(kernel.SOURCE.parent.parent)] + sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["True", "False"]
+    unloaded, has_ctypes, seen = json.loads(out.stdout)
+    assert unloaded and not has_ctypes
+    assert "sha256" not in seen
+    assert not [p for p in seen if p.endswith((".c", ".a", ".so")) or ".cache" in p], seen

@@ -251,6 +251,8 @@ def test_groups_narrowing_onto_the_scalar_route_keep_their_results(monkeypatch):
 
 
 def test_aborted_lanes_draw_nothing_after_their_block(monkeypatch):
+    # the numpy pipeline's draws; the lane kernel's are counted in test_kernel.py
+    monkeypatch.setattr(mc, "lane_kernel", lambda: None)
     cfg = edge_config()
     block = 128
     monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", cfg.replicates * block)
@@ -513,6 +515,19 @@ def test_statistics_of_a_sample_whose_moments_overflow_or_underflow(statistic, s
     want = statistic(x)
     assert statistic(x * scale) == pytest.approx(want, rel=1e-12)
     assert statistic(x * 2.0 ** 1000) == statistic(x * 2.0 ** -1000) == want
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 3.0, -7.0, 1e-300])
+def test_a_constant_sample_has_no_spread_whatever_its_mean_rounds_to(value):
+    """The mean of 20 copies of 0.1 rounds to 0.10000000000000002, and the
+    deviations from it are +-1.4e-17: they gave a Jarque-Bera of 6.67 (p =
+    0.036) and an Anderson-Darling p of 1.3e-47.  A constant sample takes
+    the zero-spread outcome, as 20 copies of 3.0 always did."""
+    x = np.full(20, value)
+    assert all(map(math.isnan, hl.jarque_bera(x)))
+    assert all(map(math.isnan, mc._skew_excess_kurtosis(x)))
+    with pytest.raises(hl.TiesDegenerate):
+        hl.anderson_darling(x)
 
 
 # ---------------------------------------------------------------------------
