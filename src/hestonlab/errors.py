@@ -37,6 +37,10 @@ class NotSubcritical(HestonLabError):
     """Operation requires ``b > 0`` (ergodic variance process)."""
 
 
+class OutsideDomain(HestonLabError, ValueError):
+    """An argument outside the domain where a closed form holds."""
+
+
 # ---------------------------------------------------------------------------
 # path simulation
 

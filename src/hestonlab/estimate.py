@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DegeneratePath,
+    InvalidGrid,
     LengthMismatch,
     NonFinitePath,
     NonPositiveScalingDiscriminant,
@@ -271,6 +272,8 @@ def _check_samples(y_samples, x_samples) -> tuple[np.ndarray, np.ndarray]:
 
 def _lse_discrete(y_samples, response, dt: float) -> tuple[float, float]:
     # the 2x2 normal equations of one response on the regressors (1, -Y_{k-1})
+    if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and 0.0 < dt < math.inf):
+        raise InvalidGrid(f"dt must be a finite number > 0, got {dt!r}")
     y, r = _check_samples(y_samples, response)
     y_left = y[:-1]
     m = y_left.shape[0]
@@ -295,6 +298,7 @@ def lse_discrete_ab(y_samples, dt: float) -> tuple[float, float]:
     is an independent reference for the plug-in route.
 
     Raises:
+        InvalidGrid: ``dt`` is not a finite number > 0 (a bool is refused too).
         PathTooShort: fewer than two samples.
         DegeneratePath: the regressor has (numerically) no spread.
     """

@@ -4,17 +4,23 @@
  * the Euler log-price recursion and the fold of each summation tile into
  * the running path sums; lanes go four at a time, their variance steps
  * interleaved.  Its noise is either drawn here, a tile at a time, from each
- * lane's pair of numpy bit generators, or read from given (steps,) rows of
- * eta and zeta.
+ * lane's pair of PCG64 streams, or read from given (steps,) rows of eta and
+ * zeta.
  * It gives the bits of the numpy pipeline of hestonlab (draw_normals, then
  * simulate's step loop and price_block, then estimate.PathSums.fold a tile
  * at a time), so every operation below is the IEEE operation numpy
  * performs there, in the same order:
  *
- *   - a normal is numpy's random_standard_normal, the ziggurat that
- *     Generator.standard_normal runs, linked from numpy's libnpyrandom.a;
- *     a generator gives the same sequence whether it is drawn in blocks or
- *     in tiles;
+ *   - a stream is numpy's PCG64 (O'Neill's XSL-RR generator on a 128-bit
+ *     LCG), held as four 64-bit words, state high and low, then increment
+ *     high and low; hl_seed turns the words that SeedSequence generates
+ *     into a stream as PCG64's pcg64_set_seed does;
+ *   - a normal is numpy's random_standard_normal, which
+ *     Generator.standard_normal runs: Marsaglia and Tsang's ziggurat on
+ *     numpy's 256-layer tables, which hestonlab.kernel reads from numpy's
+ *     libnpyrandom.a, with its wedge test against libm's exp and its tail
+ *     through libm's log1p; a stream gives the same sequence whether it is
+ *     drawn in blocks or in tiles;
  *   - each formula is evaluated left to right as the simulate module
  *     docstring writes it, with the constants that Python forms
  *     (hestonlab.kernel passes them in);
@@ -28,7 +34,7 @@
  *
  * A DESRE lane whose Z falls to zero or below aborts: its step within the
  * block, from 1, goes to aborted[lane], it neither draws, nor is priced or
- * folded, for the rest of the block, and its state, sums and generators are
+ * folded, for the rest of the block, and its state, sums and streams are
  * left unfinished, since the caller drops it.
  * Overflow runs on as inf or NaN, as in numpy.
  */
@@ -36,18 +42,16 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
-
-#include <numpy/random/bitgen.h>
-
-/* numpy/random/distributions.h declares it too, but includes Python.h;
-   hidden, so that the calls bind to the archive's copy linked in here */
-__attribute__((visibility("hidden"))) double random_standard_normal(bitgen_t *bitgen_state);
+#include <string.h>
 
 /* doubles must be evaluated in double precision, as numpy's are (not in
-   the x87's extended precision); elsewhere the build fails and Python falls
-   back to numpy */
+   the x87's extended precision), and PCG64 needs 128-bit integers;
+   elsewhere the build fails and Python falls back to numpy */
 #if FLT_EVAL_METHOD != 0
 #error "the lane kernel needs FLT_EVAL_METHOD == 0"
+#endif
+#ifndef __SIZEOF_INT128__
+#error "the lane kernel needs 128-bit integers"
 #endif
 
 /* the scheme codes hestonlab.kernel passes */
@@ -200,41 +204,189 @@ static void fold_tile(const double *y, const double *x, int64_t n, int64_t done,
     *m2 = (*m2 + t_m2) + delta * delta * w_m2;
 }
 
-/* the next n normals of a generator */
-static void draw(bitgen_t *gen, double *out, int64_t n)
+/* ---------------------------------------------------------------------------
+ * PCG64 and numpy's ziggurat
+ */
+
+typedef unsigned __int128 u128;
+
+/* PCG's default 128-bit LCG multiplier */
+#define PCG_MULT (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+
+struct pcg64 {
+    u128 state, inc;
+};
+
+static struct pcg64 pcg64_load(const uint64_t *w)
+{
+    struct pcg64 g;
+    g.state = ((u128)w[0] << 64) | w[1];
+    g.inc = ((u128)w[2] << 64) | w[3];
+    return g;
+}
+
+static void pcg64_store(const struct pcg64 *g, uint64_t *w)
+{
+    w[0] = (uint64_t)(g->state >> 64);
+    w[1] = (uint64_t)g->state;
+    w[2] = (uint64_t)(g->inc >> 64);
+    w[3] = (uint64_t)g->inc;
+}
+
+/* the next 64-bit word: an LCG step, then the XSL-RR output of the new state */
+static inline uint64_t pcg64_next(struct pcg64 *g)
+{
+    uint64_t hi, v;
+    unsigned rot;
+    g->state = g->state * PCG_MULT + g->inc;
+    hi = (uint64_t)(g->state >> 64);
+    v = hi ^ (uint64_t)g->state;
+    rot = (unsigned)(hi >> 58);
+    return (v >> rot) | (v << ((64 - rot) & 63));
+}
+
+/* numpy's next_double: the top 53 bits of a word, times 2**-53 */
+static double pcg64_double(struct pcg64 *g)
+{
+    return (double)(int64_t)(pcg64_next(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Seed `streams` streams in place: words (streams, 4) hold SeedSequence's
+ * generate_state(4, uint64) of each, the seed then the sequence as
+ * (high, low) pairs, and receive the stream, as pcg64_set_seed forms it. */
+void hl_seed(int64_t streams, uint64_t *words)
+{
+    int64_t s;
+    for (s = 0; s < streams; s++) {
+        uint64_t *w = words + 4 * s;
+        struct pcg64 g;
+        u128 seed = ((u128)w[0] << 64) | w[1];
+        g.state = 0;
+        g.inc = ((((u128)w[2] << 64) | w[3]) << 1) | 1;
+        pcg64_next(&g);
+        g.state += seed;
+        pcg64_next(&g);
+        pcg64_store(&g, w);
+    }
+}
+
+/* numpy's ziggurat_nor_r, the tail's start, and its inverse */
+#define ZIG_R 3.6541528853610087963519472518
+#define ZIG_INV_R 0.27366123732975827203338247596
+#define ZIG_MANTISSA 0x000fffffffffffffULL
+
+/* numpy's ki_double, wi_double and fi_double */
+struct ziggurat {
+    uint64_t ki[256];
+    double wi[256], fi[256];
+};
+
+/* x with its sign bit flipped where bit is 1: -x, -0.0 included, without a
+   branch on a bit that is random */
+static inline double flip_sign(double x, uint64_t bit)
+{
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    u ^= bit << 63;
+    memcpy(&x, &u, sizeof x);
+    return x;
+}
+
+/* The point that a word r draws: its layer *idx = r & 0xff, its magnitude
+ * *rabs, the 52 bits above the sign bit 8, and the point rabs * wi[idx],
+ * signed */
+static inline double zig_point(uint64_t r, const struct ziggurat *z, int *idx, uint64_t *rabs)
+{
+    *idx = (int)(r & 0xff);
+    *rabs = (r >> 9) & ZIG_MANTISSA;
+    return flip_sign((double)(int64_t)*rabs * z->wi[*idx], (r >> 8) & 1);
+}
+
+/* The rest of random_standard_normal once a point x of layer idx fell
+ * outside its rectangle (rabs >= ki[idx]): the tail beyond ZIG_R for layer
+ * 0, else the wedge test, and on a rejection a fresh point.  Rare (about
+ * 1.5 normals in a hundred), so kept out of line. */
+static __attribute__((noinline)) double normal_rare(struct pcg64 *g, const struct ziggurat *z,
+                                                     int idx, uint64_t rabs, double x)
+{
+    for (;;) {
+        if (idx == 0) {
+            for (;;) {
+                /* 1 - U, not U, so that log never sees 0 */
+                double xx = -ZIG_INV_R * log1p(-pcg64_double(g));
+                double yy = -log1p(-pcg64_double(g));
+                if (yy + yy > xx * xx)
+                    return ((rabs >> 8) & 0x1) ? -(ZIG_R + xx) : ZIG_R + xx;
+            }
+        }
+        if ((z->fi[idx - 1] - z->fi[idx]) * pcg64_double(g) + z->fi[idx] < exp(-0.5 * x * x))
+            return x;
+        x = zig_point(pcg64_next(g), z, &idx, &rabs);
+        if (rabs < z->ki[idx])
+            return x;
+    }
+}
+
+/* the next normal of a stream */
+static inline double normal(struct pcg64 *g, const struct ziggurat *z)
+{
+    uint64_t rabs;
+    int idx;
+    double x = zig_point(pcg64_next(g), z, &idx, &rabs);
+    if (__builtin_expect(rabs < z->ki[idx], 1))
+        return x;
+    return normal_rare(g, z, idx, rabs, x);
+}
+
+/* The next n normals of each of m streams into out[0..m-1][0..n-1], the
+ * streams' draws interleaved, so that one stream's chain of 128-bit steps
+ * overlaps the others'; each stream's draws keep their own order. */
+static void draw_tile(struct pcg64 *g, int m, double *const *out, int64_t n,
+                      const struct ziggurat *z)
 {
     int64_t i;
+    int s;
     for (i = 0; i < n; i++)
-        out[i] = random_standard_normal(gen);
+        for (s = 0; s < m; s++)
+            out[s][i] = normal(&g[s], z);
 }
 
 /* Advance `lanes` lanes through one block of `steps` steps, `done` steps
- * into their paths.  The noise comes from gens, (lanes, 2) row-major, each
- * lane's eta and zeta bit generators: for each tile, each live lane draws
- * its tile's eta normals, then its zeta normals.  Where gens is NULL it is
- * read from eta and zeta, (lanes, steps), row-major.  state, y_start,
- * y_end, x_end, mean, m2 and aborted are (lanes,), and sums is (6, lanes),
- * row-major: PathSums's arrays, updated in place.  Tiles are `tile` steps,
- * counted from the block's start; every tile but the last must be whole,
- * so `done` is a multiple of `tile`.  Lanes go GROUP at a time, a last
- * short group padded with copies of its first lane, which never draw and
- * whose results are dropped.  Returns 0, or -1 for a tile outside
- * [1, 128], where nothing is done. */
+ * into their paths.  The noise comes from streams, (lanes, 2, 4) row-major,
+ * each lane's eta and zeta PCG64 streams, advanced in place: for each tile,
+ * each live lane draws its tile's eta normals and its zeta normals, the
+ * live streams of a group of lanes interleaved, with the ziggurat tables
+ * (3, 256): ki, then wi and fi as the bits of doubles.  Where streams is
+ * NULL it is read from eta and zeta, (lanes, steps), row-major.  state,
+ * y_start, y_end, x_end, mean, m2 and aborted are (lanes,), and sums is
+ * (6, lanes), row-major: PathSums's arrays, updated in place.  Tiles are
+ * `tile` steps, counted from the block's start; every tile but the last
+ * must be whole, so `done` is a multiple of `tile`.  Lanes go GROUP at a
+ * time, a last short group padded with copies of its first lane, which
+ * never draw and whose results are dropped.  Returns 0, or -1 for a tile
+ * outside [1, 128], where nothing is done. */
 int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lanes,
-                      int64_t steps, int64_t tile, int64_t done, bitgen_t *const *gens,
-                      const double *eta, const double *zeta, double *state,
-                      const double *y_start, double *y_end, double *x_end, double *sums,
-                      double *mean, double *m2, int64_t *aborted)
+                      int64_t steps, int64_t tile, int64_t done, uint64_t *streams,
+                      const uint64_t *tables, const double *eta, const double *zeta,
+                      double *state, const double *y_start, double *y_end, double *x_end,
+                      double *sums, double *mean, double *m2, int64_t *aborted)
 {
+    struct ziggurat z;
     int64_t g0, t0;
     int j;
     if (tile < 1 || tile > TILE_CAP)
         return -1;
+    if (streams != NULL) {
+        memcpy(z.ki, tables, sizeof z.ki);
+        memcpy(z.wi, tables + 256, sizeof z.wi);
+        memcpy(z.fi, tables + 512, sizeof z.fi);
+    }
     for (g0 = 0; g0 < lanes; g0 += GROUP) {
         int real = lanes - g0 < GROUP ? (int)(lanes - g0) : GROUP, live = real;
         const double *eta_t[GROUP], *zeta_t[GROUP];
         double drawn[2][GROUP][TILE_CAP];
         double y[GROUP][TILE_CAP + 1], x[GROUP][TILE_CAP + 1], s[GROUP];
+        struct pcg64 gen[2 * GROUP];
         int64_t hit[GROUP];
         for (j = 0; j < GROUP; j++) {
             int64_t lane = g0 + (j < real ? j : 0);
@@ -242,25 +394,46 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
             y[j][0] = y_end[lane];
             x[j][0] = x_end[lane];
             hit[j] = 0;
-            if (j < real)
+            if (j < real) {
                 aborted[lane] = 0;
+                if (streams != NULL) {
+                    gen[2 * j] = pcg64_load(streams + 8 * lane);
+                    gen[2 * j + 1] = pcg64_load(streams + 8 * lane + 4);
+                }
+            }
         }
         for (t0 = 0; t0 < steps && live; t0 += tile) {
             int64_t n = steps - t0 < tile ? steps - t0 : tile;
+            if (streams != NULL) {
+                /* the live lanes' streams, side by side */
+                struct pcg64 g[2 * GROUP];
+                double *out[2 * GROUP];
+                int m = 0;
+                for (j = 0; j < real; j++)
+                    if (!hit[j]) {
+                        g[m] = gen[2 * j];
+                        out[m++] = drawn[0][j];
+                        g[m] = gen[2 * j + 1];
+                        out[m++] = drawn[1][j];
+                    }
+                draw_tile(g, m, out, n, &z);
+                m = 0;
+                for (j = 0; j < real; j++)
+                    if (!hit[j]) {
+                        gen[2 * j] = g[m++];
+                        gen[2 * j + 1] = g[m++];
+                    }
+            }
             for (j = 0; j < GROUP; j++) {
                 int first = j < real ? j : 0;
                 int64_t lane = g0 + first;
-                if (gens == NULL) {
+                if (streams == NULL) {
                     eta_t[j] = eta + lane * steps + t0;
                     zeta_t[j] = zeta + lane * steps + t0;
-                    continue;
+                } else {
+                    eta_t[j] = drawn[0][first];
+                    zeta_t[j] = drawn[1][first];
                 }
-                if (j < real && !hit[j]) {
-                    draw(gens[2 * lane], drawn[0][j], n);
-                    draw(gens[2 * lane + 1], drawn[1][j], n);
-                }
-                eta_t[j] = drawn[0][first];
-                zeta_t[j] = drawn[1][first];
             }
             variance_steps((int)scheme, k, s, eta_t, n, y, t0, hit);
             for (j = 0; j < real; j++) {
@@ -281,6 +454,10 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
         }
         for (j = 0; j < real; j++) {
             int64_t lane = g0 + j;
+            if (streams != NULL) {
+                pcg64_store(&gen[2 * j], streams + 8 * lane);
+                pcg64_store(&gen[2 * j + 1], streams + 8 * lane + 4);
+            }
             if (hit[j])
                 continue;
             state[lane] = s[j];

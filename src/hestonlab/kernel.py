@@ -4,34 +4,38 @@
 steps in one C loop per lane: the variance recursion of any scheme, the
 log-price recursion and the fold of each summation tile into the group's
 :class:`~hestonlab.estimate.PathSums`.  :meth:`LaneKernel.draw` draws the
-normals itself, a tile at a time, from each lane's pair of numpy
-generators, through numpy's own ``random_standard_normal`` (linked from
-numpy's ``libnpyrandom.a``), so no block of draws is ever held; a Monte
-Carlo lane group goes through its whole path in one call.  A call of
-:class:`LaneKernel` itself reads given draws instead.  Both give the bits of
-the numpy pipeline (:func:`~hestonlab.simulate.draw_normals`,
+normals itself, a tile at a time, from each lane's pair of PCG64 streams,
+which the kernel holds as an array of words (:meth:`LaneKernel.seed` makes
+them from :func:`~hestonlab.simulate.lane_seeds`), through numpy's
+ziggurat, inlined: so no block of draws and no numpy ``Generator`` is ever
+held, and a Monte Carlo lane group goes through its whole path in one call.
+A call of :class:`LaneKernel` itself reads given draws instead.  Both give
+the bits of the numpy pipeline (:func:`~hestonlab.simulate.lane_generators`,
+:func:`~hestonlab.simulate.draw_normals`,
 :func:`~hestonlab.simulate.advance_variance`,
 :func:`~hestonlab.simulate.price_block` and ``PathSums.fold`` a tile at a
 time), which stays as the fallback and as the reference the tests compare
 it against.  It runs without the interpreter lock, since ``ctypes`` releases
 the lock for the call, so worker threads advance their groups in parallel.
 
-The kernel does not take the lock that a numpy ``Generator`` takes around
-its draws.  That is safe where the generators are the caller's alone, as
-the ones :func:`~hestonlab.simulate.lane_generators` makes inside one
-Monte Carlo lane group are: no other thread holds them.
+The ziggurat's three tables are numpy's own: :func:`load` reads them from
+numpy's ``libnpyrandom.a`` (``NPYRANDOM``), the static library of its
+samplers, where they are local symbols of one member (``_TABLE_MEMBER``),
+with a small reader of ``ar`` archives and ELF64 objects, and passes them to
+each call.  After opening the kernel it draws one small lane group both ways,
+in the kernel and through ``draw_normals``, and refuses a kernel whose bits
+or stream states differ.
 
 The kernel is built the first time a Monte Carlo run asks for it, never at
-import, with the system C compiler (``cc``) and the flags in ``FLAGS``,
-against numpy's ``bitgen.h`` and ``libnpyrandom.a`` (``NPYRANDOM``), into a
-per-user cache (``~/.cache/hestonlab``), under a name made from the sha256
-of the source, the archive, the compiler command (with numpy's include
-path) and the platform, so a numpy upgrade builds it afresh.  It is
-compiled to a temporary name and renamed into place, so concurrent builds
-do not clash, and later runs load the cached file.  Where no compiler,
-archive or cache works, :func:`lane_kernel` returns None, without a
-warning, and runs take the numpy pipeline with the same results.
-:func:`load` raises instead, so a broken build can be seen.
+import, with the system C compiler (``cc``) and the flags in ``FLAGS``, into
+a per-user cache (``~/.cache/hestonlab``), under a name made from the sha256
+of the source, numpy's archive, the compiler command and the platform, so a
+numpy upgrade builds it afresh.  It is compiled to a temporary name and
+renamed into place, so concurrent builds do not clash, and later runs load
+the cached file.  Where no compiler, archive, tables or cache work, or the
+check fails, :func:`lane_kernel` returns None, without a warning, and runs
+take the numpy pipeline with the same results.  :func:`load` raises instead, so a broken
+build can be seen.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numbers
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import tempfile
 import threading
@@ -51,7 +56,7 @@ import numpy as np
 
 from .estimate import SUM_TILE, PathSums
 from .model import ModelParams
-from .simulate import Scheme
+from .simulate import Scheme, draw_normals, lane_generators, lane_seeds
 
 __all__ = ["SOURCE", "NPYRANDOM", "COMPILER", "FLAGS", "CACHE_DIR", "load", "lane_kernel",
            "LaneKernel"]
@@ -69,10 +74,96 @@ CACHE_DIR = Path("~", ".cache", "hestonlab")
 _SCHEME_CODES = {Scheme.AVE: 0, Scheme.TE: 1, Scheme.SE: 2, Scheme.DESRE: 3, Scheme.DISRE: 4}
 
 
-def _build(command: list[str]) -> Path:
+# numpy's ziggurat tables: the archive member that holds them and their
+# symbols, in the order the kernel takes them, each 256 eight-byte entries
+_TABLE_MEMBER = "src_distributions_distributions.c.o"
+_TABLE_SYMBOLS = ("ki_double", "wi_double", "fi_double")
+_TABLE_BYTES = 256 * 8
+
+
+def _ar_member(archive: bytes, name: str) -> bytes:
+    """The bytes of member ``name`` of an ``ar`` archive, GNU long names
+    included."""
+    if not archive.startswith(b"!<arch>\n"):
+        raise OSError("not an ar archive")
+    pos, long_names = 8, b""
+    while pos + 60 <= len(archive):
+        header = archive[pos : pos + 60]
+        size = int(header[48:58])
+        body = archive[pos + 60 : pos + 60 + size]
+        if header[58:60] != b"`\n" or len(body) != size:
+            raise OSError(f"a malformed ar member at byte {pos}")
+        member = header[:16].rstrip(b" ")
+        if member == b"//":  # the GNU table of long names, each ended by "/\n"
+            long_names = body
+        elif member[1:].isdigit():  # "/offset" into that table
+            offset = int(member[1:])
+            member = long_names[offset : long_names.index(b"/\n", offset)]
+        else:
+            member = member.removesuffix(b"/")
+        if member == name.encode():
+            return body
+        pos += 60 + size + size % 2
+    raise OSError(f"no member {name} in the archive")
+
+
+def _elf_objects(obj: bytes, names) -> dict[str, bytes]:
+    """The bytes of each named symbol of a little-endian ELF64 object, each
+    an OBJECT of ``_TABLE_BYTES`` bytes in a PROGBITS section, as its
+    ``.symtab`` and ``.strtab`` give them."""
+    if obj[:6] != b"\x7fELF\x02\x01":
+        raise OSError("not a little-endian ELF64 object")
+    shoff, = struct.unpack_from("<Q", obj, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", obj, 0x3A)
+    # (sh_type, sh_offset, sh_size, sh_link) of each section
+    sections = [struct.unpack_from("<4xI16xQQI", obj, shoff + i * shentsize)
+                for i in range(shnum)]
+    symtabs = [s for s in sections if s[0] == 2]  # SHT_SYMTAB
+    if len(symtabs) != 1:
+        raise OSError(f"{len(symtabs)} symbol tables, not 1")
+    _, offset, size, link = symtabs[0]
+    _, str_offset, str_size, _ = sections[link]
+    strtab = obj[str_offset : str_offset + str_size]
+    found = {}
+    for entry in range(offset, offset + size - 23, 24):
+        name_at, info, shndx, value, sym_size = struct.unpack_from("<IBxHQQ", obj, entry)
+        name = strtab[name_at : strtab.index(b"\0", name_at)].decode("ascii", "replace")
+        if name not in names:
+            continue
+        if info & 0xF != 1 or sym_size != _TABLE_BYTES:  # STT_OBJECT
+            raise OSError(f"{name} is not an object of {_TABLE_BYTES} bytes")
+        if not 0 < shndx < len(sections) or sections[shndx][0] != 1:  # SHT_PROGBITS
+            raise OSError(f"{name} is not in a PROGBITS section")
+        _, sec_offset, sec_size, _ = sections[shndx]
+        if value + sym_size > sec_size:
+            raise OSError(f"{name} runs past the end of its section")
+        found[name] = obj[sec_offset + value : sec_offset + value + sym_size]
+    missing = [n for n in names if n not in found]
+    if missing:
+        raise OSError(f"no symbol {', '.join(missing)}")
+    return found
+
+
+def _ziggurat_tables(archive: bytes) -> np.ndarray:
+    """numpy's ziggurat tables, read from the bytes of ``libnpyrandom.a``:
+    (3, 256) uint64, ki and then the bits of the doubles wi and fi.
+
+    Raises:
+        OSError: no such member or symbol, a symbol of another kind or size,
+            or bytes that are not an archive of ELF64 objects.
+    """
+    try:
+        tables = _elf_objects(_ar_member(archive, _TABLE_MEMBER), _TABLE_SYMBOLS)
+    except (ValueError, IndexError, struct.error) as e:
+        raise OSError(f"{NPYRANDOM} is not a readable archive: {e}") from e
+    return np.frombuffer(b"".join(tables[n] for n in _TABLE_SYMBOLS),
+                         dtype="<u8").astype(np.uint64).reshape(3, 256)
+
+
+def _build(command: list[str], archive: bytes) -> Path:
     """The cached shared library of ``kernel.c``, compiled first if it is not there."""
     key = hashlib.sha256(b"\0".join(
-        [SOURCE.read_bytes(), NPYRANDOM.read_bytes(), " ".join(command).encode(),
+        [SOURCE.read_bytes(), archive, " ".join(command).encode(),
          platform.platform().encode(), platform.machine().encode()])).hexdigest()[:24]
     cache = CACHE_DIR.expanduser()
     cache.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -84,7 +175,7 @@ def _build(command: list[str]) -> Path:
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
         try:
-            done = subprocess.run([*command, "-o", tmp, str(SOURCE), str(NPYRANDOM), "-lm"],
+            done = subprocess.run([*command, "-o", tmp, str(SOURCE), "-lm"],
                                   stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
             if done.returncode:
                 raise OSError(f"{command[0]} exited with code {done.returncode}: "
@@ -97,26 +188,65 @@ def _build(command: list[str]) -> Path:
 
 
 def load() -> "LaneKernel":
-    """Build the kernel unless it is cached, and open it.
+    """Build the kernel unless it is cached, open it, and check its draws.
 
     Raises:
-        OSError / subprocess.SubprocessError: no compiler, no numpy archive,
-            a failed compile, an unusable cache or a library that does not
-            load.
+        OSError / subprocess.SubprocessError: no compiler, no numpy archive
+            or no ziggurat tables in it, a failed compile, an unusable cache
+            or a library that does not load.
+        RuntimeError: the kernel's draws or stream states differ from
+            numpy's.
     """
     import ctypes
 
     compiler = shutil.which(COMPILER)
     if compiler is None:
         raise FileNotFoundError(f"no C compiler {COMPILER!r} on the PATH")
-    fn = ctypes.CDLL(str(_build([compiler, *FLAGS, "-I" + np.get_include()]))).hl_lane_block
+    archive = NPYRANDOM.read_bytes()
+    tables = _ziggurat_tables(archive)
+    lib = ctypes.CDLL(str(_build([compiler, *FLAGS], archive)))
+    fn = lib.hl_lane_block
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 4 + [
-        ctypes.c_void_p] * 11
-    # a prototype of its own, so that ctypes.pythonapi's shared one is left as it is
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return LaneKernel(fn, capsule_pointer)
+        ctypes.c_void_p] * 12
+    seed = lib.hl_seed
+    seed.restype = None
+    seed.argtypes = [ctypes.c_int64, ctypes.c_void_p]
+    kernel = LaneKernel(fn, seed, tables)
+    _check_draws(kernel)
+    return kernel
+
+
+# The group load() draws both ways: 4 lanes of 2048 DISRE steps, whose
+# 16384 normals include both of the ziggurat's rare paths, the wedge test
+# (about 1.5% of normals) and the tail (7 of them at this seed)
+_CHECK_SEED, _CHECK_LANES, _CHECK_STEPS = 2, 4, 2048
+_CHECK_PARAMS = ModelParams(a=0.4, b=1.0, alpha=0.1, beta=0.15, sigma1=0.4, sigma2=0.3,
+                            rho=0.2, y0=0.4, x0=0.0)
+
+
+def _check_draws(kernel: "LaneKernel") -> None:
+    """Draw the check group in the kernel and through draw_normals: the same
+    path sums, states and stream states, or RuntimeError."""
+    params, dt, scheme = _CHECK_PARAMS, 0.01, Scheme.DISRE
+    streams = kernel.seed(lane_seeds(_CHECK_SEED, range(_CHECK_LANES)))
+    gens = lane_generators(_CHECK_SEED, range(_CHECK_LANES))
+    results = []
+    for advance in (
+            lambda sums: kernel.draw(params, dt, scheme, streams, _CHECK_STEPS, None, sums),
+            lambda sums: kernel(params, dt, scheme, *draw_normals(gens, _CHECK_STEPS), None,
+                                sums)):
+        sums = PathSums(np.full(_CHECK_LANES, params.y0), np.full(_CHECK_LANES, params.x0))
+        state, _ = advance(sums)
+        results.append([state.tobytes()] + [getattr(sums, name).tobytes()
+                                            for name in _SUMS_ARRAYS])
+    kernel_states = [((int(w[0]) << 64) | int(w[1]), (int(w[2]) << 64) | int(w[3]))
+                     for w in streams.reshape(-1, 4)]
+    numpy_states = [(s["state"]["state"], s["state"]["inc"])
+                    for pair in gens for s in (g.bit_generator.state for g in pair)]
+    if results[0] != results[1] or kernel_states != numpy_states:
+        raise RuntimeError("the lane kernel's draws differ from numpy's; "
+                           f"are the ziggurat tables of {NPYRANDOM} numpy's own?")
 
 
 _lock = threading.Lock()
@@ -145,13 +275,31 @@ _SUMS_ARRAYS = ("y_start", "y_end", "x_end", "sums", "mean", "m2")
 
 class LaneKernel:
     """The opened kernel: a call advances one lane group through one block of
-    given draws, :meth:`draw` through steps whose normals it draws."""
+    given draws, :meth:`draw` through steps whose normals it draws from the
+    streams that :meth:`seed` makes."""
 
-    def __init__(self, fn, capsule_pointer):
+    def __init__(self, fn, seed_fn, tables: np.ndarray):
         self.fn = fn
-        # PyCapsule_GetPointer, which gives a bit generator's bitgen_t
-        # pointer from its capsule (0.9 us; its .ctypes view takes 9 us)
-        self.capsule_pointer = capsule_pointer
+        self.seed_fn = seed_fn
+        # numpy's ziggurat tables, (3, 256) uint64, which each drawing call reads
+        self.tables = tables
+
+    def seed(self, words: np.ndarray) -> np.ndarray:
+        """The PCG64 streams of seed words such as
+        :func:`~hestonlab.simulate.lane_seeds` gives: a new uint64 array of
+        the same (lanes, 2, 4) shape, each stream's state and increment as
+        PCG64 seeds them, for :meth:`draw` to advance.
+
+        Raises:
+            ValueError: words that are not a (lanes, 2, 4) array of integers.
+        """
+        words = np.asarray(words)
+        if words.dtype.kind not in "ui" or words.ndim != 3 or words.shape[1:] != (2, 4):
+            raise ValueError(f"seed words must be (lanes, 2, 4) integers, got {words.dtype} "
+                             f"{words.shape}")
+        streams = np.array(words, dtype=np.uint64, order="C")
+        self.seed_fn(streams.size // 4, streams.ctypes.data)
+        return streams
 
     def __call__(self, params: ModelParams, dt: float, scheme: Scheme, eta: np.ndarray,
                  zeta: np.ndarray, state: np.ndarray | None, sums: PathSums):
@@ -177,29 +325,32 @@ class LaneKernel:
             raise ValueError(f"eta and zeta must both be (lanes, steps), got {eta.shape} "
                              f"and {zeta.shape}")
         return self._advance(params, dt, scheme, *eta.shape, state, sums,
-                             None, eta.ctypes.data, zeta.ctypes.data)
+                             None, None, eta.ctypes.data, zeta.ctypes.data)
 
-    def draw(self, params: ModelParams, dt: float, scheme: Scheme, streams, steps: int,
-             state: np.ndarray | None, sums: PathSums):
+    def draw(self, params: ModelParams, dt: float, scheme: Scheme, streams: np.ndarray,
+             steps: int, state: np.ndarray | None, sums: PathSums):
         """As a call, but the kernel draws the noise: lane i's next ``steps``
-        normals of each of its (eta, zeta) generators ``streams[i]``, the
-        normals :func:`~hestonlab.simulate.draw_normals` gives.
+        normals of each of its (eta, zeta) streams ``streams[i]``, the
+        normals :func:`~hestonlab.simulate.draw_normals` gives from the
+        generators of the same seeds.
 
-        A lane that does not abort leaves its generators where
-        ``draw_normals`` would; an aborted lane's are left unfinished.  The
-        generators' locks are not taken, so no other thread may use them
-        during the call.
+        ``streams`` is a (lanes, 2, 4) array that :meth:`seed` made, which
+        the call advances in place: a lane that does not abort leaves its
+        streams where ``draw_normals`` would leave its generators; an
+        aborted lane's are left unfinished.
         """
         if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 0):
             raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
-        gens = np.array([self.capsule_pointer(gen.bit_generator.capsule, b"BitGenerator")
-                         for pair in streams for gen in pair], dtype=np.uintp)
-        if gens.shape != (2 * len(streams),):
-            raise ValueError("each lane needs one (eta, zeta) pair of generators")
+        if not (isinstance(streams, np.ndarray) and streams.dtype == np.uint64
+                and streams.ndim == 3 and streams.shape[1:] == (2, 4)
+                and streams.flags.c_contiguous and streams.flags.writeable):
+            raise ValueError("each lane needs one (eta, zeta) pair of streams: a writable "
+                             "C-ordered (lanes, 2, 4) uint64 array")
         return self._advance(params, dt, scheme, len(streams), steps, state, sums,
-                             gens.ctypes.data, None, None)
+                             streams.ctypes.data, self.tables.ctypes.data, None, None)
 
-    def _advance(self, params, dt, scheme, lanes, steps, state, sums, gens, eta, zeta):
+    def _advance(self, params, dt, scheme, lanes, steps, state, sums, streams, tables, eta,
+                 zeta):
         scheme.check(params, dt)
         if sums.steps % SUM_TILE:
             raise ValueError("only the last block of a path may end inside a tile")
@@ -220,7 +371,7 @@ class LaneKernel:
         k = np.array(_scheme_constants(scheme, params, dt), dtype=float)
         p = np.array(_price_constants(params, dt), dtype=float)
         status = self.fn(_SCHEME_CODES[scheme], k.ctypes.data, p.ctypes.data, lanes, steps,
-                         SUM_TILE, sums.steps, gens, eta, zeta, state.ctypes.data,
+                         SUM_TILE, sums.steps, streams, tables, eta, zeta, state.ctypes.data,
                          *(getattr(sums, name).ctypes.data for name in _SUMS_ARRAYS),
                          aborted.ctypes.data)
         if status:

@@ -35,6 +35,7 @@ from .errors import (
     NonPositiveSigma,
     NonPositiveY0,
     NotSubcritical,
+    OutsideDomain,
     RhoOutOfRange,
 )
 
@@ -140,16 +141,29 @@ def stationary_laplace(params: ModelParams, lam: float) -> float:
 
     Returns (1 + sigma1^2*lam/(2b))**(-2a/sigma1^2), which is the Laplace
     transform of a Gamma(2a/sigma1^2, scale=sigma1^2/(2b)) distribution.
-    The closed form is analytic for lam > -2b/sigma1^2; nonnegative ``lam``
-    always yields a value in (0, 1].
+    The closed form holds for lam > -2b/sigma1^2, where the transform is
+    finite; nonnegative ``lam`` always yields a value in (0, 1].
 
     Raises:
         NotSubcritical: if b <= 0 (no stationary law exists).
+        OutsideDomain: ``lam`` is not a finite number > -2b/sigma1^2 (a
+            bool is refused too), or the transform overflows there.
     """
     _require_subcritical(params, "stationary_laplace")
     s1sq = params.sigma1 * params.sigma1
-    base = 1.0 + s1sq * lam / (2.0 * params.b)
-    return float(base ** (-2.0 * params.a / s1sq))
+    value = math.inf
+    if not isinstance(lam, bool) and isinstance(lam, numbers.Real) and math.isfinite(lam):
+        # base > 0 is lam > -2b/sigma1^2, as rounded
+        base = 1.0 + s1sq * float(lam) / (2.0 * params.b)
+        if base > 0.0:
+            try:
+                value = base ** (-2.0 * params.a / s1sq)
+            except OverflowError:
+                pass
+    if value == math.inf:
+        raise OutsideDomain(f"stationary_laplace needs a finite lam > -2b/sigma1^2 = "
+                            f"{-2.0 * params.b / s1sq!r}, where it is finite, got lam={lam!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -36,16 +36,17 @@ test pins this approximation against uniform p-values under the null.
 Replicate r of an experiment draws its noise from the streams of
 ``SeedLineage(master_seed, r)`` and from nothing else, so results are
 independent of lane grouping, block length and thread count.  A lane group
-seeds all of its streams at once (:func:`lane_generators`).
+seeds all of its streams at once (:func:`lane_seeds`).
 
 Replicates are simulated as lanes, in lane groups of at most 1024
 replicates.  The compiled lane kernel (:func:`hestonlab.kernel.lane_kernel`)
 takes a group through its whole path in one call: for each lane and each
-summation tile it draws the tile's normals from the lane's two generators
-(numpy's own sampler, so the draws of :func:`draw_normals`), takes the
-variance and price steps, and folds them into the lane's path sums
-(:class:`PathSums`).  No block of draws is held, and a DESRE lane that
-aborts stops drawing.  The kernel is a C loop per lane, built with the
+summation tile it draws the tile's normals from the lane's two PCG64
+streams, which it seeds and holds as words itself (numpy's PCG64 and
+ziggurat inlined, so the draws of :func:`draw_normals` on the generators of
+:func:`lane_generators`), takes the variance and price steps, and folds them
+into the lane's path sums (:class:`PathSums`).  No block of draws and no
+numpy generator is held, and a DESRE lane that aborts stops drawing.  The kernel is a C loop per lane, built with the
 system C compiler the first time a run needs it and cached per user; it
 runs without the interpreter lock, so worker threads advance their groups
 in parallel.  It gives the bits of the numpy pipeline of a single path
@@ -104,6 +105,7 @@ from .simulate import (
     advance_variance,
     draw_normals,
     lane_generators,
+    lane_seeds,
     price_block,
 )
 
@@ -375,24 +377,25 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
     params, grid, scheme = config.params, config.grid, config.scheme
     dt, n = grid.dt, grid.steps
     index = np.arange(lo, hi)
-    streams = lane_generators(config.master_seed, index)
     state = None
     sums = PathSums(np.full(len(index), params.y0), np.full(len(index), params.x0))
     failures: list[ReplicateFailure] = []
 
     kernel = lane_kernel()
     if kernel is not None:
-        # it draws each tile's normals itself: one call takes the group
-        # through its whole path, and no block of draws is held
+        # it draws each tile's normals itself, from streams it holds as
+        # words: one call takes the group through its whole path, and no
+        # block of draws and no Generator is held
+        streams = kernel.seed(lane_seeds(config.master_seed, index))
         block = n
+    else:
+        streams = lane_generators(config.master_seed, index)
 
     # a variance that overflows runs on as inf or NaN, and failure_reasons
     # fails its replicate as NonFinitePath
     for start in range(0, n, block):
         steps = min(block, n - start)
         if kernel is not None:
-            # the kernel takes no Generator lock: these generators were made
-            # above for this group alone, and no other thread holds them
             state, aborted = kernel.draw(params, dt, scheme, streams, steps, state, sums)
         else:
             eta, zeta = draw_normals(streams, steps)
@@ -416,7 +419,10 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
                 for r, k in zip(index[~keep], aborted[~keep])
             )
             index, state = index[keep], state[keep]
-            streams = [s for s, live in zip(streams, keep) if live]
+            if kernel is not None:
+                streams = streams[keep]
+            else:
+                streams = [s for s, live in zip(streams, keep) if live]
             sums.select(keep)
             if not len(index):
                 break

@@ -36,10 +36,11 @@ Randomness contract: every replicate owns two independent Gaussian streams
 (eta for the variance, zeta for the price) derived from a master seed, the
 replicate index and a fixed stream tag.  Identical (seed, replicate) input
 yields bit-identical paths no matter how replicates are batched or threaded.
-:func:`lane_generators` is the one place where streams are seeded: it gives
-each stream the state that NumPy's ``SeedSequence`` would, for a whole lane
-group in one pass.  It and :class:`SeedLineage` refuse (``InvalidSeed``) a
-seed or replicate index that is not an integer >= 0, a bool or float too.
+:func:`lane_seeds` is the one place where streams are seeded: it gives
+each stream the seed words that NumPy's ``SeedSequence`` would, for a whole
+lane group in one pass, and :func:`lane_generators` makes numpy generators
+of them.  Both, and :class:`SeedLineage`, refuse (``InvalidSeed``) a seed or
+replicate index that is not an integer >= 0, a bool or float too.
 
 Lanes and blocks: replicates advanced side by side are lanes, and a block
 of draws or points holds one row per lane.  :func:`draw_normals` draws a
@@ -96,6 +97,7 @@ from .errors import (
     LengthMismatch,
     NegativeInput,
     NonFinitePath,
+    NonFiniteSample,
     NonPositiveZ,
 )
 from .model import ModelParams
@@ -104,6 +106,7 @@ __all__ = [
     "TimeGrid",
     "Scheme",
     "SeedLineage",
+    "lane_seeds",
     "lane_generators",
     "draw_normals",
     "GaussianDraws",
@@ -305,15 +308,15 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def lane_generators(
-    master_seed: int, replicates
-) -> list[tuple[np.random.Generator, np.random.Generator]]:
-    """The (eta, zeta) generators of each replicate index, in order.
+def lane_seeds(master_seed: int, replicates) -> np.ndarray:
+    """The PCG64 seed words of each replicate's (eta, zeta) streams, in order.
 
-    Each is a PCG64 in the state that ``SeedSequence(entropy=master_seed,
-    spawn_key=(replicate, tag))`` gives it, tag 0 for eta and 1 for zeta.
-    The seeds of all streams are hashed together; replicates whose indices
-    take the same number of 32-bit words share one pass.
+    Returns a (len(replicates), 2, 4) uint64 array: for replicate i and tag
+    t (0 for eta, 1 for zeta), ``SeedSequence(entropy=master_seed,
+    spawn_key=(replicate, t)).generate_state(4, np.uint64)``, the words that
+    PCG64 seeds its state and increment from.  The seeds of all streams are
+    hashed together; replicates whose indices take the same number of
+    32-bit words share one pass.
 
     Raises:
         InvalidSeed: a seed or replicate index that is not an integer >= 0.
@@ -326,17 +329,30 @@ def lane_generators(
     for i, words in enumerate(spawn):
         by_words.setdefault(len(words), []).append(i)
 
-    streams = [None] * len(spawn)
+    seeds = np.empty((len(spawn), 2, 4), dtype=np.uint64)
     for lanes in by_words.values():
         entropy = np.array(
             [seed + spawn[i] + [tag] for i in lanes for tag in (_ETA_STREAM, _ZETA_STREAM)],
             dtype=np.uint32,
         )
-        words = _pcg64_seeds(entropy).reshape(len(lanes), 2, 4)
-        for i, pair in zip(lanes, words):
-            streams[i] = tuple(
-                np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in pair)
-    return streams
+        seeds[lanes] = _pcg64_seeds(entropy).reshape(len(lanes), 2, 4)
+    return seeds
+
+
+def lane_generators(
+    master_seed: int, replicates
+) -> list[tuple[np.random.Generator, np.random.Generator]]:
+    """The (eta, zeta) generators of each replicate index, in order.
+
+    Each is a PCG64 seeded from its :func:`lane_seeds` words, so in the
+    state that ``SeedSequence(entropy=master_seed, spawn_key=(replicate,
+    tag))`` gives it, tag 0 for eta and 1 for zeta.
+
+    Raises:
+        InvalidSeed: a seed or replicate index that is not an integer >= 0.
+    """
+    return [tuple(np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in pair)
+            for pair in lane_seeds(master_seed, replicates)]
 
 
 def draw_normals(streams, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +370,12 @@ def draw_normals(streams, steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GaussianDraws:
-    """Pair of equal-length standard-normal draw vectors (eta, zeta)."""
+    """Pair of equal-length standard-normal draw vectors (eta, zeta).
+
+    Raises:
+        LengthMismatch: the two are not 1-d arrays of one length.
+        NonFiniteSample: a draw is NaN or infinite.
+    """
 
     eta: np.ndarray
     zeta: np.ndarray
@@ -367,6 +388,11 @@ class GaussianDraws:
                 f"eta and zeta must be 1-d arrays of equal length, "
                 f"got shapes {eta.shape} and {zeta.shape}"
             )
+        for name, draws in (("eta", eta), ("zeta", zeta)):
+            bad = np.flatnonzero(~np.isfinite(draws))
+            if bad.size:
+                raise NonFiniteSample(f"{name}[{bad[0]}] is {float(draws[bad[0]])}, not a finite "
+                                      "draw")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "zeta", zeta)
 

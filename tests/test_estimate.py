@@ -141,6 +141,22 @@ def test_discrete_alphabeta_exact_fit():
     assert be == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("dt", [-1, 0.0, -0.0, math.nan, math.inf, -math.inf, "a", True, None],
+                         ids=repr)
+def test_discrete_routes_refuse_a_bad_dt(dt):
+    for route, args in ((hl.lse_discrete_ab, ([1.0, 2.0, 2.0],)),
+                        (hl.lse_discrete_alphabeta, ([1.0, 2.0, 2.0], [0.0, 0.5, 0.5]))):
+        with pytest.raises(hl.InvalidGrid, match="^dt must be a finite number > 0, got "):
+            route(*args, dt)
+
+
+def test_discrete_routes_keep_their_bits_at_a_good_dt():
+    y, x = [1.0, 2.0, 2.5, 1.75], [0.0, 0.5, 0.25, 1.0]
+    assert hl.lse_discrete_ab(y, 0.1) == (22.142857142857142, 10.714285714285714)
+    assert hl.lse_discrete_alphabeta(y, x, np.float64(0.1)) == (
+        2.6785714285714284, -0.3571428571428571)
+
+
 def test_discrete_routes_reject_constant_regressor():
     with pytest.raises(hl.DegeneratePath):
         hl.lse_discrete_ab([2.0, 2.0, 2.0, 2.0], 0.5)

@@ -1,13 +1,15 @@
 """The compiled lane kernel against the numpy block pipeline it replaces in
 Monte Carlo runs: the same bits, block by block and run by run, with draws
-given or drawn in the kernel, and a loader that falls back to numpy quietly
-when it cannot build."""
+given or drawn in the kernel from streams it seeds itself, and a loader that
+reads numpy's ziggurat tables, checks the kernel's draws and falls back to
+numpy quietly when it cannot build."""
 
 import copy
 import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -27,9 +29,14 @@ SCHEMES = list(hl.Scheme)
 
 
 def lane_kernel_or_skip():
+    """The kernel; the test is skipped where it does not build, and fails
+    where it builds but its draws are not numpy's."""
     k = kernel.lane_kernel()
     if k is None:
-        pytest.skip("the lane kernel does not build here")
+        try:
+            k = kernel.load()
+        except (OSError, subprocess.SubprocessError) as e:
+            pytest.skip(f"the lane kernel does not build here: {e}")
     return k
 
 
@@ -225,13 +232,15 @@ def test_monte_carlo_runs_use_the_kernel(lane_kernel, monkeypatch):
     calls = []
 
     class Counting:
+        seed = staticmethod(lane_kernel.seed)
+
         def draw(self, params, dt, scheme, streams, steps, state, sums):
             calls.append((len(streams), steps))
             return lane_kernel.draw(params, dt, scheme, streams, steps, state, sums)
 
     monkeypatch.setattr(mc, "lane_kernel", Counting)
     monkeypatch.setattr(mc, "_MAX_LANES", 5)
-    for name in ("advance_variance", "draw_normals"):
+    for name in ("advance_variance", "draw_normals", "lane_generators"):
         monkeypatch.setattr(mc, name, None)  # never reached
     cfg = hl.ExperimentConfig(params=hl.canonical_params(), grid=hl.TimeGrid(100.0, 1000),
                               scheme=hl.Scheme.DISRE, replicates=12, master_seed=901)
@@ -252,17 +261,29 @@ def advanced(stream_pair, count):
     return copies
 
 
+def generator(words):
+    """A numpy generator in the state of a kernel stream (4 uint64 words:
+    state high and low, increment high and low)."""
+    gen = np.random.Generator(np.random.PCG64())
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+        "state": {"state": (int(words[0]) << 64) | int(words[1]),
+                  "inc": (int(words[2]) << 64) | int(words[3])}}
+    return gen
+
+
 def drawn_against_given(params, dt, scheme, lanes, steps, seed=23, k=None):
     """A kernel call that draws a group's noise against draw_normals and a
-    call on the draws it gives, from generators in the same states: the
-    same bits.  A lane that does not abort leaves its generators where
-    draw_normals does; an aborted lane stops drawing after the tile of its
-    abort.  Returns the abort steps (0 for none)."""
+    call on the draws it gives, from streams and generators of the same
+    seeds: the same bits.  A lane that does not abort leaves its streams
+    where draw_normals leaves its generators; an aborted lane stops drawing
+    after the tile of its abort.  Returns the abort steps (0 for none)."""
     k = k or lane_kernel_or_skip()
-    drawn, given = (hl.lane_generators(seed, range(lanes)) for _ in range(2))
-    start = [advanced(pair, 0) for pair in drawn]
+    streams = k.seed(hl.lane_seeds(seed, range(lanes)))
+    given = hl.lane_generators(seed, range(lanes))
+    start = [advanced(pair, 0) for pair in given]
     out = []
-    for advance in (lambda sums: k.draw(params, dt, scheme, drawn, steps, None, sums),
+    for advance in (lambda sums: k.draw(params, dt, scheme, streams, steps, None, sums),
                     lambda sums: k(params, dt, scheme, *draw_normals(given, steps), None, sums)):
         sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
         out.append((*advance(sums), sums))
@@ -277,7 +298,7 @@ def drawn_against_given(params, dt, scheme, lanes, steps, seed=23, k=None):
             want = advanced(start[lane], min(steps, -(-step // SUM_TILE) * SUM_TILE))
         else:
             want = given[lane]
-        for gen, ref in zip(drawn[lane], want):
+        for gen, ref in zip(map(generator, streams[lane]), want):
             assert gen.bit_generator.state == ref.bit_generator.state, lane
             assert gen.standard_normal() == ref.standard_normal(), lane
     return aborted_d
@@ -303,7 +324,7 @@ def test_drawn_noise_in_two_calls_gives_the_bits_of_one(lane_kernel):
     params, scheme, n = hl.canonical_params(), hl.Scheme.DISRE, 2077
     results = []
     for cuts in ([n], [2 * SUM_TILE, n - 2 * SUM_TILE]):
-        streams = hl.lane_generators(7, range(6))
+        streams = lane_kernel.seed(hl.lane_seeds(7, range(6)))
         sums = PathSums(np.full(6, params.y0), np.full(6, params.x0))
         state = None
         for steps in cuts:
@@ -312,6 +333,80 @@ def test_drawn_noise_in_two_calls_gives_the_bits_of_one(lane_kernel):
         results.append([bits(state)] + [bits(getattr(sums, name)) for name in vars(sums)
                                         if name != "steps"])
     assert results[0] == results[1]
+
+
+def test_seeded_streams_are_the_generators_of_lane_generators(lane_kernel):
+    """hl_seed gives each stream the state PCG64 gives it from the same
+    SeedSequence words, for replicate indices of one and two 32-bit words."""
+    replicates = [0, 5, 2**32 - 1, 2**32, 2**40 + 3]
+    streams = lane_kernel.seed(hl.lane_seeds(2**64 + 9, replicates))
+    assert streams.shape == (5, 2, 4) and streams.dtype == np.uint64
+    for words, pair in zip(streams, hl.lane_generators(2**64 + 9, replicates)):
+        for stream, gen in zip(words, pair):
+            assert generator(stream).bit_generator.state == gen.bit_generator.state
+
+
+TABLES = kernel._ziggurat_tables(kernel.NPYRANDOM.read_bytes()) if kernel.NPYRANDOM.is_file() \
+    else None
+
+
+def rare_draws(gen, count):
+    """Where the next ``count`` normals of a generator leave the ziggurat's
+    rectangles, read from the raw words of a copy: (the number of tail
+    draws, the layers of the wedge tests), as numpy's random_standard_normal
+    takes them.  Asserts that the copy, advanced by the words they took,
+    stands where ``count`` normals leave the generator."""
+    ki, wi, fi = TABLES[0], TABLES[1].view(float), TABLES[2].view(float)
+    bits = np.random.PCG64()
+    bits.state = gen.bit_generator.state
+    words = bits.random_raw(count + count // 16 + 64)
+    layer, rabs = (words & 0xFF).astype(np.intp), (words >> np.uint64(9)) & ((1 << 52) - 1)
+    rare = iter(np.flatnonzero(rabs >= ki[layer]).tolist())
+    tails, wedges, at, left = 0, [], 0, count
+    uniform = lambda k: (int(words[k]) >> 11) * 2.0 ** -53  # noqa: E731
+    for k in rare:
+        if k < at:
+            continue
+        if k - at >= left:
+            break
+        left -= k - at
+        i, at = int(layer[k]), k + 1
+        if i == 0:
+            tails += 1
+            while True:  # the tail beyond r, as numpy draws it
+                xx = -0.27366123732975827203338247596 * math.log1p(-uniform(at))
+                yy = -math.log1p(-uniform(at + 1))
+                at += 2
+                if yy + yy > xx * xx:
+                    break
+            left -= 1
+        else:
+            wedges.append(i)
+            x = int(rabs[k]) * wi[i]
+            at += 1
+            left -= int((fi[i - 1] - fi[i]) * uniform(at - 1) + fi[i] < math.exp(-0.5 * x * x))
+    at += left
+    copied = np.random.PCG64()
+    copied.state = gen.bit_generator.state
+    copied.advance(at)
+    gen = copy.deepcopy(gen)
+    gen.standard_normal(count)
+    assert copied.state == gen.bit_generator.state
+    return tails, wedges
+
+
+def test_the_drawing_tests_take_the_tail_and_the_wedges(lane_kernel):
+    """The streams that test_drawn_noise_gives_the_bits_of_draw_normals
+    draws 20077 normals of, 1 to 13 lanes, and those of load()'s check,
+    take both of the ziggurat's rare paths."""
+    for seed, lanes, steps in [(lanes, lanes, 20077) for lanes in range(1, 14)] + [
+            (kernel._CHECK_SEED, kernel._CHECK_LANES, kernel._CHECK_STEPS)]:
+        tails, wedges = 0, 0
+        for pair in hl.lane_generators(seed, range(lanes)):
+            for gen in pair:
+                t, w = rare_draws(gen, steps)
+                tails, wedges = tails + t, wedges + len(w)
+        assert tails > 0 and wedges > tails, (seed, lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +423,7 @@ def report_files(tmp_path, name):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-def assert_quiet_fallback(tmp_path, monkeypatch, capfd):
+def assert_quiet_fallback(tmp_path, monkeypatch, capfd, error=OSError):
     """With the loader patched to fail: no warning, no stderr, no kernel,
     and mc files byte-identical to the forced fallback's."""
     monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "cache")
@@ -339,7 +434,7 @@ def assert_quiet_fallback(tmp_path, monkeypatch, capfd):
     assert seen == []
     assert kernel.lane_kernel() is None
     assert capfd.readouterr().err == ""
-    with pytest.raises(OSError):
+    with pytest.raises(error):
         kernel.load()
     monkeypatch.setattr(mc, "lane_kernel", lambda: None)
     assert got == report_files(tmp_path, "fallback")
@@ -356,6 +451,109 @@ def test_a_missing_numpy_archive_leaves_the_numpy_pipeline_quietly(tmp_path, mon
                                                                    capfd):
     monkeypatch.setattr(kernel, "NPYRANDOM", tmp_path / "no-such-dir" / "libnpyrandom.a")
     assert_quiet_fallback(tmp_path, monkeypatch, capfd)
+
+
+def elf_object(symbols):
+    """A little-endian ELF64 object whose .rodata holds each (name, bytes,
+    type) symbol, type 1 for an OBJECT and 2 for a FUNC."""
+    rodata = b"".join(data for _, data, _ in symbols)
+    strtab = b"\0" + b"".join(name.encode() + b"\0" for name, _, _ in symbols)
+    symtab, name_at, value = bytes(24), 1, 0  # the null symbol first
+    for name, data, kind in symbols:
+        symtab += struct.pack("<IBBHQQ", name_at, kind, 0, 1, value, len(data))
+        name_at, value = name_at + len(name) + 1, value + len(data)
+
+    def section(kind, offset, size, link=0):
+        return struct.pack("<IIQQQQIIQQ", 0, kind, 0, 0, offset, size, link, 0, 8, 0)
+
+    body = rodata + symtab + strtab
+    header = b"\x7fELF\x02\x01\x01" + bytes(9) + struct.pack(
+        "<HHIQQQIHHHHHH", 1, 62, 1, 0, 0, 64 + len(body), 0, 64, 0, 0, 64, 4, 0)
+    return header + body + bytes(64) + section(1, 64, len(rodata)) + section(
+        2, 64 + len(rodata), len(symtab), link=3) + section(
+        3, 64 + len(rodata) + len(symtab), len(strtab))
+
+
+def ar_archive(members):
+    """An ar archive of (name, bytes) members, their names in a GNU table
+    of long names."""
+    def member(name, data):
+        return b"%-16s%-12s%-6s%-6s%-8s%-10s`\n" % (
+            name, b"0", b"0", b"0", b"644", str(len(data)).encode()) + data + b"\n" * (
+            len(data) % 2)
+    out, at = b"!<arch>\n" + member(b"//", b"".join(n.encode() + b"/\n" for n, _ in members)), 0
+    for name, data in members:
+        out, at = out + member(b"/%d" % at, data), at + len(name) + 2
+    return out
+
+
+def table_archive(tables=None, member=kernel._TABLE_MEMBER, symbols=kernel._TABLE_SYMBOLS,
+                  size=256 * 8, obj=None):
+    """A sampler archive whose member holds the ziggurat tables."""
+    rows = np.asarray(TABLES if tables is None else tables, dtype="<u8")
+    obj = obj or elf_object([(name, row.tobytes()[:size], 1)
+                             for name, row in zip(symbols, rows)])
+    return ar_archive([("src_legacy_legacy-distributions.c.o", elf_object([])),
+                       (member, obj)])
+
+
+def use_archive(tmp_path, monkeypatch, data):
+    archive = tmp_path / "libnpyrandom.a"
+    archive.write_bytes(data)
+    monkeypatch.setattr(kernel, "NPYRANDOM", archive)
+
+
+def test_the_reader_finds_the_tables_in_a_built_archive(lane_kernel):
+    """A member found by its long name, three objects among other symbols:
+    the tables the installed archive gives, ki first."""
+    obj = elf_object([("wi_double", TABLES[1].tobytes(), 1), ("random_f", b"\xc3" * 16, 2),
+                      ("fi_double", TABLES[2].tobytes(), 1), ("we_double", bytes(2048), 1),
+                      ("ki_double", TABLES[0].tobytes(), 1)])
+    got = kernel._ziggurat_tables(table_archive(obj=obj))
+    assert got.dtype == np.uint64 and got.tobytes() == TABLES.tobytes()
+    fi = TABLES[2].view(float)
+    assert fi[0] == 1.0 and np.all(np.diff(fi) < 0) and fi[255] > 0
+
+
+BROKEN_ARCHIVES = {
+    "no member": lambda: table_archive(member="src_distributions_other.c.o"),
+    "no symbol": lambda: table_archive(symbols=("ki_double", "wi_double", "fi_doubles")),
+    "a 2040-byte table": lambda: table_archive(size=2040),
+    "not ELF": lambda: table_archive(obj=b"\x7fELF\x01\x01" + bytes(58)),
+    "not an archive": lambda: b"!<thin>\n",
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_ARCHIVES)
+def test_an_archive_without_the_tables_leaves_the_numpy_pipeline_quietly(
+        tmp_path, monkeypatch, capfd, broken):
+    use_archive(tmp_path, monkeypatch, BROKEN_ARCHIVES[broken]())
+    with pytest.raises(OSError):
+        kernel._ziggurat_tables(kernel.NPYRANDOM.read_bytes())
+    assert_quiet_fallback(tmp_path, monkeypatch, capfd)
+
+
+def check_layers():
+    """The layers whose wedge test the draws of load()'s check take."""
+    return {layer for pair in hl.lane_generators(kernel._CHECK_SEED, range(kernel._CHECK_LANES))
+            for gen in pair for layer in rare_draws(gen, kernel._CHECK_STEPS)[1]}
+
+
+@pytest.mark.parametrize("table", [0, 1, 2], ids=kernel._TABLE_SYMBOLS)
+def test_a_flipped_table_entry_fails_the_loaders_check(lane_kernel, tmp_path, monkeypatch,
+                                                      capfd, table):
+    """ki's tail layer set to take every point as inside, one wi entry's
+    exponent bit, and the fi entry of a layer whose wedge the check takes:
+    the kernel draws other normals, and load() refuses it."""
+    tables = TABLES.copy()
+    entry, bit = {0: (0, 62), 1: (100, 52), 2: (min(check_layers()), 51)}[table]
+    tables[table, entry] ^= np.uint64(1 << bit)
+    use_archive(tmp_path, monkeypatch, table_archive(tables))
+    monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "cache")
+    with pytest.raises(RuntimeError, match="draws differ from numpy's"):
+        kernel.load()
+    if table == 0:
+        assert_quiet_fallback(tmp_path, monkeypatch, capfd, RuntimeError)
 
 
 def test_the_loader_caches_one_build_per_source(lane_kernel, tmp_path, monkeypatch):
@@ -434,12 +632,17 @@ def test_a_block_whose_arrays_disagree_is_refused(lane_kernel):
             lane_kernel(p, 0.1, hl.Scheme.DISRE, eta, zeta, state, sums)
     with pytest.raises(ValueError, match="lanes"):
         lane_kernel(p, 0.1, hl.Scheme.DISRE, np.zeros((5, 10)), np.zeros((5, 10)), None, sums)
-    streams = hl.lane_generators(1, range(4))
+    streams = lane_kernel.seed(hl.lane_seeds(1, range(4)))
     for lanes, steps in ((streams[:3], 10), (streams, -1), (streams, 2.0), (streams, True),
-                         ([pair + pair[:1] for pair in streams], 10)):
+                         (np.concatenate([streams, streams[:, :, :1]], axis=2), 10),
+                         (streams.astype(np.int64), 10), (streams[::-1], 10),
+                         (hl.lane_generators(1, range(4)), 10)):
         with pytest.raises(ValueError):
             lane_kernel.draw(p, 0.1, hl.Scheme.DISRE, lanes, steps, None, sums)
     assert sums.steps == 0
+    for words in (np.zeros((4, 2, 3), dtype=np.uint64), np.zeros((4, 2, 4)), [[1, 2]]):
+        with pytest.raises(ValueError):
+            lane_kernel.seed(words)
 
 
 def test_the_loader_refuses_a_cache_others_can_write(lane_kernel, tmp_path, monkeypatch):

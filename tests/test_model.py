@@ -117,6 +117,29 @@ def test_laplace_matches_gamma_density_integral():
         assert hl.stationary_laplace(p, lam) == pytest.approx(val, abs=max(1e-10, 10 * err))
 
 
+@pytest.mark.parametrize("lam", [-3.75, -5.0, -math.inf, math.nan, math.inf, "a", True, None],
+                         ids=repr)
+def test_laplace_refuses_lam_outside_its_domain(lam):
+    """At the canonical parameters the closed form holds for
+    lam > -2b/sigma1^2 = -3.75 (as rounded, -3.749999999999999)."""
+    p = hl.canonical_params()
+    with pytest.raises(hl.OutsideDomain, match=r"lam > -2b/sigma1\^2 = -3\.74.*got lam="):
+        hl.stationary_laplace(p, lam)
+    assert issubclass(hl.OutsideDomain, hl.HestonLabError)
+    assert issubclass(hl.OutsideDomain, ValueError)
+
+
+def test_laplace_inside_its_domain_keeps_its_bits():
+    p = hl.canonical_params()
+    assert hl.stationary_laplace(p, -1) == 4.71512129698046
+    assert hl.stationary_laplace(p, np.float64(-1.0)) == 4.71512129698046
+    # just inside the rounded bound the value is large but finite; where it
+    # overflows it is refused too
+    assert math.isfinite(hl.stationary_laplace(p, -3.7499999999999987))
+    with pytest.raises(hl.OutsideDomain):
+        hl.stationary_laplace(make_params(a=50.0, sigma1=0.01), 0.5 - 2 * 0.3 / 1e-4)
+
+
 def test_laplace_requires_subcritical():
     with pytest.raises(hl.NotSubcritical):
         hl.stationary_laplace(make_params(b=0.0), 1.0)

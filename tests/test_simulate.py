@@ -510,6 +510,15 @@ def test_x_pure_drift_when_decoupled():
     np.testing.assert_allclose(x, 0.1 + 0.1 * grid.times(), rtol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaussian_draws_refuse_non_finite_draws(bad):
+    draws = np.zeros(5)
+    draws[3] = bad
+    for eta, zeta, name in ((draws, np.zeros(5), "eta"), (np.zeros(5), draws, "zeta")):
+        with pytest.raises(hl.NonFiniteSample, match=rf"^{name}\[3\] is {bad}, not a finite"):
+            hl.GaussianDraws(eta=eta, zeta=zeta)
+
+
 def test_x_uncorrelated_uses_second_stream_only():
     p = hl.ModelParams(a=0.4, b=0.3, alpha=0.1, beta=0.15, sigma1=0.4,
                        sigma2=0.3, rho=0.0, y0=0.2, x0=0.1)
@@ -589,11 +598,14 @@ def test_lane_generators_match_seed_sequence(master_seed, replicates):
     SeedSequence(master_seed, spawn_key=(replicate, tag)): same state, same
     normals."""
     streams = hl.lane_generators(master_seed, replicates)
+    seeds = hl.lane_seeds(master_seed, replicates)
     assert len(streams) == len(replicates)
-    for r, pair in zip(replicates, streams):
+    assert seeds.shape == (len(replicates), 2, 4) and seeds.dtype == np.uint64
+    for r, pair, words in zip(replicates, streams, seeds):
         for tag, gen in enumerate(pair):
-            want = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(master_seed, spawn_key=(r, tag))))
+            sequence = np.random.SeedSequence(master_seed, spawn_key=(r, tag))
+            assert words[tag].tolist() == sequence.generate_state(4, np.uint64).tolist()
+            want = np.random.Generator(np.random.PCG64(sequence))
             assert gen.bit_generator.state == want.bit_generator.state, (r, tag)
             assert gen.standard_normal(16).tobytes() == want.standard_normal(16).tobytes()
 
@@ -610,6 +622,8 @@ SEED_DOORS = {
     "SeedLineage.replicate": lambda bad: hl.SeedLineage(0, bad),
     "lane_generators.master_seed": lambda bad: hl.lane_generators(bad, [0]),
     "lane_generators.replicate": lambda bad: hl.lane_generators(0, [3, bad]),
+    "lane_seeds.master_seed": lambda bad: hl.lane_seeds(bad, [0]),
+    "lane_seeds.replicate": lambda bad: hl.lane_seeds(0, [3, bad]),
     "simulate_paths": lambda bad: hl.simulate_paths(P, hl.TimeGrid(1.0, 10),
                                                     hl.Scheme.DISRE, bad, 2),
     "ExperimentConfig": lambda bad: dataclasses.replace(hl.preset_config("desk"),
