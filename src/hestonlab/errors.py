@@ -10,6 +10,11 @@ class HestonLabError(Exception):
     """Base class for all hestonlab failures."""
 
 
+class InvalidArgument(HestonLabError, ValueError):
+    """An argument of a kind the function does not take, such as a str or
+    None where it needs numbers, or a record of another type."""
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 

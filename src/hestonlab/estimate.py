@@ -36,9 +36,11 @@ import numpy as np
 
 from .errors import (
     DegeneratePath,
+    InvalidArgument,
     InvalidGrid,
     LengthMismatch,
     NonFinitePath,
+    NonFiniteSample,
     NonPositiveScalingDiscriminant,
     NonPositiveSigma,
     NonPositiveZ,
@@ -245,9 +247,18 @@ def path_functionals(path: XYPath) -> PathFunctionals:
 
     The path is folded as a single block of :class:`PathSums`, the reducer
     that Monte Carlo runs feed block by block, so both give the same bits.
+
+    Raises:
+        PathTooShort: fewer than two grid points.
+        NonFinitePath: Y or X is not finite; names the first grid index at
+            which it is not.
     """
     if path.grid.steps < 1 or path.y.shape[0] < 2:
         raise PathTooShort("need at least two grid points")
+    for name, values in (("Y", path.y), ("X", path.x)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise NonFinitePath(f"{name} is not finite at grid index {int(np.argmin(finite))}")
     sums = PathSums(path.y[:1], path.x[:1])
     sums.fold(path.y[None, :], path.x[None, :])
     f = sums.functionals(path.grid)
@@ -267,6 +278,11 @@ def _check_samples(y_samples, x_samples) -> tuple[np.ndarray, np.ndarray]:
         raise LengthMismatch(
             f"y and x must have equal length, got {y.shape[0]} and {x.shape[0]}"
         )
+    for name, samples in (("y_samples", y), ("x_samples", x)):
+        finite = np.isfinite(samples)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteSample(f"{name}[{i}] is {samples[i]}, not a finite number")
     return y, x
 
 
@@ -300,6 +316,7 @@ def lse_discrete_ab(y_samples, dt: float) -> tuple[float, float]:
     Raises:
         InvalidGrid: ``dt`` is not a finite number > 0 (a bool is refused too).
         PathTooShort: fewer than two samples.
+        NonFiniteSample: a sample is NaN or infinite; names the first.
         DegeneratePath: the regressor has (numerically) no spread.
     """
     return _lse_discrete(y_samples, y_samples, dt)
@@ -308,8 +325,9 @@ def lse_discrete_ab(y_samples, dt: float) -> tuple[float, float]:
 def lse_discrete_alphabeta(y_samples, x_samples, dt: float) -> tuple[float, float]:
     """Drift estimates (alpha_hat, beta_hat) of the log-price equation.
 
-    Same normal-equations route as :func:`lse_discrete_ab`; the regressor is
-    the variance sample, the response the log-price increments.
+    Same normal-equations route as :func:`lse_discrete_ab`, with its
+    errors; the regressor is the variance sample, the response the
+    log-price increments.
     """
     return _lse_discrete(y_samples, x_samples, dt)
 
@@ -507,7 +525,13 @@ def random_scaling_transform(est: LseEstimate, truth, f: PathFunctionals) -> np.
 def estimate_record(
     est: LseEstimate, scheme: str | None = None, seed: int | None = None
 ) -> dict:
-    """Flat key-value record of an estimate, as emitted by the command line."""
+    """Flat key-value record of an estimate, as emitted by the command line.
+
+    Raises:
+        InvalidArgument: ``est`` is not an :class:`LseEstimate`.
+    """
+    if not isinstance(est, LseEstimate):
+        raise InvalidArgument(f"est must be an LseEstimate, got {est!r}")
     f = est.functionals
     return {
         "a_hat": est.a_hat,

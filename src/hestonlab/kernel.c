@@ -1,4 +1,5 @@
-/* The Monte Carlo lane kernel: one lane group through one block of steps.
+/* The Monte Carlo lane kernel: one lane group through one block of steps;
+ * and the fast route of hestonlab's CSV codec.
  *
  * hl_lane_block runs, for each lane, the variance recursion of a scheme,
  * the Euler log-price recursion and the fold of each summation tile into
@@ -37,11 +38,19 @@
  * folded, for the rest of the block, and its state, sums and streams are
  * left unfinished, since the caller drops it.
  * Overflow runs on as inf or NaN, as in numpy.
+ *
+ * hl_format_rows writes a table's cells as Python's '%.17g' and '%d' do,
+ * byte for byte, and hl_parse_rows reads CSV lines of the strict form it
+ * writes as float() and int() do; each returns -1 for what it does not
+ * take, and hestonlab.simulate's Python codec then takes the whole call.
+ * Neither keeps any state between calls.
  */
 
 #include <float.h>
 #include <math.h>
+#include <stdio.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* doubles must be evaluated in double precision, as numpy's are (not in
@@ -466,4 +475,287 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
         }
     }
     return 0;
+}
+
+
+/* ---------------------------------------------------------------------------
+ * The CSV codec: cells as Python's '%.17g' and '%d' write them, read back
+ * as float() and int() read them
+ */
+
+/* the cell kinds hestonlab.kernel passes: a '%.17g' or float() cell, and a
+   '%d' or int() cell */
+enum { CELL_FLOAT, CELL_INT };
+
+/* the table's powers 10^q, q = POW10_MIN..POW10_MAX */
+#define POW10_MIN (-300)
+#define POW10_MAX 345
+
+#define E16 10000000000000000ULL
+#define E17 100000000000000000ULL
+
+/* the distance from one half within which a fraction is left to snprintf:
+   2^-56, as a 128-bit fixed-point fraction */
+#define HALF ((u128)1 << 127)
+#define TIE_WINDOW ((u128)1 << 72)
+
+/* "00" to "99" */
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* the 8 decimal digits of x < 10^8, leading zeros kept */
+static void digits8(uint32_t x, char *out)
+{
+    uint32_t hi = x / 10000, lo = x % 10000;
+    memcpy(out, DIGIT_PAIRS + 2 * (hi / 100), 2);
+    memcpy(out + 2, DIGIT_PAIRS + 2 * (hi % 100), 2);
+    memcpy(out + 4, DIGIT_PAIRS + 2 * (lo / 100), 2);
+    memcpy(out + 6, DIGIT_PAIRS + 2 * (lo % 100), 2);
+}
+
+/* v * 10^q for v = m * 2^e, through row q of the table: 10^q truncated to
+ * M * 2^E, M of 128 bits (the row's high and low words, then E).  The
+ * 181-bit product m * M is exact, so the result falls short of v * 10^q by
+ * less than v * 10^q * 2^-127: under 2^-70 while v * 10^q < 2^57.  Gives
+ * its integer part *n and its fraction *frac, as a 128-bit fixed-point
+ * number; returns -1 where the integer part would not fit. */
+static int scaled(uint64_t m, int e, int q, const uint64_t *pow10, uint64_t *n, u128 *frac)
+{
+    const uint64_t *row = pow10 + 3 * (q - POW10_MIN);
+    u128 lo = (u128)m * row[1], hi = (u128)m * row[0];
+    u128 mid = (hi & UINT64_MAX) + (lo >> 64);
+    uint64_t w0 = (uint64_t)lo, w1 = (uint64_t)mid;
+    uint64_t w2 = (uint64_t)(hi >> 64) + (uint64_t)(mid >> 64);
+    int s = -(e + (int)(int64_t)row[2]); /* the product's fraction bits */
+    if (s < 64 || s > 127)
+        return -1;
+    *n = (uint64_t)((((u128)w2 << 64) | w1) >> (s - 64));
+    *frac = (((u128)w1 << 64) | w0) << (128 - s);
+    return 0;
+}
+
+/* The 17 significant digits dig[] of a nonzero value, the first of them
+ * nonzero, its decimal exponent d and its sign, as %g lays them out: the
+ * exponent form where d < -4 or d >= 17, trailing zeros dropped and then a
+ * dropped point. */
+static char *layout_g17(const char *dig, int d, int negative, char *out)
+{
+    int nd = 17, i;
+    while (dig[nd - 1] == '0')
+        nd--;
+    if (negative)
+        *out++ = '-';
+    if (d < -4 || d >= 17) {
+        int a = d < 0 ? -d : d;
+        *out++ = dig[0];
+        if (nd > 1) {
+            *out++ = '.';
+            memcpy(out, dig + 1, nd - 1);
+            out += nd - 1;
+        }
+        *out++ = 'e';
+        *out++ = d < 0 ? '-' : '+';
+        if (a >= 100) {
+            *out++ = (char)('0' + a / 100);
+            a %= 100;
+        }
+        memcpy(out, DIGIT_PAIRS + 2 * a, 2);
+        return out + 2;
+    }
+    if (d >= 0) {
+        memcpy(out, dig, d + 1);
+        out += d + 1;
+        if (nd > d + 1) {
+            *out++ = '.';
+            memcpy(out, dig + d + 1, nd - d - 1);
+            out += nd - d - 1;
+        }
+        return out;
+    }
+    *out++ = '0';
+    *out++ = '.';
+    for (i = 0; i < -d - 1; i++)
+        *out++ = '0';
+    memcpy(out, dig, nd);
+    return out + nd;
+}
+
+/* '%.17g' of a finite v into out: the correctly rounded 17 digits of Gay's
+ * dtoa, which Python's '%.17g' gives, ties to even.  Loitsch's method with
+ * 128-bit powers of ten: N = v * 10^(16 - d), d = floor(log10 v), rounded up
+ * where its fraction is one half or more.  Where that fraction lies within
+ * 2^-56 of one half, which the table's error (under 2^-70) might have
+ * tipped, the digits are glibc's snprintf's, also correctly rounded and
+ * ties to even.  Returns the end, or NULL where snprintf's text holds other
+ * characters than those of a number in the C locale. */
+static char *format_g17(double v, const uint64_t *pow10, char *out)
+{
+    uint64_t bits, m, n;
+    int e, d, k;
+    u128 frac;
+    char dig[17], buf[32], *c;
+    memcpy(&bits, &v, sizeof bits);
+    m = bits & 0x000fffffffffffffULL;
+    e = (int)(bits >> 52 & 0x7ff);
+    if (e == 0 && m == 0) {
+        if (bits >> 63)
+            *out++ = '-';
+        *out++ = '0';
+        return out;
+    }
+    if (e) {
+        m |= 1ULL << 52;
+        e -= 1075;
+    } else {
+        e = -1074;
+    }
+    /* floor(log2 v), then d = floor(k log10 2), exact for |k| < 1100 with
+       an arithmetic shift: floor(log10 v) is d or d + 1 */
+    k = e + 63 - __builtin_clzll(m);
+    d = (k * 78913) >> 18;
+    if (scaled(m, e, 16 - d, pow10, &n, &frac))
+        goto slow;
+    if (n >= E17 && scaled(m, e, 16 - ++d, pow10, &n, &frac))
+        goto slow;
+    if (n < E16 || n >= E17 || (frac > HALF ? frac - HALF : HALF - frac) <= TIE_WINDOW)
+        goto slow;
+    if (frac > HALF && ++n == E17) {
+        n = E16;
+        d++;
+    }
+    dig[0] = (char)('0' + n / E16);
+    digits8((uint32_t)(n / 100000000 % 100000000), dig + 1);
+    digits8((uint32_t)(n % 100000000), dig + 9);
+    return layout_g17(dig, d, (int)(bits >> 63), out);
+slow:
+    snprintf(buf, sizeof buf, "%.17g", v);
+    for (c = buf; *c; c++) {
+        if (!((*c >= '0' && *c <= '9') || *c == '.' || *c == 'e' || *c == '+' || *c == '-'))
+            return NULL;
+        *out++ = *c;
+    }
+    return out;
+}
+
+/* '%d' of v into out, where v is an integer of magnitude below 2^53, which
+ * a double holds exactly; else NULL */
+static char *format_int(double v, char *out)
+{
+    char tmp[20];
+    int64_t i;
+    uint64_t u;
+    int len = 0;
+    if (!(fabs(v) < 9007199254740992.0))
+        return NULL;
+    i = (int64_t)v;
+    if ((double)i != v)
+        return NULL;
+    if (i < 0)
+        *out++ = '-';
+    u = i < 0 ? -(uint64_t)i : (uint64_t)i;
+    do {
+        tmp[len++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (len)
+        *out++ = tmp[--len];
+    return out;
+}
+
+/* The CSV lines of values, (rows, cols) row-major, each cell of column c as
+ * Python's '%.17g' (kinds[c] = CELL_FLOAT) or '%d' (CELL_INT) writes it:
+ * cells split by ',', each row ended by '\n'.  pow10 is the table of 10^q,
+ * (POW10_MAX - POW10_MIN + 1, 3).  out needs at most 26 bytes a cell.
+ * Returns the bytes written, or -1 where a float cell is not finite, an int
+ * cell is not an integer of magnitude below 2^53, or snprintf writes other
+ * than a number (a locale's decimal comma): the caller then formats them
+ * all itself. */
+int64_t hl_format_rows(const double *values, int64_t rows, int64_t cols, const int64_t *kinds,
+                       const uint64_t *pow10, char *out)
+{
+    char *p = out;
+    int64_t r, c;
+    for (r = 0; r < rows; r++)
+        for (c = 0; c < cols; c++) {
+            double v = values[r * cols + c];
+            if (kinds[c] == CELL_INT)
+                p = format_int(v, p);
+            else
+                p = isfinite(v) ? format_g17(v, pow10, p) : NULL;
+            if (p == NULL)
+                return -1;
+            *p++ = c + 1 < cols ? ',' : '\n';
+        }
+    return p - out;
+}
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* A float cell at p, -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?: its value as
+ * strtod reads it into *value, and its end, or NULL.  The cell runs to the
+ * first character outside [0-9eE+-] that is not a point before a digit;
+ * strtod must read all of it, which leaves out the rest of what the grammar
+ * refuses ("1e", "1e5e5", "1-2", "1.5.5"), and in a locale whose decimal
+ * point is not '.', every cell with a point. */
+static const char *read_float(const char *p, double *value)
+{
+    const char *cell = p;
+    char *stop;
+    if (*p == '-')
+        p++;
+    if (!is_digit(*p))
+        return NULL;
+    for (;; p++)
+        if (!(is_digit(*p) || *p == 'e' || *p == 'E' || *p == '+' || *p == '-'
+              || (*p == '.' && is_digit(p[1]))))
+            break;
+    *value = strtod(cell, &stop);
+    return stop == p ? p : NULL;
+}
+
+/* An int cell at p, -?[0-9]{1,15}, which a double holds exactly: its value
+ * into *value, and its end, or NULL */
+static const char *read_int(const char *p, double *value)
+{
+    const char *first;
+    int negative = *p == '-';
+    double n = 0.0;
+    p += negative;
+    for (first = p; is_digit(*p); p++)
+        n = n * 10.0 + (*p - '0');
+    if (p == first || p - first > 15)
+        return NULL;
+    *value = negative ? -n : n;
+    return p;
+}
+
+/* The cells of `rows` CSV lines of text[0..len-1], which a NUL must follow,
+ * into out, (cols, rows) row-major: column c read as float() reads it
+ * (kinds[c] = CELL_FLOAT) or as int() does (CELL_INT).  The text must be
+ * `rows` lines, each ended by '\n' but the last, which may end the text,
+ * each of `cols` cells split by ',' and each cell of its kind's grammar
+ * (read_float, read_int): no space, no blank line and no '\r'.  Returns 0,
+ * or -1 where the text is not so, and the caller reads it itself. */
+int64_t hl_parse_rows(const char *text, int64_t len, int64_t rows, int64_t cols,
+                      const int64_t *kinds, double *out)
+{
+    const char *p = text, *end = text + len;
+    int64_t r, c;
+    for (r = 0; r < rows; r++)
+        for (c = 0; c < cols; c++) {
+            p = kinds[c] == CELL_INT ? read_int(p, out + c * rows + r)
+                                     : read_float(p, out + c * rows + r);
+            if (p == NULL)
+                return -1;
+            if (*p == (c + 1 < cols ? ',' : '\n'))
+                p++;
+            else if (!(p == end && r + 1 == rows && c + 1 == cols))
+                return -1;
+        }
+    return p == end ? 0 : -1;
 }

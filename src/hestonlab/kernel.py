@@ -18,24 +18,36 @@ time), which stays as the fallback and as the reference the tests compare
 it against.  It runs without the interpreter lock, since ``ctypes`` releases
 the lock for the call, so worker threads advance their groups in parallel.
 
+The library also holds the fast route of the CSV codec of
+:func:`~hestonlab.simulate.format_csv` and
+:func:`~hestonlab.simulate.parse_csv`: :meth:`LaneKernel.format_rows`
+writes '%.17g' and '%d' cells, byte for byte as Python's % does, and
+:meth:`LaneKernel.parse_rows` reads lines of the strict form that writer
+makes, as ``float()`` and ``int()`` do, or each returns None for the Python
+codec to take the call.  The writer multiplies by powers of ten of 128 bits,
+which :func:`load` computes with exact integers (``_pow10_table``) and
+passes to each call.
+
 The ziggurat's three tables are numpy's own: :func:`load` reads them from
 numpy's ``libnpyrandom.a`` (``NPYRANDOM``), the static library of its
 samplers, where they are local symbols of one member (``_TABLE_MEMBER``),
 with a small reader of ``ar`` archives and ELF64 objects, and passes them to
 each call.  After opening the kernel it draws one small lane group both ways,
 in the kernel and through ``draw_normals``, and refuses a kernel whose bits
-or stream states differ.
+or stream states differ; then it writes a fixed set of values through the
+codec and with %, and reads them back, and refuses a kernel whose bytes or
+bits differ.
 
-The kernel is built the first time a Monte Carlo run asks for it, never at
-import, with the system C compiler (``cc``) and the flags in ``FLAGS``, into
-a per-user cache (``~/.cache/hestonlab``), under a name made from the sha256
-of the source, numpy's archive, the compiler command and the platform, so a
-numpy upgrade builds it afresh.  It is compiled to a temporary name and
-renamed into place, so concurrent builds do not clash, and later runs load
-the cached file.  Where no compiler, archive, tables or cache work, or the
-check fails, :func:`lane_kernel` returns None, without a warning, and runs
-take the numpy pipeline with the same results.  :func:`load` raises instead, so a broken
-build can be seen.
+The kernel is built the first time a Monte Carlo run or the CSV codec asks
+for it, never at import, with the system C compiler (``cc``) and the flags
+in ``FLAGS``, into a per-user cache (``~/.cache/hestonlab``), under a name
+made from the sha256 of the source, numpy's archive, the compiler command
+and the platform, so a numpy upgrade builds it afresh.  It is compiled to a
+temporary name and renamed into place, so concurrent builds do not clash,
+and later runs load the cached file.  Where no compiler, archive, tables or
+cache work, or a check fails, :func:`lane_kernel` returns None, without a
+warning, and runs take the numpy pipeline and the Python codec, with the
+same results.  :func:`load` raises instead, so a broken build can be seen.
 """
 
 from __future__ import annotations
@@ -212,8 +224,15 @@ def load() -> "LaneKernel":
     seed = lib.hl_seed
     seed.restype = None
     seed.argtypes = [ctypes.c_int64, ctypes.c_void_p]
-    kernel = LaneKernel(fn, seed, tables)
+    format_rows, parse_rows = lib.hl_format_rows, lib.hl_parse_rows
+    format_rows.restype = parse_rows.restype = ctypes.c_int64
+    format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] + [
+        ctypes.c_void_p] * 3
+    # a bytes object, whose buffer a NUL ends
+    parse_rows.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
+    kernel = LaneKernel(fn, seed, tables, format_rows, parse_rows, _pow10_table())
     _check_draws(kernel)
+    _check_codec(kernel)
     return kernel
 
 
@@ -249,6 +268,61 @@ def _check_draws(kernel: "LaneKernel") -> None:
                            f"are the ziggurat tables of {NPYRANDOM} numpy's own?")
 
 
+# The powers of ten of the CSV writer, 10^q for q = _POW10_MIN.._POW10_MAX
+# (as kernel.c's POW10_MIN and POW10_MAX), enough for the 17 digits of any
+# double
+_POW10_MIN, _POW10_MAX = -300, 345
+
+
+def _pow10_table() -> np.ndarray:
+    """10^q for each q of the writer's range, truncated to M * 2^E with M of
+    128 bits: a (646, 3) uint64 array of M's high and low words and E, the
+    last as the bits of an int64.  Exact for 0 <= q <= 55, where 5^q fits."""
+    rows = []
+    for q in range(_POW10_MIN, _POW10_MAX + 1):
+        power = 10 ** abs(q)
+        if q >= 0:
+            shift = power.bit_length() - 128
+            mantissa = power >> shift if shift >= 0 else power << -shift
+        else:
+            shift = -(127 + power.bit_length())
+            mantissa = (1 << -shift) // power
+        word = (1 << 64) - 1
+        rows.append((mantissa >> 64, mantissa & word, shift & word))
+    return np.array(rows, dtype=np.uint64)
+
+
+# The values load() writes both ways, in the kernel and with '%.17g':
+# exact ties, which snprintf decides (1 + 2^-17 = 1.00000762939453125 rounds
+# down to even, 1 + 3 * 2^-17 up), both sides of each switch to the exponent
+# form, doubles below a power of ten whose 17 digits round up to it (1e-14
+# and 1e98 are such), signed zeros, the subnormal and normal extremes, and
+# path-like values; beside them, ints of up to 15 digits, which the reader
+# takes, as '%d'
+_CHECK_FLOATS = (1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, 1e-5, 1e-4, 9.9999999999999991e-5, 1e16,
+                 1e17, 9.999999999999999e16, 1e-14, 1e98, 0.1, 0.2, 0.3, -0.0, 0.0, 5e-324,
+                 -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 123456.789, -0.41552999999999998, 2000.0, 1e23)
+_CHECK_INTS = (0.0, -0.0, 1.0, -1.0, 1e15 - 1, 1 - 1e15, 1e14, 999.0)
+
+
+def _check_codec(kernel: "LaneKernel") -> None:
+    """Write the check values in the kernel and with '%', then read the
+    kernel's text back: the same bytes, then the same bits; and 2^53 - 1
+    written as '%d', 2^53 refused.  Else RuntimeError."""
+    rows = np.array([(v, _CHECK_INTS[i % len(_CHECK_INTS)])
+                     for i, v in enumerate(_CHECK_FLOATS)])
+    text = kernel.format_rows(rows, ("%.17g", "%d"))
+    want = ("%.17g,%d\n" * len(rows)) % tuple(rows.ravel().tolist())
+    back = kernel.parse_rows(text or "", (float, int))
+    if (text != want or back is None or back[0].tobytes() != rows[:, 0].tobytes()
+            or back[1].tolist() != rows[:, 1].astype(np.int64).tolist()
+            or kernel.format_rows(np.array([[2.0 ** 53 - 1]]), ("%d",)) != "9007199254740991\n"
+            or kernel.format_rows(np.array([[2.0 ** 53]]), ("%d",)) is not None):
+        raise RuntimeError("the lane kernel's CSV codec differs from Python's '%.17g', "
+                           "'%d', float() and int()")
+
+
 _lock = threading.Lock()
 _loaded: list = []
 
@@ -269,6 +343,12 @@ def lane_kernel() -> "LaneKernel | None":
         return _loaded[0]
 
 
+# the writer's and reader's cell kinds (kernel.c's CELL_FLOAT and CELL_INT),
+# and the most bytes a written cell takes, its separator included
+_CELL_KINDS = {"%.17g": 0, "%d": 1}
+_READ_KINDS = {float: 0, int: 1}
+_CELL_BYTES = 26
+
 # PathSums arrays the kernel updates in place
 _SUMS_ARRAYS = ("y_start", "y_end", "x_end", "sums", "mean", "m2")
 
@@ -278,11 +358,63 @@ class LaneKernel:
     given draws, :meth:`draw` through steps whose normals it draws from the
     streams that :meth:`seed` makes."""
 
-    def __init__(self, fn, seed_fn, tables: np.ndarray):
+    def __init__(self, fn, seed_fn, tables: np.ndarray, format_fn, parse_fn,
+                 pow10: np.ndarray):
         self.fn = fn
         self.seed_fn = seed_fn
         # numpy's ziggurat tables, (3, 256) uint64, which each drawing call reads
         self.tables = tables
+        self.format_fn = format_fn
+        self.parse_fn = parse_fn
+        # the powers of ten that format_rows passes to the writer
+        self.pow10 = pow10
+
+    def format_rows(self, rows, cells) -> str | None:
+        """The CSV lines of ``rows``, a float64 (rows, cols) array, each
+        cell as its column's %-format in ``cells``, '%.17g' or '%d', writes
+        it: the bytes of ``(line * len(rows)) % tuple(rows.ravel())`` for
+        ``line`` the cells joined by ',' and ended by a newline.
+
+        None where the kernel does not write them: another format or array,
+        a value that is not finite, or a '%d' value that is not an integer
+        of magnitude below 2^53.
+        """
+        kinds = [_CELL_KINDS.get(cell) for cell in cells]
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2
+                and rows.shape[1] == len(kinds) > 0 and None not in kinds):
+            return None
+        rows = np.ascontiguousarray(rows)
+        kinds = np.array(kinds, dtype=np.int64)
+        out = np.empty(rows.size * _CELL_BYTES, dtype=np.uint8)
+        n = self.format_fn(rows.ctypes.data, *rows.shape, kinds.ctypes.data,
+                           self.pow10.ctypes.data, out.ctypes.data)
+        return None if n < 0 else out[:n].tobytes().decode("ascii")
+
+    def parse_rows(self, text: str, kinds) -> list[np.ndarray] | None:
+        """One column per kind, ``int`` or ``float``, of CSV lines, each
+        cell read as the kind reads it: float64 and int64 arrays.
+
+        None where the kernel does not read them: another kind, no line, a
+        character that is not ASCII, or text outside the strict grammar of
+        ``hl_parse_rows`` (lines of ``len(kinds)`` cells split by ',', each
+        line ended by a newline, the last optionally; a float cell
+        ``-?[0-9]+(\\.[0-9]+)?([eE][+-]?[0-9]+)?``, an int cell
+        ``-?[0-9]{1,15}``), for a reader of the whole language to take.
+        """
+        codes = [_READ_KINDS.get(kind) for kind in kinds]
+        if not text or not codes or None in codes:
+            return None
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        rows = data.count(b"\n") + (not data.endswith(b"\n"))
+        out = np.empty((len(codes), rows))
+        if self.parse_fn(data, len(data), rows, len(codes),
+                         np.array(codes, dtype=np.int64).ctypes.data, out.ctypes.data):
+            return None
+        return [column if kind is float else column.astype(np.int64)
+                for kind, column in zip(kinds, out)]
 
     def seed(self, words: np.ndarray) -> np.ndarray:
         """The PCG64 streams of seed words such as

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     InvalidGrid,
     InvalidParams,
     NonPositiveA,
@@ -265,12 +266,19 @@ def kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     Row/column order is (a, b, alpha, beta): the left factor indexes the
     (variance, log-price) equation pair and the right factor the
     (level, slope) pair within each equation.
+
+    Raises:
+        InvalidArgument: ``left`` or ``right`` is not a 2x2 matrix of real
+            numbers; names which.
     """
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    if left.shape != (2, 2) or right.shape != (2, 2):
-        raise ValueError("kron expects two 2x2 matrices")
-    return np.kron(left, right)
+    matrices = []
+    for name, matrix in (("left", left), ("right", right)):
+        array = np.asarray(matrix)
+        if array.dtype.kind not in "iuf" or array.shape != (2, 2):
+            raise InvalidArgument(f"kron: {name} must be a 2x2 matrix of real numbers, "
+                                  f"got {matrix!r}")
+        matrices.append(array.astype(float))
+    return np.kron(*matrices)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,7 @@ from .errors import (
     ConfigParseError,
     DegenerateSample,
     InsufficientData,
+    InvalidArgument,
     NonFiniteSample,
     TiesDegenerate,
 )
@@ -798,7 +799,16 @@ def _entrywise_dev(sample: np.ndarray, theory: np.ndarray) -> np.ndarray:
 
 
 def covariance_check(summary: McSummary, theory: AsymptoticCovariance) -> DeviationReport:
-    """Compare the summary's covariance estimates with the limit matrices."""
+    """Compare the summary's covariance estimates with the limit matrices.
+
+    Raises:
+        InvalidArgument: ``summary`` is not an :class:`McSummary` or
+            ``theory`` not an :class:`~hestonlab.model.AsymptoticCovariance`.
+    """
+    for name, value, kind in (("summary", summary, McSummary),
+                              ("theory", theory, AsymptoticCovariance)):
+        if not isinstance(value, kind):
+            raise InvalidArgument(f"{name} must be an {kind.__name__}, got {value!r}")
     scaled_theory = kron(theory.s_matrix, np.eye(2))
     norm_dev = _entrywise_dev(summary.cov_normalized, theory.sigma_matrix)
     scal_dev = _entrywise_dev(summary.cov_scaled, scaled_theory)

@@ -70,7 +70,15 @@ files (``t,y,x``, row 0 the start) and report files.  A file is a header, then
 lines of the header's number of comma-separated cells, floats written with 17
 significant digits.  A reader skips blank lines but counts them in the line
 numbers it names, allows spaces around the header and cells, reads a cell as
-``int()`` or ``float()`` does, and refuses a non-finite cell.
+``int()`` or ``float()`` does, and refuses a non-finite cell.  Two routes
+give the same bytes and doubles: where the compiled kernel loads
+(:func:`hestonlab.kernel.lane_kernel`), it writes '%.17g' and '%d' cells and
+reads files of the strict form the writer makes (no blank line, space or
+'\\r'; cells ``-?[0-9]+(\\.[0-9]+)?([eE][+-]?[0-9]+)?`` and ints of at most
+15 digits); elsewhere, and for any other file or cell format, Python's %
+formatting, ``float()`` and ``int()`` run.  So a cold kernel cache is
+compiled on the first file a process writes or reads, not only on its first
+Monte Carlo run.
 """
 
 from __future__ import annotations
@@ -92,6 +100,7 @@ from .errors import (
     ConfigParseError,
     CsvFormatError,
     FellerViolated,
+    InvalidArgument,
     InvalidGrid,
     InvalidSeed,
     LengthMismatch,
@@ -572,6 +581,18 @@ def _scalar_steps(step, state, eta, out) -> None:
             s = float(out_lane[hi - 1])
 
 
+def _check_step(state_name: str, state, dt, eta_k) -> None:
+    """Refuse a step ``dt`` that is not a finite number > 0 (``InvalidGrid``)
+    and a state or draw that is not a real number or an array of them
+    (``InvalidArgument``): a bool, str or None among them."""
+    if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and 0.0 < dt < math.inf):
+        raise InvalidGrid(f"dt must be a finite number > 0, got {dt!r}")
+    for name, value in ((state_name, state), ("eta_k", eta_k)):
+        if np.asarray(value).dtype.kind not in "iuf":
+            raise InvalidArgument(f"{name} must be a real number or an array of them, "
+                                  f"got {value!r}")
+
+
 def _one_step(scheme: Scheme, params: ModelParams, state, dt, eta_k):
     """One step of ``scheme`` on scalars or arrays of one shape."""
     state, eta_k = np.broadcast_arrays(
@@ -584,11 +605,13 @@ def _one_step(scheme: Scheme, params: ModelParams, state, dt, eta_k):
 
 def step_ave(params: ModelParams, y_prev, dt: float, eta_k):
     """Absolute-value Euler variance step; accepts any real state."""
+    _check_step("y_prev", y_prev, dt, eta_k)
     return _one_step(Scheme.AVE, params, y_prev, dt, eta_k)
 
 
 def step_te(params: ModelParams, y_prev, dt: float, eta_k):
     """Truncated Euler variance step; negative states diffuse with zero volatility."""
+    _check_step("y_prev", y_prev, dt, eta_k)
     return _one_step(Scheme.TE, params, y_prev, dt, eta_k)
 
 
@@ -599,6 +622,7 @@ def step_se(params: ModelParams, y_prev, dt: float, eta_k):
         NegativeInput: if ``y_prev`` is negative (the kernel's square root
             assumes a nonnegative state, which the scheme itself preserves).
     """
+    _check_step("y_prev", y_prev, dt, eta_k)
     if np.any(np.asarray(y_prev) < 0.0):
         raise NegativeInput(f"symmetrized step expects y_prev >= 0, got {y_prev}")
     return _one_step(Scheme.SE, params, y_prev, dt, eta_k)
@@ -611,6 +635,7 @@ def step_desre(params: ModelParams, z_prev, dt: float, eta_k):
         FellerViolated: unless a > sigma1^2/2.
         NonPositiveZ: if ``z_prev`` is not strictly positive.
     """
+    _check_step("z_prev", z_prev, dt, eta_k)
     Scheme.DESRE.check(params, dt)
     if np.any(np.asarray(z_prev) <= 0.0):
         raise NonPositiveZ(f"explicit square-root step needs z_prev > 0, got {z_prev}")
@@ -627,6 +652,7 @@ def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
         FellerViolated: unless a > sigma1^2/2.
         InvalidGrid: unless 2 + b*dt > 0.
     """
+    _check_step("z_prev", z_prev, dt, eta_k)
     Scheme.DISRE.check(params, dt)
     return _one_step(Scheme.DISRE, params, z_prev, dt, eta_k)
 
@@ -888,8 +914,14 @@ def _lane_paths(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_seed
 def format_csv(header, cells, rows) -> str:
     """The CSV text of ``rows``, a 2-d array, under ``header``: row i is
     written with the %-formats ``cells``, one per column."""
-    line = ",".join(cells) + "\n"
-    return ",".join(header) + "\n" + (line * len(rows)) % tuple(np.ravel(rows).tolist())
+    from .kernel import lane_kernel  # kernel imports this module
+
+    kernel = lane_kernel()
+    text = kernel.format_rows(rows, cells) if kernel is not None else None
+    if text is None:
+        line = ",".join(cells) + "\n"
+        text = (line * len(rows)) % tuple(np.ravel(rows).tolist())
+    return ",".join(header) + "\n" + text
 
 
 def parse_csv(text: str, header, kinds, where: str = "",
@@ -903,14 +935,32 @@ def parse_csv(text: str, header, kinds, where: str = "",
             wrong cell count or a cell its kind does not read, else the first line with a non-finite cell; the message
             begins with ``where`` (a file name) when it is given.
     """
+    from .kernel import lane_kernel  # kernel imports this module
+
     def fail(message):
         raise CsvFormatError(f"{where}: {message}" if where else message) from None
 
+    head = ",".join(header)
+    kernel = lane_kernel() if text.startswith(head + "\n") else None
+    columns = kernel.parse_rows(text[len(head) + 1:], kinds) if kernel is not None else None
+    if columns is not None:
+        # strict lines, none of them blank: the header is line 1
+        numbers = range(2, len(columns[0]) + 2)
+    else:
+        columns, numbers = _read_cells(text, head, kinds, name, fail)
+    finite = np.all([np.isfinite(c) for kind, c in zip(kinds, columns) if kind is float], axis=0)
+    if not finite.all():
+        fail(f"line {numbers[int(np.argmin(finite))]}: non-finite value")
+    return columns, numbers
+
+
+def _read_cells(text: str, head: str, kinds, name: str, fail):
+    """parse_csv's columns and line numbers, read by float() and int()
+    from the whole language of the module docstring."""
     lines = text.splitlines()
     body = [line for line in lines if line.strip()]
     numbers = (range(1, len(lines) + 1) if len(body) == len(lines) else
                [n for n, line in enumerate(lines, start=1) if line.strip()])
-    head = ",".join(header)
     if not body or body[0].strip() != head:
         fail(f"unexpected {name} header, expected '{head}'")
     body, numbers = body[1:], numbers[1:]
@@ -930,9 +980,6 @@ def parse_csv(text: str, header, kinds, where: str = "",
                 [kind(part) for kind, part in zip(kinds, parts)]
             except ValueError:
                 fail(f"line {n}: non-numeric value")
-    finite = np.all([np.isfinite(c) for kind, c in zip(kinds, columns) if kind is float], axis=0)
-    if not finite.all():
-        fail(f"line {numbers[int(np.argmin(finite))]}: non-finite value")
     return columns, numbers
 
 

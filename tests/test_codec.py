@@ -1,0 +1,263 @@
+"""The CSV codec's two routes: the lane kernel's writer and reader against
+Python's '%.17g', '%d', float() and int(), which stay as the fallback and
+as the reference here."""
+
+import copy
+import hashlib
+import math
+import subprocess
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import hestonlab.kernel as kernel
+from hestonlab.cli import main
+from hestonlab.simulate import format_csv, parse_csv
+
+
+@pytest.fixture(scope="module")
+def codec():
+    """The kernel; skipped where it does not build."""
+    k = kernel.lane_kernel()
+    if k is None:
+        try:
+            k = kernel.load()
+        except (OSError, subprocess.SubprocessError) as e:
+            pytest.skip(f"the lane kernel does not build here: {e}")
+    return k
+
+
+@pytest.fixture
+def python_codec(monkeypatch):
+    """Run a callable with the kernel forced off: the Python codec."""
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "lane_kernel", lambda: None)
+            return fn(*args)
+    return run
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and text of its error."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def python_lines(values, cells):
+    line = ",".join(cells) + "\n"
+    return (line * len(values)) % tuple(values.ravel().tolist())
+
+
+def families(n):
+    """n finite doubles of each of four families: path-like walks, 1e-7
+    grids, ldexp over exponents -1100..1000 and random bit patterns, which
+    include both signs, subnormals and the extremes."""
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, 2 * n, dtype=np.uint64, endpoint=False).view(np.float64)
+    return np.column_stack([
+        0.2 + np.cumsum(rng.standard_normal(n)) * 0.003,
+        np.arange(n) * 1e-7,
+        np.ldexp(rng.random(n) + 0.5, rng.integers(-1100, 1001, n)) * rng.choice([-1, 1], n),
+        bits[np.isfinite(bits)][:n],
+    ])
+
+
+def decimal_exponent(v: float) -> int:
+    """floor(log10 |v|), exactly."""
+    x = abs(Fraction(v))
+    d = len(str(int(x))) - 1 if x >= 1 else -len(str(int(1 / x)))
+    while Fraction(10) ** d > x:
+        d -= 1
+    while Fraction(10) ** (d + 1) <= x:
+        d += 1
+    return d
+
+
+def seventeen_digit_fraction(v: float) -> Fraction:
+    """The fraction of |v| * 10^(16 - d), which decides its 17th digit."""
+    x = abs(Fraction(v)) * Fraction(10) ** (16 - decimal_exponent(v))
+    return x - math.floor(x)
+
+
+def exact_ties():
+    """Doubles odd * 2^-j of exactly 18 significant digits, the last a 5:
+    ties at 17 digits, which round to even."""
+    rng = np.random.default_rng(3)
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        for odd in rng.integers(lo // 2, hi // 2, 12):
+            v = math.ldexp(2 * int(odd) + 1, -j)
+            ties += [v, -v]
+    return np.array(ties)
+
+
+def near_powers_of_ten():
+    """Each double nearest 10^k and its two neighbours: both sides of the
+    switch to the exponent form, and the doubles just below a power of ten
+    whose 17 digits round up to it."""
+    near = [float(f"1e{k}") for k in range(-323, 309)]
+    return np.array([np.nextafter(v, toward) for v in near for toward in (0.0, v, np.inf)])
+
+
+def test_the_writer_gives_the_bytes_of_percent_formatting(codec):
+    values = np.concatenate([families(125_000).ravel(), exact_ties(), near_powers_of_ten(),
+                             kernel._CHECK_FLOATS]).reshape(-1, 1)
+    text = codec.format_rows(values, ("%.17g",))
+    assert text == python_lines(values, ("%.17g",))
+    # and the reader gives back their bits
+    assert codec.parse_rows(text, (float,))[0].tobytes() == values.tobytes()
+
+
+def test_the_test_values_reach_every_branch_of_the_writer():
+    """Ties, which the fast path leaves to snprintf, 17 nines that round up
+    to a power of ten, and exponents of 16 and 17, -4 and -5."""
+    ties = exact_ties()
+    assert len(ties) > 200
+    assert all(seventeen_digit_fraction(v) == Fraction(1, 2) for v in ties[:40])
+    near = near_powers_of_ten()
+    # below 10^k, but 17 digits of it round up to 1e+k
+    carries = [v for v in near if ("%.17g" % v).startswith("1e")
+               and decimal_exponent(v) < int(("%.17g" % v)[2:])]
+    assert carries
+    assert {-5, -4, 16, 17} <= {decimal_exponent(v) for v in near}
+
+
+def test_the_fast_path_decides_no_cell_the_tables_error_could_tip(codec):
+    """With every mantissa of the table one unit lower or higher, an error
+    in 10^q near 2^-127 of it, the writer gives the same bytes: a tie is
+    left to snprintf, not rounded from an inexact product."""
+    values = np.concatenate([exact_ties(), near_powers_of_ten(), kernel._CHECK_FLOATS,
+                             families(2_000).ravel()]).reshape(-1, 1)
+    want = python_lines(values, ("%.17g",))
+    table = codec.pow10
+    mantissas = (table[:, 0].astype(object) << 64) | table[:, 1].astype(object)
+    for step in (-1, 1):
+        moved = [int(m) + step for m in mantissas]
+        shifted = copy.copy(codec)
+        shifted.pow10 = np.column_stack([
+            np.array([m >> 64 for m in moved], dtype=np.uint64),
+            np.array([m & (2 ** 64 - 1) for m in moved], dtype=np.uint64), table[:, 2]])
+        assert shifted.format_rows(values, ("%.17g",)) == want
+
+
+def test_ints_round_trip(codec):
+    rng = np.random.default_rng(4)
+    ints = np.concatenate([rng.integers(-10 ** 15 + 1, 10 ** 15, 2000),
+                           [0, 1, -1, 10 ** 15 - 1, -10 ** 15 + 1]]).astype(float)
+    table = np.column_stack([ints, rng.standard_normal(len(ints))])
+    text = codec.format_rows(table, ("%d", "%.17g"))
+    assert text == python_lines(table, ("%d", "%.17g"))
+    index, floats = codec.parse_rows(text, (int, float))
+    assert index.dtype == np.int64 and index.tolist() == ints.astype(np.int64).tolist()
+    assert floats.tobytes() == table[:, 1].tobytes()
+    assert codec.format_rows(np.array([[-0.0, 2.0 ** 53 - 1]]), ("%d", "%d")) == \
+        "0,9007199254740991\n"
+
+
+@pytest.mark.parametrize("rows, cells", [
+    (np.array([[1.5, np.nan]]), ("%.17g", "%.17g")),
+    (np.array([[1.5, -np.inf]]), ("%.17g", "%.17g")),
+    (np.array([[2.5, 1.0]]), ("%d", "%.17g")),
+    (np.array([[2.0 ** 53, 1.0]]), ("%d", "%.17g")),
+    (np.array([[np.nan, 1.0]]), ("%d", "%.17g")),
+    (np.array([[1.0, 2.0]]), ("%.3f", "%.17g")),
+    (np.array([["mean", 0.25]], dtype=object), ("%s", "%.17g")),
+    (np.array([[1, 2]]), ("%d", "%d")),
+    ([[1.0, 2.0]], ("%.17g", "%.17g")),
+], ids=["nan", "inf", "fraction-as-d", "2^53-as-d", "nan-as-d", "other-format", "objects",
+        "int-array", "list"])
+def test_what_the_writer_refuses_python_writes(codec, python_codec, rows, cells):
+    assert codec.format_rows(rows, cells) is None
+    header = ("u", "v")
+    assert outcome(format_csv, header, cells, rows) == python_codec(outcome, format_csv, header,
+                                                                     cells, rows)
+
+
+FLOAT2 = ("t", "y"), (float, float)
+INT_FLOAT = ("n", "y"), (int, float)
+
+
+@pytest.mark.parametrize("text, layout, fast", [
+    ("t,y\r\n1,2\r\n3,4\r\n", FLOAT2, False),
+    ("t,y\n1,2\n\n3,4\n", FLOAT2, False),
+    ("t,y\n1,2\n3,4\n\n", FLOAT2, False),
+    ("t,y\n 1 ,2\n", FLOAT2, False),
+    ("t,y\n1_0,2\n", FLOAT2, False),
+    ("t,y\n+1,2\n", FLOAT2, False),
+    ("t,y\n.5,2\n", FLOAT2, False),
+    ("t,y\n5.,2\n", FLOAT2, False),
+    ("t,y\n1,infinity\n", FLOAT2, False),
+    ("t,y\n1,2\nnan,3\n", FLOAT2, False),
+    ("t,y\n1,2\n3,1e999\n", FLOAT2, True),
+    ("t,y\n1,２\n", FLOAT2, False),
+    ("t,y\n1,2\x0c3,4\n", FLOAT2, False),
+    ("t,y\n1,2,3\n", FLOAT2, False),
+    ("t,y\n1\n", FLOAT2, False),
+    ("t,z\n1,2\n", FLOAT2, False),
+    ("n,y\n1234567890123456,2\n", INT_FLOAT, False),
+    ("n,y\n1.0,2\n", INT_FLOAT, False),
+    ("t,y\n", FLOAT2, False),
+    ("t,y\n1,1e5e5\n", FLOAT2, False),
+    ("t,y\n1,1-2\n", FLOAT2, False),
+    ("t,y\n1,2e\n", FLOAT2, False),
+    ("t,y\n1,1e+\n", FLOAT2, False),
+    ("t,y\n1,1.5.5\n", FLOAT2, False),
+    ("t,y\n1,0x10\n", FLOAT2, False),
+    ("t,y\n-,2\n", FLOAT2, False),
+    ("t,y\n1,2\n3,4", FLOAT2, True),
+    ("t,y\n-0,1.5e-3\n2E+2,-7\n", FLOAT2, True),
+    ("n,y\n-0,2\n999999999999999,3\n", INT_FLOAT, True),
+], ids=["crlf", "blank-line", "blank-last-line", "spaces", "underscore", "plus", "point-first",
+        "point-last", "infinity", "nan", "overflow", "non-ascii", "form-feed", "too-many-cells",
+        "too-few-cells", "bad-header", "16-digit-int", "float-as-int", "empty-body",
+        "two-exponents", "inner-minus", "empty-exponent", "signed-empty-exponent", "two-points",
+        "hex", "sign-only", "no-final-newline", "exponents", "int-extremes"])
+def test_both_readers_agree(codec, python_codec, text, layout, fast):
+    """The same columns and line numbers, or the same error, from the
+    kernel's strict reader and the Python reader; text outside the strict
+    grammar goes to the Python reader whole."""
+    header, kinds = layout
+    if text.startswith(",".join(header) + "\n"):
+        body = text[len(",".join(header)) + 1:]
+        assert (codec.parse_rows(body, kinds) is not None) == fast
+    def read():
+        columns, numbers = parse_csv(text, header, kinds, "f.csv")
+        return [c.dtype.str for c in columns], [c.tolist() for c in columns], list(numbers)
+
+    assert outcome(read) == python_codec(outcome, read)
+
+
+CONFIG = ("a = 0.4\nb = 0.3\nalpha = 0.1\nbeta = 0.15\nsigma1 = 0.4\nsigma2 = 0.3\n"
+          "rho = 0.2\ny0 = 0.2\nx0 = 0.1\nT = 20\nN = 400\nscheme = DISRE\n"
+          "replicates = 12\nseed = 5\n")
+
+
+def cli_files(tmp_path, name, threads, capsys):
+    """The files of simulate, mc and report in a new directory, and the
+    output of estimate on one path file."""
+    out = tmp_path / name
+    out.mkdir()
+    cfg = out / "run.cfg"
+    cfg.write_text(CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--set", "replicates=2",
+                 "--out", str(out / "paths")]) == 0
+    assert main(["mc", "--config", str(cfg), "--out", str(out / "report"),
+                 "--threads", str(threads)]) == 0
+    assert main(["report", "--out", str(out / "report")]) == 0
+    capsys.readouterr()
+    assert main(["estimate", str(sorted((out / "paths").iterdir())[0]),
+                 "--config", str(cfg)]) == 0
+    files = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return files, capsys.readouterr().out
+
+
+def test_files_are_the_same_through_both_codecs(codec, python_codec, tmp_path, capsys):
+    """simulate, estimate, mc and report, at 1 and 2 threads."""
+    with_kernel = cli_files(tmp_path, "kernel", 1, capsys)
+    assert with_kernel == python_codec(cli_files, tmp_path, "python", 2, capsys)
+    assert with_kernel == cli_files(tmp_path, "threads", 2, capsys)

@@ -448,3 +448,31 @@ def test_columnar_estimator_matches_scalar_route_row_by_row(rows, horizon):
             assert est[np.count_nonzero(estimable[:j])].tobytes() == want[1].tobytes()
         if ok[j]:
             assert scaled[np.count_nonzero(ok[:j])].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_the_discrete_routes_refuse_non_finite_samples(bad):
+    y = np.array([0.2, 0.25, bad, 0.3, 0.2])
+    with pytest.raises(hl.NonFiniteSample, match=r"y_samples\[2\]"):
+        hl.lse_discrete_ab(y, 0.1)
+    with pytest.raises(hl.NonFiniteSample, match=r"x_samples\[2\]"):
+        hl.lse_discrete_alphabeta(np.array([0.2, 0.25, 0.3, 0.35, 0.2]), y, 0.1)
+
+
+@pytest.mark.parametrize("series, index", [("y", 3), ("x", 0)])
+def test_path_functionals_refuse_a_non_finite_path(series, index):
+    y, x = np.full(6, 0.2), np.zeros(6)
+    {"y": y, "x": x}[series][index] = math.nan
+    name = series.upper()
+    with pytest.raises(hl.NonFinitePath, match=f"{name} is not finite at grid index {index}"):
+        hl.path_functionals(path_of(y, x, 0.1))
+
+
+def test_estimate_record_refuses_what_is_not_an_estimate(three_point):
+    with pytest.raises(hl.InvalidArgument, match="est must be an LseEstimate"):
+        hl.estimate_record(None)
+    est = hl.lse_from_functionals(hl.path_functionals(three_point))
+    rec = hl.estimate_record(est)
+    assert [rec[k].hex() for k in ("a_hat", "b_hat", "alpha_hat", "beta_hat")] == [
+        v.hex() for v in (est.a_hat, est.b_hat, est.alpha_hat, est.beta_hat)]
+    assert (rec["scheme"], rec["seed"]) == ("", "")

@@ -384,3 +384,19 @@ def test_kron_matches_numpy_and_identities():
             np.asarray(hl.kron(a, b)) @ np.asarray(hl.kron(c, d)),
             np.asarray(hl.kron(a @ c, b @ d)), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(ka.T, np.asarray(hl.kron(a.T, b.T)), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("left, right, name", [
+    ("a", np.eye(2), "left"), (None, np.eye(2), "left"), (np.eye(2), np.eye(3), "right"),
+    (np.eye(2), [["1", "0"], ["0", "1"]], "right"), (np.eye(2, dtype=bool), np.eye(2), "left")])
+def test_kron_refuses_what_is_not_a_2x2_real_matrix(left, right, name):
+    with pytest.raises(hl.InvalidArgument, match=f"kron: {name} must be a 2x2"):
+        hl.kron(left, right)
+
+
+def test_kron_keeps_the_bits_of_the_limit_covariance():
+    theory = hl.asymptotic_covariance(hl.canonical_params())
+    got = np.asarray(hl.kron(theory.s_matrix, theory.m_matrix))
+    assert got.tobytes() == np.asarray(theory.sigma_matrix).tobytes()
+    assert hl.kron([[1, 2], [3, 4]], [[0.5, -1.0], [2.0, 0.25]])[3].tolist() == [
+        6.0, 0.75, 8.0, 1.0]

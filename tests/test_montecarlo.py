@@ -604,3 +604,17 @@ def test_covariance_check_scales_deviations():
     rep = hl.covariance_check(fake_summary(150, sig, s_scaled), theory)
     assert rep.normalized_dev[0][0] == pytest.approx(0.10, rel=1e-10)
     assert rep.max_scaled_dev == 0.0
+
+
+def test_covariance_check_refuses_what_is_not_a_summary_and_a_theory():
+    theory = hl.asymptotic_covariance(hl.canonical_params())
+    for args, name in (((None, None), "summary"), ((None, theory), "summary"),
+                       ((fake_summary(150, np.eye(4), np.eye(4)), None), "theory")):
+        with pytest.raises(hl.InvalidArgument, match=f"{name} must be an"):
+            hl.covariance_check(*args)
+    # an accepted call keeps its bits
+    s_scaled = np.kron(np.asarray(theory.s_matrix), np.eye(2)) + 0.01
+    rep = hl.covariance_check(fake_summary(150, np.asarray(theory.sigma_matrix) * 1.25, s_scaled),
+                              theory)
+    assert (rep.max_normalized_dev.hex(), rep.max_scaled_dev.hex()) == (
+        "0x1.0000000000002p-2", "0x1.c71c71c71c71dp-4")

@@ -901,3 +901,28 @@ def test_csv_codec_round_trips_the_bits(rows, pad, blanks):
         assert columns[j].tobytes() == np.array([r[j] for r in rows], dtype=float).tobytes()
     data = [n for n, line in enumerate(lines, start=1) if line.strip()][1:]
     assert list(numbers) == data
+
+
+STEPS = [simulate.step_ave, simulate.step_te, simulate.step_se, simulate.step_desre,
+         simulate.step_disre]
+
+
+@pytest.mark.parametrize("step", STEPS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0, 0.0, True, "0.1", None])
+def test_a_step_refuses_a_dt_that_is_not_a_finite_number_above_zero(step, dt):
+    with pytest.raises(hl.InvalidGrid, match="dt must be a finite number > 0"):
+        step(P, 0.3, dt, 0.0)
+
+
+@pytest.mark.parametrize("step", STEPS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("state, eta", [("a", 0.0), (None, 0.0), (True, 0.0), (0.3, "x"),
+                                        (0.3, None), (0.3, False), ([0.3, "a"], 0.0)])
+def test_a_step_refuses_a_state_or_draw_that_is_not_real(step, state, eta):
+    with pytest.raises(hl.InvalidArgument, match="y_prev|z_prev|eta_k") as caught:
+        step(P, state, 0.01, eta)
+    assert isinstance(caught.value, ValueError)
+
+
+def test_accepted_steps_keep_their_bits():
+    got = [float(step(P, 0.3, 0.01, 0.7)).hex() for step in STEPS]
+    assert got == ["0x1.461425c2821a1p-2"] * 3 + ["0x1.47381d7dbf488p-2", "0x1.46d2272083b60p-2"]
