@@ -286,10 +286,24 @@ def _check_samples(y_samples, x_samples) -> tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
-def _lse_discrete(y_samples, response, dt: float) -> tuple[float, float]:
-    # the 2x2 normal equations of one response on the regressors (1, -Y_{k-1})
+def _check_dt(dt) -> None:
     if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and 0.0 < dt < math.inf):
         raise InvalidGrid(f"dt must be a finite number > 0, got {dt!r}")
+
+
+def _drift_values(values, name: str) -> list[float]:
+    """Floats of a sequence of four finite real numbers (no bool), else ``InvalidArgument``."""
+    items = list(values) if isinstance(values, (list, tuple)) or np.ndim(values) == 1 else []
+    if len(items) != 4 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                  and math.isfinite(v) for v in items):
+        raise InvalidArgument(f"{name} must be four finite real numbers (a, b, alpha, beta), "
+                              f"got {values!r}")
+    return [float(v) for v in items]
+
+
+def _lse_discrete(y_samples, response, dt: float) -> tuple[float, float]:
+    # the 2x2 normal equations of one response on the regressors (1, -Y_{k-1})
+    _check_dt(dt)
     y, r = _check_samples(y_samples, response)
     y_left = y[:-1]
     m = y_left.shape[0]
@@ -428,8 +442,14 @@ def ls_objective(candidate, y_samples, x_samples, dt: float) -> float:
     The minimizer of this function over candidates is exactly the pair of
     closed-form solutions above; tests use it as an independent optimality
     oracle.
+
+    Raises:
+        InvalidGrid / InvalidArgument: ``dt`` is not a finite number > 0, or
+            ``candidate`` is not four finite real numbers.
+        PathTooShort / LengthMismatch / NonFiniteSample: as :func:`lse_discrete_alphabeta`.
     """
-    a, b, alpha, beta = (float(v) for v in candidate)
+    _check_dt(dt)
+    a, b, alpha, beta = _drift_values(candidate, "candidate")
     y, x = _check_samples(y_samples, x_samples)
     y_left = y[:-1]
     res_y = np.diff(y) - (a - b * y_left) * dt
@@ -472,13 +492,11 @@ def ito_cross_check(f: PathFunctionals, sigma1: float) -> IntegralDiagnostic:
 
 
 def truth_vector(truth) -> np.ndarray:
-    """The drift coefficients (a, b, alpha, beta) of a ModelParams or a 4-sequence."""
+    """The drift coefficients (a, b, alpha, beta) of a ModelParams or of four
+    finite real numbers, else ``InvalidArgument``."""
     if isinstance(truth, ModelParams):
         return truth.drift_vector()
-    arr = np.asarray(truth, dtype=float)
-    if arr.shape != (4,):
-        raise ValueError("truth must be (a, b, alpha, beta) or a ModelParams")
-    return arr
+    return np.array(_drift_values(truth, "truth"))
 
 
 def normalized_error(est: LseEstimate, truth) -> np.ndarray:
@@ -501,6 +519,7 @@ def random_scaling_transform(est: LseEstimate, truth, f: PathFunctionals) -> np.
     implements the time-averaged form.
 
     Raises:
+        InvalidArgument: as :func:`truth_vector`.
         NonFinitePath: a row holds a value, or has an e1*e3 - e2^2, that is
             not a finite number.
         DegeneratePath: the spread denominator is at the degeneracy threshold.

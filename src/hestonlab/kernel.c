@@ -1,12 +1,13 @@
-/* The Monte Carlo lane kernel: one lane group through one block of steps;
- * and the fast route of hestonlab's CSV codec.
+/* The lane kernel: one lane group through one block of steps, for Monte
+ * Carlo runs and for single paths; and the fast route of hestonlab's CSV
+ * codec.
  *
  * hl_lane_block runs, for each lane, the variance recursion of a scheme,
  * the Euler log-price recursion and the fold of each summation tile into
- * the running path sums; lanes go four at a time, their variance steps
- * interleaved.  Its noise is either drawn here, a tile at a time, from each
- * lane's pair of PCG64 streams, or read from given (steps,) rows of eta and
- * zeta.
+ * the running path sums, and on request writes the variance and price
+ * points; lanes go four at a time, their variance steps interleaved.  Its
+ * noise is either drawn here, a tile at a time, from each lane's pair of
+ * PCG64 streams, or read from given (steps,) rows of eta and zeta.
  * It gives the bits of the numpy pipeline of hestonlab (draw_normals, then
  * simulate's step loop and price_block, then estimate.PathSums.fold a tile
  * at a time), so every operation below is the IEEE operation numpy
@@ -370,15 +371,19 @@ static void draw_tile(struct pcg64 *g, int m, double *const *out, int64_t n,
  * y_start, y_end, x_end, mean, m2 and aborted are (lanes,), and sums is
  * (6, lanes), row-major: PathSums's arrays, updated in place.  Tiles are
  * `tile` steps, counted from the block's start; every tile but the last
- * must be whole, so `done` is a multiple of `tile`.  Lanes go GROUP at a
- * time, a last short group padded with copies of its first lane, which
- * never draw and whose results are dropped.  Returns 0, or -1 for a tile
- * outside [1, 128], where nothing is done. */
+ * must be whole, so `done` is a multiple of `tile`.  Unless they are NULL,
+ * y_out and x_out, (lanes, steps + 1) row-major, receive each lane's
+ * variance and price points, y_end and x_end first, tile by tile while the
+ * lane is live.  Lanes go GROUP at a time, a last short group padded with
+ * copies of its first lane, which never draw and whose results are
+ * dropped.  Returns 0, or -1 for a tile outside [1, 128], where nothing is
+ * done. */
 int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lanes,
                       int64_t steps, int64_t tile, int64_t done, uint64_t *streams,
                       const uint64_t *tables, const double *eta, const double *zeta,
                       double *state, const double *y_start, double *y_end, double *x_end,
-                      double *sums, double *mean, double *m2, int64_t *aborted)
+                      double *sums, double *mean, double *m2, int64_t *aborted,
+                      double *y_out, double *x_out)
 {
     struct ziggurat z;
     int64_t g0, t0;
@@ -405,6 +410,10 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
             hit[j] = 0;
             if (j < real) {
                 aborted[lane] = 0;
+                if (y_out != NULL) {
+                    y_out[lane * (steps + 1)] = y_end[lane];
+                    x_out[lane * (steps + 1)] = x_end[lane];
+                }
                 if (streams != NULL) {
                     gen[2 * j] = pcg64_load(streams + 8 * lane);
                     gen[2 * j + 1] = pcg64_load(streams + 8 * lane + 4);
@@ -455,6 +464,10 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
                     continue;
                 }
                 price_steps(p, y[j], eta_t[j], zeta_t[j], n, x[j]);
+                if (y_out != NULL) {
+                    memcpy(y_out + lane * (steps + 1) + t0 + 1, y[j] + 1, n * sizeof(double));
+                    memcpy(x_out + lane * (steps + 1) + t0 + 1, x[j] + 1, n * sizeof(double));
+                }
                 fold_tile(y[j], x[j], n, done + t0, y_start[lane], sums + lane, lanes,
                           mean + lane, m2 + lane);
                 y[j][0] = y[j][n];

@@ -1,4 +1,4 @@
-"""The compiled lane kernel of Monte Carlo runs, and its loader.
+"""The compiled lane kernel of Monte Carlo runs and single paths, and its loader.
 
 ``kernel.c``, next to this file, advances a lane group through a block of
 steps in one C loop per lane: the variance recursion of any scheme, the
@@ -8,7 +8,8 @@ normals itself, a tile at a time, from each lane's pair of PCG64 streams,
 which the kernel holds as an array of words (:meth:`LaneKernel.seed` makes
 them from :func:`~hestonlab.simulate.lane_seeds`), through numpy's
 ziggurat, inlined: so no block of draws and no numpy ``Generator`` is ever
-held, and a Monte Carlo lane group goes through its whole path in one call.
+held, and a lane group goes through its whole path in one call (that of
+:func:`~hestonlab.simulate.simulate_paths` writing its points as well).
 A call of :class:`LaneKernel` itself reads given draws instead.  Both give
 the bits of the numpy pipeline (:func:`~hestonlab.simulate.lane_generators`,
 :func:`~hestonlab.simulate.draw_normals`,
@@ -38,7 +39,7 @@ or stream states differ; then it writes a fixed set of values through the
 codec and with %, and reads them back, and refuses a kernel whose bytes or
 bits differ.
 
-The kernel is built the first time a Monte Carlo run or the CSV codec asks
+The kernel is built the first time a run, a path or the CSV codec asks
 for it, never at import, with the system C compiler (``cc``) and the flags
 in ``FLAGS``, into a per-user cache (``~/.cache/hestonlab``), under a name
 made from the sha256 of the source, numpy's archive, the compiler command
@@ -220,7 +221,7 @@ def load() -> "LaneKernel":
     fn = lib.hl_lane_block
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 4 + [
-        ctypes.c_void_p] * 12
+        ctypes.c_void_p] * 14
     seed = lib.hl_seed
     seed.restype = None
     seed.argtypes = [ctypes.c_int64, ctypes.c_void_p]
@@ -457,10 +458,10 @@ class LaneKernel:
             raise ValueError(f"eta and zeta must both be (lanes, steps), got {eta.shape} "
                              f"and {zeta.shape}")
         return self._advance(params, dt, scheme, *eta.shape, state, sums,
-                             None, None, eta.ctypes.data, zeta.ctypes.data)
+                             None, None, eta.ctypes.data, zeta.ctypes.data, None)
 
     def draw(self, params: ModelParams, dt: float, scheme: Scheme, streams: np.ndarray,
-             steps: int, state: np.ndarray | None, sums: PathSums):
+             steps: int, state: np.ndarray | None, sums: PathSums, paths=None):
         """As a call, but the kernel draws the noise: lane i's next ``steps``
         normals of each of its (eta, zeta) streams ``streams[i]``, the
         normals :func:`~hestonlab.simulate.draw_normals` gives from the
@@ -469,7 +470,10 @@ class LaneKernel:
         ``streams`` is a (lanes, 2, 4) array that :meth:`seed` made, which
         the call advances in place: a lane that does not abort leaves its
         streams where ``draw_normals`` would leave its generators; an
-        aborted lane's are left unfinished.
+        aborted lane's are left unfinished.  ``paths``, a (y, x) tuple of
+        writable C-ordered float64 (lanes, steps + 1) arrays, else a
+        ValueError, receives each lane's variance and price points, the end
+        points of ``sums`` first; an aborted lane's rows are left unfinished.
         """
         if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 0):
             raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
@@ -478,11 +482,19 @@ class LaneKernel:
                 and streams.flags.c_contiguous and streams.flags.writeable):
             raise ValueError("each lane needs one (eta, zeta) pair of streams: a writable "
                              "C-ordered (lanes, 2, 4) uint64 array")
+        if paths is not None:
+            if not (isinstance(paths, tuple) and len(paths) == 2 and all(
+                    isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
+                    and a.flags.c_contiguous and a.shape == (len(streams), steps + 1)
+                    for a in paths)):
+                raise ValueError("paths must be a (y, x) tuple of writable C-ordered float64 "
+                                 "(lanes, steps + 1) arrays")
         return self._advance(params, dt, scheme, len(streams), steps, state, sums,
-                             streams.ctypes.data, self.tables.ctypes.data, None, None)
+                             streams.ctypes.data, self.tables.ctypes.data, None, None,
+                             paths and [a.ctypes.data for a in paths])
 
     def _advance(self, params, dt, scheme, lanes, steps, state, sums, streams, tables, eta,
-                 zeta):
+                 zeta, paths):
         scheme.check(params, dt)
         if sums.steps % SUM_TILE:
             raise ValueError("only the last block of a path may end inside a tile")
@@ -505,7 +517,7 @@ class LaneKernel:
         status = self.fn(_SCHEME_CODES[scheme], k.ctypes.data, p.ctypes.data, lanes, steps,
                          SUM_TILE, sums.steps, streams, tables, eta, zeta, state.ctypes.data,
                          *(getattr(sums, name).ctypes.data for name in _SUMS_ARRAYS),
-                         aborted.ctypes.data)
+                         aborted.ctypes.data, *(paths or (None, None)))
         if status:
             raise ValueError(f"summation tile of {SUM_TILE} steps is outside [1, 128]")
         sums.steps += steps

@@ -40,23 +40,18 @@ seeds all of its streams at once (:func:`lane_seeds`).
 
 Replicates are simulated as lanes, in lane groups of at most 1024
 replicates.  The compiled lane kernel (:func:`hestonlab.kernel.lane_kernel`)
-takes a group through its whole path in one call: for each lane and each
-summation tile it draws the tile's normals from the lane's two PCG64
-streams, which it seeds and holds as words itself (numpy's PCG64 and
-ziggurat inlined, so the draws of :func:`draw_normals` on the generators of
-:func:`lane_generators`), takes the variance and price steps, and folds them
-into the lane's path sums (:class:`PathSums`).  No block of draws and no
-numpy generator is held, and a DESRE lane that aborts stops drawing.  The kernel is a C loop per lane, built with the
-system C compiler the first time a run needs it and cached per user; it
-runs without the interpreter lock, so worker threads advance their groups
-in parallel.  It gives the bits of the numpy pipeline of a single path
-(:func:`draw_normals`, :func:`advance_variance`, :func:`price_block`, then
-``PathSums.fold`` a tile at a time), which runs instead, with the same
-results, where the kernel cannot be built.  That pipeline takes a group
-through blocks of B steps: it draws a block, advances it, folds it and
-discards it, so its memory is set by the lane group and B, not by the
-number of steps N.  Either way, lanes that abort are dropped at the end
-of the call or block in which they aborted.
+takes a group through its whole path in one call, without the interpreter
+lock, so worker threads advance their groups in parallel: for each
+summation tile it draws each lane's normals from the lane's two PCG64
+streams, takes the variance and price steps and folds them into the lane's
+path sums (:class:`PathSums`), holding no block of draws and no numpy
+generator.  It gives the bits of the numpy pipeline (:func:`draw_normals`
+on the generators of :func:`lane_generators`, :func:`advance_variance`,
+:func:`price_block`, then ``PathSums.fold`` a tile at a time), which runs
+instead where the kernel cannot be built.  That pipeline takes a group
+through blocks of B steps, so its memory is set by the lane group and B,
+not by the number of steps N.  Either way, lanes that abort stop drawing
+and are dropped at the end of the call or block in which they aborted.
 
 Results are columnar: a :class:`ReplicateTable` holds one row per successful
 replicate, and the estimator, its normalizations and the summary work on its

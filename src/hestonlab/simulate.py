@@ -49,21 +49,14 @@ points, and :func:`price_block` into log-price points.  The step loop takes
 a block's draws and the state it returned for the block before, or none to
 start; it alone forms the initial state and each left endpoint, and gives
 each DESRE abort as a step within the block.  It and :func:`price_block`
-let overflow run on as inf or NaN, without warnings.  Through these three,
-one lane-group generator runs whole paths within ``BLOCK_ELEMENTS`` for
-:func:`simulate_paths` and, as one lane, :func:`simulate_xy`; a Monte Carlo
-run takes up to 1024 lanes through their whole paths in a compiled kernel
-that draws its own normals and gives these functions' bits
-(:mod:`hestonlab.kernel`), or through blocks of B steps of these functions
-where the kernel does not build.  Lanes do not mix, and
-a path cut into blocks gives the bits of the path in one piece.  A group of
-more than ``_SCALAR_LANES`` (8) lanes advances time-major through buffered
-numpy kernels, six to ten calls a step for all its lanes; a narrower one,
-such as a single path or a group that aborted lanes have thinned, advances
-lane by lane on Python floats, where a step costs a few hundred ns.  8 lanes
-is below the measured crossover of every scheme.  Both routes give the same
-bits but for a NaN's sign: of -NaN + NaN, CPython's specialized float add
-keeps the left NaN and its generic add, which a tracer runs, the right one.
+let overflow run on as inf or NaN, without warnings.  One lane-group
+generator runs whole paths within ``BLOCK_ELEMENTS`` for
+:func:`simulate_paths` and, as one lane, :func:`simulate_xy`; it and a
+Monte Carlo run take each lane group through its whole path in one call of
+a compiled kernel that draws its own normals and gives these functions'
+bits (:mod:`hestonlab.kernel`), or where the kernel does not build, through
+blocks of them.  Lanes do not mix, and a path cut into blocks gives the
+bits of the path in one piece.
 
 CSV files: :func:`format_csv` and :func:`parse_csv` are the one codec of path
 files (``t,y,x``, row 0 the start) and report files.  A file is a header, then
@@ -77,8 +70,8 @@ reads files of the strict form the writer makes (no blank line, space or
 '\\r'; cells ``-?[0-9]+(\\.[0-9]+)?([eE][+-]?[0-9]+)?`` and ints of at most
 15 digits); elsewhere, and for any other file or cell format, Python's %
 formatting, ``float()`` and ``int()`` run.  So a cold kernel cache is
-compiled on the first file a process writes or reads, not only on its first
-Monte Carlo run.
+compiled on the first path a process simulates or the first file it writes
+or reads.
 """
 
 from __future__ import annotations
@@ -90,7 +83,6 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -435,9 +427,7 @@ BLOCK_ELEMENTS = 1 << 19
 # own operand (numpy takes that slowly on a one-element array), except for
 # DESRE's last add.  So a block gives the bits of the formula applied step
 # by step, with six to ten numpy calls a step.  The public step_* wrappers
-# run these same functions on a block of one step.  advance_variance runs
-# them for groups of more than _SCALAR_LANES lanes, and narrower groups on
-# the scalar steps below, which give the same bits but for a NaN's sign.
+# run these same functions on a block of one step.
 
 
 def _euler_steps(scheme: Scheme, params: ModelParams, dt, y, eta, out) -> None:
@@ -510,75 +500,6 @@ _STEPS = {
     Scheme.DESRE: _desre_steps,
     Scheme.DISRE: _disre_steps,
 }
-
-
-# The narrow-lane route.  A group of at most _SCALAR_LANES lanes runs lane by
-# lane on Python floats: each scheme's formula is one scalar step, driven by
-# ``accumulate`` over a lane's draws _SCALAR_CHUNK steps at a time, so that
-# no list of a whole path is held.  A step costs a few hundred ns a lane
-# there, where the kernels above pay about 1 us a numpy call whatever the
-# lane count.  advance_variance on 20000 steps, ms, scalar / buffered
-# (2-vCPU Xeon, min of 9):
-#
-#     lanes      AVE        TE         SE        DESRE      DISRE
-#       1      6 / 147    6 / 92     4 / 84     5 / 65     4 / 47
-#       8     33 / 86    34 / 108   46 / 100   32 / 55    33 / 50
-#      16     81 / 119   77 / 188  105 / 127   73 / 66    77 / 60
-#
-# Wider groups keep the buffered kernels: at 1024 lanes the same formulas
-# written as whole-array operators ran 10-60% slower than they do.  The
-# scalar route holds the interpreter lock for its whole loop.
-_SCALAR_LANES = 8
-_SCALAR_CHUNK = 1 << 16
-
-
-def _scalar_step(scheme: Scheme, params: ModelParams, dt):
-    """The formula of ``scheme`` (module docstring) as a step (state, draw)
-    -> state on Python floats.
-
-    It is evaluated left to right as written there, with the constants the
-    buffered kernels form, so it gives their bits.  Where a float operation
-    would raise and numpy's gives a value, the step gives that value:
-    DESRE's level/z is +-inf at z = +-0 (level > 0), and SE's sqrt of a
-    negative state is NaN.
-    """
-    sqrt, dt = math.sqrt, float(dt)
-    if scheme is Scheme.DESRE:
-        level = float(0.5 * params.a - 0.125 * params.sigma1 ** 2)
-        half_b, noise = float(0.5 * params.b), float(0.5 * params.sigma1 * np.sqrt(dt))
-        return lambda z, e: (
-            z + ((level / z if z else math.copysign(math.inf, z)) - half_b * z) * dt + noise * e)
-    if scheme is Scheme.DISRE:
-        den = 2.0 + params.b * dt
-        lift = float((params.a - 0.25 * params.sigma1 ** 2) * dt / den)
-        den, noise = float(den), float(0.5 * params.sigma1 * np.sqrt(dt))
-
-        def disre(z, e):
-            u = (z + noise * e) / den
-            return u + sqrt(u * u + lift)
-
-        return disre
-    a, b, sigma1, sqrt_dt = float(params.a), float(params.b), float(params.sigma1), sqrt(dt)
-    if scheme is Scheme.AVE:
-        return lambda y, e: y + (a - b * y) * dt + sigma1 * sqrt(abs(y)) * sqrt_dt * e
-    if scheme is Scheme.TE:
-        # sqrt(max(y, 0)) without a call to max: 0.0 at y = -0.0, as np.maximum
-        # gives, and at a NaN y the sum is NaN either way
-        return lambda y, e: (
-            y + (a - b * y) * dt + sigma1 * (sqrt(y) if y > 0.0 else 0.0) * sqrt_dt * e)
-    return lambda y, e: abs(
-        y + (a - b * y) * dt + sigma1 * (sqrt(y) if y >= 0.0 else math.nan) * sqrt_dt * e)
-
-
-def _scalar_steps(step, state, eta, out) -> None:
-    # as the buffered kernels, but ``eta`` and ``out`` hold one row per lane
-    steps = eta.shape[1]
-    for s, eta_lane, out_lane in zip(state.tolist(), eta, out):
-        for lo in range(0, steps, _SCALAR_CHUNK):
-            hi = min(lo + _SCALAR_CHUNK, steps)
-            points = accumulate(eta_lane[lo:hi].tolist(), step, initial=s)
-            out_lane[lo:hi] = np.fromiter(points, float, hi - lo + 1)[1:]
-            s = float(out_lane[hi - 1])
 
 
 def _check_step(state_name: str, state, dt, eta_k) -> None:
@@ -698,7 +619,6 @@ def advance_variance(
     """
     scheme.check(params, dt)
     lanes, steps = eta.shape
-    scalar = lanes <= _SCALAR_LANES
     aborted = np.zeros(lanes, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if state is None:
@@ -707,20 +627,12 @@ def advance_variance(
         else:
             # the bits of the previous block's last point
             left = state * state if scheme.uses_sqrt_state else state
-        if scalar:
-            # lane by lane on floats, into lane-major points; ``out`` is
-            # their time-major view
-            y = np.empty((lanes, steps + 1))
-            y[:, 0] = left
-            out = y[:, 1:].T
-            _scalar_steps(_scalar_step(scheme, params, dt), state, eta, y[:, 1:])
-        else:
-            # time-major, one row of lanes per step; the time-major draws are
-            # freed as soon as the loop is done
-            y = np.empty((steps + 1, lanes))
-            y[0] = left
-            out = y[1:]
-            _STEPS[scheme](params, dt, state, _transposed(eta), out)
+        # time-major, one row of lanes per step; the time-major draws are
+        # freed as soon as the loop is done
+        y = np.empty((steps + 1, lanes))
+        y[0] = left
+        out = y[1:]
+        _STEPS[scheme](params, dt, state, _transposed(eta), out)
         if scheme is Scheme.DESRE:
             # a lane runs on past its first nonpositive Z to the end of the
             # block; those values are replaced by NaN, which no later step
@@ -734,7 +646,7 @@ def advance_variance(
         state = out[-1].copy()
         if scheme.uses_sqrt_state:
             np.multiply(out, out, out)
-    return (y if scalar else _transposed(y)), state, aborted
+    return _transposed(y), state, aborted
 
 
 def price_block(
@@ -892,15 +804,26 @@ def _lane_paths(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_seed
                 replicates: Sequence[int]):
     """Yield the joint path of each index in ``replicates``, in order, from
     lane groups of as many whole paths as ``BLOCK_ELEMENTS`` holds, at least
-    one; each group is drawn, advanced and priced as one block."""
+    one; each group is drawn, advanced and priced in one call of the
+    compiled kernel, which writes its points, or else as one numpy block."""
+    from .estimate import PathSums  # estimate and kernel import this module
+    from .kernel import lane_kernel
+
+    kernel, dt = lane_kernel(), grid.dt
     lanes = max(1, BLOCK_ELEMENTS // grid.steps)
     for lo in range(0, len(replicates), lanes):
         group = replicates[lo : lo + lanes]
-        eta, zeta = draw_normals(lane_generators(master_seed, group), grid.steps)
-        y, _, aborted = advance_variance(params, grid.dt, scheme, eta)
-        x = price_block(params, grid.dt, y, eta, zeta, params.x0)
+        if kernel is not None:
+            y, x = np.empty((2, len(group), grid.steps + 1))
+            streams = kernel.seed(lane_seeds(master_seed, group))
+            sums = PathSums(np.full(len(group), params.y0), np.full(len(group), params.x0))
+            _, aborted = kernel.draw(params, dt, scheme, streams, grid.steps, None, sums, (y, x))
+        else:
+            eta, zeta = draw_normals(lane_generators(master_seed, group), grid.steps)
+            y, _, aborted = advance_variance(params, dt, scheme, eta)
+            x = price_block(params, dt, y, eta, zeta, params.x0)
+            del eta, zeta
         # no array of this group outlives it: a yielded path owns its rows
-        del eta, zeta
         for r in range(len(group)):
             yield XYPath(grid, _variance_path(y[r], aborted[r]).copy(), _finite("X", x[r]).copy(),
                          scheme)

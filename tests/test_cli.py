@@ -172,13 +172,13 @@ def test_simulate_runs_replicates_as_lane_groups(tmp_path, config_file, monkeypa
     write_path_csv give for its replicate alone."""
     steps, groups = 40, []
 
-    def counting_generators(master_seed, replicates):
+    def counting_seeds(master_seed, replicates):
         replicates = list(replicates)
         groups.append(len(replicates))
-        return hl.lane_generators(master_seed, replicates)
+        return hl.lane_seeds(master_seed, replicates)
 
     monkeypatch.setattr(sim, "BLOCK_ELEMENTS", lanes * steps)
-    monkeypatch.setattr(sim, "lane_generators", counting_generators)
+    monkeypatch.setattr(sim, "lane_seeds", counting_seeds)
     out = tmp_path / "paths"
     assert main(["simulate", "--config", str(config_file), "--out", str(out), "--set",
                  f"N={steps}", "--set", "T=4", "--set", "replicates=5"]) == 0

@@ -145,7 +145,9 @@ def test_discrete_alphabeta_exact_fit():
                          ids=repr)
 def test_discrete_routes_refuse_a_bad_dt(dt):
     for route, args in ((hl.lse_discrete_ab, ([1.0, 2.0, 2.0],)),
-                        (hl.lse_discrete_alphabeta, ([1.0, 2.0, 2.0], [0.0, 0.5, 0.5]))):
+                        (hl.lse_discrete_alphabeta, ([1.0, 2.0, 2.0], [0.0, 0.5, 0.5])),
+                        (hl.ls_objective, ((0.4, 0.3, 0.1, 0.15), [1.0, 2.0, 2.0],
+                                           [0.0, 0.5, 0.5]))):
         with pytest.raises(hl.InvalidGrid, match="^dt must be a finite number > 0, got "):
             route(*args, dt)
 
@@ -476,3 +478,43 @@ def test_estimate_record_refuses_what_is_not_an_estimate(three_point):
     assert [rec[k].hex() for k in ("a_hat", "b_hat", "alpha_hat", "beta_hat")] == [
         v.hex() for v in (est.a_hat, est.b_hat, est.alpha_hat, est.beta_hat)]
     assert (rec["scheme"], rec["seed"]) == ("", "")
+
+
+# drift vectors that are not four finite real numbers
+BAD_DRIFTS = [[1.0], (0.4, 0.3, 0.1), (0.4, 0.3, 0.1, 0.15, 0.0), (math.nan, 0.3, 0.1, 0.15),
+              (0.4, math.inf, 0.1, 0.15), (0.4, 0.3, -math.inf, 0.15), (0.4, 0.3, 0.1, True),
+              (0.4, "0.3", 0.1, 0.15), (0.4, 0.3, None, 0.15), "abcd", None, 0.4,
+              np.zeros((4, 1)), np.zeros((2, 2)), np.array(0.4), {0.4, 0.3, 0.1, 0.15}]
+
+
+@pytest.mark.parametrize("candidate", BAD_DRIFTS, ids=repr)
+def test_ls_objective_refuses_a_candidate_that_is_not_four_finite_numbers(candidate):
+    with pytest.raises(hl.InvalidArgument, match="^candidate must be four finite real numbers"):
+        hl.ls_objective(candidate, [1.0, 2.0, 2.0], [0.0, 0.5, 0.5], 0.1)
+
+
+def disre_estimate():
+    path = hl.simulate_xy(P, hl.TimeGrid(5.0, 50), hl.Scheme.DISRE, hl.SeedLineage(3, 0))
+    f = hl.path_functionals(path)
+    return path, hl.lse_from_functionals(f), f
+
+
+@pytest.mark.parametrize("truth", BAD_DRIFTS, ids=repr)
+def test_truths_that_are_not_four_finite_numbers_are_refused(truth):
+    _, est, f = disre_estimate()
+    for call in (lambda: hl.estimate.truth_vector(truth), lambda: hl.normalized_error(est, truth),
+                 lambda: hl.random_scaling_transform(est, truth, f)):
+        with pytest.raises(hl.InvalidArgument, match="^truth must be four finite real numbers"):
+            call()
+
+
+def test_accepted_drift_vectors_keep_their_bits():
+    path, est, _ = disre_estimate()
+    assert hl.estimate.truth_vector((0.4, 0.3, 0.1, 0.15)).tolist() == [0.4, 0.3, 0.1, 0.15]
+    assert [v.hex() for v in hl.normalized_error(est, [0.4, 0.3, 0.1, 0.15]).tolist()] == [
+        "-0x1.4ed6554878fbbp-1", "-0x1.e14f88c2ed994p-1", "-0x1.5f259b6a13c48p-9",
+        "-0x1.25e719ca62665p-3"]
+    assert hl.ls_objective((0.4, 0.3, 0.1, 0.15), path.y, path.x,
+                           path.grid.dt).hex() == "0x1.d872e1b9d644cp-2"
+    assert hl.ls_objective(np.array([0.5, 0.25, 0.0, 1.0]), path.y.tolist(), path.x.tolist(),
+                           0.1).hex() == "0x1.3e0f42ae65c28p-1"

@@ -1,8 +1,9 @@
 """The compiled lane kernel against the numpy block pipeline it replaces in
-Monte Carlo runs: the same bits, block by block and run by run, with draws
-given or drawn in the kernel from streams it seeds itself, and a loader that
-reads numpy's ziggurat tables, checks the kernel's draws and falls back to
-numpy quietly when it cannot build."""
+Monte Carlo runs and single paths: the same bits, block by block and run by
+run, with draws given or drawn in the kernel from streams it seeds itself,
+and the same points where it writes them; and a loader that reads numpy's
+ziggurat tables, checks the kernel's draws and falls back to numpy quietly
+when it cannot build."""
 
 import copy
 import hashlib
@@ -344,6 +345,116 @@ def test_seeded_streams_are_the_generators_of_lane_generators(lane_kernel):
     for words, pair in zip(streams, hl.lane_generators(2**64 + 9, replicates)):
         for stream, gen in zip(words, pair):
             assert generator(stream).bit_generator.state == gen.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# single paths: the points a drawing call writes
+
+
+def numpy_paths(params, dt, scheme, seed, lanes, steps):
+    """The variance and price points and the abort steps of the numpy
+    pipeline of simulate_paths, for replicates 0..lanes-1 of a seed."""
+    eta, zeta = draw_normals(hl.lane_generators(seed, range(lanes)), steps)
+    y, _, aborted = advance_variance(params, dt, scheme, eta)
+    return y, price_block(params, dt, y, eta, zeta, params.x0), aborted
+
+
+def drawn_paths(k, params, dt, scheme, seed, lanes, steps):
+    """The points and abort steps of one drawing call with ``paths``; asserts
+    that the call leaves the state, sums and streams of one without."""
+    out = []
+    for paths in (np.empty((2, lanes, steps + 1)), None):
+        streams = k.seed(hl.lane_seeds(seed, range(lanes)))
+        sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
+        state, aborted = k.draw(params, dt, scheme, streams, steps, None, sums,
+                                None if paths is None else tuple(paths))
+        out.append((paths, aborted, [bits(state), streams.tolist()] + [
+            bits(getattr(sums, name)) for name in vars(sums) if name != "steps"]))
+    (paths, aborted, with_paths), (_, aborted_without, without) = out
+    assert aborted.tolist() == aborted_without.tolist()
+    assert with_paths == without
+    return paths[0], paths[1], aborted
+
+
+def assert_rows_match(got, want, aborted):
+    """The rows of the lanes that do not abort have the same bits; an
+    aborted lane's, up to the start of the tile it aborts in."""
+    for lane, step in enumerate(aborted.tolist()):
+        end = (step - 1) // SUM_TILE * SUM_TILE + 1 if step else None
+        for a, b in zip(got, want):
+            a, b = (np.where(np.isnan(v), np.nan, v) for v in (a[lane, :end], b[lane, :end]))
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), lane
+
+
+@pytest.mark.parametrize("steps", [5, 128, 20077])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+def test_drawn_paths_give_the_bits_of_the_numpy_pipeline(lane_kernel, scheme, steps):
+    """Every scheme near the boundary, 1 to 13 lanes (so that the last of
+    the kernel's groups of four is padded), whole tiles and partial ones.
+    Lanes do not mix, so the first lanes of one 13-lane numpy group are the
+    reference of every group."""
+    y_n, x_n, aborted_n = numpy_paths(NEAR_ZERO, 0.1, scheme, 29, 13, steps)
+    for lanes in range(1, 14):
+        y, x, aborted = drawn_paths(lane_kernel, NEAR_ZERO, 0.1, scheme, 29, lanes, steps)
+        assert aborted.tolist() == aborted_n[:lanes].tolist()
+        assert_rows_match((y, x), (y_n, x_n), aborted)
+
+
+def test_drawn_paths_of_a_desre_group_that_aborts(lane_kernel):
+    y_n, x_n, aborted_n = numpy_paths(NEAR_ZERO, 0.2, hl.Scheme.DESRE, 23, 64, 1000)
+    y, x, aborted = drawn_paths(lane_kernel, NEAR_ZERO, 0.2, hl.Scheme.DESRE, 23, 64, 1000)
+    assert 0 < np.count_nonzero(aborted) < 64
+    assert np.count_nonzero(aborted % SUM_TILE) > 0
+    assert aborted.tolist() == aborted_n.tolist()
+    assert_rows_match((y, x), (y_n, x_n), aborted)
+
+
+def test_bad_paths_are_refused(lane_kernel):
+    p = hl.canonical_params()
+    sums = PathSums(np.full(4, p.y0), np.full(4, p.x0))
+    streams = lane_kernel.seed(hl.lane_seeds(1, range(4)))
+    before = streams.copy()
+    good, read_only = np.zeros((4, 11)), np.zeros((4, 11))
+    read_only.flags.writeable = False
+    for paths in ((good,), (good, good, good), [good, good], good, (good, None),
+                  (good, good.tolist()), (good, np.zeros((4, 10))), (good, np.zeros((3, 11))),
+                  (good, np.zeros((4, 11), dtype=np.float32)), (good, np.zeros((4, 11), order="F")),
+                  (good, np.zeros((4, 22))[:, ::2]), (read_only, good)):
+        with pytest.raises(ValueError, match="paths"):
+            lane_kernel.draw(p, 0.1, hl.Scheme.DISRE, streams, 10, None, sums, paths=paths)
+    assert sums.steps == 0 and streams.tobytes() == before.tobytes()
+    assert not good.any()
+
+
+def test_simulate_draws_each_lane_group_in_one_kernel_call(lane_kernel, monkeypatch, tmp_path):
+    """heston-lab simulate of five replicates in groups of two: one drawing
+    call a group, with paths, and none of the numpy pipeline; the files are
+    the numpy pipeline's."""
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(lane_kernel, name)
+
+        def draw(self, params, dt, scheme, streams, steps, state, sums, paths=None):
+            calls.append((len(streams), steps, paths is not None))
+            return lane_kernel.draw(params, dt, scheme, streams, steps, state, sums, paths)
+
+    def simulate(name):
+        out = tmp_path / name
+        assert main(["simulate", "--preset", "desk", "--out", str(out), "--set", "N=40",
+                     "--set", "T=4", "--set", "replicates=5"]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    monkeypatch.setattr(hl.simulate, "BLOCK_ELEMENTS", 2 * 40)
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "lane_kernel", Counting)
+        for name in ("advance_variance", "draw_normals", "lane_generators"):
+            m.setattr(hl.simulate, name, None)  # never reached
+        got = simulate("kernel")
+    assert calls == [(2, 40, True), (2, 40, True), (1, 40, True)]
+    monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
+    assert got == simulate("numpy") and len(got) == 5
 
 
 TABLES = kernel._ziggurat_tables(kernel.NPYRANDOM.read_bytes()) if kernel.NPYRANDOM.is_file() \

@@ -219,18 +219,14 @@ def test_results_do_not_depend_on_lane_groups_blocks_or_threads(monkeypatch):
 
 
 def test_groups_narrowing_onto_the_scalar_route_keep_their_results(monkeypatch):
-    """DESRE groups of _SCALAR_LANES + 2 lanes that aborting lanes thin
-    below the narrow-lane threshold give the record of one group that runs
-    wide throughout.  The narrow route is the numpy pipeline's, so the
-    compiled kernel is left out."""
+    """DESRE groups of 10 lanes that aborting lanes thin to 8 lanes or fewer
+    give the record of one wide group.  The group widths are those of the
+    numpy pipeline, so the compiled kernel is left out."""
     cfg = edge_config()
     monkeypatch.setattr(mc, "lane_kernel", lambda: None)
-    monkeypatch.setattr(simulate, "_SCALAR_LANES", 0)
     want = run_record(hl.run_replicates(cfg))
-    monkeypatch.undo()
-    monkeypatch.setattr(mc, "lane_kernel", lambda: None)
 
-    lanes = simulate._SCALAR_LANES + 2
+    lanes = 10
     monkeypatch.setattr(mc, "_MAX_LANES", lanes)
     monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", lanes * 128)
     widths = []
@@ -247,7 +243,7 @@ def test_groups_narrowing_onto_the_scalar_route_keep_their_results(monkeypatch):
             groups.append([])
         groups[-1].append(width)
     assert [g[0] for g in groups] == [lanes, lanes, cfg.replicates - 2 * lanes]
-    assert any(g[0] > simulate._SCALAR_LANES >= g[-1] for g in groups), groups
+    assert any(g[0] > 8 >= g[-1] for g in groups), groups
 
 
 def test_aborted_lanes_draw_nothing_after_their_block(monkeypatch):

@@ -368,8 +368,8 @@ def python_lanes(scheme, p, dt, eta):
     return y, final, failed
 
 
-# lane counts on both sides of the narrow-lane route's threshold
-LANE_COUNTS = (1, 5, simulate._SCALAR_LANES, simulate._SCALAR_LANES + 1, 40)
+# a single lane, groups below, at and above 8 lanes, and a wide group
+LANE_COUNTS = (1, 5, 8, 9, 40)
 
 
 @pytest.mark.parametrize("lanes", LANE_COUNTS)
@@ -420,12 +420,12 @@ def test_step_loop_matches_python_recursion(scheme, blocks, lanes):
 @pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
 def test_hostile_states_give_the_same_bits_on_both_routes(scheme):
     """States a step on floats could raise on (DESRE's level/z at z = +-0,
-    SE's sqrt of a negative state) or that propagate NaN and inf: a narrow
-    group and the same lanes inside a wide group give the same bits (a NaN
-    matching any NaN), untraced and under a tracer, and neither raises or
-    warns."""
+    SE's sqrt of a negative state) or that propagate NaN and inf: a group of
+    8 lanes and the same lanes inside a group of 16 give the same bits (a
+    NaN matching any NaN), untraced and under a tracer, and neither raises
+    or warns."""
     states = np.array([0.0, -0.0, -0.5, -1e-300, math.nan, math.inf, -math.inf, 0.2])
-    assert len(states) <= simulate._SCALAR_LANES
+    assert len(states) == 8
     eta = np.random.default_rng(11).standard_normal((len(states), 30))
     eta[:, 0] = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0]
 
@@ -440,7 +440,7 @@ def test_hostile_states_give_the_same_bits_on_both_routes(scheme):
     for traced in (False, True):
         sys.settrace((lambda *args: None) if traced else tracer)
         try:
-            narrow, wide = run(1), run(simulate._SCALAR_LANES // len(states) + 1)
+            narrow, wide = run(1), run(2)
         finally:
             sys.settrace(tracer)
         for got, want in zip(narrow, wide):
@@ -452,32 +452,22 @@ def test_hostile_states_give_the_same_bits_on_both_routes(scheme):
 
 
 @pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
-def test_scalar_route_chunks_give_the_bits_of_one_chunk(scheme, monkeypatch):
-    eta = np.random.default_rng(13).standard_normal((3, 300))
-    runs = []
-    for chunk in (1 << 16, 7):
-        monkeypatch.setattr(simulate, "_SCALAR_CHUNK", chunk)
-        runs.append(advance_variance(NEAR_ZERO, 0.1, scheme, eta))
-    for got, want in zip(*runs):
-        assert got.tobytes() == want.tobytes()
+def test_kernel_route_holds_the_path_twice_at_most(scheme):
+    """simulate_xy of 2e5 steps in the compiled kernel: the traced peak is
+    the lane group's points and the path's own copy of them, twice the
+    path, where drawing, advancing and pricing it on numpy takes four
+    times."""
+    from hestonlab.kernel import lane_kernel
 
-
-def test_scalar_route_holds_no_whole_path_list(monkeypatch):
-    """One lane of 2e5 steps in chunks of 4096: the narrow route's traced
-    peak is its points (1.6 MB) and a chunk of draws, about 1.2 times the
-    points, where a list of the whole path takes about 6 times them and the
-    buffered kernels with their time-major copies twice."""
-    monkeypatch.setattr(simulate, "_SCALAR_CHUNK", 4096)
-    steps = 200_000
-    eta = np.random.default_rng(5).standard_normal((1, steps))
+    if lane_kernel() is None:
+        pytest.skip("the lane kernel does not build here")
     tracemalloc.start()
     try:
-        y, _, _ = advance_variance(P, 0.1, hl.Scheme.DISRE, eta)
+        path = hl.simulate_xy(P, hl.TimeGrid(2000.0, 200_000), scheme, hl.SeedLineage(5, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert y.shape == (1, steps + 1) and np.isfinite(y).all()
-    assert peak < 1.5 * y.nbytes, peak
+    assert peak <= 2.1 * (path.y.nbytes + path.x.nbytes), peak
 
 
 @pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
