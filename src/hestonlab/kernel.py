@@ -8,16 +8,18 @@ normals itself, a tile at a time, from each lane's pair of PCG64 streams,
 which the kernel holds as an array of words (:meth:`LaneKernel.seed` makes
 them from :func:`~hestonlab.simulate.lane_seeds`), through numpy's
 ziggurat, inlined: so no block of draws and no numpy ``Generator`` is ever
-held, and a lane group goes through its whole path in one call (that of
-:func:`~hestonlab.simulate.simulate_paths` writing its points as well).
-A call of :class:`LaneKernel` itself reads given draws instead.  Both give
-the bits of the numpy pipeline (:func:`~hestonlab.simulate.lane_generators`,
+held, and :func:`~hestonlab.simulate.advance_lanes` takes a lane group
+through its whole path in one call, which writes its points as well for
+single paths.  A call of :class:`LaneKernel` itself reads given draws
+instead.  Both give the bits of the numpy pipeline
+(:func:`~hestonlab.simulate.lane_generators`,
 :func:`~hestonlab.simulate.draw_normals`,
 :func:`~hestonlab.simulate.advance_variance`,
 :func:`~hestonlab.simulate.price_block` and ``PathSums.fold`` a tile at a
-time), which stays as the fallback and as the reference the tests compare
-it against.  It runs without the interpreter lock, since ``ctypes`` releases
-the lock for the call, so worker threads advance their groups in parallel.
+time).  ``advance_lanes`` runs that pipeline instead where the kernel does
+not load, and the tests compare the kernel against it.  The kernel runs
+without the interpreter lock, since ``ctypes`` releases the lock for the
+call, so worker threads advance their groups in parallel.
 
 The library also holds the fast route of the CSV codec of
 :func:`~hestonlab.simulate.format_csv` and

@@ -36,22 +36,17 @@ test pins this approximation against uniform p-values under the null.
 Replicate r of an experiment draws its noise from the streams of
 ``SeedLineage(master_seed, r)`` and from nothing else, so results are
 independent of lane grouping, block length and thread count.  A lane group
-seeds all of its streams at once (:func:`lane_seeds`).
+seeds all of its streams at once (:func:`hestonlab.simulate.lane_seeds`).
 
 Replicates are simulated as lanes, in lane groups of at most 1024
-replicates.  The compiled lane kernel (:func:`hestonlab.kernel.lane_kernel`)
-takes a group through its whole path in one call, without the interpreter
-lock, so worker threads advance their groups in parallel: for each
-summation tile it draws each lane's normals from the lane's two PCG64
-streams, takes the variance and price steps and folds them into the lane's
-path sums (:class:`PathSums`), holding no block of draws and no numpy
-generator.  It gives the bits of the numpy pipeline (:func:`draw_normals`
-on the generators of :func:`lane_generators`, :func:`advance_variance`,
-:func:`price_block`, then ``PathSums.fold`` a tile at a time), which runs
-instead where the kernel cannot be built.  That pipeline takes a group
-through blocks of B steps, so its memory is set by the lane group and B,
-not by the number of steps N.  Either way, lanes that abort stop drawing
-and are dropped at the end of the call or block in which they aborted.
+replicates.  :func:`hestonlab.simulate.advance_lanes`, the engine that
+single paths run on too, takes each group through its whole path and folds
+each lane into its path sums (:class:`PathSums`).  Where the compiled lane
+kernel builds, that is one call, which draws its own normals and runs
+without the interpreter lock, so worker threads advance their groups in
+parallel.  Elsewhere it is numpy blocks with the same bits, whose memory is
+set by the lane group and the element budget, not by the number of steps N.
+Lanes that abort stop drawing and are recorded as failures with their step.
 
 Results are columnar: a :class:`ReplicateTable` holds one row per successful
 replicate, and the estimator, its normalizations and the summary work on its
@@ -91,19 +86,9 @@ from .estimate import (
     random_scaling_transform,
     truth_vector,
 )
-from .kernel import lane_kernel
+from . import simulate
 from .model import AsymptoticCovariance, ModelParams, kron
-from .simulate import (
-    BLOCK_ELEMENTS,
-    Scheme,
-    SeedLineage,
-    TimeGrid,
-    advance_variance,
-    draw_normals,
-    lane_generators,
-    lane_seeds,
-    price_block,
-)
+from .simulate import Scheme, SeedLineage, TimeGrid, advance_lanes
 
 __all__ = [
     "CONFIG_KEYS",
@@ -132,24 +117,17 @@ __all__ = [
 
 PARAM_NAMES = ("a", "b", "alpha", "beta")
 
-# The numpy pipeline's element budget, bound here so that a test can set it
-# for Monte Carlo alone.  With the lane cap below it sets the number of
-# replicates advanced together and that pipeline's block length B (a
-# multiple of the summation tile, at least 512 steps once the group is at
-# the cap), and so the draws a group holds.  The compiled kernel holds no
-# draws and ignores B: it takes a group through its whole path in one call.
-# Each worker thread runs one lane group at a time.
-_BLOCK_ELEMENTS = BLOCK_ELEMENTS
-
-# Most lanes in one group.  On the numpy pipeline, wide groups spread the
-# step loop's per-step numpy calls over more lanes, but past about a
-# thousand lanes that cost is already spread thin.  Wider groups then only
-# shorten the blocks, so that each lane draws its normals in more, shorter
-# calls, and they make the (lanes, SUM_TILE) price and fold temporaries
-# outgrow the L2 cache (1 MB each at 1024 lanes, 4 MB at 4096, against 2 MB
-# of L2 a core on a 2-vCPU Xeon).  There, 10^4 replicates of 1000 steps took
-# a median 1.47 s with a cap of 512 lanes, 1.41 s with 1024, 1.65 s with
-# 2048 and 1.71 s with 4096.  The compiled kernel's cost per lane and step
+# Most lanes in one group; each worker thread runs one group at a time.  On
+# the numpy pipeline of :func:`advance_lanes`, whose blocks hold at most
+# ``simulate.BLOCK_ELEMENTS`` draws of a stream (at least 512 steps at this
+# cap), wide groups spread the step loop's per-step numpy calls over more
+# lanes, but past about a thousand lanes that cost is already spread thin.
+# Wider groups then only shorten the blocks, so that each lane draws its
+# normals in more, shorter calls, and they make the (lanes, SUM_TILE) price
+# and fold temporaries outgrow the L2 cache (1 MB each at 1024 lanes, 4 MB
+# at 4096, against 2 MB of L2 a core on a 2-vCPU Xeon).  There, 10^4
+# replicates of 1000 steps took a median 1.47 s with a cap of 512 lanes,
+# 1.41 s with 1024, 1.65 s with 2048 and 1.71 s with 4096.  The compiled kernel's cost per lane and step
 # does not depend on the group's width, and its draws are a tile of each of
 # four lanes at a time, whatever the width.
 _MAX_LANES = 1024
@@ -345,87 +323,34 @@ class McRun:
     failures: tuple[ReplicateFailure, ...] = field(default=())
 
 
-def _lane_plan(replicates: int, threads: int) -> tuple[int, int]:
-    """(lanes per group, block steps) under the element budget.
-
-    Lanes are split evenly across the threads, no group is so wide that its
-    blocks would be shorter than one summation tile, and no group has more
-    than ``_MAX_LANES`` lanes.  The blocks are the numpy pipeline's; the
-    compiled kernel takes a group's whole path in one call.
-    """
-    lanes = min(
-        -(-replicates // threads),
-        max(1, _BLOCK_ELEMENTS // SUM_TILE),
-        _MAX_LANES,
-    )
-    block = max(1, _BLOCK_ELEMENTS // lanes // SUM_TILE) * SUM_TILE
-    return lanes, block
+def _lane_plan(replicates: int, threads: int) -> int:
+    """Lanes per group: split evenly across the threads, no group so wide
+    that the numpy blocks of :func:`advance_lanes` under its element budget
+    would be shorter than one summation tile, and none wider than
+    ``_MAX_LANES``."""
+    return min(-(-replicates // threads), max(1, simulate.BLOCK_ELEMENTS // SUM_TILE),
+               _MAX_LANES)
 
 
-def _run_lanes(config: ExperimentConfig, lo: int, hi: int, block: int):
-    """Simulate replicates lo..hi-1 as one lane group: in one call of the
-    compiled kernel, or block by block on the numpy pipeline.
+def _run_lanes(config: ExperimentConfig, lo: int, hi: int):
+    """Simulate replicates lo..hi-1 as one lane group (:func:`advance_lanes`).
 
     Returns the indices and functionals of the lanes that pass
     :func:`failure_reasons` (no functionals if every lane aborted), and the
     group's failures in replicate order.
     """
-    params, grid, scheme = config.params, config.grid, config.scheme
-    dt, n = grid.dt, grid.steps
     index = np.arange(lo, hi)
-    state = None
-    sums = PathSums(np.full(len(index), params.y0), np.full(len(index), params.x0))
-    failures: list[ReplicateFailure] = []
-
-    kernel = lane_kernel()
-    if kernel is not None:
-        # it draws each tile's normals itself, from streams it holds as
-        # words: one call takes the group through its whole path, and no
-        # block of draws and no Generator is held
-        streams = kernel.seed(lane_seeds(config.master_seed, index))
-        block = n
-    else:
-        streams = lane_generators(config.master_seed, index)
-
     # a variance that overflows runs on as inf or NaN, and failure_reasons
     # fails its replicate as NonFinitePath
-    for start in range(0, n, block):
-        steps = min(block, n - start)
-        if kernel is not None:
-            state, aborted = kernel.draw(params, dt, scheme, streams, steps, state, sums)
-        else:
-            eta, zeta = draw_normals(streams, steps)
-            y, state, aborted = advance_variance(params, dt, scheme, eta, state)
-            # price and fold a tile at a time, carrying the price in the sums:
-            # the price temporaries stay (lanes, SUM_TILE) and are reused by
-            # the allocator, where block-sized ones are faulted in again every
-            # block (pricing and folding whole 1024 x 512 blocks took 40-70%
-            # longer)
-            for t0 in range(0, steps, SUM_TILE):
-                t1 = min(t0 + SUM_TILE, steps)
-                y_t = y[:, t0 : t1 + 1]
-                sums.fold(y_t, price_block(
-                    params, dt, y_t, eta[:, t0:t1], zeta[:, t0:t1], sums.x_end))
-            # freed before the next block is drawn: a group holds one block of draws
-            del eta, zeta
-        if aborted.any():
-            keep = aborted == 0
-            failures.extend(
-                ReplicateFailure(index=int(r), reason=FAILURE_REASONS[0], step=start + int(k))
-                for r, k in zip(index[~keep], aborted[~keep])
-            )
-            index, state = index[keep], state[keep]
-            if kernel is not None:
-                streams = streams[keep]
-            else:
-                streams = [s for s, live in zip(streams, keep) if live]
-            sums.select(keep)
-            if not len(index):
-                break
-
+    aborted, sums = advance_lanes(config.params, config.grid, config.scheme,
+                                  config.master_seed, index)
+    hit = aborted > 0
+    failures = [ReplicateFailure(index=int(r), reason=FAILURE_REASONS[0], step=int(k))
+                for r, k in zip(index[hit], aborted[hit])]
+    index = index[~hit]
     f = None
     if len(index):  # else every lane aborted and the sums stop short of N
-        f = sums.functionals(grid)
+        f = sums.functionals(config.grid)
         reasons = failure_reasons(f)
         ok = reasons == ""
         failures.extend(
@@ -453,16 +378,16 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
         AllReplicatesFailed: no replicate produced a usable estimate.
     """
     _require_count(threads, "threads")
-    lanes, block = _lane_plan(config.replicates, threads)
+    lanes = _lane_plan(config.replicates, threads)
     bounds = [
         (lo, min(lo + lanes, config.replicates))
         for lo in range(0, config.replicates, lanes)
     ]
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _run_lanes(config, *b, block), bounds))
+            parts = list(pool.map(lambda b: _run_lanes(config, *b), bounds))
     else:
-        parts = [_run_lanes(config, lo, hi, block) for lo, hi in bounds]
+        parts = [_run_lanes(config, lo, hi) for lo, hi in bounds]
 
     failures = tuple(fl for _, _, fails in parts for fl in fails)
     kept = [(index, f) for index, f, _ in parts if len(index)]

@@ -49,14 +49,16 @@ points, and :func:`price_block` into log-price points.  The step loop takes
 a block's draws and the state it returned for the block before, or none to
 start; it alone forms the initial state and each left endpoint, and gives
 each DESRE abort as a step within the block.  It and :func:`price_block`
-let overflow run on as inf or NaN, without warnings.  One lane-group
-generator runs whole paths within ``BLOCK_ELEMENTS`` for
-:func:`simulate_paths` and, as one lane, :func:`simulate_xy`; it and a
-Monte Carlo run take each lane group through its whole path in one call of
-a compiled kernel that draws its own normals and gives these functions'
-bits (:mod:`hestonlab.kernel`), or where the kernel does not build, through
-blocks of them.  Lanes do not mix, and a path cut into blocks gives the
-bits of the path in one piece.
+let overflow run on as inf or NaN, without warnings.  :func:`advance_lanes`
+is the one engine of lane groups, for Monte Carlo runs and single paths.  It
+takes a group through its whole path in one call of a compiled kernel that
+draws its own normals and gives these functions' bits
+(:mod:`hestonlab.kernel`).  Where the kernel does not build, it takes the
+group through blocks of them, of whole summation tiles under
+``BLOCK_ELEMENTS``.  :func:`simulate_paths` runs it on groups of as many
+whole paths as ``BLOCK_ELEMENTS`` holds, and :func:`simulate_xy` on one
+lane.  Lanes do not mix, and a path cut into blocks gives the bits of the
+path in one piece.
 
 CSV files: :func:`format_csv` and :func:`parse_csv` are the one codec of path
 files (``t,y,x``, row 0 the start) and report files.  A file is a header, then
@@ -119,6 +121,7 @@ __all__ = [
     "step_disre",
     "advance_variance",
     "price_block",
+    "advance_lanes",
     "simulate_y",
     "simulate_x",
     "simulate_xy",
@@ -410,6 +413,14 @@ class GaussianDraws:
 # Element budget (lanes x steps) of one block of a lane group: each array the
 # group holds is about this size (4 MB), however many replicates run.
 BLOCK_ELEMENTS = 1 << 19
+
+
+def _block_steps(lanes: int) -> int:
+    """The steps of a numpy block of a group of ``lanes`` lanes: as many
+    whole summation tiles as ``BLOCK_ELEMENTS`` holds, at least one."""
+    from .estimate import SUM_TILE  # estimate imports this module
+
+    return max(1, BLOCK_ELEMENTS // max(1, lanes) // SUM_TILE) * SUM_TILE
 
 
 # ---------------------------------------------------------------------------
@@ -804,30 +815,82 @@ def _lane_paths(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_seed
                 replicates: Sequence[int]):
     """Yield the joint path of each index in ``replicates``, in order, from
     lane groups of as many whole paths as ``BLOCK_ELEMENTS`` holds, at least
-    one; each group is drawn, advanced and priced in one call of the
-    compiled kernel, which writes its points, or else as one numpy block."""
-    from .estimate import PathSums  # estimate and kernel import this module
-    from .kernel import lane_kernel
-
-    kernel, dt = lane_kernel(), grid.dt
+    one, each taken through its path by :func:`advance_lanes`."""
     lanes = max(1, BLOCK_ELEMENTS // grid.steps)
     for lo in range(0, len(replicates), lanes):
         group = replicates[lo : lo + lanes]
-        if kernel is not None:
-            y, x = np.empty((2, len(group), grid.steps + 1))
-            streams = kernel.seed(lane_seeds(master_seed, group))
-            sums = PathSums(np.full(len(group), params.y0), np.full(len(group), params.x0))
-            _, aborted = kernel.draw(params, dt, scheme, streams, grid.steps, None, sums, (y, x))
-        else:
-            eta, zeta = draw_normals(lane_generators(master_seed, group), grid.steps)
-            y, _, aborted = advance_variance(params, dt, scheme, eta)
-            x = price_block(params, dt, y, eta, zeta, params.x0)
-            del eta, zeta
+        y, x = np.empty((2, len(group), grid.steps + 1))
+        aborted, _ = advance_lanes(params, grid, scheme, master_seed, group, (y, x))
         # no array of this group outlives it: a yielded path owns its rows
         for r in range(len(group)):
             yield XYPath(grid, _variance_path(y[r], aborted[r]).copy(), _finite("X", x[r]).copy(),
                          scheme)
         del y, x
+
+
+def advance_lanes(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_seed: int,
+                  index: Sequence[int], paths=None):
+    """Take the lane group of replicates ``index`` of a master seed through
+    its whole path, folding it into path sums.
+
+    Where the compiled kernel loads, that is one call, which draws the
+    group's normals itself; elsewhere it is numpy blocks of whole summation
+    tiles under ``BLOCK_ELEMENTS``, each priced and folded a tile at a time,
+    and the lanes that abort in a block draw no further block.  ``paths``, a
+    (y, x) tuple of C-ordered float64 (lanes, steps + 1) arrays, receives
+    each lane's variance and price points; an aborted lane's rows are left
+    unfinished.  A lane that overflows runs on as inf or NaN.
+
+    Returns:
+        (aborted, sums): for each lane the grid index of its first Z <= 0
+        under DESRE, else 0; and the :class:`~hestonlab.estimate.PathSums`
+        of the lanes that did not abort, in order.
+
+    Raises:
+        FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
+    """
+    from .estimate import SUM_TILE, PathSums  # estimate and kernel import this module
+    from .kernel import lane_kernel
+
+    dt, steps, lanes = grid.dt, grid.steps, len(index)
+    sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
+    kernel = lane_kernel()
+    if kernel is not None:
+        streams = kernel.seed(lane_seeds(master_seed, index))
+        _, aborted = kernel.draw(params, dt, scheme, streams, steps, None, sums, paths)
+        sums.select(aborted == 0)
+        return aborted, sums
+
+    streams = lane_generators(master_seed, index)
+    block = _block_steps(lanes)
+    aborted, live, state = np.zeros(lanes, dtype=np.int64), np.arange(lanes), None
+    for start in range(0, steps, block):
+        width = min(block, steps - start)
+        eta, zeta = draw_normals(streams, width)
+        y, state, hit = advance_variance(params, dt, scheme, eta, state)
+        # price and fold a tile at a time, carrying the price in the sums:
+        # the price temporaries stay (lanes, SUM_TILE) and are reused by the
+        # allocator, where block-sized ones are faulted in again every block
+        # (pricing and folding whole 1024 x 512 blocks took 40-70% longer)
+        for t0 in range(0, width, SUM_TILE):
+            t1 = min(t0 + SUM_TILE, width)
+            y_t = y[:, t0 : t1 + 1]
+            x_t = price_block(params, dt, y_t, eta[:, t0:t1], zeta[:, t0:t1], sums.x_end)
+            sums.fold(y_t, x_t)
+            if paths is not None:
+                for points, tile in zip(paths, (y_t, x_t)):
+                    points[live, start + t0 : start + t1 + 1] = tile
+        # freed before the next block is drawn: a group holds one block of draws
+        del eta, zeta
+        if hit.any():
+            keep = hit == 0
+            aborted[live[~keep]] = start + hit[~keep]
+            live, state = live[keep], state[keep]
+            streams = [s for s, k in zip(streams, keep) if k]
+            sums.select(keep)
+            if not len(live):
+                break
+    return aborted, sums
 
 
 # ---------------------------------------------------------------------------

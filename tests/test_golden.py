@@ -16,7 +16,8 @@ import hashlib
 
 import pytest
 
-import hestonlab.montecarlo as mc
+import hestonlab.kernel as kernel
+import hestonlab.simulate as simulate
 from hestonlab.cli import main
 
 COMMON = """\
@@ -101,7 +102,7 @@ def test_report_files_are_golden(tmp_path, monkeypatch, name, threads, budget):
     if budget is not None:
         # blocks of 128 to 640 steps, so that most paths run through several
         # blocks and the DESRE aborts fall inside them
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", budget)
     got = report_hashes(tmp_path, name, threads)
     assert sorted(got) == sorted(GOLDEN[name])
     for file_name, digest in GOLDEN[name].items():
@@ -115,7 +116,7 @@ def test_report_files_are_golden_without_the_kernel(tmp_path, monkeypatch, name,
                                                     budget):
     """The numpy block pipeline, which runs where the compiled lane kernel
     does not build, writes the same files."""
-    monkeypatch.setattr(mc, "lane_kernel", lambda: None)
+    monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
     test_report_files_are_golden(tmp_path, monkeypatch, name, threads, budget)
 
 

@@ -55,7 +55,7 @@ def bits(a):
 
 
 def numpy_block(params, dt, scheme, eta, zeta, state, sums):
-    """What _run_lanes does with a block when the kernel is not there."""
+    """What advance_lanes does with a block when the kernel is not there."""
     y, state, aborted = advance_variance(params, dt, scheme, eta, state)
     steps = eta.shape[1]
     for t0 in range(0, steps, SUM_TILE):
@@ -67,8 +67,8 @@ def numpy_block(params, dt, scheme, eta, zeta, state, sums):
 
 def both_routes(params, dt, scheme, blocks, state=None, y_start=None):
     """Run the (eta, zeta) blocks through the kernel and through numpy, each
-    dropping the lanes that abort at the end of their block, as _run_lanes
-    does; assert that both give the same bits, and return the abort steps
+    dropping the lanes that abort at the end of their block, as
+    advance_lanes does; assert that both give the same bits, and return the abort steps
     (by lane, counted from the path's start; 0 for none)."""
     lanes = blocks[0][0].shape[0]
     if y_start is None:
@@ -192,10 +192,12 @@ def test_desre_aborts_at_a_block_start_and_in_a_partial_tile():
 
 
 def run_lanes_both_ways(cfg, block, monkeypatch):
-    got = mc._run_lanes(cfg, 0, cfg.replicates, block)
+    monkeypatch.setattr(hl.simulate, "BLOCK_ELEMENTS", cfg.replicates * block)
+    assert hl.simulate._block_steps(cfg.replicates) == block
+    got = mc._run_lanes(cfg, 0, cfg.replicates)
     with monkeypatch.context() as m:
-        m.setattr(mc, "lane_kernel", lambda: None)
-        want = mc._run_lanes(cfg, 0, cfg.replicates, block)
+        m.setattr(kernel, "lane_kernel", lambda: None)
+        want = mc._run_lanes(cfg, 0, cfg.replicates)
     (index_k, f_k, fail_k), (index_n, f_n, fail_n) = got, want
     assert index_k.tolist() == index_n.tolist()
     assert fail_k == fail_n
@@ -235,14 +237,14 @@ def test_monte_carlo_runs_use_the_kernel(lane_kernel, monkeypatch):
     class Counting:
         seed = staticmethod(lane_kernel.seed)
 
-        def draw(self, params, dt, scheme, streams, steps, state, sums):
+        def draw(self, params, dt, scheme, streams, steps, state, sums, paths=None):
             calls.append((len(streams), steps))
-            return lane_kernel.draw(params, dt, scheme, streams, steps, state, sums)
+            return lane_kernel.draw(params, dt, scheme, streams, steps, state, sums, paths)
 
-    monkeypatch.setattr(mc, "lane_kernel", Counting)
+    monkeypatch.setattr(kernel, "lane_kernel", Counting)
     monkeypatch.setattr(mc, "_MAX_LANES", 5)
     for name in ("advance_variance", "draw_normals", "lane_generators"):
-        monkeypatch.setattr(mc, name, None)  # never reached
+        monkeypatch.setattr(hl.simulate, name, None)  # never reached
     cfg = hl.ExperimentConfig(params=hl.canonical_params(), grid=hl.TimeGrid(100.0, 1000),
                               scheme=hl.Scheme.DISRE, replicates=12, master_seed=901)
     hl.run_replicates(cfg)
@@ -547,7 +549,7 @@ def assert_quiet_fallback(tmp_path, monkeypatch, capfd, error=OSError):
     assert capfd.readouterr().err == ""
     with pytest.raises(error):
         kernel.load()
-    monkeypatch.setattr(mc, "lane_kernel", lambda: None)
+    monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
     assert got == report_files(tmp_path, "fallback")
 
 

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 import hestonlab as hl
+import hestonlab.kernel as kernel
 import hestonlab.montecarlo as mc
 import hestonlab.simulate as simulate
 
@@ -206,36 +207,39 @@ def test_results_do_not_depend_on_lane_groups_blocks_or_threads(monkeypatch):
     same bits, aborted lanes included."""
     plans = []
     for budget in (1 << 10, 1 << 14):
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", budget)
-        plans.append(mc._lane_plan(24, 1))
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", budget)
+        lanes = mc._lane_plan(24, 1)
+        plans.append((lanes, simulate._block_steps(lanes)))
     assert plans == [(8, 128), (24, 640)]
     for cfg in (small_config(replicates=24), edge_config()):
         records = []
         for budget in (1 << 10, 1 << 14):
-            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", budget)
             for threads in (1, 2):
                 records.append(run_record(hl.run_replicates(cfg, threads=threads)))
         assert all(rec == records[0] for rec in records[1:])
 
 
-def test_groups_narrowing_onto_the_scalar_route_keep_their_results(monkeypatch):
-    """DESRE groups of 10 lanes that aborting lanes thin to 8 lanes or fewer
-    give the record of one wide group.  The group widths are those of the
-    numpy pipeline, so the compiled kernel is left out."""
+def test_numpy_lane_groups_narrowed_by_aborts_keep_their_results(monkeypatch):
+    """DESRE groups of 10 lanes on the numpy blocks, which aborting lanes
+    thin block by block to 8 lanes or fewer, give the record of one wide
+    group.  The compiled kernel takes a group in one call, with no blocks to
+    narrow, so it is left out."""
     cfg = edge_config()
-    monkeypatch.setattr(mc, "lane_kernel", lambda: None)
+    monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
     want = run_record(hl.run_replicates(cfg))
 
     lanes = 10
     monkeypatch.setattr(mc, "_MAX_LANES", lanes)
-    monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", lanes * 128)
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", lanes * 128)
     widths = []
+    advance_variance = simulate.advance_variance
 
     def recording(params, dt, scheme, eta, state):
         widths.append((state is None, eta.shape[0]))
-        return simulate.advance_variance(params, dt, scheme, eta, state)
+        return advance_variance(params, dt, scheme, eta, state)
 
-    monkeypatch.setattr(mc, "advance_variance", recording)
+    monkeypatch.setattr(simulate, "advance_variance", recording)
     assert run_record(hl.run_replicates(cfg)) == want
     groups = []
     for first, width in widths:
@@ -248,11 +252,12 @@ def test_groups_narrowing_onto_the_scalar_route_keep_their_results(monkeypatch):
 
 def test_aborted_lanes_draw_nothing_after_their_block(monkeypatch):
     # the numpy pipeline's draws; the lane kernel's are counted in test_kernel.py
-    monkeypatch.setattr(mc, "lane_kernel", lambda: None)
+    monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
     cfg = edge_config()
     block = 128
-    monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", cfg.replicates * block)
-    assert mc._lane_plan(cfg.replicates, 1) == (cfg.replicates, block)
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", cfg.replicates * block)
+    assert mc._lane_plan(cfg.replicates, 1) == cfg.replicates
+    assert simulate._block_steps(cfg.replicates) == block
     drawn = {}
 
     class CountingStream:
@@ -267,7 +272,7 @@ def test_aborted_lanes_draw_nothing_after_their_block(monkeypatch):
         return [tuple(CountingStream(g, (int(r), tag)) for tag, g in enumerate(pair))
                 for r, pair in zip(replicates, hl.lane_generators(master_seed, replicates))]
 
-    monkeypatch.setattr(mc, "lane_generators", counting_generators)
+    monkeypatch.setattr(simulate, "lane_generators", counting_generators)
     run = hl.run_replicates(cfg)
     n = cfg.grid.steps
     steps = {f.index: f.step for f in run.failures}
@@ -284,7 +289,7 @@ def test_peak_memory_does_not_grow_with_steps():
     peaks = []
     for steps in (2000, 20_000):
         cfg = small_config(grid=hl.TimeGrid(steps / 10.0, steps), replicates=300)
-        assert mc._lane_plan(cfg.replicates, 1)[1] <= 2000
+        assert simulate._block_steps(mc._lane_plan(cfg.replicates, 1)) <= 2000
         tracemalloc.start()
         try:
             hl.run_replicates(cfg)
@@ -307,7 +312,7 @@ SUPERCRITICAL = hl.ModelParams(a=0.4, b=-1.0, alpha=0.1, beta=0.15, sigma1=0.4,
                                sigma2=0.3, rho=0.2, y0=0.2, x0=0.1)
 
 
-def test_overflowing_variance_fails_replicates_not_silently():
+def test_overflowing_variance_fails_replicates_not_silently(monkeypatch):
     """A supercritical variance that overflows gives no NaN estimates and no
     numpy warnings: every replicate fails with the reason NonFinitePath."""
     for scheme in (hl.Scheme.DISRE, hl.Scheme.AVE):
@@ -319,7 +324,9 @@ def test_overflowing_variance_fails_replicates_not_silently():
     # discriminant of the others: all are NonFinitePath, in replicate order
     cfg = hl.ExperimentConfig(params=SUPERCRITICAL, grid=hl.TimeGrid(231.0, 2310),
                               scheme=hl.Scheme.DISRE, replicates=12, master_seed=1)
-    index, f, failures = mc._run_lanes(cfg, 0, 12, 2304)
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 12 * 2304)
+    assert simulate._block_steps(12) == 2304
+    index, f, failures = mc._run_lanes(cfg, 0, 12)
     assert index.shape == f.y_terminal.shape == (0,)
     assert [fl.index for fl in failures] == list(range(12))
     assert [fl.reason for fl in failures] == ["NonFinitePath"] * 12

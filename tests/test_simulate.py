@@ -780,6 +780,53 @@ def test_simulate_paths_frees_each_lane_group_before_the_next(monkeypatch):
     assert peak(40) <= 1.1 * peak(10)
 
 
+@pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
+def test_numpy_fallback_in_several_blocks_gives_the_paths_of_one(monkeypatch, scheme):
+    """simulate_paths on the numpy fallback, with a budget that cuts each
+    one-lane group's 1000 steps into blocks of 256, 256, 256 and 232 steps,
+    the last ending inside a tile, gives the bits of the fallback's one
+    block and of the compiled kernel where it builds.  Under DESRE,
+    replicate 4 aborts at step 713, in its third block: every route yields
+    the same four paths, then raises NonPositiveZ at that step, and the
+    aborted lane draws no fourth block."""
+    from hestonlab import kernel
+
+    grid = hl.TimeGrid(100.0, 1000)
+    draws = []
+    draw_normals = simulate.draw_normals
+
+    def counting(streams, steps):
+        draws.append(steps)
+        return draw_normals(streams, steps)
+
+    def run():
+        paths, step = [], None
+        try:
+            for path in hl.simulate_paths(NEAR_ZERO, grid, scheme, 7, 6):
+                paths.append((path.y.tobytes(), path.x.tobytes()))
+        except hl.NonPositiveZ as exc:
+            step = exc.step
+        return paths, step
+
+    routes = [run()] if kernel.lane_kernel() is not None else []
+    monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
+    monkeypatch.setattr(simulate, "draw_normals", counting)
+    routes.append(run())
+    assert draws == [1000]  # the six replicates as one group in one block
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 300)
+    assert simulate._block_steps(1) == 256
+    draws.clear()
+    several = run()
+    if scheme is hl.Scheme.DESRE:
+        assert len(several[0]) == 4 and several[1] == 713
+        assert draws == [256, 256, 256, 232] * 4 + [256, 256, 256]
+    else:
+        assert len(several[0]) == 6 and several[1] is None
+        assert draws == [256, 256, 256, 232] * 6
+    for route in routes:
+        assert route == several
+
+
 # ---------------------------------------------------------------------------
 # CSV round-trip
 
