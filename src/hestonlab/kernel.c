@@ -1,17 +1,17 @@
-/* The lane kernel: one lane group through one block of steps, for Monte
- * Carlo runs and for single paths; and the fast route of hestonlab's CSV
- * codec.
+/* The lane kernel: one lane group through its whole path, for Monte Carlo
+ * runs and for single paths; and the fast route of hestonlab's CSV codec.
  *
- * hl_lane_block runs, for each lane, the variance recursion of a scheme,
- * the Euler log-price recursion and the fold of each summation tile into
- * the running path sums, and on request writes the variance and price
- * points; lanes go four at a time, their variance steps interleaved.  Its
- * noise is either drawn here, a tile at a time, from each lane's pair of
- * PCG64 streams, or read from given (steps,) rows of eta and zeta.
+ * hl_lane_block takes each lane from its start (y0, x0) through the
+ * variance recursion of a scheme, the Euler log-price recursion and the
+ * fold of each summation tile into the lane's path sums, and on request
+ * writes the variance and price points; lanes go four at a time, their
+ * variance steps interleaved.  Its noise is either drawn here, a tile at a
+ * time, from each lane's pair of PCG64 streams, or read from given
+ * (steps,) rows of eta and zeta.
  * It gives the bits of the numpy pipeline of hestonlab (draw_normals, then
  * simulate's step loop and price_block, then estimate.PathSums.fold a tile
- * at a time), so every operation below is the IEEE operation numpy
- * performs there, in the same order:
+ * at a time, in blocks or in one piece), so every operation below is the
+ * IEEE operation numpy performs there, in the same order:
  *
  *   - a stream is numpy's PCG64 (O'Neill's XSL-RR generator on a 128-bit
  *     LCG), held as four 64-bit words, state high and low, then increment
@@ -24,8 +24,9 @@
  *     through libm's log1p; a stream gives the same sequence whether it is
  *     drawn in blocks or in tiles;
  *   - each formula is evaluated left to right as the simulate module
- *     docstring writes it, with the constants that Python forms
- *     (hestonlab.kernel passes them in);
+ *     docstring writes it, with the constants that simulate.step_constants
+ *     forms (hestonlab.kernel passes them in), and a square-root scheme
+ *     starts from sqrt(y0), libm's sqrt, correctly rounded as Python's;
  *   - max(y, 0) is numpy's maximum: +0.0 for y = -0.0 and a NaN kept;
  *   - a tile sum is numpy's float64 add reduction of a row, 0.0 plus the
  *     pairwise sum of pairwise_sum below;
@@ -34,10 +35,10 @@
  * Build with contraction of a*b + c into a fused multiply-add switched off
  * (-ffp-contract=off) and without -ffast-math, or the bits move.
  *
- * A DESRE lane whose Z falls to zero or below aborts: its step within the
- * block, from 1, goes to aborted[lane], it neither draws, nor is priced or
- * folded, for the rest of the block, and its state, sums and streams are
- * left unfinished, since the caller drops it.
+ * A DESRE lane whose Z falls to zero or below aborts: its step, from 1,
+ * goes to aborted[lane], it neither draws, nor is priced or folded, for the
+ * rest of the path, and its sums and streams are left unfinished, since the
+ * caller drops it.
  * Overflow runs on as inf or NaN, as in numpy.
  *
  * hl_format_rows writes a table's cells as Python's '%.17g' and '%d' do,
@@ -111,13 +112,8 @@ static double max0(double y)
    of the other lanes fill */
 #define GROUP 4
 
-/* The scheme constants k[]:
- *   AVE, TE, SE: a, b, dt, sigma1, sqrt(dt)
- *   DESRE:       level = 0.5*a - 0.125*sigma1**2, 0.5*b, dt, 0.5*sigma1*sqrt(dt)
- *   DISRE:       den = 2 + b*dt, lift = (a - 0.25*sigma1**2)*dt/den,
- *                0.5*sigma1*sqrt(dt)
- * The price constants p[]: rho, sqrt(1 - rho*rho), alpha, beta, dt, sigma2,
- * sqrt(dt).
+/* The scheme constants k[] and the price constants p[] are those of
+ * simulate.step_constants.
  *
  * Variance steps of GROUP lanes from their states s[] (Y, or Z for DESRE
  * and DISRE) over eta[][0..n-1] into the points y[][1..n].  A DESRE lane
@@ -361,29 +357,28 @@ static void draw_tile(struct pcg64 *g, int m, double *const *out, int64_t n,
             out[s][i] = normal(&g[s], z);
 }
 
-/* Advance `lanes` lanes through one block of `steps` steps, `done` steps
- * into their paths.  The noise comes from streams, (lanes, 2, 4) row-major,
- * each lane's eta and zeta PCG64 streams, advanced in place: for each tile,
- * each live lane draws its tile's eta normals and its zeta normals, the
- * live streams of a group of lanes interleaved, with the ziggurat tables
- * (3, 256): ki, then wi and fi as the bits of doubles.  Where streams is
- * NULL it is read from eta and zeta, (lanes, steps), row-major.  state,
- * y_start, y_end, x_end, mean, m2 and aborted are (lanes,), and sums is
- * (6, lanes), row-major: PathSums's arrays, updated in place.  Tiles are
- * `tile` steps, counted from the block's start; every tile but the last
- * must be whole, so `done` is a multiple of `tile`.  Unless they are NULL,
- * y_out and x_out, (lanes, steps + 1) row-major, receive each lane's
- * variance and price points, y_end and x_end first, tile by tile while the
- * lane is live.  Lanes go GROUP at a time, a last short group padded with
- * copies of its first lane, which never draw and whose results are
+/* Take `lanes` lanes through their whole paths of `steps` steps, each from
+ * its start y_end, x_end (Z = sqrt(y_end) for DESRE and DISRE), which the
+ * caller sets to y0, x0.  The noise comes from streams, (lanes, 2, 4)
+ * row-major, each lane's eta and zeta PCG64 streams, advanced in place: for
+ * each tile, each live lane draws its tile's eta normals and its zeta
+ * normals, the live streams of a group of lanes interleaved, with the
+ * ziggurat tables (3, 256): ki, then wi and fi as the bits of doubles.
+ * Where streams is NULL it is read from eta and zeta, (lanes, steps),
+ * row-major.  y_start, y_end, x_end, mean, m2 and aborted are (lanes,), and
+ * sums is (6, lanes), row-major: the arrays of a fresh PathSums, updated in
+ * place.  Tiles are `tile` steps, the last one possibly short.  Unless they
+ * are NULL, y_out and x_out, (lanes, steps + 1) row-major, receive each
+ * lane's variance and price points, its start first, tile by tile while
+ * the lane is live.  Lanes go GROUP at a time, a last short group padded
+ * with copies of its first lane, which never draw and whose results are
  * dropped.  Returns 0, or -1 for a tile outside [1, 128], where nothing is
  * done. */
 int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lanes,
-                      int64_t steps, int64_t tile, int64_t done, uint64_t *streams,
-                      const uint64_t *tables, const double *eta, const double *zeta,
-                      double *state, const double *y_start, double *y_end, double *x_end,
-                      double *sums, double *mean, double *m2, int64_t *aborted,
-                      double *y_out, double *x_out)
+                      int64_t steps, int64_t tile, uint64_t *streams, const uint64_t *tables,
+                      const double *eta, const double *zeta, const double *y_start,
+                      double *y_end, double *x_end, double *sums, double *mean, double *m2,
+                      int64_t *aborted, double *y_out, double *x_out)
 {
     struct ziggurat z;
     int64_t g0, t0;
@@ -404,7 +399,7 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
         int64_t hit[GROUP];
         for (j = 0; j < GROUP; j++) {
             int64_t lane = g0 + (j < real ? j : 0);
-            s[j] = state[lane];
+            s[j] = scheme == DESRE || scheme == DISRE ? sqrt(y_end[lane]) : y_end[lane];
             y[j][0] = y_end[lane];
             x[j][0] = x_end[lane];
             hit[j] = 0;
@@ -468,7 +463,7 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
                     memcpy(y_out + lane * (steps + 1) + t0 + 1, y[j] + 1, n * sizeof(double));
                     memcpy(x_out + lane * (steps + 1) + t0 + 1, x[j] + 1, n * sizeof(double));
                 }
-                fold_tile(y[j], x[j], n, done + t0, y_start[lane], sums + lane, lanes,
+                fold_tile(y[j], x[j], n, t0, y_start[lane], sums + lane, lanes,
                           mean + lane, m2 + lane);
                 y[j][0] = y[j][n];
                 x[j][0] = x[j][n];
@@ -482,7 +477,6 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
             }
             if (hit[j])
                 continue;
-            state[lane] = s[j];
             y_end[lane] = y[j][0];
             x_end[lane] = x[j][0];
         }

@@ -1,18 +1,20 @@
 """The compiled lane kernel of Monte Carlo runs and single paths, and its loader.
 
-``kernel.c``, next to this file, advances a lane group through a block of
-steps in one C loop per lane: the variance recursion of any scheme, the
-log-price recursion and the fold of each summation tile into the group's
-:class:`~hestonlab.estimate.PathSums`.  :meth:`LaneKernel.draw` draws the
-normals itself, a tile at a time, from each lane's pair of PCG64 streams,
-which the kernel holds as an array of words (:meth:`LaneKernel.seed` makes
-them from :func:`~hestonlab.simulate.lane_seeds`), through numpy's
-ziggurat, inlined: so no block of draws and no numpy ``Generator`` is ever
-held, and :func:`~hestonlab.simulate.advance_lanes` takes a lane group
-through its whole path in one call, which writes its points as well for
-single paths.  A call of :class:`LaneKernel` itself reads given draws
-instead.  Both give the bits of the numpy pipeline
-(:func:`~hestonlab.simulate.lane_generators`,
+``kernel.c``, next to this file, takes a freshly seeded lane group from
+(y0, x0) through its whole path in one C loop per lane: the variance
+recursion of any scheme, the log-price recursion and the fold of each
+summation tile into the group's :class:`~hestonlab.estimate.PathSums`, with
+the constants of :func:`~hestonlab.simulate.step_constants`.
+:meth:`LaneKernel.draw` draws the normals itself, a tile at a time, from
+each lane's pair of PCG64 streams, which the kernel holds as an array of
+words (:meth:`LaneKernel.seed` makes them from
+:func:`~hestonlab.simulate.lane_seeds`), through numpy's ziggurat, inlined:
+so no block of draws and no numpy ``Generator`` is ever held, and
+:func:`~hestonlab.simulate.advance_lanes` takes a lane group through its
+path in one call, which writes its points as well for single paths.  A call
+of :class:`LaneKernel` itself reads given draws instead, for the tests and
+for :func:`load`'s check.  Both return what ``advance_lanes`` does, and give
+the bits of the numpy pipeline (:func:`~hestonlab.simulate.lane_generators`,
 :func:`~hestonlab.simulate.draw_normals`,
 :func:`~hestonlab.simulate.advance_variance`,
 :func:`~hestonlab.simulate.price_block` and ``PathSums.fold`` a tile at a
@@ -56,7 +58,6 @@ same results.  :func:`load` raises instead, so a broken build can be seen.
 from __future__ import annotations
 
 import hashlib
-import math
 import numbers
 import os
 import platform
@@ -71,7 +72,7 @@ import numpy as np
 
 from .estimate import SUM_TILE, PathSums
 from .model import ModelParams
-from .simulate import Scheme, draw_normals, lane_generators, lane_seeds
+from .simulate import Scheme, draw_normals, lane_generators, lane_seeds, step_constants
 
 __all__ = ["SOURCE", "NPYRANDOM", "COMPILER", "FLAGS", "CACHE_DIR", "load", "lane_kernel",
            "LaneKernel"]
@@ -222,8 +223,8 @@ def load() -> "LaneKernel":
     lib = ctypes.CDLL(str(_build([compiler, *FLAGS], archive)))
     fn = lib.hl_lane_block
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 4 + [
-        ctypes.c_void_p] * 14
+    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 3 + [
+        ctypes.c_void_p] * 13
     seed = lib.hl_seed
     seed.restype = None
     seed.argtypes = [ctypes.c_int64, ctypes.c_void_p]
@@ -249,19 +250,14 @@ _CHECK_PARAMS = ModelParams(a=0.4, b=1.0, alpha=0.1, beta=0.15, sigma1=0.4, sigm
 
 def _check_draws(kernel: "LaneKernel") -> None:
     """Draw the check group in the kernel and through draw_normals: the same
-    path sums, states and stream states, or RuntimeError."""
+    path sums and stream states, or RuntimeError."""
     params, dt, scheme = _CHECK_PARAMS, 0.01, Scheme.DISRE
     streams = kernel.seed(lane_seeds(_CHECK_SEED, range(_CHECK_LANES)))
     gens = lane_generators(_CHECK_SEED, range(_CHECK_LANES))
-    results = []
-    for advance in (
-            lambda sums: kernel.draw(params, dt, scheme, streams, _CHECK_STEPS, None, sums),
-            lambda sums: kernel(params, dt, scheme, *draw_normals(gens, _CHECK_STEPS), None,
-                                sums)):
-        sums = PathSums(np.full(_CHECK_LANES, params.y0), np.full(_CHECK_LANES, params.x0))
-        state, _ = advance(sums)
-        results.append([state.tobytes()] + [getattr(sums, name).tobytes()
-                                            for name in _SUMS_ARRAYS])
+    results = [[aborted.tobytes()] + [getattr(sums, name).tobytes() for name in _SUMS_ARRAYS]
+               for aborted, sums in (
+                   kernel.draw(params, dt, scheme, streams, _CHECK_STEPS),
+                   kernel(params, dt, scheme, *draw_normals(gens, _CHECK_STEPS)))]
     kernel_states = [((int(w[0]) << 64) | int(w[1]), (int(w[2]) << 64) | int(w[3]))
                      for w in streams.reshape(-1, 4)]
     numpy_states = [(s["state"]["state"], s["state"]["inc"])
@@ -352,14 +348,14 @@ _CELL_KINDS = {"%.17g": 0, "%d": 1}
 _READ_KINDS = {float: 0, int: 1}
 _CELL_BYTES = 26
 
-# PathSums arrays the kernel updates in place
+# PathSums arrays the kernel updates in place, in the order it takes them
 _SUMS_ARRAYS = ("y_start", "y_end", "x_end", "sums", "mean", "m2")
 
 
 class LaneKernel:
-    """The opened kernel: a call advances one lane group through one block of
-    given draws, :meth:`draw` through steps whose normals it draws from the
-    streams that :meth:`seed` makes."""
+    """The opened kernel: a call takes one lane group through its whole path
+    of given draws, :meth:`draw` through steps whose normals it draws from
+    the streams that :meth:`seed` makes."""
 
     def __init__(self, fn, seed_fn, tables: np.ndarray, format_fn, parse_fn,
                  pow10: np.ndarray):
@@ -437,36 +433,33 @@ class LaneKernel:
         return streams
 
     def __call__(self, params: ModelParams, dt: float, scheme: Scheme, eta: np.ndarray,
-                 zeta: np.ndarray, state: np.ndarray | None, sums: PathSums):
-        """Advance a lane group through one block of given draws and fold it
-        into ``sums``.
+                 zeta: np.ndarray):
+        """Take a lane group from (y0, x0) through the given draws, one row
+        of each per lane, and fold its path into path sums.
 
-        Takes and returns what :func:`~hestonlab.simulate.advance_variance`
-        does, but for the variance points: ``state`` is the one the previous
-        block returned, or None for the first, and the result is the new
-        state and each lane's DESRE abort step within the block (0 for
-        none).  An aborted lane's state and sums are left unfinished, for the
-        caller to drop.  ``sums`` then holds what ``PathSums.fold`` of each
-        tile of the priced block gives it.
+        Returns what :func:`~hestonlab.simulate.advance_lanes` does: each
+        lane's DESRE abort step, from 1 (0 for none), and the
+        :class:`~hestonlab.estimate.PathSums` of the lanes that did not
+        abort, which hold what ``PathSums.fold`` of each tile of the priced
+        path gives them.
 
         Raises:
-            FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
-            ValueError: a block follows one that ended inside a tile, or the
-                draws, the state and the sums do not hold the same lanes.
+            FellerViolated / InvalidGrid: as :func:`~hestonlab.simulate.step_constants`.
+            ValueError: eta and zeta are not both (lanes, steps).
         """
         # the kernel reads these through bare pointers
         eta, zeta = (np.ascontiguousarray(a, dtype=float) for a in (eta, zeta))
         if eta.ndim != 2 or zeta.shape != eta.shape:
             raise ValueError(f"eta and zeta must both be (lanes, steps), got {eta.shape} "
                              f"and {zeta.shape}")
-        return self._advance(params, dt, scheme, *eta.shape, state, sums,
-                             None, None, eta.ctypes.data, zeta.ctypes.data, None)
+        return self._advance(params, dt, scheme, *eta.shape, None, None, eta.ctypes.data,
+                             zeta.ctypes.data, None)
 
     def draw(self, params: ModelParams, dt: float, scheme: Scheme, streams: np.ndarray,
-             steps: int, state: np.ndarray | None, sums: PathSums, paths=None):
-        """As a call, but the kernel draws the noise: lane i's next ``steps``
-        normals of each of its (eta, zeta) streams ``streams[i]``, the
-        normals :func:`~hestonlab.simulate.draw_normals` gives from the
+             steps: int, paths=None):
+        """As a call, but the kernel draws the noise: lane i's first
+        ``steps`` normals of each of its (eta, zeta) streams ``streams[i]``,
+        the normals :func:`~hestonlab.simulate.draw_normals` gives from the
         generators of the same seeds.
 
         ``streams`` is a (lanes, 2, 4) array that :meth:`seed` made, which
@@ -474,8 +467,8 @@ class LaneKernel:
         streams where ``draw_normals`` would leave its generators; an
         aborted lane's are left unfinished.  ``paths``, a (y, x) tuple of
         writable C-ordered float64 (lanes, steps + 1) arrays, else a
-        ValueError, receives each lane's variance and price points, the end
-        points of ``sums`` first; an aborted lane's rows are left unfinished.
+        ValueError, receives each lane's variance and price points, (y0,
+        x0) first; an aborted lane's rows are left unfinished.
         """
         if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 0):
             raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
@@ -491,54 +484,21 @@ class LaneKernel:
                     for a in paths)):
                 raise ValueError("paths must be a (y, x) tuple of writable C-ordered float64 "
                                  "(lanes, steps + 1) arrays")
-        return self._advance(params, dt, scheme, len(streams), steps, state, sums,
-                             streams.ctypes.data, self.tables.ctypes.data, None, None,
+        return self._advance(params, dt, scheme, len(streams), steps, streams.ctypes.data,
+                             self.tables.ctypes.data, None, None,
                              paths and [a.ctypes.data for a in paths])
 
-    def _advance(self, params, dt, scheme, lanes, steps, state, sums, streams, tables, eta,
-                 zeta, paths):
-        scheme.check(params, dt)
-        if sums.steps % SUM_TILE:
-            raise ValueError("only the last block of a path may end inside a tile")
-        if state is None:
-            y0 = float(params.y0)
-            state = np.full(lanes, math.sqrt(y0) if scheme.uses_sqrt_state else y0)
-        else:
-            state = np.array(state, dtype=float)
-        # the kernel reads and writes these through bare pointers
-        for name in _SUMS_ARRAYS:
-            setattr(sums, name, np.require(getattr(sums, name), float, ["C", "W"]))
-        shapes = [state.shape, sums.sums.shape] + [
-            getattr(sums, name).shape for name in _SUMS_ARRAYS if name != "sums"]
-        if shapes != [(lanes,), (6, lanes)] + [(lanes,)] * 5:
-            raise ValueError(f"a block of {lanes} lanes needs (lanes,) states and sums, "
-                             f"got {shapes}")
+    def _advance(self, params, dt, scheme, lanes, steps, streams, tables, eta, zeta, paths):
+        k, p = step_constants(scheme, params, dt)
+        # fresh, so C-ordered and writable, as the kernel needs
+        sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
         aborted = np.zeros(lanes, dtype=np.int64)
-        k = np.array(_scheme_constants(scheme, params, dt), dtype=float)
-        p = np.array(_price_constants(params, dt), dtype=float)
         status = self.fn(_SCHEME_CODES[scheme], k.ctypes.data, p.ctypes.data, lanes, steps,
-                         SUM_TILE, sums.steps, streams, tables, eta, zeta, state.ctypes.data,
+                         SUM_TILE, streams, tables, eta, zeta,
                          *(getattr(sums, name).ctypes.data for name in _SUMS_ARRAYS),
                          aborted.ctypes.data, *(paths or (None, None)))
         if status:
             raise ValueError(f"summation tile of {SUM_TILE} steps is outside [1, 128]")
-        sums.steps += steps
-        return state, aborted
-
-
-def _scheme_constants(scheme: Scheme, params: ModelParams, dt: float) -> list[float]:
-    # formed by the expressions simulate's step loop forms them with
-    if scheme is Scheme.DESRE:
-        return [0.5 * params.a - 0.125 * params.sigma1 ** 2, 0.5 * params.b, dt,
-                0.5 * params.sigma1 * np.sqrt(dt)]
-    if scheme is Scheme.DISRE:
-        den = 2.0 + params.b * dt
-        return [den, (params.a - 0.25 * params.sigma1 ** 2) * dt / den,
-                0.5 * params.sigma1 * np.sqrt(dt)]
-    return [params.a, params.b, dt, params.sigma1, np.sqrt(dt)]
-
-
-def _price_constants(params: ModelParams, dt: float) -> list[float]:
-    # formed as simulate.price_block forms them
-    return [params.rho, math.sqrt(1.0 - params.rho * params.rho), params.alpha, params.beta,
-            dt, params.sigma2, np.sqrt(dt)]
+        sums.steps = steps
+        sums.select(aborted == 0)
+        return aborted, sums

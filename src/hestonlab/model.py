@@ -205,7 +205,11 @@ def stationary_moments(params: ModelParams) -> StationaryMoments:
 
 
 def _interval(s, t) -> float:
-    """t - s, for a finite s and t with t >= s; else ``InvalidGrid``."""
+    """t - s, for a finite s and t with t >= s; else ``InvalidGrid``, which
+    names an s or t that is not a real number, a bool too."""
+    for name, value in (("s", s), ("t", t)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidGrid(f"{name} must be a real number, got {value!r}")
     if not t >= s:
         raise InvalidGrid(f"need t >= s, got s={s}, t={t}")
     if not (math.isfinite(s) and math.isfinite(t)):
@@ -220,7 +224,8 @@ def conditional_mean_y(params: ModelParams, y_s: float, s: float, t: float) -> f
     otherwise so that the two branches agree continuously as b -> 0.
 
     Raises:
-        InvalidGrid: t < s, or an s or t that is not a finite number.
+        InvalidGrid: t < s, or an s or t that is not a finite number, a
+            bool too.
         InvalidParams: a y_s that is not a finite number, a bool too.
     """
     tau = _interval(s, t)

@@ -456,8 +456,20 @@ def _skew_excess_kurtosis(sample: np.ndarray) -> tuple[float, float]:
     return m3 / m2 ** 1.5, m4 / (m2 * m2) - 3.0
 
 
+def _require_statistic(stat, test: str) -> None:
+    """Refuse (``InvalidArgument``) a statistic that is not a real number >= 0,
+    NaN and a bool among them; +inf is the limit of a statistic."""
+    if isinstance(stat, bool) or not (isinstance(stat, numbers.Real) and stat >= 0.0):
+        raise InvalidArgument(f"{test} statistic must be a number >= 0, got {stat!r}")
+
+
 def jarque_bera_pvalue(stat: float) -> float:
-    """Chi-square(2) survival function at the statistic: exp(-stat/2)."""
+    """Chi-square(2) survival function at the statistic: exp(-stat/2).
+
+    Raises:
+        InvalidArgument: a statistic that is not a number >= 0.
+    """
+    _require_statistic(stat, "Jarque-Bera")
     return float(np.exp(-0.5 * stat))
 
 
@@ -475,6 +487,8 @@ def jarque_bera(sample) -> tuple[float, float]:
     _require_finite(x, "Jarque-Bera")
     n = x.shape[0]
     g1, g2 = _skew_excess_kurtosis(x)
+    if math.isnan(g1):  # a constant sample
+        return math.nan, math.nan
     stat = n / 6.0 * (g1 * g1 + 0.25 * g2 * g2)
     return float(stat), jarque_bera_pvalue(stat)
 
@@ -495,7 +509,14 @@ def anderson_darling_pvalue(stat: float, n: int) -> float:
     Applies the small-sample modification for sample size ``n`` and the
     piecewise exponential approximation documented in the module docstring;
     the result is non-increasing in ``stat`` and never overflows.
+
+    Raises:
+        InvalidArgument: a statistic that is not a number >= 0, or an ``n``
+            that is not an integer >= 1, a bool too.
     """
+    _require_statistic(stat, "Anderson-Darling")
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
     aa = stat * (1.0 + 0.75 / n + 2.25 / (n * n))
     if aa >= 0.6:
         tail = min(aa, _AD_TAIL_VERTEX)

@@ -47,12 +47,14 @@ of draws or points holds one row per lane.  :func:`draw_normals` draws a
 block, :func:`advance_variance` (the one step loop) turns it into variance
 points, and :func:`price_block` into log-price points.  The step loop takes
 a block's draws and the state it returned for the block before, or none to
-start; it alone forms the initial state and each left endpoint, and gives
-each DESRE abort as a step within the block.  It and :func:`price_block`
-let overflow run on as inf or NaN, without warnings.  :func:`advance_lanes`
-is the one engine of lane groups, for Monte Carlo runs and single paths.  It
-takes a group through its whole path in one call of a compiled kernel that
-draws its own normals and gives these functions' bits
+start; it forms the initial state and each left endpoint, and gives each
+DESRE abort as a step within the block.  It and :func:`price_block` let
+overflow run on as inf or NaN, without warnings, and take the constants
+each formula forms before it meets an array from :func:`step_constants`,
+which refuses a bad step.  :func:`advance_lanes` is the one engine of lane
+groups, for Monte Carlo runs and single paths.  It takes a group through
+its whole path in one call of a compiled kernel that draws its own normals,
+takes the same constants and gives these functions' bits
 (:mod:`hestonlab.kernel`).  Where the kernel does not build, it takes the
 group through blocks of them, of whole summation tiles under
 ``BLOCK_ELEMENTS``.  :func:`simulate_paths` runs it on groups of as many
@@ -121,6 +123,7 @@ __all__ = [
     "step_disre",
     "advance_variance",
     "price_block",
+    "step_constants",
     "advance_lanes",
     "simulate_y",
     "simulate_x",
@@ -323,12 +326,18 @@ def lane_seeds(master_seed: int, replicates) -> np.ndarray:
     32-bit words share one pass.
 
     Raises:
-        InvalidSeed: a seed or replicate index that is not an integer >= 0.
+        InvalidSeed: a seed or replicate index that is not an integer >= 0,
+            or replicates that are not an iterable.
     """
     seed = _uint32_words(master_seed, "master_seed")
     # SeedSequence pads the entropy to the pool size when a spawn key follows
     seed += [0] * (_POOL_SIZE - len(seed))
-    spawn = [_uint32_words(r, "replicate") for r in replicates]
+    try:
+        indices = iter(replicates)
+    except TypeError:
+        raise InvalidSeed(f"replicates must be an iterable of integers >= 0, "
+                          f"got {replicates!r}") from None
+    spawn = [_uint32_words(r, "replicate") for r in indices]
     by_words: dict[int, list[int]] = {}
     for i, words in enumerate(spawn):
         by_words.setdefault(len(words), []).append(i)
@@ -353,7 +362,7 @@ def lane_generators(
     tag))`` gives it, tag 0 for eta and 1 for zeta.
 
     Raises:
-        InvalidSeed: a seed or replicate index that is not an integer >= 0.
+        InvalidSeed: as :func:`lane_seeds`.
     """
     return [tuple(np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in pair)
             for pair in lane_seeds(master_seed, replicates)]
@@ -429,29 +438,65 @@ def _block_steps(lanes: int) -> int:
 # Each _*_steps function advances (lanes,) states through a block: ``eta``
 # holds one row of draws per step, and row k of ``out`` receives the state
 # after step k (Y, or Z = sqrt(Y) for DESRE/DISRE).  It evaluates the
-# scheme's formula (module docstring) from left to right, as written there.
-# A product of scalars that the formula forms before it meets an array is
-# formed once per block and held as a 0-d array (numpy takes those faster
-# than Python floats; the arithmetic is the same), and so is the noise term
-# of DESRE and DISRE, a scalar times eta.  Every per-step operation writes
-# into one of three preallocated lane buffers or into ``out``, not into its
-# own operand (numpy takes that slowly on a one-element array), except for
-# DESRE's last add.  So a block gives the bits of the formula applied step
-# by step, with six to ten numpy calls a step.  The public step_* wrappers
-# run these same functions on a block of one step.
+# scheme's formula (module docstring) from left to right, as written there,
+# with the constants ``k`` of :func:`step_constants`, each held as a 0-d
+# array (numpy takes those faster than Python floats; the arithmetic is the
+# same); DESRE and DISRE form their noise term, a constant times eta, once
+# per block.  Every per-step operation writes into one of three preallocated lane
+# buffers or into ``out``, not into its own operand (numpy takes that slowly
+# on a one-element array), except for DESRE's last add.  So a block gives
+# the bits of the formula applied step by step, with six to ten numpy calls
+# a step.  The public step_* wrappers run these same functions on a block of
+# one step.
 
 
-def _euler_steps(scheme: Scheme, params: ModelParams, dt, y, eta, out) -> None:
+def step_constants(scheme: Scheme | None, params: ModelParams,
+                   dt) -> tuple[np.ndarray | None, np.ndarray]:
+    """The constants that a variance step of ``scheme`` and a price step
+    form before they meet an array, as float64 arrays ``(k, p)``: the one
+    place they are formed, for the numpy step loop, :func:`price_block` and
+    the compiled kernel (:mod:`hestonlab.kernel`) alike.
+
+    ``k``, None where ``scheme`` is None:
+
+    * AVE, TE, SE: a, b, dt, sigma1, sqrt(dt)
+    * DESRE: level = 0.5*a - 0.125*sigma1**2, 0.5*b, dt, 0.5*sigma1*sqrt(dt)
+    * DISRE: den = 2 + b*dt, lift = (a - 0.25*sigma1**2)*dt/den,
+      0.5*sigma1*sqrt(dt)
+
+    ``p``: rho, sqrt(1 - rho*rho), alpha, beta, dt, sigma2, sqrt(dt).
+
+    Raises:
+        InvalidGrid: a ``dt`` that is not a finite number > 0, a bool too.
+        FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
+    """
+    if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and 0.0 < dt < math.inf):
+        raise InvalidGrid(f"dt must be a finite number > 0, got {dt!r}")
+    sqrt_dt = np.sqrt(dt)
+    p = np.array([params.rho, math.sqrt(1.0 - params.rho * params.rho), params.alpha,
+                  params.beta, dt, params.sigma2, sqrt_dt], dtype=float)
+    if scheme is None:
+        return None, p
+    scheme.check(params, dt)
+    if scheme is Scheme.DESRE:
+        k = [0.5 * params.a - 0.125 * params.sigma1 ** 2, 0.5 * params.b, dt,
+             0.5 * params.sigma1 * sqrt_dt]
+    elif scheme is Scheme.DISRE:
+        den = 2.0 + params.b * dt
+        k = [den, (params.a - 0.25 * params.sigma1 ** 2) * dt / den, 0.5 * params.sigma1 * sqrt_dt]
+    else:
+        k = [params.a, params.b, dt, params.sigma1, sqrt_dt]
+    return np.array(k, dtype=float), p
+
+
+def _euler_steps(scheme: Scheme, k, y, eta, out) -> None:
     # AVE, TE and SE: y + (a - b*y)*dt + sigma1*sqrt(g(y))*sqrt(dt)*eta
-    a, b, dt_, sigma1, sqrt_dt = (
-        np.array(v, dtype=float)
-        for v in (params.a, params.b, dt, params.sigma1, np.sqrt(dt))
-    )
+    a, b, dt, sigma1, sqrt_dt = map(np.asarray, k)
     p, q, r = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     for eta_k, y_k in zip(eta, out):
         np.multiply(b, y, p)
         np.subtract(a, p, q)
-        np.multiply(q, dt_, p)  # p = drift
+        np.multiply(q, dt, p)  # p = drift
         if scheme is Scheme.AVE:
             np.sqrt(np.abs(y, q), r)
         elif scheme is Scheme.TE:
@@ -469,31 +514,28 @@ def _euler_steps(scheme: Scheme, params: ModelParams, dt, y, eta, out) -> None:
         y = y_k
 
 
-def _desre_steps(params: ModelParams, dt, z, eta, out) -> None:
+def _desre_steps(k, z, eta, out) -> None:
     # z + (level/z - 0.5*b*z)*dt + 0.5*sigma1*sqrt(dt)*eta; the noise term
-    # is a scalar times eta, formed for the whole block in ``out``
-    level = np.array(0.5 * params.a - 0.125 * params.sigma1 ** 2)
-    half_b, dt_ = np.array(0.5 * params.b), np.array(dt, dtype=float)
-    np.multiply(0.5 * params.sigma1 * np.sqrt(dt), eta, out)
+    # is a constant times eta, formed for the whole block in ``out``
+    level, half_b, dt, noise = map(np.asarray, k)
+    np.multiply(noise, eta, out)
     p, q, r = np.empty_like(z), np.empty_like(z), np.empty_like(z)
     for z_k in out:
         np.divide(level, z, p)
         np.multiply(half_b, z, q)
         np.subtract(p, q, r)
-        np.multiply(r, dt_, p)  # p = drift
+        np.multiply(r, dt, p)  # p = drift
         np.add(z, p, q)
         np.add(q, z_k, z_k)  # z_k held the noise
         z = z_k
 
 
-def _disre_steps(params: ModelParams, dt, z, eta, out) -> None:
+def _disre_steps(k, z, eta, out) -> None:
     # u = (z + 0.5*sigma1*sqrt(dt)*eta)/den with den = 2 + b*dt, then
     # z' = u + sqrt(u*u + (a - 0.25*sigma1^2)*dt/den); the noise term is a
-    # scalar times eta, formed for the whole block in ``out``
-    den = 2.0 + params.b * dt
-    lift = np.array((params.a - 0.25 * params.sigma1 ** 2) * dt / den)
-    den = np.array(den)
-    np.multiply(0.5 * params.sigma1 * np.sqrt(dt), eta, out)
+    # constant times eta, formed for the whole block in ``out``
+    den, lift, noise = map(np.asarray, k)
+    np.multiply(noise, eta, out)
     u, p, q = np.empty_like(z), np.empty_like(z), np.empty_like(z)
     for z_k in out:
         np.add(z, z_k, p)  # z_k holds the noise
@@ -513,38 +555,39 @@ _STEPS = {
 }
 
 
-def _check_step(state_name: str, state, dt, eta_k) -> None:
-    """Refuse a step ``dt`` that is not a finite number > 0 (``InvalidGrid``)
-    and a state or draw that is not a real number or an array of them
-    (``InvalidArgument``): a bool, str or None among them."""
-    if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and 0.0 < dt < math.inf):
-        raise InvalidGrid(f"dt must be a finite number > 0, got {dt!r}")
+def _check_step(scheme: Scheme, params: ModelParams, state_name: str, state, dt, eta_k):
+    """The constants of one step of ``scheme``, refusing what
+    :func:`step_constants` refuses, then a state or draw that is not a real
+    number or an array of them (``InvalidArgument``): a bool, str or None
+    among them."""
+    k, _ = step_constants(scheme, params, dt)
     for name, value in ((state_name, state), ("eta_k", eta_k)):
         if np.asarray(value).dtype.kind not in "iuf":
             raise InvalidArgument(f"{name} must be a real number or an array of them, "
                                   f"got {value!r}")
+    return k
 
 
-def _one_step(scheme: Scheme, params: ModelParams, state, dt, eta_k):
+def _one_step(scheme: Scheme, k, state, eta_k):
     """One step of ``scheme`` on scalars or arrays of one shape."""
     state, eta_k = np.broadcast_arrays(
         np.asarray(state, dtype=float), np.asarray(eta_k, dtype=float)
     )
     out = np.empty((1, state.size))
-    _STEPS[scheme](params, dt, state.reshape(-1), eta_k.reshape(1, -1), out)
+    _STEPS[scheme](k, state.reshape(-1), eta_k.reshape(1, -1), out)
     return out.reshape(state.shape)[()]
 
 
 def step_ave(params: ModelParams, y_prev, dt: float, eta_k):
     """Absolute-value Euler variance step; accepts any real state."""
-    _check_step("y_prev", y_prev, dt, eta_k)
-    return _one_step(Scheme.AVE, params, y_prev, dt, eta_k)
+    k = _check_step(Scheme.AVE, params, "y_prev", y_prev, dt, eta_k)
+    return _one_step(Scheme.AVE, k, y_prev, eta_k)
 
 
 def step_te(params: ModelParams, y_prev, dt: float, eta_k):
     """Truncated Euler variance step; negative states diffuse with zero volatility."""
-    _check_step("y_prev", y_prev, dt, eta_k)
-    return _one_step(Scheme.TE, params, y_prev, dt, eta_k)
+    k = _check_step(Scheme.TE, params, "y_prev", y_prev, dt, eta_k)
+    return _one_step(Scheme.TE, k, y_prev, eta_k)
 
 
 def step_se(params: ModelParams, y_prev, dt: float, eta_k):
@@ -554,10 +597,10 @@ def step_se(params: ModelParams, y_prev, dt: float, eta_k):
         NegativeInput: if ``y_prev`` is negative (the kernel's square root
             assumes a nonnegative state, which the scheme itself preserves).
     """
-    _check_step("y_prev", y_prev, dt, eta_k)
+    k = _check_step(Scheme.SE, params, "y_prev", y_prev, dt, eta_k)
     if np.any(np.asarray(y_prev) < 0.0):
         raise NegativeInput(f"symmetrized step expects y_prev >= 0, got {y_prev}")
-    return _one_step(Scheme.SE, params, y_prev, dt, eta_k)
+    return _one_step(Scheme.SE, k, y_prev, eta_k)
 
 
 def step_desre(params: ModelParams, z_prev, dt: float, eta_k):
@@ -567,11 +610,10 @@ def step_desre(params: ModelParams, z_prev, dt: float, eta_k):
         FellerViolated: unless a > sigma1^2/2.
         NonPositiveZ: if ``z_prev`` is not strictly positive.
     """
-    _check_step("z_prev", z_prev, dt, eta_k)
-    Scheme.DESRE.check(params, dt)
+    k = _check_step(Scheme.DESRE, params, "z_prev", z_prev, dt, eta_k)
     if np.any(np.asarray(z_prev) <= 0.0):
         raise NonPositiveZ(f"explicit square-root step needs z_prev > 0, got {z_prev}")
-    return _one_step(Scheme.DESRE, params, z_prev, dt, eta_k)
+    return _one_step(Scheme.DESRE, k, z_prev, eta_k)
 
 
 def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
@@ -584,9 +626,8 @@ def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
         FellerViolated: unless a > sigma1^2/2.
         InvalidGrid: unless 2 + b*dt > 0.
     """
-    _check_step("z_prev", z_prev, dt, eta_k)
-    Scheme.DISRE.check(params, dt)
-    return _one_step(Scheme.DISRE, params, z_prev, dt, eta_k)
+    k = _check_step(Scheme.DISRE, params, "z_prev", z_prev, dt, eta_k)
+    return _one_step(Scheme.DISRE, k, z_prev, eta_k)
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -626,9 +667,9 @@ def advance_variance(
         it aborts once.  Overflow runs on as inf or NaN, without warnings.
 
     Raises:
-        FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
+        InvalidGrid / FellerViolated: as :func:`step_constants`.
     """
-    scheme.check(params, dt)
+    k, _ = step_constants(scheme, params, dt)
     lanes, steps = eta.shape
     aborted = np.zeros(lanes, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -643,7 +684,7 @@ def advance_variance(
         y = np.empty((steps + 1, lanes))
         y[0] = left
         out = y[1:]
-        _STEPS[scheme](params, dt, state, _transposed(eta), out)
+        _STEPS[scheme](k, state, _transposed(eta), out)
         if scheme is Scheme.DESRE:
             # a lane runs on past its first nonpositive Z to the end of the
             # block; those values are replaced by NaN, which no later step
@@ -675,14 +716,18 @@ def price_block(
     is the price at the left endpoint.  Returns the (..., steps + 1) price
     points, ``x_start`` first; a price that overflows, or that a non-finite
     ``y`` drives, runs on as inf or NaN without warnings.
+
+    Raises:
+        InvalidGrid: as :func:`step_constants`.
     """
+    rho, root, alpha, beta, dt, sigma2, sqrt_dt = step_constants(None, params, dt)[1]
     y_left = y[..., :-1]
-    mix = params.rho * eta + math.sqrt(1.0 - params.rho * params.rho) * zeta
+    mix = rho * eta + root * zeta
     x = np.empty(y.shape)
     x[..., 0] = x_start
     with np.errstate(over="ignore", invalid="ignore"):
-        x[..., 1:] = (params.alpha - params.beta * y_left) * dt + (
-            params.sigma2 * np.sqrt(np.maximum(y_left, 0.0)) * np.sqrt(dt) * mix
+        x[..., 1:] = (alpha - beta * y_left) * dt + (
+            sigma2 * np.sqrt(np.maximum(y_left, 0.0)) * sqrt_dt * mix
         )
         # the cumulative sum over [x_start, inc_1, inc_2, ...] reproduces the
         # left-to-right recursion x_k = x_{k-1} + inc_k including its
@@ -853,14 +898,12 @@ def advance_lanes(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_se
     from .kernel import lane_kernel
 
     dt, steps, lanes = grid.dt, grid.steps, len(index)
-    sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
     kernel = lane_kernel()
     if kernel is not None:
-        streams = kernel.seed(lane_seeds(master_seed, index))
-        _, aborted = kernel.draw(params, dt, scheme, streams, steps, None, sums, paths)
-        sums.select(aborted == 0)
-        return aborted, sums
+        return kernel.draw(params, dt, scheme, kernel.seed(lane_seeds(master_seed, index)), steps,
+                           paths)
 
+    sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
     streams = lane_generators(master_seed, index)
     block = _block_steps(lanes)
     aborted, live, state = np.zeros(lanes, dtype=np.int64), np.arange(lanes), None

@@ -1,5 +1,5 @@
 """The compiled lane kernel against the numpy block pipeline it replaces in
-Monte Carlo runs and single paths: the same bits, block by block and run by
+Monte Carlo runs and single paths: the same bits, path by path and run by
 run, with draws given or drawn in the kernel from streams it seeds itself,
 and the same points where it writes them; and a loader that reads numpy's
 ziggurat tables, checks the kernel's draws and falls back to numpy quietly
@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -65,33 +66,26 @@ def numpy_block(params, dt, scheme, eta, zeta, state, sums):
     return state, aborted
 
 
-def both_routes(params, dt, scheme, blocks, state=None, y_start=None):
-    """Run the (eta, zeta) blocks through the kernel and through numpy, each
-    dropping the lanes that abort at the end of their block, as
-    advance_lanes does; assert that both give the same bits, and return the abort steps
-    (by lane, counted from the path's start; 0 for none)."""
+def both_routes(params, dt, scheme, blocks):
+    """Run a path of (eta, zeta) blocks through the kernel, the blocks
+    joined into one call, and through numpy block by block, dropping the
+    lanes that abort at the end of their block, as advance_lanes does;
+    assert that both give the same bits, and return the abort steps (by
+    lane, counted from the path's start; 0 for none)."""
+    steps_k, sums_k = lane_kernel_or_skip()(
+        params, dt, scheme, *(np.concatenate(b, axis=1) for b in zip(*blocks)))
     lanes = blocks[0][0].shape[0]
-    if y_start is None:
-        y_start = np.full(lanes, params.y0)
-    results = []
-    for advance in (lane_kernel_or_skip(), numpy_block):
-        s = state
-        sums = PathSums(y_start, np.full(lanes, params.x0))
-        live = np.arange(lanes)
-        steps_at = np.zeros(lanes, dtype=np.int64)
-        done = 0
-        for eta, zeta in blocks:
-            s, aborted = advance(params, dt, scheme, eta[live].copy(), zeta[live].copy(), s, sums)
-            steps_at[live[aborted > 0]] = done + aborted[aborted > 0]
-            keep = aborted == 0
-            live, s = live[keep], s[keep]
-            sums.select(keep)
-            done += eta.shape[1]
-        results.append((steps_at, live, s, sums))
-    (steps_k, live_k, s_k, sums_k), (steps_n, live_n, s_n, sums_n) = results
+    sums_n = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
+    live, state, steps_n, done = np.arange(lanes), None, np.zeros(lanes, dtype=np.int64), 0
+    for eta, zeta in blocks:
+        state, aborted = numpy_block(params, dt, scheme, eta[live], zeta[live], state, sums_n)
+        steps_n[live[aborted > 0]] = done + aborted[aborted > 0]
+        keep = aborted == 0
+        live, state = live[keep], state[keep]
+        sums_n.select(keep)
+        done += eta.shape[1]
     assert steps_k.tolist() == steps_n.tolist()
-    assert live_k.tolist() == live_n.tolist()
-    assert bits(s_k) == bits(s_n)
+    assert np.flatnonzero(steps_k == 0).tolist() == live.tolist()
     assert sums_k.steps == sums_n.steps
     for name in ("y_start", "x_start", "y_end", "x_end", "sums", "mean", "m2"):
         assert bits(getattr(sums_k, name)) == bits(getattr(sums_n, name)), name
@@ -139,9 +133,9 @@ def test_every_shape_of_tile_sum_gives_numpy_bits(last):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
-def test_special_draws_and_states_give_numpy_bits(scheme):
-    """Draws of +-0.0, NaN and +-inf, and states of +-0.0, NaN and +-inf,
-    run on as numpy runs them."""
+def test_special_draws_give_numpy_bits(scheme):
+    """Draws of +-0.0, NaN and +-inf, and the NaN and +-inf states they
+    lead to, run on as numpy runs them."""
     rng = np.random.default_rng(5)
     special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
     blocks = draws(rng, 9, 2 * SUM_TILE, 77)
@@ -150,22 +144,19 @@ def test_special_draws_and_states_give_numpy_bits(scheme):
             eta[lane, lane :: 37] = value
             zeta[lane + 1, lane :: 29] = value
     both_routes(NEAR_ZERO, 0.1, scheme, blocks)
-    # a state carried in from a block before: the left end point is the
-    # state, or its square for DESRE and DISRE, as advance_variance forms it
-    state = np.array(special + [1e-300, 2.0, 0.5])
-    left = state * state if scheme.uses_sqrt_state else state
-    both_routes(NEAR_ZERO, 0.1, scheme, draws(rng, 9, SUM_TILE, 50), state=state, y_start=left)
 
 
 @pytest.mark.parametrize("scheme", [hl.Scheme.AVE, hl.Scheme.TE], ids=lambda s: s.value)
 def test_a_tile_of_negative_zeros_sums_to_zero(scheme):
-    """A negative variance under no noise and no price drift: each Y dX of a
-    tile is -0.0, and the running sum of Y dX stays +0.0."""
+    """A negative variance under no noise and no price drift: a first draw
+    takes Y from 0.2 to about -1e6 without moving the price (rho = 0), so
+    each Y dX of the tiles after it is -0.0, and the running sum of Y dX
+    stays +0.0."""
     params = hl.ModelParams(a=0.4, b=0.0, alpha=0.0, beta=0.0, sigma1=0.4, sigma2=0.3,
-                            rho=0.2, y0=0.2, x0=0.1)
-    zeros = [(np.zeros((5, 2 * SUM_TILE)), np.zeros((5, 2 * SUM_TILE)))]
-    state = np.full(5, -1e6)
-    both_routes(params, 0.1, scheme, zeros, state=state, y_start=state)
+                            rho=0.0, y0=0.2, x0=0.1)
+    eta, zeta = np.zeros((5, 3 * SUM_TILE)), np.zeros((5, 3 * SUM_TILE))
+    eta[:, 0] = -1e6 / (0.4 * math.sqrt(0.2 * 0.1))  # sigma1*sqrt(y0)*sqrt(dt)*eta
+    both_routes(params, 0.1, scheme, [(eta, zeta)])
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
@@ -237,9 +228,9 @@ def test_monte_carlo_runs_use_the_kernel(lane_kernel, monkeypatch):
     class Counting:
         seed = staticmethod(lane_kernel.seed)
 
-        def draw(self, params, dt, scheme, streams, steps, state, sums, paths=None):
+        def draw(self, params, dt, scheme, streams, steps, paths=None):
             calls.append((len(streams), steps))
-            return lane_kernel.draw(params, dt, scheme, streams, steps, state, sums, paths)
+            return lane_kernel.draw(params, dt, scheme, streams, steps, paths)
 
     monkeypatch.setattr(kernel, "lane_kernel", Counting)
     monkeypatch.setattr(mc, "_MAX_LANES", 5)
@@ -285,14 +276,9 @@ def drawn_against_given(params, dt, scheme, lanes, steps, seed=23, k=None):
     streams = k.seed(hl.lane_seeds(seed, range(lanes)))
     given = hl.lane_generators(seed, range(lanes))
     start = [advanced(pair, 0) for pair in given]
-    out = []
-    for advance in (lambda sums: k.draw(params, dt, scheme, streams, steps, None, sums),
-                    lambda sums: k(params, dt, scheme, *draw_normals(given, steps), None, sums)):
-        sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
-        out.append((*advance(sums), sums))
-    (state_d, aborted_d, sums_d), (state_g, aborted_g, sums_g) = out
+    aborted_d, sums_d = k.draw(params, dt, scheme, streams, steps)
+    aborted_g, sums_g = k(params, dt, scheme, *draw_normals(given, steps))
     assert aborted_d.tolist() == aborted_g.tolist()
-    assert bits(state_d) == bits(state_g)
     assert sums_d.steps == sums_g.steps == steps
     for name in ("y_start", "x_start", "y_end", "x_end", "sums", "mean", "m2"):
         assert bits(getattr(sums_d, name)) == bits(getattr(sums_g, name)), name
@@ -323,21 +309,6 @@ def test_drawn_noise_of_desre_groups_that_abort(steps):
     assert np.count_nonzero(aborted % SUM_TILE) > 0
 
 
-def test_drawn_noise_in_two_calls_gives_the_bits_of_one(lane_kernel):
-    params, scheme, n = hl.canonical_params(), hl.Scheme.DISRE, 2077
-    results = []
-    for cuts in ([n], [2 * SUM_TILE, n - 2 * SUM_TILE]):
-        streams = lane_kernel.seed(hl.lane_seeds(7, range(6)))
-        sums = PathSums(np.full(6, params.y0), np.full(6, params.x0))
-        state = None
-        for steps in cuts:
-            state, aborted = lane_kernel.draw(params, 0.1, scheme, streams, steps, state, sums)
-            assert not aborted.any()
-        results.append([bits(state)] + [bits(getattr(sums, name)) for name in vars(sums)
-                                        if name != "steps"])
-    assert results[0] == results[1]
-
-
 def test_seeded_streams_are_the_generators_of_lane_generators(lane_kernel):
     """hl_seed gives each stream the state PCG64 gives it from the same
     SeedSequence words, for replicate indices of one and two 32-bit words."""
@@ -363,14 +334,13 @@ def numpy_paths(params, dt, scheme, seed, lanes, steps):
 
 def drawn_paths(k, params, dt, scheme, seed, lanes, steps):
     """The points and abort steps of one drawing call with ``paths``; asserts
-    that the call leaves the state, sums and streams of one without."""
+    that the call leaves the sums and streams of one without."""
     out = []
     for paths in (np.empty((2, lanes, steps + 1)), None):
         streams = k.seed(hl.lane_seeds(seed, range(lanes)))
-        sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
-        state, aborted = k.draw(params, dt, scheme, streams, steps, None, sums,
-                                None if paths is None else tuple(paths))
-        out.append((paths, aborted, [bits(state), streams.tolist()] + [
+        aborted, sums = k.draw(params, dt, scheme, streams, steps,
+                               None if paths is None else tuple(paths))
+        out.append((paths, aborted, [streams.tolist()] + [
             bits(getattr(sums, name)) for name in vars(sums) if name != "steps"]))
     (paths, aborted, with_paths), (_, aborted_without, without) = out
     assert aborted.tolist() == aborted_without.tolist()
@@ -413,7 +383,6 @@ def test_drawn_paths_of_a_desre_group_that_aborts(lane_kernel):
 
 def test_bad_paths_are_refused(lane_kernel):
     p = hl.canonical_params()
-    sums = PathSums(np.full(4, p.y0), np.full(4, p.x0))
     streams = lane_kernel.seed(hl.lane_seeds(1, range(4)))
     before = streams.copy()
     good, read_only = np.zeros((4, 11)), np.zeros((4, 11))
@@ -423,8 +392,8 @@ def test_bad_paths_are_refused(lane_kernel):
                   (good, np.zeros((4, 11), dtype=np.float32)), (good, np.zeros((4, 11), order="F")),
                   (good, np.zeros((4, 22))[:, ::2]), (read_only, good)):
         with pytest.raises(ValueError, match="paths"):
-            lane_kernel.draw(p, 0.1, hl.Scheme.DISRE, streams, 10, None, sums, paths=paths)
-    assert sums.steps == 0 and streams.tobytes() == before.tobytes()
+            lane_kernel.draw(p, 0.1, hl.Scheme.DISRE, streams, 10, paths=paths)
+    assert streams.tobytes() == before.tobytes()
     assert not good.any()
 
 
@@ -438,9 +407,9 @@ def test_simulate_draws_each_lane_group_in_one_kernel_call(lane_kernel, monkeypa
         def __getattr__(self, name):
             return getattr(lane_kernel, name)
 
-        def draw(self, params, dt, scheme, streams, steps, state, sums, paths=None):
+        def draw(self, params, dt, scheme, streams, steps, paths=None):
             calls.append((len(streams), steps, paths is not None))
-            return lane_kernel.draw(params, dt, scheme, streams, steps, state, sums, paths)
+            return lane_kernel.draw(params, dt, scheme, streams, steps, paths)
 
     def simulate(name):
         out = tmp_path / name
@@ -736,26 +705,54 @@ def test_threads_that_ask_at_once_share_one_build(lane_kernel, tmp_path, monkeyp
     assert got[0] is not None and all(k is got[0] for k in got)
 
 
-def test_a_block_whose_arrays_disagree_is_refused(lane_kernel):
+def test_draws_and_streams_that_disagree_are_refused(lane_kernel):
     p = hl.canonical_params()
-    sums = PathSums(np.full(4, p.y0), np.full(4, p.x0))
-    eta = np.zeros((4, 10))
-    for zeta, state in ((np.zeros((4, 9)), None), (eta, np.zeros(3))):
+    for eta, zeta in ((np.zeros((4, 10)), np.zeros((4, 9))), (np.zeros((4, 10)), np.zeros((5, 10))),
+                      (np.zeros(10), np.zeros(10))):
         with pytest.raises(ValueError, match="lanes"):
-            lane_kernel(p, 0.1, hl.Scheme.DISRE, eta, zeta, state, sums)
-    with pytest.raises(ValueError, match="lanes"):
-        lane_kernel(p, 0.1, hl.Scheme.DISRE, np.zeros((5, 10)), np.zeros((5, 10)), None, sums)
+            lane_kernel(p, 0.1, hl.Scheme.DISRE, eta, zeta)
     streams = lane_kernel.seed(hl.lane_seeds(1, range(4)))
-    for lanes, steps in ((streams[:3], 10), (streams, -1), (streams, 2.0), (streams, True),
+    before = streams.copy()
+    for lanes, steps in ((streams, -1), (streams, 2.0), (streams, True),
                          (np.concatenate([streams, streams[:, :, :1]], axis=2), 10),
                          (streams.astype(np.int64), 10), (streams[::-1], 10),
                          (hl.lane_generators(1, range(4)), 10)):
         with pytest.raises(ValueError):
-            lane_kernel.draw(p, 0.1, hl.Scheme.DISRE, lanes, steps, None, sums)
-    assert sums.steps == 0
+            lane_kernel.draw(p, 0.1, hl.Scheme.DISRE, lanes, steps)
+    assert streams.tobytes() == before.tobytes()
     for words in (np.zeros((4, 2, 3), dtype=np.uint64), np.zeros((4, 2, 4)), [[1, 2]]):
         with pytest.raises(ValueError):
             lane_kernel.seed(words)
+
+
+def exported_parameter_counts(source: str) -> dict[str, int]:
+    """The parameter count of each exported (not static) hl_* function that
+    C source defines."""
+    return {name: 0 if params.strip() in ("", "void") else params.count(",") + 1
+            for name, params in re.findall(r"^\w+\s+\**(hl_\w+)\(([^)]*)\)\s*\{", source,
+                                           re.MULTILINE)}
+
+
+def test_the_parameter_counter_reads_definitions_only():
+    source = ("/* int64_t hl_note(int a) { */\nint64_t hl_two(int a,\n            double *b)\n"
+              "{\n}\nvoid hl_none(void)\n{\n}\nstatic int hl_inner(int a)\n{\n}\n"
+              "int64_t hl_declared(int a);\n")
+    assert exported_parameter_counts(source) == {"hl_two": 2, "hl_none": 0}
+
+
+def test_each_kernel_entry_takes_the_arguments_load_declares(monkeypatch):
+    """ctypes passes the arguments as argtypes declares them, so a C
+    parameter more or less would shift every argument after it without an
+    error.  Read before any call: such a call may crash the process."""
+    for check in ("_check_draws", "_check_codec"):
+        monkeypatch.setattr(kernel, check, lambda k: None)
+    try:
+        k = kernel.load()
+    except (OSError, subprocess.SubprocessError) as e:
+        pytest.skip(f"the lane kernel does not build here: {e}")
+    declared = {fn.__name__: len(fn.argtypes) for fn in (k.fn, k.seed_fn, k.format_fn,
+                                                         k.parse_fn)}
+    assert declared == exported_parameter_counts(kernel.SOURCE.read_text())
 
 
 def test_the_loader_refuses_a_cache_others_can_write(lane_kernel, tmp_path, monkeypatch):

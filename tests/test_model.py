@@ -232,6 +232,13 @@ def test_conditional_means_refuse_a_backward_or_nan_interval():
             hl.conditional_mean_y(p, 0.2, s, t)
         with pytest.raises(hl.InvalidGrid, match="finite"):
             hl.conditional_mean_x(p, 0.2, 0.1, s, t)
+    # an end point that is not a real number, a bool read as 1 among them
+    for bad in (True, False, "1", None):
+        for s, t, name in ((bad, 1.0, "s"), (0.0, bad, "t")):
+            with pytest.raises(hl.InvalidGrid, match=f"^{name} must be a real number"):
+                hl.conditional_mean_y(p, 0.2, s, t)
+            with pytest.raises(hl.InvalidGrid, match=f"^{name} must be a real number"):
+                hl.conditional_mean_x(p, 0.2, 0.1, s, t)
     # a start value that is not a finite number, or a bool read as 1.0
     for bad in (math.nan, math.inf, True):
         with pytest.raises(hl.InvalidParams, match="y_s"):

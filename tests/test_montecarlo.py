@@ -456,6 +456,22 @@ def test_anderson_darling_guards():
         hl.anderson_darling(np.arange(7.0))
 
 
+@pytest.mark.parametrize("stat", [math.nan, -math.inf, -0.5, True, False, "a", None],
+                         ids=repr)
+def test_pvalues_refuse_a_statistic_that_is_not_a_number_above_zero(stat):
+    with pytest.raises(hl.InvalidArgument, match="^Jarque-Bera statistic must be a number >= 0"):
+        hl.jarque_bera_pvalue(stat)
+    with pytest.raises(hl.InvalidArgument,
+                       match="^Anderson-Darling statistic must be a number >= 0"):
+        hl.anderson_darling_pvalue(stat, 10)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.0, True, "10", None], ids=repr)
+def test_anderson_darling_pvalue_refuses_a_sample_size_below_one(n):
+    with pytest.raises(hl.InvalidArgument, match="^n must be an integer >= 1"):
+        hl.anderson_darling_pvalue(1.0, n)
+
+
 def test_anderson_darling_published_pvalue_points():
     # reference (statistic, p) pairs for the estimated-parameters case, n=1e4
     for stat, p_ref in [(0.34486, 0.4857), (0.62481, 0.1037),

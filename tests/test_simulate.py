@@ -632,6 +632,13 @@ def test_every_seed_door_refuses_a_non_integer_or_negative_seed(door, bad):
     assert issubclass(hl.InvalidSeed, hl.ConfigParseError)
 
 
+@pytest.mark.parametrize("door", [hl.lane_seeds, hl.lane_generators], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [3, 2.0, None, True], ids=repr)
+def test_replicates_that_are_not_an_iterable_are_refused(door, bad):
+    with pytest.raises(hl.InvalidSeed, match="^replicates must be an iterable of integers"):
+        door(1, bad)
+
+
 def test_numpy_and_wide_integer_seeds_keep_their_bits():
     grid = hl.TimeGrid(1.0, 20)
     want = hl.simulate_xy(P, grid, hl.Scheme.DISRE, hl.SeedLineage(7, 3))
@@ -949,6 +956,24 @@ STEPS = [simulate.step_ave, simulate.step_te, simulate.step_se, simulate.step_de
 def test_a_step_refuses_a_dt_that_is_not_a_finite_number_above_zero(step, dt):
     with pytest.raises(hl.InvalidGrid, match="dt must be a finite number > 0"):
         step(P, 0.3, dt, 0.0)
+
+
+@pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0, 0.0, True, "0.1", None], ids=repr)
+def test_the_step_loop_and_the_price_step_refuse_a_bad_dt(scheme, dt):
+    """step_constants' one rule: no NaN points from advance_variance,
+    price_block or the kernel."""
+    from hestonlab.kernel import lane_kernel
+
+    eta = np.zeros((2, 5))
+    calls = [lambda: simulate.step_constants(scheme, P, dt),
+             lambda: advance_variance(P, dt, scheme, eta),
+             lambda: simulate.price_block(P, dt, np.full((2, 6), 0.2), eta, eta, 0.0)]
+    if lane_kernel() is not None:
+        calls.append(lambda: lane_kernel()(P, dt, scheme, eta, eta))
+    for call in calls:
+        with pytest.raises(hl.InvalidGrid, match="^dt must be a finite number > 0"):
+            call()
 
 
 @pytest.mark.parametrize("step", STEPS, ids=lambda f: f.__name__)
