@@ -15,6 +15,15 @@ class InvalidArgument(HestonLabError, ValueError):
     None where it needs numbers, or a record of another type."""
 
 
+def require_instance(value, kind: type, name: str):
+    """``value``, unless it is not a ``kind``: then ``InvalidArgument`` naming ``name``."""
+    if not isinstance(value, kind):
+        # "an" before a vowel, and before the letters of LSE and MC
+        article = "an" if kind.__name__.startswith(tuple("AEIOU") + ("Lse", "Mc")) else "a"
+        raise InvalidArgument(f"{name} must be {article} {kind.__name__}, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 

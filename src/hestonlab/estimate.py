@@ -45,6 +45,7 @@ from .errors import (
     NonPositiveSigma,
     NonPositiveZ,
     PathTooShort,
+    require_instance,
 )
 from .model import ModelParams
 from .simulate import TimeGrid, XYPath
@@ -549,9 +550,7 @@ def estimate_record(
     Raises:
         InvalidArgument: ``est`` is not an :class:`LseEstimate`.
     """
-    if not isinstance(est, LseEstimate):
-        raise InvalidArgument(f"est must be an LseEstimate, got {est!r}")
-    f = est.functionals
+    f = require_instance(est, LseEstimate, "est").functionals
     return {
         "a_hat": est.a_hat,
         "b_hat": est.b_hat,

@@ -6,8 +6,8 @@
  * fold of each summation tile into the lane's path sums, and on request
  * writes the variance and price points; lanes go four at a time, their
  * variance steps interleaved.  Its noise is either drawn here, a tile at a
- * time, from each lane's pair of PCG64 streams, or read from given
- * (steps,) rows of eta and zeta.
+ * time, from each lane's pair of PCG64 streams, seeded here from their seed
+ * words, or read from given (steps,) rows of eta and zeta.
  * It gives the bits of the numpy pipeline of hestonlab (draw_normals, then
  * simulate's step loop and price_block, then estimate.PathSums.fold a tile
  * at a time, in blocks or in one piece), so every operation below is the
@@ -15,7 +15,7 @@
  *
  *   - a stream is numpy's PCG64 (O'Neill's XSL-RR generator on a 128-bit
  *     LCG), held as four 64-bit words, state high and low, then increment
- *     high and low; hl_seed turns the words that SeedSequence generates
+ *     high and low; pcg64_seed turns the words that SeedSequence generates
  *     into a stream as PCG64's pcg64_set_seed does;
  *   - a normal is numpy's random_standard_normal, which
  *     Generator.standard_normal runs: Marsaglia and Tsang's ziggurat on
@@ -68,9 +68,9 @@
 /* the scheme codes hestonlab.kernel passes */
 enum { AVE, TE, SE, DESRE, DISRE };
 
-/* the longest summation tile: numpy's pairwise block, which the tile sums
-   below follow without their recursive split */
-#define TILE_CAP 128
+/* the summation tile, hestonlab.estimate.SUM_TILE: numpy's pairwise block,
+   which the tile sums below follow without their recursive split */
+#define TILE 128
 
 /* numpy's pairwise_sum_DOUBLE for n <= 128: a plain loop below 8 elements,
    else 8 accumulators, combined as a tree, then the remainder */
@@ -120,7 +120,7 @@ static double max0(double y)
  * whose Z is <= 0 at step i of the tile gets hit[] = first + i + 1 unless
  * it has a hit already; its later points are not used. */
 static void variance_steps(int scheme, const double *k, double *s, const double *const *eta,
-                           int64_t n, double (*y)[TILE_CAP + 1], int64_t first, int64_t *hit)
+                           int64_t n, double (*y)[TILE + 1], int64_t first, int64_t *hit)
 {
     int64_t i;
     int j;
@@ -180,7 +180,7 @@ static void price_steps(const double *p, const double *y, const double *eta,
 static void fold_tile(const double *y, const double *x, int64_t n, int64_t done,
                       double y_start, double *s, int64_t lanes, double *mean, double *m2)
 {
-    double terms[7][TILE_CAP];
+    double terms[7][TILE];
     double tile[6], t_mean, t_m2, delta, w_mean, w_m2;
     int64_t i, j, merged = done + n;
     for (i = 0; i < n; i++) {
@@ -223,14 +223,6 @@ struct pcg64 {
     u128 state, inc;
 };
 
-static struct pcg64 pcg64_load(const uint64_t *w)
-{
-    struct pcg64 g;
-    g.state = ((u128)w[0] << 64) | w[1];
-    g.inc = ((u128)w[2] << 64) | w[3];
-    return g;
-}
-
 static void pcg64_store(const struct pcg64 *g, uint64_t *w)
 {
     w[0] = (uint64_t)(g->state >> 64);
@@ -257,23 +249,19 @@ static double pcg64_double(struct pcg64 *g)
     return (double)(int64_t)(pcg64_next(g) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Seed `streams` streams in place: words (streams, 4) hold SeedSequence's
- * generate_state(4, uint64) of each, the seed then the sequence as
- * (high, low) pairs, and receive the stream, as pcg64_set_seed forms it. */
-void hl_seed(int64_t streams, uint64_t *words)
+/* The stream of seed words w[0..3], SeedSequence's generate_state(4,
+ * uint64): the seed then the sequence as (high, low) pairs, formed as
+ * pcg64_set_seed forms it */
+static struct pcg64 pcg64_seed(const uint64_t *w)
 {
-    int64_t s;
-    for (s = 0; s < streams; s++) {
-        uint64_t *w = words + 4 * s;
-        struct pcg64 g;
-        u128 seed = ((u128)w[0] << 64) | w[1];
-        g.state = 0;
-        g.inc = ((((u128)w[2] << 64) | w[3]) << 1) | 1;
-        pcg64_next(&g);
-        g.state += seed;
-        pcg64_next(&g);
-        pcg64_store(&g, w);
-    }
+    struct pcg64 g;
+    u128 seed = ((u128)w[0] << 64) | w[1];
+    g.state = 0;
+    g.inc = ((((u128)w[2] << 64) | w[3]) << 1) | 1;
+    pcg64_next(&g);
+    g.state += seed;
+    pcg64_next(&g);
+    return g;
 }
 
 /* numpy's ziggurat_nor_r, the tail's start, and its inverse */
@@ -360,31 +348,28 @@ static void draw_tile(struct pcg64 *g, int m, double *const *out, int64_t n,
 /* Take `lanes` lanes through their whole paths of `steps` steps, each from
  * its start y_end, x_end (Z = sqrt(y_end) for DESRE and DISRE), which the
  * caller sets to y0, x0.  The noise comes from streams, (lanes, 2, 4)
- * row-major, each lane's eta and zeta PCG64 streams, advanced in place: for
- * each tile, each live lane draws its tile's eta normals and its zeta
- * normals, the live streams of a group of lanes interleaved, with the
- * ziggurat tables (3, 256): ki, then wi and fi as the bits of doubles.
- * Where streams is NULL it is read from eta and zeta, (lanes, steps),
- * row-major.  y_start, y_end, x_end, mean, m2 and aborted are (lanes,), and
- * sums is (6, lanes), row-major: the arrays of a fresh PathSums, updated in
- * place.  Tiles are `tile` steps, the last one possibly short.  Unless they
- * are NULL, y_out and x_out, (lanes, steps + 1) row-major, receive each
- * lane's variance and price points, its start first, tile by tile while
- * the lane is live.  Lanes go GROUP at a time, a last short group padded
- * with copies of its first lane, which never draw and whose results are
- * dropped.  Returns 0, or -1 for a tile outside [1, 128], where nothing is
- * done. */
-int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lanes,
-                      int64_t steps, int64_t tile, uint64_t *streams, const uint64_t *tables,
-                      const double *eta, const double *zeta, const double *y_start,
-                      double *y_end, double *x_end, double *sums, double *mean, double *m2,
-                      int64_t *aborted, double *y_out, double *x_out)
+ * row-major, the seed words of each lane's eta and zeta PCG64 streams,
+ * which receive the streams' last states: for each tile, each live lane
+ * draws its tile's eta normals and its zeta normals, the live streams of a
+ * group of lanes interleaved, with the ziggurat tables (3, 256): ki, then
+ * wi and fi as the bits of doubles.  Where streams is NULL it is read from
+ * eta and zeta, (lanes, steps), row-major.  y_start, y_end, x_end, mean, m2
+ * and aborted are (lanes,), and sums is (6, lanes), row-major: the arrays
+ * of a fresh PathSums, updated in place.  Tiles are TILE steps, the last
+ * one possibly short.  Unless they are NULL, y_out and x_out, (lanes,
+ * steps + 1) row-major, receive each lane's variance and price points, its
+ * start first, tile by tile while the lane is live.  Lanes go GROUP at a
+ * time, a last short group padded with copies of its first lane, which
+ * never draw and whose results are dropped. */
+void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lanes,
+                   int64_t steps, uint64_t *streams, const uint64_t *tables, const double *eta,
+                   const double *zeta, const double *y_start, double *y_end, double *x_end,
+                   double *sums, double *mean, double *m2, int64_t *aborted, double *y_out,
+                   double *x_out)
 {
     struct ziggurat z;
     int64_t g0, t0;
     int j;
-    if (tile < 1 || tile > TILE_CAP)
-        return -1;
     if (streams != NULL) {
         memcpy(z.ki, tables, sizeof z.ki);
         memcpy(z.wi, tables + 256, sizeof z.wi);
@@ -393,8 +378,8 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
     for (g0 = 0; g0 < lanes; g0 += GROUP) {
         int real = lanes - g0 < GROUP ? (int)(lanes - g0) : GROUP, live = real;
         const double *eta_t[GROUP], *zeta_t[GROUP];
-        double drawn[2][GROUP][TILE_CAP];
-        double y[GROUP][TILE_CAP + 1], x[GROUP][TILE_CAP + 1], s[GROUP];
+        double drawn[2][GROUP][TILE];
+        double y[GROUP][TILE + 1], x[GROUP][TILE + 1], s[GROUP];
         struct pcg64 gen[2 * GROUP];
         int64_t hit[GROUP];
         for (j = 0; j < GROUP; j++) {
@@ -410,13 +395,13 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
                     x_out[lane * (steps + 1)] = x_end[lane];
                 }
                 if (streams != NULL) {
-                    gen[2 * j] = pcg64_load(streams + 8 * lane);
-                    gen[2 * j + 1] = pcg64_load(streams + 8 * lane + 4);
+                    gen[2 * j] = pcg64_seed(streams + 8 * lane);
+                    gen[2 * j + 1] = pcg64_seed(streams + 8 * lane + 4);
                 }
             }
         }
-        for (t0 = 0; t0 < steps && live; t0 += tile) {
-            int64_t n = steps - t0 < tile ? steps - t0 : tile;
+        for (t0 = 0; t0 < steps && live; t0 += TILE) {
+            int64_t n = steps - t0 < TILE ? steps - t0 : TILE;
             if (streams != NULL) {
                 /* the live lanes' streams, side by side */
                 struct pcg64 g[2 * GROUP];
@@ -481,7 +466,6 @@ int64_t hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t 
             x_end[lane] = x[j][0];
         }
     }
-    return 0;
 }
 
 

@@ -5,21 +5,19 @@
 recursion of any scheme, the log-price recursion and the fold of each
 summation tile into the group's :class:`~hestonlab.estimate.PathSums`, with
 the constants of :func:`~hestonlab.simulate.step_constants`.
-:meth:`LaneKernel.draw` draws the normals itself, a tile at a time, from
-each lane's pair of PCG64 streams, which the kernel holds as an array of
-words (:meth:`LaneKernel.seed` makes them from
-:func:`~hestonlab.simulate.lane_seeds`), through numpy's ziggurat, inlined:
-so no block of draws and no numpy ``Generator`` is ever held, and
+:meth:`LaneKernel.draw` seeds each lane's pair of PCG64 streams from the
+words of :func:`~hestonlab.simulate.lane_seeds` and draws the normals
+itself, a tile at a time, through numpy's ziggurat, inlined: so no block of
+draws and no numpy ``Generator`` is ever held, and
 :func:`~hestonlab.simulate.advance_lanes` takes a lane group through its
 path in one call, which writes its points as well for single paths.  A call
-of :class:`LaneKernel` itself reads given draws instead, for the tests and
-for :func:`load`'s check.  Both return what ``advance_lanes`` does, and give
+of :class:`LaneKernel` itself reads given draws instead, for
+:func:`~hestonlab.simulate.simulate_y` and :func:`load`'s check.  Both give
 the bits of the numpy pipeline (:func:`~hestonlab.simulate.lane_generators`,
 :func:`~hestonlab.simulate.draw_normals`,
 :func:`~hestonlab.simulate.advance_variance`,
 :func:`~hestonlab.simulate.price_block` and ``PathSums.fold`` a tile at a
-time).  ``advance_lanes`` runs that pipeline instead where the kernel does
-not load, and the tests compare the kernel against it.  The kernel runs
+time), which runs instead where the kernel does not load.  The kernel runs
 without the interpreter lock, since ``ctypes`` releases the lock for the
 call, so worker threads advance their groups in parallel.
 
@@ -66,11 +64,12 @@ import struct
 import subprocess
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 
-from .estimate import SUM_TILE, PathSums
+from .estimate import PathSums
 from .model import ModelParams
 from .simulate import Scheme, draw_normals, lane_generators, lane_seeds, step_constants
 
@@ -177,7 +176,8 @@ def _ziggurat_tables(archive: bytes) -> np.ndarray:
 
 
 def _build(command: list[str], archive: bytes) -> Path:
-    """The cached shared library of ``kernel.c``, compiled first if it is not there."""
+    """The cached shared library of ``kernel.c``, compiled first if it is not
+    there, which then unlinks the other builds unchanged for over a week."""
     key = hashlib.sha256(b"\0".join(
         [SOURCE.read_bytes(), archive, " ".join(command).encode(),
          platform.platform().encode(), platform.machine().encode()])).hexdigest()[:24]
@@ -200,6 +200,13 @@ def _build(command: list[str], archive: bytes) -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        stale = time.time() - 7 * 24 * 3600
+        for old in cache.glob("kernel-*.so"):
+            try:
+                if old != target and old.stat().st_mtime < stale:
+                    old.unlink()
+            except FileNotFoundError:  # another process unlinked it first
+                pass
     return target
 
 
@@ -222,19 +229,16 @@ def load() -> "LaneKernel":
     tables = _ziggurat_tables(archive)
     lib = ctypes.CDLL(str(_build([compiler, *FLAGS], archive)))
     fn = lib.hl_lane_block
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 3 + [
+    fn.restype = None
+    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 2 + [
         ctypes.c_void_p] * 13
-    seed = lib.hl_seed
-    seed.restype = None
-    seed.argtypes = [ctypes.c_int64, ctypes.c_void_p]
     format_rows, parse_rows = lib.hl_format_rows, lib.hl_parse_rows
     format_rows.restype = parse_rows.restype = ctypes.c_int64
     format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] + [
         ctypes.c_void_p] * 3
     # a bytes object, whose buffer a NUL ends
     parse_rows.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
-    kernel = LaneKernel(fn, seed, tables, format_rows, parse_rows, _pow10_table())
+    kernel = LaneKernel(fn, tables, format_rows, parse_rows, _pow10_table())
     _check_draws(kernel)
     _check_codec(kernel)
     return kernel
@@ -252,7 +256,7 @@ def _check_draws(kernel: "LaneKernel") -> None:
     """Draw the check group in the kernel and through draw_normals: the same
     path sums and stream states, or RuntimeError."""
     params, dt, scheme = _CHECK_PARAMS, 0.01, Scheme.DISRE
-    streams = kernel.seed(lane_seeds(_CHECK_SEED, range(_CHECK_LANES)))
+    streams = lane_seeds(_CHECK_SEED, range(_CHECK_LANES))
     gens = lane_generators(_CHECK_SEED, range(_CHECK_LANES))
     results = [[aborted.tobytes()] + [getattr(sums, name).tobytes() for name in _SUMS_ARRAYS]
                for aborted, sums in (
@@ -354,13 +358,11 @@ _SUMS_ARRAYS = ("y_start", "y_end", "x_end", "sums", "mean", "m2")
 
 class LaneKernel:
     """The opened kernel: a call takes one lane group through its whole path
-    of given draws, :meth:`draw` through steps whose normals it draws from
-    the streams that :meth:`seed` makes."""
+    of given draws, for ``simulate_y``, and :meth:`draw` through normals it
+    draws from streams it seeds itself, for ``advance_lanes``."""
 
-    def __init__(self, fn, seed_fn, tables: np.ndarray, format_fn, parse_fn,
-                 pow10: np.ndarray):
+    def __init__(self, fn, tables: np.ndarray, format_fn, parse_fn, pow10: np.ndarray):
         self.fn = fn
-        self.seed_fn = seed_fn
         # numpy's ziggurat tables, (3, 256) uint64, which each drawing call reads
         self.tables = tables
         self.format_fn = format_fn
@@ -415,27 +417,12 @@ class LaneKernel:
         return [column if kind is float else column.astype(np.int64)
                 for kind, column in zip(kinds, out)]
 
-    def seed(self, words: np.ndarray) -> np.ndarray:
-        """The PCG64 streams of seed words such as
-        :func:`~hestonlab.simulate.lane_seeds` gives: a new uint64 array of
-        the same (lanes, 2, 4) shape, each stream's state and increment as
-        PCG64 seeds them, for :meth:`draw` to advance.
-
-        Raises:
-            ValueError: words that are not a (lanes, 2, 4) array of integers.
-        """
-        words = np.asarray(words)
-        if words.dtype.kind not in "ui" or words.ndim != 3 or words.shape[1:] != (2, 4):
-            raise ValueError(f"seed words must be (lanes, 2, 4) integers, got {words.dtype} "
-                             f"{words.shape}")
-        streams = np.array(words, dtype=np.uint64, order="C")
-        self.seed_fn(streams.size // 4, streams.ctypes.data)
-        return streams
-
     def __call__(self, params: ModelParams, dt: float, scheme: Scheme, eta: np.ndarray,
-                 zeta: np.ndarray):
+                 zeta: np.ndarray, paths=None):
         """Take a lane group from (y0, x0) through the given draws, one row
-        of each per lane, and fold its path into path sums.
+        of each per lane, and fold its path into path sums; ``paths``, a (y,
+        x) tuple of writable C-ordered float64 (lanes, steps + 1) arrays,
+        receives each lane's points, (y0, x0) first, while it is live.
 
         Returns what :func:`~hestonlab.simulate.advance_lanes` does: each
         lane's DESRE abort step, from 1 (0 for none), and the
@@ -445,7 +432,7 @@ class LaneKernel:
 
         Raises:
             FellerViolated / InvalidGrid: as :func:`~hestonlab.simulate.step_constants`.
-            ValueError: eta and zeta are not both (lanes, steps).
+            ValueError: eta and zeta are not both (lanes, steps), or bad ``paths``.
         """
         # the kernel reads these through bare pointers
         eta, zeta = (np.ascontiguousarray(a, dtype=float) for a in (eta, zeta))
@@ -453,52 +440,42 @@ class LaneKernel:
             raise ValueError(f"eta and zeta must both be (lanes, steps), got {eta.shape} "
                              f"and {zeta.shape}")
         return self._advance(params, dt, scheme, *eta.shape, None, None, eta.ctypes.data,
-                             zeta.ctypes.data, None)
+                             zeta.ctypes.data, paths)
 
     def draw(self, params: ModelParams, dt: float, scheme: Scheme, streams: np.ndarray,
              steps: int, paths=None):
         """As a call, but the kernel draws the noise: lane i's first
-        ``steps`` normals of each of its (eta, zeta) streams ``streams[i]``,
-        the normals :func:`~hestonlab.simulate.draw_normals` gives from the
-        generators of the same seeds.
-
-        ``streams`` is a (lanes, 2, 4) array that :meth:`seed` made, which
-        the call advances in place: a lane that does not abort leaves its
-        streams where ``draw_normals`` would leave its generators; an
-        aborted lane's are left unfinished.  ``paths``, a (y, x) tuple of
-        writable C-ordered float64 (lanes, steps + 1) arrays, else a
-        ValueError, receives each lane's variance and price points, (y0,
-        x0) first; an aborted lane's rows are left unfinished.
+        ``steps`` normals of each of its (eta, zeta) streams, those
+        :func:`~hestonlab.simulate.draw_normals` gives from the generators
+        of the same seeds.  ``streams``, a writable C-ordered (lanes, 2, 4)
+        uint64 array of their seed words from
+        :func:`~hestonlab.simulate.lane_seeds`, receives their last states:
+        where ``draw_normals`` leaves the generators, or unfinished for a
+        lane that aborts.
         """
         if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 0):
             raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
         if not (isinstance(streams, np.ndarray) and streams.dtype == np.uint64
                 and streams.ndim == 3 and streams.shape[1:] == (2, 4)
                 and streams.flags.c_contiguous and streams.flags.writeable):
-            raise ValueError("each lane needs one (eta, zeta) pair of streams: a writable "
-                             "C-ordered (lanes, 2, 4) uint64 array")
-        if paths is not None:
-            if not (isinstance(paths, tuple) and len(paths) == 2 and all(
-                    isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
-                    and a.flags.c_contiguous and a.shape == (len(streams), steps + 1)
-                    for a in paths)):
-                raise ValueError("paths must be a (y, x) tuple of writable C-ordered float64 "
-                                 "(lanes, steps + 1) arrays")
+            raise ValueError("each lane needs one (eta, zeta) pair of stream seed words: a "
+                             "writable C-ordered (lanes, 2, 4) uint64 array")
         return self._advance(params, dt, scheme, len(streams), steps, streams.ctypes.data,
-                             self.tables.ctypes.data, None, None,
-                             paths and [a.ctypes.data for a in paths])
+                             self.tables.ctypes.data, None, None, paths)
 
     def _advance(self, params, dt, scheme, lanes, steps, streams, tables, eta, zeta, paths):
+        if paths is not None and not (isinstance(paths, tuple) and len(paths) == 2 and all(
+                isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
+                and a.flags.c_contiguous and a.shape == (lanes, steps + 1) for a in paths)):
+            raise ValueError("paths must be a (y, x) tuple of writable C-ordered float64 "
+                             "(lanes, steps + 1) arrays")
         k, p = step_constants(scheme, params, dt)
         # fresh, so C-ordered and writable, as the kernel needs
         sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
         aborted = np.zeros(lanes, dtype=np.int64)
-        status = self.fn(_SCHEME_CODES[scheme], k.ctypes.data, p.ctypes.data, lanes, steps,
-                         SUM_TILE, streams, tables, eta, zeta,
-                         *(getattr(sums, name).ctypes.data for name in _SUMS_ARRAYS),
-                         aborted.ctypes.data, *(paths or (None, None)))
-        if status:
-            raise ValueError(f"summation tile of {SUM_TILE} steps is outside [1, 128]")
+        self.fn(_SCHEME_CODES[scheme], k.ctypes.data, p.ctypes.data, lanes, steps, streams,
+                tables, eta, zeta, *(getattr(sums, name).ctypes.data for name in _SUMS_ARRAYS),
+                aborted.ctypes.data, *([a.ctypes.data for a in paths] if paths else (None, None)))
         sums.steps = steps
         sums.select(aborted == 0)
         return aborted, sums

@@ -74,6 +74,7 @@ from .errors import (
     InvalidArgument,
     NonFiniteSample,
     TiesDegenerate,
+    require_instance,
 )
 from .estimate import (
     FAILURE_REASONS,
@@ -746,10 +747,8 @@ def covariance_check(summary: McSummary, theory: AsymptoticCovariance) -> Deviat
         InvalidArgument: ``summary`` is not an :class:`McSummary` or
             ``theory`` not an :class:`~hestonlab.model.AsymptoticCovariance`.
     """
-    for name, value, kind in (("summary", summary, McSummary),
-                              ("theory", theory, AsymptoticCovariance)):
-        if not isinstance(value, kind):
-            raise InvalidArgument(f"{name} must be an {kind.__name__}, got {value!r}")
+    require_instance(summary, McSummary, "summary")
+    require_instance(theory, AsymptoticCovariance, "theory")
     scaled_theory = kron(theory.s_matrix, np.eye(2))
     norm_dev = _entrywise_dev(summary.cov_normalized, theory.sigma_matrix)
     scal_dev = _entrywise_dev(summary.cov_scaled, scaled_theory)

@@ -53,14 +53,15 @@ overflow run on as inf or NaN, without warnings, and take the constants
 each formula forms before it meets an array from :func:`step_constants`,
 which refuses a bad step.  :func:`advance_lanes` is the one engine of lane
 groups, for Monte Carlo runs and single paths.  It takes a group through
-its whole path in one call of a compiled kernel that draws its own normals,
-takes the same constants and gives these functions' bits
-(:mod:`hestonlab.kernel`).  Where the kernel does not build, it takes the
-group through blocks of them, of whole summation tiles under
+its whole path in one call of a compiled kernel that seeds its streams and
+draws its own normals, takes the same constants and gives these functions'
+bits (:mod:`hestonlab.kernel`).  Where the kernel does not build, it takes
+the group through blocks of them, of whole summation tiles under
 ``BLOCK_ELEMENTS``.  :func:`simulate_paths` runs it on groups of as many
 whole paths as ``BLOCK_ELEMENTS`` holds, and :func:`simulate_xy` on one
-lane.  Lanes do not mix, and a path cut into blocks gives the bits of the
-path in one piece.
+lane, and :func:`simulate_y` takes chosen draws through the kernel or the
+step loop.  Lanes do not mix, and a path cut into blocks gives the bits of
+the path in one piece.
 
 CSV files: :func:`format_csv` and :func:`parse_csv` are the one codec of path
 files (``t,y,x``, row 0 the start) and report files.  A file is a header, then
@@ -104,6 +105,7 @@ from .errors import (
     NonFinitePath,
     NonFiniteSample,
     NonPositiveZ,
+    require_instance,
 )
 from .model import ModelParams
 
@@ -739,6 +741,14 @@ def price_block(
 # whole-path simulation
 
 
+def _require(**arguments) -> None:
+    """Refuse (``InvalidArgument``) an argument of a path function that is of another type."""
+    kinds = {"params": ModelParams, "grid": TimeGrid, "scheme": Scheme, "draws": GaussianDraws,
+             "lineage": SeedLineage}
+    for name, value in arguments.items():
+        require_instance(value, kinds[name], name)
+
+
 def _finite(name: str, path: np.ndarray) -> np.ndarray:
     finite = np.isfinite(path)
     if not finite.all():
@@ -757,9 +767,12 @@ def _variance_path(y: np.ndarray, aborted: int) -> np.ndarray:
 def simulate_y(
     params: ModelParams, grid: TimeGrid, scheme: Scheme, draws: GaussianDraws
 ) -> np.ndarray:
-    """Simulate one variance path on the grid; returns length steps+1 array.
+    """Simulate one variance path on the grid; returns length steps+1 array:
+    one kernel call on the draws where the kernel loads, else the numpy step
+    loop, with the same bits and errors.
 
     Raises:
+        InvalidArgument: an argument of another type, such as None or a str.
         LengthMismatch: if the draws do not provide exactly ``grid.steps`` values.
         FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
         NonPositiveZ: if the DESRE iterate leaves the positive half-line
@@ -767,9 +780,17 @@ def simulate_y(
         NonFinitePath: Y overflows; names the first grid index at which it is
             not finite.
     """
+    from .kernel import lane_kernel  # kernel imports this module
+
+    _require(params=params, grid=grid, scheme=scheme, draws=draws)
     if len(draws) != grid.steps:
         raise LengthMismatch(f"draws provide {len(draws)} steps, grid has {grid.steps}")
-    y, _, aborted = advance_variance(params, grid.dt, scheme, draws.eta[None, :])
+    kernel = lane_kernel()
+    if kernel is None:
+        y, _, aborted = advance_variance(params, grid.dt, scheme, draws.eta[None, :])
+    else:
+        y, x = np.empty((1, grid.steps + 1)), np.empty((1, grid.steps + 1))
+        aborted, _ = kernel(params, grid.dt, scheme, draws.eta[None], draws.zeta[None], (y, x))
     return _variance_path(y[0], aborted[0])
 
 
@@ -782,11 +803,13 @@ def simulate_x(
     schemes that can go negative remain usable.
 
     Raises:
+        InvalidArgument: an argument of another type, such as None.
         LengthMismatch: if ``y_path`` does not have steps+1 points or the
             draws do not provide steps values per stream.
         NonFinitePath: X is not finite, for example where ``y_path`` is not;
             names the first grid index at which it is not finite.
     """
+    _require(params=params, grid=grid, draws=draws)
     y_path = np.asarray(y_path, dtype=float)
     if y_path.shape != (grid.steps + 1,):
         raise LengthMismatch(
@@ -803,6 +826,9 @@ class XYPath:
 
     ``scheme`` records which recursion produced the variance path; it is
     ``None`` for paths read back from CSV, where that information is absent.
+
+    Raises:
+        InvalidArgument / LengthMismatch: a grid or paths of another type or length.
     """
 
     grid: TimeGrid
@@ -811,6 +837,7 @@ class XYPath:
     scheme: Scheme | None = None
 
     def __post_init__(self):
+        _require(grid=self.grid)
         y = np.asarray(self.y, dtype=float)
         x = np.asarray(self.x, dtype=float)
         want = self.grid.steps + 1
@@ -829,9 +856,11 @@ def simulate_xy(
     as a lane group of one lane.
 
     Raises:
+        InvalidArgument: an argument of another type, such as None or a str.
         FellerViolated / InvalidGrid / NonPositiveZ / NonFinitePath: as
             :func:`simulate_y` and :func:`simulate_x`.
     """
+    _require(params=params, grid=grid, scheme=scheme, lineage=lineage)
     return next(_lane_paths(params, grid, scheme, lineage.master_seed, [lineage.replicate]))
 
 
@@ -843,12 +872,14 @@ def simulate_paths(
     scheme, SeedLineage(master_seed, r))``.
 
     Raises:
+        InvalidArgument: at the call, a params, grid or scheme of another type.
         InvalidSeed / ConfigParseError: at the call, a bad master seed, or a
             replicate count that is a bool or not an integer >= 0.
         FellerViolated / InvalidGrid / NonPositiveZ / NonFinitePath: as
             :func:`simulate_xy`, for the first failing replicate, once those
             before it are yielded.
     """
+    _require(params=params, grid=grid, scheme=scheme)
     SeedLineage(master_seed)
     if isinstance(replicates, bool) or not (
             isinstance(replicates, numbers.Integral) and replicates >= 0):
@@ -878,8 +909,8 @@ def advance_lanes(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_se
     """Take the lane group of replicates ``index`` of a master seed through
     its whole path, folding it into path sums.
 
-    Where the compiled kernel loads, that is one call, which draws the
-    group's normals itself; elsewhere it is numpy blocks of whole summation
+    Where the compiled kernel loads, that is one call, which seeds the
+    group's streams and draws its normals itself; elsewhere it is numpy blocks of whole summation
     tiles under ``BLOCK_ELEMENTS``, each priced and folded a tile at a time,
     and the lanes that abort in a block draw no further block.  ``paths``, a
     (y, x) tuple of C-ordered float64 (lanes, steps + 1) arrays, receives
@@ -900,8 +931,7 @@ def advance_lanes(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_se
     dt, steps, lanes = grid.dt, grid.steps, len(index)
     kernel = lane_kernel()
     if kernel is not None:
-        return kernel.draw(params, dt, scheme, kernel.seed(lane_seeds(master_seed, index)), steps,
-                           paths)
+        return kernel.draw(params, dt, scheme, lane_seeds(master_seed, index), steps, paths)
 
     sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
     streams = lane_generators(master_seed, index)

@@ -14,6 +14,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -226,8 +227,6 @@ def test_monte_carlo_runs_use_the_kernel(lane_kernel, monkeypatch):
     calls = []
 
     class Counting:
-        seed = staticmethod(lane_kernel.seed)
-
         def draw(self, params, dt, scheme, streams, steps, paths=None):
             calls.append((len(streams), steps))
             return lane_kernel.draw(params, dt, scheme, streams, steps, paths)
@@ -273,7 +272,7 @@ def drawn_against_given(params, dt, scheme, lanes, steps, seed=23, k=None):
     where draw_normals leaves its generators; an aborted lane stops drawing
     after the tile of its abort.  Returns the abort steps (0 for none)."""
     k = k or lane_kernel_or_skip()
-    streams = k.seed(hl.lane_seeds(seed, range(lanes)))
+    streams = hl.lane_seeds(seed, range(lanes))
     given = hl.lane_generators(seed, range(lanes))
     start = [advanced(pair, 0) for pair in given]
     aborted_d, sums_d = k.draw(params, dt, scheme, streams, steps)
@@ -310,10 +309,12 @@ def test_drawn_noise_of_desre_groups_that_abort(steps):
 
 
 def test_seeded_streams_are_the_generators_of_lane_generators(lane_kernel):
-    """hl_seed gives each stream the state PCG64 gives it from the same
-    SeedSequence words, for replicate indices of one and two 32-bit words."""
+    """A drawing call of no steps leaves each stream in the state PCG64
+    seeds it to from the same SeedSequence words, for replicate indices of
+    one and two 32-bit words."""
     replicates = [0, 5, 2**32 - 1, 2**32, 2**40 + 3]
-    streams = lane_kernel.seed(hl.lane_seeds(2**64 + 9, replicates))
+    streams = hl.lane_seeds(2**64 + 9, replicates)
+    lane_kernel.draw(hl.canonical_params(), 0.1, hl.Scheme.DISRE, streams, 0)
     assert streams.shape == (5, 2, 4) and streams.dtype == np.uint64
     for words, pair in zip(streams, hl.lane_generators(2**64 + 9, replicates)):
         for stream, gen in zip(words, pair):
@@ -337,7 +338,7 @@ def drawn_paths(k, params, dt, scheme, seed, lanes, steps):
     that the call leaves the sums and streams of one without."""
     out = []
     for paths in (np.empty((2, lanes, steps + 1)), None):
-        streams = k.seed(hl.lane_seeds(seed, range(lanes)))
+        streams = hl.lane_seeds(seed, range(lanes))
         aborted, sums = k.draw(params, dt, scheme, streams, steps,
                                None if paths is None else tuple(paths))
         out.append((paths, aborted, [streams.tolist()] + [
@@ -383,7 +384,7 @@ def test_drawn_paths_of_a_desre_group_that_aborts(lane_kernel):
 
 def test_bad_paths_are_refused(lane_kernel):
     p = hl.canonical_params()
-    streams = lane_kernel.seed(hl.lane_seeds(1, range(4)))
+    streams = hl.lane_seeds(1, range(4))
     before = streams.copy()
     good, read_only = np.zeros((4, 11)), np.zeros((4, 11))
     read_only.flags.writeable = False
@@ -426,6 +427,77 @@ def test_simulate_draws_each_lane_group_in_one_kernel_call(lane_kernel, monkeypa
     assert calls == [(2, 40, True), (2, 40, True), (1, 40, True)]
     monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
     assert got == simulate("numpy") and len(got) == 5
+
+
+def test_a_call_writes_the_points_a_drawing_call_writes(lane_kernel):
+    """For the normals a drawing call draws, a call on those draws given
+    writes the same points and aborts; it refuses bad paths as draw does."""
+    lanes, steps = 7, 300
+    for scheme in SCHEMES:
+        drawn, given = np.empty((2, lanes, steps + 1)), np.empty((2, lanes, steps + 1))
+        aborted_d, _ = lane_kernel.draw(NEAR_ZERO, 0.2, scheme, hl.lane_seeds(5, range(lanes)),
+                                        steps, tuple(drawn))
+        aborted_g, _ = lane_kernel(NEAR_ZERO, 0.2, scheme,
+                                   *draw_normals(hl.lane_generators(5, range(lanes)), steps),
+                                   paths=tuple(given))
+        assert aborted_d.tolist() == aborted_g.tolist()
+        assert_rows_match(given, drawn, aborted_d)
+    eta = np.zeros((lanes, steps))
+    for paths in ((drawn[0],), (drawn[0], np.zeros((lanes, steps)))):
+        with pytest.raises(ValueError, match="paths"):
+            lane_kernel(NEAR_ZERO, 0.2, hl.Scheme.DISRE, eta, eta, paths=paths)
+
+
+def simulate_y_both_ways(k, monkeypatch, params, grid, scheme, draws):
+    """simulate_y in the kernel, with the numpy step loop out of reach, and
+    on the numpy step loop: the same path bits, or the same error type,
+    message and step; returns them."""
+    out = []
+    for route in (lambda: k, lambda: None):
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "lane_kernel", route)
+            if route() is not None:
+                m.setattr(hl.simulate, "advance_variance", None)  # never reached
+            try:
+                out.append(bits(hl.simulate_y(params, grid, scheme, draws)))
+            except hl.HestonLabError as e:
+                out.append((type(e), str(e), getattr(e, "step", None)))
+    assert out[0] == out[1]
+    return out[0]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+def test_simulate_y_gives_the_same_paths_on_both_routes(lane_kernel, monkeypatch, scheme):
+    """Chosen draws at three parameter sets, one of them near zero."""
+    rng = np.random.default_rng([41, SCHEMES.index(scheme)])
+    grid = hl.TimeGrid(100.0, 1000)
+    steep = hl.ModelParams(a=2.0, b=3.0, alpha=-0.5, beta=1.0, sigma1=1.2, sigma2=0.8, rho=-0.6,
+                           y0=1.5, x0=0.0)
+    for params in (hl.canonical_params(), NEAR_ZERO, steep):
+        draws = hl.GaussianDraws(rng.standard_normal(grid.steps), rng.standard_normal(grid.steps))
+        got = simulate_y_both_ways(lane_kernel, monkeypatch, params, grid, scheme, draws)
+        assert len(got) == grid.steps + 1 or got[0] is hl.NonPositiveZ
+
+
+def test_simulate_y_aborts_desre_at_the_same_step_on_both_routes(lane_kernel, monkeypatch):
+    eta = np.random.default_rng(4).standard_normal(300)
+    eta[200] = -1e3
+    draws = hl.GaussianDraws(eta, np.zeros(300))
+    error, _, step = simulate_y_both_ways(lane_kernel, monkeypatch, hl.canonical_params(),
+                                          hl.TimeGrid(30.0, 300), hl.Scheme.DESRE, draws)
+    assert error is hl.NonPositiveZ and step == 201
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+def test_simulate_y_overflows_at_the_same_grid_index_on_both_routes(lane_kernel, monkeypatch,
+                                                                    scheme):
+    """b = -1 over T = 800 (8000 steps): the variance overflows."""
+    params = hl.ModelParams(a=0.4, b=-1.0, alpha=0.1, beta=0.15, sigma1=0.4, sigma2=0.3,
+                            rho=0.2, y0=0.2, x0=0.1)
+    draws = hl.GaussianDraws.from_lineage(hl.SeedLineage(9, 0), 8000)
+    error, message, _ = simulate_y_both_ways(lane_kernel, monkeypatch, params,
+                                             hl.TimeGrid(800.0, 8000), scheme, draws)
+    assert error is hl.NonFinitePath, message
 
 
 TABLES = kernel._ziggurat_tables(kernel.NPYRANDOM.read_bytes()) if kernel.NPYRANDOM.is_file() \
@@ -654,11 +726,19 @@ def test_the_loader_caches_one_build_per_source(lane_kernel, tmp_path, monkeypat
         m.setattr(subprocess, "run", no_compiler)
         kernel.load()
     assert sorted(cache.iterdir()) == built
-    # another source is another library
+    # another source is another library; its compile unlinks the builds
+    # unused for over a week, and no file of another name
+    stale, recent, other = cache / "kernel-stale.so", cache / "kernel-recent.so", cache / "tmp1.so"
+    for old, days in ((stale, 8), (recent, 1), (other, 8)):
+        old.write_bytes(b"")
+        os.utime(old, (time.time() - days * 86400,) * 2)
     source = tmp_path / "kernel.c"
     source.write_text(kernel.SOURCE.read_text() + "\n")
     monkeypatch.setattr(kernel, "SOURCE", source)
     kernel.load()
+    assert not stale.exists() and recent.exists() and other.exists()
+    recent.unlink()
+    other.unlink()
     assert len(list(cache.iterdir())) == 2
 
 
@@ -711,7 +791,7 @@ def test_draws_and_streams_that_disagree_are_refused(lane_kernel):
                       (np.zeros(10), np.zeros(10))):
         with pytest.raises(ValueError, match="lanes"):
             lane_kernel(p, 0.1, hl.Scheme.DISRE, eta, zeta)
-    streams = lane_kernel.seed(hl.lane_seeds(1, range(4)))
+    streams = hl.lane_seeds(1, range(4))
     before = streams.copy()
     for lanes, steps in ((streams, -1), (streams, 2.0), (streams, True),
                          (np.concatenate([streams, streams[:, :, :1]], axis=2), 10),
@@ -722,7 +802,7 @@ def test_draws_and_streams_that_disagree_are_refused(lane_kernel):
     assert streams.tobytes() == before.tobytes()
     for words in (np.zeros((4, 2, 3), dtype=np.uint64), np.zeros((4, 2, 4)), [[1, 2]]):
         with pytest.raises(ValueError):
-            lane_kernel.seed(words)
+            lane_kernel.draw(p, 0.1, hl.Scheme.DISRE, words, 10)
 
 
 def exported_parameter_counts(source: str) -> dict[str, int]:
@@ -750,8 +830,7 @@ def test_each_kernel_entry_takes_the_arguments_load_declares(monkeypatch):
         k = kernel.load()
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"the lane kernel does not build here: {e}")
-    declared = {fn.__name__: len(fn.argtypes) for fn in (k.fn, k.seed_fn, k.format_fn,
-                                                         k.parse_fn)}
+    declared = {fn.__name__: len(fn.argtypes) for fn in (k.fn, k.format_fn, k.parse_fn)}
     assert declared == exported_parameter_counts(kernel.SOURCE.read_text())
 
 

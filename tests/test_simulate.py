@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hestonlab as hl
+import hestonlab.kernel as kernel
 import hestonlab.simulate as simulate
 from hestonlab.simulate import advance_variance, format_csv, parse_csv
 
@@ -307,6 +308,31 @@ def test_ave_goes_negative_under_large_noise():
 def test_simulate_y_length_mismatch():
     with pytest.raises(hl.LengthMismatch):
         hl.simulate_y(P, hl.TimeGrid(1.0, 10), hl.Scheme.AVE, zero_draws(9))
+
+
+def test_the_path_functions_refuse_arguments_of_another_type(monkeypatch):
+    """InvalidArgument naming the argument, before the kernel is asked for."""
+    def no_kernel():
+        raise AssertionError("the kernel was asked for")
+
+    monkeypatch.setattr(kernel, "lane_kernel", no_kernel)
+    grid, draws, scheme, y = hl.TimeGrid(1.0, 10), zero_draws(10), hl.Scheme.DISRE, np.ones(11)
+    cases = {
+        "draws": [lambda: hl.simulate_y(P, grid, scheme, None),
+                  lambda: hl.simulate_x(P, grid, y, None)],
+        "grid": [lambda: hl.simulate_y(P, None, scheme, draws),
+                 lambda: hl.simulate_x(P, None, y, draws), lambda: hl.XYPath(None, y, y)],
+        "params": [lambda: hl.simulate_y(None, grid, scheme, draws),
+                   lambda: hl.simulate_x(None, grid, y, draws),
+                   lambda: hl.simulate_paths(None, grid, scheme, 1, 2)],
+        "scheme": [lambda: hl.simulate_y(P, grid, "DISRE", draws),
+                   lambda: hl.simulate_xy(P, grid, "DISRE", hl.SeedLineage(1))],
+        "lineage": [lambda: hl.simulate_xy(P, grid, scheme, None)],
+    }
+    for name, calls in cases.items():
+        for call in calls:
+            with pytest.raises(hl.InvalidArgument, match=f"^{name} must be a "):
+                call()
 
 
 def test_desre_aborts_on_nonpositive_z():
