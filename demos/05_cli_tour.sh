@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end tour of the command-line driver.
 #
-# Writes a config, simulates paths, estimates from one of them, runs a small
-# replicate experiment, and regenerates its tables from the stored results.
+# Writes a config, simulates paths, estimates from one of them (with the config,
+# then with a preset), runs a small replicate experiment, and regenerates its
+# tables from the stored results.
 set -e
 
 workdir="$(mktemp -d)"
@@ -35,6 +36,10 @@ heston-lab simulate --config experiment.cfg --set replicates=2 --out .
 echo
 echo "== estimate from the first path (sigma1 known, so diagnostics appear) =="
 heston-lab estimate path_DISRE_s31_r0000.csv --config experiment.cfg
+
+echo
+echo "== the same estimate with sigma1 from the desk preset's config text =="
+heston-lab estimate path_DISRE_s31_r0000.csv --preset desk
 
 echo
 echo "== replicate experiment =="

@@ -6,13 +6,16 @@ estimate  PATH --config --set --preset             print a path CSV's drift esti
 mc        --config --set --preset --out --threads  run replicates, write the report
 report    --out                                    rebuild a report's tables, figures
 
-Configuration is a flat ``key = value`` text file with ``#`` comments and
-the keys a, b, alpha, beta, sigma1, sigma2, rho, y0, x0, T, N, scheme,
-replicates, seed.  Values resolve in the order preset < config file <
-``--set key=value`` overrides.  ``simulate`` and ``mc`` need every key;
-``estimate`` parses whichever keys it is given, as a full config would, and
-uses sigma1 for the Itô diagnostic.  Exit status is 0 exactly when no error
-occurred; every error prints its structured cause to stderr.
+Configuration is ``key = value`` lines with ``#`` comments and the keys a,
+b, alpha, beta, sigma1, sigma2, rho, y0, x0, T, N, scheme, replicates, seed.
+One reader, :func:`hestonlab.montecarlo.read_config`, takes the preset (as
+the lines of ``ExperimentConfig.to_text``), then the config file, then each
+``--set key=value`` item as one such line; later lines win, so values
+resolve in the order preset < config file < ``--set``.  ``simulate`` and
+``mc`` need every key; ``estimate`` parses whichever keys it is given, as a
+full config would, and uses sigma1 for the Itô diagnostic.  Exit status is 0
+exactly when no error occurred; every error prints its structured cause to
+stderr.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import ConfigParseError, HestonLabError
+from .errors import HestonLabError
 from .estimate import estimate_record, ito_cross_check, lse_from_functionals, path_functionals
-from .montecarlo import (CONFIG_KEYS, PARAM_NAMES, PRESET_NAMES, ExperimentConfig,
-                         parse_config_values, preset_config, run_replicates)
+from .montecarlo import (PARAM_NAMES, PRESET_NAMES, ExperimentConfig, read_config,
+                         run_replicates)
 from .reports import regenerate_report, write_report
 from .simulate import Scheme, read_path_csv, simulate_paths, write_path_csv
 
@@ -44,48 +47,9 @@ def _fmt(value) -> str:
 # configuration resolution
 
 
-def _parse_line(text: str, where: str) -> tuple[str, str]:
-    """Split a ``key = value`` line; ``where`` (``path: line N``, ``--set``) leads its errors."""
-    key, sep, value = (part.strip() for part in text.partition("="))
-    if not sep:
-        raise ConfigParseError(f"{where}: expected 'key = value', got {text!r}")
-    if key not in CONFIG_KEYS:
-        raise ConfigParseError(f"{where}: unknown key {key!r}")
-    if not value:
-        raise ConfigParseError(f"{where}: empty value for {key!r}")
-    return key, value
-
-
-def read_config_file(path) -> dict[str, str]:
-    """Parse a flat key-value config file into a string mapping.
-
-    Raises:
-        ConfigParseError: malformed line or unknown key, with line number.
-    """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
-    mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            key, value = _parse_line(line, f"{path}: line {lineno}")
-            mapping[key] = value
-    return mapping
-
-
-def _resolve_mapping(config_path, overrides, preset) -> dict:
-    mapping = preset_config(preset).to_mapping() if preset else {}
-    if config_path:
-        mapping.update(read_config_file(config_path))
-    mapping.update(_parse_line(item, "--set") for item in overrides)
-    return mapping
-
-
 def parse_config(path, overrides=(), preset: str | None = None) -> ExperimentConfig:
     """Resolve preset, file, and overrides into a validated ExperimentConfig."""
-    return ExperimentConfig.from_mapping(_resolve_mapping(path, overrides, preset))
+    return ExperimentConfig.from_mapping(read_config(path, overrides, preset))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +133,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(dest)
         return 0
     if args.command == "estimate":
-        mapping = _resolve_mapping(args.config, args.overrides, args.preset)
-        sigma1 = parse_config_values(mapping).get("sigma1")
+        sigma1 = read_config(args.config, args.overrides, args.preset).get("sigma1")
         record = cmd_estimate(args.path_csv, sigma1=sigma1)
         for key, value in record.items():
             print(f"{key}={_fmt(value)}")

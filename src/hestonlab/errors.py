@@ -5,6 +5,9 @@ so callers can catch package errors without swallowing unrelated ones.
 Validation-style failures additionally derive from ``ValueError``.
 """
 
+import math
+import numbers
+
 
 class HestonLabError(Exception):
     """Base class for all hestonlab failures."""
@@ -15,13 +18,22 @@ class InvalidArgument(HestonLabError, ValueError):
     None where it needs numbers, or a record of another type."""
 
 
-def require_instance(value, kind: type, name: str):
-    """``value``, unless it is not a ``kind``: then ``InvalidArgument`` naming ``name``."""
+def require_instance(value, kind, name: str):
+    """``value``, unless it is not a ``kind`` (a type, or a tuple of types):
+    then ``InvalidArgument`` naming ``name``."""
     if not isinstance(value, kind):
-        # "an" before a vowel, and before the letters of LSE and MC
-        article = "an" if kind.__name__.startswith(tuple("AEIOU") + ("Lse", "Mc")) else "a"
-        raise InvalidArgument(f"{name} must be {article} {kind.__name__}, got {value!r}")
+        # "an" before a vowel, and before the letters of LSE, MC and XY
+        wanted = [("an " if k.__name__.startswith(tuple("AEIOUX") + ("Lse", "Mc")) else "a ")
+                  + k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+        raise InvalidArgument(f"{name} must be {' or '.join(wanted)}, got {value!r}")
     return value
+
+
+def require_positive(value, name: str, error: type) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a finite real
+    number > 0; a bool is not."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise error(f"{name} must be a finite number > 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,10 @@ from .errors import (
     NonPositiveZ,
     PathTooShort,
     require_instance,
+    require_positive,
 )
 from .model import ModelParams
-from .simulate import TimeGrid, XYPath
+from .simulate import Scheme, TimeGrid, XYPath
 
 __all__ = [
     "SUM_TILE",
@@ -250,12 +251,12 @@ def path_functionals(path: XYPath) -> PathFunctionals:
     that Monte Carlo runs feed block by block, so both give the same bits.
 
     Raises:
-        PathTooShort: fewer than two grid points.
+        InvalidArgument: ``path`` is not an :class:`XYPath`, which has at
+            least two grid points.
         NonFinitePath: Y or X is not finite; names the first grid index at
             which it is not.
     """
-    if path.grid.steps < 1 or path.y.shape[0] < 2:
-        raise PathTooShort("need at least two grid points")
+    require_instance(path, XYPath, "path")
     for name, values in (("Y", path.y), ("X", path.x)):
         finite = np.isfinite(values)
         if not finite.all():
@@ -287,11 +288,6 @@ def _check_samples(y_samples, x_samples) -> tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
-def _check_dt(dt) -> None:
-    if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and 0.0 < dt < math.inf):
-        raise InvalidGrid(f"dt must be a finite number > 0, got {dt!r}")
-
-
 def _drift_values(values, name: str) -> list[float]:
     """Floats of a sequence of four finite real numbers (no bool), else ``InvalidArgument``."""
     items = list(values) if isinstance(values, (list, tuple)) or np.ndim(values) == 1 else []
@@ -304,7 +300,7 @@ def _drift_values(values, name: str) -> list[float]:
 
 def _lse_discrete(y_samples, response, dt: float) -> tuple[float, float]:
     # the 2x2 normal equations of one response on the regressors (1, -Y_{k-1})
-    _check_dt(dt)
+    require_positive(dt, "dt", InvalidGrid)
     y, r = _check_samples(y_samples, response)
     y_left = y[:-1]
     m = y_left.shape[0]
@@ -395,8 +391,11 @@ def failure_reasons(f: PathFunctionals) -> np.ndarray:
     degeneracy threshold of its natural scale T * i2, and it cannot be scaled
     unless e1 > 0 and e1*e3 - e2^2 > 0.  A 0-d array for the floats of one
     path.
+
+    Raises:
+        InvalidArgument: ``f`` is not a :class:`PathFunctionals`.
     """
-    t = f.t_horizon
+    t = require_instance(f, PathFunctionals, "f").t_horizon
     with np.errstate(invalid="ignore", over="ignore"):
         disc = f.e1 * f.e3 - f.e2 * f.e2
         finite = np.logical_and.reduce(
@@ -419,6 +418,7 @@ def lse_from_functionals(f: PathFunctionals) -> LseEstimate:
     """Closed-form drift estimates from path functionals, row by row.
 
     Raises:
+        InvalidArgument: as :func:`failure_reasons`.
         NonFinitePath: a row holds a value, or has an e1*e3 - e2^2, that is
             not a finite number.
         DegeneratePath: a row's ``denom`` is at or below the degeneracy
@@ -449,7 +449,7 @@ def ls_objective(candidate, y_samples, x_samples, dt: float) -> float:
             ``candidate`` is not four finite real numbers.
         PathTooShort / LengthMismatch / NonFiniteSample: as :func:`lse_discrete_alphabeta`.
     """
-    _check_dt(dt)
+    require_positive(dt, "dt", InvalidGrid)
     a, b, alpha, beta = _drift_values(candidate, "candidate")
     y, x = _check_samples(y_samples, x_samples)
     y_left = y[:-1]
@@ -482,10 +482,11 @@ def ito_cross_check(f: PathFunctionals, sigma1: float) -> IntegralDiagnostic:
     """The diagnostic of a path's functionals at a given sigma1.
 
     Raises:
+        InvalidArgument: ``f`` is not a :class:`PathFunctionals`.
         NonPositiveSigma: sigma1 is not a finite number > 0.
     """
-    if isinstance(sigma1, bool) or not (isinstance(sigma1, numbers.Real) and 0.0 < sigma1 < math.inf):
-        raise NonPositiveSigma(f"sigma1 must be a finite number > 0, got {sigma1!r}")
+    require_instance(f, PathFunctionals, "f")
+    require_positive(sigma1, "sigma1", NonPositiveSigma)
     s1sq = sigma1 * sigma1
     i3_ito = 0.5 * (f.y_terminal ** 2 - f.y0 ** 2 - s1sq * f.i1)
     qv_ratio = f.qv_y / (s1sq * f.i1) if f.i1 > 0.0 else math.nan
@@ -548,9 +549,12 @@ def estimate_record(
     """Flat key-value record of an estimate, as emitted by the command line.
 
     Raises:
-        InvalidArgument: ``est`` is not an :class:`LseEstimate`.
+        InvalidArgument: ``est`` is not an :class:`LseEstimate`, or a
+            ``scheme`` other than None is neither a :class:`Scheme` nor a str.
     """
     f = require_instance(est, LseEstimate, "est").functionals
+    if scheme is not None:
+        require_instance(scheme, (Scheme, str), "scheme")
     return {
         "a_hat": est.a_hat,
         "b_hat": est.b_hat,

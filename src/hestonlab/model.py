@@ -38,6 +38,7 @@ from .errors import (
     NotSubcritical,
     OutsideDomain,
     RhoOutOfRange,
+    require_instance,
 )
 
 __all__ = [
@@ -121,7 +122,7 @@ class Regime(enum.Enum):
 
 
 def classify_regime(params: ModelParams) -> Regime:
-    if params.b > 0.0:
+    if require_instance(params, ModelParams, "params").b > 0.0:
         return Regime.SUBCRITICAL
     if params.b == 0.0:
         return Regime.CRITICAL
@@ -129,7 +130,7 @@ def classify_regime(params: ModelParams) -> Regime:
 
 
 def _require_subcritical(params: ModelParams, what: str) -> None:
-    if not params.b > 0.0:
+    if not require_instance(params, ModelParams, "params").b > 0.0:
         raise NotSubcritical(f"{what} requires b > 0, got b={params.b}")
 
 
@@ -227,7 +228,9 @@ def conditional_mean_y(params: ModelParams, y_s: float, s: float, t: float) -> f
         InvalidGrid: t < s, or an s or t that is not a finite number, a
             bool too.
         InvalidParams: a y_s that is not a finite number, a bool too.
+        InvalidArgument: ``params`` is not a :class:`ModelParams`.
     """
+    require_instance(params, ModelParams, "params")
     tau = _interval(s, t)
     _require_finite_value(y_s, "y_s")
     a, b = params.a, params.b
@@ -247,9 +250,10 @@ def conditional_mean_x(
     ergodic drift rate of the log-price.
 
     Raises:
-        InvalidGrid / InvalidParams: as :func:`conditional_mean_y`, and an
-            x_s that is not a finite number.
+        InvalidGrid / InvalidParams / InvalidArgument: as
+            :func:`conditional_mean_y`, and an x_s that is not a finite number.
     """
+    require_instance(params, ModelParams, "params")
     tau = _interval(s, t)
     _require_finite_value(y_s, "y_s")
     _require_finite_value(x_s, "x_s")

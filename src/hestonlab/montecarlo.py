@@ -62,6 +62,7 @@ import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -75,6 +76,7 @@ from .errors import (
     NonFiniteSample,
     TiesDegenerate,
     require_instance,
+    require_positive,
 )
 from .estimate import (
     FAILURE_REASONS,
@@ -103,8 +105,8 @@ __all__ = [
     "PARAM_NAMES",
     "PRESET_NAMES",
     "canonical_params",
-    "parse_config_values",
     "preset_config",
+    "read_config",
     "run_replicates",
     "summarize",
     "jarque_bera",
@@ -159,8 +161,9 @@ _PARAM_KEYS = tuple(field.name for field in fields(ModelParams))
 
 # The one table of config keys, in file order: how a key's value is parsed
 # (from text or from a number) and which attribute of an ExperimentConfig
-# holds it.  Config files, --set overrides, presets and the config echo of
-# report.json all go through it.
+# holds it.  Presets, config files and --set items are text that
+# :func:`read_config` reads, and ExperimentConfig.to_text writes; the config
+# echo of report.json goes through to_mapping and from_mapping.
 _CONFIG_KEYS = {
     **{name: (_as_float, f"params.{name}") for name in _PARAM_KEYS},
     "T": (_as_float, "grid.horizon"),
@@ -172,12 +175,8 @@ _CONFIG_KEYS = {
 CONFIG_KEYS = tuple(_CONFIG_KEYS)
 
 
-def parse_config_values(mapping) -> dict:
-    """Parse each config key that ``mapping`` holds, as text or a number.
-
-    Raises:
-        ConfigParseError: a value its key cannot take; names the key.
-    """
+def _config_values(mapping) -> dict:
+    """Parse each config key that ``mapping`` holds, as text or a number."""
     values = {}
     for key, (parse, _) in _CONFIG_KEYS.items():
         if key in mapping:
@@ -186,6 +185,43 @@ def parse_config_values(mapping) -> dict:
             except ValueError as exc:
                 raise ConfigParseError(f"config key {key!r}: {exc}") from None
     return values
+
+
+def read_config(path=None, overrides=(), preset: str | None = None) -> dict:
+    """The parsed values of the keys that a preset, a config file and
+    ``--set`` items name, read in that order as ``key = value`` lines with
+    ``#`` comments; a later line wins, even over a value its key cannot take.
+    A blank line is skipped, but refused as a ``--set`` item.
+
+    Raises:
+        ConfigParseError: an unreadable file; a line without ``=``, or with an
+            unknown key or no value, led by ``<path>: line <n>`` or ``--set``;
+            a value its key cannot take, naming the key.
+    """
+    lines = []
+    if preset:
+        lines += [(f"preset {preset}", line) for line in preset_config(preset).to_text().splitlines()]
+    if path:
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
+        lines += [(f"{path}: line {n}", line) for n, line in enumerate(text.splitlines(), start=1)]
+    lines += [("--set", item) for item in overrides]
+    texts = {}
+    for where, raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line and where != "--set":
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ConfigParseError(f"{where}: expected 'key = value', got {raw!r}")
+        if key not in _CONFIG_KEYS:
+            raise ConfigParseError(f"{where}: unknown key {key!r}")
+        if not value:
+            raise ConfigParseError(f"{where}: empty value for {key!r}")
+        texts[key] = value
+    return _config_values(texts)
 
 
 @dataclass(frozen=True)
@@ -220,7 +256,7 @@ class ExperimentConfig:
         missing = [key for key in CONFIG_KEYS if key not in mapping]
         if missing:
             raise ConfigParseError(f"missing config key(s): {', '.join(missing)}")
-        values = parse_config_values(mapping)
+        values = _config_values(mapping)
         return cls(
             params=ModelParams(**{name: values[name] for name in _PARAM_KEYS}),
             grid=TimeGrid(horizon=values["T"], steps=values["N"]),
@@ -232,6 +268,11 @@ class ExperimentConfig:
     def to_mapping(self) -> dict:
         """Every config key with its value, as :meth:`from_mapping` reads it."""
         return {key: attrgetter(path)(self) for key, (_, path) in _CONFIG_KEYS.items()}
+
+    def to_text(self) -> str:
+        """Every config key as a ``key = value`` line, in :data:`CONFIG_KEYS`
+        order; a float's ``str`` is its repr, so :func:`read_config` gives its bits."""
+        return "".join(f"{key} = {value}\n" for key, value in self.to_mapping().items())
 
 
 _CANONICAL = dict(
@@ -375,9 +416,11 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
     value, no spread, no scaling) is recorded as a failure with that reason.
 
     Raises:
+        InvalidArgument: ``config`` is not an :class:`ExperimentConfig`.
         ConfigParseError: ``threads`` is not an integer >= 1.
         AllReplicatesFailed: no replicate produced a usable estimate.
     """
+    require_instance(config, ExperimentConfig, "config")
     _require_count(threads, "threads")
     lanes = _lane_plan(config.replicates, threads)
     bounds = [
@@ -407,6 +450,13 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
 
 # ---------------------------------------------------------------------------
 # moment statistics and normality tests
+
+
+def _sample_array(sample, test: str) -> np.ndarray:
+    try:
+        return np.asarray(sample, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"{test} needs a sample of real numbers: {exc}") from None
 
 
 def _require_finite(x: np.ndarray, test: str) -> None:
@@ -479,10 +529,11 @@ def jarque_bera(sample) -> tuple[float, float]:
     for a constant one.
 
     Raises:
+        InvalidArgument: a sample that does not hold real numbers.
         InsufficientData: fewer than 8 observations.
         NonFiniteSample: a NaN or infinite observation.
     """
-    x = np.asarray(sample, dtype=float)
+    x = _sample_array(sample, "Jarque-Bera")
     if x.ndim != 1 or x.shape[0] < 8:
         raise InsufficientData("Jarque-Bera needs at least 8 observations")
     _require_finite(x, "Jarque-Bera")
@@ -539,11 +590,12 @@ def anderson_darling(sample) -> tuple[float, float]:
     maps of the data.
 
     Raises:
+        InvalidArgument: a sample that does not hold real numbers.
         InsufficientData: fewer than 8 observations.
         NonFiniteSample: a NaN or infinite observation.
         TiesDegenerate: a constant sample.
     """
-    x = np.asarray(sample, dtype=float)
+    x = _sample_array(sample, "Anderson-Darling")
     if x.ndim != 1 or x.shape[0] < 8:
         raise InsufficientData("Anderson-Darling needs at least 8 observations")
     _require_finite(x, "Anderson-Darling")
@@ -588,18 +640,16 @@ def histogram_overlay(sample, theoretical_variance: float) -> HistogramOverlay:
     """60-bin density histogram over sample-mean +/- 4 limit-sigmas.
 
     Raises:
+        InvalidArgument: a sample that does not hold real numbers.
         DegenerateSample: fewer than 2 points, zero sample spread, or a
             theoretical variance that is not a finite number > 0 (a bool too).
         NonFiniteSample: a NaN or infinite observation.
     """
-    x = np.asarray(sample, dtype=float)
+    x = _sample_array(sample, "histogram")
     if x.ndim != 1 or x.shape[0] < 2:
         raise DegenerateSample("histogram needs at least 2 observations")
     _require_finite(x, "histogram")
-    if isinstance(theoretical_variance, bool) or not (
-            isinstance(theoretical_variance, numbers.Real) and 0.0 < theoretical_variance < math.inf):
-        raise DegenerateSample(
-            f"theoretical variance must be a finite number > 0, got {theoretical_variance!r}")
+    require_positive(theoretical_variance, "theoretical variance", DegenerateSample)
     if float(np.max(x)) == float(np.min(x)):
         raise DegenerateSample("sample has zero spread")
     mu = float(np.mean(x))
@@ -662,9 +712,10 @@ def summarize(results: ReplicateTable, truth) -> McSummary:
     standalone test functions raise instead).
 
     Raises:
+        InvalidArgument: ``results`` is not a :class:`ReplicateTable`.
         InsufficientData: fewer than 2 results.
     """
-    n = len(results)
+    n = len(require_instance(results, ReplicateTable, "results"))
     if n < 2:
         raise InsufficientData("summary needs at least 2 results")
     truth_vec = truth_vector(truth)

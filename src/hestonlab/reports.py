@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigParseError, CsvFormatError
+from .errors import ConfigParseError, CsvFormatError, require_instance
 from .estimate import FAILURE_REASONS, PathFunctionals
 from .model import asymptotic_covariance, classify_regime, Regime
 from .montecarlo import (
@@ -61,7 +61,9 @@ _OUTPUTS = ("summary", "tables", "figures", "replicates")
 def report_payload(run: McRun, summary: McSummary, deviations: DeviationReport | None) -> dict:
     """The ``report.json`` document of a run: its config echo, its failures,
     the summary and the covariance check, as their dataclasses hold them,
-    with arrays as lists and every non-finite number as None (JSON null)."""
+    with arrays as lists and every non-finite number as None (JSON null);
+    ``InvalidArgument`` where ``run`` is not an :class:`McRun`."""
+    require_instance(run, McRun, "run")
     return _finite_or_null({
         "config": {**run.config.to_mapping(), "outputs": list(_OUTPUTS)},
         "failures": {"count": len(run.failures), "items": [asdict(f) for f in run.failures]},
@@ -206,7 +208,9 @@ def _write_figures(out: Path, results: ReplicateTable, theory_diag: np.ndarray |
 
 
 def write_report(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None]:
-    """Write the full report directory for a finished run."""
+    """Write the full report directory for a finished run; ``InvalidArgument``
+    where ``run`` is not an :class:`McRun`."""
+    require_instance(run, McRun, "run")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = run.config.params

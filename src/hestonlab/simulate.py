@@ -106,6 +106,7 @@ from .errors import (
     NonFiniteSample,
     NonPositiveZ,
     require_instance,
+    require_positive,
 )
 from .model import ModelParams
 
@@ -153,9 +154,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if isinstance(self.horizon, bool) or not (
-                isinstance(self.horizon, numbers.Real) and 0.0 < self.horizon < math.inf):
-            raise InvalidGrid(f"horizon must be a finite number > 0, got {self.horizon!r}")
+        require_positive(self.horizon, "horizon", InvalidGrid)
         steps = self.steps
         if isinstance(steps, bool) or not (
                 isinstance(steps, numbers.Real) and steps >= 1 and float(steps).is_integer()):
@@ -181,7 +180,10 @@ class Scheme(enum.Enum):
     DISRE = "DISRE"
 
     @classmethod
-    def parse(cls, text: str) -> "Scheme":
+    def parse(cls, text) -> "Scheme":
+        """The scheme that a name stands for, in any case; a Scheme is itself."""
+        if isinstance(text, cls):
+            return text
         try:
             return cls(str(text).strip().upper())
         except ValueError:
@@ -472,8 +474,7 @@ def step_constants(scheme: Scheme | None, params: ModelParams,
         InvalidGrid: a ``dt`` that is not a finite number > 0, a bool too.
         FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
     """
-    if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and 0.0 < dt < math.inf):
-        raise InvalidGrid(f"dt must be a finite number > 0, got {dt!r}")
+    require_positive(dt, "dt", InvalidGrid)
     sqrt_dt = np.sqrt(dt)
     p = np.array([params.rho, math.sqrt(1.0 - params.rho * params.rho), params.alpha,
                   params.beta, dt, params.sigma2, sqrt_dt], dtype=float)
@@ -828,7 +829,8 @@ class XYPath:
     ``None`` for paths read back from CSV, where that information is absent.
 
     Raises:
-        InvalidArgument / LengthMismatch: a grid or paths of another type or length.
+        InvalidArgument / LengthMismatch: a grid, a scheme (other than None)
+            or paths of another type or length.
     """
 
     grid: TimeGrid
@@ -838,6 +840,8 @@ class XYPath:
 
     def __post_init__(self):
         _require(grid=self.grid)
+        if self.scheme is not None:
+            _require(scheme=self.scheme)
         y = np.asarray(self.y, dtype=float)
         x = np.asarray(self.x, dtype=float)
         want = self.grid.steps + 1
@@ -1046,7 +1050,9 @@ _PATH_HEADER = ("t", "y", "x")
 
 
 def write_path_csv(path_obj: XYPath, dest) -> None:
-    """Write a path as CSV with full double-precision round-trip fidelity."""
+    """Write a path as CSV with full double-precision round-trip fidelity;
+    ``InvalidArgument`` where ``path_obj`` is not an :class:`XYPath`."""
+    require_instance(path_obj, XYPath, "path_obj")
     rows = np.column_stack([path_obj.grid.times(), path_obj.y, path_obj.x])
     text = format_csv(_PATH_HEADER, ("%.17g",) * 3, rows)
     if hasattr(dest, "write"):

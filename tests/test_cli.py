@@ -6,11 +6,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import hestonlab as hl
 import hestonlab.simulate as sim
-from hestonlab.cli import cmd_estimate, main, parse_config, read_config_file
-from hestonlab.montecarlo import PRESET_NAMES
+from hestonlab.cli import cmd_estimate, main, parse_config
+from hestonlab.montecarlo import PRESET_NAMES, read_config
 
 CANONICAL_LINES = """\
 # canonical experiment, small enough for a test run
@@ -46,9 +47,9 @@ def config_file(tmp_path):
 
 
 def test_read_config_file(config_file):
-    mapping = read_config_file(config_file)
-    assert mapping["a"] == "0.4"
-    assert mapping["scheme"] == "DISRE"
+    mapping = read_config(config_file)
+    assert mapping["a"] == 0.4
+    assert mapping["scheme"] is hl.Scheme.DISRE
     assert "x0" in mapping and len(mapping) == 14
 
 
@@ -56,7 +57,7 @@ def test_read_config_rejects_unknown_key(tmp_path):
     f = tmp_path / "bad.cfg"
     f.write_text("a = 0.4\nvolatility = 2\n")
     with pytest.raises(hl.ConfigParseError) as exc:
-        read_config_file(f)
+        read_config(f)
     assert "volatility" in str(exc.value)
     assert "2" in str(exc.value)  # names the offending line
 
@@ -65,7 +66,7 @@ def test_read_config_rejects_malformed_line(tmp_path):
     f = tmp_path / "bad.cfg"
     f.write_text("a 0.4\n")
     with pytest.raises(hl.ConfigParseError):
-        read_config_file(f)
+        read_config(f)
 
 
 def test_set_lines_are_checked_as_config_file_lines(config_file, capsys):
@@ -74,6 +75,57 @@ def test_set_lines_are_checked_as_config_file_lines(config_file, capsys):
                         ("b= ", "--set: empty value for 'b'")):
         assert main(["mc", "--config", str(config_file), "--set", item]) == 1
         assert capsys.readouterr().err == f"error: ConfigParseError: {cause}\n"
+
+
+def test_set_items_cut_comments_and_need_an_entry(config_file, capsys):
+    """A ``--set`` item loses its ``#`` comment as a file line does, and one
+    that holds no entry is refused, where a file would skip the line."""
+    assert parse_config(config_file, ("b=0.7 # x", "N = 20#")).params.b == 0.7
+    for item in ("", "  ", "# c"):
+        assert main(["mc", "--config", str(config_file), "--set", item]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ConfigParseError: --set: expected 'key = value', got {item!r}\n")
+
+
+@st.composite
+def configs(draw):
+    """Valid experiment configs, floats drawn within +-1e6, subnormals among them."""
+    def number(lo=-1e6, hi=1e6, **kw):
+        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw))
+    params = dict(a=number(0.0, exclude_min=True), b=number(), alpha=number(), beta=number(),
+                  sigma1=number(0.0, exclude_min=True), sigma2=number(0.0, exclude_min=True),
+                  rho=number(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                  y0=number(0.0, exclude_min=True), x0=number())
+    try:
+        return hl.ExperimentConfig(
+            params=hl.ModelParams(**params),
+            grid=hl.TimeGrid(number(0.0, exclude_min=True), draw(st.integers(1, 10**6))),
+            scheme=draw(st.sampled_from(hl.Scheme)), replicates=draw(st.integers(1, 10**6)),
+            master_seed=draw(st.integers(0, 2**70)))
+    except hl.HestonLabError:
+        assume(False)
+
+
+def _bits(config):
+    return [float(v).hex() if isinstance(v, float) else v for v in config.to_mapping().values()]
+
+
+def test_presets_read_back_from_their_text(tmp_path):
+    for name in PRESET_NAMES:
+        config = hl.preset_config(name)
+        assert parse_config(None, (), name) == config
+        (tmp_path / "preset.cfg").write_text(config.to_text())
+        assert _bits(parse_config(tmp_path / "preset.cfg")) == _bits(config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=configs())
+def test_config_text_reads_back_bit_for_bit(config):
+    """Each line of ``to_text`` read back as a ``--set`` item, the reader's
+    line rule for every source, gives the config with the same float bits."""
+    assert len(config.to_text().splitlines()) == len(config.to_mapping())
+    back = parse_config(None, config.to_text().splitlines())
+    assert back == config and _bits(back) == _bits(config)
 
 
 def test_build_config_missing_key_named():

@@ -72,10 +72,13 @@ def test_denominator_nonnegative_on_random_paths():
 
 
 def test_path_too_short_guard():
+    """No XYPath has fewer than two points, and path_functionals takes only an XYPath."""
     stub = SimpleNamespace(grid=hl.TimeGrid(1.0, 1),
                            y=np.array([0.2]), x=np.array([0.1]))
-    with pytest.raises(hl.PathTooShort):
+    with pytest.raises(hl.InvalidArgument, match="^path must be an XYPath"):
         hl.path_functionals(stub)
+    with pytest.raises(hl.LengthMismatch):
+        hl.XYPath(stub.grid, stub.y, stub.x)
 
 
 def test_abel_identity_on_simulated_paths():

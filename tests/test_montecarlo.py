@@ -1,6 +1,7 @@
 """Replicate harness and summary statistics: determinism, failure accounting,
 normality tests, histogram records, covariance deviation reports."""
 
+import io
 import math
 import tracemalloc
 
@@ -107,12 +108,11 @@ def test_config_mapping_round_trip():
             hl.ExperimentConfig.from_mapping({**mapping, key: value})
 
 
-def test_parse_config_values_parses_the_keys_it_is_given():
-    assert mc.parse_config_values({"sigma1": "0.4", "N": "20", "other": "x"}) == {
-        "sigma1": 0.4, "N": 20}
-    assert mc.parse_config_values({}) == {}
+def test_read_config_parses_the_keys_it_is_given():
+    assert mc.read_config(None, ("sigma1 = 0.4", "N=20")) == {"sigma1": 0.4, "N": 20}
+    assert mc.read_config() == {}
     with pytest.raises(hl.ConfigParseError, match="'scheme'"):
-        mc.parse_config_values({"scheme": "EULER"})
+        mc.read_config(None, ("scheme=EULER",))
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +520,17 @@ def test_statistics_refuse_a_non_finite_sample(statistic, bad):
     assert issubclass(hl.NonFiniteSample, ValueError)
 
 
+@pytest.mark.parametrize("statistic, test", [
+    (hl.jarque_bera, "Jarque-Bera"), (hl.anderson_darling, "Anderson-Darling"),
+    (lambda x: hl.histogram_overlay(x, 1.0), "histogram"),
+], ids=["jarque_bera", "anderson_darling", "histogram_overlay"])
+def test_statistics_refuse_a_sample_of_other_than_numbers(statistic, test):
+    for sample in (["a"] * 20, "abc"):
+        with pytest.raises(hl.InvalidArgument, match=f"^{test} needs a sample of real numbers: "):
+            statistic(sample)
+    assert issubclass(hl.InvalidArgument, ValueError)
+
+
 @pytest.mark.parametrize("statistic, scale", [
     (hl.jarque_bera, 1e100), (hl.jarque_bera, 1e300), (hl.jarque_bera, 1e307),
     (hl.anderson_darling, 1e300), (hl.anderson_darling, 1e307),
@@ -637,3 +648,38 @@ def test_covariance_check_refuses_what_is_not_a_summary_and_a_theory():
                               theory)
     assert (rep.max_normalized_dev.hex(), rep.max_scaled_dev.hex()) == (
         "0x1.0000000000002p-2", "0x1.c71c71c71c71dp-4")
+
+
+# ---------------------------------------------------------------------------
+# object arguments
+
+
+# each function, the argument it refuses, and a call with that argument
+OBJECT_ARGUMENTS = {
+    "stationary_moments": ("params", hl.stationary_moments),
+    "asymptotic_covariance": ("params", hl.asymptotic_covariance),
+    "covariance_sandwich": ("params", hl.covariance_sandwich),
+    "classify_regime": ("params", hl.classify_regime),
+    "conditional_mean_y": ("params", lambda bad: hl.conditional_mean_y(bad, 0.2, 0.0, 1.0)),
+    "conditional_mean_x": ("params", lambda bad: hl.conditional_mean_x(bad, 0.2, 0.1, 0.0, 1.0)),
+    "ito_cross_check": ("f", lambda bad: hl.ito_cross_check(bad, 0.4)),
+    "lse_from_functionals": ("f", hl.lse_from_functionals),
+    "failure_reasons": ("f", hl.failure_reasons),
+    "path_functionals": ("path", hl.path_functionals),
+    "write_path_csv": ("path_obj", lambda bad: hl.write_path_csv(bad, io.StringIO())),
+    "run_replicates": ("config", hl.run_replicates),
+    "report_payload": ("run", lambda bad: hl.report_payload(bad, None, None)),
+    "write_report": ("run", lambda bad: hl.write_report("report", bad)),
+    "summarize": ("results", lambda bad: hl.summarize(bad, hl.canonical_params())),
+}
+
+
+@pytest.mark.parametrize("function", sorted(OBJECT_ARGUMENTS))
+@pytest.mark.parametrize("bad", [None, "x"])
+def test_object_arguments_of_another_type_are_refused(function, bad, tmp_path, monkeypatch):
+    """InvalidArgument naming the argument, and nothing written."""
+    name, call = OBJECT_ARGUMENTS[function]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(hl.InvalidArgument, match=f"^{name} must be an? [A-Z]"):
+        call(bad)
+    assert not any(tmp_path.iterdir())

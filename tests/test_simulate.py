@@ -317,6 +317,8 @@ def test_the_path_functions_refuse_arguments_of_another_type(monkeypatch):
 
     monkeypatch.setattr(kernel, "lane_kernel", no_kernel)
     grid, draws, scheme, y = hl.TimeGrid(1.0, 10), zero_draws(10), hl.Scheme.DISRE, np.ones(11)
+    est = hl.lse_from_functionals(hl.path_functionals(
+        hl.XYPath(hl.TimeGrid(2.0, 2), [1.0, 2.0, 2.0], [0.0, 0.5, 0.5])))
     cases = {
         "draws": [lambda: hl.simulate_y(P, grid, scheme, None),
                   lambda: hl.simulate_x(P, grid, y, None)],
@@ -326,7 +328,9 @@ def test_the_path_functions_refuse_arguments_of_another_type(monkeypatch):
                    lambda: hl.simulate_x(None, grid, y, draws),
                    lambda: hl.simulate_paths(None, grid, scheme, 1, 2)],
         "scheme": [lambda: hl.simulate_y(P, grid, "DISRE", draws),
-                   lambda: hl.simulate_xy(P, grid, "DISRE", hl.SeedLineage(1))],
+                   lambda: hl.simulate_xy(P, grid, "DISRE", hl.SeedLineage(1)),
+                   lambda: hl.XYPath(grid, y, y, scheme="DISRE"),
+                   lambda: hl.estimate_record(est, scheme=3.5)],
         "lineage": [lambda: hl.simulate_xy(P, grid, scheme, None)],
     }
     for name, calls in cases.items():
