@@ -8,6 +8,8 @@ Validation-style failures additionally derive from ``ValueError``.
 import math
 import numbers
 
+import numpy as np
+
 
 class HestonLabError(Exception):
     """Base class for all hestonlab failures."""
@@ -27,6 +29,16 @@ def require_instance(value, kind, name: str):
                   + k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
         raise InvalidArgument(f"{name} must be {' or '.join(wanted)}, got {value!r}")
     return value
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, unless numpy cannot read it as real
+    numbers (a str, say): then ``InvalidArgument``, ``what`` and numpy's
+    reason."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"{what}: {exc}") from None
 
 
 def require_positive(value, name: str, error: type) -> None:
@@ -151,3 +163,7 @@ class InvalidSeed(ConfigParseError):
 
 class CsvFormatError(HestonLabError, ValueError):
     """A path or report CSV file does not follow its layout."""
+
+
+class ReportNotFound(HestonLabError, FileNotFoundError):
+    """An experiment directory, or a report file in it, does not exist."""

@@ -45,6 +45,7 @@ from .errors import (
     NonPositiveSigma,
     NonPositiveZ,
     PathTooShort,
+    real_array,
     require_instance,
     require_positive,
 )
@@ -272,10 +273,10 @@ def path_functionals(path: XYPath) -> PathFunctionals:
 
 
 def _check_samples(y_samples, x_samples) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(y_samples, dtype=float)
+    y = real_array(y_samples, "y_samples must hold real numbers")
     if y.ndim != 1 or y.shape[0] < 2:
         raise PathTooShort("need at least two samples")
-    x = np.asarray(x_samples, dtype=float)
+    x = real_array(x_samples, "x_samples must hold real numbers")
     if x.shape != y.shape:
         raise LengthMismatch(
             f"y and x must have equal length, got {y.shape[0]} and {x.shape[0]}"
@@ -326,6 +327,7 @@ def lse_discrete_ab(y_samples, dt: float) -> tuple[float, float]:
 
     Raises:
         InvalidGrid: ``dt`` is not a finite number > 0 (a bool is refused too).
+        InvalidArgument: a sample that is not a real number, a str say.
         PathTooShort: fewer than two samples.
         NonFiniteSample: a sample is NaN or infinite; names the first.
         DegeneratePath: the regressor has (numerically) no spread.
@@ -447,7 +449,8 @@ def ls_objective(candidate, y_samples, x_samples, dt: float) -> float:
     Raises:
         InvalidGrid / InvalidArgument: ``dt`` is not a finite number > 0, or
             ``candidate`` is not four finite real numbers.
-        PathTooShort / LengthMismatch / NonFiniteSample: as :func:`lse_discrete_alphabeta`.
+        InvalidArgument / PathTooShort / LengthMismatch / NonFiniteSample:
+            as :func:`lse_discrete_alphabeta`.
     """
     require_positive(dt, "dt", InvalidGrid)
     a, b, alpha, beta = _drift_values(candidate, "candidate")
@@ -502,8 +505,14 @@ def truth_vector(truth) -> np.ndarray:
 
 
 def normalized_error(est: LseEstimate, truth) -> np.ndarray:
-    """sqrt(T) times the estimation error, the scale with a Gaussian limit."""
-    return math.sqrt(est.functionals.t_horizon) * (est.vector() - truth_vector(truth))
+    """sqrt(T) times the estimation error, the scale with a Gaussian limit.
+
+    Raises:
+        InvalidArgument: ``est`` is not an :class:`LseEstimate`, or as
+            :func:`truth_vector`.
+    """
+    t = require_instance(est, LseEstimate, "est").functionals.t_horizon
+    return math.sqrt(t) * (est.vector() - truth_vector(truth))
 
 
 def random_scaling_transform(est: LseEstimate, truth, f: PathFunctionals) -> np.ndarray:
@@ -521,7 +530,8 @@ def random_scaling_transform(est: LseEstimate, truth, f: PathFunctionals) -> np.
     implements the time-averaged form.
 
     Raises:
-        InvalidArgument: as :func:`truth_vector`.
+        InvalidArgument: as :func:`normalized_error`, or ``f`` is not a
+            :class:`PathFunctionals`.
         NonFinitePath: a row holds a value, or has an e1*e3 - e2^2, that is
             not a finite number.
         DegeneratePath: the spread denominator is at the degeneracy threshold.

@@ -1,5 +1,6 @@
 /* The lane kernel: one lane group through its whole path, for Monte Carlo
- * runs and for single paths; and the fast route of hestonlab's CSV codec.
+ * runs and for single paths; the fast route of hestonlab's CSV codec; and
+ * the standard normal log-distribution function of the normality test.
  *
  * hl_lane_block takes each lane from its start (y0, x0) through the
  * variance recursion of a scheme, the Euler log-price recursion and the
@@ -46,6 +47,10 @@
  * writes as float() and int() do; each returns -1 for what it does not
  * take, and hestonlab.simulate's Python codec then takes the whole call.
  * Neither keeps any state between calls.
+ *
+ * hl_log_ndtr gives log Phi of each of n values with the bits of
+ * hestonlab.simulate's Python loop, through libm's erfc, log1p and log,
+ * which Python's math module calls too.
  */
 
 #include <float.h>
@@ -749,4 +754,40 @@ int64_t hl_parse_rows(const char *text, int64_t len, int64_t rows, int64_t cols,
                 return -1;
         }
     return p == end ? 0 : -1;
+}
+
+/* ---------------------------------------------------------------------------
+ * log Phi, the standard normal log-distribution function, for the
+ * Anderson-Darling statistic: each value through the same libm calls and
+ * IEEE operations, in the same order, as hestonlab.simulate.log_ndtr_scalar
+ */
+
+#define SQRT1_2 0.70710678118654752440      /* 1/sqrt(2) */
+#define LOG_SQRT_2PI 0.91893853320467274178 /* log(sqrt(2 pi)) */
+/* below it, erfc(-z/sqrt(2))/2 would leave the normal doubles */
+#define LOG_NDTR_TAIL (-37.5)
+#define LOG_NDTR_TERMS 10
+
+/* out[i] = log Phi(in[i]): log1p(-erfc(z/sqrt(2))/2) above -1,
+   log(erfc(-z/sqrt(2))/2) down to LOG_NDTR_TAIL, and below it the
+   asymptotic series -z^2/2 - log(-z) - log(sqrt(2 pi)) + log(1 - 1/z^2 +
+   3/z^4 - ...), LOG_NDTR_TERMS terms in Horner form, which stays finite */
+void hl_log_ndtr(int64_t n, const double *in, double *out)
+{
+    int64_t i;
+    int k;
+    for (i = 0; i < n; i++) {
+        double z = in[i], r, h;
+        if (z > -1.0) {
+            out[i] = log1p(-0.5 * erfc(z * SQRT1_2));
+        } else if (z >= LOG_NDTR_TAIL) {
+            out[i] = log(0.5 * erfc(-z * SQRT1_2));
+        } else {
+            r = 1.0 / (z * z);
+            h = 1.0;
+            for (k = LOG_NDTR_TERMS; k >= 1; k--)
+                h = 1.0 - (2 * k - 1) * r * h;
+            out[i] = -0.5 * z * z - log(-z) - LOG_SQRT_2PI + log(h);
+        }
+    }
 }

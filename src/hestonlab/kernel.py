@@ -29,7 +29,9 @@ writes '%.17g' and '%d' cells, byte for byte as Python's % does, and
 makes, as ``float()`` and ``int()`` do, or each returns None for the Python
 codec to take the call.  The writer multiplies by powers of ten of 128 bits,
 which :func:`load` computes with exact integers (``_pow10_table``) and
-passes to each call.
+passes to each call.  And :meth:`LaneKernel.log_ndtr` gives the bits of
+:func:`~hestonlab.simulate.log_ndtr_scalar`, the normality test's log Phi,
+for :func:`~hestonlab.simulate.log_ndtr`.
 
 The ziggurat's three tables are numpy's own: :func:`load` reads them from
 numpy's ``libnpyrandom.a`` (``NPYRANDOM``), the static library of its
@@ -39,18 +41,20 @@ each call.  After opening the kernel it draws one small lane group both ways,
 in the kernel and through ``draw_normals``, and refuses a kernel whose bits
 or stream states differ; then it writes a fixed set of values through the
 codec and with %, and reads them back, and refuses a kernel whose bytes or
-bits differ.
+bits differ; last it takes a grid over both tails through log Phi in the
+kernel and in Python, and refuses a kernel whose bits differ.
 
-The kernel is built the first time a run, a path or the CSV codec asks
-for it, never at import, with the system C compiler (``cc``) and the flags
-in ``FLAGS``, into a per-user cache (``~/.cache/hestonlab``), under a name
-made from the sha256 of the source, numpy's archive, the compiler command
-and the platform, so a numpy upgrade builds it afresh.  It is compiled to a
-temporary name and renamed into place, so concurrent builds do not clash,
-and later runs load the cached file.  Where no compiler, archive, tables or
-cache work, or a check fails, :func:`lane_kernel` returns None, without a
-warning, and runs take the numpy pipeline and the Python codec, with the
-same results.  :func:`load` raises instead, so a broken build can be seen.
+The kernel is built the first time a run, a path, the CSV codec or log Phi
+asks for it, never at import, with the system C compiler (``cc``) and the
+flags in ``FLAGS``, into a per-user cache (``~/.cache/hestonlab``), under a
+name made from the sha256 of the source, numpy's archive, the compiler
+command and the platform, so a numpy upgrade builds it afresh.  It is
+compiled to a temporary name and renamed into place, so concurrent builds
+do not clash, and later runs load the cached file.  Where no compiler,
+archive, tables or cache work, or a check fails, :func:`lane_kernel`
+returns None, without a warning, and runs take the numpy pipeline, the
+Python codec and the Python log Phi, with the same results.  :func:`load`
+raises instead, so a broken build can be seen.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ import os
 import platform
 import shutil
 import struct
-import subprocess
 import tempfile
 import threading
 import time
@@ -71,7 +74,8 @@ import numpy as np
 
 from .estimate import PathSums
 from .model import ModelParams
-from .simulate import Scheme, draw_normals, lane_generators, lane_seeds, step_constants
+from .simulate import (Scheme, draw_normals, lane_generators, lane_seeds, log_ndtr_scalar,
+                       step_constants)
 
 __all__ = ["SOURCE", "NPYRANDOM", "COMPILER", "FLAGS", "CACHE_DIR", "load", "lane_kernel",
            "LaneKernel"]
@@ -178,9 +182,12 @@ def _ziggurat_tables(archive: bytes) -> np.ndarray:
 def _build(command: list[str], archive: bytes) -> Path:
     """The cached shared library of ``kernel.c``, compiled first if it is not
     there, which then unlinks the other builds unchanged for over a week."""
+    # the platform's fields, not platform.platform(), which runs `uname -p`
+    # in a new process
+    system = (platform.system(), platform.release(), platform.machine(), *platform.libc_ver())
     key = hashlib.sha256(b"\0".join(
         [SOURCE.read_bytes(), archive, " ".join(command).encode(),
-         platform.platform().encode(), platform.machine().encode()])).hexdigest()[:24]
+         " ".join(system).encode()])).hexdigest()[:24]
     cache = CACHE_DIR.expanduser()
     cache.mkdir(mode=0o700, parents=True, exist_ok=True)
     info = cache.stat()
@@ -188,6 +195,10 @@ def _build(command: list[str], archive: bytes) -> Path:
         raise PermissionError(f"{cache} is writable by other users")
     target = cache / f"kernel-{key}.so"
     if not target.is_file():
+        # imported here, as only a compile runs a process: a run on a cached
+        # kernel does not pay for the import
+        import subprocess
+
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
         try:
@@ -197,6 +208,8 @@ def _build(command: list[str], archive: bytes) -> Path:
                 raise OSError(f"{command[0]} exited with code {done.returncode}: "
                               + done.stderr.decode(errors="replace")[-2000:])
             os.replace(tmp, target)
+        except subprocess.TimeoutExpired as e:
+            raise OSError(f"{command[0]} did not finish in {e.timeout:g} s") from e
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -214,11 +227,11 @@ def load() -> "LaneKernel":
     """Build the kernel unless it is cached, open it, and check its draws.
 
     Raises:
-        OSError / subprocess.SubprocessError: no compiler, no numpy archive
-            or no ziggurat tables in it, a failed compile, an unusable cache
+        OSError: no compiler, no numpy archive or no ziggurat tables in
+            it, a compile that fails or runs over 120 s, an unusable cache
             or a library that does not load.
         RuntimeError: the kernel's draws or stream states differ from
-            numpy's.
+            numpy's, or its CSV codec or log Phi from Python's.
     """
     import ctypes
 
@@ -238,9 +251,13 @@ def load() -> "LaneKernel":
         ctypes.c_void_p] * 3
     # a bytes object, whose buffer a NUL ends
     parse_rows.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
-    kernel = LaneKernel(fn, tables, format_rows, parse_rows, _pow10_table())
+    log_ndtr = lib.hl_log_ndtr
+    log_ndtr.restype = None
+    log_ndtr.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    kernel = LaneKernel(fn, tables, format_rows, parse_rows, _pow10_table(), log_ndtr)
     _check_draws(kernel)
     _check_codec(kernel)
+    _check_log_ndtr(kernel)
     return kernel
 
 
@@ -326,6 +343,24 @@ def _check_codec(kernel: "LaneKernel") -> None:
                            "'%d', float() and int()")
 
 
+# The values load() takes through log Phi both ways: a grid over both tails
+# and the middle, both sides of each switch between formulas (-1 and -37.5),
+# where the upper tail underflows to subnormals and to zero, the signed
+# zeros, the extremes and the infinities
+_CHECK_LOG_NDTR = (*np.linspace(-60.0, 40.0, 401).tolist(), -1.0, -1.0000000000000002,
+                   -37.5, -37.50000000000001, 37.6, 38.2, 38.6, 0.0, -0.0, 5e-324,
+                   -1e200, -1.7976931348623157e308, 1.7976931348623157e308, -np.inf, np.inf)
+
+
+def _check_log_ndtr(kernel: "LaneKernel") -> None:
+    """Take the check values through log Phi in the kernel and in Python:
+    the same bits, or RuntimeError."""
+    got = kernel.log_ndtr(np.array(_CHECK_LOG_NDTR)).tobytes()
+    if got != np.array([log_ndtr_scalar(z) for z in _CHECK_LOG_NDTR]).tobytes():
+        raise RuntimeError("the lane kernel's log Phi differs from Python's; do its erfc, "
+                           "log1p and log come from another C library?")
+
+
 _lock = threading.Lock()
 _loaded: list = []
 
@@ -338,7 +373,7 @@ def lane_kernel() -> "LaneKernel | None":
         if not _loaded:
             try:
                 _loaded.append(load())
-            except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError):
+            except (OSError, RuntimeError, AttributeError):
                 # no compiler, no home directory, cache or numpy archive, a
                 # failed build or a library without the kernel: the numpy
                 # pipeline runs
@@ -361,7 +396,8 @@ class LaneKernel:
     of given draws, for ``simulate_y``, and :meth:`draw` through normals it
     draws from streams it seeds itself, for ``advance_lanes``."""
 
-    def __init__(self, fn, tables: np.ndarray, format_fn, parse_fn, pow10: np.ndarray):
+    def __init__(self, fn, tables: np.ndarray, format_fn, parse_fn, pow10: np.ndarray,
+                 log_ndtr_fn):
         self.fn = fn
         # numpy's ziggurat tables, (3, 256) uint64, which each drawing call reads
         self.tables = tables
@@ -369,6 +405,16 @@ class LaneKernel:
         self.parse_fn = parse_fn
         # the powers of ten that format_rows passes to the writer
         self.pow10 = pow10
+        self.log_ndtr_fn = log_ndtr_fn
+
+    def log_ndtr(self, z) -> np.ndarray:
+        """log Phi of each value of ``z``, a float64 array of its shape: the
+        bits of :func:`~hestonlab.simulate.log_ndtr_scalar`."""
+        out = np.empty(np.shape(z))
+        # the kernel reads it through a bare pointer
+        z = np.ascontiguousarray(z, dtype=float)
+        self.log_ndtr_fn(z.size, z.ctypes.data, out.ctypes.data)
+        return out
 
     def format_rows(self, rows, cells) -> str | None:
         """The CSV lines of ``rows``, a float64 (rows, cols) array, each

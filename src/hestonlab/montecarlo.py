@@ -29,8 +29,9 @@ about 153.5, beyond which it would climb back towards 1 and then overflow; it
 is evaluated at min(A*^2, vertex), and capped at the second branch's value at
 0.6, where the two branches meet with an upward step of 0.0025.  The p-value
 is thus non-increasing in the statistic over the whole half-line.  The
-standard-normal log-distribution function is evaluated through the
-complementary error function (scipy.special.log_ndtr).  A calibration sweep
+standard-normal log-distribution function is evaluated through the C
+library's complementary error function, with an asymptotic series in the
+far lower tail (:func:`hestonlab.simulate.log_ndtr`).  A calibration sweep
 test pins this approximation against uniform p-values under the null.
 
 Replicate r of an experiment draws its noise from the streams of
@@ -41,12 +42,13 @@ seeds all of its streams at once (:func:`hestonlab.simulate.lane_seeds`).
 Replicates are simulated as lanes, in lane groups of at most 1024
 replicates.  :func:`hestonlab.simulate.advance_lanes`, the engine that
 single paths run on too, takes each group through its whole path and folds
-each lane into its path sums (:class:`PathSums`).  Where the compiled lane
-kernel builds, that is one call, which draws its own normals and runs
-without the interpreter lock, so worker threads advance their groups in
-parallel.  Elsewhere it is numpy blocks with the same bits, whose memory is
-set by the lane group and the element budget, not by the number of steps N.
-Lanes that abort stop drawing and are recorded as failures with their step.
+each lane into its path sums (:class:`hestonlab.estimate.PathSums`).  Where
+the compiled lane kernel builds, that is one call, which draws its own
+normals and runs without the interpreter lock, so worker threads advance
+their groups in parallel.  Elsewhere it is numpy blocks with the same bits,
+whose memory is set by the lane group and the element budget, not by the
+number of steps N.  Lanes that abort stop drawing and are recorded as
+failures with their step.
 
 Results are columnar: a :class:`ReplicateTable` holds one row per successful
 replicate, and the estimator, its normalizations and the summary work on its
@@ -65,7 +67,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import (
     AllReplicatesFailed,
@@ -75,6 +76,7 @@ from .errors import (
     InvalidArgument,
     NonFiniteSample,
     TiesDegenerate,
+    real_array,
     require_instance,
     require_positive,
 )
@@ -82,7 +84,6 @@ from .estimate import (
     FAILURE_REASONS,
     SUM_TILE,
     PathFunctionals,
-    PathSums,
     failure_reasons,
     lse_from_functionals,
     normalized_error,
@@ -91,7 +92,7 @@ from .estimate import (
 )
 from . import simulate
 from .model import AsymptoticCovariance, ModelParams, kron
-from .simulate import Scheme, SeedLineage, TimeGrid, advance_lanes
+from .simulate import Scheme, SeedLineage, TimeGrid, advance_lanes, log_ndtr
 
 __all__ = [
     "CONFIG_KEYS",
@@ -452,13 +453,6 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
 # moment statistics and normality tests
 
 
-def _sample_array(sample, test: str) -> np.ndarray:
-    try:
-        return np.asarray(sample, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgument(f"{test} needs a sample of real numbers: {exc}") from None
-
-
 def _require_finite(x: np.ndarray, test: str) -> None:
     finite = np.isfinite(x)
     if not finite.all():
@@ -533,7 +527,7 @@ def jarque_bera(sample) -> tuple[float, float]:
         InsufficientData: fewer than 8 observations.
         NonFiniteSample: a NaN or infinite observation.
     """
-    x = _sample_array(sample, "Jarque-Bera")
+    x = real_array(sample, "Jarque-Bera needs a sample of real numbers")
     if x.ndim != 1 or x.shape[0] < 8:
         raise InsufficientData("Jarque-Bera needs at least 8 observations")
     _require_finite(x, "Jarque-Bera")
@@ -595,7 +589,7 @@ def anderson_darling(sample) -> tuple[float, float]:
         NonFiniteSample: a NaN or infinite observation.
         TiesDegenerate: a constant sample.
     """
-    x = _sample_array(sample, "Anderson-Darling")
+    x = real_array(sample, "Anderson-Darling needs a sample of real numbers")
     if x.ndim != 1 or x.shape[0] < 8:
         raise InsufficientData("Anderson-Darling needs at least 8 observations")
     _require_finite(x, "Anderson-Darling")
@@ -611,7 +605,7 @@ def anderson_darling(sample) -> tuple[float, float]:
         sd = float(np.std(x, ddof=1))
     z = np.sort((x - float(np.mean(x))) / sd)
     i = np.arange(1, n + 1)
-    # log F(z_(i)) and log(1 - F(z_(n+1-i))) via the erfc-based log-ndtr
+    # log F(z_(i)) and log(1 - F(z_(n+1-i))) = log F(-z_(n+1-i))
     stat = -n - float(np.mean((2 * i - 1) * (log_ndtr(z) + log_ndtr(-z[::-1]))))
     return stat, anderson_darling_pvalue(stat, n)
 
@@ -645,7 +639,7 @@ def histogram_overlay(sample, theoretical_variance: float) -> HistogramOverlay:
             theoretical variance that is not a finite number > 0 (a bool too).
         NonFiniteSample: a NaN or infinite observation.
     """
-    x = _sample_array(sample, "histogram")
+    x = real_array(sample, "histogram needs a sample of real numbers")
     if x.ndim != 1 or x.shape[0] < 2:
         raise DegenerateSample("histogram needs at least 2 observations")
     _require_finite(x, "histogram")

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigParseError, CsvFormatError, require_instance
+from .errors import ConfigParseError, CsvFormatError, ReportNotFound, require_instance
 from .estimate import FAILURE_REASONS, PathFunctionals
 from .model import asymptotic_covariance, classify_regime, Regime
 from .montecarlo import (
@@ -147,16 +147,26 @@ def _write_replicates_csv(path: Path, results: ReplicateTable) -> None:
     path.write_text(format_csv(_REPLICATE_COLUMNS, _REPLICATE_CELLS, values))
 
 
+def _read_report_file(path: Path) -> str:
+    """The text of a stored report file, or ``ReportNotFound`` where it,
+    or its directory, does not exist."""
+    try:
+        return path.read_text()
+    except FileNotFoundError as exc:
+        raise ReportNotFound(exc.errno, exc.strerror, exc.filename) from None
+
+
 def _read_replicates_csv(path: Path, config: ExperimentConfig) -> ReplicateTable:
     """Rebuild the replicate table from the stored functionals.
 
     Raises:
         CsvFormatError: as :func:`~hestonlab.simulate.parse_csv`, or a stored
             estimate that differs from the one its row's functionals give.
+        ReportNotFound: no such file.
     """
     (index, *columns), lines = parse_csv(
-        path.read_text(), _REPLICATE_COLUMNS, (int,) + (float,) * (len(_REPLICATE_COLUMNS) - 1),
-        str(path), "replicate-file",
+        _read_report_file(path), _REPLICATE_COLUMNS,
+        (int,) + (float,) * (len(_REPLICATE_COLUMNS) - 1), str(path), "replicate-file",
     )
     stored = np.column_stack(columns[:4])
     params, grid = config.params, config.grid
@@ -250,11 +260,13 @@ def regenerate_report(out_dir) -> tuple[McSummary, DeviationReport | None]:
             number of items.  Each error names the key.  A config echo value
             that does not parse.
         CsvFormatError: malformed replicate file.
-        OSError: missing report files.
+        ReportNotFound: a missing directory, report.json or replicates.csv;
+            a ``FileNotFoundError`` too, so an ``OSError`` handler catches it.
+        OSError: another failure to read the report files.
     """
     out = Path(out_dir)
     path = out / "report.json"
-    payload = json.loads(path.read_text())
+    payload = json.loads(_read_report_file(path))
     config = ExperimentConfig.from_mapping(_member(payload, "config", dict, str(path)))
     recorded = _member(payload, "failures", dict, str(path))
     items = _member(recorded, "items", list, f"{path}: failures")

@@ -77,6 +77,13 @@ reads files of the strict form the writer makes (no blank line, space or
 formatting, ``float()`` and ``int()`` run.  So a cold kernel cache is
 compiled on the first path a process simulates or the first file it writes
 or reads.
+
+The normality test's log Phi: :func:`log_ndtr` gives the standard normal
+log-distribution function through the C library's ``erfc``, ``log1p`` and
+``log``, which Python's ``math`` module calls too, so the compiled kernel
+and the Python loop of :func:`log_ndtr_scalar` that runs where it does not
+load give the same bits.  Far in the lower tail, where ``erfc`` would
+underflow, an asymptotic series keeps the value finite.
 """
 
 from __future__ import annotations
@@ -105,6 +112,7 @@ from .errors import (
     NonFinitePath,
     NonFiniteSample,
     NonPositiveZ,
+    real_array,
     require_instance,
     require_positive,
 )
@@ -136,6 +144,8 @@ __all__ = [
     "parse_csv",
     "write_path_csv",
     "read_path_csv",
+    "log_ndtr",
+    "log_ndtr_scalar",
 ]
 
 
@@ -1082,3 +1092,46 @@ def read_path_csv(src) -> XYPath:
     if np.max(np.abs(t - grid.times())) > tol:
         raise CsvFormatError("time column is not a uniform grid")
     return XYPath(grid=grid, y=y, x=x, scheme=None)
+
+
+# ---------------------------------------------------------------------------
+# log Phi: the standard normal log-distribution function (module docstring)
+
+_SQRT1_2 = 0.70710678118654752440  # 1/sqrt(2)
+_LOG_SQRT_2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+# below it, erfc(-z/sqrt(2))/2 would leave the normal doubles
+_LOG_NDTR_TAIL = -37.5
+_LOG_NDTR_TERMS = 10
+
+
+def log_ndtr_scalar(z: float) -> float:
+    """log Phi(z) in Python: ``log1p(-erfc(z/sqrt(2))/2)`` above -1,
+    ``log(erfc(-z/sqrt(2))/2)`` down to -37.5, and below it the asymptotic
+    series -z^2/2 - log(-z) - log(sqrt(2 pi)) + log(1 - 1/z^2 + 3/z^4 - ...)
+    of 10 terms in Horner form, which stays finite where erfc underflows.
+    The kernel's ``hl_log_ndtr`` makes the same libm calls and operations."""
+    if z > -1.0:
+        return math.log1p(-0.5 * math.erfc(z * _SQRT1_2))
+    if z >= _LOG_NDTR_TAIL:
+        return math.log(0.5 * math.erfc(-z * _SQRT1_2))
+    r, h = 1.0 / (z * z), 1.0
+    for k in range(_LOG_NDTR_TERMS, 0, -1):
+        h = 1.0 - (2 * k - 1) * r * h
+    return -0.5 * z * z - math.log(-z) - _LOG_SQRT_2PI + math.log(h)
+
+
+def log_ndtr(z) -> np.ndarray:
+    """log Phi of each value of ``z``, a float64 array of its shape: in the
+    compiled kernel where it loads, else by :func:`log_ndtr_scalar`, with
+    the same bits.
+
+    Raises:
+        InvalidArgument: ``z`` does not hold real numbers.
+    """
+    from .kernel import lane_kernel  # kernel imports this module
+
+    z = real_array(z, "log_ndtr needs real numbers")
+    kernel = lane_kernel()
+    if kernel is not None:
+        return kernel.log_ndtr(z)
+    return np.fromiter(map(log_ndtr_scalar, z.ravel().tolist()), float, z.size).reshape(z.shape)

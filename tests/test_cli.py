@@ -2,7 +2,11 @@
 and exit-code behavior."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +497,17 @@ def test_mc_rejects_an_implicit_step_that_divides_by_zero(config_file, capsys):
 
 # ---------------------------------------------------------------------------
 # failure modes
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """The package does not use scipy, so a command pays nothing to import it."""
+    code = ("import sys, hestonlab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(hl.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src)] + sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_missing_subcommand_exits_with_usage_error():

@@ -464,6 +464,19 @@ def test_the_discrete_routes_refuse_non_finite_samples(bad):
         hl.lse_discrete_alphabeta(np.array([0.2, 0.25, 0.3, 0.35, 0.2]), y, 0.1)
 
 
+@pytest.mark.parametrize("bad", [["a"] * 5, "abcde"], ids=repr)
+def test_the_discrete_routes_refuse_samples_of_other_than_numbers(bad):
+    good = [0.2, 0.25, 0.3, 0.35, 0.2]
+    for name, call in (("y", lambda: hl.lse_discrete_ab(bad, 0.1)),
+                       ("y", lambda: hl.lse_discrete_alphabeta(bad, good, 0.1)),
+                       ("x", lambda: hl.lse_discrete_alphabeta(good, bad, 0.1)),
+                       ("y", lambda: hl.ls_objective((0.4, 0.3, 0.1, 0.15), bad, good, 0.1)),
+                       ("x", lambda: hl.ls_objective((0.4, 0.3, 0.1, 0.15), good, bad, 0.1))):
+        with pytest.raises(hl.InvalidArgument,
+                           match=f"^{name}_samples must hold real numbers: could not convert"):
+            call()
+
+
 @pytest.mark.parametrize("series, index", [("y", 3), ("x", 0)])
 def test_path_functionals_refuse_a_non_finite_path(series, index):
     y, x = np.full(6, 0.2), np.zeros(6)

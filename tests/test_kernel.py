@@ -601,6 +601,18 @@ def test_a_failing_compiler_leaves_the_numpy_pipeline_quietly(tmp_path, monkeypa
     assert_quiet_fallback(tmp_path, monkeypatch, capfd)
 
 
+def test_a_compile_that_runs_over_its_time_leaves_the_numpy_pipeline_quietly(
+        tmp_path, monkeypatch, capfd):
+    """load() raises it as an OSError, naming the compiler."""
+    def over_time(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", over_time)
+    assert_quiet_fallback(tmp_path, monkeypatch, capfd)
+    with pytest.raises(OSError, match=r"cc did not finish in 120 s$"):
+        kernel.load()
+
+
 def test_a_missing_numpy_archive_leaves_the_numpy_pipeline_quietly(tmp_path, monkeypatch,
                                                                    capfd):
     monkeypatch.setattr(kernel, "NPYRANDOM", tmp_path / "no-such-dir" / "libnpyrandom.a")
@@ -708,6 +720,17 @@ def test_a_flipped_table_entry_fails_the_loaders_check(lane_kernel, tmp_path, mo
         kernel.load()
     if table == 0:
         assert_quiet_fallback(tmp_path, monkeypatch, capfd, RuntimeError)
+
+
+@pytest.mark.parametrize("branch", [lambda z: z > -1.0, lambda z: -37.5 <= z <= -1.0,
+                                    lambda z: z < -37.5], ids=["upper", "middle", "tail"])
+def test_a_log_phi_that_moves_a_bit_fails_the_loaders_check(lane_kernel, monkeypatch, branch):
+    """One ulp off on one formula's interval: load() refuses the kernel."""
+    exact = kernel.log_ndtr_scalar
+    monkeypatch.setattr(kernel, "log_ndtr_scalar",
+                        lambda z: math.nextafter(exact(z), 0.0) if branch(z) else exact(z))
+    with pytest.raises(RuntimeError, match="log Phi differs from Python's"):
+        kernel.load()
 
 
 def test_the_loader_caches_one_build_per_source(lane_kernel, tmp_path, monkeypatch):
@@ -824,13 +847,14 @@ def test_each_kernel_entry_takes_the_arguments_load_declares(monkeypatch):
     """ctypes passes the arguments as argtypes declares them, so a C
     parameter more or less would shift every argument after it without an
     error.  Read before any call: such a call may crash the process."""
-    for check in ("_check_draws", "_check_codec"):
+    for check in ("_check_draws", "_check_codec", "_check_log_ndtr"):
         monkeypatch.setattr(kernel, check, lambda k: None)
     try:
         k = kernel.load()
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"the lane kernel does not build here: {e}")
-    declared = {fn.__name__: len(fn.argtypes) for fn in (k.fn, k.format_fn, k.parse_fn)}
+    declared = {fn.__name__: len(fn.argtypes)
+                for fn in (k.fn, k.format_fn, k.parse_fn, k.log_ndtr_fn)}
     assert declared == exported_parameter_counts(kernel.SOURCE.read_text())
 
 
@@ -866,3 +890,16 @@ def test_importing_the_cli_builds_and_opens_nothing():
     assert unloaded and not has_ctypes
     assert "sha256" not in seen
     assert not [p for p in seen if p.endswith((".c", ".a", ".so")) or ".cache" in p], seen
+
+
+def test_a_cached_kernel_loads_without_starting_a_process(lane_kernel):
+    """Only a compile runs one: keying the cache must not either, as
+    platform.platform() does with `uname -p`."""
+    code = ("import sys, hestonlab.kernel as k\n"
+            "assert k.lane_kernel() is not None\n"
+            "print('subprocess' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(kernel.SOURCE.parent.parent)] + sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"

@@ -508,6 +508,67 @@ def test_anderson_darling_calibration_sweep():
     assert ks <= 0.1
 
 
+# the grid of the log Phi tests: the middle, both switches between formulas
+# (-1 and -37.5), the asymptotic series below -37.5, and the upper tail,
+# where the value underflows to subnormals and then to -0.0
+LOG_NDTR_GRID = np.linspace(-60.0, 40.0, 4001)
+
+
+def kernel_or_skip():
+    k = kernel.lane_kernel()
+    if k is None:
+        pytest.skip("the lane kernel does not build here")
+    return k
+
+
+@pytest.mark.parametrize("route", ["kernel", "python"])
+def test_log_ndtr_is_scipys_log_ndtr(route, monkeypatch):
+    """Within 1e-13 relative; below the smallest normal double a value holds
+    no relative precision, and scipy flushes it to zero."""
+    from scipy.special import log_ndtr
+
+    if route == "kernel":
+        kernel_or_skip()
+    else:
+        monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
+    got = simulate.log_ndtr(LOG_NDTR_GRID)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, log_ndtr(LOG_NDTR_GRID), rtol=1e-13,
+                               atol=np.finfo(float).smallest_normal)
+    ends = simulate.log_ndtr(np.array(-math.inf)), simulate.log_ndtr(math.inf)
+    assert [e.shape for e in ends] == [(), ()]
+    assert ends[0] == -math.inf and ends[1] == 0.0
+
+
+def test_log_ndtr_has_the_same_bits_in_the_kernel_and_in_python(monkeypatch):
+    k = kernel_or_skip()
+    z = LOG_NDTR_GRID.reshape(4001, 1)
+    got = simulate.log_ndtr(z)
+    monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
+    want = simulate.log_ndtr(z)
+    assert got.shape == want.shape == z.shape
+    assert got.tobytes() == want.tobytes() == k.log_ndtr(LOG_NDTR_GRID).tobytes()
+
+
+def test_log_ndtr_refuses_what_is_not_a_number():
+    with pytest.raises(hl.InvalidArgument, match="^log_ndtr needs real numbers: "):
+        simulate.log_ndtr(["a", "b"])
+
+
+# only scipy's statistic is read, not the p-value the warning is about
+@pytest.mark.filterwarnings("ignore:As of SciPy 1.17:FutureWarning")
+def test_anderson_darling_of_an_outlier_beyond_the_series_switch():
+    """One value at about z = -44, where erfc underflows: a finite statistic,
+    scipy's within 1e-8."""
+    x = np.random.default_rng(8).standard_normal(2000) * 1e-3
+    x[5] = -1e3
+    z = (x - x.mean()) / x.std(ddof=1)
+    assert z.min() < -40.0
+    stat, p = hl.anderson_darling(x)
+    assert math.isfinite(stat) and 0.0 <= p < 1e-100
+    assert stat == pytest.approx(stats.anderson(x, dist="norm").statistic, rel=1e-8)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("statistic", [
     hl.jarque_bera, hl.anderson_darling, lambda x: hl.histogram_overlay(x, 1.0),
@@ -654,6 +715,12 @@ def test_covariance_check_refuses_what_is_not_a_summary_and_a_theory():
 # object arguments
 
 
+def small_functionals():
+    path = hl.simulate_xy(hl.canonical_params(), hl.TimeGrid(5.0, 50), hl.Scheme.DISRE,
+                          hl.SeedLineage(3, 0))
+    return hl.path_functionals(path)
+
+
 # each function, the argument it refuses, and a call with that argument
 OBJECT_ARGUMENTS = {
     "stationary_moments": ("params", hl.stationary_moments),
@@ -671,6 +738,9 @@ OBJECT_ARGUMENTS = {
     "report_payload": ("run", lambda bad: hl.report_payload(bad, None, None)),
     "write_report": ("run", lambda bad: hl.write_report("report", bad)),
     "summarize": ("results", lambda bad: hl.summarize(bad, hl.canonical_params())),
+    "normalized_error": ("est", lambda bad: hl.normalized_error(bad, hl.canonical_params())),
+    "random_scaling_transform": ("est", lambda bad: hl.random_scaling_transform(
+        bad, hl.canonical_params(), small_functionals())),
 }
 
 

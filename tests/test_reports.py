@@ -210,3 +210,19 @@ def test_report_json_failure_items_read_back(tmp_path, aborted_report_dir):
     out = with_payload(tmp_path / "other", aborted_report_dir,
                        with_failure(reason="DegeneratePath", step=None))
     regenerate_report(out)
+
+
+def test_a_missing_directory_or_file_fails_as_a_named_error(tmp_path, report_dir, capsys):
+    """ReportNotFound, which a FileNotFoundError handler catches too."""
+    assert issubclass(hl.ReportNotFound, hl.HestonLabError)
+    assert issubclass(hl.ReportNotFound, FileNotFoundError)
+    with pytest.raises(hl.ReportNotFound, match="nowhere/report.json"):
+        regenerate_report(tmp_path / "nowhere")
+    out = tmp_path / "rep"
+    shutil.copytree(report_dir, out)
+    (out / "replicates.csv").unlink()
+    with pytest.raises(hl.ReportNotFound, match="rep/replicates.csv"):
+        regenerate_report(out)
+    assert main(["report", "--out", str(tmp_path / "nowhere")]) == 1
+    assert capsys.readouterr().err.startswith("error: ReportNotFound: ")
+    assert not (tmp_path / "nowhere").exists()
