@@ -1,12 +1,19 @@
-"""Exception taxonomy for hestonlab.
+"""Exception taxonomy for hestonlab, and the one rulebook for bad input.
 
 Every failure raised by this package derives from :class:`HestonLabError`,
 so callers can catch package errors without swallowing unrelated ones.
 Validation-style failures additionally derive from ``ValueError``.
+
+The rules for arguments are written once, here, and each caller names the
+argument and its error: :func:`require_instance` (an object of a type),
+:func:`require_positive` (a finite real number > 0), :func:`require_int` (an
+integer in a range, not a bool), :func:`real_array` (an array of integers or
+floats, as float64) and :func:`require_finite` (no NaN or infinite entry).
 """
 
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -32,13 +39,43 @@ def require_instance(value, kind, name: str):
 
 
 def real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array, unless numpy cannot read it as real
-    numbers (a str, say): then ``InvalidArgument``, ``what`` and numpy's
-    reason."""
+    """``values`` as a float64 array, unless numpy reads them as other than
+    integers or floats (bools, strs, objects) or not at all: then
+    ``InvalidArgument``, ``what`` and the reason."""
     try:
-        return np.asarray(values, dtype=float)
+        array = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise InvalidArgument(f"{what}: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise InvalidArgument(f"{what}: got values of dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
+def require_finite(values: np.ndarray, error: type, message: str) -> np.ndarray:
+    """``values``, a 1-d array, unless an entry is NaN or infinite: then
+    ``error``, ``message`` formatted with the first one's index ``i`` and ``value``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise error(message.format(i=i, value=values[i]))
+    return values
+
+
+# the most that the compiled kernel's counts and numpy's array indices take
+INT64_MAX = 2 ** 63 - 1
+
+
+def require_int(value, name: str, error: type, minimum: int = 0,
+                maximum: int | None = None) -> int:
+    """``value`` as an int, unless it is a bool or not an integer (an
+    integral float is not) in [``minimum``, ``maximum``]: then ``error``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    number = operator.index(value) if integral else None
+    if number is None or number < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and number > maximum:
+        raise error(f"{name} must be an integer <= {maximum}, got {value!r}")
+    return number
 
 
 def require_positive(value, name: str, error: type) -> None:

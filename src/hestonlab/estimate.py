@@ -46,6 +46,7 @@ from .errors import (
     NonPositiveZ,
     PathTooShort,
     real_array,
+    require_finite,
     require_instance,
     require_positive,
 )
@@ -259,9 +260,7 @@ def path_functionals(path: XYPath) -> PathFunctionals:
     """
     require_instance(path, XYPath, "path")
     for name, values in (("Y", path.y), ("X", path.x)):
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise NonFinitePath(f"{name} is not finite at grid index {int(np.argmin(finite))}")
+        require_finite(values, NonFinitePath, name + " is not finite at grid index {i}")
     sums = PathSums(path.y[:1], path.x[:1])
     sums.fold(path.y[None, :], path.x[None, :])
     f = sums.functionals(path.grid)
@@ -278,14 +277,9 @@ def _check_samples(y_samples, x_samples) -> tuple[np.ndarray, np.ndarray]:
         raise PathTooShort("need at least two samples")
     x = real_array(x_samples, "x_samples must hold real numbers")
     if x.shape != y.shape:
-        raise LengthMismatch(
-            f"y and x must have equal length, got {y.shape[0]} and {x.shape[0]}"
-        )
+        raise LengthMismatch(f"y and x must have equal length, got shapes {y.shape} and {x.shape}")
     for name, samples in (("y_samples", y), ("x_samples", x)):
-        finite = np.isfinite(samples)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise NonFiniteSample(f"{name}[{i}] is {samples[i]}, not a finite number")
+        require_finite(samples, NonFiniteSample, name + "[{i}] is {value}, not a finite number")
     return y, x
 
 

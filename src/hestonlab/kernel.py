@@ -47,8 +47,9 @@ kernel and in Python, and refuses a kernel whose bits differ.
 The kernel is built the first time a run, a path, the CSV codec or log Phi
 asks for it, never at import, with the system C compiler (``cc``) and the
 flags in ``FLAGS``, into a per-user cache (``~/.cache/hestonlab``), under a
-name made from the sha256 of the source, numpy's archive, the compiler
-command and the platform, so a numpy upgrade builds it afresh.  It is
+name made from the sha256 of the source, the compiler command and the
+platform: the compile reads ``kernel.c`` alone, so a numpy upgrade reuses
+the build, with the new numpy's tables, which the draw check holds.  It is
 compiled to a temporary name and renamed into place, so concurrent builds
 do not clash, and later runs load the cached file.  Where no compiler,
 archive, tables or cache work, or a check fails, :func:`lane_kernel`
@@ -60,7 +61,6 @@ raises instead, so a broken build can be seen.
 from __future__ import annotations
 
 import hashlib
-import numbers
 import os
 import platform
 import shutil
@@ -72,6 +72,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import INT64_MAX, require_int
 from .estimate import PathSums
 from .model import ModelParams
 from .simulate import (Scheme, draw_normals, lane_generators, lane_seeds, log_ndtr_scalar,
@@ -179,14 +180,14 @@ def _ziggurat_tables(archive: bytes) -> np.ndarray:
                          dtype="<u8").astype(np.uint64).reshape(3, 256)
 
 
-def _build(command: list[str], archive: bytes) -> Path:
+def _build(command: list[str]) -> Path:
     """The cached shared library of ``kernel.c``, compiled first if it is not
     there, which then unlinks the other builds unchanged for over a week."""
     # the platform's fields, not platform.platform(), which runs `uname -p`
     # in a new process
     system = (platform.system(), platform.release(), platform.machine(), *platform.libc_ver())
     key = hashlib.sha256(b"\0".join(
-        [SOURCE.read_bytes(), archive, " ".join(command).encode(),
+        [SOURCE.read_bytes(), " ".join(command).encode(),
          " ".join(system).encode()])).hexdigest()[:24]
     cache = CACHE_DIR.expanduser()
     cache.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -238,9 +239,8 @@ def load() -> "LaneKernel":
     compiler = shutil.which(COMPILER)
     if compiler is None:
         raise FileNotFoundError(f"no C compiler {COMPILER!r} on the PATH")
-    archive = NPYRANDOM.read_bytes()
-    tables = _ziggurat_tables(archive)
-    lib = ctypes.CDLL(str(_build([compiler, *FLAGS], archive)))
+    tables = _ziggurat_tables(NPYRANDOM.read_bytes())
+    lib = ctypes.CDLL(str(_build([compiler, *FLAGS])))
     fn = lib.hl_lane_block
     fn.restype = None
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 2 + [
@@ -498,9 +498,10 @@ class LaneKernel:
         :func:`~hestonlab.simulate.lane_seeds`, receives their last states:
         where ``draw_normals`` leaves the generators, or unfinished for a
         lane that aborts.
+
+        Raises:
+            ValueError: as a call, bad ``streams``, or ``steps`` over ``INT64_MAX``.
         """
-        if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 0):
-            raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
         if not (isinstance(streams, np.ndarray) and streams.dtype == np.uint64
                 and streams.ndim == 3 and streams.shape[1:] == (2, 4)
                 and streams.flags.c_contiguous and streams.flags.writeable):
@@ -510,6 +511,9 @@ class LaneKernel:
                              self.tables.ctypes.data, None, None, paths)
 
     def _advance(self, params, dt, scheme, lanes, steps, streams, tables, eta, zeta, paths):
+        # the kernel takes both as int64s
+        lanes = require_int(lanes, "lanes", ValueError, maximum=INT64_MAX)
+        steps = require_int(steps, "steps", ValueError, maximum=INT64_MAX)
         if paths is not None and not (isinstance(paths, tuple) and len(paths) == 2 and all(
                 isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
                 and a.flags.c_contiguous and a.shape == (lanes, steps + 1) for a in paths)):

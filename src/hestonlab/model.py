@@ -38,6 +38,7 @@ from .errors import (
     NotSubcritical,
     OutsideDomain,
     RhoOutOfRange,
+    real_array,
     require_instance,
 )
 
@@ -282,11 +283,11 @@ def kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """
     matrices = []
     for name, matrix in (("left", left), ("right", right)):
-        array = np.asarray(matrix)
-        if array.dtype.kind not in "iuf" or array.shape != (2, 2):
-            raise InvalidArgument(f"kron: {name} must be a 2x2 matrix of real numbers, "
-                                  f"got {matrix!r}")
-        matrices.append(array.astype(float))
+        what = f"kron: {name} must be a 2x2 matrix of real numbers"
+        array = real_array(matrix, what)
+        if array.shape != (2, 2):
+            raise InvalidArgument(f"{what}, got {matrix!r}")
+        matrices.append(array)
     return np.kron(*matrices)
 
 

@@ -60,7 +60,6 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -74,15 +73,17 @@ from .errors import (
     DegenerateSample,
     InsufficientData,
     InvalidArgument,
+    InvalidSeed,
     NonFiniteSample,
     TiesDegenerate,
     real_array,
+    require_finite,
     require_instance,
+    require_int,
     require_positive,
 )
 from .estimate import (
     FAILURE_REASONS,
-    SUM_TILE,
     PathFunctionals,
     failure_reasons,
     lse_from_functionals,
@@ -90,9 +91,8 @@ from .estimate import (
     random_scaling_transform,
     truth_vector,
 )
-from . import simulate
 from .model import AsymptoticCovariance, ModelParams, kron
-from .simulate import Scheme, SeedLineage, TimeGrid, advance_lanes, log_ndtr
+from .simulate import Scheme, TimeGrid, advance_lanes, log_ndtr
 
 __all__ = [
     "CONFIG_KEYS",
@@ -150,12 +150,6 @@ def _as_int(value) -> int:
         with contextlib.suppress(ValueError):
             return int(value)
     raise ValueError(f"not an integer: {value!r}")
-
-
-def _require_count(value, name: str) -> None:
-    # a bool is refused, not read as 0 or 1
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ConfigParseError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 _PARAM_KEYS = tuple(field.name for field in fields(ModelParams))
@@ -236,13 +230,13 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
-        _require_count(self.replicates, "replicates")
-        SeedLineage(self.master_seed)
-        self.scheme.check(self.params, self.grid.dt)
         # a numpy integer is held as the int it stands for, so that the
         # config echo of report.json serializes it
-        object.__setattr__(self, "replicates", operator.index(self.replicates))
-        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
+        object.__setattr__(self, "replicates",
+                           require_int(self.replicates, "replicates", ConfigParseError, 1))
+        object.__setattr__(self, "master_seed",
+                           require_int(self.master_seed, "master_seed", InvalidSeed))
+        self.scheme.check(self.params, self.grid.dt)
 
     @classmethod
     def from_mapping(cls, mapping) -> "ExperimentConfig":
@@ -367,12 +361,9 @@ class McRun:
 
 
 def _lane_plan(replicates: int, threads: int) -> int:
-    """Lanes per group: split evenly across the threads, no group so wide
-    that the numpy blocks of :func:`advance_lanes` under its element budget
-    would be shorter than one summation tile, and none wider than
-    ``_MAX_LANES``."""
-    return min(-(-replicates // threads), max(1, simulate.BLOCK_ELEMENTS // SUM_TILE),
-               _MAX_LANES)
+    """Lanes per group: split evenly across the threads, and none wider
+    than ``_MAX_LANES``."""
+    return min(-(-replicates // threads), _MAX_LANES)
 
 
 def _run_lanes(config: ExperimentConfig, lo: int, hi: int):
@@ -408,7 +399,7 @@ def _run_lanes(config: ExperimentConfig, lo: int, hi: int):
 def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
     """Run all replicates of an experiment, optionally across threads.
 
-    Replicates are split into lane groups under the element budget, and
+    Replicates are split into lane groups of at most ``_MAX_LANES``, and
     worker threads take whole groups.  Thread count affects wall time only:
     each replicate's noise comes from its own seed lineage, its sums do not
     depend on its group or block length, and groups are merged in index
@@ -422,7 +413,7 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
         AllReplicatesFailed: no replicate produced a usable estimate.
     """
     require_instance(config, ExperimentConfig, "config")
-    _require_count(threads, "threads")
+    require_int(threads, "threads", ConfigParseError, 1)
     lanes = _lane_plan(config.replicates, threads)
     bounds = [
         (lo, min(lo + lanes, config.replicates))
@@ -453,11 +444,15 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
 # moment statistics and normality tests
 
 
-def _require_finite(x: np.ndarray, test: str) -> None:
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NonFiniteSample(f"{test} needs finite observations, got {x[i]} at index {i}")
+def _sample(sample, test: str, least: int, short: type) -> np.ndarray:
+    """A sample of ``test`` as a 1-d float64 array of at least ``least``
+    finite real numbers, else ``InvalidArgument``, ``short`` or
+    ``NonFiniteSample``, naming ``test``."""
+    x = real_array(sample, f"{test} needs a sample of real numbers")
+    if x.ndim != 1 or x.shape[0] < least:
+        raise short(f"{test} needs at least {least} observations")
+    return require_finite(x, NonFiniteSample,
+                          test + " needs finite observations, got {value} at index {i}")
 
 
 def _unit_scaled(sample: np.ndarray) -> np.ndarray:
@@ -527,10 +522,7 @@ def jarque_bera(sample) -> tuple[float, float]:
         InsufficientData: fewer than 8 observations.
         NonFiniteSample: a NaN or infinite observation.
     """
-    x = real_array(sample, "Jarque-Bera needs a sample of real numbers")
-    if x.ndim != 1 or x.shape[0] < 8:
-        raise InsufficientData("Jarque-Bera needs at least 8 observations")
-    _require_finite(x, "Jarque-Bera")
+    x = _sample(sample, "Jarque-Bera", 8, InsufficientData)
     n = x.shape[0]
     g1, g2 = _skew_excess_kurtosis(x)
     if math.isnan(g1):  # a constant sample
@@ -561,8 +553,7 @@ def anderson_darling_pvalue(stat: float, n: int) -> float:
             that is not an integer >= 1, a bool too.
     """
     _require_statistic(stat, "Anderson-Darling")
-    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
-        raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
+    n = require_int(n, "n", InvalidArgument, 1)
     aa = stat * (1.0 + 0.75 / n + 2.25 / (n * n))
     if aa >= 0.6:
         tail = min(aa, _AD_TAIL_VERTEX)
@@ -589,10 +580,7 @@ def anderson_darling(sample) -> tuple[float, float]:
         NonFiniteSample: a NaN or infinite observation.
         TiesDegenerate: a constant sample.
     """
-    x = real_array(sample, "Anderson-Darling needs a sample of real numbers")
-    if x.ndim != 1 or x.shape[0] < 8:
-        raise InsufficientData("Anderson-Darling needs at least 8 observations")
-    _require_finite(x, "Anderson-Darling")
+    x = _sample(sample, "Anderson-Darling", 8, InsufficientData)
     n = x.shape[0]
     # before any moment: the mean of a constant sample need not round back
     # to its value, which would leave a spread of rounding errors
@@ -639,10 +627,7 @@ def histogram_overlay(sample, theoretical_variance: float) -> HistogramOverlay:
             theoretical variance that is not a finite number > 0 (a bool too).
         NonFiniteSample: a NaN or infinite observation.
     """
-    x = real_array(sample, "histogram needs a sample of real numbers")
-    if x.ndim != 1 or x.shape[0] < 2:
-        raise DegenerateSample("histogram needs at least 2 observations")
-    _require_finite(x, "histogram")
+    x = _sample(sample, "histogram", 2, DegenerateSample)
     require_positive(theoretical_variance, "theoretical variance", DegenerateSample)
     if float(np.max(x)) == float(np.min(x)):
         raise DegenerateSample("sample has zero spread")

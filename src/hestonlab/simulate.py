@@ -91,7 +91,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -101,10 +100,10 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
+    INT64_MAX,
     ConfigParseError,
     CsvFormatError,
     FellerViolated,
-    InvalidArgument,
     InvalidGrid,
     InvalidSeed,
     LengthMismatch,
@@ -113,7 +112,9 @@ from .errors import (
     NonFiniteSample,
     NonPositiveZ,
     real_array,
+    require_finite,
     require_instance,
+    require_int,
     require_positive,
 )
 from .model import ModelParams
@@ -157,7 +158,8 @@ class TimeGrid:
 
     Raises:
         InvalidGrid: a horizon that is not a finite number > 0, or a step
-            count that is not a positive integer; a bool is neither.
+            count that is not an integer in [1, ``INT64_MAX - 1``], so that an
+            int64 indexes the points; a bool is neither.
     """
 
     horizon: float
@@ -166,9 +168,11 @@ class TimeGrid:
     def __post_init__(self):
         require_positive(self.horizon, "horizon", InvalidGrid)
         steps = self.steps
-        if isinstance(steps, bool) or not (
-                isinstance(steps, numbers.Real) and steps >= 1 and float(steps).is_integer()):
-            raise InvalidGrid(f"steps must be a positive integer, got {steps!r}")
+        if isinstance(steps, bool) or not (isinstance(steps, numbers.Real)
+                                           and 1 <= steps <= INT64_MAX - 1
+                                           and float(steps).is_integer()):
+            raise InvalidGrid(f"steps must be a positive integer <= {INT64_MAX - 1}, "
+                              f"got {steps!r}")
         object.__setattr__(self, "steps", int(steps))
 
     @property
@@ -255,12 +259,7 @@ def _uint32_words(n, name: str) -> list[int]:
     """The 32-bit words of a seed or replicate index, least significant
     first; one word for 0 (SeedSequence's coercion of an int).  Anything but
     an integer >= 0, a bool too, raises ``InvalidSeed`` naming ``name``."""
-    try:
-        value = -1 if isinstance(n, bool) else operator.index(n)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise InvalidSeed(f"{name} must be an integer >= 0, got {n!r}")
+    value = require_int(n, name, InvalidSeed)
     words = [value & _MASK32]
     value >>= 32
     while value:
@@ -400,6 +399,7 @@ class GaussianDraws:
     """Pair of equal-length standard-normal draw vectors (eta, zeta).
 
     Raises:
+        InvalidArgument: draws that are not real numbers, bools or strs say.
         LengthMismatch: the two are not 1-d arrays of one length.
         NonFiniteSample: a draw is NaN or infinite.
     """
@@ -408,18 +408,13 @@ class GaussianDraws:
     zeta: np.ndarray
 
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        zeta = np.asarray(self.zeta, dtype=float)
+        eta = real_array(self.eta, "eta must hold real numbers")
+        zeta = real_array(self.zeta, "zeta must hold real numbers")
         if eta.ndim != 1 or zeta.ndim != 1 or eta.shape != zeta.shape:
-            raise LengthMismatch(
-                f"eta and zeta must be 1-d arrays of equal length, "
-                f"got shapes {eta.shape} and {zeta.shape}"
-            )
+            raise LengthMismatch(f"eta and zeta must be 1-d arrays of equal length, "
+                                 f"got shapes {eta.shape} and {zeta.shape}")
         for name, draws in (("eta", eta), ("zeta", zeta)):
-            bad = np.flatnonzero(~np.isfinite(draws))
-            if bad.size:
-                raise NonFiniteSample(f"{name}[{bad[0]}] is {float(draws[bad[0]])}, not a finite "
-                                      "draw")
+            require_finite(draws, NonFiniteSample, name + "[{i}] is {value}, not a finite draw")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "zeta", zeta)
 
@@ -569,23 +564,18 @@ _STEPS = {
 
 
 def _check_step(scheme: Scheme, params: ModelParams, state_name: str, state, dt, eta_k):
-    """The constants of one step of ``scheme``, refusing what
-    :func:`step_constants` refuses, then a state or draw that is not a real
-    number or an array of them (``InvalidArgument``): a bool, str or None
-    among them."""
+    """The constants of one step of ``scheme`` and the state and draw as
+    float64 arrays, refusing what :func:`step_constants` refuses, then a
+    state or draw that is not a real number or an array of them
+    (``InvalidArgument``): a bool, str or None among them."""
     k, _ = step_constants(scheme, params, dt)
-    for name, value in ((state_name, state), ("eta_k", eta_k)):
-        if np.asarray(value).dtype.kind not in "iuf":
-            raise InvalidArgument(f"{name} must be a real number or an array of them, "
-                                  f"got {value!r}")
-    return k
+    return k, *(real_array(value, f"{name} must be a real number or an array of them")
+                for name, value in ((state_name, state), ("eta_k", eta_k)))
 
 
 def _one_step(scheme: Scheme, k, state, eta_k):
-    """One step of ``scheme`` on scalars or arrays of one shape."""
-    state, eta_k = np.broadcast_arrays(
-        np.asarray(state, dtype=float), np.asarray(eta_k, dtype=float)
-    )
+    """One step of ``scheme`` on float64 scalars or arrays of one shape."""
+    state, eta_k = np.broadcast_arrays(state, eta_k)
     out = np.empty((1, state.size))
     _STEPS[scheme](k, state.reshape(-1), eta_k.reshape(1, -1), out)
     return out.reshape(state.shape)[()]
@@ -593,14 +583,12 @@ def _one_step(scheme: Scheme, k, state, eta_k):
 
 def step_ave(params: ModelParams, y_prev, dt: float, eta_k):
     """Absolute-value Euler variance step; accepts any real state."""
-    k = _check_step(Scheme.AVE, params, "y_prev", y_prev, dt, eta_k)
-    return _one_step(Scheme.AVE, k, y_prev, eta_k)
+    return _one_step(Scheme.AVE, *_check_step(Scheme.AVE, params, "y_prev", y_prev, dt, eta_k))
 
 
 def step_te(params: ModelParams, y_prev, dt: float, eta_k):
     """Truncated Euler variance step; negative states diffuse with zero volatility."""
-    k = _check_step(Scheme.TE, params, "y_prev", y_prev, dt, eta_k)
-    return _one_step(Scheme.TE, k, y_prev, eta_k)
+    return _one_step(Scheme.TE, *_check_step(Scheme.TE, params, "y_prev", y_prev, dt, eta_k))
 
 
 def step_se(params: ModelParams, y_prev, dt: float, eta_k):
@@ -610,10 +598,10 @@ def step_se(params: ModelParams, y_prev, dt: float, eta_k):
         NegativeInput: if ``y_prev`` is negative (the kernel's square root
             assumes a nonnegative state, which the scheme itself preserves).
     """
-    k = _check_step(Scheme.SE, params, "y_prev", y_prev, dt, eta_k)
-    if np.any(np.asarray(y_prev) < 0.0):
+    k, y, eta = _check_step(Scheme.SE, params, "y_prev", y_prev, dt, eta_k)
+    if np.any(y < 0.0):
         raise NegativeInput(f"symmetrized step expects y_prev >= 0, got {y_prev}")
-    return _one_step(Scheme.SE, k, y_prev, eta_k)
+    return _one_step(Scheme.SE, k, y, eta)
 
 
 def step_desre(params: ModelParams, z_prev, dt: float, eta_k):
@@ -623,10 +611,10 @@ def step_desre(params: ModelParams, z_prev, dt: float, eta_k):
         FellerViolated: unless a > sigma1^2/2.
         NonPositiveZ: if ``z_prev`` is not strictly positive.
     """
-    k = _check_step(Scheme.DESRE, params, "z_prev", z_prev, dt, eta_k)
-    if np.any(np.asarray(z_prev) <= 0.0):
+    k, z, eta = _check_step(Scheme.DESRE, params, "z_prev", z_prev, dt, eta_k)
+    if np.any(z <= 0.0):
         raise NonPositiveZ(f"explicit square-root step needs z_prev > 0, got {z_prev}")
-    return _one_step(Scheme.DESRE, k, z_prev, eta_k)
+    return _one_step(Scheme.DESRE, k, z, eta)
 
 
 def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
@@ -639,8 +627,7 @@ def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
         FellerViolated: unless a > sigma1^2/2.
         InvalidGrid: unless 2 + b*dt > 0.
     """
-    k = _check_step(Scheme.DISRE, params, "z_prev", z_prev, dt, eta_k)
-    return _one_step(Scheme.DISRE, k, z_prev, eta_k)
+    return _one_step(Scheme.DISRE, *_check_step(Scheme.DISRE, params, "z_prev", z_prev, dt, eta_k))
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -752,27 +739,12 @@ def price_block(
 # whole-path simulation
 
 
-def _require(**arguments) -> None:
-    """Refuse (``InvalidArgument``) an argument of a path function that is of another type."""
-    kinds = {"params": ModelParams, "grid": TimeGrid, "scheme": Scheme, "draws": GaussianDraws,
-             "lineage": SeedLineage}
-    for name, value in arguments.items():
-        require_instance(value, kinds[name], name)
-
-
-def _finite(name: str, path: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(path)
-    if not finite.all():
-        raise NonFinitePath(f"{name} is not finite at grid index {int(np.argmin(finite))}")
-    return path
-
-
 def _variance_path(y: np.ndarray, aborted: int) -> np.ndarray:
     """A lane's variance points, unless it aborted (at grid index ``aborted``) or is not finite."""
     if aborted:
         raise NonPositiveZ(
             f"square-root state hit zero at grid index {int(aborted)}", step=int(aborted))
-    return _finite("Y", y)
+    return require_finite(y, NonFinitePath, "Y is not finite at grid index {i}")
 
 
 def simulate_y(
@@ -793,8 +765,10 @@ def simulate_y(
     """
     from .kernel import lane_kernel  # kernel imports this module
 
-    _require(params=params, grid=grid, scheme=scheme, draws=draws)
-    if len(draws) != grid.steps:
+    require_instance(params, ModelParams, "params")
+    require_instance(grid, TimeGrid, "grid")
+    require_instance(scheme, Scheme, "scheme")
+    if len(require_instance(draws, GaussianDraws, "draws")) != grid.steps:
         raise LengthMismatch(f"draws provide {len(draws)} steps, grid has {grid.steps}")
     kernel = lane_kernel()
     if kernel is None:
@@ -814,21 +788,22 @@ def simulate_x(
     schemes that can go negative remain usable.
 
     Raises:
-        InvalidArgument: an argument of another type, such as None.
+        InvalidArgument: an argument of another type, or not of real numbers.
         LengthMismatch: if ``y_path`` does not have steps+1 points or the
             draws do not provide steps values per stream.
         NonFinitePath: X is not finite, for example where ``y_path`` is not;
             names the first grid index at which it is not finite.
     """
-    _require(params=params, grid=grid, draws=draws)
-    y_path = np.asarray(y_path, dtype=float)
+    require_instance(params, ModelParams, "params")
+    require_instance(grid, TimeGrid, "grid")
+    require_instance(draws, GaussianDraws, "draws")
+    y_path = real_array(y_path, "y_path must hold real numbers")
     if y_path.shape != (grid.steps + 1,):
-        raise LengthMismatch(
-            f"y_path has {y_path.shape[0]} points, grid wants {grid.steps + 1}"
-        )
+        raise LengthMismatch(f"y_path has shape {y_path.shape}, grid wants ({grid.steps + 1},)")
     if len(draws) != grid.steps:
         raise LengthMismatch(f"draws provide {len(draws)} steps, grid has {grid.steps}")
-    return _finite("X", price_block(params, grid.dt, y_path, draws.eta, draws.zeta, params.x0))
+    return require_finite(price_block(params, grid.dt, y_path, draws.eta, draws.zeta, params.x0),
+                          NonFinitePath, "X is not finite at grid index {i}")
 
 
 @dataclass(frozen=True)
@@ -840,7 +815,7 @@ class XYPath:
 
     Raises:
         InvalidArgument / LengthMismatch: a grid, a scheme (other than None)
-            or paths of another type or length.
+            or paths of another type or length, or not of real numbers.
     """
 
     grid: TimeGrid
@@ -849,16 +824,14 @@ class XYPath:
     scheme: Scheme | None = None
 
     def __post_init__(self):
-        _require(grid=self.grid)
+        require_instance(self.grid, TimeGrid, "grid")
         if self.scheme is not None:
-            _require(scheme=self.scheme)
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+            require_instance(self.scheme, Scheme, "scheme")
+        y = real_array(self.y, "y must hold real numbers")
+        x = real_array(self.x, "x must hold real numbers")
         want = self.grid.steps + 1
         if y.shape != (want,) or x.shape != (want,):
-            raise LengthMismatch(
-                f"paths must have {want} points, got y:{y.shape} x:{x.shape}"
-            )
+            raise LengthMismatch(f"paths must have {want} points, got y:{y.shape} x:{x.shape}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
@@ -874,7 +847,10 @@ def simulate_xy(
         FellerViolated / InvalidGrid / NonPositiveZ / NonFinitePath: as
             :func:`simulate_y` and :func:`simulate_x`.
     """
-    _require(params=params, grid=grid, scheme=scheme, lineage=lineage)
+    require_instance(params, ModelParams, "params")
+    require_instance(grid, TimeGrid, "grid")
+    require_instance(scheme, Scheme, "scheme")
+    require_instance(lineage, SeedLineage, "lineage")
     return next(_lane_paths(params, grid, scheme, lineage.master_seed, [lineage.replicate]))
 
 
@@ -893,11 +869,11 @@ def simulate_paths(
             :func:`simulate_xy`, for the first failing replicate, once those
             before it are yielded.
     """
-    _require(params=params, grid=grid, scheme=scheme)
-    SeedLineage(master_seed)
-    if isinstance(replicates, bool) or not (
-            isinstance(replicates, numbers.Integral) and replicates >= 0):
-        raise ConfigParseError(f"replicates must be an integer >= 0, got {replicates!r}")
+    require_instance(params, ModelParams, "params")
+    require_instance(grid, TimeGrid, "grid")
+    require_instance(scheme, Scheme, "scheme")
+    require_int(master_seed, "master_seed", InvalidSeed)
+    require_int(replicates, "replicates", ConfigParseError)
     return _lane_paths(params, grid, scheme, master_seed, range(replicates))
 
 
@@ -913,8 +889,8 @@ def _lane_paths(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_seed
         aborted, _ = advance_lanes(params, grid, scheme, master_seed, group, (y, x))
         # no array of this group outlives it: a yielded path owns its rows
         for r in range(len(group)):
-            yield XYPath(grid, _variance_path(y[r], aborted[r]).copy(), _finite("X", x[r]).copy(),
-                         scheme)
+            yield XYPath(grid, _variance_path(y[r], aborted[r]).copy(), require_finite(
+                x[r], NonFinitePath, "X is not finite at grid index {i}").copy(), scheme)
         del y, x
 
 

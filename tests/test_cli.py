@@ -540,6 +540,16 @@ def test_mc_refuses_a_bad_thread_count(tmp_path, config_file, capsys):
     assert "ConfigParseError: threads must be an integer >= 1, got 0" in captured.err
 
 
+def test_mc_refuses_a_step_count_whose_points_an_int64_cannot_index(tmp_path, capsys):
+    """2^64 + 1000 steps, which the kernel's int64 would read as 1000."""
+    out = tmp_path / "rep"
+    assert main(["mc", "--preset", "desk", "--set", "N=18446744073709552616", "--set", "T=1e17",
+                 "--set", "replicates=20", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: InvalidGrid: steps must be a positive integer <= ")
+
+
 @pytest.mark.parametrize("value", ["abc", "inf", "nan", "0", "-1"])
 def test_estimate_refuses_a_bad_sigma1(tmp_path, capsys, value):
     f = tmp_path / "fixture.csv"

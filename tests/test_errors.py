@@ -1,0 +1,58 @@
+"""The rulebook for bad input: the ``hestonlab.errors`` helpers that the
+package's entry points take their integers and arrays through."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+import hestonlab as hl
+from hestonlab.errors import INT64_MAX, real_array, require_finite, require_int
+
+
+@pytest.mark.parametrize("value, minimum", [
+    (0, 0), (7, 1), (2**70, 0), (np.int64(3), 1), (np.uint64(2**64 - 1), 0), (np.int8(-2), -2),
+])
+def test_require_int_gives_the_int_of_an_integer_in_range(value, minimum):
+    got = require_int(value, "n", hl.InvalidArgument, minimum)
+    assert type(got) is int and got == int(value)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 2.0, 2.5, "3", None, -1, np.int64(-1)],
+                         ids=repr)
+def test_require_int_refuses_a_bool_a_non_integer_or_one_below_the_minimum(value):
+    with pytest.raises(hl.InvalidSeed,
+                       match=f"^seed must be an integer >= 0, got {re.escape(repr(value))}$"):
+        require_int(value, "seed", hl.InvalidSeed)
+
+
+def test_require_int_refuses_one_above_the_maximum():
+    assert require_int(INT64_MAX, "steps", ValueError, maximum=INT64_MAX) == 2**63 - 1
+    with pytest.raises(ValueError, match=rf"^steps must be an integer <= {INT64_MAX}, got "):
+        require_int(INT64_MAX + 1, "steps", ValueError, maximum=INT64_MAX)
+
+
+@pytest.mark.parametrize("values", [[1, 2], [0.5], np.arange(3, dtype=np.uint8), 2.0, [[1.0]]],
+                         ids=repr)
+def test_real_array_takes_integers_and_floats_as_float64(values):
+    got = real_array(values, "x must hold real numbers")
+    assert got.dtype == np.float64 and got.tolist() == np.asarray(values, dtype=float).tolist()
+
+
+@pytest.mark.parametrize("values", [
+    ["0.2", "0.3"], "abc", [True, False], np.ones(2, dtype=bool), [None, 1.0], [1j, 2.0],
+    [2**70, 1], [[1.0, 2.0], [3.0]],
+], ids=repr)
+def test_real_array_refuses_other_than_integers_and_floats(values):
+    with pytest.raises(hl.InvalidArgument, match="^x must hold real numbers: "):
+        real_array(values, "x must hold real numbers")
+
+
+def test_require_finite_names_the_first_bad_entry():
+    x = np.array([0.0, 1.0, math.inf, math.nan])
+    with pytest.raises(hl.NonFiniteSample, match=r"^x\[2\] is inf$"):
+        require_finite(x, hl.NonFiniteSample, "x[{i}] is {value}")
+    head = x[:2]
+    assert require_finite(head, hl.NonFiniteSample, "") is head
+

@@ -464,7 +464,9 @@ def test_the_discrete_routes_refuse_non_finite_samples(bad):
         hl.lse_discrete_alphabeta(np.array([0.2, 0.25, 0.3, 0.35, 0.2]), y, 0.1)
 
 
-@pytest.mark.parametrize("bad", [["a"] * 5, "abcde"], ids=repr)
+@pytest.mark.parametrize("bad", [
+    ["a"] * 5, "abcde", ["0.2", "0.25", "0.3", "0.35", "0.2"], [True, False] * 3,
+], ids=repr)
 def test_the_discrete_routes_refuse_samples_of_other_than_numbers(bad):
     good = [0.2, 0.25, 0.3, 0.35, 0.2]
     for name, call in (("y", lambda: hl.lse_discrete_ab(bad, 0.1)),
@@ -473,8 +475,14 @@ def test_the_discrete_routes_refuse_samples_of_other_than_numbers(bad):
                        ("y", lambda: hl.ls_objective((0.4, 0.3, 0.1, 0.15), bad, good, 0.1)),
                        ("x", lambda: hl.ls_objective((0.4, 0.3, 0.1, 0.15), good, bad, 0.1))):
         with pytest.raises(hl.InvalidArgument,
-                           match=f"^{name}_samples must hold real numbers: could not convert"):
+                           match=f"^{name}_samples must hold real numbers: got values of dtype "):
             call()
+
+
+@pytest.mark.parametrize("x", [[0.1, 0.2], 5.0], ids=repr)
+def test_the_discrete_routes_refuse_samples_of_another_length(x):
+    with pytest.raises(hl.LengthMismatch, match=r"^y and x must have equal length, got shapes"):
+        hl.lse_discrete_alphabeta([0.2, 0.25, 0.3], x, 0.1)
 
 
 @pytest.mark.parametrize("series, index", [("y", 3), ("x", 0)])

@@ -765,24 +765,30 @@ def test_the_loader_caches_one_build_per_source(lane_kernel, tmp_path, monkeypat
     assert len(list(cache.iterdir())) == 2
 
 
-def test_a_changed_numpy_archive_is_built_afresh(lane_kernel, tmp_path, monkeypatch):
-    """Another numpy's sampler archive is another library, as after an
-    upgrade."""
+def test_a_changed_numpy_archive_reuses_the_build(lane_kernel, tmp_path, monkeypatch):
+    """The compile reads kernel.c alone, so another numpy's sampler archive,
+    as after an upgrade, loads the cached library, whose draws the check
+    then holds to the tables read from the new archive."""
     cache, archive = tmp_path / "cache", tmp_path / "libnpyrandom.a"
     archive.write_bytes(kernel.NPYRANDOM.read_bytes())
     monkeypatch.setattr(kernel, "CACHE_DIR", cache)
     monkeypatch.setattr(kernel, "NPYRANDOM", archive)
     kernel.load()
     [first] = cache.iterdir()
-    # one more archive member, which the link does not use
+    # one more archive member
     data = archive.read_bytes()
     note = b"changed\n"
     header = b"%-16s%-12s%-6s%-6s%-8s%-10s`\n" % (
         b"note.txt/", b"0", b"0", b"0", b"644", str(len(note)).encode())
     archive.write_bytes(data + b"\n" * (len(data) % 2) + header + note)
-    rebuilt = kernel.load()
-    assert len(list(cache.iterdir())) == 2 and first.is_file()
-    drawn_against_given(NEAR_ZERO, 0.1, hl.Scheme.DISRE, 3, 300, k=rebuilt)
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    reused = kernel.load()
+    assert list(cache.iterdir()) == [first]
+    drawn_against_given(NEAR_ZERO, 0.1, hl.Scheme.DISRE, 3, 300, k=reused)
 
 
 def test_threads_that_ask_at_once_share_one_build(lane_kernel, tmp_path, monkeypatch):
@@ -816,7 +822,9 @@ def test_draws_and_streams_that_disagree_are_refused(lane_kernel):
             lane_kernel(p, 0.1, hl.Scheme.DISRE, eta, zeta)
     streams = hl.lane_seeds(1, range(4))
     before = streams.copy()
-    for lanes, steps in ((streams, -1), (streams, 2.0), (streams, True),
+    # 2^64 + 1000 steps, which ctypes would pass to the kernel as 1000
+    for lanes, steps in ((streams, -1), (streams, 2.0), (streams, True), (streams, 2**63),
+                         (streams, 2**64 + 1000),
                          (np.concatenate([streams, streams[:, :, :1]], axis=2), 10),
                          (streams.astype(np.int64), 10), (streams[::-1], 10),
                          (hl.lane_generators(1, range(4)), 10)):

@@ -84,8 +84,8 @@ def test_numpy_integer_seed_and_count_are_stored_as_ints(tmp_path):
     numpy_ints = small_config(grid=grid, replicates=np.int64(20), master_seed=np.int64(7))
     assert type(numpy_ints.replicates) is int and type(numpy_ints.master_seed) is int
     assert numpy_ints == plain
-    for name, cfg in (("plain", plain), ("numpy", numpy_ints)):
-        hl.write_report(tmp_path / name, hl.run_replicates(cfg))
+    for name, cfg, threads in (("plain", plain, 2), ("numpy", numpy_ints, np.int64(2))):
+        hl.write_report(tmp_path / name, hl.run_replicates(cfg, threads=threads))
     files = sorted(f.name for f in (tmp_path / "plain").iterdir())
     assert files == sorted(f.name for f in (tmp_path / "numpy").iterdir())
     for name in files:
@@ -202,19 +202,22 @@ def run_record(run):
 
 
 def test_results_do_not_depend_on_lane_groups_blocks_or_threads(monkeypatch):
-    """Two element budgets (8 lanes x 128 steps and 24 lanes x 640 steps, so
-    different lane groups and block boundaries) and 1 or 2 threads give the
-    same bits, aborted lanes included."""
-    plans = []
-    for budget in (1 << 10, 1 << 14):
+    """Two lane caps and element budgets (8 lanes x 128 steps and 24 lanes x
+    640 steps, so different lane groups and block boundaries) and 1 or 2
+    threads give the same bits, aborted lanes included."""
+    plans = [(1 << 10, 8), (1 << 14, mc._MAX_LANES)]
+
+    def use(budget, cap):
         monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(mc, "_MAX_LANES", cap)
         lanes = mc._lane_plan(24, 1)
-        plans.append((lanes, simulate._block_steps(lanes)))
-    assert plans == [(8, 128), (24, 640)]
+        return lanes, simulate._block_steps(lanes)
+
+    assert [use(*plan) for plan in plans] == [(8, 128), (24, 640)]
     for cfg in (small_config(replicates=24), edge_config()):
         records = []
-        for budget in (1 << 10, 1 << 14):
-            monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", budget)
+        for plan in plans:
+            use(*plan)
             for threads in (1, 2):
                 records.append(run_record(hl.run_replicates(cfg, threads=threads)))
         assert all(rec == records[0] for rec in records[1:])
@@ -470,6 +473,7 @@ def test_pvalues_refuse_a_statistic_that_is_not_a_number_above_zero(stat):
 def test_anderson_darling_pvalue_refuses_a_sample_size_below_one(n):
     with pytest.raises(hl.InvalidArgument, match="^n must be an integer >= 1"):
         hl.anderson_darling_pvalue(1.0, n)
+    assert hl.anderson_darling_pvalue(1.0, np.int64(20)) == hl.anderson_darling_pvalue(1.0, 20)
 
 
 def test_anderson_darling_published_pvalue_points():
@@ -586,7 +590,8 @@ def test_statistics_refuse_a_non_finite_sample(statistic, bad):
     (lambda x: hl.histogram_overlay(x, 1.0), "histogram"),
 ], ids=["jarque_bera", "anderson_darling", "histogram_overlay"])
 def test_statistics_refuse_a_sample_of_other_than_numbers(statistic, test):
-    for sample in (["a"] * 20, "abc"):
+    numeric_strs = [str(0.1 * i * i) for i in range(20)]
+    for sample in (["a"] * 20, "abc", numeric_strs, [True, False] * 10):
         with pytest.raises(hl.InvalidArgument, match=f"^{test} needs a sample of real numbers: "):
             statistic(sample)
     assert issubclass(hl.InvalidArgument, ValueError)

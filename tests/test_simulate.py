@@ -69,11 +69,19 @@ def test_time_grid_rejects_bad_inputs(horizon, steps):
 @pytest.mark.parametrize("horizon,steps", [
     (math.nan, 10), (math.inf, 10), (5.0, math.nan), (5.0, math.inf), (5.0, 2.5), (5.0, "10"),
     (True, 10), (np.True_, 10), (1.0, True), (1.0, np.True_),
+    # N + 1 points that an int64 cannot index
+    (1.0, 2**63 - 1), (1.0, 10**30), (1.0, 1e30), (1.0, 2**64 + 1000),
 ])
 def test_time_grid_rejects_non_finite_and_fractional_inputs(horizon, steps):
     with pytest.raises(hl.InvalidGrid):
         hl.TimeGrid(horizon, steps)
     assert issubclass(hl.InvalidGrid, hl.HestonLabError)
+
+
+def test_time_grid_takes_the_most_steps_whose_points_an_int64_indexes():
+    assert hl.TimeGrid(1.0, 2**63 - 2).steps == 2**63 - 2
+    with pytest.raises(hl.InvalidGrid, match=f"^steps must be a positive integer <= {2**63 - 2}, "):
+        hl.TimeGrid(1.0, 2**63 - 1)
 
 
 def test_time_grid_stores_integral_steps_as_int():
@@ -562,8 +570,20 @@ def test_correlated_noise_identity():
 
 def test_simulate_x_length_mismatch():
     grid = hl.TimeGrid(1.0, 10)
-    with pytest.raises(hl.LengthMismatch):
-        hl.simulate_x(P, grid, np.ones(10), zero_draws(10))
+    for y_path in (np.ones(10), 0.2):
+        with pytest.raises(hl.LengthMismatch, match=r"^y_path has shape \("):
+            hl.simulate_x(P, grid, y_path, zero_draws(10))
+
+
+def test_draws_and_paths_of_bools_or_strs_are_refused():
+    """numpy would read them as numbers."""
+    with pytest.raises(hl.InvalidArgument, match="^eta must hold real numbers: "):
+        hl.GaussianDraws([True, False], [False, True])
+    grid = hl.TimeGrid(1.0, 2)
+    with pytest.raises(hl.InvalidArgument, match="^y must hold real numbers: "):
+        hl.XYPath(grid, ["0.2", "0.3", "0.25"], ["0", "0.1", "0.2"])
+    with pytest.raises(hl.InvalidArgument, match="^y_path must hold real numbers: "):
+        hl.simulate_x(P, grid, ["0.2", "0.3", "0.25"], zero_draws(2))
 
 
 # ---------------------------------------------------------------------------
