@@ -6,9 +6,11 @@ Validation-style failures additionally derive from ``ValueError``.
 
 The rules for arguments are written once, here, and each caller names the
 argument and its error: :func:`require_instance` (an object of a type),
+:func:`is_real` (a real number, finite unless asked otherwise, not a bool),
 :func:`require_positive` (a finite real number > 0), :func:`require_int` (an
 integer in a range, not a bool), :func:`real_array` (an array of integers or
-floats, as float64) and :func:`require_finite` (no NaN or infinite entry).
+floats, as float64, with no bool among them) and :func:`require_finite` (no
+NaN or infinite entry).
 """
 
 import math
@@ -38,9 +40,22 @@ def require_instance(value, kind, name: str):
     return value
 
 
+def is_real(value, finite: bool = True) -> bool:
+    """Whether ``value`` is a real number, and a finite one unless
+    ``finite`` is False; a bool, which arithmetic reads as 0 or 1, is not,
+    nor is an int beyond the doubles where a finite one is asked for."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return not finite or math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def real_array(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, unless numpy reads them as other than
-    integers or floats (bools, strs, objects) or not at all: then
+    integers or floats (bools, strs, objects) or not at all, or they hold a
+    bool among numbers, which numpy reads as 0 or 1: then
     ``InvalidArgument``, ``what`` and the reason."""
     try:
         array = np.asarray(values)
@@ -48,6 +63,11 @@ def real_array(values, what: str) -> np.ndarray:
         raise InvalidArgument(f"{what}: {exc}") from None
     if array.dtype.kind not in "iuf":
         raise InvalidArgument(f"{what}: got values of dtype {array.dtype}")
+    # an array of numbers holds no bool; only a sequence can mix them in
+    if not isinstance(values, np.ndarray) and array.ndim:
+        kinds = set(map(type, np.asarray(values, dtype=object).ravel().tolist()))
+        if bool in kinds or np.bool_ in kinds:
+            raise InvalidArgument(f"{what}: got a bool among numbers")
     return array.astype(float, copy=False)
 
 
@@ -81,7 +101,7 @@ def require_int(value, name: str, error: type, minimum: int = 0,
 def require_positive(value, name: str, error: type) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is a finite real
     number > 0; a bool is not."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+    if not (is_real(value, finite=False) and 0.0 < value < math.inf):
         raise error(f"{name} must be a finite number > 0, got {value!r}")
 
 

@@ -29,7 +29,6 @@ Monte Carlo run's R replicates (columns of length R).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -45,6 +44,7 @@ from .errors import (
     NonPositiveSigma,
     NonPositiveZ,
     PathTooShort,
+    is_real,
     real_array,
     require_finite,
     require_instance,
@@ -286,8 +286,7 @@ def _check_samples(y_samples, x_samples) -> tuple[np.ndarray, np.ndarray]:
 def _drift_values(values, name: str) -> list[float]:
     """Floats of a sequence of four finite real numbers (no bool), else ``InvalidArgument``."""
     items = list(values) if isinstance(values, (list, tuple)) or np.ndim(values) == 1 else []
-    if len(items) != 4 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                                  and math.isfinite(v) for v in items):
+    if len(items) != 4 or not all(map(is_real, items)):
         raise InvalidArgument(f"{name} must be four finite real numbers (a, b, alpha, beta), "
                               f"got {values!r}")
     return [float(v) for v in items]

@@ -44,9 +44,14 @@
  *
  * hl_format_rows writes a table's cells as Python's '%.17g' and '%d' do,
  * byte for byte, and hl_parse_rows reads CSV lines of the strict form it
- * writes as float() and int() do; each returns -1 for what it does not
- * take, and hestonlab.simulate's Python codec then takes the whole call.
- * Neither keeps any state between calls.
+ * writes as float() and int() do, in as many rows as hl_count_lines
+ * counts; each returns -1 for what it does not take, and
+ * hestonlab.simulate's Python codec then takes the whole call.  Both work
+ * on one table of 128-bit powers of ten, which hestonlab.kernel passes in:
+ * the writer by Loitsch's method, the reader by Clinger's exact path and
+ * Eisel and Lemire's method; each leaves to glibc's snprintf or strtod the
+ * few cells that the table's truncation could tip.  None keeps any state
+ * between calls.
  *
  * hl_log_ndtr gives log Phi of each of n values with the bits of
  * hestonlab.simulate's Python loop, through libm's erfc, log1p and log,
@@ -692,24 +697,150 @@ static int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-/* A float cell at p, -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?: its value as
- * strtod reads it into *value, and its end, or NULL.  The cell runs to the
- * first character outside [0-9eE+-] that is not a point before a digit;
- * strtod must read all of it, which leaves out the rest of what the grammar
- * refuses ("1e", "1e5e5", "1-2", "1.5.5"), and in a locale whose decimal
- * point is not '.', every cell with a point. */
-static const char *read_float(const char *p, double *value)
+/* The most significant digits a float cell's mantissa takes: 10^19 - 1 < 2^64 */
+#define MAX_DIGITS 19
+
+/* 10^0 to 10^22, each a double exactly, for Clinger's exact path */
+static const double EXACT_POW10[23] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                                       1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                                       1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* The units of a product's top 128 bits next to one half within which the
+   reader leaves it to strtod: the true value lies in [T, T + 2) of them
+   (eisel_lemire), and in [T - 1, T + 3) were every mantissa of the table a
+   unit off */
+#define READ_WINDOW 3
+
+/* Whether the 8 bytes at p are all digits, and then their value into *v,
+ * all at once, as Lemire's fast_float reads them: each byte's high nibble
+ * must be 3 and its low one at most 9, then pairs, quads and the whole are
+ * joined by multiplications.  Little-endian bytes only; elsewhere it
+ * returns 0, and the caller reads the digits one at a time. */
+static int eight_digits(const char *p, uint64_t *v)
 {
-    const char *cell = p;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    const uint64_t high = 0xF0F0F0F0F0F0F0F0ULL, low = 0x000000FF000000FFULL;
+    uint64_t x;
+    memcpy(&x, p, sizeof x);
+    if (((x & high) | (((x + 0x0606060606060606ULL) & high) >> 4)) != 0x3333333333333333ULL)
+        return 0;
+    x -= 0x3030303030303030ULL;
+    x = x * 10 + (x >> 8);
+    *v = ((x & low) * (100 + (1000000ULL << 32)) + ((x >> 16) & low) * (1 + (10000ULL << 32)))
+         >> 32;
+    return 1;
+#else
+    (void)p;
+    (void)v;
+    return 0;
+#endif
+}
+
+/* The double nearest w * 10^q, for 0 < w < 10^19, into *value, by Eisel and
+ * Lemire's method on row q of the writer's table: 10^q truncated to M * 2^E.
+ * With w shifted left to its top bit, W, the 192-bit product P = W * M is
+ * exact, and the true value lies in [P, P + W) units of 2^(E - shift): its
+ * top 128 bits T, from bit 126 or 127 down, lie in [T, T + 2).  The top 53
+ * bits of T are the mantissa and the f bits below them its fraction,
+ * rounded down where f is READ_WINDOW units or more below one half, and up
+ * where it is that far above: a value that the interval carries into the
+ * next mantissa lies next to it, and rounds to it either way.  Returns -1
+ * for strtod to decide, an exact or near tie, or where the result is not a
+ * normal double. */
+static int eisel_lemire(uint64_t w, int q, const uint64_t *pow10, double *value)
+{
+    const uint64_t *row = pow10 + 3 * (q - POW10_MIN);
+    int shift = __builtin_clzll(w);
+    uint64_t top_w = w << shift, m, bits;
+    u128 top = (u128)top_w * row[0] + (((u128)top_w * row[1]) >> 64);
+    int fb = (int)(top >> 127) + 74; /* the fraction's bits: T >= 2^126 */
+    u128 one = (u128)1 << fb, half = one >> 1, f = top & (one - 1);
+    int64_t e = fb + 64 + (int64_t)row[2] - shift; /* the mantissa's unit, 2^e */
+    m = (uint64_t)(top >> fb);
+    if (f + READ_WINDOW > half) {
+        if (f < half + READ_WINDOW)
+            return -1;
+        if (++m == 1ULL << 53) {
+            m >>= 1;
+            e++;
+        }
+    }
+    /* m * 2^e, m in [2^52, 2^53): the biased exponent e + 1075 */
+    if (e + 1075 < 1 || e + 1075 > 2046)
+        return -1;
+    bits = (uint64_t)(e + 1075) << 52 | (m & 0x000fffffffffffffULL);
+    memcpy(value, &bits, sizeof bits);
+    return 0;
+}
+
+/* A float cell at p, -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?: its value as
+ * float() reads it into *value, and its end, or NULL where the grammar does
+ * not take it (then "1e", "-", ".5"; and "1e5e5", "1-2", "1.5.5" or "5."
+ * end where the caller finds no separator).  Its significant digits, at
+ * most MAX_DIGITS, make w and q, the value w * 10^q: zero where w is;
+ * Clinger's exact path where w < 2^53 and |q| <= 22, one correctly rounded
+ * IEEE multiplication or division of doubles that hold w and 10^|q|
+ * exactly; eisel_lemire where q is in the table.  strtod reads the rest:
+ * more digits, q outside the table, and what eisel_lemire leaves; in a
+ * locale whose decimal point is not '.', its end pointer then falls short
+ * of the cell's end, which refuses the cell. */
+static const char *read_float(const char *p, const char *end, const uint64_t *pow10,
+                              double *value)
+{
+    const char *cell = p, *start;
     char *stop;
-    if (*p == '-')
-        p++;
+    int negative = *p == '-';
+    int64_t digits, q = 0;
+    uint64_t w = 0;
+    double v;
+    p += negative;
     if (!is_digit(*p))
         return NULL;
-    for (;; p++)
-        if (!(is_digit(*p) || *p == 'e' || *p == 'E' || *p == '+' || *p == '-'
-              || (*p == '.' && is_digit(p[1]))))
-            break;
+    while (*p == '0')
+        p++;
+    for (start = p; is_digit(*p); p++)
+        w = w * 10 + (uint64_t)(*p - '0');
+    digits = p - start;
+    if (*p == '.' && is_digit(p[1])) {
+        const char *point = ++p;
+        uint64_t eight;
+        if (digits == 0)
+            while (*p == '0')
+                p++;
+        /* eight at a time while they stay in the text */
+        for (start = p; end - p >= 8 && eight_digits(p, &eight); p += 8)
+            w = w * 100000000 + eight;
+        for (; is_digit(*p); p++)
+            w = w * 10 + (uint64_t)(*p - '0');
+        digits += p - start;
+        q = -(int64_t)(p - point);
+    }
+    if (*p == 'e' || *p == 'E') {
+        int negative_exp = p[1] == '-';
+        int64_t x = 0;
+        p += 1 + (p[1] == '-' || p[1] == '+');
+        if (!is_digit(*p))
+            return NULL;
+        for (; is_digit(*p); p++)
+            if (x < 100000) /* far outside the table already */
+                x = x * 10 + (*p - '0');
+        q += negative_exp ? -x : x;
+    }
+    if (digits <= MAX_DIGITS) {
+        if (w == 0) {
+            *value = negative ? -0.0 : 0.0;
+            return p;
+        }
+        if (w < (1ULL << 53) && q >= -22 && q <= 22) {
+            v = q < 0 ? (double)w / EXACT_POW10[-q] : (double)w * EXACT_POW10[q];
+            *value = negative ? -v : v;
+            return p;
+        }
+        if (q >= POW10_MIN && q <= POW10_MAX && !eisel_lemire(w, (int)q, pow10, &v)) {
+            *value = negative ? -v : v;
+            return p;
+        }
+    }
     *value = strtod(cell, &stop);
     return stop == p ? p : NULL;
 }
@@ -730,22 +861,51 @@ static const char *read_int(const char *p, double *value)
     return p;
 }
 
+/* The lines of text[0..len-1]: its '\n' bytes, and one more where the text
+ * does not end with one; the rows hl_parse_rows takes.  Eight bytes at a
+ * time: a byte of the word XOR eight newlines is zero where the text holds
+ * '\n', and each zero byte adds 1 to its byte of acc, which 255 words do
+ * not overflow; then acc's bytes are summed in 16-bit lanes.  Not memchr:
+ * one more libc import shifts the code after it, and hl_lane_block's draws
+ * ran about 7% slower 16 bytes further on. */
+int64_t hl_count_lines(const char *text, int64_t len)
+{
+    const uint64_t ones = 0x0101010101010101ULL, low7 = ones * 0x7f;
+    const uint64_t pairs = 0x00ff00ff00ff00ffULL;
+    int64_t n = 0, i = 0, k;
+    while (len - i >= 8) {
+        uint64_t acc = 0, w;
+        for (k = 0; k < 255 && len - i >= 8; k++, i += 8) {
+            memcpy(&w, text + i, sizeof w);
+            w ^= ones * '\n';
+            /* the high bit of each byte set where the byte is not zero */
+            acc += ~(((w & low7) + low7) | w) >> 7 & ones;
+        }
+        acc = (acc & pairs) + (acc >> 8 & pairs);
+        n += (int64_t)((acc * 0x0001000100010001ULL) >> 48);
+    }
+    for (; i < len; i++)
+        n += text[i] == '\n';
+    return n + (len > 0 && text[len - 1] != '\n');
+}
+
 /* The cells of `rows` CSV lines of text[0..len-1], which a NUL must follow,
  * into out, (cols, rows) row-major: column c read as float() reads it
- * (kinds[c] = CELL_FLOAT) or as int() does (CELL_INT).  The text must be
- * `rows` lines, each ended by '\n' but the last, which may end the text,
- * each of `cols` cells split by ',' and each cell of its kind's grammar
- * (read_float, read_int): no space, no blank line and no '\r'.  Returns 0,
- * or -1 where the text is not so, and the caller reads it itself. */
+ * (kinds[c] = CELL_FLOAT) or as int() does (CELL_INT).  pow10 is the
+ * writer's table of 10^q.  The text must be `rows` lines, each ended by
+ * '\n' but the last, which may end the text, each of `cols` cells split by
+ * ',' and each cell of its kind's grammar (read_float, read_int): no space,
+ * no blank line and no '\r'.  Returns 0, or -1 where the text is not so,
+ * and the caller reads it itself. */
 int64_t hl_parse_rows(const char *text, int64_t len, int64_t rows, int64_t cols,
-                      const int64_t *kinds, double *out)
+                      const int64_t *kinds, const uint64_t *pow10, double *out)
 {
     const char *p = text, *end = text + len;
     int64_t r, c;
     for (r = 0; r < rows; r++)
         for (c = 0; c < cols; c++) {
             p = kinds[c] == CELL_INT ? read_int(p, out + c * rows + r)
-                                     : read_float(p, out + c * rows + r);
+                                     : read_float(p, end, pow10, out + c * rows + r);
             if (p == NULL)
                 return -1;
             if (*p == (c + 1 < cols ? ',' : '\n'))

@@ -27,9 +27,9 @@ The library also holds the fast route of the CSV codec of
 writes '%.17g' and '%d' cells, byte for byte as Python's % does, and
 :meth:`LaneKernel.parse_rows` reads lines of the strict form that writer
 makes, as ``float()`` and ``int()`` do, or each returns None for the Python
-codec to take the call.  The writer multiplies by powers of ten of 128 bits,
-which :func:`load` computes with exact integers (``_pow10_table``) and
-passes to each call.  And :meth:`LaneKernel.log_ndtr` gives the bits of
+codec to take the call.  Both multiply by powers of ten of 128 bits, which
+:func:`load` computes with exact integers (``_pow10_table``) and passes to
+each call.  And :meth:`LaneKernel.log_ndtr` gives the bits of
 :func:`~hestonlab.simulate.log_ndtr_scalar`, the normality test's log Phi,
 for :func:`~hestonlab.simulate.log_ndtr`.
 
@@ -40,9 +40,10 @@ with a small reader of ``ar`` archives and ELF64 objects, and passes them to
 each call.  After opening the kernel it draws one small lane group both ways,
 in the kernel and through ``draw_normals``, and refuses a kernel whose bits
 or stream states differ; then it writes a fixed set of values through the
-codec and with %, and reads them back, and refuses a kernel whose bytes or
-bits differ; last it takes a grid over both tails through log Phi in the
-kernel and in Python, and refuses a kernel whose bits differ.
+codec and with %, reads them back, and reads a set of hard cells
+(``_CHECK_READS``) in the kernel and with ``float()``, and refuses a kernel
+whose bytes or bits differ; last it takes a grid over both tails through
+log Phi in the kernel and in Python, and refuses a kernel whose bits differ.
 
 The kernel is built the first time a run, a path, the CSV codec or log Phi
 asks for it, never at import, with the system C compiler (``cc``) and the
@@ -246,15 +247,18 @@ def load() -> "LaneKernel":
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 2 + [
         ctypes.c_void_p] * 13
     format_rows, parse_rows = lib.hl_format_rows, lib.hl_parse_rows
-    format_rows.restype = parse_rows.restype = ctypes.c_int64
+    count_lines = lib.hl_count_lines
+    format_rows.restype = parse_rows.restype = count_lines.restype = ctypes.c_int64
     format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] + [
         ctypes.c_void_p] * 3
     # a bytes object, whose buffer a NUL ends
-    parse_rows.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
+    parse_rows.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
+    count_lines.argtypes = [ctypes.c_char_p, ctypes.c_int64]
     log_ndtr = lib.hl_log_ndtr
     log_ndtr.restype = None
     log_ndtr.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    kernel = LaneKernel(fn, tables, format_rows, parse_rows, _pow10_table(), log_ndtr)
+    kernel = LaneKernel(fn, tables, format_rows, parse_rows, count_lines, _pow10_table(),
+                        log_ndtr)
     _check_draws(kernel)
     _check_codec(kernel)
     _check_log_ndtr(kernel)
@@ -325,20 +329,48 @@ _CHECK_FLOATS = (1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, 1e-5, 1e-4, 9.9999999999999
                  -1.7976931348623157e308, 123456.789, -0.41552999999999998, 2000.0, 1e23)
 _CHECK_INTS = (0.0, -0.0, 1.0, -1.0, 1e15 - 1, 1 - 1e15, 1e14, 999.0)
 
+# The cells load() reads in the kernel and with float(), which take every
+# way of the reader: zeros; Clinger's exact path, up to 2^53 - 1 and
+# 10^+-22; Eisel-Lemire past them (2^53, 10^-23, 10^-300, the largest
+# double), rounding down, up, and up into the next power of two; 19 digits
+# there, and 20 or more for strtod; exact ties (10^23, 2^53 + 1, 2^52 + 1/2,
+# 2^63 + 1024), which it leaves to strtod, and cells a unit beside them; and
+# cells past the table or the normal doubles, which strtod reads: the first
+# past the largest double, the smallest normal and the doubles just below
+# it, subnormals, underflow and overflow
+_CHECK_READS = (
+    "0", "-0", "0.000e-5", "0e999",
+    "9007199254740991", "-9007199254740991", "1e22", "1e-22", "4.35e-22",
+    "9007199254740992", "1e23", "1e-23", "0.10000000000000001", "-0.41552999999999998",
+    "9.9999999999999999e22", "1.2345678901234567e-300", "9007199254740991.9",
+    "-9007199254740991.5", "1234567890123456789", "9999999999999999999",
+    "12345678901234567890", "1.00000000000000011102230246251565404236316680908203125",
+    "9007199254740993", "-9007199254740993", "9007199254740995", "9007199254740994",
+    "4503599627370496.5", "4503599627370497.5", "4503599627370496.4999",
+    "9223372036854776832", "9223372036854776833",
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+    "2.2250738585072014e-308", "2.2250738585072011e-308", "2.2250738585072012e-308",
+    "4.9406564584124654e-324", "2.4703282292062328e-324", "1e-400", "1e400", "-1e400",
+    "1e-300", "1e345")
+
 
 def _check_codec(kernel: "LaneKernel") -> None:
     """Write the check values in the kernel and with '%', then read the
     kernel's text back: the same bytes, then the same bits; and 2^53 - 1
-    written as '%d', 2^53 refused.  Else RuntimeError."""
+    written as '%d', 2^53 refused; and read the check cells with the bits
+    of float().  Else RuntimeError."""
     rows = np.array([(v, _CHECK_INTS[i % len(_CHECK_INTS)])
                      for i, v in enumerate(_CHECK_FLOATS)])
     text = kernel.format_rows(rows, ("%.17g", "%d"))
     want = ("%.17g,%d\n" * len(rows)) % tuple(rows.ravel().tolist())
     back = kernel.parse_rows(text or "", (float, int))
+    read = kernel.parse_rows("\n".join(_CHECK_READS), (float,))
     if (text != want or back is None or back[0].tobytes() != rows[:, 0].tobytes()
             or back[1].tolist() != rows[:, 1].astype(np.int64).tolist()
             or kernel.format_rows(np.array([[2.0 ** 53 - 1]]), ("%d",)) != "9007199254740991\n"
-            or kernel.format_rows(np.array([[2.0 ** 53]]), ("%d",)) is not None):
+            or kernel.format_rows(np.array([[2.0 ** 53]]), ("%d",)) is not None
+            or read is None or read[0].tobytes() != np.array(
+                [float(cell) for cell in _CHECK_READS]).tobytes()):
         raise RuntimeError("the lane kernel's CSV codec differs from Python's '%.17g', "
                            "'%d', float() and int()")
 
@@ -396,14 +428,15 @@ class LaneKernel:
     of given draws, for ``simulate_y``, and :meth:`draw` through normals it
     draws from streams it seeds itself, for ``advance_lanes``."""
 
-    def __init__(self, fn, tables: np.ndarray, format_fn, parse_fn, pow10: np.ndarray,
-                 log_ndtr_fn):
+    def __init__(self, fn, tables: np.ndarray, format_fn, parse_fn, count_fn,
+                 pow10: np.ndarray, log_ndtr_fn):
         self.fn = fn
         # numpy's ziggurat tables, (3, 256) uint64, which each drawing call reads
         self.tables = tables
         self.format_fn = format_fn
         self.parse_fn = parse_fn
-        # the powers of ten that format_rows passes to the writer
+        self.count_fn = count_fn
+        # the powers of ten that format_rows and parse_rows pass to the codec
         self.pow10 = pow10
         self.log_ndtr_fn = log_ndtr_fn
 
@@ -439,7 +472,9 @@ class LaneKernel:
 
     def parse_rows(self, text: str, kinds) -> list[np.ndarray] | None:
         """One column per kind, ``int`` or ``float``, of CSV lines, each
-        cell read as the kind reads it: float64 and int64 arrays.
+        cell read as the kind reads it: float64 and int64 arrays.  A float
+        cell gets the bits ``float()`` gives it: most through the writer's
+        powers of ten (``hl_parse_rows``), the rest through ``strtod``.
 
         None where the kernel does not read them: another kind, no line, a
         character that is not ASCII, or text outside the strict grammar of
@@ -455,10 +490,11 @@ class LaneKernel:
             data = text.encode("ascii")
         except UnicodeEncodeError:
             return None
-        rows = data.count(b"\n") + (not data.endswith(b"\n"))
+        rows = self.count_fn(data, len(data))
         out = np.empty((len(codes), rows))
         if self.parse_fn(data, len(data), rows, len(codes),
-                         np.array(codes, dtype=np.int64).ctypes.data, out.ctypes.data):
+                         np.array(codes, dtype=np.int64).ctypes.data, self.pow10.ctypes.data,
+                         out.ctypes.data):
             return None
         return [column if kind is float else column.astype(np.int64)
                 for kind, column in zip(kinds, out)]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,6 +37,7 @@ from .errors import (
     NotSubcritical,
     OutsideDomain,
     RhoOutOfRange,
+    is_real,
     real_array,
     require_instance,
 )
@@ -59,8 +59,7 @@ __all__ = [
 
 
 def _require_finite_value(value, name: str) -> None:
-    # a bool is refused, not read as 0 or 1
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    if not is_real(value):
         raise InvalidParams(f"{name} must be a finite number, got {value!r}")
 
 
@@ -155,7 +154,7 @@ def stationary_laplace(params: ModelParams, lam: float) -> float:
     _require_subcritical(params, "stationary_laplace")
     s1sq = params.sigma1 * params.sigma1
     value = math.inf
-    if not isinstance(lam, bool) and isinstance(lam, numbers.Real) and math.isfinite(lam):
+    if is_real(lam):
         # base > 0 is lam > -2b/sigma1^2, as rounded
         base = 1.0 + s1sq * float(lam) / (2.0 * params.b)
         if base > 0.0:
@@ -210,11 +209,11 @@ def _interval(s, t) -> float:
     """t - s, for a finite s and t with t >= s; else ``InvalidGrid``, which
     names an s or t that is not a real number, a bool too."""
     for name, value in (("s", s), ("t", t)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not is_real(value, finite=False):
             raise InvalidGrid(f"{name} must be a real number, got {value!r}")
     if not t >= s:
         raise InvalidGrid(f"need t >= s, got s={s}, t={t}")
-    if not (math.isfinite(s) and math.isfinite(t)):
+    if not (is_real(s) and is_real(t)):
         raise InvalidGrid(f"s and t must be finite numbers, got s={s}, t={t}")
     return t - s
 

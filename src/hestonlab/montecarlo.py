@@ -76,6 +76,7 @@ from .errors import (
     InvalidSeed,
     NonFiniteSample,
     TiesDegenerate,
+    is_real,
     real_array,
     require_finite,
     require_instance,
@@ -230,6 +231,8 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
+        for name, kind in (("params", ModelParams), ("grid", TimeGrid), ("scheme", Scheme)):
+            require_instance(getattr(self, name), kind, name)
         # a numpy integer is held as the int it stands for, so that the
         # config echo of report.json serializes it
         object.__setattr__(self, "replicates",
@@ -499,7 +502,7 @@ def _skew_excess_kurtosis(sample: np.ndarray) -> tuple[float, float]:
 def _require_statistic(stat, test: str) -> None:
     """Refuse (``InvalidArgument``) a statistic that is not a real number >= 0,
     NaN and a bool among them; +inf is the limit of a statistic."""
-    if isinstance(stat, bool) or not (isinstance(stat, numbers.Real) and stat >= 0.0):
+    if not (is_real(stat, finite=False) and stat >= 0.0):
         raise InvalidArgument(f"{test} statistic must be a number >= 0, got {stat!r}")
 
 

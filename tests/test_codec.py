@@ -5,6 +5,7 @@ as the reference here."""
 import copy
 import hashlib
 import math
+import re
 import subprocess
 from fractions import Fraction
 
@@ -126,13 +127,9 @@ def test_the_test_values_reach_every_branch_of_the_writer():
     assert {-5, -4, 16, 17} <= {decimal_exponent(v) for v in near}
 
 
-def test_the_fast_path_decides_no_cell_the_tables_error_could_tip(codec):
-    """With every mantissa of the table one unit lower or higher, an error
-    in 10^q near 2^-127 of it, the writer gives the same bytes: a tie is
-    left to snprintf, not rounded from an inexact product."""
-    values = np.concatenate([exact_ties(), near_powers_of_ten(), kernel._CHECK_FLOATS,
-                             families(2_000).ravel()]).reshape(-1, 1)
-    want = python_lines(values, ("%.17g",))
+def moved_tables(codec):
+    """The codec with every mantissa of its table one unit lower, then one
+    unit higher: an error in 10^q near 2^-127 of it."""
     table = codec.pow10
     mantissas = (table[:, 0].astype(object) << 64) | table[:, 1].astype(object)
     for step in (-1, 1):
@@ -141,7 +138,145 @@ def test_the_fast_path_decides_no_cell_the_tables_error_could_tip(codec):
         shifted.pow10 = np.column_stack([
             np.array([m >> 64 for m in moved], dtype=np.uint64),
             np.array([m & (2 ** 64 - 1) for m in moved], dtype=np.uint64), table[:, 2]])
+        yield shifted
+
+
+def test_the_fast_path_decides_no_cell_the_tables_error_could_tip(codec):
+    """With every mantissa of the table one unit off, the writer gives the
+    same bytes: a tie is left to snprintf, not rounded from an inexact
+    product."""
+    values = np.concatenate([exact_ties(), near_powers_of_ten(), kernel._CHECK_FLOATS,
+                             families(2_000).ravel()]).reshape(-1, 1)
+    want = python_lines(values, ("%.17g",))
+    for shifted in moved_tables(codec):
         assert shifted.format_rows(values, ("%.17g",)) == want
+
+
+# the units next to one half in which kernel.c's eisel_lemire leaves a
+# product to strtod (READ_WINDOW)
+READ_WINDOW = 3
+
+
+def reader_way(cell: str, table):
+    """The way kernel.c's read_float takes a float cell, worked on exact
+    integers from the same table, and the double it gives: "zero",
+    "clinger" (exact doubles), or Eisel-Lemire's "down", "up" or "carry"
+    (up into the next power of two); or, with None, why strtod reads it:
+    "digits" (over 19), "range" (10^q outside the table), "window" (a tie
+    or a near one) or "not normal"."""
+    whole, frac, exp = re.fullmatch(r"-?(\d+)(?:\.(\d+))?(?:[eE]([+-]?\d+))?", cell).groups()
+    frac = frac or ""
+    digits = (whole + frac).lstrip("0")
+    w, q = int(digits or "0"), int(exp or 0) - len(frac)
+    sign = -1.0 if cell.startswith("-") else 1.0
+    if len(digits) > 19:
+        return "digits", None
+    if w == 0:
+        return "zero", sign * 0.0
+    if w < 2 ** 53 and -22 <= q <= 22:
+        return "clinger", sign * (w * 10.0 ** q if q >= 0 else w / 10.0 ** -q)
+    if not kernel._POW10_MIN <= q <= kernel._POW10_MAX:
+        return "range", None
+    high, low, e = (int(v) for v in table[q - kernel._POW10_MIN])
+    shift = 64 - w.bit_length()
+    top = ((w << shift) * ((high << 64) | low)) >> 64
+    bits = top.bit_length() - 53
+    mantissa, f = top >> bits, top & ((1 << bits) - 1)
+    half, e = 1 << (bits - 1), bits + 64 + (e - 2 ** 64 if e >> 63 else e) - shift
+    way = "down"
+    if f + READ_WINDOW > half:
+        if f < half + READ_WINDOW:
+            return "window", None
+        mantissa, way = mantissa + 1, "up"
+        if mantissa == 2 ** 53:
+            mantissa, e, way = mantissa >> 1, e + 1, "carry"
+    if not 1 <= e + 1075 <= 2046:
+        return "not normal", None
+    return way, sign * math.ldexp(mantissa, e)
+
+
+def reading_ties():
+    """Decimal cells of at most 19 digits that lie halfway between two
+    doubles, of both signs: odd multiples of 2^(j - 1) beside doubles of
+    53 bits times 2^j, for j = -3..10, which strtod rounds to even, each
+    also written in the exponent form, and the cells a unit in the last
+    digit beside them, which the fast path decides."""
+    rng = np.random.default_rng(23)
+    cells = []
+    for j in range(-3, 11):
+        for m in rng.integers(2 ** 52, 2 ** 53, 6).tolist():
+            tie = Fraction(2 * m + 1) * Fraction(2) ** (j - 1)
+            places = max(0, 1 - j)
+            digits = str(int(tie * 10 ** places))
+            for n in (int(digits), int(digits) - 1, int(digits) + 1):
+                text = str(n)
+                point = f"{text[:-places]}.{text[-places:]}" if places else text
+                exponent = f"{text[0]}.{text[1:]}e{len(text) - 1 - places}"
+                cells += [point, "-" + point, exponent]
+    return cells
+
+
+def test_the_reader_gives_float_bits_on_every_way_it_goes(codec):
+    """load()'s check cells and the reading ties take each way of
+    read_float, and every decided cell's double is float()'s, in the model
+    and in the kernel."""
+    cells = [*kernel._CHECK_READS, *reading_ties()]
+    ways = [reader_way(cell, codec.pow10) for cell in cells]
+    assert {way for way, _ in ways} == {"zero", "clinger", "down", "up", "carry", "digits",
+                                        "range", "window", "not normal"}
+    for cell, (way, value) in zip(cells, ways):
+        assert value is None or math.copysign(1.0, value) == math.copysign(1.0, float(cell))
+        assert value is None or value == float(cell), cell
+    ties = [cell for cell, (way, _) in zip(cells, ways) if way == "window"]
+    assert len(ties) > 200
+    got = codec.parse_rows("\n".join(cells), (float,))[0]
+    assert got.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+
+
+def test_the_line_count_is_that_of_the_newlines(codec):
+    """Each length up to 40 and a long text, with runs of newlines long
+    enough to fill every byte of the counter's words, and a last line with
+    or without its newline."""
+    rng = np.random.default_rng(5)
+    texts = [b"\n" * 5000, b"x" * 5000, b"\n" * 2041 + b"1", b""]
+    texts += [bytes(rng.choice([10, 44, 48], n, p=[0.3, 0.3, 0.4]).astype(np.uint8))
+              for n in [*range(1, 41), 10_007]]
+    for data in texts:
+        want = data.count(b"\n") + (bool(data) and not data.endswith(b"\n"))
+        assert codec.count_fn(data, len(data)) == want
+
+
+def test_the_reader_decides_no_cell_the_tables_error_could_tip(codec):
+    """With every mantissa of the table one unit off, the reader gives the
+    bits of float() still, on the writer's test values in '%.17g' and
+    shorter forms, the reading ties and load()'s check cells: a tie is left
+    to strtod, not rounded from an inexact product."""
+    values = np.concatenate([exact_ties(), near_powers_of_ten(), kernel._CHECK_FLOATS,
+                             families(2_000).ravel()])
+    cells = [fmt % v for fmt in ("%.17g", "%.16g", "%.15g", "%.12g")
+             for v in values.tolist()] + reading_ties() + list(kernel._CHECK_READS)
+    text = "\n".join(cells)
+    want = np.array([float(cell) for cell in cells]).tobytes()
+    for shifted in moved_tables(codec):
+        assert shifted.parse_rows(text, (float,))[0].tobytes() == want
+
+
+def test_a_reader_that_misreads_a_check_cell_fails_the_loaders_check(codec, monkeypatch):
+    """Row -23 of the table off in a high bit, which no check value of the
+    writer uses: the kernel reads 1e-23 as another double, load() refuses
+    it, and runs take the Python codec."""
+    table = kernel._pow10_table()
+    table[-23 - kernel._POW10_MIN, 0] ^= np.uint64(1 << 60)
+    broken = copy.copy(codec)
+    broken.pow10 = table
+    rows = np.array(kernel._CHECK_FLOATS).reshape(-1, 1)
+    assert broken.format_rows(rows, ("%.17g",)) == python_lines(rows, ("%.17g",))
+    assert broken.parse_rows("1e-23", (float,))[0][0] != 1e-23
+    monkeypatch.setattr(kernel, "_pow10_table", lambda: table)
+    with pytest.raises(RuntimeError, match="CSV codec differs"):
+        kernel.load()
+    monkeypatch.setattr(kernel, "_loaded", [])
+    assert kernel.lane_kernel() is None
 
 
 def test_ints_round_trip(codec):

@@ -3,12 +3,13 @@ package's entry points take their integers and arrays through."""
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hestonlab as hl
-from hestonlab.errors import INT64_MAX, real_array, require_finite, require_int
+from hestonlab.errors import INT64_MAX, is_real, real_array, require_finite, require_int
 
 
 @pytest.mark.parametrize("value, minimum", [
@@ -33,6 +34,21 @@ def test_require_int_refuses_one_above_the_maximum():
         require_int(INT64_MAX + 1, "steps", ValueError, maximum=INT64_MAX)
 
 
+@pytest.mark.parametrize("value, finite", [
+    (0.5, True), (-3, True), (np.float64(2.0), True), (np.int8(-2), True), (Fraction(1, 3), True),
+    (math.inf, False), (-math.inf, False), (math.nan, False), (10**400, False),
+], ids=repr)
+def test_is_real_takes_a_real_number_finite_where_asked(value, finite):
+    assert is_real(value, finite=False)
+    assert is_real(value) == finite
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, 1j, [1.0], np.array([1.0])],
+                         ids=repr)
+def test_is_real_refuses_a_bool_or_other_than_a_real_number(value):
+    assert not is_real(value) and not is_real(value, finite=False)
+
+
 @pytest.mark.parametrize("values", [[1, 2], [0.5], np.arange(3, dtype=np.uint8), 2.0, [[1.0]]],
                          ids=repr)
 def test_real_array_takes_integers_and_floats_as_float64(values):
@@ -42,7 +58,8 @@ def test_real_array_takes_integers_and_floats_as_float64(values):
 
 @pytest.mark.parametrize("values", [
     ["0.2", "0.3"], "abc", [True, False], np.ones(2, dtype=bool), [None, 1.0], [1j, 2.0],
-    [2**70, 1], [[1.0, 2.0], [3.0]],
+    [2**70, 1], [[1.0, 2.0], [3.0]], [True, 0.5], [0.5, np.True_], [[1.0], [False]],
+    (1, True),
 ], ids=repr)
 def test_real_array_refuses_other_than_integers_and_floats(values):
     with pytest.raises(hl.InvalidArgument, match="^x must hold real numbers: "):

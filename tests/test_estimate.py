@@ -508,7 +508,8 @@ def test_estimate_record_refuses_what_is_not_an_estimate(three_point):
 BAD_DRIFTS = [[1.0], (0.4, 0.3, 0.1), (0.4, 0.3, 0.1, 0.15, 0.0), (math.nan, 0.3, 0.1, 0.15),
               (0.4, math.inf, 0.1, 0.15), (0.4, 0.3, -math.inf, 0.15), (0.4, 0.3, 0.1, True),
               (0.4, "0.3", 0.1, 0.15), (0.4, 0.3, None, 0.15), "abcd", None, 0.4,
-              np.zeros((4, 1)), np.zeros((2, 2)), np.array(0.4), {0.4, 0.3, 0.1, 0.15}]
+              np.zeros((4, 1)), np.zeros((2, 2)), np.array(0.4), {0.4, 0.3, 0.1, 0.15},
+              (0.4, 0.3, 0.1, 10**400)]
 
 
 @pytest.mark.parametrize("candidate", BAD_DRIFTS, ids=repr)

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -46,6 +47,31 @@ def lane_kernel_or_skip():
 @pytest.fixture
 def lane_kernel():
     return lane_kernel_or_skip()
+
+
+@pytest.fixture(scope="module")
+def one_build(tmp_path_factory):
+    """The kernel library, compiled once, in a cache of its own, for the
+    loader tests below that compile into fresh caches."""
+    lane_kernel_or_skip()
+    cache = tmp_path_factory.mktemp("one-build")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernel, "CACHE_DIR", cache)
+        kernel.load()
+    [library] = cache.glob("kernel-*.so")
+    return library
+
+
+@pytest.fixture
+def copy_build(one_build, monkeypatch):
+    """A compiler that copies one_build's library to the file the loader
+    asks for: the loader's own steps run, around a compile that costs no
+    time."""
+    def compile_by_copy(argv, **kwargs):
+        shutil.copyfile(one_build, argv[argv.index("-o") + 1])
+        return subprocess.CompletedProcess(argv, 0, b"", b"")
+
+    monkeypatch.setattr(subprocess, "run", compile_by_copy)
 
 
 def bits(a):
@@ -706,8 +732,8 @@ def check_layers():
 
 
 @pytest.mark.parametrize("table", [0, 1, 2], ids=kernel._TABLE_SYMBOLS)
-def test_a_flipped_table_entry_fails_the_loaders_check(lane_kernel, tmp_path, monkeypatch,
-                                                      capfd, table):
+def test_a_flipped_table_entry_fails_the_loaders_check(lane_kernel, copy_build, tmp_path,
+                                                      monkeypatch, capfd, table):
     """ki's tail layer set to take every point as inside, one wi entry's
     exponent bit, and the fi entry of a layer whose wedge the check takes:
     the kernel draws other normals, and load() refuses it."""
@@ -733,7 +759,7 @@ def test_a_log_phi_that_moves_a_bit_fails_the_loaders_check(lane_kernel, monkeyp
         kernel.load()
 
 
-def test_the_loader_caches_one_build_per_source(lane_kernel, tmp_path, monkeypatch):
+def test_the_loader_caches_one_build_per_source(lane_kernel, copy_build, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setattr(kernel, "CACHE_DIR", cache)
     kernel.load()
@@ -765,7 +791,8 @@ def test_the_loader_caches_one_build_per_source(lane_kernel, tmp_path, monkeypat
     assert len(list(cache.iterdir())) == 2
 
 
-def test_a_changed_numpy_archive_reuses_the_build(lane_kernel, tmp_path, monkeypatch):
+def test_a_changed_numpy_archive_reuses_the_build(lane_kernel, copy_build, tmp_path,
+                                                  monkeypatch):
     """The compile reads kernel.c alone, so another numpy's sampler archive,
     as after an upgrade, loads the cached library, whose draws the check
     then holds to the tables read from the new archive."""
@@ -791,7 +818,8 @@ def test_a_changed_numpy_archive_reuses_the_build(lane_kernel, tmp_path, monkeyp
     drawn_against_given(NEAR_ZERO, 0.1, hl.Scheme.DISRE, 3, 300, k=reused)
 
 
-def test_threads_that_ask_at_once_share_one_build(lane_kernel, tmp_path, monkeypatch):
+def test_threads_that_ask_at_once_share_one_build(lane_kernel, copy_build, tmp_path,
+                                                   monkeypatch):
     monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "cache")
     monkeypatch.setattr(kernel, "_loaded", [])
     compiles = []
@@ -862,7 +890,7 @@ def test_each_kernel_entry_takes_the_arguments_load_declares(monkeypatch):
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"the lane kernel does not build here: {e}")
     declared = {fn.__name__: len(fn.argtypes)
-                for fn in (k.fn, k.format_fn, k.parse_fn, k.log_ndtr_fn)}
+                for fn in (k.fn, k.format_fn, k.parse_fn, k.count_fn, k.log_ndtr_fn)}
     assert declared == exported_parameter_counts(kernel.SOURCE.read_text())
 
 

@@ -42,6 +42,8 @@ def test_valid_params_construct():
     ("y0", 0.0, hl.NonPositiveY0),
     ("y0", -0.2, hl.NonPositiveY0),
     *[(field, value, hl.InvalidParams) for field in sorted(CANON) for value in (True, np.True_)],
+    # an int beyond the doubles, on which math.isfinite raises OverflowError
+    ("b", 10**400, hl.InvalidParams),
 ])
 def test_invalid_params_rejected(field, value, exc):
     with pytest.raises(exc):
@@ -226,8 +228,9 @@ def test_conditional_means_refuse_a_backward_or_nan_interval():
             hl.conditional_mean_y(p, 0.2, s, t)
         with pytest.raises(hl.InvalidGrid, match="need t >= s"):
             hl.conditional_mean_x(p, 0.2, 0.1, s, t)
-    # an infinite end point: inf - inf is NaN, and t = inf gives NaN for X
-    for s, t in ((math.inf, math.inf), (-math.inf, 0.0), (0.0, math.inf)):
+    # an infinite end point: inf - inf is NaN, and t = inf gives NaN for X;
+    # and an int beyond the doubles
+    for s, t in ((math.inf, math.inf), (-math.inf, 0.0), (0.0, math.inf), (0.0, 10**400)):
         with pytest.raises(hl.InvalidGrid, match="finite"):
             hl.conditional_mean_y(p, 0.2, s, t)
         with pytest.raises(hl.InvalidGrid, match="finite"):

@@ -59,6 +59,17 @@ def test_config_validation():
     small_config(params=tight, scheme=hl.Scheme.TE)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("params", None), ("params", "canonical"), ("grid", None), ("grid", "100,1000"),
+    ("scheme", None), ("scheme", "DISRE"),
+], ids=repr)
+def test_config_refuses_a_params_grid_or_scheme_of_another_type(name, value):
+    """InvalidArgument naming the field, not an AttributeError from the
+    scheme's check."""
+    with pytest.raises(hl.InvalidArgument, match=f"^{name} must be an? [A-Z]"):
+        small_config(**{name: value})
+
+
 def test_config_rejections_name_the_field():
     for bad in (0, 2.5):
         with pytest.raises(hl.ConfigParseError, match="replicates"):
@@ -591,7 +602,7 @@ def test_statistics_refuse_a_non_finite_sample(statistic, bad):
 ], ids=["jarque_bera", "anderson_darling", "histogram_overlay"])
 def test_statistics_refuse_a_sample_of_other_than_numbers(statistic, test):
     numeric_strs = [str(0.1 * i * i) for i in range(20)]
-    for sample in (["a"] * 20, "abc", numeric_strs, [True, False] * 10):
+    for sample in (["a"] * 20, "abc", numeric_strs, [True, False] * 10, [True, 0.5] * 10):
         with pytest.raises(hl.InvalidArgument, match=f"^{test} needs a sample of real numbers: "):
             statistic(sample)
     assert issubclass(hl.InvalidArgument, ValueError)

@@ -579,6 +579,9 @@ def test_draws_and_paths_of_bools_or_strs_are_refused():
     """numpy would read them as numbers."""
     with pytest.raises(hl.InvalidArgument, match="^eta must hold real numbers: "):
         hl.GaussianDraws([True, False], [False, True])
+    # a bool among numbers, which numpy reads as a float
+    with pytest.raises(hl.InvalidArgument, match="^eta must hold real numbers: "):
+        hl.GaussianDraws([True, 0.5], [0.0, 0.0])
     grid = hl.TimeGrid(1.0, 2)
     with pytest.raises(hl.InvalidArgument, match="^y must hold real numbers: "):
         hl.XYPath(grid, ["0.2", "0.3", "0.25"], ["0", "0.1", "0.2"])
@@ -1028,7 +1031,8 @@ def test_the_step_loop_and_the_price_step_refuse_a_bad_dt(scheme, dt):
 
 @pytest.mark.parametrize("step", STEPS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("state, eta", [("a", 0.0), (None, 0.0), (True, 0.0), (0.3, "x"),
-                                        (0.3, None), (0.3, False), ([0.3, "a"], 0.0)])
+                                        (0.3, None), (0.3, False), ([0.3, "a"], 0.0),
+                                        ([True, 0.5], 0.0), (0.3, [0.5, np.False_])])
 def test_a_step_refuses_a_state_or_draw_that_is_not_real(step, state, eta):
     with pytest.raises(hl.InvalidArgument, match="y_prev|z_prev|eta_k") as caught:
         step(P, state, 0.01, eta)
