@@ -21,6 +21,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -100,7 +101,10 @@ def cmd_estimate(path_csv, sigma1: float | None = None) -> dict:
 # argument parsing and dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing keeps no state between calls,
+    each of which makes a new namespace."""
     parser = argparse.ArgumentParser(
         prog="heston-lab",
         description="Simulation and drift-estimation experiments for a "

@@ -224,3 +224,7 @@ class CsvFormatError(HestonLabError, ValueError):
 
 class ReportNotFound(HestonLabError, FileNotFoundError):
     """An experiment directory, or a report file in it, does not exist."""
+
+
+class PathFileNotFound(HestonLabError, FileNotFoundError):
+    """A path CSV file does not exist."""

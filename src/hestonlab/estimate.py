@@ -51,7 +51,7 @@ from .errors import (
     require_positive,
 )
 from .model import ModelParams
-from .simulate import Scheme, TimeGrid, XYPath
+from .simulate import Scheme, TimeGrid, XYPath, fold_path
 
 __all__ = [
     "SUM_TILE",
@@ -250,7 +250,9 @@ def path_functionals(path: XYPath) -> PathFunctionals:
     """Compute every functional of a path needed downstream, in one pass.
 
     The path is folded as a single block of :class:`PathSums`, the reducer
-    that Monte Carlo runs feed block by block, so both give the same bits.
+    that Monte Carlo runs feed block by block, so both give the same bits:
+    by :func:`~hestonlab.simulate.fold_path`, in one call of the compiled
+    kernel where it loads.
 
     Raises:
         InvalidArgument: ``path`` is not an :class:`XYPath`, which has at
@@ -261,9 +263,7 @@ def path_functionals(path: XYPath) -> PathFunctionals:
     require_instance(path, XYPath, "path")
     for name, values in (("Y", path.y), ("X", path.x)):
         require_finite(values, NonFinitePath, name + " is not finite at grid index {i}")
-    sums = PathSums(path.y[:1], path.x[:1])
-    sums.fold(path.y[None, :], path.x[None, :])
-    f = sums.functionals(path.grid)
+    f = fold_path(path.y, path.x).functionals(path.grid)
     return replace(f, **{name: float(getattr(f, name)[0]) for name in _COLUMNS})
 
 

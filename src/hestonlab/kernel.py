@@ -19,17 +19,25 @@ the bits of the numpy pipeline (:func:`~hestonlab.simulate.lane_generators`,
 :func:`~hestonlab.simulate.price_block` and ``PathSums.fold`` a tile at a
 time), which runs instead where the kernel does not load.  The kernel runs
 without the interpreter lock, since ``ctypes`` releases the lock for the
-call, so worker threads advance their groups in parallel.
+call, so worker threads advance their groups in parallel.  And
+:meth:`LaneKernel.fold` folds one given path into a fresh
+:class:`~hestonlab.estimate.PathSums` through the same tile fold, in one call,
+with the bits of ``PathSums.fold``, for
+:func:`~hestonlab.estimate.path_functionals` (by
+:func:`~hestonlab.simulate.fold_path`).
 
 The library also holds the fast route of the CSV codec of
-:func:`~hestonlab.simulate.format_csv` and
-:func:`~hestonlab.simulate.parse_csv`: :meth:`LaneKernel.format_rows`
-writes '%.17g' and '%d' cells, byte for byte as Python's % does, and
+:func:`~hestonlab.simulate.format_csv`, :func:`~hestonlab.simulate.write_csv`
+and :func:`~hestonlab.simulate.parse_csv`: :meth:`LaneKernel.format_rows`
+and :meth:`LaneKernel.format_columns` write '%.17g' and '%d' cells, byte
+for byte as Python's % does, the latter from separate columns and after a
+header into one buffer that a file takes as it is, and
 :meth:`LaneKernel.parse_rows` reads lines of the strict form that writer
-makes, as ``float()`` and ``int()`` do, or each returns None for the Python
-codec to take the call.  Both multiply by powers of ten of 128 bits, which
-:func:`load` computes with exact integers (``_pow10_table``) and passes to
-each call.  And :meth:`LaneKernel.log_ndtr` gives the bits of
+makes, as ``float()`` and ``int()`` do, from a str or from the bytes of a
+file where they lie, or each returns None for the Python codec to take the
+call.  Both multiply by powers of ten of 128 bits, which :func:`load`
+computes with exact integers (``_pow10_table``) and passes to each call.
+And :meth:`LaneKernel.log_ndtr` gives the bits of
 :func:`~hestonlab.simulate.log_ndtr_scalar`, the normality test's log Phi,
 for :func:`~hestonlab.simulate.log_ndtr`.
 
@@ -37,13 +45,15 @@ The ziggurat's three tables are numpy's own: :func:`load` reads them from
 numpy's ``libnpyrandom.a`` (``NPYRANDOM``), the static library of its
 samplers, where they are local symbols of one member (``_TABLE_MEMBER``),
 with a small reader of ``ar`` archives and ELF64 objects, and passes them to
-each call.  After opening the kernel it draws one small lane group both ways,
-in the kernel and through ``draw_normals``, and refuses a kernel whose bits
-or stream states differ; then it writes a fixed set of values through the
-codec and with %, reads them back, and reads a set of hard cells
-(``_CHECK_READS``) in the kernel and with ``float()``, and refuses a kernel
-whose bytes or bits differ; last it takes a grid over both tails through
-log Phi in the kernel and in Python, and refuses a kernel whose bits differ.
+each call.  After opening the kernel it folds one short path both ways, in
+the kernel and by ``PathSums.fold``, and refuses a kernel whose sums
+differ; it draws one small lane group both ways, in the kernel and through
+``draw_normals``, and refuses a kernel whose bits or stream states differ;
+then it writes a fixed set of values through the codec and with %, reads
+them back, and reads a set of hard cells (``_CHECK_READS``) in the kernel
+and with ``float()``, and refuses a kernel whose bytes or bits differ; last
+it takes a grid over both tails through log Phi in the kernel and in
+Python, and refuses a kernel whose bits differ.
 
 The kernel is built the first time a run, a path, the CSV codec or log Phi
 asks for it, never at import, with the system C compiler (``cc``) and the
@@ -232,8 +242,9 @@ def load() -> "LaneKernel":
         OSError: no compiler, no numpy archive or no ziggurat tables in
             it, a compile that fails or runs over 120 s, an unusable cache
             or a library that does not load.
-        RuntimeError: the kernel's draws or stream states differ from
-            numpy's, or its CSV codec or log Phi from Python's.
+        RuntimeError: the kernel's fold of a path differs from
+            ``PathSums.fold``, its draws or stream states from numpy's, or
+            its CSV codec or log Phi from Python's.
     """
     import ctypes
 
@@ -246,23 +257,47 @@ def load() -> "LaneKernel":
     fn.restype = None
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 2 + [
         ctypes.c_void_p] * 13
+    fold = lib.hl_fold_path
+    fold.restype = None
+    fold.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double] + [
+        ctypes.c_void_p] * 3
     format_rows, parse_rows = lib.hl_format_rows, lib.hl_parse_rows
     count_lines = lib.hl_count_lines
     format_rows.restype = parse_rows.restype = count_lines.restype = ctypes.c_int64
-    format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] + [
-        ctypes.c_void_p] * 3
-    # a bytes object, whose buffer a NUL ends
-    parse_rows.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
-    count_lines.argtypes = [ctypes.c_char_p, ctypes.c_int64]
+    format_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
+    # the text's address: within a bytes object, whose buffer a NUL ends
+    parse_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
+    count_lines.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     log_ndtr = lib.hl_log_ndtr
     log_ndtr.restype = None
     log_ndtr.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
     kernel = LaneKernel(fn, tables, format_rows, parse_rows, count_lines, _pow10_table(),
-                        log_ndtr)
+                        log_ndtr, fold)
+    _check_fold(kernel)
     _check_draws(kernel)
     _check_codec(kernel)
     _check_log_ndtr(kernel)
     return kernel
+
+
+# The path load() folds both ways: 8 whole tiles and a partial one, a walk
+# whose tile means differ, so that each merge of the spread counts
+_CHECK_FOLD_STEPS = 8 * 128 + 5
+
+
+def _check_fold(kernel: "LaneKernel") -> None:
+    """Fold the check path in the kernel and by PathSums.fold: the same
+    sums, spread and end point, or RuntimeError."""
+    walk = np.cumsum(np.random.default_rng(_CHECK_SEED).standard_normal((2, _CHECK_FOLD_STEPS + 1)),
+                     axis=1)
+    y, x = 0.4 + 0.01 * walk[0], 0.1 * walk[1]
+    folded = PathSums(y[:1], x[:1]), PathSums(y[:1], x[:1])
+    kernel.fold(folded[0], y, x)
+    folded[1].fold(y[None, :], x[None, :])
+    results = [[getattr(sums, name).tobytes() for name in _SUMS_ARRAYS] + [sums.steps]
+               for sums in folded]
+    if results[0] != results[1]:
+        raise RuntimeError("the lane kernel's fold of a path differs from PathSums.fold")
 
 
 # The group load() draws both ways: 4 lanes of 2048 DISRE steps, whose
@@ -414,10 +449,11 @@ def lane_kernel() -> "LaneKernel | None":
 
 
 # the writer's and reader's cell kinds (kernel.c's CELL_FLOAT and CELL_INT),
-# and the most bytes a written cell takes, its separator included
+# the bytes the writer may take a cell, its separator included, and past its
+# last cell
 _CELL_KINDS = {"%.17g": 0, "%d": 1}
 _READ_KINDS = {float: 0, int: 1}
-_CELL_BYTES = 26
+_CELL_BYTES, _END_BYTES = 26, 16
 
 # PathSums arrays the kernel updates in place, in the order it takes them
 _SUMS_ARRAYS = ("y_start", "y_end", "x_end", "sums", "mean", "m2")
@@ -429,7 +465,7 @@ class LaneKernel:
     draws from streams it seeds itself, for ``advance_lanes``."""
 
     def __init__(self, fn, tables: np.ndarray, format_fn, parse_fn, count_fn,
-                 pow10: np.ndarray, log_ndtr_fn):
+                 pow10: np.ndarray, log_ndtr_fn, fold_fn):
         self.fn = fn
         # numpy's ziggurat tables, (3, 256) uint64, which each drawing call reads
         self.tables = tables
@@ -439,6 +475,27 @@ class LaneKernel:
         # the powers of ten that format_rows and parse_rows pass to the codec
         self.pow10 = pow10
         self.log_ndtr_fn = log_ndtr_fn
+        self.fold_fn = fold_fn
+
+    def fold(self, sums: PathSums, y: np.ndarray, x: np.ndarray) -> None:
+        """``sums.fold(y[None, :], x[None, :])`` for a fresh one-lane
+        ``sums`` and a path's (steps + 1,) points, y and x: the same bits, in
+        one call of ``hl_fold_path``.
+
+        Raises:
+            ValueError: ``sums`` is not fresh or not of one lane, or y and x
+                are not of one length of at least two points.
+        """
+        # the kernel reads them through bare pointers
+        y, x = (np.ascontiguousarray(a, dtype=float) for a in (y, x))
+        if sums.steps or sums.sums.shape != (6, 1) or y.ndim != 1 or x.shape != y.shape \
+                or len(y) < 2:
+            raise ValueError("the kernel folds one whole path of (steps + 1,) points y and x "
+                             "into a fresh one-lane PathSums")
+        self.fold_fn(y.ctypes.data, x.ctypes.data, len(y) - 1, float(sums.y_start[0]),
+                     sums.sums.ctypes.data, sums.mean.ctypes.data, sums.m2.ctypes.data)
+        sums.steps = len(y) - 1
+        sums.y_end, sums.x_end = y[-1:].copy(), x[-1:].copy()
 
     def log_ndtr(self, z) -> np.ndarray:
         """log Phi of each value of ``z``, a float64 array of its shape: the
@@ -459,19 +516,42 @@ class LaneKernel:
         a value that is not finite, or a '%d' value that is not an integer
         of magnitude below 2^53.
         """
-        kinds = [_CELL_KINDS.get(cell) for cell in cells]
-        if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2
-                and rows.shape[1] == len(kinds) > 0 and None not in kinds):
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2):
             return None
         rows = np.ascontiguousarray(rows)
-        kinds = np.array(kinds, dtype=np.int64)
-        out = np.empty(rows.size * _CELL_BYTES, dtype=np.uint8)
-        n = self.format_fn(rows.ctypes.data, *rows.shape, kinds.ctypes.data,
-                           self.pow10.ctypes.data, out.ctypes.data)
-        return None if n < 0 else out[:n].tobytes().decode("ascii")
+        # each column's first cell, and a row's worth of cells to the next
+        starts = rows.ctypes.data + rows.itemsize * np.arange(rows.shape[1], dtype=np.uint64)
+        text = self._format(starts, rows.shape[1], len(rows), cells, b"")
+        return None if text is None else str(text, "ascii")
 
-    def parse_rows(self, text: str, kinds) -> list[np.ndarray] | None:
-        """One column per kind, ``int`` or ``float``, of CSV lines, each
+    def format_columns(self, columns, cells, head: bytes = b"") -> memoryview | None:
+        """``head``, then the CSV lines of ``columns``, 1-d float64 arrays of
+        one length, as :meth:`format_rows` writes the rows they make: in one
+        buffer, for a file to take as it is.  None where
+        :meth:`format_rows` gives None, or for columns of other arrays."""
+        if not (columns and all(isinstance(c, np.ndarray) and c.dtype == np.float64
+                                and c.ndim == 1 and len(c) == len(columns[0]) for c in columns)):
+            return None
+        columns = [np.ascontiguousarray(c) for c in columns]
+        starts = np.array([c.ctypes.data for c in columns], dtype=np.uint64)
+        return self._format(starts, 1, len(columns[0]), cells, head)
+
+    def _format(self, starts: np.ndarray, stride: int, rows: int, cells,
+                head: bytes) -> memoryview | None:
+        """``head`` and the lines of ``hl_format_rows``, cell (r, c) read at
+        ``starts[c]`` plus r * ``stride`` doubles, or None."""
+        kinds = np.array([_CELL_KINDS.get(cell, -1) for cell in cells], dtype=np.int64)
+        if len(kinds) != len(starts) or not len(kinds) or (kinds < 0).any():
+            return None
+        out = np.empty(len(head) + rows * len(kinds) * _CELL_BYTES + _END_BYTES, dtype=np.uint8)
+        out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+        n = self.format_fn(starts.ctypes.data, stride, rows, len(kinds), kinds.ctypes.data,
+                           self.pow10.ctypes.data, out.ctypes.data + len(head))
+        return None if n < 0 else memoryview(out)[: len(head) + n]
+
+    def parse_rows(self, text: str | bytes, kinds, start: int = 0) -> list[np.ndarray] | None:
+        """One column per kind, ``int`` or ``float``, of the CSV lines of
+        ``text``, a str or the bytes of a file, from index ``start`` on, each
         cell read as the kind reads it: float64 and int64 arrays.  A float
         cell gets the bits ``float()`` gives it: most through the writer's
         powers of ten (``hl_parse_rows``), the rest through ``strtod``.
@@ -483,18 +563,23 @@ class LaneKernel:
         ``-?[0-9]+(\\.[0-9]+)?([eE][+-]?[0-9]+)?``, an int cell
         ``-?[0-9]{1,15}``), for a reader of the whole language to take.
         """
-        codes = [_READ_KINDS.get(kind) for kind in kinds]
-        if not text or not codes or None in codes:
+        import ctypes  # loaded with the kernel
+
+        codes = np.array([_READ_KINDS.get(kind, -1) for kind in kinds], dtype=np.int64)
+        if isinstance(text, str):
+            try:
+                text = text.encode("ascii")
+            except UnicodeEncodeError:
+                return None
+        size = len(text) - start
+        if size <= 0 or not len(codes) or (codes < 0).any():
             return None
-        try:
-            data = text.encode("ascii")
-        except UnicodeEncodeError:
-            return None
-        rows = self.count_fn(data, len(data))
+        # bytes are not copied: the kernel reads them where they are
+        address = ctypes.cast(ctypes.c_char_p(text), ctypes.c_void_p).value + start
+        rows = self.count_fn(address, size)
         out = np.empty((len(codes), rows))
-        if self.parse_fn(data, len(data), rows, len(codes),
-                         np.array(codes, dtype=np.int64).ctypes.data, self.pow10.ctypes.data,
-                         out.ctypes.data):
+        if self.parse_fn(address, size, rows, len(codes), codes.ctypes.data,
+                         self.pow10.ctypes.data, out.ctypes.data):
             return None
         return [column if kind is float else column.astype(np.int64)
                 for kind, column in zip(kinds, out)]

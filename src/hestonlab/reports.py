@@ -46,7 +46,7 @@ from .montecarlo import (
     histogram_overlay,
     summarize,
 )
-from .simulate import format_csv, parse_csv
+from .simulate import parse_csv, write_csv
 
 __all__ = [
     "write_report",
@@ -142,9 +142,10 @@ _PARAM_TABLES = {
 
 
 def _write_replicates_csv(path: Path, results: ReplicateTable) -> None:
-    columns = [getattr(results.functionals, name) for name in _REPLICATE_COLUMNS[5:]]
-    values = np.column_stack([results.index, results.estimates, *columns])
-    path.write_text(format_csv(_REPLICATE_COLUMNS, _REPLICATE_CELLS, values))
+    # the '%d' index is written from doubles, as the other columns are
+    columns = [results.index.astype(float), *results.estimates.T,
+               *(getattr(results.functionals, name) for name in _REPLICATE_COLUMNS[5:])]
+    write_csv(path, _REPLICATE_COLUMNS, _REPLICATE_CELLS, columns)
 
 
 def _read_report_file(path: Path) -> str:
@@ -196,15 +197,15 @@ def _write_tables(out: Path, config: ExperimentConfig, summary: McSummary) -> No
         ("mean_y_terminal", summary.mean_y_terminal, mean_y_theory),
         ("mean_x_terminal_over_t", summary.mean_x_terminal_over_t, slope_theory),
     ], dtype=object)
-    (out / "table1.csv").write_text(
-        format_csv(("quantity", "empirical", "theoretical"), ("%s", "%.17g", "%.17g"), table1))
+    write_csv(out / "table1.csv", ("quantity", "empirical", "theoretical"),
+              ("%s", "%.17g", "%.17g"), list(table1.T))
     for name, fields in _PARAM_TABLES.items():
         rows = np.array([
             (param, *(getattr(summary.per_param[param], field) for field in fields))
             for param in PARAM_NAMES
         ], dtype=object)
-        (out / name).write_text(
-            format_csv(("parameter", *fields), ("%s",) + ("%.17g",) * len(fields), rows))
+        write_csv(out / name, ("parameter", *fields), ("%s",) + ("%.17g",) * len(fields),
+                  list(rows.T))
 
 
 def _write_figures(out: Path, results: ReplicateTable, theory_diag: np.ndarray | None) -> None:
@@ -212,9 +213,8 @@ def _write_figures(out: Path, results: ReplicateTable, theory_diag: np.ndarray |
         sample = results.normalized[:, idx]
         var = np.var(sample, ddof=1) if theory_diag is None else theory_diag[idx]
         hist = histogram_overlay(sample, float(var))
-        rows = np.column_stack([hist.bin_centers, hist.density, hist.overlay])
-        (out / f"fig1_{name}.csv").write_text(format_csv(
-            ("bin_center", "density", "overlay_density"), ("%.17g",) * 3, rows))
+        write_csv(out / f"fig1_{name}.csv", ("bin_center", "density", "overlay_density"),
+                  ("%.17g",) * 3, [hist.bin_centers, hist.density, hist.overlay])
 
 
 def write_report(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None]:

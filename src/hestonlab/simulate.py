@@ -91,6 +91,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -104,6 +105,7 @@ from .errors import (
     ConfigParseError,
     CsvFormatError,
     FellerViolated,
+    InvalidArgument,
     InvalidGrid,
     InvalidSeed,
     LengthMismatch,
@@ -111,6 +113,7 @@ from .errors import (
     NonFinitePath,
     NonFiniteSample,
     NonPositiveZ,
+    PathFileNotFound,
     real_array,
     require_finite,
     require_instance,
@@ -137,11 +140,13 @@ __all__ = [
     "price_block",
     "step_constants",
     "advance_lanes",
+    "fold_path",
     "simulate_y",
     "simulate_x",
     "simulate_xy",
     "simulate_paths",
     "format_csv",
+    "write_csv",
     "parse_csv",
     "write_path_csv",
     "read_path_csv",
@@ -956,6 +961,23 @@ def advance_lanes(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_se
     return aborted, sums
 
 
+def fold_path(y: np.ndarray, x: np.ndarray):
+    """The :class:`~hestonlab.estimate.PathSums` of one lane's whole path,
+    (steps + 1,) points y and x: folded in one call of the compiled kernel
+    where it loads, else by ``PathSums.fold`` of the path as one block, with
+    the same bits."""
+    from .estimate import PathSums  # estimate imports this module
+    from .kernel import lane_kernel
+
+    sums = PathSums(y[:1], x[:1])
+    kernel = lane_kernel()
+    if kernel is not None:
+        kernel.fold(sums, y, x)
+    else:
+        sums.fold(y[None, :], x[None, :])
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # CSV files: the one codec of path files and report files (module docstring)
 
@@ -963,26 +985,52 @@ def advance_lanes(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_se
 def format_csv(header, cells, rows) -> str:
     """The CSV text of ``rows``, a 2-d array, under ``header``: row i is
     written with the %-formats ``cells``, one per column."""
+    columns = list(np.asarray(rows).T) if len(rows) else [np.empty(0)] * len(cells)
+    return str(_csv_bytes(header, cells, columns), "utf-8")
+
+
+def _csv_bytes(header, cells, columns):
+    """The bytes of :func:`format_csv` for the rows that ``columns``, 1-d
+    arrays of one length, make side by side: where the kernel writes them,
+    its buffer, header included, as a memoryview, else ``bytes``."""
     from .kernel import lane_kernel  # kernel imports this module
 
+    head = (",".join(header) + "\n").encode()
     kernel = lane_kernel()
-    text = kernel.format_rows(rows, cells) if kernel is not None else None
-    if text is None:
+    data = kernel.format_columns(columns, cells, head) if kernel is not None else None
+    if data is None:
         line = ",".join(cells) + "\n"
-        text = (line * len(rows)) % tuple(np.ravel(rows).tolist())
-    return ",".join(header) + "\n" + text
+        values = tuple(np.column_stack(columns).ravel().tolist())
+        data = head + ((line * len(columns[0])) % values).encode()
+    return data
 
 
-def parse_csv(text: str, header, kinds, where: str = "",
+def write_csv(dest, header, cells, columns) -> None:
+    """Write the CSV file of :func:`format_csv` for the rows that
+    ``columns``, 1-d arrays of one length, make side by side to ``dest``: a
+    path, whose file takes the writer's bytes as they are, or a text
+    stream."""
+    data = _csv_bytes(header, cells, columns)
+    if hasattr(dest, "write"):
+        dest.write(str(data, "utf-8"))
+    else:
+        Path(dest).write_bytes(data)
+
+
+def parse_csv(text: str | bytes, header, kinds, where: str = "",
               name: str = "CSV") -> tuple[list[np.ndarray], Sequence[int]]:
     """One column per kind (``int`` or ``float``) of CSV text under
-    ``header``, and the file line number of each row.
+    ``header``, and the file line number of each row.  ``text`` may be the
+    bytes of a file too, which the kernel reads where they lie and the
+    Python reader decodes as UTF-8.
 
     Raises:
         CsvFormatError: a first non-blank line other than the header
             (``unexpected <name> header``), else the first line with the
             wrong cell count or a cell its kind does not read, else the first line with a non-finite cell; the message
             begins with ``where`` (a file name) when it is given.
+        UnicodeDecodeError: bytes that are not UTF-8, where the kernel does
+            not read them.
     """
     from .kernel import lane_kernel  # kernel imports this module
 
@@ -990,12 +1038,15 @@ def parse_csv(text: str, header, kinds, where: str = "",
         raise CsvFormatError(f"{where}: {message}" if where else message) from None
 
     head = ",".join(header)
-    kernel = lane_kernel() if text.startswith(head + "\n") else None
-    columns = kernel.parse_rows(text[len(head) + 1:], kinds) if kernel is not None else None
+    first = head + "\n" if isinstance(text, str) else (head + "\n").encode()
+    kernel = lane_kernel() if text.startswith(first) else None
+    columns = kernel.parse_rows(text, kinds, len(first)) if kernel is not None else None
     if columns is not None:
         # strict lines, none of them blank: the header is line 1
         numbers = range(2, len(columns[0]) + 2)
     else:
+        if not isinstance(text, str):
+            text = str(text, "utf-8")
         columns, numbers = _read_cells(text, head, kinds, name, fail)
     finite = np.all([np.isfinite(c) for kind, c in zip(kinds, columns) if kind is float], axis=0)
     if not finite.all():
@@ -1036,27 +1087,43 @@ _PATH_HEADER = ("t", "y", "x")
 
 
 def write_path_csv(path_obj: XYPath, dest) -> None:
-    """Write a path as CSV with full double-precision round-trip fidelity;
-    ``InvalidArgument`` where ``path_obj`` is not an :class:`XYPath`."""
+    """Write a path as CSV with full double-precision round-trip fidelity,
+    to a path or a text stream; ``InvalidArgument`` where ``path_obj`` is
+    not an :class:`XYPath`."""
     require_instance(path_obj, XYPath, "path_obj")
-    rows = np.column_stack([path_obj.grid.times(), path_obj.y, path_obj.x])
-    text = format_csv(_PATH_HEADER, ("%.17g",) * 3, rows)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    write_csv(dest, _PATH_HEADER, ("%.17g",) * 3, [path_obj.grid.times(), path_obj.y, path_obj.x])
 
 
 def read_path_csv(src) -> XYPath:
-    """Read a path CSV written by :func:`write_path_csv` (or equivalent).
+    """Read a path CSV written by :func:`write_path_csv` (or equivalent)
+    from a path, or from a stream of its text or bytes.
 
     Raises:
+        InvalidArgument: ``src`` is neither a path (a non-empty str or an
+            ``os.PathLike``) nor a stream.
+        PathFileNotFound: no such file; a ``FileNotFoundError`` too.
         CsvFormatError: wrong header, malformed row, a non-finite value,
             fewer than two rows, or a time column that is not the uniform
-            grid starting at 0.
+            grid starting at 0; bytes that are not UTF-8, naming the file
+            and the line.
+        OSError: another failure to read the file.
     """
-    text = src.read() if hasattr(src, "read") else Path(src).read_text()
-    (t, y, x), _ = parse_csv(text, _PATH_HEADER, (float,) * 3, name="path-file")
+    if hasattr(src, "read"):
+        data, where = src.read(), getattr(src, "name", src)
+    else:
+        if not isinstance(src, (str, os.PathLike)) or src == "":
+            raise InvalidArgument(f"src must be a path or a stream, got {src!r}")
+        try:
+            data = Path(src).read_bytes()
+        except FileNotFoundError as exc:
+            raise PathFileNotFound(exc.errno, exc.strerror, exc.filename) from None
+        where = src
+    try:
+        (t, y, x), _ = parse_csv(data, _PATH_HEADER, (float,) * 3, name="path-file")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"{where}: line {line}: bytes that are not UTF-8 text "
+                             f"({exc.reason})") from None
     if len(t) < 2:
         raise CsvFormatError("need at least two rows (initial point plus one step)")
     if t[0] != 0.0:

@@ -621,3 +621,95 @@ def test_bad_override_reports_key(config_file, capsys):
     rc = main(["mc", "--config", str(config_file), "--set", "rho=5"])
     assert rc == 1
     assert "RhoOutOfRange" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(monkeypatch):
+    """main() twice in one process: the --set items, the path and the thread
+    count of the first call do not reach the second, and a bad argument
+    after a good call is still a usage error."""
+    import hestonlab.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: seen.append(vars(args).copy()) or 0)
+    assert main(["estimate", "first.csv", "--set", "a=1"]) == 0
+    assert main(["estimate", "second.csv"]) == 0
+    assert main(["mc", "--set", "a=1", "--threads", "2", "--out", "rep"]) == 0
+    assert main(["mc"]) == 0
+    first, second, first_mc, second_mc = seen
+    assert first["overrides"] == ["a=1"] and first["path_csv"] == "first.csv"
+    assert second["overrides"] == [] and second["path_csv"] == "second.csv"
+    assert first_mc["threads"] == 2 and first_mc["out"] == "rep"
+    assert second_mc == dict(command="mc", config=None, overrides=[], preset=None, out=".",
+                             threads=1)
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--threads", "two"])
+    assert exc.value.code == 2
+
+
+def test_two_real_commands_in_one_process_read_only_their_own_options(tmp_path, config_file,
+                                                                      capsys):
+    f = tmp_path / "p.csv"
+    f.write_text(FIXTURE_CSV)
+    assert main(["estimate", str(f), "--set", "sigma1=0.4"]) == 0
+    assert "qv_ratio" in capsys.readouterr().out
+    assert main(["estimate", str(f)]) == 0
+    assert "qv_ratio" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", str(f), "--threads", "2"])
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# a path file that cannot be read fails at the boundary, naming what it is
+
+
+@pytest.mark.parametrize("src", [None, 3, b"p.csv", ["p.csv"], ""], ids=repr)
+def test_read_path_csv_refuses_what_is_not_a_path(src):
+    with pytest.raises(hl.InvalidArgument, match="^src must be a path or a stream, got "):
+        hl.read_path_csv(src)
+
+
+def test_a_missing_path_file_is_path_file_not_found(tmp_path, capsys):
+    """A FileNotFoundError too, which an OSError handler catches."""
+    assert issubclass(hl.PathFileNotFound, hl.HestonLabError)
+    assert issubclass(hl.PathFileNotFound, FileNotFoundError)
+    missing = tmp_path / "nothing.csv"
+    with pytest.raises(hl.PathFileNotFound, match="nothing.csv") as exc:
+        hl.read_path_csv(missing)
+    assert exc.value.filename == str(missing)
+    assert main(["estimate", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith("error: PathFileNotFound: ")
+
+
+def test_an_empty_path_on_the_command_line_is_an_invalid_argument(capsys):
+    assert main(["estimate", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidArgument: src must be a path")
+
+
+@pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+def test_a_path_file_that_is_not_utf8_names_the_file_and_the_line(tmp_path, capsys, line):
+    lines = FIXTURE_CSV.encode().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(b"0", b"\xff", 1).replace(b",", b"\xff,", 1)
+    f = tmp_path / "bad.csv"
+    f.write_bytes(b"".join(lines))
+    with pytest.raises(hl.CsvFormatError,
+                       match=f"^{re.escape(str(f))}: line {line}: bytes that are not UTF-8"):
+        hl.read_path_csv(f)
+    assert main(["estimate", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: CsvFormatError: {f}: line {line}: ")
+
+
+def test_path_files_are_read_as_bytes_or_text_from_a_stream(tmp_path):
+    import io
+
+    text = FIXTURE_CSV
+    from_text = hl.read_path_csv(io.StringIO(text))
+    from_bytes = hl.read_path_csv(io.BytesIO(text.encode()))
+    assert from_text.y.tolist() == from_bytes.y.tolist() == [1.0, 2.0, 2.0]
+    out = io.StringIO()
+    hl.write_path_csv(from_text, out)
+    f = tmp_path / "p.csv"
+    hl.write_path_csv(from_text, f)
+    assert out.getvalue() == f.read_text() == "t,y,x\n0,1,0\n1,2,0.5\n2,2,0.5\n"

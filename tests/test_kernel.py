@@ -883,14 +883,14 @@ def test_each_kernel_entry_takes_the_arguments_load_declares(monkeypatch):
     """ctypes passes the arguments as argtypes declares them, so a C
     parameter more or less would shift every argument after it without an
     error.  Read before any call: such a call may crash the process."""
-    for check in ("_check_draws", "_check_codec", "_check_log_ndtr"):
+    for check in ("_check_fold", "_check_draws", "_check_codec", "_check_log_ndtr"):
         monkeypatch.setattr(kernel, check, lambda k: None)
     try:
         k = kernel.load()
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"the lane kernel does not build here: {e}")
     declared = {fn.__name__: len(fn.argtypes)
-                for fn in (k.fn, k.format_fn, k.parse_fn, k.count_fn, k.log_ndtr_fn)}
+                for fn in (k.fn, k.format_fn, k.parse_fn, k.count_fn, k.log_ndtr_fn, k.fold_fn)}
     assert declared == exported_parameter_counts(kernel.SOURCE.read_text())
 
 
@@ -939,3 +939,93 @@ def test_a_cached_kernel_loads_without_starting_a_process(lane_kernel):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout == "False\n"
+
+
+# ---------------------------------------------------------------------------
+# the fold of one whole path (hl_fold_path), for path_functionals
+
+
+def walk(steps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A variance-like and a price-like walk of ``steps`` steps."""
+    rng = np.random.default_rng(seed)
+    y = 0.3 + 0.01 * np.cumsum(rng.standard_normal(steps + 1))
+    return y, 0.1 * np.cumsum(rng.standard_normal(steps + 1))
+
+
+def folded_both_ways(k, y, x) -> list[list]:
+    """The arrays and step count of a fresh one-lane PathSums after the
+    kernel's fold of the path, and after PathSums.fold of it."""
+    sums = PathSums(y[:1], x[:1]), PathSums(y[:1], x[:1])
+    k.fold(sums[0], y, x)
+    sums[1].fold(y[None, :], x[None, :])
+    return [[getattr(s, name).tobytes() for name in ("sums", "mean", "m2", "y_end", "x_end")]
+            + [s.steps] for s in sums]
+
+
+@pytest.mark.parametrize("steps", [1, 7, 8, 127, 128, 129, 3 * SUM_TILE + 5, 20_000])
+def test_the_kernels_fold_of_a_path_gives_the_bits_of_pathsums(lane_kernel, steps):
+    """Below, at and past a tile and of the pairwise sum's 8 accumulators."""
+    got, want = folded_both_ways(lane_kernel, *walk(steps, steps))
+    assert got == want
+
+
+@pytest.mark.parametrize("steps", [1, 129, 20_000])
+def test_the_kernels_fold_keeps_a_constant_paths_spread_at_zero(lane_kernel, steps):
+    y, x = np.full(steps + 1, 0.1), np.linspace(0.0, 1.0, steps + 1)
+    got, want = folded_both_ways(lane_kernel, y, x)
+    assert got == want
+    sums = PathSums(y[:1], x[:1])
+    lane_kernel.fold(sums, y, x)
+    assert sums.m2[0] == 0.0 and sums.mean[0] == 0.0
+
+
+def test_path_functionals_give_the_same_bits_with_and_without_the_kernel(lane_kernel,
+                                                                         monkeypatch):
+    path = hl.simulate_xy(hl.ModelParams(a=0.4, b=0.3, alpha=0.1, beta=0.15, sigma1=0.4,
+                                         sigma2=0.3, rho=0.2, y0=0.2, x0=0.1),
+                          hl.TimeGrid(50.0, 3 * SUM_TILE + 5), hl.Scheme.DISRE,
+                          hl.SeedLineage(3, 0))
+    folds = []
+    monkeypatch.setattr(lane_kernel, "fold", lambda *a: folds.append(a) or type(
+        lane_kernel).fold(lane_kernel, *a))
+    with_kernel = hl.path_functionals(path)
+    monkeypatch.setattr(kernel, "lane_kernel", lambda: None)
+    without = hl.path_functionals(path)
+    assert len(folds) == 1
+    assert np.array(list(vars(with_kernel).values())).tobytes() == \
+        np.array(list(vars(without).values())).tobytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_path_is_refused_before_the_kernel_folds_it(lane_kernel, monkeypatch,
+                                                                 value):
+    monkeypatch.setattr(lane_kernel, "fold", lambda *a: pytest.fail("the kernel folded it"))
+    y, x = walk(200, 1)
+    y[150] = value
+    path = hl.XYPath(hl.TimeGrid(2.0, 200), y, x)
+    with pytest.raises(hl.NonFinitePath, match="^Y is not finite at grid index 150$"):
+        hl.path_functionals(path)
+
+
+def test_the_kernels_fold_refuses_what_is_not_a_fresh_one_lane_path(lane_kernel):
+    y, x = walk(10, 2)
+    used = PathSums(y[:1], x[:1])
+    lane_kernel.fold(used, y, x)
+    for sums, points in [(used, (y, x)), (PathSums(y[:2], x[:2]), (y, x)),
+                         (PathSums(y[:1], x[:1]), (y, x[:-1])),
+                         (PathSums(y[:1], x[:1]), (y[:1], x[:1]))]:
+        with pytest.raises(ValueError, match="fresh one-lane PathSums"):
+            lane_kernel.fold(sums, *points)
+
+
+def test_a_fold_that_moves_a_bit_fails_the_loaders_check(lane_kernel, monkeypatch):
+    """The spread one ulp off: load() refuses the kernel."""
+    exact = kernel.LaneKernel.fold
+
+    def off(self, sums, y, x):
+        exact(self, sums, y, x)
+        sums.m2 = np.nextafter(sums.m2, 0.0)
+
+    monkeypatch.setattr(kernel.LaneKernel, "fold", off)
+    with pytest.raises(RuntimeError, match="fold of a path differs from PathSums.fold"):
+        kernel.load()

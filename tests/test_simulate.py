@@ -323,10 +323,11 @@ def test_the_path_functions_refuse_arguments_of_another_type(monkeypatch):
     def no_kernel():
         raise AssertionError("the kernel was asked for")
 
-    monkeypatch.setattr(kernel, "lane_kernel", no_kernel)
-    grid, draws, scheme, y = hl.TimeGrid(1.0, 10), zero_draws(10), hl.Scheme.DISRE, np.ones(11)
+    # path_functionals folds in the kernel, so the estimate is made first
     est = hl.lse_from_functionals(hl.path_functionals(
         hl.XYPath(hl.TimeGrid(2.0, 2), [1.0, 2.0, 2.0], [0.0, 0.5, 0.5])))
+    monkeypatch.setattr(kernel, "lane_kernel", no_kernel)
+    grid, draws, scheme, y = hl.TimeGrid(1.0, 10), zero_draws(10), hl.Scheme.DISRE, np.ones(11)
     cases = {
         "draws": [lambda: hl.simulate_y(P, grid, scheme, None),
                   lambda: hl.simulate_x(P, grid, y, None)],
