@@ -45,8 +45,8 @@
  * hl_fold_path folds one given path, a tile at a time through the same
  * fold_tile, for hestonlab.estimate.path_functionals.  hl_lane_block's
  * speed moves with its address, so the code ahead of it keeps its size:
- * the static functions that gcc places there (pairwise_sum, digits16,
- * scaled, normal_rare), and no libc function more, whose PLT entry would
+ * the static functions that gcc places there (pairwise_sum, scaled,
+ * digits8, normal_rare), and no libc function more, whose PLT entry would
  * shift the text; everything new goes after it.
  *
  * hl_format_rows writes a table's cells as Python's '%.17g' and '%d' do,
@@ -55,14 +55,10 @@
  * counts; each returns -1 for what it does not take, and
  * hestonlab.simulate's Python codec then takes the whole call.  Both work
  * on one table of 128-bit powers of ten, which hestonlab.kernel passes in:
- * the writer by Loitsch's method, with floor(log10 v) fixed by one
- * comparison with the table before its one product, and the 17 digits made
- * without a division instruction (gcc multiplies by the reciprocals of the
- * constant divisors), eight at a time in the bytes of a register by Lemire
- * and Khuong's SWAR conversion, then stored in place; the reader by
- * Clinger's exact path and Eisel and Lemire's method.  Each leaves to
- * glibc's snprintf or strtod the few cells that the table's truncation
- * could tip.  None keeps any state between calls.
+ * the writer by Loitsch's method, the reader by Clinger's exact path and
+ * Eisel and Lemire's method; each leaves to glibc's snprintf or strtod the
+ * few cells that the table's truncation could tip.  None keeps any state
+ * between calls.
  *
  * hl_log_ndtr gives log Phi of each of n values with the bits of
  * hestonlab.simulate's Python loop, through libm's erfc, log1p and log,
@@ -534,6 +530,7 @@ enum { CELL_FLOAT, CELL_INT };
 
 /* the distance from one half within which a fraction is left to snprintf:
    2^-56, as a 128-bit fixed-point fraction */
+#define HALF ((u128)1 << 127)
 #define TIE_WINDOW ((u128)1 << 72)
 
 /* "00" to "99" */
@@ -542,82 +539,97 @@ static const char DIGIT_PAIRS[201] =
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
     "8081828384858687888990919293949596979899";
 
-/* The 16 decimal digits of hi * 10^8 + lo, for hi, lo < 10^8, leading
- * zeros kept, one a byte (0 to 9), the first in the lowest byte, as Lemire
- * and Khuong's SWAR conversion forms them: the 4-digit quarters of each
- * half side by side in 32-bit lanes, split into pairs in 16-bit lanes and
- * those into digits in 8-bit lanes, a lane division at a time by one
- * multiplication with a reciprocal, exact below what its lane holds
- * (checked for every half).  Kept out of line, as scaled is: both lie
- * ahead of hl_lane_block in the library, and so fix its address. */
-static __attribute__((noinline)) u128 digits16(uint32_t hi, uint32_t lo)
+/* the 8 decimal digits of x < 10^8, leading zeros kept */
+static void digits8(uint32_t x, char *out)
 {
-    uint64_t half[2] = {hi, lo};
-    int i;
-    for (i = 0; i < 2; i++) {
-        uint64_t quarters = half[i] / 10000 | (half[i] % 10000) << 32;
-        uint64_t pairs = ((quarters * 10486) >> 20) & (0x7FULL << 32 | 0x7F);
-        uint64_t hundreds = (quarters - 100 * pairs) << 16 | pairs;
-        uint64_t tens = ((hundreds * 103) >> 10) & 0x000F000F000F000FULL;
-        half[i] = tens | (hundreds - 10 * tens) << 8;
-    }
-    return (u128)half[1] << 64 | half[0];
+    uint32_t hi = x / 10000, lo = x % 10000;
+    memcpy(out, DIGIT_PAIRS + 2 * (hi / 100), 2);
+    memcpy(out + 2, DIGIT_PAIRS + 2 * (hi % 100), 2);
+    memcpy(out + 4, DIGIT_PAIRS + 2 * (lo / 100), 2);
+    memcpy(out + 6, DIGIT_PAIRS + 2 * (lo % 100), 2);
 }
 
-/* v * 10^q for v = m * 2^e, m with its top bit set, through row q of the
- * table: 10^q truncated to M * 2^E, M of 128 bits (the row's high and low
- * words, then E).  The product m * M is exact, so the result falls short of
- * v * 10^q by less than v * 10^q * 2^-127: under 2^-70 while v * 10^q <
- * 2^57.  Its integer part in the high word, and the top 64 bits of its
- * fraction in the low, where it has 134 to 138 fraction bits, as it has
- * where v * 10^q is of 17 digits; else 0. */
-static __attribute__((noinline)) u128 scaled(uint64_t m, int e, int q, const uint64_t *pow10)
+/* v * 10^q for v = m * 2^e, through row q of the table: 10^q truncated to
+ * M * 2^E, M of 128 bits (the row's high and low words, then E).  The
+ * 181-bit product m * M is exact, so the result falls short of v * 10^q by
+ * less than v * 10^q * 2^-127: under 2^-70 while v * 10^q < 2^57.  Gives
+ * its integer part *n and its fraction *frac, as a 128-bit fixed-point
+ * number; returns -1 where the integer part would not fit. */
+static int scaled(uint64_t m, int e, int q, const uint64_t *pow10, uint64_t *n, u128 *frac)
 {
     const uint64_t *row = pow10 + 3 * (q - POW10_MIN);
-    u128 top = (u128)m * row[0] + (uint64_t)(((u128)m * row[1]) >> 64);
-    uint64_t w1 = (uint64_t)top, w2 = (uint64_t)(top >> 64);
-    int t = -(e + (int)(int64_t)row[2]) - 128; /* the fraction's bits in w2 */
-    if (t < 6 || t > 10)
-        return 0;
-    return (u128)(w2 >> t) << 64 | (w2 << (64 - t) | w1 >> t);
+    u128 lo = (u128)m * row[1], hi = (u128)m * row[0];
+    u128 mid = (hi & UINT64_MAX) + (lo >> 64);
+    uint64_t w0 = (uint64_t)lo, w1 = (uint64_t)mid;
+    uint64_t w2 = (uint64_t)(hi >> 64) + (uint64_t)(mid >> 64);
+    int s = -(e + (int)(int64_t)row[2]); /* the product's fraction bits */
+    if (s < 64 || s > 127)
+        return -1;
+    *n = (uint64_t)((((u128)w2 << 64) | w1) >> (s - 64));
+    *frac = (((u128)w1 << 64) | w0) << (128 - s);
+    return 0;
 }
 
-/* the 8 bytes of w at p, its lowest byte first */
-static inline void put8(char *p, uint64_t w)
+/* The 17 significant digits dig[] of a nonzero value, the first of them
+ * nonzero, its decimal exponent d and its sign, as %g lays them out: the
+ * exponent form where d < -4 or d >= 17, trailing zeros dropped and then a
+ * dropped point. */
+static char *layout_g17(const char *dig, int d, int negative, char *out)
 {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    w = __builtin_bswap64(w);
-#endif
-    memcpy(p, &w, sizeof w);
+    int nd = 17, i;
+    while (dig[nd - 1] == '0')
+        nd--;
+    if (negative)
+        *out++ = '-';
+    if (d < -4 || d >= 17) {
+        int a = d < 0 ? -d : d;
+        *out++ = dig[0];
+        if (nd > 1) {
+            *out++ = '.';
+            memcpy(out, dig + 1, nd - 1);
+            out += nd - 1;
+        }
+        *out++ = 'e';
+        *out++ = d < 0 ? '-' : '+';
+        if (a >= 100) {
+            *out++ = (char)('0' + a / 100);
+            a %= 100;
+        }
+        memcpy(out, DIGIT_PAIRS + 2 * a, 2);
+        return out + 2;
+    }
+    if (d >= 0) {
+        memcpy(out, dig, d + 1);
+        out += d + 1;
+        if (nd > d + 1) {
+            *out++ = '.';
+            memcpy(out, dig + d + 1, nd - d - 1);
+            out += nd - d - 1;
+        }
+        return out;
+    }
+    *out++ = '0';
+    *out++ = '.';
+    for (i = 0; i < -d - 1; i++)
+        *out++ = '0';
+    memcpy(out, dig, nd);
+    return out + nd;
 }
 
 /* '%.17g' of a finite v into out: the correctly rounded 17 digits of Gay's
  * dtoa, which Python's '%.17g' gives, ties to even.  Loitsch's method with
- * 128-bit powers of ten: d = floor(log10 v), then N = v * 10^(16 - d),
- * rounded up where its fraction is one half or more.  Where that fraction
- * lies within 2^-56 of one half, which the table's error (under 2^-70)
- * might have tipped, where N is not of 17 digits (a d that a truncated row
- * set one off), and below 10^-300, the digits are glibc's snprintf's, also
- * correctly rounded and ties to even.
- *
- * The digits go from registers straight to their place in the layout of %g:
- * the fixed form "ddd.ddd" or "0.000ddd" where -4 <= d <= 16, else
- * "d.ddde-dd"; trailing zeros dropped, and then a dropped point.  A fixed
- * form with a point among its digits writes all 17, then the 16 bytes from
- * the point's place on again one place further: up to 34 bytes from out.
- * Returns the end, or NULL where snprintf's text holds other characters
- * than those of a number in the C locale. */
+ * 128-bit powers of ten: N = v * 10^(16 - d), d = floor(log10 v), rounded up
+ * where its fraction is one half or more.  Where that fraction lies within
+ * 2^-56 of one half, which the table's error (under 2^-70) might have
+ * tipped, the digits are glibc's snprintf's, also correctly rounded and
+ * ties to even.  Returns the end, or NULL where snprintf's text holds other
+ * characters than those of a number in the C locale. */
 static char *format_g17(double v, const uint64_t *pow10, char *out)
 {
-    /* one half and the window, in units of the fraction's top 64 bits: the
-       cells of a fraction in [HALF - window - 1, HALF + window], which
-       holds the TIE_WINDOW around one half and the bits below those 64 */
-    const uint64_t HALF = 1ULL << 63, window = (uint64_t)(TIE_WINDOW >> 64);
-    uint64_t bits, m, n, frac, hi, high, low;
-    int e, d, k, z, tz;
-    char top, buf[32], *p, *c, *end;
-    u128 product, digits;
-    const uint64_t *row;
+    uint64_t bits, m, n;
+    int e, d, k;
+    u128 frac;
+    char dig[17], buf[32], *c;
     memcpy(&bits, &v, sizeof bits);
     m = bits & 0x000fffffffffffffULL;
     e = (int)(bits >> 52 & 0x7ff);
@@ -633,82 +645,24 @@ static char *format_g17(double v, const uint64_t *pow10, char *out)
     } else {
         e = -1074;
     }
-    /* v = m * 2^e with m's top bit set: floor(log2 v) is k, and d = floor(k
-       log10 2), exact for |k| < 1100 with an arithmetic shift; floor(log10
-       v) is d or d + 1.  It is d + 1 where v >= 10^(d + 1) = M * 2^E: where
-       v's top bit is M's, 2^(E + 127), and m * 2^64 reaches M */
-    z = __builtin_clzll(m);
-    m <<= z;
-    e -= z;
-    k = e + 63;
+    /* floor(log2 v), then d = floor(k log10 2), exact for |k| < 1100 with
+       an arithmetic shift: floor(log10 v) is d or d + 1 */
+    k = e + 63 - __builtin_clzll(m);
     d = (k * 78913) >> 18;
-    if (d + 1 < POW10_MIN)
+    if (scaled(m, e, 16 - d, pow10, &n, &frac))
         goto slow;
-    row = pow10 + 3 * (d + 1 - POW10_MIN);
-    d += k == (int)(int64_t)row[2] + 127 && (u128)m << 64 >= ((u128)row[0] << 64 | row[1]);
-    product = scaled(m, e, 16 - d, pow10);
-    n = (uint64_t)(product >> 64);
-    frac = (uint64_t)product;
-    if (n < E16 || n >= E17 || frac - (HALF - window - 1) <= 2 * window + 1)
+    if (n >= E17 && scaled(m, e, 16 - ++d, pow10, &n, &frac))
         goto slow;
-    /* rounded up where the fraction is over one half: 10^17 is 10^16 of
-       the next exponent */
-    n += frac > HALF;
-    if (n == E17) {
+    if (n < E16 || n >= E17 || (frac > HALF ? frac - HALF : HALF - frac) <= TIE_WINDOW)
+        goto slow;
+    if (frac > HALF && ++n == E17) {
         n = E16;
         d++;
     }
-    hi = n / 100000000; /* 10^8 <= hi < 10^9, by a multiplication */
-    top = '0' + hi / 100000000;
-    digits = digits16((uint32_t)(hi % 100000000), (uint32_t)(n - hi * 100000000));
-    /* the trailing zeros of the 16 digits after the first */
-    high = (uint64_t)(digits >> 64);
-    low = (uint64_t)digits;
-    tz = (high ? __builtin_clzll(high) : 64 + __builtin_clzll(low | 1) + !low) / 8;
-    digits |= (u128)0x3030303030303030ULL << 64 | 0x3030303030303030ULL;
-    high = (uint64_t)(digits >> 64);
-    low = (uint64_t)digits;
-    p = out;
-    if (bits >> 63)
-        *p++ = '-';
-    if (d < -4 || d > 16) {
-        int a = d < 0 ? -d : d;
-        p[0] = top;
-        p[1] = '.';
-        put8(p + 2, low);
-        put8(p + 10, high);
-        end = tz == 16 ? p + 1 : p + 18 - tz;
-        *end++ = 'e';
-        *end++ = d < 0 ? '-' : '+';
-        if (a >= 100) {
-            *end++ = (char)('0' + a / 100);
-            a %= 100;
-        }
-        memcpy(end, DIGIT_PAIRS + 2 * a, 2);
-        return end + 2;
-    }
-    if (d < 0) {
-        /* "0." and -d - 1 zeros, then the digits */
-        memcpy(p, "0.000", 5);
-        p += 1 - d;
-        p[0] = top;
-        put8(p + 1, low);
-        put8(p + 9, high);
-        return p + 17 - tz;
-    }
-    p[0] = top;
-    put8(p + 1, low);
-    put8(p + 9, high);
-    if (d == 16)
-        return p + 17;
-    /* digits d + 1 on again, after the point */
-    digits >>= 8 * d;
-    high = (uint64_t)(digits >> 64);
-    low = (uint64_t)digits;
-    p[d + 1] = '.';
-    put8(p + d + 2, low);
-    put8(p + d + 10, high);
-    return tz >= 16 - d ? p + d + 1 : p + 18 - tz;
+    dig[0] = (char)('0' + n / E16);
+    digits8((uint32_t)(n / 100000000 % 100000000), dig + 1);
+    digits8((uint32_t)(n % 100000000), dig + 9);
+    return layout_g17(dig, d, (int)(bits >> 63), out);
 slow:
     snprintf(buf, sizeof buf, "%.17g", v);
     for (c = buf; *c; c++) {
@@ -745,24 +699,21 @@ static char *format_int(double v, char *out)
 }
 
 /* The CSV lines of a table of `rows` rows and `cols` columns, cell (r, c)
- * at columns[c][r * stride] (so a row-major array is its columns' starts
- * and a stride of cols, and separate arrays their starts and 1), each cell
- * of column c as Python's '%.17g' (kinds[c] = CELL_FLOAT) or '%d'
- * (CELL_INT) writes it: cells split by ',', each row ended by '\n'.  pow10
- * is the table of 10^q, (POW10_MAX - POW10_MIN + 1, 3).  out needs at most
- * 26 bytes a cell, and 16 more at its end, which format_g17 may write past
- * the last cell.  Returns the bytes written, or -1 where a float cell is
- * not finite, an int cell is not an integer of magnitude below 2^53, or
- * snprintf writes other than a number (a locale's decimal comma): the
- * caller then formats them all itself. */
-int64_t hl_format_rows(const double *const *columns, int64_t stride, int64_t rows, int64_t cols,
+ * at columns[c][r], each cell of column c as Python's '%.17g' (kinds[c] =
+ * CELL_FLOAT) or '%d' (CELL_INT) writes it: cells split by ',', each row
+ * ended by '\n'.  pow10 is the table of 10^q, (POW10_MAX - POW10_MIN + 1,
+ * 3).  out needs at most 26 bytes a cell.  Returns the bytes written, or
+ * -1 where a float cell is not finite, an int cell is not an integer of
+ * magnitude below 2^53, or snprintf writes other than a number (a locale's
+ * decimal comma): the caller then formats them all itself. */
+int64_t hl_format_rows(const double *const *columns, int64_t rows, int64_t cols,
                        const int64_t *kinds, const uint64_t *pow10, char *out)
 {
     char *p = out;
     int64_t r, c;
     for (r = 0; r < rows; r++)
         for (c = 0; c < cols; c++) {
-            double v = columns[c][r * stride];
+            double v = columns[c][r];
             if (kinds[c] == CELL_INT)
                 p = format_int(v, p);
             else

@@ -31,7 +31,8 @@ The library also holds the fast route of the CSV codec of
 and :func:`~hestonlab.simulate.parse_csv`: :meth:`LaneKernel.format_rows`
 and :meth:`LaneKernel.format_columns` write '%.17g' and '%d' cells, byte
 for byte as Python's % does, the latter from separate columns and after a
-header into one buffer that a file takes as it is, and
+header into one buffer that a file takes as it is, the former a table's
+columns through it, and
 :meth:`LaneKernel.parse_rows` reads lines of the strict form that writer
 makes, as ``float()`` and ``int()`` do, from a str or from the bytes of a
 file where they lie, or each returns None for the Python codec to take the
@@ -264,7 +265,7 @@ def load() -> "LaneKernel":
     format_rows, parse_rows = lib.hl_format_rows, lib.hl_parse_rows
     count_lines = lib.hl_count_lines
     format_rows.restype = parse_rows.restype = count_lines.restype = ctypes.c_int64
-    format_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
+    format_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
     # the text's address: within a bytes object, whose buffer a NUL ends
     parse_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
     count_lines.argtypes = [ctypes.c_void_p, ctypes.c_int64]
@@ -449,11 +450,10 @@ def lane_kernel() -> "LaneKernel | None":
 
 
 # the writer's and reader's cell kinds (kernel.c's CELL_FLOAT and CELL_INT),
-# the bytes the writer may take a cell, its separator included, and past its
-# last cell
+# and the most bytes a written cell takes, its separator included
 _CELL_KINDS = {"%.17g": 0, "%d": 1}
 _READ_KINDS = {float: 0, int: 1}
-_CELL_BYTES, _END_BYTES = 26, 16
+_CELL_BYTES = 26
 
 # PathSums arrays the kernel updates in place, in the order it takes them
 _SUMS_ARRAYS = ("y_start", "y_end", "x_end", "sums", "mean", "m2")
@@ -510,7 +510,8 @@ class LaneKernel:
         """The CSV lines of ``rows``, a float64 (rows, cols) array, each
         cell as its column's %-format in ``cells``, '%.17g' or '%d', writes
         it: the bytes of ``(line * len(rows)) % tuple(rows.ravel())`` for
-        ``line`` the cells joined by ',' and ended by a newline.
+        ``line`` the cells joined by ',' and ended by a newline.  Its
+        columns go through :meth:`format_columns`, as a file's do.
 
         None where the kernel does not write them: another format or array,
         a value that is not finite, or a '%d' value that is not an integer
@@ -518,10 +519,7 @@ class LaneKernel:
         """
         if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2):
             return None
-        rows = np.ascontiguousarray(rows)
-        # each column's first cell, and a row's worth of cells to the next
-        starts = rows.ctypes.data + rows.itemsize * np.arange(rows.shape[1], dtype=np.uint64)
-        text = self._format(starts, rows.shape[1], len(rows), cells, b"")
+        text = self.format_columns(list(rows.T), cells)
         return None if text is None else str(text, "ascii")
 
     def format_columns(self, columns, cells, head: bytes = b"") -> memoryview | None:
@@ -532,20 +530,16 @@ class LaneKernel:
         if not (columns and all(isinstance(c, np.ndarray) and c.dtype == np.float64
                                 and c.ndim == 1 and len(c) == len(columns[0]) for c in columns)):
             return None
+        kinds = np.array([_CELL_KINDS.get(cell, -1) for cell in cells], dtype=np.int64)
+        if len(kinds) != len(columns) or (kinds < 0).any():
+            return None
+        # the kernel reads each column from its first cell, one after another
         columns = [np.ascontiguousarray(c) for c in columns]
         starts = np.array([c.ctypes.data for c in columns], dtype=np.uint64)
-        return self._format(starts, 1, len(columns[0]), cells, head)
-
-    def _format(self, starts: np.ndarray, stride: int, rows: int, cells,
-                head: bytes) -> memoryview | None:
-        """``head`` and the lines of ``hl_format_rows``, cell (r, c) read at
-        ``starts[c]`` plus r * ``stride`` doubles, or None."""
-        kinds = np.array([_CELL_KINDS.get(cell, -1) for cell in cells], dtype=np.int64)
-        if len(kinds) != len(starts) or not len(kinds) or (kinds < 0).any():
-            return None
-        out = np.empty(len(head) + rows * len(kinds) * _CELL_BYTES + _END_BYTES, dtype=np.uint8)
+        rows = len(columns[0])
+        out = np.empty(len(head) + rows * len(kinds) * _CELL_BYTES, dtype=np.uint8)
         out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-        n = self.format_fn(starts.ctypes.data, stride, rows, len(kinds), kinds.ctypes.data,
+        n = self.format_fn(starts.ctypes.data, rows, len(kinds), kinds.ctypes.data,
                            self.pow10.ctypes.data, out.ctypes.data + len(head))
         return None if n < 0 else memoryview(out)[: len(head) + n]
 
