@@ -5,10 +5,12 @@
  * hl_lane_block takes each lane from its start (y0, x0) through the
  * variance recursion of a scheme, the Euler log-price recursion and the
  * fold of each summation tile into the lane's path sums, and on request
- * writes the variance and price points; lanes go four at a time, their
- * variance steps interleaved.  Its noise is either drawn here, a tile at a
- * time, from each lane's pair of PCG64 streams, seeded here from their seed
- * words, or read from given (steps,) rows of eta and zeta.
+ * writes the variance and price points.  Lanes go eight at a time, a group
+ * whose tile lies lane-major, [step][lane], so that every step and the
+ * fold run over the group's lanes in vectors, whose arithmetic is IEEE's
+ * lane by lane.  Its noise is either drawn here, a tile at a time, from
+ * each lane's pair of PCG64 streams, seeded here from their seed words, or
+ * read from given (steps,) rows of eta and zeta.
  * It gives the bits of the numpy pipeline of hestonlab (draw_normals, then
  * simulate's step loop and price_block, then estimate.PathSums.fold a tile
  * at a time, in blocks or in one piece), so every operation below is the
@@ -30,24 +32,23 @@
  *     starts from sqrt(y0), libm's sqrt, correctly rounded as Python's;
  *   - max(y, 0) is numpy's maximum: +0.0 for y = -0.0 and a NaN kept;
  *   - a tile sum is numpy's float64 add reduction of a row, 0.0 plus the
- *     pairwise sum of pairwise_sum below;
+ *     pairwise sum of tile_sums below;
  *   - the price is a running sum from the lane's last price, as cumsum.
  *
  * Build with contraction of a*b + c into a fused multiply-add switched off
- * (-ffp-contract=off) and without -ffast-math, or the bits move.
+ * (-ffp-contract=off) and without -ffast-math, or the bits move; and
+ * without errno for libm's sqrt to set (-fno-math-errno), or its square
+ * roots are not vectors.
  *
  * A DESRE lane whose Z falls to zero or below aborts: its step, from 1,
- * goes to aborted[lane], it neither draws, nor is priced or folded, for the
- * rest of the path, and its sums and streams are left unfinished, since the
- * caller drops it.
+ * goes to aborted[lane], it draws no more after that tile, its steps run on
+ * in its group's vectors but are dropped, and its sums and streams are left
+ * unfinished, since the caller drops it.
  * Overflow runs on as inf or NaN, as in numpy.
  *
  * hl_fold_path folds one given path, a tile at a time through the same
- * fold_tile, for hestonlab.estimate.path_functionals.  hl_lane_block's
- * speed moves with its address, so the code ahead of it keeps its size:
- * the static functions that gcc places there (pairwise_sum, scaled,
- * digits8, normal_rare), and no libc function more, whose PLT entry would
- * shift the text; everything new goes after it.
+ * fold_tile, as a group of one lane, for
+ * hestonlab.estimate.path_functionals.
  *
  * hl_format_rows writes a table's cells as Python's '%.17g' and '%d' do,
  * byte for byte, and hl_parse_rows reads CSV lines of the strict form it
@@ -89,154 +90,238 @@ enum { AVE, TE, SE, DESRE, DISRE };
    which the tile sums below follow without their recursive split */
 #define TILE 128
 
-/* numpy's pairwise_sum_DOUBLE for n <= 128: a plain loop below 8 elements,
-   else 8 accumulators, combined as a tree, then the remainder */
-static double pairwise_sum(const double *a, int64_t n)
+/* The lanes of a group, hestonlab.kernel.GROUP.  A group's tile holds its
+   noise and points lane-major, as [step][lane] arrays, so that each
+   variance step, price step and fold term is one pass over the lanes of
+   the group, in vectors; the draws of the group's 2 * GROUP streams are
+   interleaved, so that one stream's chain of 128-bit LCG steps overlaps
+   the others'. */
+#define GROUP 8
+
+#define INLINE static inline __attribute__((always_inline))
+
+/* Two lanes as one vector, whose arithmetic is IEEE's lane by lane: an
+ * SSE2 register, which every x86-64 has.  Four lanes, an AVX2 register,
+ * timed the same in a build for AVX2 CPUs, as divisions and square roots
+ * bound the steps and retire about as many lanes a cycle at either width,
+ * and far slower without AVX2, where gcc splits a compare of four lanes
+ * into scalar ones.  A tile's row, [lane], is read and written by vectors,
+ * VEC(&row[h]) for h = 0, VW, ...: VW doubles at a double's alignment and
+ * of any type. */
+#define VW 2
+typedef double vec_d __attribute__((vector_size(VW * sizeof(double))));
+typedef int64_t vec_i __attribute__((vector_size(VW * sizeof(int64_t))));
+typedef double vec_u __attribute__((vector_size(VW * sizeof(double)), aligned(sizeof(double)),
+                                    may_alias));
+typedef int64_t vec_iu __attribute__((vector_size(VW * sizeof(int64_t)),
+                                      aligned(sizeof(int64_t)), may_alias));
+#define VEC(p) (*(vec_u *)(p))
+#define VEC_I(p) (*(vec_iu *)(p))
+
+/* libm's sqrt of each lane of *v, correctly rounded; without errno to set
+   (-fno-math-errno), the compiler makes it one vector square root */
+INLINE void sqrt_vec(vec_d *v)
 {
-    int64_t i, j;
-    double res, r[8];
-    if (n < 8) {
-        res = 0.0;
-        for (i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    for (j = 0; j < 8; j++)
-        r[j] = a[j];
-    for (i = 8; i < n - (n % 8); i += 8)
-        for (j = 0; j < 8; j++)
-            r[j] += a[i + j];
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-    for (; i < n; i++)
-        res += a[i];
-    return res;
+    int j;
+    for (j = 0; j < VW; j++)
+        (*v)[j] = sqrt((*v)[j]);
 }
 
-/* a row sum as numpy's add.reduce gives it: the identity, then the row */
-static double row_sum(const double *a, int64_t n)
-{
-    return 0.0 + pairwise_sum(a, n);
-}
+/* fabs of each lane: its sign bit cleared */
+#define FABS_VEC(v) ((vec_d)((vec_i)(v) & INT64_MAX))
 
-/* np.maximum(y, 0.0) */
-static double max0(double y)
-{
-    return (y > 0.0 || y != y) ? y : 0.0;
-}
-
-/* Lanes whose variance steps are interleaved: the recursion of one lane is
-   a chain of dependent divisions and square roots, whose latency the chains
-   of the other lanes fill */
-#define GROUP 4
+/* np.maximum(y, 0.0) of each lane of a vector y: +0.0 for y <= 0, -0.0
+   included, and a NaN kept */
+#define MAX0_VEC(y) ((vec_d)((vec_i)(y) & ~((y) <= 0.0)))
 
 /* The scheme constants k[] and the price constants p[] are those of
- * simulate.step_constants.
+ * simulate.step_constants; a group's tile holds its noise and points
+ * lane-major, [step][lane].
  *
- * Variance steps of GROUP lanes from their states s[] (Y, or Z for DESRE
- * and DISRE) over eta[][0..n-1] into the points y[][1..n].  A DESRE lane
- * whose Z is <= 0 at step i of the tile gets hit[] = first + i + 1 unless
- * it has a hit already; its later points are not used. */
-static void variance_steps(int scheme, const double *k, double *s, const double *const *eta,
-                           int64_t n, double (*y)[TILE + 1], int64_t first, int64_t *hit)
+ * Variance steps of the first w lanes of a group, w a multiple of VW, from
+ * their states s[] (Y, or Z for DESRE and DISRE) over eta[0..n-1] into the
+ * points y[1..n].  A DESRE lane whose Z is
+ * <= 0 at step i of the tile gets hit[] = first + i + 1 unless it has a hit
+ * already; its later points are not used.  The states go in vectors,
+ * z[h / VW] for the lanes h, h + 1, ... */
+INLINE void euler_steps(int scheme, const double *k, vec_d *z, const double (*eta)[GROUP],
+                        int64_t n, int w, double (*y)[GROUP])
 {
+    vec_d v, g;
     int64_t i;
-    int j;
-    double z[GROUP];
-    for (j = 0; j < GROUP; j++)
-        z[j] = s[j];
+    int h;
+    for (i = 0; i < n; i++)
+        for (h = 0; h < w; h += VW) {
+            v = z[h / VW];
+            g = scheme == AVE ? FABS_VEC(v) : scheme == TE ? MAX0_VEC(v) : v;
+            sqrt_vec(&g);
+            v = (v + (k[0] - k[1] * v) * k[2]) + ((k[3] * g) * k[4]) * VEC(&eta[i][h]);
+            z[h / VW] = VEC(&y[i + 1][h]) = scheme == SE ? FABS_VEC(v) : v;
+        }
+}
+
+INLINE void variance_steps(int scheme, const double *k, double *s, const double (*eta)[GROUP],
+                           int64_t n, int w, double (*y)[GROUP], int64_t first, int64_t *hit)
+{
+    vec_d z[GROUP / VW], v, u;
+    vec_i now, dead[GROUP / VW];
+    int64_t i;
+    int h;
+    for (h = 0; h < w; h += VW)
+        z[h / VW] = VEC(&s[h]);
     switch (scheme) {
     case DESRE:
+        /* the lanes with a hit, as a mask, which bitwise operations keep */
+        for (h = 0; h < w; h += VW)
+            dead[h / VW] = VEC_I(&hit[h]) != 0;
         for (i = 0; i < n; i++)
-            for (j = 0; j < GROUP; j++) {
-                double noise = k[3] * eta[j][i];
-                z[j] = (z[j] + (k[0] / z[j] - k[1] * z[j]) * k[2]) + noise;
-                if (z[j] <= 0.0 && !hit[j])
-                    hit[j] = first + i + 1;
-                y[j][i + 1] = z[j] * z[j];
+            for (h = 0; h < w; h += VW) {
+                v = z[h / VW];
+                v = (v + (k[0] / v - k[1] * v) * k[2]) + k[3] * VEC(&eta[i][h]);
+                now = (v <= 0.0) & ~dead[h / VW];
+                dead[h / VW] |= now;
+                VEC_I(&hit[h]) |= (first + i + 1) & now;
+                VEC(&y[i + 1][h]) = v * v;
+                z[h / VW] = v;
             }
         break;
     case DISRE:
         for (i = 0; i < n; i++)
-            for (j = 0; j < GROUP; j++) {
-                double noise = k[2] * eta[j][i];
-                double u = (z[j] + noise) / k[0];
-                z[j] = u + sqrt(u * u + k[1]);
-                y[j][i + 1] = z[j] * z[j];
+            for (h = 0; h < w; h += VW) {
+                u = (z[h / VW] + k[2] * VEC(&eta[i][h])) / k[0];
+                v = u * u + k[1];
+                sqrt_vec(&v);
+                v = u + v;
+                VEC(&y[i + 1][h]) = v * v;
+                z[h / VW] = v;
             }
         break;
+    /* one loop for each scheme, so that none tests the scheme per step */
+    case AVE:
+        euler_steps(AVE, k, z, eta, n, w, y);
+        break;
+    case TE:
+        euler_steps(TE, k, z, eta, n, w, y);
+        break;
     default:
-        for (i = 0; i < n; i++)
-            for (j = 0; j < GROUP; j++) {
-                double v = z[j];
-                double g = scheme == AVE ? fabs(v) : scheme == TE ? max0(v) : v;
-                double step = (v + (k[0] - k[1] * v) * k[2]) + ((k[3] * sqrt(g)) * k[4]) * eta[j][i];
-                z[j] = scheme == SE ? fabs(step) : step;
-                y[j][i + 1] = z[j];
-            }
+        euler_steps(SE, k, z, eta, n, w, y);
     }
-    for (j = 0; j < GROUP; j++)
-        s[j] = z[j];
+    for (h = 0; h < w; h += VW)
+        VEC(&s[h]) = z[h / VW];
 }
 
-/* Euler log-price points x[1..n] from x[0] over the variance points y[0..n-1] */
-static void price_steps(const double *p, const double *y, const double *eta,
-                        const double *zeta, int64_t n, double *x)
+/* Euler log-price points x[1..n] of the first w lanes of a group from x[0]
+   over the variance points y[0..n-1] */
+INLINE void price_steps(const double *p, const double (*y)[GROUP], const double (*eta)[GROUP],
+                        const double (*zeta)[GROUP], int64_t n, int w, double (*x)[GROUP])
 {
+    vec_d yi, root;
     int64_t i;
-    for (i = 0; i < n; i++) {
-        double mix = p[0] * eta[i] + p[1] * zeta[i];
-        double inc = (p[2] - p[3] * y[i]) * p[4] + ((p[5] * sqrt(max0(y[i]))) * p[6]) * mix;
-        x[i + 1] = x[i] + inc;
+    int h;
+    for (i = 0; i < n; i++)
+        for (h = 0; h < w; h += VW) {
+            yi = VEC(&y[i][h]);
+            root = MAX0_VEC(yi);
+            sqrt_vec(&root);
+            VEC(&x[i + 1][h]) = VEC(&x[i][h]) + ((p[2] - p[3] * yi) * p[4]
+                                + ((p[5] * root) * p[6]) * (p[0] * VEC(&eta[i][h])
+                                                            + p[1] * VEC(&zeta[i][h])));
+        }
+}
+
+/* The terms that PathSums.fold sums over step i of lane j, from the points
+ * y and x, lane-major, a step's lanes `stride` doubles apart: pass 0 gives
+ * the six running sums' terms and the deviation from y_start, pass 1 the
+ * squared deviation from the tile's mean of those deviations. */
+#define TERMS 7
+INLINE void fold_terms(int pass, const double *y, const double *x, int stride, int64_t i, int j,
+                       const double *y_start, const double *t_mean, double *t)
+{
+    double yl = y[i * stride + j];
+    if (pass) {
+        double c = (yl - y_start[j]) - t_mean[j];
+        t[0] = c * c;
+    } else {
+        double y2 = yl * yl, dy = y[(i + 1) * stride + j] - yl;
+        double dx = x[(i + 1) * stride + j] - x[i * stride + j];
+        t[0] = yl;
+        t[1] = y2;
+        t[2] = y2 * yl;
+        t[3] = yl * dy;
+        t[4] = yl * dx;
+        t[5] = dy * dy;
+        t[6] = yl - y_start[j];
     }
 }
 
-/* PathSums.fold of one tile of n steps (points y[0..n], x[0..n]) after
- * `done` folded steps: the six running sums s[0..5] (stride `lanes`), and
- * the (mean, m2) of the deviations from y_start, merged by Chan, Golub
- * and LeVeque's update.  Inlined into both its callers, each a copy of it
- * fitted to its case. */
-static inline __attribute__((always_inline)) void fold_tile(
-    const double *y, const double *x, int64_t n, int64_t done, double y_start, double *s,
-    int64_t lanes, double *mean, double *m2)
+/* The tile sums sum[term][lane] of a pass's terms over n <= TILE steps, as
+ * numpy's float64 add reduction of each row gives them: 0.0 plus
+ * pairwise_sum_DOUBLE's sum, which for n <= 128 is a plain loop below 8
+ * terms, else 8 accumulators, the first 8 terms, combined as a tree, then
+ * the remainder. */
+INLINE void tile_sums(int pass, const double *y, const double *x, int stride, int w, int64_t n,
+                      const double *y_start, const double *t_mean, double (*sum)[GROUP])
 {
-    double terms[7][TILE];
-    double tile[6], t_mean, t_m2, delta, w_mean, w_m2;
-    int64_t i, j, merged = done + n;
-    for (i = 0; i < n; i++) {
-        double yl = y[i], y2 = yl * yl, dy = y[i + 1] - y[i], dx = x[i + 1] - x[i];
-        terms[0][i] = yl;
-        terms[1][i] = y2;
-        terms[2][i] = y2 * yl;
-        terms[3][i] = yl * dy;
-        terms[4][i] = yl * dx;
-        terms[5][i] = dy * dy;
-        terms[6][i] = yl - y_start;
+    int terms = pass ? 1 : TERMS, a, j, q;
+    double acc[TERMS][8][GROUP], t[TERMS];
+    int64_t i = 0;
+    if (n >= 8) {
+        for (a = 0; a < 8; a++)
+            for (j = 0; j < w; j++) {
+                fold_terms(pass, y, x, stride, a, j, y_start, t_mean, t);
+                for (q = 0; q < terms; q++)
+                    acc[q][a][j] = t[q];
+            }
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (a = 0; a < 8; a++)
+                for (j = 0; j < w; j++) {
+                    fold_terms(pass, y, x, stride, i + a, j, y_start, t_mean, t);
+                    for (q = 0; q < terms; q++)
+                        acc[q][a][j] += t[q];
+                }
+        for (q = 0; q < terms; q++)
+            for (j = 0; j < w; j++)
+                sum[q][j] = ((acc[q][0][j] + acc[q][1][j]) + (acc[q][2][j] + acc[q][3][j]))
+                            + ((acc[q][4][j] + acc[q][5][j]) + (acc[q][6][j] + acc[q][7][j]));
+    } else {
+        for (q = 0; q < terms; q++)
+            for (j = 0; j < w; j++)
+                sum[q][j] = 0.0;
     }
-    for (j = 0; j < 6; j++)
-        tile[j] = row_sum(terms[j], n);
-    t_mean = row_sum(terms[6], n) / (double)n;
-    for (i = 0; i < n; i++) {
-        double c = terms[6][i] - t_mean;
-        terms[6][i] = c * c;
-    }
-    t_m2 = row_sum(terms[6], n);
-    for (j = 0; j < 6; j++)
-        s[j * lanes] = s[j * lanes] + tile[j];
-    w_mean = (double)n / (double)merged;
-    w_m2 = (double)((merged - n) * n) / (double)merged;
-    delta = t_mean - *mean;
-    *mean = *mean + delta * w_mean;
-    *m2 = (*m2 + t_m2) + delta * delta * w_m2;
+    for (; i < n; i++)
+        for (j = 0; j < w; j++) {
+            fold_terms(pass, y, x, stride, i, j, y_start, t_mean, t);
+            for (q = 0; q < terms; q++)
+                sum[q][j] += t[q];
+        }
+    for (q = 0; q < terms; q++)
+        for (j = 0; j < w; j++)
+            sum[q][j] = 0.0 + sum[q][j];
 }
 
-/* fold_tile for hl_lane_block, its one caller: gcc optimizes a function of
- * one caller alone and then inlines it, which gives hl_lane_block the code
- * it has; fold_tile, of two callers, is inlined before it is optimized,
- * which would give other code */
-static void fold_lane_tile(const double *y, const double *x, int64_t n, int64_t done,
-                           double y_start, double *s, int64_t lanes, double *mean, double *m2)
+/* PathSums.fold of one tile of n steps of the first w <= GROUP lanes of
+ * points y[0..n][0..stride-1] and x likewise, after `done` folded steps:
+ * the six running sums s[0..5][0..stride-1], and the (mean, m2) of each
+ * lane's deviations from its y_start, merged by Chan, Golub and LeVeque's
+ * update. */
+INLINE void fold_tile(const double *y, const double *x, int stride, int w, int64_t n, int64_t done,
+                      const double *y_start, double *s, double *mean, double *m2)
 {
-    fold_tile(y, x, n, done, y_start, s, lanes, mean, m2);
+    double tile[TERMS][GROUP], t_mean[GROUP], t_m2[1][GROUP];
+    double merged = (double)(done + n), w_mean = (double)n / merged;
+    double w_m2 = (double)(done * n) / merged;
+    int j, q;
+    tile_sums(0, y, x, stride, w, n, y_start, NULL, tile);
+    for (j = 0; j < w; j++)
+        t_mean[j] = tile[6][j] / (double)n;
+    tile_sums(1, y, x, stride, w, n, y_start, t_mean, t_m2);
+    for (j = 0; j < w; j++) {
+        double delta = t_mean[j] - mean[j];
+        for (q = 0; q < 6; q++)
+            s[q * stride + j] = s[q * stride + j] + tile[q][j];
+        mean[j] = mean[j] + delta * w_mean;
+        m2[j] = (m2[j] + t_m2[0][j]) + delta * delta * w_m2;
+    }
 }
 
 /* ---------------------------------------------------------------------------
@@ -361,17 +446,18 @@ static inline double normal(struct pcg64 *g, const struct ziggurat *z)
     return normal_rare(g, z, idx, rabs, x);
 }
 
-/* The next n normals of each of m streams into out[0..m-1][0..n-1], the
- * streams' draws interleaved, so that one stream's chain of 128-bit steps
- * overlaps the others'; each stream's draws keep their own order. */
-static void draw_tile(struct pcg64 *g, int m, double *const *out, int64_t n,
+/* The next n normals of each of m streams into out[0..m-1][0..n-1], at
+ * stride GROUP (a stream's column of a lane-major tile), the streams' draws
+ * interleaved, so that one stream's chain of 128-bit steps overlaps the
+ * others'; each stream's draws keep their own order. */
+INLINE void draw_tile(struct pcg64 *g, int m, double *const *out, int64_t n,
                       const struct ziggurat *z)
 {
     int64_t i;
     int s;
     for (i = 0; i < n; i++)
         for (s = 0; s < m; s++)
-            out[s][i] = normal(&g[s], z);
+            out[s][i * GROUP] = normal(&g[s], z);
 }
 
 /* Take `lanes` lanes through their whole paths of `steps` steps, each from
@@ -388,17 +474,19 @@ static void draw_tile(struct pcg64 *g, int m, double *const *out, int64_t n,
  * one possibly short.  Unless they are NULL, y_out and x_out, (lanes,
  * steps + 1) row-major, receive each lane's variance and price points, its
  * start first, tile by tile while the lane is live.  Lanes go GROUP at a
- * time, a last short group padded with copies of its first lane, which
- * never draw and whose results are dropped. */
-void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lanes,
-                   int64_t steps, uint64_t *streams, const uint64_t *tables, const double *eta,
+ * time; a last short group takes whole vectors of lanes, padded with
+ * copies of its first lane, which never draw (their noise is 0) and whose
+ * results are dropped; so are an aborted lane's, whose steps run on with
+ * its group. */
+void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lanes, int64_t steps,
+                   uint64_t *streams, const uint64_t *tables, const double *eta,
                    const double *zeta, const double *y_start, double *y_end, double *x_end,
                    double *sums, double *mean, double *m2, int64_t *aborted, double *y_out,
                    double *x_out)
 {
     struct ziggurat z;
-    int64_t g0, t0;
-    int j;
+    int64_t g0, t0, i;
+    int j, q;
     if (streams != NULL) {
         memcpy(z.ki, tables, sizeof z.ki);
         memcpy(z.wi, tables + 256, sizeof z.wi);
@@ -406,26 +494,36 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
     }
     for (g0 = 0; g0 < lanes; g0 += GROUP) {
         int real = lanes - g0 < GROUP ? (int)(lanes - g0) : GROUP, live = real;
-        const double *eta_t[GROUP], *zeta_t[GROUP];
-        double drawn[2][GROUP][TILE];
-        double y[GROUP][TILE + 1], x[GROUP][TILE + 1], s[GROUP];
+        /* the lanes that the steps and the fold take, in whole vectors: a
+           short group, as a single path's, takes no more than it needs */
+        int w = (real + VW - 1) / VW * VW;
+        /* the group's tile, lane-major, and its lanes' sums */
+        double noise[2][TILE][GROUP], y[TILE + 1][GROUP], x[TILE + 1][GROUP];
+        double ys[GROUP], fs[6][GROUP], fmean[GROUP], fm2[GROUP];
         struct pcg64 gen[2 * GROUP];
-        int64_t hit[GROUP];
+        int64_t lane[GROUP];
+        double s[GROUP];
+        int64_t hit[GROUP] = {0};
+        memset(noise, 0, sizeof noise);
         for (j = 0; j < GROUP; j++) {
-            int64_t lane = g0 + (j < real ? j : 0);
-            s[j] = scheme == DESRE || scheme == DISRE ? sqrt(y_end[lane]) : y_end[lane];
-            y[j][0] = y_end[lane];
-            x[j][0] = x_end[lane];
-            hit[j] = 0;
+            int64_t l = lane[j] = g0 + (j < real ? j : 0);
+            s[j] = scheme == DESRE || scheme == DISRE ? sqrt(y_end[l]) : y_end[l];
+            y[0][j] = y_end[l];
+            x[0][j] = x_end[l];
+            ys[j] = y_start[l];
+            for (q = 0; q < 6; q++)
+                fs[q][j] = sums[q * lanes + l];
+            fmean[j] = mean[l];
+            fm2[j] = m2[l];
             if (j < real) {
-                aborted[lane] = 0;
+                aborted[l] = 0;
                 if (y_out != NULL) {
-                    y_out[lane * (steps + 1)] = y_end[lane];
-                    x_out[lane * (steps + 1)] = x_end[lane];
+                    y_out[l * (steps + 1)] = y_end[l];
+                    x_out[l * (steps + 1)] = x_end[l];
                 }
                 if (streams != NULL) {
-                    gen[2 * j] = pcg64_seed(streams + 8 * lane);
-                    gen[2 * j + 1] = pcg64_seed(streams + 8 * lane + 4);
+                    gen[2 * j] = pcg64_seed(streams + 8 * l);
+                    gen[2 * j + 1] = pcg64_seed(streams + 8 * l + 4);
                 }
             }
         }
@@ -439,9 +537,9 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
                 for (j = 0; j < real; j++)
                     if (!hit[j]) {
                         g[m] = gen[2 * j];
-                        out[m++] = drawn[0][j];
+                        out[m++] = &noise[0][0][j];
                         g[m] = gen[2 * j + 1];
-                        out[m++] = drawn[1][j];
+                        out[m++] = &noise[1][0][j];
                     }
                 draw_tile(g, m, out, n, &z);
                 m = 0;
@@ -450,49 +548,45 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
                         gen[2 * j] = g[m++];
                         gen[2 * j + 1] = g[m++];
                     }
-            }
-            for (j = 0; j < GROUP; j++) {
-                int first = j < real ? j : 0;
-                int64_t lane = g0 + first;
-                if (streams == NULL) {
-                    eta_t[j] = eta + lane * steps + t0;
-                    zeta_t[j] = zeta + lane * steps + t0;
-                } else {
-                    eta_t[j] = drawn[0][first];
-                    zeta_t[j] = drawn[1][first];
-                }
-            }
-            variance_steps((int)scheme, k, s, eta_t, n, y, t0, hit);
-            for (j = 0; j < real; j++) {
-                int64_t lane = g0 + j;
-                if (hit[j]) {
-                    if (!aborted[lane]) {
-                        aborted[lane] = hit[j];
-                        live--;
+            } else {
+                for (j = 0; j < real; j++)
+                    for (i = 0; i < n; i++) {
+                        noise[0][i][j] = eta[lane[j] * steps + t0 + i];
+                        noise[1][i][j] = zeta[lane[j] * steps + t0 + i];
                     }
-                    continue;
-                }
-                price_steps(p, y[j], eta_t[j], zeta_t[j], n, x[j]);
-                if (y_out != NULL) {
-                    memcpy(y_out + lane * (steps + 1) + t0 + 1, y[j] + 1, n * sizeof(double));
-                    memcpy(x_out + lane * (steps + 1) + t0 + 1, x[j] + 1, n * sizeof(double));
-                }
-                fold_lane_tile(y[j], x[j], n, t0, y_start[lane], sums + lane, lanes,
-                               mean + lane, m2 + lane);
-                y[j][0] = y[j][n];
-                x[j][0] = x[j][n];
             }
+            variance_steps((int)scheme, k, s, noise[0], n, w, y, t0, hit);
+            price_steps(p, y, noise[0], noise[1], n, w, x);
+            fold_tile(&y[0][0], &x[0][0], GROUP, w, n, t0, ys, &fs[0][0], fmean, fm2);
+            for (j = 0; j < real; j++)
+                if (hit[j] && !aborted[lane[j]]) {
+                    aborted[lane[j]] = hit[j];
+                    live--;
+                }
+            if (y_out != NULL)
+                for (j = 0; j < real; j++)
+                    if (!hit[j])
+                        for (i = 1; i <= n; i++) {
+                            y_out[lane[j] * (steps + 1) + t0 + i] = y[i][j];
+                            x_out[lane[j] * (steps + 1) + t0 + i] = x[i][j];
+                        }
+            memcpy(y[0], y[n], sizeof y[0]);
+            memcpy(x[0], x[n], sizeof x[0]);
         }
         for (j = 0; j < real; j++) {
-            int64_t lane = g0 + j;
+            int64_t l = lane[j];
             if (streams != NULL) {
-                pcg64_store(&gen[2 * j], streams + 8 * lane);
-                pcg64_store(&gen[2 * j + 1], streams + 8 * lane + 4);
+                pcg64_store(&gen[2 * j], streams + 8 * l);
+                pcg64_store(&gen[2 * j + 1], streams + 8 * l + 4);
             }
             if (hit[j])
                 continue;
-            y_end[lane] = y[j][0];
-            x_end[lane] = x[j][0];
+            y_end[l] = y[0][j];
+            x_end[l] = x[0][j];
+            for (q = 0; q < 6; q++)
+                sums[q * lanes + l] = fs[q][j];
+            mean[l] = fmean[j];
+            m2[l] = fm2[j];
         }
     }
 }
@@ -500,14 +594,15 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
 
 /* PathSums.fold of one lane's whole path of `steps` steps, points y[0..steps]
  * and x[0..steps], into the arrays of a fresh one-lane PathSums: sums (6,),
- * mean and m2, from y_start.  Its tiles go through fold_tile in time order,
- * a partial last one included, as hl_lane_block folds a lane. */
+ * mean and m2, from y_start.  Its tiles go through fold_tile, as a group of
+ * one lane, in time order, a partial last one included, as hl_lane_block
+ * folds a lane. */
 void hl_fold_path(const double *y, const double *x, int64_t steps, double y_start, double *sums,
                   double *mean, double *m2)
 {
     int64_t t0;
     for (t0 = 0; t0 < steps; t0 += TILE)
-        fold_tile(y + t0, x + t0, steps - t0 < TILE ? steps - t0 : TILE, t0, y_start, sums, 1,
+        fold_tile(y + t0, x + t0, 1, 1, steps - t0 < TILE ? steps - t0 : TILE, t0, &y_start, sums,
                   mean, m2);
 }
 
@@ -898,9 +993,9 @@ static const char *read_int(const char *p, double *value)
  * does not end with one; the rows hl_parse_rows takes.  Eight bytes at a
  * time: a byte of the word XOR eight newlines is zero where the text holds
  * '\n', and each zero byte adds 1 to its byte of acc, which 255 words do
- * not overflow; then acc's bytes are summed in 16-bit lanes.  Not memchr:
- * one more libc import shifts the code after it, and hl_lane_block's draws
- * ran about 7% slower 16 bytes further on. */
+ * not overflow; then acc's bytes are summed in 16-bit lanes.  Not memchr
+ * once a line: on the 1 MB of a 20001-row path file that took 0.18 ms, and
+ * this 0.12 ms (gcc 12, -O3, a 2-vCPU Xeon). */
 int64_t hl_count_lines(const char *text, int64_t len)
 {
     const uint64_t ones = 0x0101010101010101ULL, low7 = ones * 0x7f;

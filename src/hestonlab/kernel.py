@@ -1,10 +1,11 @@
 """The compiled lane kernel of Monte Carlo runs and single paths, and its loader.
 
 ``kernel.c``, next to this file, takes a freshly seeded lane group from
-(y0, x0) through its whole path in one C loop per lane: the variance
-recursion of any scheme, the log-price recursion and the fold of each
-summation tile into the group's :class:`~hestonlab.estimate.PathSums`, with
-the constants of :func:`~hestonlab.simulate.step_constants`.
+(y0, x0) through its whole path in one C call: the variance recursion of
+any scheme, the log-price recursion and the fold of each summation tile
+into the group's :class:`~hestonlab.estimate.PathSums`, with the constants
+of :func:`~hestonlab.simulate.step_constants`, ``GROUP`` lanes at a time,
+whose steps and fold run side by side in vectors.
 :meth:`LaneKernel.draw` seeds each lane's pair of PCG64 streams from the
 words of :func:`~hestonlab.simulate.lane_seeds` and draws the normals
 itself, a tile at a time, through numpy's ziggurat, inlined: so no block of
@@ -48,8 +49,9 @@ samplers, where they are local symbols of one member (``_TABLE_MEMBER``),
 with a small reader of ``ar`` archives and ELF64 objects, and passes them to
 each call.  After opening the kernel it folds one short path both ways, in
 the kernel and by ``PathSums.fold``, and refuses a kernel whose sums
-differ; it draws one small lane group both ways, in the kernel and through
-``draw_normals``, and refuses a kernel whose bits or stream states differ;
+differ; it draws a whole lane group and a short one both ways, in the
+kernel and through ``draw_normals``, and refuses a kernel whose bits or
+stream states differ;
 then it writes a fixed set of values through the codec and with %, reads
 them back, and reads a set of hard cells (``_CHECK_READS``) in the kernel
 and with ``float()``, and refuses a kernel whose bytes or bits differ; last
@@ -90,8 +92,8 @@ from .model import ModelParams
 from .simulate import (Scheme, draw_normals, lane_generators, lane_seeds, log_ndtr_scalar,
                        step_constants)
 
-__all__ = ["SOURCE", "NPYRANDOM", "COMPILER", "FLAGS", "CACHE_DIR", "load", "lane_kernel",
-           "LaneKernel"]
+__all__ = ["SOURCE", "NPYRANDOM", "COMPILER", "FLAGS", "GROUP", "CACHE_DIR", "load",
+           "lane_kernel", "LaneKernel"]
 
 SOURCE = Path(__file__).with_name("kernel.c")
 # numpy's static library of its samplers, which numpy installs for C code
@@ -99,8 +101,13 @@ SOURCE = Path(__file__).with_name("kernel.c")
 NPYRANDOM = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
 COMPILER = "cc"
 # no fused multiply-add and no value-changing optimization: the kernel must
-# give numpy's bits; no -march, so a cached build runs on any CPU of the platform
-FLAGS = ("-O2", "-std=c99", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
+# give numpy's bits; no errno for sqrt to set, which changes no bit and lets
+# -O3 take square roots in vectors; no -march, so a cached build runs on any
+# CPU of the platform (on x86-64 its vectors are SSE2's, which every one has)
+FLAGS = ("-O3", "-std=c99", "-fno-fast-math", "-fno-math-errno", "-ffp-contract=off", "-fPIC",
+         "-shared")
+# the lanes kernel.c takes side by side, its GROUP
+GROUP = 8
 CACHE_DIR = Path("~", ".cache", "hestonlab")
 
 _SCHEME_CODES = {Scheme.AVE: 0, Scheme.TE: 1, Scheme.SE: 2, Scheme.DESRE: 3, Scheme.DISRE: 4}
@@ -301,10 +308,11 @@ def _check_fold(kernel: "LaneKernel") -> None:
         raise RuntimeError("the lane kernel's fold of a path differs from PathSums.fold")
 
 
-# The group load() draws both ways: 4 lanes of 2048 DISRE steps, whose
-# 16384 normals include both of the ziggurat's rare paths, the wedge test
-# (about 1.5% of normals) and the tail (7 of them at this seed)
-_CHECK_SEED, _CHECK_LANES, _CHECK_STEPS = 2, 4, 2048
+# The lanes load() draws both ways: a whole group and a short one of 2048
+# DISRE steps, whose 36864 normals include both of the ziggurat's rare
+# paths, the wedge test (about 1.5% of normals) and the tail (10 of them at
+# this seed)
+_CHECK_SEED, _CHECK_LANES, _CHECK_STEPS = 2, GROUP + 1, 2048
 _CHECK_PARAMS = ModelParams(a=0.4, b=1.0, alpha=0.1, beta=0.15, sigma1=0.4, sigma2=0.3,
                             rho=0.2, y0=0.4, x0=0.0)
 

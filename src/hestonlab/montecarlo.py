@@ -134,7 +134,7 @@ PARAM_NAMES = ("a", "b", "alpha", "beta")
 # replicates of 1000 steps took a median 1.47 s with a cap of 512 lanes,
 # 1.41 s with 1024, 1.65 s with 2048 and 1.71 s with 4096.  The compiled kernel's cost per lane and step
 # does not depend on the group's width, and its draws are a tile of each of
-# four lanes at a time, whatever the width.
+# eight lanes at a time, whatever the width.
 _MAX_LANES = 1024
 
 
@@ -297,9 +297,13 @@ def preset_config(name: str) -> ExperimentConfig:
     ``table1``: T=3000, N=30000, 10^4 replicates (long-run means at scale).
     ``paper``:  T=5000, N=50000, 10^4 replicates (full-scale study; slow).
     ``desk``:   T=2000, N=20000, 2000 replicates (minutes; the gated scale).
+
+    Raises:
+        ConfigParseError: an unknown name.
+        InvalidArgument: a name that is not a str.
     """
     try:
-        preset = _PRESETS[name]
+        preset = _PRESETS[require_instance(name, str, "name")]
     except KeyError:
         raise ConfigParseError(
             f"unknown preset {name!r}; expected one of {sorted(_PRESETS)}"

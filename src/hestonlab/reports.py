@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -263,8 +264,9 @@ def regenerate_report(out_dir) -> tuple[McSummary, DeviationReport | None]:
         ReportNotFound: a missing directory, report.json or replicates.csv;
             a ``FileNotFoundError`` too, so an ``OSError`` handler catches it.
         OSError: another failure to read the report files.
+        InvalidArgument: ``out_dir`` is not a str or an ``os.PathLike``.
     """
-    out = Path(out_dir)
+    out = Path(require_instance(out_dir, (str, os.PathLike), "out_dir"))
     path = out / "report.json"
     payload = json.loads(_read_report_file(path))
     config = ExperimentConfig.from_mapping(_member(payload, "config", dict, str(path)))

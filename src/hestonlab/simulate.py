@@ -1005,16 +1005,23 @@ def _csv_bytes(header, cells, columns):
     return data
 
 
+def _file_path(value, name: str) -> Path:
+    """``value`` as a ``Path``, unless it is not a path (a non-empty str or
+    an ``os.PathLike``): then ``InvalidArgument`` naming ``name``."""
+    if not isinstance(value, (str, os.PathLike)) or value == "":
+        raise InvalidArgument(f"{name} must be a path or a stream, got {value!r}")
+    return Path(value)
+
+
 def write_csv(dest, header, cells, columns) -> None:
     """Write the CSV file of :func:`format_csv` for the rows that
     ``columns``, 1-d arrays of one length, make side by side to ``dest``: a
     path, whose file takes the writer's bytes as they are, or a text
-    stream."""
-    data = _csv_bytes(header, cells, columns)
+    stream; ``InvalidArgument`` where ``dest`` is neither."""
     if hasattr(dest, "write"):
-        dest.write(str(data, "utf-8"))
+        dest.write(str(_csv_bytes(header, cells, columns), "utf-8"))
     else:
-        Path(dest).write_bytes(data)
+        _file_path(dest, "dest").write_bytes(_csv_bytes(header, cells, columns))
 
 
 def parse_csv(text: str | bytes, header, kinds, where: str = "",
@@ -1089,7 +1096,8 @@ _PATH_HEADER = ("t", "y", "x")
 def write_path_csv(path_obj: XYPath, dest) -> None:
     """Write a path as CSV with full double-precision round-trip fidelity,
     to a path or a text stream; ``InvalidArgument`` where ``path_obj`` is
-    not an :class:`XYPath`."""
+    not an :class:`XYPath`, or ``dest`` is neither a path (a non-empty str
+    or an ``os.PathLike``) nor a stream."""
     require_instance(path_obj, XYPath, "path_obj")
     write_csv(dest, _PATH_HEADER, ("%.17g",) * 3, [path_obj.grid.times(), path_obj.y, path_obj.x])
 
@@ -1111,10 +1119,8 @@ def read_path_csv(src) -> XYPath:
     if hasattr(src, "read"):
         data, where = src.read(), getattr(src, "name", src)
     else:
-        if not isinstance(src, (str, os.PathLike)) or src == "":
-            raise InvalidArgument(f"src must be a path or a stream, got {src!r}")
         try:
-            data = Path(src).read_bytes()
+            data = _file_path(src, "src").read_bytes()
         except FileNotFoundError as exc:
             raise PathFileNotFound(exc.errno, exc.strerror, exc.filename) from None
         where = src

@@ -1,6 +1,7 @@
 """Command-line driver: config parsing, the four subcommands, file formats,
 and exit-code behavior."""
 
+import io
 import json
 import os
 import re
@@ -666,8 +667,12 @@ def test_two_real_commands_in_one_process_read_only_their_own_options(tmp_path, 
 
 @pytest.mark.parametrize("src", [None, 3, b"p.csv", ["p.csv"], ""], ids=repr)
 def test_read_path_csv_refuses_what_is_not_a_path(src):
+    """And write_path_csv refuses each as its destination."""
     with pytest.raises(hl.InvalidArgument, match="^src must be a path or a stream, got "):
         hl.read_path_csv(src)
+    path = hl.read_path_csv(io.StringIO(FIXTURE_CSV))
+    with pytest.raises(hl.InvalidArgument, match="^dest must be a path or a stream, got "):
+        hl.write_path_csv(path, src)
 
 
 def test_a_missing_path_file_is_path_file_not_found(tmp_path, capsys):

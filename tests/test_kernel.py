@@ -130,9 +130,9 @@ NEAR_ZERO = hl.ModelParams(a=0.15, b=0.3, alpha=0.1, beta=0.15, sigma1=0.4, sigm
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
 def test_random_groups_give_numpy_bits(scheme):
-    """Random coefficients, steps and lane counts (1 to 13, so that the last
-    of the kernel's groups of four is short), in blocks of whole tiles and a
-    last partial one."""
+    """Random coefficients, steps and lane counts (1 to 2 * GROUP + 1, so
+    that the kernel's last group is whole or short), in blocks of whole
+    tiles and a last partial one."""
     rng = np.random.default_rng([17, SCHEMES.index(scheme)])
     for _ in range(12):
         sigma1 = float(rng.uniform(0.1, 0.8))
@@ -145,7 +145,7 @@ def test_random_groups_give_numpy_bits(scheme):
             rho=float(rng.uniform(-0.9, 0.9)), y0=float(rng.uniform(0.001, 1.0)),
             x0=float(rng.normal()))
         dt = float(rng.choice([0.001, 0.01, 0.1, 0.4]))
-        lanes = int(rng.integers(1, 14))
+        lanes = int(rng.integers(1, 2 * kernel.GROUP + 2))
         tiles = [SUM_TILE * int(rng.integers(1, 4)) for _ in range(int(rng.integers(0, 3)))]
         both_routes(params, dt, scheme, draws(rng, lanes, *tiles, int(rng.integers(1, 300))))
 
@@ -207,6 +207,19 @@ def test_desre_aborts_at_a_block_start_and_in_a_partial_tile():
     blocks[0][0][3, 0] = -1e3
     steps = both_routes(hl.canonical_params(), 0.1, hl.Scheme.DESRE, blocks)
     assert steps[[1, 2, 3]].tolist() == [2 * SUM_TILE + 1, 4 * SUM_TILE + SUM_TILE + 31, 1]
+
+
+def test_one_lane_of_a_whole_group_aborts_inside_a_tile():
+    """One DESRE lane of a whole group aborts inside its second tile while
+    the others run on, their steps in the same vectors as the dead lane's;
+    likewise in the second group of two."""
+    rng = np.random.default_rng(31)
+    for lanes, dead in ((kernel.GROUP, 5), (2 * kernel.GROUP, kernel.GROUP + 2)):
+        blocks = draws(rng, lanes, 3 * SUM_TILE + 17)
+        blocks[0][0][dead, SUM_TILE + 60] = -1e3
+        steps = both_routes(hl.canonical_params(), 0.1, hl.Scheme.DESRE, blocks)
+        assert np.flatnonzero(steps).tolist() == [dead]
+        assert steps[dead] == SUM_TILE + 61
 
 
 def run_lanes_both_ways(cfg, block, monkeypatch):
@@ -321,9 +334,9 @@ def drawn_against_given(params, dt, scheme, lanes, steps, seed=23, k=None):
 @pytest.mark.parametrize("steps", [5, 128, 1000, 20077])
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
 def test_drawn_noise_gives_the_bits_of_draw_normals(scheme, steps):
-    """Every scheme near the boundary, 1 to 13 lanes (so that the last of
-    the kernel's groups of four is padded), whole tiles and partial ones."""
-    for lanes in range(1, 14):
+    """Every scheme near the boundary, 1 to 2 * GROUP + 1 lanes (so that the
+    kernel's last group is whole or padded), whole tiles and partial ones."""
+    for lanes in range(1, 2 * kernel.GROUP + 2):
         drawn_against_given(NEAR_ZERO, 0.1, scheme, lanes, steps, seed=lanes)
 
 
@@ -388,12 +401,13 @@ def assert_rows_match(got, want, aborted):
 @pytest.mark.parametrize("steps", [5, 128, 20077])
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
 def test_drawn_paths_give_the_bits_of_the_numpy_pipeline(lane_kernel, scheme, steps):
-    """Every scheme near the boundary, 1 to 13 lanes (so that the last of
-    the kernel's groups of four is padded), whole tiles and partial ones.
-    Lanes do not mix, so the first lanes of one 13-lane numpy group are the
-    reference of every group."""
-    y_n, x_n, aborted_n = numpy_paths(NEAR_ZERO, 0.1, scheme, 29, 13, steps)
-    for lanes in range(1, 14):
+    """Every scheme near the boundary, 1 to 2 * GROUP + 1 lanes (so that the
+    kernel's last group is whole or padded), whole tiles and partial ones.
+    Lanes do not mix, so the first lanes of one numpy group of the most
+    lanes are the reference of every group."""
+    most = 2 * kernel.GROUP + 1
+    y_n, x_n, aborted_n = numpy_paths(NEAR_ZERO, 0.1, scheme, 29, most, steps)
+    for lanes in range(1, most + 1):
         y, x, aborted = drawn_paths(lane_kernel, NEAR_ZERO, 0.1, scheme, 29, lanes, steps)
         assert aborted.tolist() == aborted_n[:lanes].tolist()
         assert_rows_match((y, x), (y_n, x_n), aborted)
@@ -577,9 +591,10 @@ def rare_draws(gen, count):
 
 def test_the_drawing_tests_take_the_tail_and_the_wedges(lane_kernel):
     """The streams that test_drawn_noise_gives_the_bits_of_draw_normals
-    draws 20077 normals of, 1 to 13 lanes, and those of load()'s check,
-    take both of the ziggurat's rare paths."""
-    for seed, lanes, steps in [(lanes, lanes, 20077) for lanes in range(1, 14)] + [
+    draws 20077 normals of, 1 to 2 * GROUP + 1 lanes, and those of load()'s
+    check, take both of the ziggurat's rare paths."""
+    for seed, lanes, steps in [(lanes, lanes, 20077)
+                               for lanes in range(1, 2 * kernel.GROUP + 2)] + [
             (kernel._CHECK_SEED, kernel._CHECK_LANES, kernel._CHECK_STEPS)]:
         tails, wedges = 0, 0
         for pair in hl.lane_generators(seed, range(lanes)):
@@ -892,6 +907,14 @@ def test_each_kernel_entry_takes_the_arguments_load_declares(monkeypatch):
     declared = {fn.__name__: len(fn.argtypes)
                 for fn in (k.fn, k.format_fn, k.parse_fn, k.count_fn, k.log_ndtr_fn, k.fold_fn)}
     assert declared == exported_parameter_counts(kernel.SOURCE.read_text())
+
+
+def test_the_loaders_group_is_the_kernels():
+    """load()'s check draws a whole group and a short one, and the tests
+    size their lane counts from GROUP."""
+    assert re.findall(r"^#define GROUP (\d+)$", kernel.SOURCE.read_text(), re.MULTILINE) == [
+        str(kernel.GROUP)]
+    assert kernel._CHECK_LANES == kernel.GROUP + 1
 
 
 def test_the_loader_refuses_a_cache_others_can_write(lane_kernel, tmp_path, monkeypatch):

@@ -44,6 +44,8 @@ def test_presets():
     assert desk.replicates == 2000
     with pytest.raises(hl.ConfigParseError, match="unknown preset 'weekend'"):
         hl.preset_config("weekend")
+    with pytest.raises(hl.InvalidArgument, match=r"^name must be a str, got \['a'\]"):
+        hl.preset_config(["a"])
 
 
 def test_config_validation():

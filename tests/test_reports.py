@@ -218,6 +218,8 @@ def test_a_missing_directory_or_file_fails_as_a_named_error(tmp_path, report_dir
     assert issubclass(hl.ReportNotFound, FileNotFoundError)
     with pytest.raises(hl.ReportNotFound, match="nowhere/report.json"):
         regenerate_report(tmp_path / "nowhere")
+    with pytest.raises(hl.InvalidArgument, match="^out_dir must be a str or a PathLike, got None"):
+        regenerate_report(None)
     out = tmp_path / "rep"
     shutil.copytree(report_dir, out)
     (out / "replicates.csv").unlink()
