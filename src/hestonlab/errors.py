@@ -100,8 +100,8 @@ def require_int(value, name: str, error: type, minimum: int = 0,
 
 def require_positive(value, name: str, error: type) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is a finite real
-    number > 0; a bool is not."""
-    if not (is_real(value, finite=False) and 0.0 < value < math.inf):
+    number > 0; a bool is not, nor an int beyond the doubles."""
+    if not (is_real(value) and value > 0.0):
         raise error(f"{name} must be a finite number > 0, got {value!r}")
 
 
@@ -153,10 +153,6 @@ class NonPositiveZ(HestonLabError):
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
-
-
-class NegativeInput(HestonLabError, ValueError):
-    """A step kernel that assumes a nonnegative state was fed a negative one."""
 
 
 class LengthMismatch(HestonLabError, ValueError):

@@ -37,6 +37,7 @@ from .errors import (
     DegeneratePath,
     InvalidArgument,
     InvalidGrid,
+    InvalidSeed,
     LengthMismatch,
     NonFinitePath,
     NonFiniteSample,
@@ -48,6 +49,7 @@ from .errors import (
     real_array,
     require_finite,
     require_instance,
+    require_int,
     require_positive,
 )
 from .model import ModelParams
@@ -63,7 +65,6 @@ __all__ = [
     "lse_discrete_ab",
     "lse_discrete_alphabeta",
     "lse_from_functionals",
-    "ls_objective",
     "ito_cross_check",
     "failure_reasons",
     "FAILURE_REASONS",
@@ -432,28 +433,6 @@ def lse_from_functionals(f: PathFunctionals) -> LseEstimate:
     )
 
 
-def ls_objective(candidate, y_samples, x_samples, dt: float) -> float:
-    """Discrete least-squares objective at a candidate (a, b, alpha, beta).
-
-    The minimizer of this function over candidates is exactly the pair of
-    closed-form solutions above; tests use it as an independent optimality
-    oracle.
-
-    Raises:
-        InvalidGrid / InvalidArgument: ``dt`` is not a finite number > 0, or
-            ``candidate`` is not four finite real numbers.
-        InvalidArgument / PathTooShort / LengthMismatch / NonFiniteSample:
-            as :func:`lse_discrete_alphabeta`.
-    """
-    require_positive(dt, "dt", InvalidGrid)
-    a, b, alpha, beta = _drift_values(candidate, "candidate")
-    y, x = _check_samples(y_samples, x_samples)
-    y_left = y[:-1]
-    res_y = np.diff(y) - (a - b * y_left) * dt
-    res_x = np.diff(x) - (alpha - beta * y_left) * dt
-    return float(np.sum(res_y * res_y) + np.sum(res_x * res_x))
-
-
 # ---------------------------------------------------------------------------
 # diagnostics and error normalizations
 
@@ -554,6 +533,8 @@ def estimate_record(
     Raises:
         InvalidArgument: ``est`` is not an :class:`LseEstimate`, or a
             ``scheme`` other than None is neither a :class:`Scheme` nor a str.
+        InvalidSeed: a ``seed`` other than None is not an integer >= 0, a
+            bool or a float too.
     """
     f = require_instance(est, LseEstimate, "est").functionals
     if scheme is not None:
@@ -566,5 +547,5 @@ def estimate_record(
         "T": f.t_horizon,
         "N": f.n_steps,
         "scheme": "" if scheme is None else getattr(scheme, "value", str(scheme)),
-        "seed": "" if seed is None else int(seed),
+        "seed": "" if seed is None else require_int(seed, "seed", InvalidSeed),
     }

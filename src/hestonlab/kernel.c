@@ -52,14 +52,14 @@
  *
  * hl_format_rows writes a table's cells as Python's '%.17g' and '%d' do,
  * byte for byte, and hl_parse_rows reads CSV lines of the strict form it
- * writes as float() and int() do, in as many rows as hl_count_lines
- * counts; each returns -1 for what it does not take, and
- * hestonlab.simulate's Python codec then takes the whole call.  Both work
- * on one table of 128-bit powers of ten, which hestonlab.kernel passes in:
- * the writer by Loitsch's method, the reader by Clinger's exact path and
- * Eisel and Lemire's method; each leaves to glibc's snprintf or strtod the
- * few cells that the table's truncation could tip.  None keeps any state
- * between calls.
+ * writes as float() and int() do, in one pass, into a buffer of as many
+ * rows as a text of its length can hold; each returns -1 for what it does
+ * not take, and hestonlab.simulate's Python codec then takes the whole
+ * call.  Both work on one table of 128-bit powers of ten, which
+ * hestonlab.kernel passes in: the writer by Loitsch's method, the reader by
+ * Clinger's exact path and Eisel and Lemire's method; each leaves to
+ * glibc's snprintf or strtod the few cells that the table's truncation
+ * could tip.  None keeps any state between calls.
  *
  * hl_log_ndtr gives log Phi of each of n values with the bits of
  * hestonlab.simulate's Python loop, through libm's erfc, log1p and log,
@@ -989,59 +989,38 @@ static const char *read_int(const char *p, double *value)
     return p;
 }
 
-/* The lines of text[0..len-1]: its '\n' bytes, and one more where the text
- * does not end with one; the rows hl_parse_rows takes.  Eight bytes at a
- * time: a byte of the word XOR eight newlines is zero where the text holds
- * '\n', and each zero byte adds 1 to its byte of acc, which 255 words do
- * not overflow; then acc's bytes are summed in 16-bit lanes.  Not memchr
- * once a line: on the 1 MB of a 20001-row path file that took 0.18 ms, and
- * this 0.12 ms (gcc 12, -O3, a 2-vCPU Xeon). */
-int64_t hl_count_lines(const char *text, int64_t len)
-{
-    const uint64_t ones = 0x0101010101010101ULL, low7 = ones * 0x7f;
-    const uint64_t pairs = 0x00ff00ff00ff00ffULL;
-    int64_t n = 0, i = 0, k;
-    while (len - i >= 8) {
-        uint64_t acc = 0, w;
-        for (k = 0; k < 255 && len - i >= 8; k++, i += 8) {
-            memcpy(&w, text + i, sizeof w);
-            w ^= ones * '\n';
-            /* the high bit of each byte set where the byte is not zero */
-            acc += ~(((w & low7) + low7) | w) >> 7 & ones;
-        }
-        acc = (acc & pairs) + (acc >> 8 & pairs);
-        n += (int64_t)((acc * 0x0001000100010001ULL) >> 48);
-    }
-    for (; i < len; i++)
-        n += text[i] == '\n';
-    return n + (len > 0 && text[len - 1] != '\n');
-}
-
-/* The cells of `rows` CSV lines of text[0..len-1], which a NUL must follow,
- * into out, (cols, rows) row-major: column c read as float() reads it
- * (kinds[c] = CELL_FLOAT) or as int() does (CELL_INT).  pow10 is the
- * writer's table of 10^q.  The text must be `rows` lines, each ended by
- * '\n' but the last, which may end the text, each of `cols` cells split by
- * ',' and each cell of its kind's grammar (read_float, read_int): no space,
- * no blank line and no '\r'.  Returns 0, or -1 where the text is not so,
- * and the caller reads it itself. */
-int64_t hl_parse_rows(const char *text, int64_t len, int64_t rows, int64_t cols,
+/* The cells of the CSV lines of text[0..len-1], which a NUL must follow,
+ * into out, (capacity, cols) row-major: row r of column c, read as float()
+ * reads it (kinds[c] = CELL_FLOAT) or as int() does (CELL_INT), at
+ * out[r * cols + c], so that the rows fill out from its start.  pow10 is
+ * the writer's table of 10^q.  The text must be
+ * lines each ended by '\n' but the last, which may end the text, each of
+ * `cols` cells split by ',' and each cell of its kind's grammar
+ * (read_float, read_int): no space, no blank line and no '\r'.  A line
+ * takes at least 2 * cols bytes, the last one byte less, so no such text
+ * holds more than (len + 1) / (2 * cols) lines, the capacity the caller
+ * gives.  Returns the lines read, or -1 where the text is not so or holds
+ * more than `capacity` lines, and the caller reads it itself. */
+int64_t hl_parse_rows(const char *text, int64_t len, int64_t capacity, int64_t cols,
                       const int64_t *kinds, const uint64_t *pow10, double *out)
 {
     const char *p = text, *end = text + len;
     int64_t r, c;
-    for (r = 0; r < rows; r++)
+    for (r = 0; p < end; r++) {
+        if (r == capacity)
+            return -1;
         for (c = 0; c < cols; c++) {
-            p = kinds[c] == CELL_INT ? read_int(p, out + c * rows + r)
-                                     : read_float(p, end, pow10, out + c * rows + r);
+            p = kinds[c] == CELL_INT ? read_int(p, out + r * cols + c)
+                                     : read_float(p, end, pow10, out + r * cols + c);
             if (p == NULL)
                 return -1;
             if (*p == (c + 1 < cols ? ',' : '\n'))
                 p++;
-            else if (!(p == end && r + 1 == rows && c + 1 == cols))
+            else if (!(p == end && c + 1 == cols))
                 return -1;
         }
-    return p == end ? 0 : -1;
+    }
+    return r;
 }
 
 /* ---------------------------------------------------------------------------

@@ -28,17 +28,16 @@ with the bits of ``PathSums.fold``, for
 :func:`~hestonlab.simulate.fold_path`).
 
 The library also holds the fast route of the CSV codec of
-:func:`~hestonlab.simulate.format_csv`, :func:`~hestonlab.simulate.write_csv`
-and :func:`~hestonlab.simulate.parse_csv`: :meth:`LaneKernel.format_rows`
-and :meth:`LaneKernel.format_columns` write '%.17g' and '%d' cells, byte
-for byte as Python's % does, the latter from separate columns and after a
-header into one buffer that a file takes as it is, the former a table's
-columns through it, and
-:meth:`LaneKernel.parse_rows` reads lines of the strict form that writer
-makes, as ``float()`` and ``int()`` do, from a str or from the bytes of a
-file where they lie, or each returns None for the Python codec to take the
-call.  Both multiply by powers of ten of 128 bits, which :func:`load`
-computes with exact integers (``_pow10_table``) and passes to each call.
+:func:`~hestonlab.simulate.write_csv` and
+:func:`~hestonlab.simulate.parse_csv`: :meth:`LaneKernel.format_columns`
+writes '%.17g' and '%d' cells, byte for byte as Python's % does, from
+separate columns and after a header into one buffer that a file takes as it
+is, and :meth:`LaneKernel.parse_rows` reads lines of the strict form that
+writer makes, as ``float()`` and ``int()`` do, from a str or from the bytes
+of a file where they lie, in one pass; or each returns None for the Python
+codec to take the call.  Both multiply by powers of ten of 128 bits, which
+:func:`load` computes with exact integers (``_pow10_table``) and passes to
+each call.
 And :meth:`LaneKernel.log_ndtr` gives the bits of
 :func:`~hestonlab.simulate.log_ndtr_scalar`, the normality test's log Phi,
 for :func:`~hestonlab.simulate.log_ndtr`.
@@ -270,17 +269,14 @@ def load() -> "LaneKernel":
     fold.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double] + [
         ctypes.c_void_p] * 3
     format_rows, parse_rows = lib.hl_format_rows, lib.hl_parse_rows
-    count_lines = lib.hl_count_lines
-    format_rows.restype = parse_rows.restype = count_lines.restype = ctypes.c_int64
+    format_rows.restype = parse_rows.restype = ctypes.c_int64
     format_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
     # the text's address: within a bytes object, whose buffer a NUL ends
     parse_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
-    count_lines.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     log_ndtr = lib.hl_log_ndtr
     log_ndtr.restype = None
     log_ndtr.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    kernel = LaneKernel(fn, tables, format_rows, parse_rows, count_lines, _pow10_table(),
-                        log_ndtr, fold)
+    kernel = LaneKernel(fn, tables, format_rows, parse_rows, _pow10_table(), log_ndtr, fold)
     _check_fold(kernel)
     _check_draws(kernel)
     _check_codec(kernel)
@@ -405,14 +401,14 @@ def _check_codec(kernel: "LaneKernel") -> None:
     of float().  Else RuntimeError."""
     rows = np.array([(v, _CHECK_INTS[i % len(_CHECK_INTS)])
                      for i, v in enumerate(_CHECK_FLOATS)])
-    text = kernel.format_rows(rows, ("%.17g", "%d"))
+    text = kernel.format_columns(list(rows.T), ("%.17g", "%d"))
     want = ("%.17g,%d\n" * len(rows)) % tuple(rows.ravel().tolist())
-    back = kernel.parse_rows(text or "", (float, int))
+    back = kernel.parse_rows(bytes(text or b""), (float, int))
     read = kernel.parse_rows("\n".join(_CHECK_READS), (float,))
-    if (text != want or back is None or back[0].tobytes() != rows[:, 0].tobytes()
+    if (text != want.encode() or back is None or back[0].tobytes() != rows[:, 0].tobytes()
             or back[1].tolist() != rows[:, 1].astype(np.int64).tolist()
-            or kernel.format_rows(np.array([[2.0 ** 53 - 1]]), ("%d",)) != "9007199254740991\n"
-            or kernel.format_rows(np.array([[2.0 ** 53]]), ("%d",)) is not None
+            or kernel.format_columns([np.array([2.0 ** 53 - 1])], ("%d",)) != b"9007199254740991\n"
+            or kernel.format_columns([np.array([2.0 ** 53])], ("%d",)) is not None
             or read is None or read[0].tobytes() != np.array(
                 [float(cell) for cell in _CHECK_READS]).tobytes()):
         raise RuntimeError("the lane kernel's CSV codec differs from Python's '%.17g', "
@@ -472,15 +468,14 @@ class LaneKernel:
     of given draws, for ``simulate_y``, and :meth:`draw` through normals it
     draws from streams it seeds itself, for ``advance_lanes``."""
 
-    def __init__(self, fn, tables: np.ndarray, format_fn, parse_fn, count_fn,
-                 pow10: np.ndarray, log_ndtr_fn, fold_fn):
+    def __init__(self, fn, tables: np.ndarray, format_fn, parse_fn, pow10: np.ndarray,
+                 log_ndtr_fn, fold_fn):
         self.fn = fn
         # numpy's ziggurat tables, (3, 256) uint64, which each drawing call reads
         self.tables = tables
         self.format_fn = format_fn
         self.parse_fn = parse_fn
-        self.count_fn = count_fn
-        # the powers of ten that format_rows and parse_rows pass to the codec
+        # the powers of ten that format_columns and parse_rows pass to the codec
         self.pow10 = pow10
         self.log_ndtr_fn = log_ndtr_fn
         self.fold_fn = fold_fn
@@ -514,27 +509,18 @@ class LaneKernel:
         self.log_ndtr_fn(z.size, z.ctypes.data, out.ctypes.data)
         return out
 
-    def format_rows(self, rows, cells) -> str | None:
-        """The CSV lines of ``rows``, a float64 (rows, cols) array, each
-        cell as its column's %-format in ``cells``, '%.17g' or '%d', writes
-        it: the bytes of ``(line * len(rows)) % tuple(rows.ravel())`` for
-        ``line`` the cells joined by ',' and ended by a newline.  Its
-        columns go through :meth:`format_columns`, as a file's do.
+    def format_columns(self, columns, cells, head: bytes = b"") -> memoryview | None:
+        """``head``, then the CSV lines of the rows that ``columns``, 1-d
+        float64 arrays of one length, make side by side, each cell as its
+        column's %-format in ``cells``, '%.17g' or '%d', writes it: the bytes
+        of ``(line * rows) % values``, for ``line`` the cells joined by ','
+        and ended by a newline and ``values`` the rows' cells in order, in
+        one buffer, for a file to take as it is.
 
         None where the kernel does not write them: another format or array,
         a value that is not finite, or a '%d' value that is not an integer
         of magnitude below 2^53.
         """
-        if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2):
-            return None
-        text = self.format_columns(list(rows.T), cells)
-        return None if text is None else str(text, "ascii")
-
-    def format_columns(self, columns, cells, head: bytes = b"") -> memoryview | None:
-        """``head``, then the CSV lines of ``columns``, 1-d float64 arrays of
-        one length, as :meth:`format_rows` writes the rows they make: in one
-        buffer, for a file to take as it is.  None where
-        :meth:`format_rows` gives None, or for columns of other arrays."""
         if not (columns and all(isinstance(c, np.ndarray) and c.dtype == np.float64
                                 and c.ndim == 1 and len(c) == len(columns[0]) for c in columns)):
             return None
@@ -578,13 +564,19 @@ class LaneKernel:
             return None
         # bytes are not copied: the kernel reads them where they are
         address = ctypes.cast(ctypes.c_char_p(text), ctypes.c_void_p).value + start
-        rows = self.count_fn(address, size)
-        out = np.empty((len(codes), rows))
-        if self.parse_fn(address, size, rows, len(codes), codes.ctypes.data,
-                         self.pow10.ctypes.data, out.ctypes.data):
+        # a line takes at least two bytes a cell, its separators included,
+        # the last line one byte less where no newline ends it.  The rows
+        # fill the buffer from its start, so only the pages they fill are
+        # touched; numpy backs a buffer of 4 MB or more with huge pages, and
+        # column-major, each column's first rows would take one of its own
+        capacity = (size + 1) // (2 * len(codes))
+        out = np.empty((capacity, len(codes)))
+        rows = self.parse_fn(address, size, capacity, len(codes), codes.ctypes.data,
+                             self.pow10.ctypes.data, out.ctypes.data)
+        if rows < 0:
             return None
         return [column if kind is float else column.astype(np.int64)
-                for kind, column in zip(kinds, out)]
+                for kind, column in zip(kinds, np.ascontiguousarray(out[:rows].T))]
 
     def __call__(self, params: ModelParams, dt: float, scheme: Scheme, eta: np.ndarray,
                  zeta: np.ndarray, paths=None):

@@ -68,6 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    INT64_MAX,
     AllReplicatesFailed,
     ConfigParseError,
     DegenerateSample,
@@ -505,8 +506,9 @@ def _skew_excess_kurtosis(sample: np.ndarray) -> tuple[float, float]:
 
 def _require_statistic(stat, test: str) -> None:
     """Refuse (``InvalidArgument``) a statistic that is not a real number >= 0,
-    NaN and a bool among them; +inf is the limit of a statistic."""
-    if not (is_real(stat, finite=False) and stat >= 0.0):
+    NaN, a bool and an int beyond the doubles among them; +inf is the limit
+    of a statistic."""
+    if not (is_real(stat) and stat >= 0.0 or is_real(stat, finite=False) and stat == math.inf):
         raise InvalidArgument(f"{test} statistic must be a number >= 0, got {stat!r}")
 
 
@@ -557,10 +559,10 @@ def anderson_darling_pvalue(stat: float, n: int) -> float:
 
     Raises:
         InvalidArgument: a statistic that is not a number >= 0, or an ``n``
-            that is not an integer >= 1, a bool too.
+            that is not an integer in [1, ``INT64_MAX``], a bool too.
     """
     _require_statistic(stat, "Anderson-Darling")
-    n = require_int(n, "n", InvalidArgument, 1)
+    n = require_int(n, "n", InvalidArgument, 1, INT64_MAX)
     aa = stat * (1.0 + 0.75 / n + 2.25 / (n * n))
     if aa >= 0.6:
         tail = min(aa, _AD_TAIL_VERTEX)

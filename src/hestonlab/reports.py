@@ -63,8 +63,13 @@ def report_payload(run: McRun, summary: McSummary, deviations: DeviationReport |
     """The ``report.json`` document of a run: its config echo, its failures,
     the summary and the covariance check, as their dataclasses hold them,
     with arrays as lists and every non-finite number as None (JSON null);
-    ``InvalidArgument`` where ``run`` is not an :class:`McRun`."""
+    ``InvalidArgument`` where ``run`` is not an :class:`McRun`, ``summary``
+    not an :class:`McSummary`, or ``deviations`` neither None nor a
+    :class:`DeviationReport`."""
     require_instance(run, McRun, "run")
+    require_instance(summary, McSummary, "summary")
+    if deviations is not None:
+        require_instance(deviations, DeviationReport, "deviations")
     return _finite_or_null({
         "config": {**run.config.to_mapping(), "outputs": list(_OUTPUTS)},
         "failures": {"count": len(run.failures), "items": [asdict(f) for f in run.failures]},
@@ -220,9 +225,10 @@ def _write_figures(out: Path, results: ReplicateTable, theory_diag: np.ndarray |
 
 def write_report(out_dir, run: McRun) -> tuple[McSummary, DeviationReport | None]:
     """Write the full report directory for a finished run; ``InvalidArgument``
-    where ``run`` is not an :class:`McRun`."""
+    where ``run`` is not an :class:`McRun`, or ``out_dir`` not a str or an
+    ``os.PathLike``."""
     require_instance(run, McRun, "run")
-    out = Path(out_dir)
+    out = Path(require_instance(out_dir, (str, os.PathLike), "out_dir"))
     out.mkdir(parents=True, exist_ok=True)
     params = run.config.params
     summary = summarize(run.results, params)

@@ -63,7 +63,7 @@ lane, and :func:`simulate_y` takes chosen draws through the kernel or the
 step loop.  Lanes do not mix, and a path cut into blocks gives the bits of
 the path in one piece.
 
-CSV files: :func:`format_csv` and :func:`parse_csv` are the one codec of path
+CSV files: :func:`write_csv` and :func:`parse_csv` are the one codec of path
 files (``t,y,x``, row 0 the start) and report files.  A file is a header, then
 lines of the header's number of comma-separated cells, floats written with 17
 significant digits.  A reader skips blank lines but counts them in the line
@@ -109,7 +109,6 @@ from .errors import (
     InvalidGrid,
     InvalidSeed,
     LengthMismatch,
-    NegativeInput,
     NonFinitePath,
     NonFiniteSample,
     NonPositiveZ,
@@ -131,11 +130,6 @@ __all__ = [
     "draw_normals",
     "GaussianDraws",
     "XYPath",
-    "step_ave",
-    "step_te",
-    "step_se",
-    "step_desre",
-    "step_disre",
     "advance_variance",
     "price_block",
     "step_constants",
@@ -145,7 +139,6 @@ __all__ = [
     "simulate_x",
     "simulate_xy",
     "simulate_paths",
-    "format_csv",
     "write_csv",
     "parse_csv",
     "write_path_csv",
@@ -405,7 +398,8 @@ class GaussianDraws:
 
     Raises:
         InvalidArgument: draws that are not real numbers, bools or strs say.
-        LengthMismatch: the two are not 1-d arrays of one length.
+        LengthMismatch: the two are not 1-d arrays of one length, or are
+            empty: no grid takes zero steps.
         NonFiniteSample: a draw is NaN or infinite.
     """
 
@@ -415,8 +409,8 @@ class GaussianDraws:
     def __post_init__(self):
         eta = real_array(self.eta, "eta must hold real numbers")
         zeta = real_array(self.zeta, "zeta must hold real numbers")
-        if eta.ndim != 1 or zeta.ndim != 1 or eta.shape != zeta.shape:
-            raise LengthMismatch(f"eta and zeta must be 1-d arrays of equal length, "
+        if eta.ndim != 1 or zeta.ndim != 1 or eta.shape != zeta.shape or not len(eta):
+            raise LengthMismatch(f"eta and zeta must be 1-d arrays of equal length >= 1, "
                                  f"got shapes {eta.shape} and {zeta.shape}")
         for name, draws in (("eta", eta), ("zeta", zeta)):
             require_finite(draws, NonFiniteSample, name + "[{i}] is {value}, not a finite draw")
@@ -460,8 +454,7 @@ def _block_steps(lanes: int) -> int:
 # buffers or into ``out``, not into its own operand (numpy takes that slowly
 # on a one-element array), except for DESRE's last add.  So a block gives
 # the bits of the formula applied step by step, with six to ten numpy calls
-# a step.  The public step_* wrappers run these same functions on a block of
-# one step.
+# a step.
 
 
 def step_constants(scheme: Scheme | None, params: ModelParams,
@@ -566,73 +559,6 @@ _STEPS = {
     Scheme.DESRE: _desre_steps,
     Scheme.DISRE: _disre_steps,
 }
-
-
-def _check_step(scheme: Scheme, params: ModelParams, state_name: str, state, dt, eta_k):
-    """The constants of one step of ``scheme`` and the state and draw as
-    float64 arrays, refusing what :func:`step_constants` refuses, then a
-    state or draw that is not a real number or an array of them
-    (``InvalidArgument``): a bool, str or None among them."""
-    k, _ = step_constants(scheme, params, dt)
-    return k, *(real_array(value, f"{name} must be a real number or an array of them")
-                for name, value in ((state_name, state), ("eta_k", eta_k)))
-
-
-def _one_step(scheme: Scheme, k, state, eta_k):
-    """One step of ``scheme`` on float64 scalars or arrays of one shape."""
-    state, eta_k = np.broadcast_arrays(state, eta_k)
-    out = np.empty((1, state.size))
-    _STEPS[scheme](k, state.reshape(-1), eta_k.reshape(1, -1), out)
-    return out.reshape(state.shape)[()]
-
-
-def step_ave(params: ModelParams, y_prev, dt: float, eta_k):
-    """Absolute-value Euler variance step; accepts any real state."""
-    return _one_step(Scheme.AVE, *_check_step(Scheme.AVE, params, "y_prev", y_prev, dt, eta_k))
-
-
-def step_te(params: ModelParams, y_prev, dt: float, eta_k):
-    """Truncated Euler variance step; negative states diffuse with zero volatility."""
-    return _one_step(Scheme.TE, *_check_step(Scheme.TE, params, "y_prev", y_prev, dt, eta_k))
-
-
-def step_se(params: ModelParams, y_prev, dt: float, eta_k):
-    """Symmetrized Euler variance step: |Euler step|.
-
-    Raises:
-        NegativeInput: if ``y_prev`` is negative (the kernel's square root
-            assumes a nonnegative state, which the scheme itself preserves).
-    """
-    k, y, eta = _check_step(Scheme.SE, params, "y_prev", y_prev, dt, eta_k)
-    if np.any(y < 0.0):
-        raise NegativeInput(f"symmetrized step expects y_prev >= 0, got {y_prev}")
-    return _one_step(Scheme.SE, k, y, eta)
-
-
-def step_desre(params: ModelParams, z_prev, dt: float, eta_k):
-    """Explicit Euler step for Z = sqrt(Y).
-
-    Raises:
-        FellerViolated: unless a > sigma1^2/2.
-        NonPositiveZ: if ``z_prev`` is not strictly positive.
-    """
-    k, z, eta = _check_step(Scheme.DESRE, params, "z_prev", z_prev, dt, eta_k)
-    if np.any(z <= 0.0):
-        raise NonPositiveZ(f"explicit square-root step needs z_prev > 0, got {z_prev}")
-    return _one_step(Scheme.DESRE, k, z, eta)
-
-
-def step_disre(params: ModelParams, z_prev, dt: float, eta_k):
-    """Drift-implicit Euler step for Z = sqrt(Y), solved in closed form.
-
-    The output is the positive root of the step's quadratic, so it is
-    strictly positive whenever a > sigma1^2/2 and 2 + b*dt > 0.
-
-    Raises:
-        FellerViolated: unless a > sigma1^2/2.
-        InvalidGrid: unless 2 + b*dt > 0.
-    """
-    return _one_step(Scheme.DISRE, *_check_step(Scheme.DISRE, params, "z_prev", z_prev, dt, eta_k))
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -869,7 +795,8 @@ def simulate_paths(
     Raises:
         InvalidArgument: at the call, a params, grid or scheme of another type.
         InvalidSeed / ConfigParseError: at the call, a bad master seed, or a
-            replicate count that is a bool or not an integer >= 0.
+            replicate count that is a bool or not an integer in [0,
+            ``INT64_MAX``].
         FellerViolated / InvalidGrid / NonPositiveZ / NonFinitePath: as
             :func:`simulate_xy`, for the first failing replicate, once those
             before it are yielded.
@@ -878,7 +805,7 @@ def simulate_paths(
     require_instance(grid, TimeGrid, "grid")
     require_instance(scheme, Scheme, "scheme")
     require_int(master_seed, "master_seed", InvalidSeed)
-    require_int(replicates, "replicates", ConfigParseError)
+    require_int(replicates, "replicates", ConfigParseError, maximum=INT64_MAX)
     return _lane_paths(params, grid, scheme, master_seed, range(replicates))
 
 
@@ -982,17 +909,11 @@ def fold_path(y: np.ndarray, x: np.ndarray):
 # CSV files: the one codec of path files and report files (module docstring)
 
 
-def format_csv(header, cells, rows) -> str:
-    """The CSV text of ``rows``, a 2-d array, under ``header``: row i is
-    written with the %-formats ``cells``, one per column."""
-    columns = list(np.asarray(rows).T) if len(rows) else [np.empty(0)] * len(cells)
-    return str(_csv_bytes(header, cells, columns), "utf-8")
-
-
 def _csv_bytes(header, cells, columns):
-    """The bytes of :func:`format_csv` for the rows that ``columns``, 1-d
-    arrays of one length, make side by side: where the kernel writes them,
-    its buffer, header included, as a memoryview, else ``bytes``."""
+    """The CSV file of the rows that ``columns``, 1-d arrays of one length,
+    make side by side under ``header``, each cell of column j as the
+    %-format ``cells[j]`` writes it: where the kernel writes them, its
+    buffer, header included, as a memoryview, else ``bytes``."""
     from .kernel import lane_kernel  # kernel imports this module
 
     head = (",".join(header) + "\n").encode()
@@ -1014,10 +935,11 @@ def _file_path(value, name: str) -> Path:
 
 
 def write_csv(dest, header, cells, columns) -> None:
-    """Write the CSV file of :func:`format_csv` for the rows that
-    ``columns``, 1-d arrays of one length, make side by side to ``dest``: a
-    path, whose file takes the writer's bytes as they are, or a text
-    stream; ``InvalidArgument`` where ``dest`` is neither."""
+    """Write the CSV file of the rows that ``columns``, 1-d arrays of one
+    length, make side by side under ``header``, each cell of column j as
+    the %-format ``cells[j]`` writes it, to ``dest``: a path, whose file
+    takes the writer's bytes as they are, or a text stream;
+    ``InvalidArgument`` where ``dest`` is neither."""
     if hasattr(dest, "write"):
         dest.write(str(_csv_bytes(header, cells, columns), "utf-8"))
     else:

@@ -3,7 +3,9 @@ Python's '%.17g', '%d', float() and int(), which stay as the fallback and
 as the reference here."""
 
 import copy
+import ctypes
 import hashlib
+import io
 import math
 import re
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 
 import hestonlab.kernel as kernel
 from hestonlab.cli import main
-from hestonlab.simulate import format_csv, parse_csv
+from hestonlab.simulate import parse_csv, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,13 @@ def outcome(fn, *args):
         return fn(*args)
     except ValueError as e:
         return type(e), str(e)
+
+
+def written(codec, rows, cells):
+    """The codec's CSV lines of the table ``rows``, a (rows, cols) array, as
+    a str, or None: its columns through ``format_columns``, as a file's go."""
+    data = codec.format_columns(list(rows.T), cells)
+    return None if data is None else str(data, "ascii")
 
 
 def python_lines(values, cells):
@@ -107,7 +116,7 @@ def near_powers_of_ten():
 def test_the_writer_gives_the_bytes_of_percent_formatting(codec):
     values = np.concatenate([families(125_000).ravel(), exact_ties(), near_powers_of_ten(),
                              kernel._CHECK_FLOATS]).reshape(-1, 1)
-    text = codec.format_rows(values, ("%.17g",))
+    text = written(codec, values, ("%.17g",))
     assert text == python_lines(values, ("%.17g",))
     # and the reader gives back their bits
     assert codec.parse_rows(text, (float,))[0].tobytes() == values.tobytes()
@@ -149,7 +158,7 @@ def test_the_fast_path_decides_no_cell_the_tables_error_could_tip(codec):
                              families(2_000).ravel()]).reshape(-1, 1)
     want = python_lines(values, ("%.17g",))
     for shifted in moved_tables(codec):
-        assert shifted.format_rows(values, ("%.17g",)) == want
+        assert written(shifted, values, ("%.17g",)) == want
 
 
 # the units next to one half in which kernel.c's eisel_lemire leaves a
@@ -233,17 +242,23 @@ def test_the_reader_gives_float_bits_on_every_way_it_goes(codec):
     assert got.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
 
 
-def test_the_line_count_is_that_of_the_newlines(codec):
-    """Each length up to 40 and a long text, with runs of newlines long
-    enough to fill every byte of the counter's words, and a last line with
-    or without its newline."""
-    rng = np.random.default_rng(5)
-    texts = [b"\n" * 5000, b"x" * 5000, b"\n" * 2041 + b"1", b""]
-    texts += [bytes(rng.choice([10, 44, 48], n, p=[0.3, 0.3, 0.4]).astype(np.uint8))
-              for n in [*range(1, 41), 10_007]]
-    for data in texts:
-        want = data.count(b"\n") + (bool(data) and not data.endswith(b"\n"))
-        assert codec.count_fn(data, len(data)) == want
+def test_the_readers_capacity_holds_the_densest_lines(codec):
+    """Lines of one-digit cells, the fewest bytes a line takes, fill the
+    capacity that parse_rows gives the kernel, (bytes + 1) // (2 * cells a
+    line), with or without the last newline; one line more than a
+    capacity is refused, not written past it."""
+    for kinds in ((float,), (int, float), (float, int, float)):
+        line = ",".join("7" * len(kinds))
+        for n in (1, 2, 3, 1000):
+            for text in ("\n".join([line] * n), "\n".join([line] * n) + "\n"):
+                got = codec.parse_rows(text, kinds)
+                assert [c.tolist() for c in got] == [[7] * n] * len(kinds)
+    data = b"7,7\n" * 5
+    codes, out = np.zeros(2, dtype=np.int64), np.empty((5, 2))
+    address = ctypes.cast(ctypes.c_char_p(data), ctypes.c_void_p).value
+    for capacity, rows in ((5, 5), (4, -1)):
+        assert codec.parse_fn(address, len(data), capacity, 2, codes.ctypes.data,
+                              codec.pow10.ctypes.data, out.ctypes.data) == rows
 
 
 def test_the_reader_decides_no_cell_the_tables_error_could_tip(codec):
@@ -270,7 +285,7 @@ def test_a_reader_that_misreads_a_check_cell_fails_the_loaders_check(codec, monk
     broken = copy.copy(codec)
     broken.pow10 = table
     rows = np.array(kernel._CHECK_FLOATS).reshape(-1, 1)
-    assert broken.format_rows(rows, ("%.17g",)) == python_lines(rows, ("%.17g",))
+    assert written(broken, rows, ("%.17g",)) == python_lines(rows, ("%.17g",))
     assert broken.parse_rows("1e-23", (float,))[0][0] != 1e-23
     monkeypatch.setattr(kernel, "_pow10_table", lambda: table)
     with pytest.raises(RuntimeError, match="CSV codec differs"):
@@ -284,32 +299,36 @@ def test_ints_round_trip(codec):
     ints = np.concatenate([rng.integers(-10 ** 15 + 1, 10 ** 15, 2000),
                            [0, 1, -1, 10 ** 15 - 1, -10 ** 15 + 1]]).astype(float)
     table = np.column_stack([ints, rng.standard_normal(len(ints))])
-    text = codec.format_rows(table, ("%d", "%.17g"))
+    text = written(codec, table, ("%d", "%.17g"))
     assert text == python_lines(table, ("%d", "%.17g"))
     index, floats = codec.parse_rows(text, (int, float))
     assert index.dtype == np.int64 and index.tolist() == ints.astype(np.int64).tolist()
     assert floats.tobytes() == table[:, 1].tobytes()
-    assert codec.format_rows(np.array([[-0.0, 2.0 ** 53 - 1]]), ("%d", "%d")) == \
+    assert written(codec, np.array([[-0.0, 2.0 ** 53 - 1]]), ("%d", "%d")) == \
         "0,9007199254740991\n"
 
 
-@pytest.mark.parametrize("rows, cells", [
-    (np.array([[1.5, np.nan]]), ("%.17g", "%.17g")),
-    (np.array([[1.5, -np.inf]]), ("%.17g", "%.17g")),
-    (np.array([[2.5, 1.0]]), ("%d", "%.17g")),
-    (np.array([[2.0 ** 53, 1.0]]), ("%d", "%.17g")),
-    (np.array([[np.nan, 1.0]]), ("%d", "%.17g")),
-    (np.array([[1.0, 2.0]]), ("%.3f", "%.17g")),
-    (np.array([["mean", 0.25]], dtype=object), ("%s", "%.17g")),
-    (np.array([[1, 2]]), ("%d", "%d")),
-    ([[1.0, 2.0]], ("%.17g", "%.17g")),
+@pytest.mark.parametrize("columns, cells", [
+    ([np.array([1.5]), np.array([np.nan])], ("%.17g", "%.17g")),
+    ([np.array([1.5]), np.array([-np.inf])], ("%.17g", "%.17g")),
+    ([np.array([2.5]), np.array([1.0])], ("%d", "%.17g")),
+    ([np.array([2.0 ** 53]), np.array([1.0])], ("%d", "%.17g")),
+    ([np.array([np.nan]), np.array([1.0])], ("%d", "%.17g")),
+    ([np.array([1.0]), np.array([2.0])], ("%.3f", "%.17g")),
+    ([np.array(["mean"], dtype=object), np.array([0.25], dtype=object)], ("%s", "%.17g")),
+    ([np.array([1]), np.array([2])], ("%d", "%d")),
+    ([[1.0], [2.0]], ("%.17g", "%.17g")),
 ], ids=["nan", "inf", "fraction-as-d", "2^53-as-d", "nan-as-d", "other-format", "objects",
         "int-array", "list"])
-def test_what_the_writer_refuses_python_writes(codec, python_codec, rows, cells):
-    assert codec.format_rows(rows, cells) is None
-    header = ("u", "v")
-    assert outcome(format_csv, header, cells, rows) == python_codec(outcome, format_csv, header,
-                                                                     cells, rows)
+def test_what_the_writer_refuses_python_writes(codec, python_codec, columns, cells):
+    assert codec.format_columns(columns, cells) is None
+
+    def text():
+        out = io.StringIO()
+        write_csv(out, ("u", "v"), cells, columns)
+        return out.getvalue()
+
+    assert outcome(text) == python_codec(outcome, text)
 
 
 FLOAT2 = ("t", "y"), (float, float)

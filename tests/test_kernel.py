@@ -905,7 +905,7 @@ def test_each_kernel_entry_takes_the_arguments_load_declares(monkeypatch):
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"the lane kernel does not build here: {e}")
     declared = {fn.__name__: len(fn.argtypes)
-                for fn in (k.fn, k.format_fn, k.parse_fn, k.count_fn, k.log_ndtr_fn, k.fold_fn)}
+                for fn in (k.fn, k.format_fn, k.parse_fn, k.log_ndtr_fn, k.fold_fn)}
     assert declared == exported_parameter_counts(kernel.SOURCE.read_text())
 
 

@@ -1,7 +1,6 @@
 """Replicate harness and summary statistics: determinism, failure accounting,
 normality tests, histogram records, covariance deviation reports."""
 
-import io
 import math
 import tracemalloc
 
@@ -727,47 +726,3 @@ def test_covariance_check_refuses_what_is_not_a_summary_and_a_theory():
                               theory)
     assert (rep.max_normalized_dev.hex(), rep.max_scaled_dev.hex()) == (
         "0x1.0000000000002p-2", "0x1.c71c71c71c71dp-4")
-
-
-# ---------------------------------------------------------------------------
-# object arguments
-
-
-def small_functionals():
-    path = hl.simulate_xy(hl.canonical_params(), hl.TimeGrid(5.0, 50), hl.Scheme.DISRE,
-                          hl.SeedLineage(3, 0))
-    return hl.path_functionals(path)
-
-
-# each function, the argument it refuses, and a call with that argument
-OBJECT_ARGUMENTS = {
-    "stationary_moments": ("params", hl.stationary_moments),
-    "asymptotic_covariance": ("params", hl.asymptotic_covariance),
-    "covariance_sandwich": ("params", hl.covariance_sandwich),
-    "classify_regime": ("params", hl.classify_regime),
-    "conditional_mean_y": ("params", lambda bad: hl.conditional_mean_y(bad, 0.2, 0.0, 1.0)),
-    "conditional_mean_x": ("params", lambda bad: hl.conditional_mean_x(bad, 0.2, 0.1, 0.0, 1.0)),
-    "ito_cross_check": ("f", lambda bad: hl.ito_cross_check(bad, 0.4)),
-    "lse_from_functionals": ("f", hl.lse_from_functionals),
-    "failure_reasons": ("f", hl.failure_reasons),
-    "path_functionals": ("path", hl.path_functionals),
-    "write_path_csv": ("path_obj", lambda bad: hl.write_path_csv(bad, io.StringIO())),
-    "run_replicates": ("config", hl.run_replicates),
-    "report_payload": ("run", lambda bad: hl.report_payload(bad, None, None)),
-    "write_report": ("run", lambda bad: hl.write_report("report", bad)),
-    "summarize": ("results", lambda bad: hl.summarize(bad, hl.canonical_params())),
-    "normalized_error": ("est", lambda bad: hl.normalized_error(bad, hl.canonical_params())),
-    "random_scaling_transform": ("est", lambda bad: hl.random_scaling_transform(
-        bad, hl.canonical_params(), small_functionals())),
-}
-
-
-@pytest.mark.parametrize("function", sorted(OBJECT_ARGUMENTS))
-@pytest.mark.parametrize("bad", [None, "x"])
-def test_object_arguments_of_another_type_are_refused(function, bad, tmp_path, monkeypatch):
-    """InvalidArgument naming the argument, and nothing written."""
-    name, call = OBJECT_ARGUMENTS[function]
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(hl.InvalidArgument, match=f"^{name} must be an? [A-Z]"):
-        call(bad)
-    assert not any(tmp_path.iterdir())

@@ -1,8 +1,10 @@
-"""The replicate file of a report: what its reader accepts and refuses."""
+"""The replicate file of a report: what its reader accepts and refuses;
+and what the report writers refuse."""
 
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 import hestonlab as hl
@@ -228,3 +230,32 @@ def test_a_missing_directory_or_file_fails_as_a_named_error(tmp_path, report_dir
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 1
     assert capsys.readouterr().err.startswith("error: ReportNotFound: ")
     assert not (tmp_path / "nowhere").exists()
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    params = hl.canonical_params()
+    run = hl.run_replicates(hl.ExperimentConfig(params, hl.TimeGrid(1.0, 20), hl.Scheme.DISRE,
+                                                10, 7))
+    return run, hl.summarize(run.results, params)
+
+
+@pytest.mark.parametrize("out_dir", [None, 1.5, np.zeros(2)], ids=["None", "float", "ndarray"])
+def test_write_report_refuses_an_out_dir_that_is_not_a_path(out_dir, small_run, tmp_path,
+                                                            monkeypatch):
+    """InvalidArgument naming out_dir, as regenerate_report's, and nothing
+    written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(hl.InvalidArgument, match="^out_dir must be a str or a PathLike, got "):
+        hl.write_report(out_dir, small_run[0])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argument", ["summary", "deviations"])
+def test_report_payload_refuses_a_summary_or_deviations_of_another_type(argument, small_run):
+    run, summary = small_run
+    args = {"summary": summary, "deviations": None, argument: "x"}
+    with pytest.raises(hl.InvalidArgument, match=f"^{argument} must be an? [A-Z]"):
+        hl.report_payload(run, args["summary"], args["deviations"])
+    # no deviations is taken, as a null covariance check
+    assert hl.report_payload(run, summary, None)["covariance_check"] is None

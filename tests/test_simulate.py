@@ -2,6 +2,7 @@
 simulation, draw lineage, and CSV round-trips."""
 
 import dataclasses
+import io
 import math
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import hestonlab as hl
 import hestonlab.kernel as kernel
 import hestonlab.simulate as simulate
-from hestonlab.simulate import advance_variance, format_csv, parse_csv
+from hestonlab.simulate import advance_variance, parse_csv, write_csv
 
 P = hl.canonical_params()
 SQRT_DT = math.sqrt(0.1)
@@ -24,6 +25,15 @@ SQRT_DT = math.sqrt(0.1)
 # square-root-space kernels at the canonical point (y=0.2, dt=0.1, eta=0)
 DESRE_Z_STEP = 0.48075461516245477
 DISRE_Z_ROOT = 0.4777261896044577
+
+
+def one_step(scheme, params, state, dt, eta):
+    """One step of ``scheme`` from ``state`` (Y, or Z = sqrt(Y) for DESRE and
+    DISRE) with draw ``eta``, scalars or arrays of one shape: the new state,
+    by advance_variance on a one-step block of one lane per value."""
+    state, eta = np.broadcast_arrays(np.asarray(state, dtype=float), np.asarray(eta, dtype=float))
+    _, new, _ = advance_variance(params, dt, scheme, eta.reshape(-1, 1), state.reshape(-1))
+    return new.reshape(state.shape)[()]
 
 
 def zero_draws(n):
@@ -103,64 +113,58 @@ def test_scheme_parse():
 
 
 def test_ave_drift_step():
-    assert hl.step_ave(P, 0.2, 0.1, 0.0) == pytest.approx(0.234, rel=1e-14)
+    assert one_step(hl.Scheme.AVE, P, 0.2, 0.1, 0.0) == pytest.approx(0.234, rel=1e-14)
 
 
 def test_ave_zero_state_kills_diffusion():
-    assert hl.step_ave(P, 0.0, 0.1, 5.0) == pytest.approx(0.4 * 0.1, rel=1e-15)
+    assert one_step(hl.Scheme.AVE, P, 0.0, 0.1, 5.0) == pytest.approx(0.4 * 0.1, rel=1e-15)
 
 
 def test_ave_negative_state_uses_absolute_value():
-    got = hl.step_ave(P, -0.1, 0.1, 1.0)
+    got = one_step(hl.Scheme.AVE, P, -0.1, 0.1, 1.0)
     want = -0.1 + (0.4 - 0.3 * (-0.1)) * 0.1 + 0.4 * math.sqrt(0.1) * SQRT_DT
     assert got == pytest.approx(want, rel=1e-14)
     assert got == pytest.approx(-0.017, abs=1e-15)
 
 
 def test_te_negative_state_is_pure_drift():
-    got = hl.step_te(P, -0.1, 0.1, 3.0)
+    got = one_step(hl.Scheme.TE, P, -0.1, 0.1, 3.0)
     assert got == pytest.approx(-0.1 + 0.043, rel=1e-14)
 
 
 def test_te_agrees_with_ave_without_noise():
-    assert hl.step_te(P, 0.2, 0.1, 0.0) == hl.step_ave(P, 0.2, 0.1, 0.0)
+    assert one_step(hl.Scheme.TE, P, 0.2, 0.1, 0.0) == one_step(hl.Scheme.AVE, P, 0.2, 0.1, 0.0)
 
 
 def test_te_with_noise():
     want = 0.234 + 0.4 * math.sqrt(0.2) * SQRT_DT
-    assert hl.step_te(P, 0.2, 0.1, 1.0) == pytest.approx(want, rel=1e-14)
+    assert one_step(hl.Scheme.TE, P, 0.2, 0.1, 1.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_se_positive_argument():
-    assert hl.step_se(P, 0.2, 0.1, 0.0) == pytest.approx(0.234, rel=1e-14)
+    assert one_step(hl.Scheme.SE, P, 0.2, 0.1, 0.0) == pytest.approx(0.234, rel=1e-14)
 
 
 def test_se_negates_negative_inner_value():
     inner = 0.2 + 0.034 + 0.4 * math.sqrt(0.2) * SQRT_DT * (-30.0)
     assert inner < 0
-    assert hl.step_se(P, 0.2, 0.1, -30.0) == pytest.approx(-inner, rel=1e-14)
+    assert one_step(hl.Scheme.SE, P, 0.2, 0.1, -30.0) == pytest.approx(-inner, rel=1e-14)
 
 
 def test_se_nonnegative_randomized():
     rng = np.random.default_rng(99)
     y = rng.uniform(0.0, 5.0, 10**6)
     eta = rng.standard_normal(10**6)
-    out = np.array([hl.step_se(P, float(yi), 0.1, float(e))
-                    for yi, e in zip(y[:2000], eta[:2000])])
+    out = one_step(hl.Scheme.SE, P, y[:2000], 0.1, eta[:2000])
     assert np.all(out >= 0)
     # vectorized replica of the kernel for the full million
     inner = y + (P.a - P.b * y) * 0.1 + P.sigma1 * np.sqrt(y) * SQRT_DT * eta
     assert np.all(np.abs(inner) >= 0)
 
 
-def test_se_rejects_negative_state():
-    with pytest.raises(hl.NegativeInput):
-        hl.step_se(P, -0.01, 0.1, 0.0)
-
-
 def test_desre_drift_step_frozen_value():
     z0 = math.sqrt(0.2)
-    got = hl.step_desre(P, z0, 0.1, 0.0)
+    got = one_step(hl.Scheme.DESRE, P, z0, 0.1, 0.0)
     assert abs(got - DESRE_Z_STEP) < 5e-16
     want = z0 + ((0.2 - 0.02) / z0 - 0.15 * z0) * 0.1
     assert got == pytest.approx(want, rel=1e-15)
@@ -168,7 +172,7 @@ def test_desre_drift_step_frozen_value():
 
 def test_desre_fixed_point():
     zstar = math.sqrt((P.a / 2 - P.sigma1**2 / 8) / (P.b / 2))
-    got = hl.step_desre(P, zstar, 0.1, 0.0)
+    got = one_step(hl.Scheme.DESRE, P, zstar, 0.1, 0.0)
     assert got == pytest.approx(zstar, rel=1e-14)
 
 
@@ -176,16 +180,16 @@ def test_desre_feller_boundary_rejected():
     tight = hl.ModelParams(a=0.08, b=0.3, alpha=0.1, beta=0.15, sigma1=0.4,
                            sigma2=0.3, rho=0.2, y0=0.2, x0=0.1)
     with pytest.raises(hl.FellerViolated):
-        hl.step_desre(tight, 0.5, 0.1, 0.0)
+        one_step(hl.Scheme.DESRE, tight, 0.5, 0.1, 0.0)
     with pytest.raises(hl.FellerViolated):
-        hl.step_disre(tight, 0.5, 0.1, 0.0)
+        one_step(hl.Scheme.DISRE, tight, 0.5, 0.1, 0.0)
 
 
 def test_disre_closed_root_and_residual():
     """The closed-form root satisfies the implicit recursion to machine
     precision; the frozen value pins the exact double."""
     z0 = math.sqrt(0.2)
-    z1 = hl.step_disre(P, z0, 0.1, 0.0)
+    z1 = one_step(hl.Scheme.DISRE, P, z0, 0.1, 0.0)
     assert abs(z1 - DISRE_Z_ROOT) < 5e-16
     assert z1**2 == pytest.approx(0.2282, abs=5e-4)
     resid = z1 - z0 - (((P.a / 2 - P.sigma1**2 / 8) / z1 - (P.b / 2) * z1) * 0.1)
@@ -206,12 +210,13 @@ def test_disre_residual_randomized():
     assert np.max(np.abs(resid)) <= 1e-10
     # spot-check the scalar kernel against the vectorized replica
     for i in (0, 777, 99_999):
-        assert hl.step_disre(P, float(z_prev[i]), dt, float(eta[i])) == z_new[i]
+        assert one_step(hl.Scheme.DISRE, P, float(z_prev[i]), dt, float(eta[i])) == z_new[i]
 
 
 def test_disre_small_step_continuity():
     z0 = math.sqrt(0.2)
-    gaps = [abs(hl.step_disre(P, z0, dt, 0.0) - z0) for dt in (1e-2, 1e-4, 1e-6, 1e-8)]
+    gaps = [abs(one_step(hl.Scheme.DISRE, P, z0, dt, 0.0) - z0)
+            for dt in (1e-2, 1e-4, 1e-6, 1e-8)]
     assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-8
 
@@ -511,17 +516,14 @@ def test_kernel_route_holds_the_path_twice_at_most(scheme):
 
 @pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
 def test_step_functions_match_python_recursion(scheme):
-    step_fn = {hl.Scheme.AVE: hl.step_ave, hl.Scheme.TE: hl.step_te,
-               hl.Scheme.SE: hl.step_se, hl.Scheme.DESRE: hl.step_desre,
-               hl.Scheme.DISRE: hl.step_disre}[scheme]
     dt = 0.1
     step = python_recursion(scheme, NEAR_ZERO, dt)
     rng = np.random.default_rng(3)
     states = rng.uniform(0.05, 2.0, 50)
     etas = rng.standard_normal(50)
     for s, e in zip(states, etas):
-        assert step_fn(NEAR_ZERO, float(s), dt, float(e)) == step(float(s), float(e))
-    batch = step_fn(NEAR_ZERO, states, dt, etas)
+        assert one_step(scheme, NEAR_ZERO, float(s), dt, float(e)) == step(float(s), float(e))
+    batch = one_step(scheme, NEAR_ZERO, states, dt, etas)
     assert batch.shape == (50,)
     assert batch.tolist() == [step(float(s), float(e)) for s, e in zip(states, etas)]
 
@@ -546,6 +548,16 @@ def test_gaussian_draws_refuse_non_finite_draws(bad):
     for eta, zeta, name in ((draws, np.zeros(5), "eta"), (np.zeros(5), draws, "zeta")):
         with pytest.raises(hl.NonFiniteSample, match=rf"^{name}\[3\] is {bad}, not a finite"):
             hl.GaussianDraws(eta=eta, zeta=zeta)
+
+
+@pytest.mark.parametrize("eta, zeta", [([], []), (np.empty(0), np.empty(0)), ([], [0.5]),
+                                       (np.zeros((2, 0)), np.zeros((2, 0)))], ids=repr)
+def test_gaussian_draws_refuse_no_draws(eta, zeta):
+    """No grid takes zero steps, so no draws of length 0 are taken."""
+    with pytest.raises(hl.LengthMismatch, match=r"^eta and zeta must be 1-d arrays of equal "
+                                                r"length >= 1, got shapes \("):
+        hl.GaussianDraws(eta=eta, zeta=zeta)
+    assert len(hl.GaussianDraws([0.5], [-0.5])) == 1
 
 
 def test_x_uncorrelated_uses_second_stream_only():
@@ -774,7 +786,7 @@ def test_scheme_check_is_the_one_rule_of_each_scheme():
     with pytest.raises(hl.InvalidGrid, match=r"^scheme DISRE needs 2 \+ b\*dt > 0"):
         hl.Scheme.DISRE.check(steep, 0.1)
     with pytest.raises(hl.InvalidGrid):
-        hl.step_disre(steep, 0.5, 0.1, 0.0)
+        one_step(hl.Scheme.DISRE, steep, 0.5, 0.1, 0.0)
     with pytest.raises(hl.FellerViolated):
         advance_variance(tight, 0.1, hl.Scheme.DESRE, np.zeros((1, 3)))
     with pytest.raises(hl.FellerViolated):
@@ -798,7 +810,7 @@ def test_three_step_manual_unroll():
     z = math.sqrt(P.y0)
     y_hand = [P.y0]
     for k in range(3):
-        z = hl.step_disre(P, z, dt, float(draws.eta[k]))
+        z = one_step(hl.Scheme.DISRE, P, z, dt, float(draws.eta[k]))
         y_hand.append(z * z)
     x_hand = [P.x0]
     for k in range(3):
@@ -982,12 +994,14 @@ FINITE_DOUBLES = st.one_of(
     blanks=st.lists(st.integers(0, 14), max_size=4),
 )
 def test_csv_codec_round_trips_the_bits(rows, pad, blanks):
-    """format_csv then parse_csv gives back every int and the bits of every
+    """write_csv then parse_csv gives back every int and the bits of every
     finite double, through blank lines and spaces around the header and
     cells, and names each row's line of the file."""
     header, kinds = ("n", "u", "v"), (int, float, float)
     table = np.array(rows, dtype=object).reshape(len(rows), 3)
-    lines = format_csv(header, ("%d", "%.17g", "%.17g"), table).splitlines()
+    out = io.StringIO()
+    write_csv(out, header, ("%d", "%.17g", "%.17g"), list(table.T))
+    lines = out.getvalue().splitlines()
     lines = [pad + lines[0] + pad] + [
         pad + (pad + "," + pad).join(line.split(",")) + pad for line in lines[1:]]
     for at in sorted(blanks, reverse=True):
@@ -999,17 +1013,6 @@ def test_csv_codec_round_trips_the_bits(rows, pad, blanks):
         assert columns[j].tobytes() == np.array([r[j] for r in rows], dtype=float).tobytes()
     data = [n for n, line in enumerate(lines, start=1) if line.strip()][1:]
     assert list(numbers) == data
-
-
-STEPS = [simulate.step_ave, simulate.step_te, simulate.step_se, simulate.step_desre,
-         simulate.step_disre]
-
-
-@pytest.mark.parametrize("step", STEPS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0, 0.0, True, "0.1", None])
-def test_a_step_refuses_a_dt_that_is_not_a_finite_number_above_zero(step, dt):
-    with pytest.raises(hl.InvalidGrid, match="dt must be a finite number > 0"):
-        step(P, 0.3, dt, 0.0)
 
 
 @pytest.mark.parametrize("scheme", list(hl.Scheme), ids=lambda s: s.value)
@@ -1030,16 +1033,6 @@ def test_the_step_loop_and_the_price_step_refuse_a_bad_dt(scheme, dt):
             call()
 
 
-@pytest.mark.parametrize("step", STEPS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("state, eta", [("a", 0.0), (None, 0.0), (True, 0.0), (0.3, "x"),
-                                        (0.3, None), (0.3, False), ([0.3, "a"], 0.0),
-                                        ([True, 0.5], 0.0), (0.3, [0.5, np.False_])])
-def test_a_step_refuses_a_state_or_draw_that_is_not_real(step, state, eta):
-    with pytest.raises(hl.InvalidArgument, match="y_prev|z_prev|eta_k") as caught:
-        step(P, state, 0.01, eta)
-    assert isinstance(caught.value, ValueError)
-
-
 def test_accepted_steps_keep_their_bits():
-    got = [float(step(P, 0.3, 0.01, 0.7)).hex() for step in STEPS]
+    got = [float(one_step(scheme, P, 0.3, 0.01, 0.7)).hex() for scheme in hl.Scheme]
     assert got == ["0x1.461425c2821a1p-2"] * 3 + ["0x1.47381d7dbf488p-2", "0x1.46d2272083b60p-2"]
