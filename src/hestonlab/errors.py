@@ -8,9 +8,10 @@ The rules for arguments are written once, here, and each caller names the
 argument and its error: :func:`require_instance` (an object of a type),
 :func:`is_real` (a real number, finite unless asked otherwise, not a bool),
 :func:`require_positive` (a finite real number > 0), :func:`require_int` (an
-integer in a range, not a bool), :func:`real_array` (an array of integers or
-floats, as float64, with no bool among them) and :func:`require_finite` (no
-NaN or infinite entry).
+integer in a range, not a bool), :func:`require_ints` (an iterable of
+integers >= 0), :func:`real_array` (an array of integers or floats, as
+float64, with no bool among them) and :func:`require_finite` (no NaN or
+infinite entry).
 """
 
 import math
@@ -96,6 +97,16 @@ def require_int(value, name: str, error: type, minimum: int = 0,
     if maximum is not None and number > maximum:
         raise error(f"{name} must be an integer <= {maximum}, got {value!r}")
     return number
+
+
+def require_ints(values, name: str, item: str, error: type) -> list[int]:
+    """Each of ``values`` as an int >= 0 by :func:`require_int`, named
+    ``item``; ``error`` naming ``name`` where ``values`` is not an iterable."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise error(f"{name} must be an iterable of integers >= 0, got {values!r}") from None
+    return [require_int(v, item, error) for v in values]
 
 
 def require_positive(value, name: str, error: type) -> None:

@@ -18,8 +18,10 @@
  *
  *   - a stream is numpy's PCG64 (O'Neill's XSL-RR generator on a 128-bit
  *     LCG), held as four 64-bit words, state high and low, then increment
- *     high and low; pcg64_seed turns the words that SeedSequence generates
- *     into a stream as PCG64's pcg64_set_seed does;
+ *     high and low; hl_seed hashes a master seed, a replicate index and a
+ *     stream tag into seed words as numpy's SeedSequence does, and
+ *     pcg64_seed turns those words into a stream as PCG64's pcg64_set_seed
+ *     does;
  *   - a normal is numpy's random_standard_normal, which
  *     Generator.standard_normal runs: Marsaglia and Tsang's ziggurat on
  *     numpy's 256-layer tables, which hestonlab.kernel reads from numpy's
@@ -376,6 +378,66 @@ static struct pcg64 pcg64_seed(const uint64_t *w)
     g.state += seed;
     pcg64_next(&g);
     return g;
+}
+
+/* numpy's SeedSequence (O'Neill's seed_seq_fe): a word's hash by the
+   multiplier *h, which then moves on by mult */
+static uint32_t hashmix(uint32_t value, uint32_t *h, uint32_t mult)
+{
+    value ^= *h;
+    *h *= mult;
+    value *= *h;
+    return value ^ (value >> 16);
+}
+
+/* a pool word *x mixed with the next hash of a word */
+static void mix(uint32_t *x, uint32_t word, uint32_t *h)
+{
+    uint32_t r = 0xCA01F9DDu * *x - 0x4973F715u * hashmix(word, h, 0x931E8875u);
+    *x = r ^ (r >> 16);
+}
+
+/* The seed words of each lane's (eta, zeta) streams into out, (lanes, 2, 4)
+ * row-major: SeedSequence(seed, spawn_key=(index[lane], tag))
+ * .generate_state(4, np.uint64) for tag 0 and 1.  The seed is n_seed words
+ * and each index a row of index, (lanes, width), all 32-bit, least
+ * significant first; an index's zero words above its first are dropped,
+ * and the seed has none.  The entropy is the seed, padded with zeros to the
+ * pool of 4 words, then the index, then the tag. */
+void hl_seed(const uint32_t *seed, int64_t n_seed, const uint32_t *index, int64_t width,
+             int64_t lanes, uint64_t *out)
+{
+    int64_t l, i, n_run = n_seed > 4 ? n_seed : 4;
+    int tag, s, d;
+    for (l = 0; l < lanes; l++) {
+        const uint32_t *idx = index + l * width;
+        int64_t n = n_run + width; /* the tag's place in the entropy */
+        while (n > n_run + 1 && idx[n - n_run - 1] == 0)
+            n--;
+        for (tag = 0; tag < 2; tag++) {
+            uint32_t pool[4], state[8], h = 0x43B0D7E5u;
+            /* the first 4 words fill the pool, which is mixed within
+               itself; each later word is mixed into every pool word */
+            for (d = 0; d < 4; d++)
+                pool[d] = hashmix(d < n_seed ? seed[d] : 0, &h, 0x931E8875u);
+            for (s = 0; s < 4; s++)
+                for (d = 0; d < 4; d++)
+                    if (s != d)
+                        mix(&pool[d], pool[s], &h);
+            for (i = 4; i <= n; i++) {
+                uint32_t word = i < n_seed ? seed[i] : i < n ? idx[i - n_run] : (uint32_t)tag;
+                for (d = 0; d < 4; d++)
+                    mix(&pool[d], word, &h);
+            }
+            /* generate_state: 8 words of the pool, cycled, hashed by a
+               second multiplier sequence and joined in little-endian pairs */
+            h = 0x8B51F9DDu;
+            for (i = 0; i < 8; i++)
+                state[i] = hashmix(pool[i % 4], &h, 0x58F38DEDu);
+            for (i = 0; i < 4; i++)
+                out[(2 * l + tag) * 4 + i] = state[2 * i] | (uint64_t)state[2 * i + 1] << 32;
+        }
+    }
 }
 
 /* numpy's ziggurat_nor_r, the tail's start, and its inverse */

@@ -6,13 +6,14 @@ any scheme, the log-price recursion and the fold of each summation tile
 into the group's :class:`~hestonlab.estimate.PathSums`, with the constants
 of :func:`~hestonlab.simulate.step_constants`, ``GROUP`` lanes at a time,
 whose steps and fold run side by side in vectors.
-:meth:`LaneKernel.draw` seeds each lane's pair of PCG64 streams from the
-words of :func:`~hestonlab.simulate.lane_seeds` and draws the normals
-itself, a tile at a time, through numpy's ziggurat, inlined: so no block of
-draws and no numpy ``Generator`` is ever held, and
+:meth:`LaneKernel.seed` hashes each lane's stream seeds as numpy's
+``SeedSequence`` does, and :meth:`LaneKernel.draw` seeds each lane's pair
+of PCG64 streams from those words and draws the normals itself, a tile at
+a time, through numpy's ziggurat, inlined: so no block of draws and no
+numpy ``Generator`` is ever held, and
 :func:`~hestonlab.simulate.advance_lanes` takes a lane group through its
-path in one call, which writes its points as well for single paths.  A call
-of :class:`LaneKernel` itself reads given draws instead, for
+path in one drawing call, which writes its points as well for single
+paths.  A call of :class:`LaneKernel` itself reads given draws instead, for
 :func:`~hestonlab.simulate.simulate_y` and :func:`load`'s check.  Both give
 the bits of the numpy pipeline (:func:`~hestonlab.simulate.lane_generators`,
 :func:`~hestonlab.simulate.draw_normals`,
@@ -48,9 +49,9 @@ samplers, where they are local symbols of one member (``_TABLE_MEMBER``),
 with a small reader of ``ar`` archives and ELF64 objects, and passes them to
 each call.  After opening the kernel it folds one short path both ways, in
 the kernel and by ``PathSums.fold``, and refuses a kernel whose sums
-differ; it draws a whole lane group and a short one both ways, in the
-kernel and through ``draw_normals``, and refuses a kernel whose bits or
-stream states differ;
+differ; it seeds and draws a whole lane group and a short one both ways,
+in the kernel and by ``lane_generators`` and ``draw_normals``, and refuses
+a kernel whose bits or stream states differ, its seeds among them;
 then it writes a fixed set of values through the codec and with %, reads
 them back, and reads a set of hard cells (``_CHECK_READS``) in the kernel
 and with ``float()``, and refuses a kernel whose bytes or bits differ; last
@@ -85,11 +86,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import INT64_MAX, require_int
+from .errors import INT64_MAX, InvalidSeed, require_int, require_ints
 from .estimate import PathSums
 from .model import ModelParams
-from .simulate import (Scheme, draw_normals, lane_generators, lane_seeds, log_ndtr_scalar,
-                       step_constants)
+from .simulate import Scheme, draw_normals, lane_generators, log_ndtr_scalar, step_constants
 
 __all__ = ["SOURCE", "NPYRANDOM", "COMPILER", "FLAGS", "GROUP", "CACHE_DIR", "load",
            "lane_kernel", "LaneKernel"]
@@ -250,8 +250,8 @@ def load() -> "LaneKernel":
             it, a compile that fails or runs over 120 s, an unusable cache
             or a library that does not load.
         RuntimeError: the kernel's fold of a path differs from
-            ``PathSums.fold``, its draws or stream states from numpy's, or
-            its CSV codec or log Phi from Python's.
+            ``PathSums.fold``, its seeds, draws or stream states from
+            numpy's, or its CSV codec or log Phi from Python's.
     """
     import ctypes
 
@@ -259,24 +259,7 @@ def load() -> "LaneKernel":
     if compiler is None:
         raise FileNotFoundError(f"no C compiler {COMPILER!r} on the PATH")
     tables = _ziggurat_tables(NPYRANDOM.read_bytes())
-    lib = ctypes.CDLL(str(_build([compiler, *FLAGS])))
-    fn = lib.hl_lane_block
-    fn.restype = None
-    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_int64] * 2 + [
-        ctypes.c_void_p] * 13
-    fold = lib.hl_fold_path
-    fold.restype = None
-    fold.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double] + [
-        ctypes.c_void_p] * 3
-    format_rows, parse_rows = lib.hl_format_rows, lib.hl_parse_rows
-    format_rows.restype = parse_rows.restype = ctypes.c_int64
-    format_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
-    # the text's address: within a bytes object, whose buffer a NUL ends
-    parse_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
-    log_ndtr = lib.hl_log_ndtr
-    log_ndtr.restype = None
-    log_ndtr.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    kernel = LaneKernel(fn, tables, format_rows, parse_rows, _pow10_table(), log_ndtr, fold)
+    kernel = LaneKernel(ctypes.CDLL(str(_build([compiler, *FLAGS]))), tables, _pow10_table())
     _check_fold(kernel)
     _check_draws(kernel)
     _check_codec(kernel)
@@ -314,10 +297,10 @@ _CHECK_PARAMS = ModelParams(a=0.4, b=1.0, alpha=0.1, beta=0.15, sigma1=0.4, sigm
 
 
 def _check_draws(kernel: "LaneKernel") -> None:
-    """Draw the check group in the kernel and through draw_normals: the same
-    path sums and stream states, or RuntimeError."""
+    """Seed and draw the check group in the kernel and by lane_generators and
+    draw_normals: the same path sums and stream states, or RuntimeError."""
     params, dt, scheme = _CHECK_PARAMS, 0.01, Scheme.DISRE
-    streams = lane_seeds(_CHECK_SEED, range(_CHECK_LANES))
+    streams = kernel.seed(_CHECK_SEED, range(_CHECK_LANES))
     gens = lane_generators(_CHECK_SEED, range(_CHECK_LANES))
     results = [[aborted.tobytes()] + [getattr(sums, name).tobytes() for name in _SUMS_ARRAYS]
                for aborted, sums in (
@@ -328,7 +311,7 @@ def _check_draws(kernel: "LaneKernel") -> None:
     numpy_states = [(s["state"]["state"], s["state"]["inc"])
                     for pair in gens for s in (g.bit_generator.state for g in pair)]
     if results[0] != results[1] or kernel_states != numpy_states:
-        raise RuntimeError("the lane kernel's draws differ from numpy's; "
+        raise RuntimeError("the lane kernel's seeds or draws differ from numpy's; "
                            f"are the ziggurat tables of {NPYRANDOM} numpy's own?")
 
 
@@ -463,22 +446,68 @@ _CELL_BYTES = 26
 _SUMS_ARRAYS = ("y_start", "y_end", "x_end", "sums", "mean", "m2")
 
 
+def _words(values: list[int]) -> np.ndarray:
+    """Integers >= 0 as rows of their 32-bit words, least significant first,
+    zero-padded to the widest: (len(values), width) uint32."""
+    width = max([1] + [(v.bit_length() + 31) // 32 for v in values])
+    data = b"".join(v.to_bytes(4 * width, "little") for v in values)
+    return np.frombuffer(data, dtype="<u4").reshape(len(values), width)
+
+
 class LaneKernel:
     """The opened kernel: a call takes one lane group through its whole path
     of given draws, for ``simulate_y``, and :meth:`draw` through normals it
     draws from streams it seeds itself, for ``advance_lanes``."""
 
-    def __init__(self, fn, tables: np.ndarray, format_fn, parse_fn, pow10: np.ndarray,
-                 log_ndtr_fn, fold_fn):
-        self.fn = fn
+    def __init__(self, lib, tables: np.ndarray, pow10: np.ndarray):
+        import ctypes  # loaded with the kernel
+
+        p, i = ctypes.c_void_p, ctypes.c_int64
+
+        def entry(name, restype, *argtypes):
+            # ctypes passes each argument as its argtype declares it
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+            return fn
+
+        self.fn = entry("hl_lane_block", None, i, p, p, i, i, *[p] * 13)
+        self.fold_fn = entry("hl_fold_path", None, p, p, i, ctypes.c_double, p, p, p)
+        self.format_fn = entry("hl_format_rows", i, p, i, i, p, p, p)
+        # the text's address: within a bytes object, whose buffer a NUL ends
+        self.parse_fn = entry("hl_parse_rows", i, p, i, i, i, p, p, p)
+        self.log_ndtr_fn = entry("hl_log_ndtr", None, i, p, p)
+        self.seed_fn = entry("hl_seed", None, p, i, p, i, i, p)
         # numpy's ziggurat tables, (3, 256) uint64, which each drawing call reads
         self.tables = tables
-        self.format_fn = format_fn
-        self.parse_fn = parse_fn
         # the powers of ten that format_columns and parse_rows pass to the codec
         self.pow10 = pow10
-        self.log_ndtr_fn = log_ndtr_fn
-        self.fold_fn = fold_fn
+
+    def seed(self, master_seed: int, index) -> np.ndarray:
+        """The seed words of each lane's (eta, zeta) streams, for
+        :meth:`draw`: (lanes, 2, 4) uint64, row i holding for tag t (0 for
+        eta, 1 for zeta) ``SeedSequence(master_seed, spawn_key=(index[i],
+        t)).generate_state(4, np.uint64)``, in one call of ``hl_seed``.
+        ``index``, the lanes' replicate indices of any size, is a ``range``
+        or a 1-d integer array, checked in one pass, or any iterable.  Its
+        words go to the kernel little-endian, the one byte order it loads
+        on (:func:`load` reads its tables from little-endian ELF objects).
+
+        Raises:
+            InvalidSeed: as :func:`~hestonlab.simulate.lane_generators`.
+        """
+        seed = _words([require_int(master_seed, "master_seed", InvalidSeed)])
+        if isinstance(index, range) and index.step > 0 and 0 <= index.start <= index.stop \
+                <= INT64_MAX:
+            index = np.arange(index.start, index.stop, index.step)
+        if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu" \
+                and not (index < 0).any():
+            words = index.astype("<u8").view("<u4").reshape(len(index), 2)
+        else:
+            words = _words(require_ints(index, "replicates", "replicate", InvalidSeed))
+        out = np.empty((len(words), 2, 4), dtype=np.uint64)
+        self.seed_fn(seed.ctypes.data, seed.shape[1], words.ctypes.data, words.shape[1],
+                     len(words), out.ctypes.data)
+        return out
 
     def fold(self, sums: PathSums, y: np.ndarray, x: np.ndarray) -> None:
         """``sums.fold(y[None, :], x[None, :])`` for a fresh one-lane
@@ -609,10 +638,9 @@ class LaneKernel:
         ``steps`` normals of each of its (eta, zeta) streams, those
         :func:`~hestonlab.simulate.draw_normals` gives from the generators
         of the same seeds.  ``streams``, a writable C-ordered (lanes, 2, 4)
-        uint64 array of their seed words from
-        :func:`~hestonlab.simulate.lane_seeds`, receives their last states:
-        where ``draw_normals`` leaves the generators, or unfinished for a
-        lane that aborts.
+        uint64 array of their seed words from :meth:`seed`, receives their
+        last states: where ``draw_normals`` leaves the generators, or
+        unfinished for a lane that aborts.
 
         Raises:
             ValueError: as a call, bad ``streams``, or ``steps`` over ``INT64_MAX``.

@@ -36,8 +36,9 @@ test pins this approximation against uniform p-values under the null.
 
 Replicate r of an experiment draws its noise from the streams of
 ``SeedLineage(master_seed, r)`` and from nothing else, so results are
-independent of lane grouping, block length and thread count.  A lane group
-seeds all of its streams at once (:func:`hestonlab.simulate.lane_seeds`).
+independent of lane grouping, block length and thread count.  Where the
+compiled kernel loads, a lane group's stream seeds are hashed in one call
+(:meth:`hestonlab.kernel.LaneKernel.seed`).
 
 Replicates are simulated as lanes, in lane groups of at most 1024
 replicates.  :func:`hestonlab.simulate.advance_lanes`, the engine that
@@ -423,13 +424,18 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
     require_instance(config, ExperimentConfig, "config")
     require_int(threads, "threads", ConfigParseError, 1)
     lanes = _lane_plan(config.replicates, threads)
-    bounds = [
-        (lo, min(lo + lanes, config.replicates))
-        for lo in range(0, config.replicates, lanes)
-    ]
-    if threads > 1 and len(bounds) > 1:
+    # taken one group at a time, so a huge replicate count lists no bounds
+    bounds = ((lo, min(lo + lanes, config.replicates))
+              for lo in range(0, config.replicates, lanes))
+    if threads > 1 and config.replicates > lanes:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _run_lanes(config, *b), bounds))
+            # at most `threads` groups in flight, their results in order
+            parts, running = [], []
+            for lo, hi in bounds:
+                if len(running) == threads:
+                    parts.append(running.pop(0).result())
+                running.append(pool.submit(_run_lanes, config, lo, hi))
+            parts.extend(f.result() for f in running)
     else:
         parts = [_run_lanes(config, lo, hi) for lo, hi in bounds]
 
@@ -532,8 +538,12 @@ def jarque_bera(sample) -> tuple[float, float]:
         NonFiniteSample: a NaN or infinite observation.
     """
     x = _sample(sample, "Jarque-Bera", 8, InsufficientData)
-    n = x.shape[0]
-    g1, g2 = _skew_excess_kurtosis(x)
+    return _jarque_bera(x.shape[0], *_skew_excess_kurtosis(x))
+
+
+def _jarque_bera(n: int, g1: float, g2: float) -> tuple[float, float]:
+    """The Jarque-Bera statistic and p-value of a sample of ``n`` whose
+    skewness and excess kurtosis are g1 and g2; (nan, nan) for NaN ones."""
     if math.isnan(g1):  # a constant sample
         return math.nan, math.nan
     stat = n / 6.0 * (g1 * g1 + 0.25 * g2 * g2)
@@ -722,7 +732,7 @@ def summarize(results: ReplicateTable, truth) -> McSummary:
         relative = bias / theta if theta != 0.0 else math.nan
         g1, g2 = _skew_excess_kurtosis(normalized[:, idx])
         if n >= 8:
-            jb_stat, jb_p = jarque_bera(normalized[:, idx])
+            jb_stat, jb_p = _jarque_bera(n, g1, g2)
             try:
                 ad_stat, ad_p = anderson_darling(normalized[:, idx])
             except TiesDegenerate:

@@ -36,11 +36,12 @@ Randomness contract: every replicate owns two independent Gaussian streams
 (eta for the variance, zeta for the price) derived from a master seed, the
 replicate index and a fixed stream tag.  Identical (seed, replicate) input
 yields bit-identical paths no matter how replicates are batched or threaded.
-:func:`lane_seeds` is the one place where streams are seeded: it gives
-each stream the seed words that NumPy's ``SeedSequence`` would, for a whole
-lane group in one pass, and :func:`lane_generators` makes numpy generators
-of them.  Both, and :class:`SeedLineage`, refuse (``InvalidSeed``) a seed or
-replicate index that is not an integer >= 0, a bool or float too.
+Each stream is PCG64 on NumPy's ``SeedSequence(master_seed,
+spawn_key=(replicate, tag))``: :func:`lane_generators` makes numpy's own,
+and the compiled kernel hashes the same seed words for a whole lane group
+in one call (:meth:`hestonlab.kernel.LaneKernel.seed`).  Both, and
+:class:`SeedLineage`, refuse (``InvalidSeed``) a seed or replicate index
+that is not an integer >= 0, a bool or float too.
 
 Lanes and blocks: replicates advanced side by side are lanes, and a block
 of draws or points holds one row per lane.  :func:`draw_normals` draws a
@@ -98,7 +99,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random import SeedSequence
 
 from .errors import (
     INT64_MAX,
@@ -117,6 +118,7 @@ from .errors import (
     require_finite,
     require_instance,
     require_int,
+    require_ints,
     require_positive,
 )
 from .model import ModelParams
@@ -125,7 +127,6 @@ __all__ = [
     "TimeGrid",
     "Scheme",
     "SeedLineage",
-    "lane_seeds",
     "lane_generators",
     "draw_normals",
     "GaussianDraws",
@@ -221,9 +222,6 @@ class Scheme(enum.Enum):
 # ---------------------------------------------------------------------------
 # randomness
 
-_ETA_STREAM = 0
-_ZETA_STREAM = 1
-
 
 @dataclass(frozen=True)
 class SeedLineage:
@@ -239,144 +237,25 @@ class SeedLineage:
     replicate: int = 0
 
     def __post_init__(self):
-        _uint32_words(self.master_seed, "master_seed")
-        _uint32_words(self.replicate, "replicate")
+        require_int(self.master_seed, "master_seed", InvalidSeed)
+        require_int(self.replicate, "replicate", InvalidSeed)
 
 
-# SeedSequence's constants (numpy.random.bit_generator, after O'Neill's
-# seed_seq_fe): the entropy pool size in 32-bit words, the two hash
-# multiplier sequences and the mixing multipliers
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(n, name: str) -> list[int]:
-    """The 32-bit words of a seed or replicate index, least significant
-    first; one word for 0 (SeedSequence's coercion of an int).  Anything but
-    an integer >= 0, a bool too, raises ``InvalidSeed`` naming ``name``."""
-    value = require_int(n, name, InvalidSeed)
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0..count: the hash constant that
-    SeedSequence holds before each of ``count`` hashes, and after the last."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
-
-
-def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence.generate_state(4, np.uint64)`` for each row of assembled
-    entropy, shape (rows, words) uint32, in one pass; returns (rows, 4) uint64.
-
-    SeedSequence's hash constants evolve the same way for every row, and the
-    hashes it mixes into the pool words one after another do not depend on
-    each other; so each of its loops over pool words is one uint32 operation
-    on a (rows, pool words) array (numpy array arithmetic wraps modulo 2**32,
-    as the mixing needs).
-    """
-    # one hash per pool word for each entropy word
-    hash_a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * entropy.shape[1])
-    done = 0
-
-    def hashmix(value, n):
-        # the next n hashes, of one column broadcast or of n columns
-        nonlocal done
-        value = (value ^ hash_a[done : done + n]) * hash_a[done + 1 : done + n + 1]
-        done += n
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
-
-    pool = hashmix(entropy[:, :_POOL_SIZE], _POOL_SIZE)
-    for i_src in range(_POOL_SIZE):
-        others = [i for i in range(_POOL_SIZE) if i != i_src]
-        hashed = hashmix(pool[:, i_src : i_src + 1], len(others))
-        pool[:, others] = mix(pool[:, others], hashed)
-    for i_src in range(_POOL_SIZE, entropy.shape[1]):
-        pool = mix(pool, hashmix(entropy[:, i_src : i_src + 1], _POOL_SIZE))
-
-    # generate_state: 8 words from the pool, cycled, then joined in
-    # little-endian pairs
-    hash_b = _hash_consts(_INIT_B, _MULT_B, 8)
-    state = (np.tile(pool, 2) ^ hash_b[:8]) * hash_b[1:]
-    state ^= state >> 16
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedWords(ISeedSequence):
-    """A seed sequence whose state was generated beforehand."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def lane_seeds(master_seed: int, replicates) -> np.ndarray:
-    """The PCG64 seed words of each replicate's (eta, zeta) streams, in order.
-
-    Returns a (len(replicates), 2, 4) uint64 array: for replicate i and tag
-    t (0 for eta, 1 for zeta), ``SeedSequence(entropy=master_seed,
-    spawn_key=(replicate, t)).generate_state(4, np.uint64)``, the words that
-    PCG64 seeds its state and increment from.  The seeds of all streams are
-    hashed together; replicates whose indices take the same number of
-    32-bit words share one pass.
+def lane_generators(master_seed: int,
+                    replicates) -> list[tuple[np.random.Generator, np.random.Generator]]:
+    """The (eta, zeta) generators of each replicate index, in order: numpy's
+    PCG64 on ``SeedSequence(master_seed, spawn_key=(replicate, tag))``, tag
+    0 for eta and 1 for zeta.  The reference of the compiled kernel's
+    seeding, :meth:`hestonlab.kernel.LaneKernel.seed`.
 
     Raises:
         InvalidSeed: a seed or replicate index that is not an integer >= 0,
             or replicates that are not an iterable.
     """
-    seed = _uint32_words(master_seed, "master_seed")
-    # SeedSequence pads the entropy to the pool size when a spawn key follows
-    seed += [0] * (_POOL_SIZE - len(seed))
-    try:
-        indices = iter(replicates)
-    except TypeError:
-        raise InvalidSeed(f"replicates must be an iterable of integers >= 0, "
-                          f"got {replicates!r}") from None
-    spawn = [_uint32_words(r, "replicate") for r in indices]
-    by_words: dict[int, list[int]] = {}
-    for i, words in enumerate(spawn):
-        by_words.setdefault(len(words), []).append(i)
-
-    seeds = np.empty((len(spawn), 2, 4), dtype=np.uint64)
-    for lanes in by_words.values():
-        entropy = np.array(
-            [seed + spawn[i] + [tag] for i in lanes for tag in (_ETA_STREAM, _ZETA_STREAM)],
-            dtype=np.uint32,
-        )
-        seeds[lanes] = _pcg64_seeds(entropy).reshape(len(lanes), 2, 4)
-    return seeds
-
-
-def lane_generators(
-    master_seed: int, replicates
-) -> list[tuple[np.random.Generator, np.random.Generator]]:
-    """The (eta, zeta) generators of each replicate index, in order.
-
-    Each is a PCG64 seeded from its :func:`lane_seeds` words, so in the
-    state that ``SeedSequence(entropy=master_seed, spawn_key=(replicate,
-    tag))`` gives it, tag 0 for eta and 1 for zeta.
-
-    Raises:
-        InvalidSeed: as :func:`lane_seeds`.
-    """
-    return [tuple(np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in pair)
-            for pair in lane_seeds(master_seed, replicates)]
+    seed = require_int(master_seed, "master_seed", InvalidSeed)
+    return [tuple(np.random.Generator(np.random.PCG64(SeedSequence(seed, spawn_key=(r, tag))))
+                  for tag in (0, 1))
+            for r in require_ints(replicates, "replicates", "replicate", InvalidSeed)]
 
 
 def draw_normals(streams, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -831,8 +710,10 @@ def advance_lanes(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_se
     """Take the lane group of replicates ``index`` of a master seed through
     its whole path, folding it into path sums.
 
-    Where the compiled kernel loads, that is one call, which seeds the
-    group's streams and draws its normals itself; elsewhere it is numpy blocks of whole summation
+    Where the compiled kernel loads, that is two calls: one hashes the
+    group's stream seeds (``LaneKernel.seed``), and one seeds the streams,
+    draws its normals and takes it through.  Elsewhere the streams are
+    :func:`lane_generators`', and it is numpy blocks of whole summation
     tiles under ``BLOCK_ELEMENTS``, each priced and folded a tile at a time,
     and the lanes that abort in a block draw no further block.  ``paths``, a
     (y, x) tuple of C-ordered float64 (lanes, steps + 1) arrays, receives
@@ -845,18 +726,20 @@ def advance_lanes(params: ModelParams, grid: TimeGrid, scheme: Scheme, master_se
         of the lanes that did not abort, in order.
 
     Raises:
+        InvalidSeed: as :func:`lane_generators`.
         FellerViolated / InvalidGrid: as :meth:`Scheme.check`.
     """
     from .estimate import SUM_TILE, PathSums  # estimate and kernel import this module
     from .kernel import lane_kernel
 
-    dt, steps, lanes = grid.dt, grid.steps, len(index)
+    dt, steps = grid.dt, grid.steps
     kernel = lane_kernel()
     if kernel is not None:
-        return kernel.draw(params, dt, scheme, lane_seeds(master_seed, index), steps, paths)
+        return kernel.draw(params, dt, scheme, kernel.seed(master_seed, index), steps, paths)
 
-    sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
     streams = lane_generators(master_seed, index)
+    lanes = len(streams)
+    sums = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
     block = _block_steps(lanes)
     aborted, live, state = np.zeros(lanes, dtype=np.int64), np.arange(lanes), None
     for start in range(0, steps, block):

@@ -228,14 +228,14 @@ def test_simulate_runs_replicates_as_lane_groups(tmp_path, config_file, monkeypa
     of that many lanes, and every CSV has the bytes that simulate_xy and
     write_path_csv give for its replicate alone."""
     steps, groups = 40, []
+    advance_lanes = sim.advance_lanes
 
-    def counting_seeds(master_seed, replicates):
-        replicates = list(replicates)
-        groups.append(len(replicates))
-        return hl.lane_seeds(master_seed, replicates)
+    def counting_groups(params, grid, scheme, master_seed, index, paths=None):
+        groups.append(len(index))
+        return advance_lanes(params, grid, scheme, master_seed, index, paths)
 
     monkeypatch.setattr(sim, "BLOCK_ELEMENTS", lanes * steps)
-    monkeypatch.setattr(sim, "lane_seeds", counting_seeds)
+    monkeypatch.setattr(sim, "advance_lanes", counting_groups)
     out = tmp_path / "paths"
     assert main(["simulate", "--config", str(config_file), "--out", str(out), "--set",
                  f"N={steps}", "--set", "T=4", "--set", "replicates=5"]) == 0

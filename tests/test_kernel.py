@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hestonlab as hl
 import hestonlab.kernel as kernel
@@ -266,6 +268,9 @@ def test_monte_carlo_runs_use_the_kernel(lane_kernel, monkeypatch):
     calls = []
 
     class Counting:
+        def __getattr__(self, name):
+            return getattr(lane_kernel, name)
+
         def draw(self, params, dt, scheme, streams, steps, paths=None):
             calls.append((len(streams), steps))
             return lane_kernel.draw(params, dt, scheme, streams, steps, paths)
@@ -311,7 +316,7 @@ def drawn_against_given(params, dt, scheme, lanes, steps, seed=23, k=None):
     where draw_normals leaves its generators; an aborted lane stops drawing
     after the tile of its abort.  Returns the abort steps (0 for none)."""
     k = k or lane_kernel_or_skip()
-    streams = hl.lane_seeds(seed, range(lanes))
+    streams = k.seed(seed, range(lanes))
     given = hl.lane_generators(seed, range(lanes))
     start = [advanced(pair, 0) for pair in given]
     aborted_d, sums_d = k.draw(params, dt, scheme, streams, steps)
@@ -352,12 +357,71 @@ def test_seeded_streams_are_the_generators_of_lane_generators(lane_kernel):
     seeds it to from the same SeedSequence words, for replicate indices of
     one and two 32-bit words."""
     replicates = [0, 5, 2**32 - 1, 2**32, 2**40 + 3]
-    streams = hl.lane_seeds(2**64 + 9, replicates)
+    streams = lane_kernel.seed(2**64 + 9, replicates)
     lane_kernel.draw(hl.canonical_params(), 0.1, hl.Scheme.DISRE, streams, 0)
     assert streams.shape == (5, 2, 4) and streams.dtype == np.uint64
     for words, pair in zip(streams, hl.lane_generators(2**64 + 9, replicates)):
         for stream, gen in zip(words, pair):
             assert generator(stream).bit_generator.state == gen.bit_generator.state
+
+
+def seed_sequence_words(master_seed, replicates):
+    """numpy's seed words of each replicate's (eta, zeta) streams."""
+    return [[np.random.SeedSequence(master_seed, spawn_key=(r, tag)).generate_state(
+        4, np.uint64).tolist() for tag in (0, 1)] for r in replicates]
+
+
+@settings(max_examples=100, deadline=None)
+@given(master_seed=st.integers(0, 2**130 - 1)
+       | st.sampled_from([2**32 - 1, 2**32, 2**128 - 1, 2**128]),
+       replicates=st.lists(st.integers(0, 2**40 - 1), max_size=6).flatmap(
+           lambda drawn: st.permutations(drawn + [2**32 - 1, 2**32])))
+def test_seeds_are_seed_sequences_words(master_seed, replicates):
+    """Indices of one and two 32-bit words, mixed in one group in any order,
+    as a list and as an array: numpy's words."""
+    k = lane_kernel_or_skip()
+    want = seed_sequence_words(master_seed, replicates)
+    for index in (replicates, np.array(replicates), np.array(replicates, dtype=np.uint64)):
+        streams = k.seed(master_seed, index)
+        assert streams.shape == (len(replicates), 2, 4) and streams.dtype == np.uint64
+        assert streams.tolist() == want
+
+
+def test_seeds_of_wide_indices_and_of_ranges(lane_kernel):
+    wide = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3]
+    for seed in (0, 7, 2**64 + 9, 2**130 - 1, 10**400):
+        assert lane_kernel.seed(seed, wide).tolist() == seed_sequence_words(seed, wide)
+    assert lane_kernel.seed(3, np.array([2**64 - 1, 0], dtype=np.uint64)).tolist() == \
+        seed_sequence_words(3, [2**64 - 1, 0])
+    for index in (range(5), range(3, 40, 7), range(10, 0, -3), range(2**63 - 2, 2**63 + 2),
+                  range(0), np.arange(4, dtype=np.int8)):
+        assert lane_kernel.seed(11, index).tolist() == seed_sequence_words(11, list(index))
+    assert lane_kernel.seed(11, range(0)).shape == (0, 2, 4)
+
+
+@pytest.mark.parametrize("index", [np.array([3, -1]), range(-1, 3), np.array([True, False]),
+                                   np.array([1.0, 2.0]), np.zeros((2, 2), dtype=np.int64),
+                                   [3, np.int64(-2)]], ids=repr)
+def test_seeds_of_bad_indices_are_refused(lane_kernel, index):
+    with pytest.raises(hl.InvalidSeed, match="^replicate must be an integer >= 0, got "):
+        lane_kernel.seed(1, index)
+
+
+@pytest.mark.parametrize("lane,word,bit", [(0, 0, 0), (kernel.GROUP, 1, 63), (3, 3, 0)])
+def test_a_seed_that_moves_a_bit_fails_the_loaders_check(lane_kernel, monkeypatch, lane, word,
+                                                         bit):
+    """One bit of one stream's seed words flipped, in a whole group and in
+    the short one: load() refuses the kernel."""
+    seed = kernel.LaneKernel.seed
+
+    def flipped(self, master_seed, index):
+        streams = seed(self, master_seed, index)
+        streams[lane, 1, word] ^= np.uint64(1 << bit)
+        return streams
+
+    monkeypatch.setattr(kernel.LaneKernel, "seed", flipped)
+    with pytest.raises(RuntimeError, match="seeds or draws differ from numpy's"):
+        kernel.load()
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +441,7 @@ def drawn_paths(k, params, dt, scheme, seed, lanes, steps):
     that the call leaves the sums and streams of one without."""
     out = []
     for paths in (np.empty((2, lanes, steps + 1)), None):
-        streams = hl.lane_seeds(seed, range(lanes))
+        streams = k.seed(seed, range(lanes))
         aborted, sums = k.draw(params, dt, scheme, streams, steps,
                                None if paths is None else tuple(paths))
         out.append((paths, aborted, [streams.tolist()] + [
@@ -424,7 +488,7 @@ def test_drawn_paths_of_a_desre_group_that_aborts(lane_kernel):
 
 def test_bad_paths_are_refused(lane_kernel):
     p = hl.canonical_params()
-    streams = hl.lane_seeds(1, range(4))
+    streams = lane_kernel.seed(1, range(4))
     before = streams.copy()
     good, read_only = np.zeros((4, 11)), np.zeros((4, 11))
     read_only.flags.writeable = False
@@ -475,7 +539,7 @@ def test_a_call_writes_the_points_a_drawing_call_writes(lane_kernel):
     lanes, steps = 7, 300
     for scheme in SCHEMES:
         drawn, given = np.empty((2, lanes, steps + 1)), np.empty((2, lanes, steps + 1))
-        aborted_d, _ = lane_kernel.draw(NEAR_ZERO, 0.2, scheme, hl.lane_seeds(5, range(lanes)),
+        aborted_d, _ = lane_kernel.draw(NEAR_ZERO, 0.2, scheme, lane_kernel.seed(5, range(lanes)),
                                         steps, tuple(drawn))
         aborted_g, _ = lane_kernel(NEAR_ZERO, 0.2, scheme,
                                    *draw_normals(hl.lane_generators(5, range(lanes)), steps),
@@ -863,7 +927,7 @@ def test_draws_and_streams_that_disagree_are_refused(lane_kernel):
                       (np.zeros(10), np.zeros(10))):
         with pytest.raises(ValueError, match="lanes"):
             lane_kernel(p, 0.1, hl.Scheme.DISRE, eta, zeta)
-    streams = hl.lane_seeds(1, range(4))
+    streams = lane_kernel.seed(1, range(4))
     before = streams.copy()
     # 2^64 + 1000 steps, which ctypes would pass to the kernel as 1000
     for lanes, steps in ((streams, -1), (streams, 2.0), (streams, True), (streams, 2**63),
@@ -905,7 +969,7 @@ def test_each_kernel_entry_takes_the_arguments_load_declares(monkeypatch):
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"the lane kernel does not build here: {e}")
     declared = {fn.__name__: len(fn.argtypes)
-                for fn in (k.fn, k.format_fn, k.parse_fn, k.log_ndtr_fn, k.fold_fn)}
+                for fn in (k.fn, k.format_fn, k.parse_fn, k.log_ndtr_fn, k.fold_fn, k.seed_fn)}
     assert declared == exported_parameter_counts(kernel.SOURCE.read_text())
 
 

@@ -314,6 +314,32 @@ def test_peak_memory_does_not_grow_with_steps():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_huge_replicate_count_lists_no_group_bounds(monkeypatch, threads):
+    """10**12 replicates, whose groups' bounds would fill memory: the first
+    group to fail raises at once, with at most ``threads`` groups run past
+    it, and little traced memory."""
+    calls = []
+
+    def failing_after_three(config, lo, hi):
+        calls.append(lo)
+        if len(calls) > 3:
+            raise RuntimeError("group failed")
+        return np.arange(lo, hi), None, []
+
+    monkeypatch.setattr(mc, "_run_lanes", failing_after_three)
+    cfg = small_config(replicates=10**12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="group failed"):
+            hl.run_replicates(cfg, threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert 4 <= len(calls) <= 3 + threads
+
+
 def test_all_replicates_failed():
     edge = hl.ModelParams(a=0.09, b=0.3, alpha=0.1, beta=0.15, sigma1=0.4,
                           sigma2=0.3, rho=0.2, y0=0.01, x0=0.0)

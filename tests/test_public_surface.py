@@ -91,7 +91,6 @@ SWEEP = {
     hl.jarque_bera_pvalue: lambda o: (2.0,),
     hl.kron: lambda o: (np.eye(2), np.ones((2, 2))),
     hl.lane_generators: lambda o: (5, [0, 1]),
-    hl.lane_seeds: lambda o: (5, [0, 1]),
     hl.lse_discrete_ab: lambda o: (o["path"].y, 0.1),
     hl.lse_discrete_alphabeta: lambda o: (o["path"].y, o["path"].x, 0.1),
     hl.lse_from_functionals: lambda o: (o["f"],),
