@@ -10,7 +10,12 @@
  * fold run over the group's lanes in vectors, whose arithmetic is IEEE's
  * lane by lane.  Its noise is either drawn here, a tile at a time, from
  * each lane's pair of PCG64 streams, seeded here from their seed words, or
- * read from given (steps,) rows of eta and zeta.
+ * read from given (steps,) rows of eta and zeta.  On a CPU with AVX-512 F,
+ * DQ, VL and BW, which it asks at run time, a group draws its eta streams
+ * as one vector of 8 and its zeta streams as another, and folds a whole
+ * group's tile in one vector of 8; elsewhere, and in a build with
+ * HL_PORTABLE defined, it draws one stream at a time and folds in SSE2
+ * vectors.  Both give the same bits.
  * It gives the bits of the numpy pipeline of hestonlab (draw_normals, then
  * simulate's step loop and price_block, then estimate.PathSums.fold a tile
  * at a time, in blocks or in one piece), so every operation below is the
@@ -95,21 +100,23 @@ enum { AVE, TE, SE, DESRE, DISRE };
 /* The lanes of a group, hestonlab.kernel.GROUP.  A group's tile holds its
    noise and points lane-major, as [step][lane] arrays, so that each
    variance step, price step and fold term is one pass over the lanes of
-   the group, in vectors; the draws of the group's 2 * GROUP streams are
-   interleaved, so that one stream's chain of 128-bit LCG steps overlaps
-   the others'. */
+   the group, in vectors; the draws of the group's 2 * GROUP streams go
+   side by side, as two AVX-512 vectors of GROUP streams or interleaved one
+   stream at a time, so that one stream's chain of 128-bit LCG steps
+   overlaps the others'. */
 #define GROUP 8
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* Two lanes as one vector, whose arithmetic is IEEE's lane by lane: an
- * SSE2 register, which every x86-64 has.  Four lanes, an AVX2 register,
- * timed the same in a build for AVX2 CPUs, as divisions and square roots
- * bound the steps and retire about as many lanes a cycle at either width,
- * and far slower without AVX2, where gcc splits a compare of four lanes
- * into scalar ones.  A tile's row, [lane], is read and written by vectors,
- * VEC(&row[h]) for h = 0, VW, ...: VW doubles at a double's alignment and
- * of any type. */
+/* Two lanes as one vector, whose arithmetic is IEEE's lane by lane, for
+ * the variance and price steps: an SSE2 register, which every x86-64 has.
+ * Four lanes, an AVX2 register, timed the same in a build for AVX2 CPUs,
+ * as divisions and square roots bound the steps and retire about as many
+ * lanes a cycle at either width, and far slower without AVX2, where gcc
+ * splits a compare of four lanes into scalar ones.  The draws and the fold
+ * of a whole group go GROUP lanes a vector on AVX-512 CPUs (below).  A
+ * tile's row, [lane], is read and written by vectors, VEC(&row[h]) for
+ * h = 0, VW, ...: VW doubles at a double's alignment and of any type. */
 #define VW 2
 typedef double vec_d __attribute__((vector_size(VW * sizeof(double))));
 typedef int64_t vec_i __attribute__((vector_size(VW * sizeof(int64_t))));
@@ -522,13 +529,171 @@ INLINE void draw_tile(struct pcg64 *g, int m, double *const *out, int64_t n,
             out[s][i * GROUP] = normal(&g[s], z);
 }
 
+/* ---------------------------------------------------------------------------
+ * Wide draws and fold, for x86-64 CPUs with AVX-512 F, DQ, VL and BW, which
+ * hl_lane_block asks the CPU for at run time, so that one build without
+ * -march serves every CPU; HL_PORTABLE, a test build's define, leaves them
+ * out, as does any other platform.
+ */
+
+/* the fewest live lanes whose group draws in vectors: with fewer, their
+   streams cost less one at a time than a vector step of GROUP */
+#define WIDE_LIVE 6
+
+#if defined(__x86_64__) && !defined(HL_PORTABLE)
+#include <immintrin.h>
+
+/* A stream of each lane of a group, side by side: the 128-bit LCG states and
+   increments as vectors of their high and low words, lane j in element j */
+struct pcg64_x8 {
+    __m512i sh, sl, ih, il;
+};
+
+#define AVX512 "avx512f,avx512dq,avx512vl,avx512bw"
+#define WIDE_TARGET __attribute__((target(AVX512), noinline))
+#define WIDE_INLINE static inline __attribute__((always_inline, target(AVX512)))
+
+/* The next word of each stream of g whose lane is in `live`, as *word, and
+ * its ziggurat point into row[], lane j in row[j]; the other streams keep
+ * their states and row[] its values.  The LCG step multiplies by PCG_MULT,
+ * (mh, ml): the new low word is sl * ml, the high one the high word of
+ * sl * ml, from four 32 x 32 -> 64-bit products, plus sl * mh + sh * ml;
+ * then comes the increment, its low word's carry included.  Returns the
+ * live lanes whose point falls outside its rectangle, for normal_rare. */
+WIDE_INLINE __mmask8 point_x8(struct pcg64_x8 *g, __mmask8 live, double *row,
+                              const struct ziggurat *z, __m512i *word)
+{
+    const __m512i ml = _mm512_set1_epi64((long long)(uint64_t)PCG_MULT);
+    const __m512i ml_hi = _mm512_set1_epi64((long long)((uint64_t)PCG_MULT >> 32));
+    const __m512i mh = _mm512_set1_epi64((long long)(uint64_t)(PCG_MULT >> 64));
+    __m512i sl_hi = _mm512_srli_epi64(g->sl, 32);
+    __m512i p00 = _mm512_mul_epu32(g->sl, ml), p01 = _mm512_mul_epu32(g->sl, ml_hi);
+    __m512i p10 = _mm512_mul_epu32(sl_hi, ml), p11 = _mm512_mul_epu32(sl_hi, ml_hi);
+    __m512i t = _mm512_add_epi64(p10, _mm512_srli_epi64(p00, 32));
+    __m512i u = _mm512_add_epi64(_mm512_and_si512(t, _mm512_set1_epi64(0xFFFFFFFF)), p01);
+    __m512i hi = _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(t, 32)),
+                                  _mm512_srli_epi64(u, 32));
+    __m512i lo = _mm512_add_epi64(_mm512_mullo_epi64(g->sl, ml), g->il);
+    __m512i r, idx, rabs;
+    __m512d x;
+    hi = _mm512_add_epi64(hi, _mm512_add_epi64(_mm512_mullo_epi64(g->sl, mh),
+                                               _mm512_mullo_epi64(g->sh, ml)));
+    hi = _mm512_add_epi64(hi, g->ih);
+    hi = _mm512_mask_sub_epi64(hi, _mm512_cmplt_epu64_mask(lo, g->il), hi, _mm512_set1_epi64(-1));
+    g->sh = _mm512_mask_mov_epi64(g->sh, live, hi);
+    g->sl = _mm512_mask_mov_epi64(g->sl, live, lo);
+    /* XSL-RR, then zig_point of each word */
+    r = *word = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+    idx = _mm512_and_si512(r, _mm512_set1_epi64(0xff));
+    rabs = _mm512_and_si512(_mm512_srli_epi64(r, 9), _mm512_set1_epi64((long long)ZIG_MANTISSA));
+    x = _mm512_mul_pd(_mm512_cvtepi64_pd(rabs), _mm512_i64gather_pd(idx, z->wi, 8));
+    x = _mm512_castsi512_pd(_mm512_xor_si512(
+        _mm512_castpd_si512(x),
+        _mm512_and_si512(_mm512_slli_epi64(r, 55), _mm512_set1_epi64(INT64_MIN))));
+    _mm512_mask_store_pd(row, live, x);
+    return _mm512_mask_cmpge_epu64_mask(live, rabs,
+                                        _mm512_i64gather_epi64(idx, (const void *)z->ki, 8));
+}
+
+/* element j of v */
+#define LANE_OF(v, j) ((uint64_t)_mm_cvtsi128_si64(_mm512_castsi512_si128( \
+    _mm512_permutexvar_epi64(_mm512_set1_epi64(j), (v)))))
+
+/* normal_rare of the `rare` lanes of g, whose words were `word`, each on its
+   own stream, taken out of the vectors (its increment from inc[2 j], which
+   does not change) and put back, into row[j] */
+WIDE_INLINE void rare_x8(struct pcg64_x8 *g, __mmask8 rare, __m512i word, const struct pcg64 *inc,
+                         double *row, const struct ziggurat *z)
+{
+    while (rare) {
+        int j = __builtin_ctz(rare), layer;
+        struct pcg64 one;
+        uint64_t w_abs;
+        double xj = zig_point(LANE_OF(word, j), z, &layer, &w_abs);
+        rare &= (__mmask8)(rare - 1);
+        one.state = (u128)LANE_OF(g->sh, j) << 64 | LANE_OF(g->sl, j);
+        one.inc = inc[2 * j].inc;
+        row[j] = normal_rare(&one, z, layer, w_abs, xj);
+        g->sh = _mm512_mask_set1_epi64(g->sh, (__mmask8)(1u << j), (long long)(one.state >> 64));
+        g->sl = _mm512_mask_set1_epi64(g->sl, (__mmask8)(1u << j), (long long)one.state);
+    }
+}
+
+/* draw_tile of a group's 2 * GROUP streams, gen[2 j] and gen[2 j + 1] lane
+   j's eta and zeta, into noise[0] and noise[1], rows of 64 bytes at a
+   multiple of 64: the streams of the lanes in `live` draw, the others keep
+   their states and their rows */
+WIDE_TARGET static void draw_tile_x8(struct pcg64 *gen, unsigned live, double (*noise)[TILE][GROUP],
+                                     int64_t n, const struct ziggurat *z)
+{
+    uint64_t w[2][4][GROUP] __attribute__((aligned(64)));
+    struct pcg64_x8 g[2];
+    __m512i word[2];
+    __mmask8 rare[2];
+    int64_t i;
+    int j, s;
+    for (s = 0; s < 2; s++) {
+        for (j = 0; j < GROUP; j++) {
+            w[s][0][j] = (uint64_t)(gen[2 * j + s].state >> 64);
+            w[s][1][j] = (uint64_t)gen[2 * j + s].state;
+            w[s][2][j] = (uint64_t)(gen[2 * j + s].inc >> 64);
+            w[s][3][j] = (uint64_t)gen[2 * j + s].inc;
+        }
+        g[s].sh = _mm512_load_si512(w[s][0]);
+        g[s].sl = _mm512_load_si512(w[s][1]);
+        g[s].ih = _mm512_load_si512(w[s][2]);
+        g[s].il = _mm512_load_si512(w[s][3]);
+    }
+    for (i = 0; i < n; i++) {
+        rare[0] = point_x8(&g[0], (__mmask8)live, noise[0][i], z, &word[0]);
+        rare[1] = point_x8(&g[1], (__mmask8)live, noise[1][i], z, &word[1]);
+        if (__builtin_expect(rare[0] | rare[1], 0)) {
+            rare_x8(&g[0], rare[0], word[0], gen, noise[0][i], z);
+            rare_x8(&g[1], rare[1], word[1], gen + 1, noise[1][i], z);
+        }
+    }
+    for (s = 0; s < 2; s++) {
+        _mm512_store_si512(w[s][0], g[s].sh);
+        _mm512_store_si512(w[s][1], g[s].sl);
+        for (j = 0; j < GROUP; j++)
+            gen[2 * j + s].state = (u128)w[s][0][j] << 64 | w[s][1][j];
+    }
+}
+
+/* fold_tile of a whole group's tile, all GROUP lanes in one vector */
+WIDE_TARGET static void fold_tile_x8(const double *y, const double *x, int64_t n, int64_t done,
+                                     const double *y_start, double *s, double *mean, double *m2)
+{
+    fold_tile(y, x, GROUP, GROUP, n, done, y_start, s, mean, m2);
+}
+
+/* whether this CPU takes the wide draws and fold */
+static int wide_cpu(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")
+           && __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512bw");
+}
+#else
+#define wide_cpu() 0
+#define draw_tile_x8(gen, live, noise, n, z) ((void)0)
+#define fold_tile_x8(y, x, n, done, y_start, s, mean, m2) ((void)0)
+#endif
+
+/* 1 where hl_lane_block draws and folds whole groups in AVX-512 vectors on
+   this CPU, else 0 */
+int64_t hl_wide_draws(void)
+{
+    return wide_cpu();
+}
+
 /* Take `lanes` lanes through their whole paths of `steps` steps, each from
  * its start y_end, x_end (Z = sqrt(y_end) for DESRE and DISRE), which the
  * caller sets to y0, x0.  The noise comes from streams, (lanes, 2, 4)
  * row-major, the seed words of each lane's eta and zeta PCG64 streams,
  * which receive the streams' last states: for each tile, each live lane
  * draws its tile's eta normals and its zeta normals, the live streams of a
- * group of lanes interleaved, with the ziggurat tables (3, 256): ki, then
+ * group of lanes side by side, with the ziggurat tables (3, 256): ki, then
  * wi and fi as the bits of doubles.  Where streams is NULL it is read from
  * eta and zeta, (lanes, steps), row-major.  y_start, y_end, x_end, mean, m2
  * and aborted are (lanes,), and sums is (6, lanes), row-major: the arrays
@@ -548,7 +713,7 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
 {
     struct ziggurat z;
     int64_t g0, t0, i;
-    int j, q;
+    int j, q, wide = wide_cpu();
     if (streams != NULL) {
         memcpy(z.ki, tables, sizeof z.ki);
         memcpy(z.wi, tables + 256, sizeof z.wi);
@@ -560,13 +725,15 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
            short group, as a single path's, takes no more than it needs */
         int w = (real + VW - 1) / VW * VW;
         /* the group's tile, lane-major, and its lanes' sums */
-        double noise[2][TILE][GROUP], y[TILE + 1][GROUP], x[TILE + 1][GROUP];
+        double noise[2][TILE][GROUP] __attribute__((aligned(64)));
+        double y[TILE + 1][GROUP], x[TILE + 1][GROUP];
         double ys[GROUP], fs[6][GROUP], fmean[GROUP], fm2[GROUP];
         struct pcg64 gen[2 * GROUP];
         int64_t lane[GROUP];
         double s[GROUP];
         int64_t hit[GROUP] = {0};
         memset(noise, 0, sizeof noise);
+        memset(gen, 0, sizeof gen); /* padding lanes' streams, carried masked */
         for (j = 0; j < GROUP; j++) {
             int64_t l = lane[j] = g0 + (j < real ? j : 0);
             s[j] = scheme == DESRE || scheme == DISRE ? sqrt(y_end[l]) : y_end[l];
@@ -591,7 +758,12 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
         }
         for (t0 = 0; t0 < steps && live; t0 += TILE) {
             int64_t n = steps - t0 < TILE ? steps - t0 : TILE;
-            if (streams != NULL) {
+            if (streams != NULL && wide && live >= WIDE_LIVE) {
+                unsigned mask = 0;
+                for (j = 0; j < real; j++)
+                    mask |= (unsigned)!hit[j] << j;
+                draw_tile_x8(gen, mask, noise, n, &z);
+            } else if (streams != NULL) {
                 /* the live lanes' streams, side by side */
                 struct pcg64 g[2 * GROUP];
                 double *out[2 * GROUP];
@@ -619,7 +791,10 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
             }
             variance_steps((int)scheme, k, s, noise[0], n, w, y, t0, hit);
             price_steps(p, y, noise[0], noise[1], n, w, x);
-            fold_tile(&y[0][0], &x[0][0], GROUP, w, n, t0, ys, &fs[0][0], fmean, fm2);
+            if (wide && w == GROUP)
+                fold_tile_x8(&y[0][0], &x[0][0], n, t0, ys, &fs[0][0], fmean, fm2);
+            else
+                fold_tile(&y[0][0], &x[0][0], GROUP, w, n, t0, ys, &fs[0][0], fmean, fm2);
             for (j = 0; j < real; j++)
                 if (hit[j] && !aborted[lane[j]]) {
                     aborted[lane[j]] = hit[j];

@@ -9,7 +9,8 @@ whose steps and fold run side by side in vectors.
 :meth:`LaneKernel.seed` hashes each lane's stream seeds as numpy's
 ``SeedSequence`` does, and :meth:`LaneKernel.draw` seeds each lane's pair
 of PCG64 streams from those words and draws the normals itself, a tile at
-a time, through numpy's ziggurat, inlined: so no block of draws and no
+a time, through numpy's ziggurat, inlined, on AVX-512 CPUs eight streams a
+vector (:attr:`LaneKernel.wide_draws`): so no block of draws and no
 numpy ``Generator`` is ever held, and
 :func:`~hestonlab.simulate.advance_lanes` takes a lane group through its
 path in one drawing call, which writes its points as well for single
@@ -50,8 +51,9 @@ with a small reader of ``ar`` archives and ELF64 objects, and passes them to
 each call.  After opening the kernel it folds one short path both ways, in
 the kernel and by ``PathSums.fold``, and refuses a kernel whose sums
 differ; it seeds and draws a whole lane group and a short one both ways,
-in the kernel and by ``lane_generators`` and ``draw_normals``, and refuses
-a kernel whose bits or stream states differ, its seeds among them;
+in the kernel and by ``lane_generators`` and ``draw_normals``, through
+whichever draw path the CPU takes, and refuses a kernel whose bits or
+stream states differ, its seeds among them;
 then it writes a fixed set of values through the codec and with %, reads
 them back, and reads a set of hard cells (``_CHECK_READS``) in the kernel
 and with ``float()``, and refuses a kernel whose bytes or bits differ; last
@@ -102,7 +104,9 @@ COMPILER = "cc"
 # no fused multiply-add and no value-changing optimization: the kernel must
 # give numpy's bits; no errno for sqrt to set, which changes no bit and lets
 # -O3 take square roots in vectors; no -march, so a cached build runs on any
-# CPU of the platform (on x86-64 its vectors are SSE2's, which every one has)
+# CPU of the platform: on x86-64 its steps run in SSE2 vectors, which every
+# one has, and its draws and fold in AVX-512 ones only where the CPU has
+# them, which the kernel asks at run time (LaneKernel.wide_draws)
 FLAGS = ("-O3", "-std=c99", "-fno-fast-math", "-fno-math-errno", "-ffp-contract=off", "-fPIC",
          "-shared")
 # the lanes kernel.c takes side by side, its GROUP
@@ -289,8 +293,9 @@ def _check_fold(kernel: "LaneKernel") -> None:
 
 # The lanes load() draws both ways: a whole group and a short one of 2048
 # DISRE steps, whose 36864 normals include both of the ziggurat's rare
-# paths, the wedge test (about 1.5% of normals) and the tail (10 of them at
-# this seed)
+# paths, the wedge test (about 1.5% of normals) and the tail (11 of them at
+# this seed); on a CPU that takes the wide draws, the whole group draws in
+# AVX-512 vectors and the short one a stream at a time
 _CHECK_SEED, _CHECK_LANES, _CHECK_STEPS = 2, GROUP + 1, 2048
 _CHECK_PARAMS = ModelParams(a=0.4, b=1.0, alpha=0.1, beta=0.15, sigma1=0.4, sigma2=0.3,
                             rho=0.2, y0=0.4, x0=0.0)
@@ -477,10 +482,17 @@ class LaneKernel:
         self.parse_fn = entry("hl_parse_rows", i, p, i, i, i, p, p, p)
         self.log_ndtr_fn = entry("hl_log_ndtr", None, i, p, p)
         self.seed_fn = entry("hl_seed", None, p, i, p, i, i, p)
+        self.wide_fn = entry("hl_wide_draws", i)
         # numpy's ziggurat tables, (3, 256) uint64, which each drawing call reads
         self.tables = tables
         # the powers of ten that format_columns and parse_rows pass to the codec
         self.pow10 = pow10
+
+    @property
+    def wide_draws(self) -> bool:
+        """Whether this CPU takes the kernel's AVX-512 draws and fold of
+        whole lane groups, which give the bits of its portable code."""
+        return bool(self.wide_fn())
 
     def seed(self, master_seed: int, index) -> np.ndarray:
         """The seed words of each lane's (eta, zeta) streams, for

@@ -6,10 +6,13 @@ ziggurat tables, checks the kernel's draws and falls back to numpy quietly
 when it cannot build."""
 
 import copy
+import functools
 import hashlib
 import json
 import math
 import os
+import pathlib
+import platform
 import re
 import shutil
 import struct
@@ -316,8 +319,14 @@ def drawn_against_given(params, dt, scheme, lanes, steps, seed=23, k=None):
     where draw_normals leaves its generators; an aborted lane stops drawing
     after the tile of its abort.  Returns the abort steps (0 for none)."""
     k = k or lane_kernel_or_skip()
-    streams = k.seed(seed, range(lanes))
-    given = hl.lane_generators(seed, range(lanes))
+    return drawn_pairs_against_given(k, params, dt, scheme, k.seed(seed, range(lanes)),
+                                     hl.lane_generators(seed, range(lanes)), steps)
+
+
+def drawn_pairs_against_given(k, params, dt, scheme, streams, given, steps):
+    """drawn_against_given of the lanes whose streams are seeded from the
+    seed words ``streams``, (lanes, 2, 4), as the generator pairs ``given``
+    are: those words' streams in any order."""
     start = [advanced(pair, 0) for pair in given]
     aborted_d, sums_d = k.draw(params, dt, scheme, streams, steps)
     aborted_g, sums_g = k(params, dt, scheme, *draw_normals(given, steps))
@@ -336,20 +345,165 @@ def drawn_against_given(params, dt, scheme, lanes, steps, seed=23, k=None):
     return aborted_d
 
 
+@pytest.fixture(scope="module")
+def portable_build(tmp_path_factory):
+    """The kernel built with the test-only define HL_PORTABLE, which leaves
+    out the AVX-512 draws and fold, into a cache of its own, where load()
+    runs every check on it."""
+    lane_kernel_or_skip()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernel, "CACHE_DIR", tmp_path_factory.mktemp("portable"))
+        m.setattr(kernel, "FLAGS", (*kernel.FLAGS, "-DHL_PORTABLE"))
+        k = kernel.load()
+    assert not k.wide_draws
+    return k
+
+
+def wide_kernel_or_skip():
+    k = lane_kernel_or_skip()
+    if "-DHL_PORTABLE" in kernel.FLAGS:
+        pytest.skip("the lane kernel is built with HL_PORTABLE, which leaves out the AVX-512 "
+                    "draws")
+    if not k.wide_draws:
+        pytest.skip("this CPU lacks AVX-512 F, DQ, VL or BW, so the lane kernel draws one "
+                    "stream at a time")
+    return k
+
+
+@pytest.fixture(params=["wide", "portable"])
+def build(request):
+    """The kernel of the default build on a CPU that takes its AVX-512
+    draws and fold, and the HL_PORTABLE build, whose code every CPU runs."""
+    if request.param == "portable":
+        return request.getfixturevalue("portable_build")
+    return wide_kernel_or_skip()
+
+
+def test_the_kernel_draws_wide_where_the_cpu_has_avx512(lane_kernel):
+    """The default build takes the wide draws on an x86-64 CPU whose flags,
+    as Linux lists them, hold all four features, and only there; a build
+    with HL_PORTABLE never does."""
+    cpuinfo = pathlib.Path("/proc/cpuinfo")
+    if platform.machine() != "x86_64" or not cpuinfo.is_file() \
+            or "-DHL_PORTABLE" in kernel.FLAGS:
+        assert not lane_kernel.wide_draws
+        return
+    flags = set(re.search(r"^flags\s*:(.*)$", cpuinfo.read_text(), re.MULTILINE)[1].split())
+    assert lane_kernel.wide_draws == ({"avx512f", "avx512dq", "avx512vl", "avx512bw"} <= flags)
+
+
 @pytest.mark.parametrize("steps", [5, 128, 1000, 20077])
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
-def test_drawn_noise_gives_the_bits_of_draw_normals(scheme, steps):
+def test_drawn_noise_gives_the_bits_of_draw_normals(build, scheme, steps):
     """Every scheme near the boundary, 1 to 2 * GROUP + 1 lanes (so that the
-    kernel's last group is whole or padded), whole tiles and partial ones."""
+    kernel's last group is whole or padded: the wide draws take short
+    groups of WIDE_LIVE lanes or more), whole tiles and partial ones."""
     for lanes in range(1, 2 * kernel.GROUP + 2):
-        drawn_against_given(NEAR_ZERO, 0.1, scheme, lanes, steps, seed=lanes)
+        drawn_against_given(NEAR_ZERO, 0.1, scheme, lanes, steps, seed=lanes, k=build)
 
 
 @pytest.mark.parametrize("steps", [1000, 20077])
-def test_drawn_noise_of_desre_groups_that_abort(steps):
-    aborted = drawn_against_given(NEAR_ZERO, 0.2, hl.Scheme.DESRE, 64, steps)
+def test_drawn_noise_of_desre_groups_that_abort(build, steps):
+    aborted = drawn_against_given(NEAR_ZERO, 0.2, hl.Scheme.DESRE, 64, steps, k=build)
     assert 0 < np.count_nonzero(aborted) < 64
     assert np.count_nonzero(aborted % SUM_TILE) > 0
+
+
+@pytest.mark.parametrize("seed", [21, 26, 31])
+def test_a_desre_group_whose_lanes_abort_in_different_tiles_ends_as_the_portable_builds(
+        portable_build, seed):
+    """One whole group of 2000 steps whose lanes abort in three or more
+    tiles, the first leaving WIDE_LIVE lanes or more, which go on drawing
+    in vectors with the dead lanes' streams masked out: the same abort
+    steps, the same sums of the lanes that live, and every stream, the dead
+    lanes' too, in the same state as in the portable build."""
+    wide = wide_kernel_or_skip()
+    runs = []
+    for k in (wide, portable_build):
+        streams = k.seed(seed, range(kernel.GROUP))
+        aborted, sums = k.draw(NEAR_ZERO, 0.2, hl.Scheme.DESRE, streams, 2000)
+        runs.append([aborted.tolist(), streams.tolist()] + [
+            bits(getattr(sums, name)) for name in vars(sums) if name != "steps"])
+    assert runs[0] == runs[1]
+    tiles = sorted((step - 1) // SUM_TILE for step in runs[0][0] if step)
+    assert len(set(tiles)) >= 3 and tiles.count(tiles[0]) <= kernel.GROUP - WIDE_LIVE, tiles
+    drawn_against_given(NEAR_ZERO, 0.2, hl.Scheme.DESRE, kernel.GROUP, 2000, seed=seed, k=wide)
+
+
+# the fewest live lanes whose group the kernel draws in vectors, kernel.c's WIDE_LIVE
+WIDE_LIVE = 6
+
+
+def test_the_tests_wide_live_is_the_kernels():
+    assert re.findall(r"^#define WIDE_LIVE (\d+)$", kernel.SOURCE.read_text(), re.MULTILINE) == [
+        str(WIDE_LIVE)]
+
+
+# the pool of streams that the tests below place in lane groups: the (eta,
+# zeta) streams of POOL_LANES replicates of POOL_SEED, stream 2 i + t being
+# replicate i's tag t, and the first POOL_NORMALS normals of each
+POOL_SEED, POOL_LANES, POOL_NORMALS = 5, 200, 300
+
+
+def pool_generators():
+    return [gen for pair in hl.lane_generators(POOL_SEED, range(POOL_LANES)) for gen in pair]
+
+
+@functools.lru_cache(maxsize=None)
+def pool_events():
+    """The (normal, layer) events of each pool stream, as rare_draws gives
+    them."""
+    return [rare_draws(gen, POOL_NORMALS) for gen in pool_generators()]
+
+
+def group_of(picks):
+    """The seed words, (GROUP, 2, 4), and the generator pairs of a whole
+    group whose lane j draws eta from pool stream picks[2 j] and zeta from
+    picks[2 j + 1]."""
+    words = lane_kernel_or_skip().seed(POOL_SEED, range(POOL_LANES)).reshape(-1, 4)
+    gens = pool_generators()
+    return (words[list(picks)].reshape(kernel.GROUP, 2, 4).copy(),
+            [(gens[picks[2 * j]], gens[picks[2 * j + 1]]) for j in range(kernel.GROUP)])
+
+
+def fast_at(step, count, avoid):
+    """``count`` pool streams, none in ``avoid``, whose normal ``step`` is
+    drawn inside its rectangle."""
+    return [s for s, e in enumerate(pool_events())
+            if s not in avoid and all(i != step for i, _ in e)][:count]
+
+
+@pytest.mark.parametrize("lane", [0, 3, kernel.GROUP - 1])
+def test_one_lane_takes_the_tail_while_the_group_draws_fast(build, lane):
+    """At a step of its second tile, lane's eta stream takes the ziggurat's
+    tail while the group's 15 other streams draw inside their rectangles:
+    the bits and stream states of numpy's generators."""
+    tail, step = next((s, i) for s, e in enumerate(pool_events()) for i, layer in e
+                      if layer == 0 and i >= SUM_TILE)
+    others = fast_at(step, 2 * kernel.GROUP - 1, {tail})
+    streams, given = group_of(others[: 2 * lane] + [tail] + others[2 * lane :])
+    drawn_pairs_against_given(build, hl.canonical_params(), 0.1, hl.Scheme.DISRE, streams, given,
+                              step + 40)
+
+
+@pytest.mark.parametrize("slots", [(2, 12), (4, 11)], ids=["eta-eta", "eta-zeta"])
+def test_two_lanes_leave_the_fast_path_in_one_step(build, slots):
+    """Two streams of a whole group leave their rectangles at the same step
+    of its second tile, the others drawing inside theirs: lanes 1 and 6's
+    eta streams, one vector, and lane 2's eta and lane 5's zeta, one in each
+    vector.  The bits and stream states of numpy's generators."""
+    leaving = {}
+    for s, e in enumerate(pool_events()):
+        for i in {i for i, _ in e if i >= SUM_TILE}:
+            leaving.setdefault(i, []).append(s)
+    step = min(i for i, streams in leaving.items() if len(streams) >= 2)
+    pair = leaving[step][:2]
+    picks = fast_at(step, 2 * kernel.GROUP - 2, set(pair))
+    for slot, s in zip(slots, pair):
+        picks.insert(slot, s)
+    streams, given = group_of(picks)
+    drawn_pairs_against_given(build, hl.canonical_params(), 0.1, hl.Scheme.DISRE, streams, given,
+                              step + 40)
 
 
 def test_seeded_streams_are_the_generators_of_lane_generators(lane_kernel):
@@ -610,17 +764,18 @@ TABLES = kernel._ziggurat_tables(kernel.NPYRANDOM.read_bytes()) if kernel.NPYRAN
 
 def rare_draws(gen, count):
     """Where the next ``count`` normals of a generator leave the ziggurat's
-    rectangles, read from the raw words of a copy: (the number of tail
-    draws, the layers of the wedge tests), as numpy's random_standard_normal
-    takes them.  Asserts that the copy, advanced by the words they took,
-    stands where ``count`` normals leave the generator."""
+    rectangles, read from the raw words of a copy: a (normal, layer) pair
+    for each tail draw (layer 0) and each wedge test, in order, as numpy's
+    random_standard_normal takes them; a normal whose wedge rejects its
+    point may leave again.  Asserts that the copy, advanced by the words
+    they took, stands where ``count`` normals leave the generator."""
     ki, wi, fi = TABLES[0], TABLES[1].view(float), TABLES[2].view(float)
     bits = np.random.PCG64()
     bits.state = gen.bit_generator.state
     words = bits.random_raw(count + count // 16 + 64)
     layer, rabs = (words & 0xFF).astype(np.intp), (words >> np.uint64(9)) & ((1 << 52) - 1)
     rare = iter(np.flatnonzero(rabs >= ki[layer]).tolist())
-    tails, wedges, at, left = 0, [], 0, count
+    events, at, left = [], 0, count
     uniform = lambda k: (int(words[k]) >> 11) * 2.0 ** -53  # noqa: E731
     for k in rare:
         if k < at:
@@ -629,8 +784,8 @@ def rare_draws(gen, count):
             break
         left -= k - at
         i, at = int(layer[k]), k + 1
+        events.append((count - left, i))
         if i == 0:
-            tails += 1
             while True:  # the tail beyond r, as numpy draws it
                 xx = -0.27366123732975827203338247596 * math.log1p(-uniform(at))
                 yy = -math.log1p(-uniform(at + 1))
@@ -639,7 +794,6 @@ def rare_draws(gen, count):
                     break
             left -= 1
         else:
-            wedges.append(i)
             x = int(rabs[k]) * wi[i]
             at += 1
             left -= int((fi[i - 1] - fi[i]) * uniform(at - 1) + fi[i] < math.exp(-0.5 * x * x))
@@ -650,7 +804,7 @@ def rare_draws(gen, count):
     gen = copy.deepcopy(gen)
     gen.standard_normal(count)
     assert copied.state == gen.bit_generator.state
-    return tails, wedges
+    return events
 
 
 def test_the_drawing_tests_take_the_tail_and_the_wedges(lane_kernel):
@@ -660,12 +814,10 @@ def test_the_drawing_tests_take_the_tail_and_the_wedges(lane_kernel):
     for seed, lanes, steps in [(lanes, lanes, 20077)
                                for lanes in range(1, 2 * kernel.GROUP + 2)] + [
             (kernel._CHECK_SEED, kernel._CHECK_LANES, kernel._CHECK_STEPS)]:
-        tails, wedges = 0, 0
-        for pair in hl.lane_generators(seed, range(lanes)):
-            for gen in pair:
-                t, w = rare_draws(gen, steps)
-                tails, wedges = tails + t, wedges + len(w)
-        assert tails > 0 and wedges > tails, (seed, lanes)
+        layers = [layer for pair in hl.lane_generators(seed, range(lanes))
+                  for gen in pair for _, layer in rare_draws(gen, steps)]
+        tails = layers.count(0)
+        assert tails > 0 and len(layers) - tails > tails, (seed, lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +959,7 @@ def test_an_archive_without_the_tables_leaves_the_numpy_pipeline_quietly(
 def check_layers():
     """The layers whose wedge test the draws of load()'s check take."""
     return {layer for pair in hl.lane_generators(kernel._CHECK_SEED, range(kernel._CHECK_LANES))
-            for gen in pair for layer in rare_draws(gen, kernel._CHECK_STEPS)[1]}
+            for gen in pair for _, layer in rare_draws(gen, kernel._CHECK_STEPS) if layer}
 
 
 @pytest.mark.parametrize("table", [0, 1, 2], ids=kernel._TABLE_SYMBOLS)
@@ -969,7 +1121,8 @@ def test_each_kernel_entry_takes_the_arguments_load_declares(monkeypatch):
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"the lane kernel does not build here: {e}")
     declared = {fn.__name__: len(fn.argtypes)
-                for fn in (k.fn, k.format_fn, k.parse_fn, k.log_ndtr_fn, k.fold_fn, k.seed_fn)}
+                for fn in (k.fn, k.format_fn, k.parse_fn, k.log_ndtr_fn, k.fold_fn, k.seed_fn,
+                          k.wide_fn)}
     assert declared == exported_parameter_counts(kernel.SOURCE.read_text())
 
 
