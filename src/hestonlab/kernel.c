@@ -58,15 +58,24 @@
  * hestonlab.estimate.path_functionals.
  *
  * hl_format_rows writes a table's cells as Python's '%.17g' and '%d' do,
- * byte for byte, and hl_parse_rows reads CSV lines of the strict form it
- * writes as float() and int() do, in one pass, into a buffer of as many
- * rows as a text of its length can hold; each returns -1 for what it does
- * not take, and hestonlab.simulate's Python codec then takes the whole
- * call.  Both work on one table of 128-bit powers of ten, which
- * hestonlab.kernel passes in: the writer by Loitsch's method, the reader by
- * Clinger's exact path and Eisel and Lemire's method; each leaves to
- * glibc's snprintf or strtod the few cells that the table's truncation
- * could tip.  None keeps any state between calls.
+ * byte for byte, in passes of 8 rows: it scales each float cell to its 17
+ * digits, spells them, and lays them out by fixed-width stores; on a CPU
+ * that takes the wide draws it scales and spells 8 cells of a column at a
+ * time in AVX-512 vectors, with the same bits.  hl_parse_rows reads CSV
+ * lines of the strict form it writes as float() and int() do, in one pass,
+ * into a buffer of as many rows as a text of its length can hold, up to 23
+ * digits of a fraction from three words at once; on such a CPU, where every
+ * cell is a float, it first indexes a block's separators and then reads 8
+ * cells at a time in AVX-512 vectors, with the same bits.  Each returns -1
+ * for what it does not take, and hestonlab.simulate's Python codec then
+ * takes the whole call.  Both work on one table of 128-bit powers of ten,
+ * which hestonlab.kernel passes in: the writer by Loitsch's method, its
+ * decimal exponent decided by one compare with the least double at or
+ * above a power of ten, which it derives from the table at each call; the
+ * reader by Eisel and Lemire's method, and Clinger's exact path for the
+ * near ties that leaves; each leaves to glibc's snprintf or strtod the few
+ * cells that the table's truncation could tip.  None keeps any state
+ * between calls.
  *
  * hl_log_ndtr gives log Phi of each of n values with the bits of
  * hestonlab.simulate's Python loop, through libm's erfc, log1p and log,
@@ -857,152 +866,364 @@ enum { CELL_FLOAT, CELL_INT };
 #define POW10_MIN (-300)
 #define POW10_MAX 345
 
+#define E8 100000000ULL
 #define E16 10000000000000000ULL
 #define E17 100000000000000000ULL
 
-/* the distance from one half within which a fraction is left to snprintf:
-   2^-56, as a 128-bit fixed-point fraction */
-#define HALF ((u128)1 << 127)
-#define TIE_WINDOW ((u128)1 << 72)
+/* a byte repeated in each byte of a word */
+#define BYTES(c) (0x0101010101010101ULL * (uint8_t)(c))
 
-/* "00" to "99" */
-static const char DIGIT_PAIRS[201] =
-    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
-    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
-    "8081828384858687888990919293949596979899";
-
-/* the 8 decimal digits of x < 10^8, leading zeros kept */
-static void digits8(uint32_t x, char *out)
+/* The 8 bytes at p as one word, the first in its low byte, and back: the
+   writer stores and the reader loads text 8 bytes at a time */
+static uint64_t load8(const char *p)
 {
-    uint32_t hi = x / 10000, lo = x % 10000;
-    memcpy(out, DIGIT_PAIRS + 2 * (hi / 100), 2);
-    memcpy(out + 2, DIGIT_PAIRS + 2 * (hi % 100), 2);
-    memcpy(out + 4, DIGIT_PAIRS + 2 * (lo / 100), 2);
-    memcpy(out + 6, DIGIT_PAIRS + 2 * (lo % 100), 2);
+    uint64_t x;
+    memcpy(&x, p, sizeof x);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    x = __builtin_bswap64(x);
+#endif
+    return x;
 }
 
-/* v * 10^q for v = m * 2^e, through row q of the table: 10^q truncated to
- * M * 2^E, M of 128 bits (the row's high and low words, then E).  The
- * 181-bit product m * M is exact, so the result falls short of v * 10^q by
- * less than v * 10^q * 2^-127: under 2^-70 while v * 10^q < 2^57.  Gives
- * its integer part *n and its fraction *frac, as a 128-bit fixed-point
- * number; returns -1 where the integer part would not fit. */
-static int scaled(uint64_t m, int e, int q, const uint64_t *pow10, uint64_t *n, u128 *frac)
+static void store8(char *p, uint64_t x)
 {
-    const uint64_t *row = pow10 + 3 * (q - POW10_MIN);
-    u128 lo = (u128)m * row[1], hi = (u128)m * row[0];
-    u128 mid = (hi & UINT64_MAX) + (lo >> 64);
-    uint64_t w0 = (uint64_t)lo, w1 = (uint64_t)mid;
-    uint64_t w2 = (uint64_t)(hi >> 64) + (uint64_t)(mid >> 64);
-    int s = -(e + (int)(int64_t)row[2]); /* the product's fraction bits */
-    if (s < 64 || s > 127)
-        return -1;
-    *n = (uint64_t)((((u128)w2 << 64) | w1) >> (s - 64));
-    *frac = (((u128)w1 << 64) | w0) << (128 - s);
-    return 0;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    x = __builtin_bswap64(x);
+#endif
+    memcpy(p, &x, sizeof x);
 }
 
-/* The 17 significant digits dig[] of a nonzero value, the first of them
- * nonzero, its decimal exponent d and its sign, as %g lays them out: the
- * exponent form where d < -4 or d >= 17, trailing zeros dropped and then a
- * dropped point. */
-static char *layout_g17(const char *dig, int d, int negative, char *out)
+/* The 8 decimal digits of x < 10^8, leading zeros kept, one a byte from
+ * 0 to 9, the first in the low byte: its two halves of 4 digits side by
+ * side in one word, then their 4 pairs, then the 8 digits, each step a
+ * division of every part at once by a multiplication by a reciprocal,
+ * exact in these ranges (as in Khuong's SWAR itoa). */
+static uint64_t digits8(uint32_t x)
 {
-    int nd = 17, i;
-    while (dig[nd - 1] == '0')
-        nd--;
-    if (negative)
-        *out++ = '-';
-    if (d < -4 || d >= 17) {
-        int a = d < 0 ? -d : d;
-        *out++ = dig[0];
-        if (nd > 1) {
-            *out++ = '.';
-            memcpy(out, dig + 1, nd - 1);
-            out += nd - 1;
-        }
-        *out++ = 'e';
-        *out++ = d < 0 ? '-' : '+';
-        if (a >= 100) {
-            *out++ = (char)('0' + a / 100);
-            a %= 100;
-        }
-        memcpy(out, DIGIT_PAIRS + 2 * a, 2);
-        return out + 2;
+    uint64_t halves = x / 10000 | (uint64_t)(x % 10000) << 32;
+    uint64_t hundreds = ((halves * 10486) >> 20) & 0x0000007F0000007FULL;
+    uint64_t pairs = hundreds | (halves - 100 * hundreds) << 16;
+    uint64_t tens = ((pairs * 103) >> 10) & 0x000F000F000F000FULL;
+    return tens | (pairs - 10 * tens) << 8;
+}
+
+/* The powers 10^j whose thresholds the writer compares with: those of the
+ * binades of the doubles from 2^-996 up, whose biased exponents are
+ * THRESHOLD_BINADE or more.  Smaller doubles, subnormals among them, go to
+ * snprintf, zeros excepted. */
+#define THRESHOLD_MIN (-299)
+#define THRESHOLD_MAX 308
+#define THRESHOLD_BINADE 27
+
+/* 10^0 to 10^22, each a double exactly, for the writer's thresholds and
+   the reader's exact path */
+static const double EXACT_POW10[23] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                                       1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                                       1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* The bits of the least double >= 10^j, into th[j - THRESHOLD_MIN] for
+ * each j of the range: 10^j itself for 0 <= j <= 22, where it is a double;
+ * else the double after the one at or below it, M's top 53 bits, from row j
+ * of the table, 10^j truncated to M * 2^E.  Those rows are exact for
+ * 22 < j <= 55, and past that no truncation reaches M's top 53 bits, whose
+ * low 75 are neither all zeros nor all ones in any of them: so a row a unit
+ * off gives the same thresholds. */
+static void thresholds(const uint64_t *pow10, uint64_t *th)
+{
+    int j;
+    for (j = THRESHOLD_MIN; j <= THRESHOLD_MAX; j++) {
+        const uint64_t *row = pow10 + 3 * (j - POW10_MIN);
+        if (j >= 0 && j <= 22)
+            memcpy(&th[j - THRESHOLD_MIN], &EXACT_POW10[j], sizeof th[0]);
+        else
+            th[j - THRESHOLD_MIN] = ((uint64_t)((int64_t)row[2] + 1150) << 52) + (row[0] >> 11)
+                                    - (1ULL << 52) + 1;
     }
-    if (d >= 0) {
-        memcpy(out, dig, d + 1);
-        out += d + 1;
-        if (nd > d + 1) {
-            *out++ = '.';
-            memcpy(out, dig + d + 1, nd - d - 1);
-            out += nd - d - 1;
-        }
-        return out;
-    }
-    *out++ = '0';
-    *out++ = '.';
-    for (i = 0; i < -d - 1; i++)
-        *out++ = '0';
-    memcpy(out, dig, nd);
-    return out + nd;
 }
 
-/* '%.17g' of a finite v into out: the correctly rounded 17 digits of Gay's
- * dtoa, which Python's '%.17g' gives, ties to even.  Loitsch's method with
- * 128-bit powers of ten: N = v * 10^(16 - d), d = floor(log10 v), rounded up
- * where its fraction is one half or more.  Where that fraction lies within
- * 2^-56 of one half, which the table's error (under 2^-70) might have
- * tipped, the digits are glibc's snprintf's, also correctly rounded and
- * ties to even.  Returns the end, or NULL where snprintf's text holds other
- * characters than those of a number in the C locale. */
-static char *format_g17(double v, const uint64_t *pow10, char *out)
+/* The cells one pass of the writer takes through its three steps, and
+ * their kinds: a value of 17 digits, a zero, or one for snprintf.  A pass
+ * holds its float cells side by side between their values and their text:
+ * cell i is v[i], and where kind[i] is G17 also N = n[i], 10^16 <= N <
+ * 10^17, and d[i], '%.17g' of N * 10^(d - 16) with v's sign, whose digits
+ * come as lead[i] and the words mid[i] and low[i] of digits8.  A cell of
+ * another kind has N = 10^16, which the digit step takes as well. */
+#define PASS_CELLS 512
+enum { G17, ZERO, SLOW };
+struct pass {
+    uint64_t n[PASS_CELLS], lead[PASS_CELLS], mid[PASS_CELLS], low[PASS_CELLS];
+    double v[PASS_CELLS];
+    int32_t d[PASS_CELLS];
+    uint8_t kind[PASS_CELLS];
+};
+
+/* The first step of '%.17g' of a finite v, into cell i of ps: the
+ * correctly rounded 17 digits of Gay's dtoa, which Python's '%.17g' gives,
+ * ties to even, as N and d.  Loitsch's method with 128-bit powers of ten:
+ * N = |v| * 10^(16 - d), rounded up where its fraction is one half or
+ * more, for d = floor(log10 |v|): floor(k log10 2) for k = floor(log2
+ * |v|), exact for |k| < 1100 with an arithmetic shift, or one more where
+ * |v| reaches the threshold th[] of the next power of ten, a compare of
+ * bits.  Row q = 16 - d of the table is 10^q truncated to M * 2^E, M of 128
+ * bits (its high and low words, then E); with |v| = m * 2^e, m shifted left
+ * so that e + E = -128, the 192-bit product m * M is exact, its top word
+ * N's integer part and the two below its fraction.  It falls short of |v| *
+ * 10^q by less than N * 2^-127 < 2^-70, so where the fraction lies within
+ * 2^-56 of one half, which that might have tipped, and for |v| below
+ * 2^-996, the cell is left to snprintf, also correctly rounded and ties to
+ * even.  N >= 10^16 - 1, with a fraction near 1 where it falls short of
+ * 10^16, as it may for |v| = 10^d through an inexact row. */
+static void scale_g17(double v, const uint64_t *pow10, const uint64_t *th, struct pass *ps,
+                      int64_t i)
 {
-    uint64_t bits, m, n;
-    int e, d, k;
-    u128 frac;
-    char dig[17], buf[32], *c;
+    const uint64_t *row;
+    uint64_t bits, mag, n, hi;
+    int e, d, shift;
+    u128 low, high;
     memcpy(&bits, &v, sizeof bits);
-    m = bits & 0x000fffffffffffffULL;
-    e = (int)(bits >> 52 & 0x7ff);
-    if (e == 0 && m == 0) {
-        if (bits >> 63)
-            *out++ = '-';
-        *out++ = '0';
-        return out;
-    }
-    if (e) {
-        m |= 1ULL << 52;
-        e -= 1075;
-    } else {
-        e = -1074;
-    }
-    /* floor(log2 v), then d = floor(k log10 2), exact for |k| < 1100 with
-       an arithmetic shift: floor(log10 v) is d or d + 1 */
-    k = e + 63 - __builtin_clzll(m);
-    d = (k * 78913) >> 18;
-    if (scaled(m, e, 16 - d, pow10, &n, &frac))
-        goto slow;
-    if (n >= E17 && scaled(m, e, 16 - ++d, pow10, &n, &frac))
-        goto slow;
-    if (n < E16 || n >= E17 || (frac > HALF ? frac - HALF : HALF - frac) <= TIE_WINDOW)
-        goto slow;
-    if (frac > HALF && ++n == E17) {
+    mag = bits & INT64_MAX;
+    e = (int)(mag >> 52);
+    ps->v[i] = v;
+    ps->n[i] = E16;
+    ps->kind[i] = mag == 0 ? ZERO : SLOW;
+    if (e < THRESHOLD_BINADE)
+        return;
+    d = ((e - 1023) * 78913) >> 18;
+    d += mag >= th[d + 1 - THRESHOLD_MIN];
+    row = pow10 + 3 * (16 - d - POW10_MIN);
+    shift = 128 + (e - 1075) + (int)(int64_t)row[2];
+    if (shift < 0 || shift > 10)
+        return;
+    mag = ((mag & 0x000fffffffffffffULL) | 1ULL << 52) << shift;
+    low = (u128)mag * row[1];
+    high = (u128)mag * row[0] + (uint64_t)(low >> 64);
+    n = (uint64_t)(high >> 64);
+    hi = (uint64_t)high;
+    /* the fraction, hi * 2^64 + the low word, within 2^72 of one half:
+       hi - 2^63 in [-2^8, 2^8] */
+    if (hi - (1ULL << 63) + 256 <= 512)
+        return;
+    n += hi >> 63;
+    if (n == E17) {
         n = E16;
         d++;
     }
-    dig[0] = (char)('0' + n / E16);
-    digits8((uint32_t)(n / 100000000 % 100000000), dig + 1);
-    digits8((uint32_t)(n % 100000000), dig + 9);
-    return layout_g17(dig, d, (int)(bits >> 63), out);
-slow:
-    snprintf(buf, sizeof buf, "%.17g", v);
-    for (c = buf; *c; c++) {
-        if (!((*c >= '0' && *c <= '9') || *c == '.' || *c == 'e' || *c == '+' || *c == '-'))
-            return NULL;
-        *out++ = *c;
+    ps->n[i] = n;
+    ps->d[i] = d;
+    ps->kind[i] = G17;
+}
+
+/* The second step, the digits of cells [from, to) of ps, one at a time */
+static void digits_g17(struct pass *ps, int64_t from, int64_t to)
+{
+    int64_t i;
+    for (i = from; i < to; i++) {
+        uint32_t top = (uint32_t)(ps->n[i] / E8); /* the first 9 digits */
+        ps->lead[i] = top / (uint32_t)E8;
+        ps->mid[i] = digits8(top % (uint32_t)E8);
+        ps->low[i] = digits8((uint32_t)(ps->n[i] % E8));
     }
-    return out;
+}
+
+#if defined(__x86_64__) && !defined(HL_PORTABLE)
+/* the high and low words of the 128-bit product of each lane of a and b,
+   from its four 32 x 32 -> 64-bit products */
+WIDE_INLINE __m512i mul_x8(__m512i a, __m512i b, __m512i *low)
+{
+    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFF);
+    __m512i a1 = _mm512_srli_epi64(a, 32), b1 = _mm512_srli_epi64(b, 32);
+    __m512i p00 = _mm512_mul_epu32(a, b), p01 = _mm512_mul_epu32(a, b1);
+    __m512i p10 = _mm512_mul_epu32(a1, b), p11 = _mm512_mul_epu32(a1, b1);
+    __m512i mid = _mm512_add_epi64(_mm512_add_epi64(_mm512_srli_epi64(p00, 32),
+                                                    _mm512_and_si512(p01, low32)),
+                                   _mm512_and_si512(p10, low32));
+    __m512i carries = _mm512_add_epi64(_mm512_srli_epi64(p10, 32), _mm512_srli_epi64(mid, 32));
+    *low = _mm512_or_si512(_mm512_slli_epi64(mid, 32), _mm512_and_si512(p00, low32));
+    return _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(p01, 32)), carries);
+}
+
+/* scale_g17 of v[0..GROUP-1] into cells i to i + GROUP - 1 of ps, each
+   lane through the same steps, the table's rows and thresholds gathered;
+   a lane that scale_g17 leaves to snprintf, or a zero, is masked out of
+   the gathers and takes its kind and N = 10^16 */
+WIDE_TARGET static void scale_g17_x8(const double *v, const uint64_t *pow10, const uint64_t *th,
+                                     struct pass *ps, int64_t i)
+{
+    const __m512i one = _mm512_set1_epi64(1), e16 = _mm512_set1_epi64((long long)E16);
+    __m512i bits = _mm512_loadu_si512(v);
+    __m512i mag = _mm512_and_si512(bits, _mm512_set1_epi64(INT64_MAX));
+    __m512i e = _mm512_srli_epi64(mag, 52), d, row, lo, hi, n, frac, high_word, low_word;
+    __mmask8 zero = _mm512_cmpeq_epi64_mask(mag, _mm512_setzero_si512());
+    __mmask8 ok = _mm512_cmpge_epi64_mask(e, _mm512_set1_epi64(THRESHOLD_BINADE)), carry;
+    d = _mm512_srai_epi64(_mm512_mul_epi32(_mm512_sub_epi64(e, _mm512_set1_epi64(1023)),
+                                           _mm512_set1_epi64(78913)), 18);
+    d = _mm512_mask_add_epi64(
+        d, _mm512_mask_cmpge_epu64_mask(ok, mag, _mm512_mask_i64gather_epi64(
+            _mm512_setzero_si512(), ok, _mm512_sub_epi64(d, _mm512_set1_epi64(THRESHOLD_MIN - 1)),
+            (const void *)th, 8)), d, one);
+    /* row 16 - d of the table, three words from 3 (16 - d - POW10_MIN) */
+    row = _mm512_sub_epi64(_mm512_set1_epi64(16 - POW10_MIN), d);
+    row = _mm512_add_epi64(row, _mm512_slli_epi64(row, 1));
+    /* the shift that makes e + E = -128 */
+    hi = _mm512_add_epi64(_mm512_sub_epi64(e, _mm512_set1_epi64(1075 - 128)),
+                          _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), ok,
+                                                      _mm512_add_epi64(row, _mm512_set1_epi64(2)),
+                                                      (const void *)pow10, 8));
+    ok = _mm512_mask_cmple_epu64_mask(ok, hi, _mm512_set1_epi64(10));
+    mag = _mm512_or_si512(_mm512_and_si512(mag, _mm512_set1_epi64(0x000fffffffffffffLL)),
+                          _mm512_set1_epi64(1LL << 52));
+    mag = _mm512_sllv_epi64(mag, hi);
+    /* the product's top word n and the one below it, frac: mag times the
+       row's high word, plus the high word of mag times its low word */
+    high_word = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), ok, row,
+                                            (const void *)pow10, 8);
+    low_word = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), ok, _mm512_add_epi64(row, one),
+                                           (const void *)pow10, 8);
+    hi = mul_x8(mag, low_word, &lo);
+    n = mul_x8(mag, high_word, &frac);
+    frac = _mm512_add_epi64(frac, hi);
+    carry = _mm512_cmplt_epu64_mask(frac, hi);
+    n = _mm512_mask_add_epi64(n, carry, n, one);
+    /* a fraction within 2^72 of one half goes to snprintf */
+    ok = _mm512_mask_cmpgt_epu64_mask(
+        ok, _mm512_add_epi64(frac, _mm512_set1_epi64((long long)(256 - (1ULL << 63)))),
+        _mm512_set1_epi64(512));
+    n = _mm512_add_epi64(n, _mm512_srli_epi64(frac, 63));
+    carry = _mm512_cmpeq_epi64_mask(n, _mm512_set1_epi64((long long)E17));
+    n = _mm512_mask_mov_epi64(n, carry, e16);
+    d = _mm512_mask_add_epi64(d, carry, d, one);
+    _mm512_storeu_pd(ps->v + i, _mm512_castsi512_pd(bits));
+    _mm512_storeu_si512(ps->n + i, _mm512_mask_mov_epi64(e16, ok, n));
+    _mm256_storeu_si256((__m256i *)(ps->d + i), _mm512_cvtepi64_epi32(d));
+    _mm_storel_epi64((__m128i *)(ps->kind + i),
+                     _mm512_cvtepi64_epi8(_mm512_maskz_mov_epi64(
+                         (__mmask8)~ok, _mm512_mask_mov_epi64(_mm512_set1_epi64(SLOW), zero,
+                                                              _mm512_set1_epi64(ZERO)))));
+}
+
+/* digits8 of each lane of x, x < 10^8, step by step as digits8 takes
+   them: each product stays inside its 32-bit or 16-bit part of the lane,
+   so that the products of those parts are the same */
+WIDE_INLINE __m512i digits8_x8(__m512i x)
+{
+    __m512i q = _mm512_srli_epi64(_mm512_mul_epu32(x, _mm512_set1_epi64(109951163)), 40);
+    __m512i r = _mm512_sub_epi64(x, _mm512_mul_epu32(q, _mm512_set1_epi64(10000)));
+    __m512i halves = _mm512_or_si512(q, _mm512_slli_epi64(r, 32)), hundreds, pairs, tens;
+    hundreds = _mm512_and_si512(
+        _mm512_srli_epi64(_mm512_mullo_epi32(halves, _mm512_set1_epi32(10486)), 20),
+        _mm512_set1_epi64(0x0000007F0000007FLL));
+    r = _mm512_sub_epi32(halves, _mm512_mullo_epi32(hundreds, _mm512_set1_epi32(100)));
+    pairs = _mm512_or_si512(hundreds, _mm512_slli_epi64(r, 16));
+    tens = _mm512_and_si512(
+        _mm512_srli_epi64(_mm512_mullo_epi16(pairs, _mm512_set1_epi16(103)), 10),
+        _mm512_set1_epi64(0x000F000F000F000FLL));
+    r = _mm512_sub_epi16(pairs, _mm512_mullo_epi16(tens, _mm512_set1_epi16(10)));
+    return _mm512_or_si512(tens, _mm512_slli_epi64(r, 8));
+}
+
+/* The second step of cells [0, cells) of ps, GROUP at a time, as digits_g17
+ * takes them, but for a last part of fewer, which it leaves; returns the
+ * cells it took.  N / 10^8 goes through doubles, within one of it, as N <
+ * 2^57 converts within 2^-53 of it, and is then made exact by its
+ * remainder; the first of its 9 digits by a multiplication, exact below
+ * 2^32. */
+WIDE_TARGET static int64_t digits_g17_x8(struct pass *ps, int64_t cells)
+{
+    const __m512i e8 = _mm512_set1_epi64((long long)E8), one = _mm512_set1_epi64(1);
+    int64_t i;
+    for (i = 0; i + GROUP <= cells; i += GROUP) {
+        __m512i n = _mm512_loadu_si512(ps->n + i), top, low, lead;
+        __mmask8 under, over;
+        top = _mm512_cvttpd_epu64(_mm512_mul_pd(_mm512_cvtepu64_pd(n), _mm512_set1_pd(1e-8)));
+        low = _mm512_sub_epi64(n, _mm512_mullo_epi64(top, e8));
+        under = _mm512_cmplt_epi64_mask(low, _mm512_setzero_si512());
+        top = _mm512_mask_sub_epi64(top, under, top, one);
+        low = _mm512_mask_add_epi64(low, under, low, e8);
+        over = _mm512_cmpge_epi64_mask(low, e8);
+        top = _mm512_mask_add_epi64(top, over, top, one);
+        low = _mm512_mask_sub_epi64(low, over, low, e8);
+        lead = _mm512_srli_epi64(_mm512_mul_epu32(top, _mm512_set1_epi64(1441151881)), 57);
+        _mm512_storeu_si512(ps->lead + i, lead);
+        top = _mm512_sub_epi64(top, _mm512_mul_epu32(lead, e8));
+        _mm512_storeu_si512(ps->mid + i, digits8_x8(top));
+        _mm512_storeu_si512(ps->low + i, digits8_x8(low));
+    }
+    return i;
+}
+#else
+#define scale_g17_x8(v, pow10, th, ps, i) ((void)0)
+#define digits_g17_x8(ps, cells) 0
+#endif
+
+/* The third step, cell i of ps into out: '%.17g' of a G17 cell laid out
+ * from its digits, the exponent form where d < -4 or d >= 17, trailing
+ * zeros dropped and then a dropped point.  Its 17 digits, a lead digit and
+ * two words of 8, go out by fixed-width stores, 8 bytes at a time, and a
+ * point goes in by storing the digits after it again one byte on: so a
+ * cell may write up to 35 bytes past its start, over what comes after it.
+ * A SLOW cell is glibc's snprintf's; returns NULL where its text holds
+ * other characters than those of a number in the C locale. */
+static char *layout_g17(const struct pass *ps, int64_t i, char *out)
+{
+    uint64_t bits, mid = ps->mid[i], low = ps->low[i];
+    char lead = (char)('0' + ps->lead[i]), buf[32], *c;
+    int d = ps->d[i], nd;
+    if (ps->kind[i] == SLOW) {
+        snprintf(buf, sizeof buf, "%.17g", ps->v[i]);
+        for (c = buf; *c; c++) {
+            if (!((*c >= '0' && *c <= '9') || *c == '.' || *c == 'e' || *c == '+' || *c == '-'))
+                return NULL;
+            *out++ = *c;
+        }
+        return out;
+    }
+    memcpy(&bits, &ps->v[i], sizeof bits);
+    *out = '-';
+    out += bits >> 63;
+    if (ps->kind[i] == ZERO) {
+        *out = '0';
+        return out + 1;
+    }
+    /* the digits that stay: a digit byte 1 to 9 has one of its low 4 bits
+       set, so the zero bytes above the last such one are the trailing
+       zeros */
+    nd = low ? 17 - (__builtin_clzll(low) >> 3) : mid ? 9 - (__builtin_clzll(mid) >> 3) : 1;
+    mid += BYTES('0');
+    low += BYTES('0');
+    if (d >= 0 && d < 17) {
+        /* digits d + 1 to 16 */
+        u128 after = ((u128)low << 64 | mid) >> (8 * d & 127);
+        out[0] = lead;
+        store8(out + 1, mid);
+        store8(out + 9, low);
+        out[d + 1] = '.';
+        store8(out + d + 2, (uint64_t)after);
+        store8(out + d + 10, (uint64_t)(after >> 64));
+        return out + (nd > d + 1 ? nd + 1 : d + 1);
+    }
+    if (d < 0 && d >= -4) {
+        /* "0.", -d - 1 zeros, the digits */
+        store8(out, BYTES('0') ^ (uint64_t)('0' ^ '.') << 8);
+        out[1 - d] = lead;
+        store8(out + 2 - d, mid);
+        store8(out + 10 - d, low);
+        return out + 1 - d + nd;
+    }
+    out[0] = lead;
+    out[1] = '.';
+    store8(out + 2, mid);
+    store8(out + 10, low);
+    out += nd > 1 ? nd + 1 : 1;
+    *out++ = 'e';
+    *out++ = d < 0 ? '-' : '+';
+    d = d < 0 ? -d : d;
+    if (d >= 100) {
+        *out++ = (char)('0' + d / 100);
+        d %= 100;
+    }
+    out[0] = (char)('0' + d / 10);
+    out[1] = (char)('0' + d % 10);
+    return out + 2;
 }
 
 /* '%d' of v into out, where v is an integer of magnitude below 2^53, which
@@ -1034,26 +1255,57 @@ static char *format_int(double v, char *out)
  * at columns[c][r], each cell of column c as Python's '%.17g' (kinds[c] =
  * CELL_FLOAT) or '%d' (CELL_INT) writes it: cells split by ',', each row
  * ended by '\n'.  pow10 is the table of 10^q, (POW10_MAX - POW10_MIN + 1,
- * 3).  out needs at most 26 bytes a cell.  Returns the bytes written, or
- * -1 where a float cell is not finite, an int cell is not an integer of
- * magnitude below 2^53, or snprintf writes other than a number (a locale's
- * decimal comma): the caller then formats them all itself. */
+ * 3).  The float cells go in passes of GROUP rows of all columns, or of
+ * PASS_CELLS columns of one row where there are more than PASS_CELLS /
+ * GROUP of them, through scale_g17, then the digits, GROUP cells a vector
+ * on a CPU that takes the wide draws (digits_g17_x8) and else one at a
+ * time, then layout_g17.  out needs at most 26 bytes a cell and 16 more,
+ * which layout_g17's fixed-width stores may write past the text.  Returns
+ * the bytes written, or -1 where a float cell is not finite, an int cell is
+ * not an integer of magnitude below 2^53, or snprintf writes other than a
+ * number (a locale's decimal comma): the caller then formats them all
+ * itself. */
 int64_t hl_format_rows(const double *const *columns, int64_t rows, int64_t cols,
                        const int64_t *kinds, const uint64_t *pow10, char *out)
 {
+    uint64_t th[THRESHOLD_MAX - THRESHOLD_MIN + 1];
+    struct pass ps;
+    int64_t block = cols <= PASS_CELLS / GROUP ? GROUP : 1;
+    int64_t span = block == GROUP ? cols : PASS_CELLS; /* the columns of a pass */
+    int64_t r0, c0, c, i, wide = wide_cpu();
     char *p = out;
-    int64_t r, c;
-    for (r = 0; r < rows; r++)
-        for (c = 0; c < cols; c++) {
-            double v = columns[c][r];
-            if (kinds[c] == CELL_INT)
-                p = format_int(v, p);
-            else
-                p = isfinite(v) ? format_g17(v, pow10, p) : NULL;
-            if (p == NULL)
-                return -1;
-            *p++ = c + 1 < cols ? ',' : '\n';
+    thresholds(pow10, th);
+    for (r0 = 0; r0 < rows; r0 += block) {
+        int64_t m = rows - r0 < block ? rows - r0 : block;
+        for (c0 = 0; c0 < cols; c0 += span) {
+            int64_t c1 = cols - c0 < span ? cols : c0 + span, cells = (c1 - c0) * block, done;
+            for (c = c0; c < c1; c++) {
+                if (wide && m == GROUP && kinds[c] != CELL_INT) {
+                    for (i = 0; i < GROUP; i++)
+                        if (!isfinite(columns[c][r0 + i]))
+                            return -1;
+                    scale_g17_x8(columns[c] + r0, pow10, th, &ps, (c - c0) * GROUP);
+                    continue;
+                }
+                for (i = 0; i < block; i++) {
+                    double v = i < m && kinds[c] != CELL_INT ? columns[c][r0 + i] : 0.0;
+                    if (!isfinite(v))
+                        return -1;
+                    scale_g17(v, pow10, th, &ps, (c - c0) * block + i);
+                }
+            }
+            done = wide ? digits_g17_x8(&ps, cells) : 0;
+            digits_g17(&ps, done, cells);
+            for (i = 0; i < m; i++)
+                for (c = c0; c < c1; c++) {
+                    p = kinds[c] == CELL_INT ? format_int(columns[c][r0 + i], p)
+                                             : layout_g17(&ps, (c - c0) * block + i, p);
+                    if (p == NULL)
+                        return -1;
+                    *p++ = c + 1 < cols ? ',' : '\n';
+                }
         }
+    }
     return p - out;
 }
 
@@ -1065,40 +1317,72 @@ static int is_digit(char c)
 /* The most significant digits a float cell's mantissa takes: 10^19 - 1 < 2^64 */
 #define MAX_DIGITS 19
 
-/* 10^0 to 10^22, each a double exactly, for Clinger's exact path */
-static const double EXACT_POW10[23] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
-                                       1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
-                                       1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
-
 /* The units of a product's top 128 bits next to one half within which the
    reader leaves it to strtod: the true value lies in [T, T + 2) of them
    (eisel_lemire), and in [T - 1, T + 3) were every mantissa of the table a
    unit off */
 #define READ_WINDOW 3
 
-/* Whether the 8 bytes at p are all digits, and then their value into *v,
- * all at once, as Lemire's fast_float reads them: each byte's high nibble
- * must be 3 and its low one at most 9, then pairs, quads and the whole are
- * joined by multiplications.  Little-endian bytes only; elsewhere it
- * returns 0, and the caller reads the digits one at a time. */
-static int eight_digits(const char *p, uint64_t *v)
+/* The value of 8 digits, one a byte from 0 to 9, the first in the low byte
+ * of x, as Lemire's fast_float reads them: pairs, quads and the whole
+ * joined by multiplications */
+static uint64_t value8(uint64_t x)
 {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    const uint64_t high = 0xF0F0F0F0F0F0F0F0ULL, low = 0x000000FF000000FFULL;
-    uint64_t x;
-    memcpy(&x, p, sizeof x);
-    if (((x & high) | (((x + 0x0606060606060606ULL) & high) >> 4)) != 0x3333333333333333ULL)
-        return 0;
-    x -= 0x3030303030303030ULL;
+    const uint64_t low = 0x000000FF000000FFULL;
     x = x * 10 + (x >> 8);
-    *v = ((x & low) * (100 + (1000000ULL << 32)) + ((x >> 16) & low) * (1 + (10000ULL << 32)))
-         >> 32;
-    return 1;
-#else
-    (void)p;
-    (void)v;
-    return 0;
-#endif
+    return ((x & low) * (100 + (1000000ULL << 32)) + ((x >> 16) & low) * (1 + (10000ULL << 32)))
+           >> 32;
+}
+
+/* 10^0 to 10^8 */
+static const uint64_t POW10_RUN[9] = {1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, E8};
+
+/* The bytes of x, the digits of a run with '0' taken off, that are not
+   digits: the high nibble of each, which stays 0 with 6 added where the
+   byte is 0 to 9; a sum that carries out of a byte comes from a byte that
+   is not a digit and goes to later ones */
+#define NOT_DIGITS(x) (((x) | ((x) + BYTES(0x06))) & BYTES(0xF0))
+
+/* The value of the first n < 8 digits of x, its bytes past them shifted
+   out, and those n digits with it */
+#define FIRST_DIGITS(x, n) value8((x) << (32 - 4 * (n)) << (32 - 4 * (n)))
+
+/* The run of digits at p, as many as there are, appended to *w, which
+ * becomes *w * 10^n plus their value, wrapping past 19 digits; returns
+ * their count n.  Where the text holds 24 bytes at p, their three words
+ * give the run's end, and up to 23 digits are read with no loop over them
+ * and one branch, on the word the run ends in; else and for longer runs,
+ * eight at a time by value8 while all eight are digits, then one at a
+ * time. */
+INLINE int64_t digit_run(const char *p, const char *end, uint64_t *w)
+{
+    const char *start = p;
+    if (end - p >= 24) {
+        uint64_t x0 = load8(p) ^ BYTES('0'), x1 = load8(p + 8) ^ BYTES('0');
+        uint64_t x2 = load8(p + 16) ^ BYTES('0');
+        uint64_t o0 = NOT_DIGITS(x0), o1 = NOT_DIGITS(x1), o2 = NOT_DIGITS(x2);
+        int n;
+        if (o0) {
+            n = __builtin_ctzll(o0) >> 3;
+            *w = *w * POW10_RUN[n] + FIRST_DIGITS(x0, n);
+            return n;
+        }
+        if (o1) {
+            n = __builtin_ctzll(o1) >> 3;
+            *w = (*w * E8 + value8(x0)) * POW10_RUN[n] + FIRST_DIGITS(x1, n);
+            return 8 + n;
+        }
+        if (o2) {
+            n = __builtin_ctzll(o2) >> 3;
+            *w = ((*w * E8 + value8(x0)) * E8 + value8(x1)) * POW10_RUN[n] + FIRST_DIGITS(x2, n);
+            return 16 + n;
+        }
+    }
+    for (; end - p >= 8 && !NOT_DIGITS(load8(p) ^ BYTES('0')); p += 8)
+        *w = *w * E8 + value8(load8(p) ^ BYTES('0'));
+    for (; is_digit(*p); p++)
+        *w = *w * 10 + (uint64_t)(*p - '0');
+    return p - start;
 }
 
 /* The double nearest w * 10^q, for 0 < w < 10^19, into *value, by Eisel and
@@ -1112,29 +1396,52 @@ static int eight_digits(const char *p, uint64_t *v)
  * next mantissa lies next to it, and rounds to it either way.  Returns -1
  * for strtod to decide, an exact or near tie, or where the result is not a
  * normal double. */
-static int eisel_lemire(uint64_t w, int q, const uint64_t *pow10, double *value)
+INLINE int eisel_lemire(uint64_t w, int q, const uint64_t *pow10, double *value)
 {
     const uint64_t *row = pow10 + 3 * (q - POW10_MIN);
     int shift = __builtin_clzll(w);
-    uint64_t top_w = w << shift, m, bits;
-    u128 top = (u128)top_w * row[0] + (((u128)top_w * row[1]) >> 64);
-    int fb = (int)(top >> 127) + 74; /* the fraction's bits: T >= 2^126 */
-    u128 one = (u128)1 << fb, half = one >> 1, f = top & (one - 1);
-    int64_t e = fb + 64 + (int64_t)row[2] - shift; /* the mantissa's unit, 2^e */
-    m = (uint64_t)(top >> fb);
-    if (f + READ_WINDOW > half) {
-        if (f < half + READ_WINDOW)
-            return -1;
-        if (++m == 1ULL << 53) {
-            m >>= 1;
-            e++;
-        }
-    }
-    /* m * 2^e, m in [2^52, 2^53): the biased exponent e + 1075 */
-    if (e + 1075 < 1 || e + 1075 > 2046)
+    uint64_t top_w = w << shift, hi, lo, m, f, half, bits;
+    u128 top = (u128)top_w * row[0] + (uint64_t)(((u128)top_w * row[1]) >> 64);
+    int64_t e, d;
+    int wide;
+    hi = (uint64_t)(top >> 64);
+    lo = (uint64_t)top;
+    /* T >= 2^126: its fraction is the low 10 bits of hi, or 11 where
+       T >= 2^127, and lo; f and half are their high parts */
+    wide = (int)(hi >> 63);
+    m = wide ? hi >> 11 : hi >> 10;
+    f = hi & (wide ? 0x7FF : 0x3FF);
+    half = wide ? 0x400 : 0x200;
+    e = 10 + wide + 128 + (int64_t)row[2] - shift; /* the mantissa's unit, 2^e */
+    d = (int64_t)(f - half);
+    if ((d == 0 && lo < READ_WINDOW) || (d == -1 && lo > UINT64_MAX - (READ_WINDOW - 1)))
         return -1;
-    bits = (uint64_t)(e + 1075) << 52 | (m & 0x000fffffffffffffULL);
+    m += d >= 0;
+    /* m * 2^e, m in [2^52, 2^53]: the biased exponent e + 1075, or one more
+       where m = 2^53, which the sum below carries into */
+    if (e + 1075 + (int64_t)(m >> 53) < 1 || e + 1075 + (int64_t)(m >> 53) > 2046)
+        return -1;
+    bits = ((uint64_t)(e + 1074) << 52) + m;
     memcpy(value, &bits, sizeof bits);
+    return 0;
+}
+
+/* The double w * 10^q of at most MAX_DIGITS significant digits w, negated
+ * where `negative`, into *value: zero where w is; eisel_lemire where q is
+ * in the table, which decides every cell but the near ties, without a
+ * branch on w's size; and Clinger's exact path for those where w < 2^53
+ * and |q| <= 22, one correctly rounded IEEE multiplication or division of
+ * doubles that hold w and 10^|q| exactly.  Returns -1 where strtod must
+ * read it. */
+INLINE int decimal(uint64_t w, int64_t q, int negative, const uint64_t *pow10, double *value)
+{
+    double v = 0.0;
+    if (w != 0 && (q < POW10_MIN || q > POW10_MAX || eisel_lemire(w, (int)q, pow10, &v))) {
+        if (!(w < (1ULL << 53) && q >= -22 && q <= 22))
+            return -1;
+        v = q < 0 ? (double)w / EXACT_POW10[-q] : (double)w * EXACT_POW10[q];
+    }
+    *value = negative ? -v : v;
     return 0;
 }
 
@@ -1142,14 +1449,11 @@ static int eisel_lemire(uint64_t w, int q, const uint64_t *pow10, double *value)
  * float() reads it into *value, and its end, or NULL where the grammar does
  * not take it (then "1e", "-", ".5"; and "1e5e5", "1-2", "1.5.5" or "5."
  * end where the caller finds no separator).  Its significant digits, at
- * most MAX_DIGITS, make w and q, the value w * 10^q: zero where w is;
- * Clinger's exact path where w < 2^53 and |q| <= 22, one correctly rounded
- * IEEE multiplication or division of doubles that hold w and 10^|q|
- * exactly; eisel_lemire where q is in the table.  strtod reads the rest:
- * more digits, q outside the table, and what eisel_lemire leaves; in a
- * locale whose decimal point is not '.', its end pointer then falls short
- * of the cell's end, which refuses the cell. */
-static const char *read_float(const char *p, const char *end, const uint64_t *pow10,
+ * most MAX_DIGITS, make w and q, the value w * 10^q, which decimal()
+ * reads; strtod reads the rest: more digits, and what decimal() leaves; in
+ * a locale whose decimal point is not '.', its end pointer then falls
+ * short of the cell's end, which refuses the cell. */
+INLINE const char *read_float(const char *p, const char *end, const uint64_t *pow10,
                               double *value)
 {
     const char *cell = p, *start;
@@ -1157,8 +1461,10 @@ static const char *read_float(const char *p, const char *end, const uint64_t *po
     int negative = *p == '-';
     int64_t digits, q = 0;
     uint64_t w = 0;
-    double v;
-    p += negative;
+    /* a branch, which the CPU predicts, so that the next cell's start does
+       not wait for this byte */
+    if (negative)
+        p++;
     if (!is_digit(*p))
         return NULL;
     while (*p == '0')
@@ -1168,15 +1474,11 @@ static const char *read_float(const char *p, const char *end, const uint64_t *po
     digits = p - start;
     if (*p == '.' && is_digit(p[1])) {
         const char *point = ++p;
-        uint64_t eight;
         if (digits == 0)
             while (*p == '0')
                 p++;
-        /* eight at a time while they stay in the text */
-        for (start = p; end - p >= 8 && eight_digits(p, &eight); p += 8)
-            w = w * 100000000 + eight;
-        for (; is_digit(*p); p++)
-            w = w * 10 + (uint64_t)(*p - '0');
+        start = p;
+        p += digit_run(p, end, &w);
         digits += p - start;
         q = -(int64_t)(p - point);
     }
@@ -1191,21 +1493,8 @@ static const char *read_float(const char *p, const char *end, const uint64_t *po
                 x = x * 10 + (*p - '0');
         q += negative_exp ? -x : x;
     }
-    if (digits <= MAX_DIGITS) {
-        if (w == 0) {
-            *value = negative ? -0.0 : 0.0;
-            return p;
-        }
-        if (w < (1ULL << 53) && q >= -22 && q <= 22) {
-            v = q < 0 ? (double)w / EXACT_POW10[-q] : (double)w * EXACT_POW10[q];
-            *value = negative ? -v : v;
-            return p;
-        }
-        if (q >= POW10_MIN && q <= POW10_MAX && !eisel_lemire(w, (int)q, pow10, &v)) {
-            *value = negative ? -v : v;
-            return p;
-        }
-    }
+    if (digits <= MAX_DIGITS && !decimal(w, q, negative, pow10, value))
+        return p;
     *value = strtod(cell, &stop);
     return stop == p ? p : NULL;
 }
@@ -1226,6 +1515,249 @@ static const char *read_int(const char *p, double *value)
     return p;
 }
 
+#if defined(__x86_64__) && !defined(HL_PORTABLE)
+/* The bytes the wide reader indexes at a time, a multiple of 64 */
+#define WIDE_BLOCK 4096
+
+/* the highest set bit of each nonzero lane of x, from the exponent of its
+   double: one more where the conversion rounds x up to a power of two, as
+   it may where all of x's bits below its top 53 are near set; never for a
+   lane of one set bit a byte */
+WIDE_INLINE __m512i top_bit_x8(__m512i x)
+{
+    return _mm512_cvttpd_epi64(_mm512_getexp_pd(_mm512_cvtepu64_pd(x)));
+}
+
+/* 0x80 in each byte of each lane of x that is zero, as zero_bytes */
+WIDE_INLINE __m512i zero_bytes_x8(__m512i x)
+{
+    const __m512i low7 = _mm512_set1_epi64(0x7F7F7F7F7F7F7F7FLL);
+    __m512i set = _mm512_or_si512(_mm512_add_epi64(_mm512_and_si512(x, low7), low7), x);
+    return _mm512_andnot_si512(_mm512_or_si512(set, low7), _mm512_set1_epi64(-1));
+}
+
+/* the bits of the bytes of each lane from its byte n on: all of them where
+   n <= 0, none where n >= 8 */
+WIDE_INLINE __m512i bytes_from_x8(__m512i n)
+{
+    return _mm512_sllv_epi64(_mm512_set1_epi64(-1),
+                             _mm512_max_epi64(_mm512_setzero_si512(), _mm512_slli_epi64(n, 3)));
+}
+
+/* value8 of each lane of x: digit pairs, then quads, by multiply-adds of
+   bytes and of 16-bit parts */
+WIDE_INLINE __m512i value8_x8(__m512i x)
+{
+    __m512i quads = _mm512_madd_epi16(_mm512_maddubs_epi16(x, _mm512_set1_epi16(0x010A)),
+                                      _mm512_set1_epi32(0x00010064));
+    return _mm512_add_epi64(_mm512_mul_epu32(quads, _mm512_set1_epi64(10000)),
+                            _mm512_srli_epi64(quads, 32));
+}
+
+/* The rows of the table that cells_x8 takes, q = -23..0, their high words
+   and their exponents (q = 8 i + j - SHORT_ROWS in element j of rows[i] and
+   of rows[3 + i]), and one of them for row q of each lane, by permutes of
+   rows[0..2] or rows[3..5] */
+#define SHORT_ROWS 23
+WIDE_INLINE __m512i row_x8(const __m512i *rows, __m512i q)
+{
+    __m512i i = _mm512_add_epi64(q, _mm512_set1_epi64(SHORT_ROWS));
+    return _mm512_mask_blend_epi64(_mm512_cmpge_epi64_mask(i, _mm512_set1_epi64(16)),
+                                   _mm512_permutex2var_epi64(rows[0], i, rows[1]),
+                                   _mm512_permutexvar_epi64(i, rows[2]));
+}
+
+/* The GROUP float cells of text that end at e[0..GROUP-1], cell i from
+ * e[i - 1] + 1, into out[0..GROUP-1], as read_float and decimal() read
+ * them, lane by lane: each cell of 1 to 24 bytes after the 24 bytes before
+ * its end in the text, -?[0-9]+(\.[0-9]+)? of at most 19 digits, is read
+ * from those bytes, as three words gathered, its point the last '.' of
+ * them; then eisel_lemire, its shift from the exponent of w's double, from
+ * the product of W and the row's high word alone.  W times the row's low
+ * word adds less than 2^64 units to that product's top 128 bits, hi and lo,
+ * which may carry one into hi: only where f lies one or two below one half
+ * does that move the rounding or eisel_lemire's window, and those lanes go
+ * to read_float.  Returns the lanes it read; the others, another shape, a
+ * zero, a near tie or a result that is not a normal double, are
+ * read_float's. */
+WIDE_INLINE __mmask8 cells_x8(const char *text, const int64_t *e_at, const __m512i *rows,
+                              double *out)
+{
+    const __m512i ones = _mm512_set1_epi64(-1), zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi64(1), dot = _mm512_set1_epi64((long long)BYTES('.'));
+    __m512i e = _mm512_loadu_si512(e_at), w[3], first, sel, t, g, digits, value, q;
+    __m512i hi, lo, top, shift, m, f, half, fb, ex, d, tb;
+    __mmask8 ok, negative, point, carry, window;
+    int k;
+    first = _mm512_sub_epi64(_mm512_set1_epi64(25),
+                             _mm512_sub_epi64(e, _mm512_loadu_si512(e_at - 1)));
+    /* 1 to 24 bytes, after 24 in the text */
+    ok = _mm512_cmple_epu64_mask(first, _mm512_set1_epi64(23))
+         & _mm512_cmpge_epi64_mask(e, _mm512_set1_epi64(24));
+    for (k = 0; k < 3; k++) {
+        __m512i at = _mm512_add_epi64(e, _mm512_set1_epi64(8 * k - 24));
+        w[k] = _mm512_mask_i64gather_epi64(zero, ok, at, (const void *)text, 1);
+    }
+    /* the cell's first byte, of word first / 8: a sign, and the digits
+       after it */
+    sel = _mm512_srli_epi64(first, 3);
+    g = _mm512_mask_blend_epi64(_mm512_cmpeq_epi64_mask(sel, one), w[0], w[1]);
+    g = _mm512_mask_blend_epi64(_mm512_cmpeq_epi64_mask(sel, _mm512_set1_epi64(2)), g, w[2]);
+    g = _mm512_srlv_epi64(g, _mm512_slli_epi64(_mm512_and_si512(first, _mm512_set1_epi64(7)), 3));
+    negative = _mm512_cmpeq_epi64_mask(_mm512_and_si512(g, _mm512_set1_epi64(0xFF)),
+                                       _mm512_set1_epi64('-'));
+    first = _mm512_mask_add_epi64(first, negative, first, one);
+    /* the point's place t, the last '.' of the 24 bytes, where it lies in
+       the cell, else -1 */
+    t = ones;
+    for (k = 0; k < 3; k++) {
+        __m512i dots = zero_bytes_x8(_mm512_xor_si512(w[k], dot));
+        t = _mm512_mask_add_epi64(t, _mm512_test_epi64_mask(dots, dots),
+                                  _mm512_srli_epi64(top_bit_x8(dots), 3), _mm512_set1_epi64(8 * k));
+    }
+    point = _mm512_cmpge_epi64_mask(t, first);
+    t = _mm512_mask_mov_epi64(ones, point, t);
+    /* a digit before the point, one after it, and at most 19 digits */
+    ok &= _mm512_cmpgt_epi64_mask(_mm512_mask_mov_epi64(_mm512_set1_epi64(24), point, t), first)
+          & ~_mm512_mask_cmpeq_epi64_mask(point, t, _mm512_set1_epi64(23))
+          & _mm512_cmple_epi64_mask(_mm512_sub_epi64(_mm512_set1_epi64(24), first),
+                                    _mm512_mask_mov_epi64(_mm512_set1_epi64(19), point,
+                                                          _mm512_set1_epi64(20)));
+    /* the bytes below the point move one place on, those before the cell
+       turn to zeros, and digits are 0 to 9, as in digit_run */
+    g = _mm512_mask_add_epi64(first, point, first, one);
+    digits = zero;
+    for (k = 2; k >= 0; k--) {
+        __m512i keep = bytes_from_x8(_mm512_sub_epi64(t, _mm512_set1_epi64(8 * k - 1)));
+        __m512i moved = _mm512_slli_epi64(w[k], 8);
+        if (k)
+            moved = _mm512_or_si512(moved, _mm512_srli_epi64(w[k - 1], 56));
+        /* keep ? w : moved, bit by bit */
+        w[k] = _mm512_xor_si512(_mm512_ternarylogic_epi64(keep, w[k], moved, 0xCA),
+                                _mm512_set1_epi64((long long)BYTES('0')));
+        w[k] = _mm512_and_si512(w[k], bytes_from_x8(_mm512_sub_epi64(g, _mm512_set1_epi64(8 * k))));
+        digits = _mm512_or_si512(digits, _mm512_add_epi64(w[k], _mm512_set1_epi64(BYTES(0x06))));
+        digits = _mm512_or_si512(digits, w[k]);
+    }
+    ok &= _mm512_testn_epi64_mask(digits, _mm512_set1_epi64((long long)0xF0F0F0F0F0F0F0F0ULL));
+    /* (v0 10^8 + v1) 10^8 + v2, v0 < 10^3: 32 x 32 -> 64-bit products, the
+       second of the first sum's halves */
+    value = _mm512_add_epi64(_mm512_mul_epu32(value8_x8(w[0]), _mm512_set1_epi64((long long)E8)),
+                             value8_x8(w[1]));
+    value = _mm512_add_epi64(
+        _mm512_add_epi64(_mm512_slli_epi64(_mm512_mul_epu32(_mm512_srli_epi64(value, 32),
+                                                            _mm512_set1_epi64((long long)E8)), 32),
+                         _mm512_mul_epu32(value, _mm512_set1_epi64((long long)E8))),
+        value8_x8(w[2]));
+    ok &= _mm512_test_epi64_mask(value, value);
+    q = _mm512_mask_sub_epi64(zero, point, t, _mm512_set1_epi64(23));
+    /* eisel_lemire of each lane */
+    tb = top_bit_x8(value);
+    shift = _mm512_sub_epi64(_mm512_set1_epi64(63), tb);
+    top = _mm512_sllv_epi64(value, shift);
+    carry = _mm512_cmpgt_epi64_mask(top, _mm512_set1_epi64(-1)); /* the top bit clear */
+    top = _mm512_mask_slli_epi64(top, carry, top, 1);
+    shift = _mm512_mask_add_epi64(shift, carry, shift, one);
+    hi = mul_x8(top, row_x8(rows, q), &lo);
+    fb = _mm512_add_epi64(_mm512_set1_epi64(10), _mm512_srli_epi64(hi, 63));
+    m = _mm512_srlv_epi64(hi, fb);
+    f = _mm512_and_si512(hi, _mm512_sub_epi64(_mm512_sllv_epi64(one, fb), one));
+    half = _mm512_sllv_epi64(one, _mm512_sub_epi64(fb, one));
+    ex = _mm512_add_epi64(_mm512_add_epi64(fb, _mm512_set1_epi64(128)), row_x8(rows + 3, q));
+    ex = _mm512_sub_epi64(ex, shift);
+    d = _mm512_sub_epi64(f, half);
+    /* d = 0 with lo in the window, or d = -1 or -2 */
+    window = _mm512_mask_cmplt_epu64_mask(_mm512_cmpeq_epi64_mask(d, zero), lo,
+                                          _mm512_set1_epi64(READ_WINDOW))
+             | _mm512_cmplt_epu64_mask(_mm512_add_epi64(d, _mm512_set1_epi64(2)),
+                                       _mm512_set1_epi64(2));
+    m = _mm512_mask_add_epi64(m, _mm512_cmpge_epi64_mask(d, zero), m, one);
+    /* the biased exponent, as eisel_lemire's */
+    f = _mm512_add_epi64(_mm512_add_epi64(ex, _mm512_set1_epi64(1075)), _mm512_srli_epi64(m, 53));
+    ok &= ~window & _mm512_cmpge_epi64_mask(f, one)
+          & _mm512_cmple_epi64_mask(f, _mm512_set1_epi64(2046));
+    m = _mm512_add_epi64(_mm512_slli_epi64(_mm512_add_epi64(ex, _mm512_set1_epi64(1074)), 52), m);
+    m = _mm512_mask_or_epi64(m, negative, m, _mm512_set1_epi64(INT64_MIN));
+    _mm512_mask_storeu_pd(out, ok, _mm512_castsi512_pd(m));
+    return ok;
+}
+
+/* hl_parse_rows' reading of whole lines of float cells from the start of
+ * text, a WIDE_BLOCK at a time, where every kind is CELL_FLOAT, as
+ * Langdale and Lemire's simdjson reads JSON: first an index of the block's
+ * separators, 64 bytes by two compares of bytes, their places written out
+ * 4 at a time whether there are so many or not, then one at a time past
+ * that; each cell's separator checked; then the cells of the block's
+ * whole lines, GROUP at a time by cells_x8, each from where the index puts
+ * it, so that no cell waits for the one before it to find its end; the
+ * lanes cells_x8 leaves, and a last few cells, go to read_float.  It
+ * leaves to hl_parse_rows the text from a line it does not reach: its last
+ * line, and any line longer than a block.  Returns the lines read, their
+ * end in *resume, or -1 where the text is not of the strict form or holds
+ * more than `capacity` lines. */
+WIDE_TARGET static int64_t parse_rows_x8(const char *text, int64_t len, int64_t capacity,
+                                         int64_t cols, const uint64_t *pow10, double *out,
+                                         const char **resume)
+{
+    int64_t at_[WIDE_BLOCK + GROUP + 1], *at = at_ + 1, pos = 0, rows = 0, c, k;
+    const char *end = text + len;
+    double *values;
+    __m512i table[6];
+    for (k = 0; k < 6; k++) /* word 0 of the rows, then word 2 */
+        table[k] = _mm512_i64gather_epi64(
+            _mm512_add_epi64(
+                _mm512_set1_epi64(3 * (8 * (k % 3) - SHORT_ROWS - POW10_MIN) + k / 3 * 2),
+                _mm512_set_epi64(21, 18, 15, 12, 9, 6, 3, 0)),
+            (const void *)pow10, 8);
+    while (len - pos >= 64) {
+        int64_t block = len - pos < WIDE_BLOCK ? len - pos : WIDE_BLOCK, n = 0, last = -1, j, cells;
+        for (j = 0; j < block; j += 64) {
+            __mmask64 valid = block - j >= 64 ? ~(__mmask64)0 : ((__mmask64)1 << (block - j)) - 1;
+            __m512i x = _mm512_maskz_loadu_epi8(valid, text + pos + j);
+            __mmask64 newlines = _mm512_cmpeq_epi8_mask(x, _mm512_set1_epi8('\n'));
+            uint64_t mask = newlines | _mm512_cmpeq_epi8_mask(x, _mm512_set1_epi8(','));
+            int count = 0;
+            if (newlines)
+                last = pos + j + 63 - __builtin_clzll(newlines);
+            for (k = 0; k < 4; k++) {
+                at[n + k] = pos + j + __builtin_ctzll(mask | 1ULL << 63);
+                count += mask != 0;
+                mask &= mask - 1;
+            }
+            for (; mask; mask &= mask - 1)
+                at[n + count++] = pos + j + __builtin_ctzll(mask);
+            n += count;
+        }
+        if (last < 0)
+            break;
+        for (cells = n; at[cells - 1] != last; cells--)
+            ;
+        if (cells % cols || rows + cells / cols > capacity)
+            return -1;
+        at[-1] = pos - 1;
+        for (k = 0, c = 1; k < cells; k++, c = c == cols ? 1 : c + 1)
+            if (text[at[k]] != (c < cols ? ',' : '\n'))
+                return -1;
+        values = out + rows * cols;
+        for (k = 0; k < cells; k += GROUP) {
+            unsigned left = cells - k < GROUP ? (1u << (cells - k)) - 1
+                                              : ~cells_x8(text, at + k, table, values + k) & 0xFFu;
+            for (; left; left &= left - 1) {
+                int64_t i = k + __builtin_ctz(left);
+                if (read_float(text + at[i - 1] + 1, end, pow10, values + i) != text + at[i])
+                    return -1;
+            }
+        }
+        rows += cells / cols;
+        pos = last + 1;
+    }
+    *resume = text + pos;
+    return rows;
+}
+#else
+#define parse_rows_x8(text, len, capacity, cols, pow10, out, resume) ((void)(resume), 0)
+#endif
+
 /* The cells of the CSV lines of text[0..len-1], which a NUL must follow,
  * into out, (capacity, cols) row-major: row r of column c, read as float()
  * reads it (kinds[c] = CELL_FLOAT) or as int() does (CELL_INT), at
@@ -1236,14 +1768,22 @@ static const char *read_int(const char *p, double *value)
  * (read_float, read_int): no space, no blank line and no '\r'.  A line
  * takes at least 2 * cols bytes, the last one byte less, so no such text
  * holds more than (len + 1) / (2 * cols) lines, the capacity the caller
- * gives.  Returns the lines read, or -1 where the text is not so or holds
- * more than `capacity` lines, and the caller reads it itself. */
+ * gives.  On a CPU that takes the wide draws, where every kind is
+ * CELL_FLOAT, parse_rows_x8 reads the lines it reaches first.  Returns the
+ * lines read, or -1 where the text is not so or holds more than `capacity`
+ * lines, and the caller reads it itself. */
 int64_t hl_parse_rows(const char *text, int64_t len, int64_t capacity, int64_t cols,
                       const int64_t *kinds, const uint64_t *pow10, double *out)
 {
     const char *p = text, *end = text + len;
-    int64_t r, c;
-    for (r = 0; p < end; r++) {
+    int64_t r = 0, c;
+    for (c = 0; c < cols && kinds[c] == CELL_FLOAT; c++)
+        ;
+    if (c == cols && wide_cpu())
+        r = parse_rows_x8(text, len, capacity, cols, pow10, out, &p);
+    if (r < 0)
+        return -1;
+    for (; p < end; r++) {
         if (r == capacity)
             return -1;
         for (c = 0; c < cols; c++) {

@@ -34,9 +34,11 @@ The library also holds the fast route of the CSV codec of
 :func:`~hestonlab.simulate.parse_csv`: :meth:`LaneKernel.format_columns`
 writes '%.17g' and '%d' cells, byte for byte as Python's % does, from
 separate columns and after a header into one buffer that a file takes as it
-is, and :meth:`LaneKernel.parse_rows` reads lines of the strict form that
-writer makes, as ``float()`` and ``int()`` do, from a str or from the bytes
-of a file where they lie, in one pass; or each returns None for the Python
+is, 8 cells of a column a vector on AVX-512 CPUs, and
+:meth:`LaneKernel.parse_rows` reads lines of the strict form that writer
+makes, as ``float()`` and ``int()`` do, from a str or from the bytes
+of a file where they lie, in one pass, or on AVX-512 CPUs 8 float cells a
+vector from an index of their separators; or each returns None for the Python
 codec to take the call.  Both multiply by powers of ten of 128 bits, which
 :func:`load` computes with exact integers (``_pow10_table``) and passes to
 each call.
@@ -348,26 +350,35 @@ def _pow10_table() -> np.ndarray:
 # exact ties, which snprintf decides (1 + 2^-17 = 1.00000762939453125 rounds
 # down to even, 1 + 3 * 2^-17 up), both sides of each switch to the exponent
 # form, doubles below a power of ten whose 17 digits round up to it (1e-14
-# and 1e98 are such), signed zeros, the subnormal and normal extremes, and
-# path-like values; beside them, ints of up to 15 digits, which the reader
-# takes, as '%d'
+# and 1e98 are such), powers of ten at and just below the thresholds that
+# decide the exponent (1e16, 1e17, 1e23), signed zeros, the subnormal and
+# normal extremes, doubles on both sides of 2^-996, below which snprintf
+# writes them, and path-like values; 26 of them, so that the writer takes
+# three groups of 8 in AVX-512 vectors where the CPU has them and 2 one at a
+# time; beside them, ints of up to 15 digits, which the reader takes, as '%d'
 _CHECK_FLOATS = (1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, 1e-5, 1e-4, 9.9999999999999991e-5, 1e16,
                  1e17, 9.999999999999999e16, 1e-14, 1e98, 0.1, 0.2, 0.3, -0.0, 0.0, 5e-324,
                  -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-                 -1.7976931348623157e308, 123456.789, -0.41552999999999998, 2000.0, 1e23)
+                 -1.7976931348623157e308, 123456.789, -0.41552999999999998, 2000.0, 1e23,
+                 1e-300, 2e-300)
 _CHECK_INTS = (0.0, -0.0, 1.0, -1.0, 1e15 - 1, 1 - 1e15, 1e14, 999.0)
 
 # The cells load() reads in the kernel and with float(), which take every
-# way of the reader: zeros; Clinger's exact path, up to 2^53 - 1 and
-# 10^+-22; Eisel-Lemire past them (2^53, 10^-23, 10^-300, the largest
-# double), rounding down, up, and up into the next power of two; 19 digits
-# there, and 20 or more for strtod; exact ties (10^23, 2^53 + 1, 2^52 + 1/2,
-# 2^63 + 1024), which it leaves to strtod, and cells a unit beside them; and
-# cells past the table or the normal doubles, which strtod reads: the first
-# past the largest double, the smallest normal and the doubles just below
-# it, subnormals, underflow and overflow
+# way of the reader: zeros; Eisel-Lemire (2^53 - 1, 10^+-22, 2^53, 10^-23,
+# 10^-300, the largest double), rounding down, up, and up into the next
+# power of two; 19 digits there, and 20 or more for strtod; exact ties
+# (10^23, 2^53 + 1, 2^52 + 1/2, 2^63 + 1024), which it leaves to strtod,
+# but for Clinger's exact path where w < 2^53 and |q| <= 22 (2^54 + 6,
+# written as 1801439850948199e1), and cells a unit beside them; cells past
+# the table or the normal doubles, which strtod reads: the first past the
+# largest double, the smallest normal and the doubles just below it,
+# subnormals, underflow and overflow; and fractions that end in each of the
+# three words the reader takes at once, or run past them.  On an AVX-512 CPU
+# the reader takes most of them 8 a vector, and leaves the others, and those
+# it cannot decide, to its one-cell reader
 _CHECK_READS = (
-    "0", "-0", "0.000e-5", "0e999",
+    "1801439850948199e1", "-1801439850948199e1", "0.5", "0.123456789",
+    "0.12345678901234567891234", "0", "-0", "0.000e-5", "0e999",
     "9007199254740991", "-9007199254740991", "1e22", "1e-22", "4.35e-22",
     "9007199254740992", "1e23", "1e-23", "0.10000000000000001", "-0.41552999999999998",
     "9.9999999999999999e22", "1.2345678901234567e-300", "9007199254740991.9",
@@ -381,6 +392,13 @@ _CHECK_READS = (
     "4.9406564584124654e-324", "2.4703282292062328e-324", "1e-400", "1e400", "-1e400",
     "1e-300", "1e345")
 
+# The check cells six times over in lines of three, a text longer than one
+# block of the AVX-512 reader's index (kernel.c's WIDE_BLOCK, 4096 bytes),
+# whose edge falls in the third cell of a line: that line is read from the
+# next block
+_CHECK_CELLS = _CHECK_READS * 6
+_CHECK_TEXT = "\n".join(",".join(_CHECK_CELLS[i:i + 3]) for i in range(0, len(_CHECK_CELLS), 3))
+
 
 def _check_codec(kernel: "LaneKernel") -> None:
     """Write the check values in the kernel and with '%', then read the
@@ -392,13 +410,13 @@ def _check_codec(kernel: "LaneKernel") -> None:
     text = kernel.format_columns(list(rows.T), ("%.17g", "%d"))
     want = ("%.17g,%d\n" * len(rows)) % tuple(rows.ravel().tolist())
     back = kernel.parse_rows(bytes(text or b""), (float, int))
-    read = kernel.parse_rows("\n".join(_CHECK_READS), (float,))
+    read = kernel.parse_rows(_CHECK_TEXT, (float,) * 3)
     if (text != want.encode() or back is None or back[0].tobytes() != rows[:, 0].tobytes()
             or back[1].tolist() != rows[:, 1].astype(np.int64).tolist()
             or kernel.format_columns([np.array([2.0 ** 53 - 1])], ("%d",)) != b"9007199254740991\n"
             or kernel.format_columns([np.array([2.0 ** 53])], ("%d",)) is not None
-            or read is None or read[0].tobytes() != np.array(
-                [float(cell) for cell in _CHECK_READS]).tobytes()):
+            or read is None or np.column_stack(read).tobytes() != np.array(
+                [float(cell) for cell in _CHECK_CELLS]).tobytes()):
         raise RuntimeError("the lane kernel's CSV codec differs from Python's '%.17g', "
                            "'%d', float() and int()")
 
@@ -442,10 +460,11 @@ def lane_kernel() -> "LaneKernel | None":
 
 
 # the writer's and reader's cell kinds (kernel.c's CELL_FLOAT and CELL_INT),
-# and the most bytes a written cell takes, its separator included
+# the most bytes a written cell takes, its separator included, and the bytes
+# past the text that the writer's fixed-width stores may write
 _CELL_KINDS = {"%.17g": 0, "%d": 1}
 _READ_KINDS = {float: 0, int: 1}
-_CELL_BYTES = 26
+_CELL_BYTES, _SLACK = 26, 16
 
 # PathSums arrays the kernel updates in place, in the order it takes them
 _SUMS_ARRAYS = ("y_start", "y_end", "x_end", "sums", "mean", "m2")
@@ -556,7 +575,11 @@ class LaneKernel:
         column's %-format in ``cells``, '%.17g' or '%d', writes it: the bytes
         of ``(line * rows) % values``, for ``line`` the cells joined by ','
         and ended by a newline and ``values`` the rows' cells in order, in
-        one buffer, for a file to take as it is.
+        one buffer, for a file to take as it is.  The kernel writes a '%.17g'
+        cell from its 17 digits by fixed-width stores, 8 cells of a column at
+        a time in AVX-512 vectors where the CPU has them, which may write up
+        to ``_SLACK`` bytes past the text: the buffer holds them, and the
+        view leaves them out.
 
         None where the kernel does not write them: another format or array,
         a value that is not finite, or a '%d' value that is not an integer
@@ -572,7 +595,7 @@ class LaneKernel:
         columns = [np.ascontiguousarray(c) for c in columns]
         starts = np.array([c.ctypes.data for c in columns], dtype=np.uint64)
         rows = len(columns[0])
-        out = np.empty(len(head) + rows * len(kinds) * _CELL_BYTES, dtype=np.uint8)
+        out = np.empty(len(head) + rows * len(kinds) * _CELL_BYTES + _SLACK, dtype=np.uint8)
         out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
         n = self.format_fn(starts.ctypes.data, rows, len(kinds), kinds.ctypes.data,
                            self.pow10.ctypes.data, out.ctypes.data + len(head))
@@ -583,7 +606,10 @@ class LaneKernel:
         ``text``, a str or the bytes of a file, from index ``start`` on, each
         cell read as the kind reads it: float64 and int64 arrays.  A float
         cell gets the bits ``float()`` gives it: most through the writer's
-        powers of ten (``hl_parse_rows``), the rest through ``strtod``.
+        powers of ten (``hl_parse_rows``, by Eisel and Lemire's method, its
+        fraction's digits read up to 23 at once, or where every kind is
+        ``float`` on an AVX-512 CPU 8 cells a vector), the rest through
+        ``strtod``.
 
         None where the kernel does not read them: another kind, no line, a
         character that is not ASCII, or text outside the strict grammar of

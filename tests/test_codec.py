@@ -8,11 +8,14 @@ import hashlib
 import io
 import math
 import re
+import struct
 import subprocess
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hestonlab.kernel as kernel
 from hestonlab.cli import main
@@ -29,6 +32,14 @@ def codec():
         except (OSError, subprocess.SubprocessError) as e:
             pytest.skip(f"the lane kernel does not build here: {e}")
     return k
+
+
+@pytest.fixture(scope="module", params=["default", "portable"])
+def build(request, codec):
+    """The codec of the default build, whose writer and reader take their
+    AVX-512 steps on a CPU that has them, and of the HL_PORTABLE build,
+    whose code every CPU runs."""
+    return codec if request.param == "default" else request.getfixturevalue("portable_build")
 
 
 @pytest.fixture
@@ -113,18 +124,59 @@ def near_powers_of_ten():
     return np.array([np.nextafter(v, toward) for v in near for toward in (0.0, v, np.inf)])
 
 
-def test_the_writer_gives_the_bytes_of_percent_formatting(codec):
+def test_the_writer_gives_the_bytes_of_percent_formatting(build):
     values = np.concatenate([families(125_000).ravel(), exact_ties(), near_powers_of_ten(),
                              kernel._CHECK_FLOATS]).reshape(-1, 1)
-    text = written(codec, values, ("%.17g",))
+    text = written(build, values, ("%.17g",))
     assert text == python_lines(values, ("%.17g",))
     # and the reader gives back their bits
-    assert codec.parse_rows(text, (float,))[0].tobytes() == values.tobytes()
+    assert build.parse_rows(text, (float,))[0].tobytes() == values.tobytes()
+    # three columns, so that each pass of the writer takes cells of each
+    table = values[-30_000:].reshape(-1, 3)
+    assert written(build, table, ("%.17g",) * 3) == python_lines(table, ("%.17g",) * 3)
+
+
+# kernel.c's THRESHOLD_MIN to THRESHOLD_MAX: the powers of ten whose least
+# doubles the writer compares with
+THRESHOLDS = range(-299, 309)
+
+
+def least_double_at_or_above(j: int) -> float:
+    """The least double >= 10^j, exactly."""
+    v = float(Fraction(10) ** j)
+    return v if Fraction(v) >= Fraction(10) ** j else math.nextafter(v, math.inf)
+
+
+def writer_ways(v: float) -> set:
+    """The ways kernel.c's writer takes a finite v, worked on exact
+    fractions: "zero"; "tiny", below 2^-996, left to snprintf; else "tie",
+    a 17th digit decided by a fraction of one half (snprintf decides it),
+    or "rounded"; "threshold" where d = floor(log10 |v|) is one more than
+    floor(k log10 2) for k = floor(log2 |v|), as |v| reaches the least
+    double at or above 10^(d0 + 1); "carry" where the 17 digits round up to
+    a power of ten; and the layout of d, "fixed" (0 <= d <= 16), "point"
+    (-4 <= d <= -1) or "exponent"."""
+    if v == 0:
+        return {"zero"}
+    if abs(v) < 2.0 ** -996:
+        return {"tiny"}
+    d0 = (math.frexp(abs(v))[1] - 1) * 78913 >> 18
+    d = decimal_exponent(v)
+    ways = {"tie" if seventeen_digit_fraction(v) == Fraction(1, 2) else "rounded"}
+    if d == d0 + 1:
+        ways.add("threshold")
+    if Fraction("%.17g" % abs(v)) >= Fraction(10) ** (d + 1):
+        ways.add("carry")
+    ways.add("fixed" if 0 <= d <= 16 else "point" if -4 <= d <= -1 else "exponent")
+    return ways
 
 
 def test_the_test_values_reach_every_branch_of_the_writer():
     """Ties, which the fast path leaves to snprintf, 17 nines that round up
-    to a power of ten, and exponents of 16 and 17, -4 and -5."""
+    to a power of ten, exponents of 16 and 17, -4 and -5, both sides of
+    every threshold, zeros and doubles below 2^-996; and load()'s check
+    values, a column of them whose length is not a multiple of GROUP, so
+    that the AVX-512 steps and the one-at-a-time steps both take some."""
     ties = exact_ties()
     assert len(ties) > 200
     assert all(seventeen_digit_fraction(v) == Fraction(1, 2) for v in ties[:40])
@@ -134,6 +186,42 @@ def test_the_test_values_reach_every_branch_of_the_writer():
                and decimal_exponent(v) < int(("%.17g" % v)[2:])]
     assert carries
     assert {-5, -4, 16, 17} <= {decimal_exponent(v) for v in near}
+    # the least double at or above each 10^j of the thresholds, and the one
+    # below it: the threshold taken and not
+    edges = set(near.tolist())
+    for j in THRESHOLDS:
+        least = least_double_at_or_above(j)
+        assert least in edges and math.nextafter(least, 0.0) in edges, j
+    ways = set().union(*(writer_ways(v) for v in [*ties[:40], *near[::7], *carries,
+                                                   *families(50).ravel()]))
+    assert ways == {"zero", "tiny", "tie", "rounded", "threshold", "carry", "fixed", "point",
+                    "exponent"}
+    check = set().union(*map(writer_ways, kernel._CHECK_FLOATS))
+    assert check == ways
+    assert len(kernel._CHECK_FLOATS) % kernel.GROUP
+
+
+# doubles of every kind: any bit pattern that is finite, subnormals, signed
+# zeros and hypothesis's floats, which favour the edges
+DOUBLES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+    .filter(math.isfinite),
+    st.builds(math.ldexp, st.integers(-(2 ** 52) + 1, 2 ** 52 - 1), st.just(-1074)),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(DOUBLES, min_size=1, max_size=48), cols=st.integers(1, 3))
+def test_the_writer_gives_percent_bytes_on_any_doubles(build, values, cols):
+    """Tables of 1 to 3 columns of any doubles, of as many rows as the
+    values fill, so that passes of whole groups of rows and short ones both
+    come; and the reader gives back their bits."""
+    rows = np.array(values[: len(values) // cols * cols] or values[:1] * cols).reshape(-1, cols)
+    text = written(build, rows, ("%.17g",) * cols)
+    assert text == python_lines(rows, ("%.17g",) * cols)
+    back = build.parse_rows(text, (float,) * cols)
+    assert np.column_stack(back).tobytes() == rows.tobytes()
 
 
 def moved_tables(codec):
@@ -168,11 +256,11 @@ READ_WINDOW = 3
 
 def reader_way(cell: str, table):
     """The way kernel.c's read_float takes a float cell, worked on exact
-    integers from the same table, and the double it gives: "zero",
-    "clinger" (exact doubles), or Eisel-Lemire's "down", "up" or "carry"
-    (up into the next power of two); or, with None, why strtod reads it:
-    "digits" (over 19), "range" (10^q outside the table), "window" (a tie
-    or a near one) or "not normal"."""
+    integers from the same table, and the double it gives: "zero", then
+    Eisel-Lemire's "down", "up" or "carry" (up into the next power of two),
+    then "clinger" (exact doubles) for what Eisel-Lemire leaves; or, with
+    None, why strtod reads it: "digits" (over 19), "range" (10^q outside
+    the table), "window" (a tie or a near one) or "not normal"."""
     whole, frac, exp = re.fullmatch(r"-?(\d+)(?:\.(\d+))?(?:[eE]([+-]?\d+))?", cell).groups()
     frac = frac or ""
     digits = (whole + frac).lstrip("0")
@@ -182,10 +270,19 @@ def reader_way(cell: str, table):
         return "digits", None
     if w == 0:
         return "zero", sign * 0.0
+    way, value = "range", None
+    if kernel._POW10_MIN <= q <= kernel._POW10_MAX:
+        way, value = eisel_lemire_way(w, q, table)
+    if value is not None:
+        return way, sign * value
     if w < 2 ** 53 and -22 <= q <= 22:
         return "clinger", sign * (w * 10.0 ** q if q >= 0 else w / 10.0 ** -q)
-    if not kernel._POW10_MIN <= q <= kernel._POW10_MAX:
-        return "range", None
+    return way, None
+
+
+def eisel_lemire_way(w: int, q: int, table):
+    """kernel.c's eisel_lemire of w * 10^q: "down", "up" or "carry" and the
+    double, or "window" or "not normal" and None."""
     high, low, e = (int(v) for v in table[q - kernel._POW10_MIN])
     shift = 64 - w.bit_length()
     top = ((w << shift) * ((high << 64) | low)) >> 64
@@ -201,7 +298,7 @@ def reader_way(cell: str, table):
             mantissa, e, way = mantissa >> 1, e + 1, "carry"
     if not 1 <= e + 1075 <= 2046:
         return "not normal", None
-    return way, sign * math.ldexp(mantissa, e)
+    return way, math.ldexp(mantissa, e)
 
 
 def reading_ties():
@@ -240,6 +337,70 @@ def test_the_reader_gives_float_bits_on_every_way_it_goes(codec):
     assert len(ties) > 200
     got = codec.parse_rows("\n".join(cells), (float,))[0]
     assert got.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+
+
+# strict-grammar float cells: a sign, leading zeros, up to 25 digits before
+# and after the point, and exponents
+DIGIT_RUNS = st.text("0123456789", min_size=1, max_size=25)
+STRICT_CELLS = st.builds(
+    "{}{}{}{}{}".format, st.sampled_from(["", "-"]), st.sampled_from(["", "0", "000"]), DIGIT_RUNS,
+    st.one_of(st.just(""), DIGIT_RUNS.map(".{}".format)),
+    st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                     st.sampled_from(["", "+", "-"]), st.integers(0, 400))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells=st.lists(st.one_of(STRICT_CELLS, DOUBLES.map("%.17g".__mod__), DOUBLES.map(repr)),
+                      min_size=1, max_size=40),
+       cols=st.integers(1, 16), newline=st.booleans())
+def test_the_reader_gives_float_bits_on_strict_cells(build, cells, cols, newline):
+    """Lines of 1 to 16 cells of the strict grammar, the writer's own and
+    shorter forms among them, with and without a last newline: the bits of
+    float()."""
+    cells = cells * cols
+    text = "\n".join(",".join(cells[r:r + cols]) for r in range(0, len(cells), cols))
+    got = build.parse_rows(text + "\n" * newline, (float,) * cols)
+    assert np.column_stack(got).ravel().tobytes() == \
+        np.array([float(cell) for cell in cells]).tobytes()
+
+
+def test_the_reader_takes_fraction_runs_of_every_length(build):
+    """Fractions of 1 to 30 digits, which end in each of the three words the
+    reader takes at once or run past them, with and without an exponent,
+    amid a text and at its end, in its last 24 bytes, where the reader takes
+    them one byte at a time."""
+    cells = [f"{sign}{whole}.{'1234567890' * 3}"[: len(sign) + len(whole) + 1 + n] + exp
+             for n in range(1, 31) for sign in ("", "-") for whole in ("7", "0", "12345678")
+             for exp in ("", "e-3")]
+    want = np.array([float(cell) for cell in cells]).tobytes()
+    assert build.parse_rows("\n".join(cells + ["0"] * 30), (float,))[0][:-30].tobytes() == want
+    assert b"".join(build.parse_rows(cell, (float,))[0].tobytes() for cell in cells) == want
+
+
+# kernel.c's WIDE_BLOCK: the bytes the AVX-512 reader indexes at a time,
+# each block from the start of the first line the block before left
+WIDE_BLOCK = 4096
+
+
+def test_the_reader_takes_lines_across_a_block_edge(build):
+    """Texts of more than two blocks, in lines of 1 or 3 cells, whose first
+    cell has 1 to 25 digits, so that each byte of a cell falls on the first
+    block's edge in one of them; lines longer than a block; and load()'s
+    check text, whose edge falls in a line's third cell."""
+    values = np.random.default_rng(33).standard_normal(600) * 10.0 ** np.arange(-6, 6).repeat(50)
+    cells = ["%.17g" % v for v in values.tolist()]
+    for cols in (1, 3, 250):
+        for digits in range(1, 26) if cols < 250 else (1,):
+            lines = ["7" * digits + ",0" * (cols - 1)] + [
+                ",".join(cells[i:i + cols]) for i in range(0, len(cells) // cols * cols, cols)]
+            text = "\n".join(lines)
+            assert len(text) > 2 * WIDE_BLOCK
+            want = [float(cell) for line in lines for cell in line.split(",")]
+            assert np.column_stack(build.parse_rows(text, (float,) * cols)).ravel().tolist() == want
+    text = kernel._CHECK_TEXT
+    assert len(text) > WIDE_BLOCK and text[:WIDE_BLOCK + 1].rsplit("\n", 1)[1].count(",") == 2
+    assert np.column_stack(build.parse_rows(text, (float,) * 3)).tobytes() == \
+        np.array([float(cell) for cell in kernel._CHECK_CELLS]).tobytes()
 
 
 def test_the_readers_capacity_holds_the_densest_lines(codec):

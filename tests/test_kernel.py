@@ -345,20 +345,6 @@ def drawn_pairs_against_given(k, params, dt, scheme, streams, given, steps):
     return aborted_d
 
 
-@pytest.fixture(scope="module")
-def portable_build(tmp_path_factory):
-    """The kernel built with the test-only define HL_PORTABLE, which leaves
-    out the AVX-512 draws and fold, into a cache of its own, where load()
-    runs every check on it."""
-    lane_kernel_or_skip()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(kernel, "CACHE_DIR", tmp_path_factory.mktemp("portable"))
-        m.setattr(kernel, "FLAGS", (*kernel.FLAGS, "-DHL_PORTABLE"))
-        k = kernel.load()
-    assert not k.wide_draws
-    return k
-
-
 def wide_kernel_or_skip():
     k = lane_kernel_or_skip()
     if "-DHL_PORTABLE" in kernel.FLAGS:
