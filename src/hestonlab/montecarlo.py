@@ -51,6 +51,14 @@ whose memory is set by the lane group and the element budget, not by the
 number of steps N.  Lanes that abort stop drawing and are recorded as
 failures with their step.
 
+The pool starts no more workers than the CPUs the calling thread may run
+on, and starts each worker on a CPU of its own.  Where the scheduler does
+not balance load (a cpuset with ``cpuset.sched_load_balance`` off, see
+cpuset(7)), a new thread starts on its creator's CPU and seldom leaves it,
+so two unplaced workers can take turns on one CPU while another sits idle.
+Each worker gets the caller's mask back once it is placed, so where the
+scheduler does balance load it can still move the worker.
+
 Results are columnar: a :class:`ReplicateTable` holds one row per successful
 replicate, and the estimator, its normalizations and the summary work on its
 columns.
@@ -61,6 +69,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -369,10 +378,34 @@ class McRun:
     failures: tuple[ReplicateFailure, ...] = field(default=())
 
 
-def _lane_plan(replicates: int, threads: int) -> int:
-    """Lanes per group: split evenly across the threads, and none wider
+def _lane_plan(replicates: int, workers: int) -> int:
+    """Lanes per group: split evenly across the workers, and none wider
     than ``_MAX_LANES``."""
-    return min(-(-replicates // threads), _MAX_LANES)
+    return min(-(-replicates // workers), _MAX_LANES)
+
+
+def _cpus() -> list:
+    """The CPUs that the calling thread may run on, in order.  Where the
+    platform cannot name them (no ``os.sched_getaffinity``), one ``None``
+    for each of ``os.cpu_count()`` CPUs."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return [None] * (os.cpu_count() or 1)
+
+
+def _place(cpus, mask) -> None:
+    """Pool initializer: move the worker thread that runs it to the next CPU
+    of the iterator ``cpus``, which the pool's threads share, then give it
+    back the caller's ``mask``.  The move takes effect at once; the mask
+    leaves a scheduler that balances load free to move the worker later.  A
+    CPU that cannot be named, or a platform or container that refuses the
+    placement, leaves the worker where the system puts it."""
+    cpu = next(cpus)
+    if cpu is not None:
+        with contextlib.suppress(AttributeError, OSError):
+            os.sched_setaffinity(0, (cpu,))
+            os.sched_setaffinity(0, mask)
 
 
 def _run_lanes(config: ExperimentConfig, lo: int, hi: int):
@@ -409,7 +442,12 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
     """Run all replicates of an experiment, optionally across threads.
 
     Replicates are split into lane groups of at most ``_MAX_LANES``, and
-    worker threads take whole groups.  Thread count affects wall time only:
+    worker threads take whole groups.  At most as many workers start as
+    the calling thread has CPUs to run on (``os.sched_getaffinity``, or
+    ``os.cpu_count()`` where that does not exist), each started on one of
+    those CPUs and then given the caller's mask back; the caller's own mask
+    is never changed, and where the platform refuses a placement the worker
+    runs unplaced.  Thread count affects wall time only:
     each replicate's noise comes from its own seed lineage, its sums do not
     depend on its group or block length, and groups are merged in index
     order, so any value of ``threads`` produces identical results.  A
@@ -423,16 +461,19 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> McRun:
     """
     require_instance(config, ExperimentConfig, "config")
     require_int(threads, "threads", ConfigParseError, 1)
-    lanes = _lane_plan(config.replicates, threads)
+    cpus = _cpus()
+    workers = min(threads, len(cpus))
+    lanes = _lane_plan(config.replicates, workers)
     # taken one group at a time, so a huge replicate count lists no bounds
     bounds = ((lo, min(lo + lanes, config.replicates))
               for lo in range(0, config.replicates, lanes))
-    if threads > 1 and config.replicates > lanes:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # at most `threads` groups in flight, their results in order
+    if workers > 1 and config.replicates > lanes:
+        with ThreadPoolExecutor(max_workers=workers, initializer=_place,
+                                initargs=(iter(cpus), cpus)) as pool:
+            # at most `workers` groups in flight, their results in order
             parts, running = [], []
             for lo, hi in bounds:
-                if len(running) == threads:
+                if len(running) == workers:
                     parts.append(running.pop(0).result())
                 running.append(pool.submit(_run_lanes, config, lo, hi))
             parts.extend(f.result() for f in running)

@@ -1,8 +1,16 @@
 """Replicate harness and summary statistics: determinism, failure accounting,
 normality tests, histogram records, covariance deviation reports."""
 
+import errno
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +20,7 @@ import hestonlab as hl
 import hestonlab.kernel as kernel
 import hestonlab.montecarlo as mc
 import hestonlab.simulate as simulate
+from hestonlab.cli import main
 
 
 def small_config(**over):
@@ -90,7 +99,7 @@ def test_config_rejections_name_the_field():
     small_config(params=steep, grid=hl.TimeGrid(1.0, 100))  # 2 - 30*0.01 > 0
 
 
-def test_numpy_integer_seed_and_count_are_stored_as_ints(tmp_path):
+def test_numpy_integer_seed_and_count_are_stored_as_ints(tmp_path, many_cpus):
     grid = hl.TimeGrid(20.0, 200)
     plain = small_config(grid=grid, replicates=20, master_seed=7)
     numpy_ints = small_config(grid=grid, replicates=np.int64(20), master_seed=np.int64(7))
@@ -145,7 +154,17 @@ def test_run_deterministic():
     assert np.array_equal(a.functionals.x_terminal, b.functionals.x_terminal)
 
 
-def test_run_thread_count_does_not_change_results():
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Eight CPUs for the worker count, cycled from the caller's own, so that
+    runs at a few threads use the pool even on a one-CPU machine; each worker
+    is still placed on a CPU of the caller's mask.  Returns that mask."""
+    cpus = mc._cpus()
+    monkeypatch.setattr(mc, "_cpus", lambda: [cpus[i % len(cpus)] for i in range(8)])
+    return cpus
+
+
+def test_run_thread_count_does_not_change_results(many_cpus):
     cfg = small_config(replicates=24)
     serial = hl.run_replicates(cfg, threads=1)
     threaded = hl.run_replicates(cfg, threads=3)
@@ -213,7 +232,7 @@ def run_record(run):
     )
 
 
-def test_results_do_not_depend_on_lane_groups_blocks_or_threads(monkeypatch):
+def test_results_do_not_depend_on_lane_groups_blocks_or_threads(monkeypatch, many_cpus):
     """Two lane caps and element budgets (8 lanes x 128 steps and 24 lanes x
     640 steps, so different lane groups and block boundaries) and 1 or 2
     threads give the same bits, aborted lanes included."""
@@ -315,7 +334,7 @@ def test_peak_memory_does_not_grow_with_steps():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_huge_replicate_count_lists_no_group_bounds(monkeypatch, threads):
+def test_a_huge_replicate_count_lists_no_group_bounds(monkeypatch, many_cpus, threads):
     """10**12 replicates, whose groups' bounds would fill memory: the first
     group to fail raises at once, with at most ``threads`` groups run past
     it, and little traced memory."""
@@ -338,6 +357,156 @@ def test_a_huge_replicate_count_lists_no_group_bounds(monkeypatch, threads):
         tracemalloc.stop()
     assert peak < 2**20, peak
     assert 4 <= len(calls) <= 3 + threads
+
+
+def record_workers(monkeypatch, groups):
+    """Patch ``os.sched_setaffinity`` to record, for each thread, its own CPU
+    mask after each call, and ``_run_lanes`` to record each worker thread's
+    own mask while it runs a group.  The run's ``groups`` lane groups wait
+    for each other, so that each runs on a thread of its own."""
+    placed, running = {}, {}
+    barrier = threading.Barrier(groups, timeout=60)
+    set_affinity, run_lanes = os.sched_setaffinity, mc._run_lanes
+
+    def setting(pid, mask):
+        set_affinity(pid, mask)
+        placed.setdefault(threading.get_ident(), []).append(os.sched_getaffinity(0))
+
+    def recording(config, lo, hi):
+        running[threading.get_ident()] = os.sched_getaffinity(0)
+        barrier.wait()
+        return run_lanes(config, lo, hi)
+
+    monkeypatch.setattr(os, "sched_setaffinity", setting)
+    monkeypatch.setattr(mc, "_run_lanes", recording)
+    return placed, running
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="the platform cannot place threads on CPUs")
+
+
+@needs_affinity
+def test_workers_start_on_one_cpu_each_and_get_the_callers_mask_back(monkeypatch, many_cpus):
+    """Each worker is moved to one CPU that the caller may use, then given
+    the caller's mask back before it runs a group; the caller's own mask is
+    left as it was, and the workers exit with the pool."""
+    caller, alive = os.sched_getaffinity(0), threading.active_count()
+    placed, running = record_workers(monkeypatch, 3)
+    hl.run_replicates(small_config(replicates=24), threads=3)
+    assert len(running) == 3 and placed.keys() == running.keys()
+    for first, then in placed.values():
+        assert len(first) == 1 and first <= caller, (first, caller)
+        assert then == caller
+    assert all(mask == caller for mask in running.values()), running
+    assert os.sched_getaffinity(0) == caller
+    assert threading.active_count() == alive
+
+
+@needs_affinity
+def test_workers_start_on_distinct_cpus(monkeypatch):
+    """With the caller's own mask as the CPU query, no two workers start on
+    the same CPU."""
+    caller = os.sched_getaffinity(0)
+    threads = min(len(caller), 4)
+    if threads < 2:
+        pytest.skip("the caller may run on one CPU only")
+    placed, running = record_workers(monkeypatch, threads)
+    hl.run_replicates(small_config(replicates=24), threads=threads)
+    cpus = [cpu for first, _ in placed.values() for cpu in first]
+    assert len(running) == len(cpus) == len(set(cpus)) == threads, placed
+    assert os.sched_getaffinity(0) == caller
+
+
+def test_a_failed_group_leaves_the_callers_mask(monkeypatch, many_cpus):
+    caller, alive = os.sched_getaffinity(0), threading.active_count()
+
+    def failing(config, lo, hi):
+        raise RuntimeError("group failed")
+
+    monkeypatch.setattr(mc, "_run_lanes", failing)
+    with pytest.raises(RuntimeError, match="group failed"):
+        hl.run_replicates(small_config(replicates=24), threads=2)
+    assert os.sched_getaffinity(0) == caller
+    assert threading.active_count() == alive
+
+
+def test_workers_are_capped_at_the_cpus(monkeypatch):
+    """6 threads on 4 CPUs start a pool of 4 workers and cut the run into 4
+    groups, with the results of one thread."""
+    cfg = small_config(replicates=24)
+    want = run_record(hl.run_replicates(cfg, threads=1))
+    monkeypatch.setattr(mc, "_cpus", lambda: [None] * 4)
+    pools, groups, workers = [], [], set()
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    run_lanes = mc._run_lanes
+
+    def recording(config, lo, hi):
+        groups.append(hi - lo)
+        workers.add(threading.get_ident())
+        return run_lanes(config, lo, hi)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc, "_run_lanes", recording)
+    assert run_record(hl.run_replicates(cfg, threads=6)) == want
+    assert pools == [4] and groups == [6] * 4 and len(workers) <= 4
+
+
+def test_the_cpu_count_stands_in_where_no_mask_can_be_read(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert mc._cpus() == [None] * 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mc._cpus() == [None]
+
+
+@pytest.mark.parametrize("how", ["missing", errno.EPERM, errno.EINVAL])
+def test_placement_that_cannot_happen_is_harmless(monkeypatch, capsys, many_cpus, how):
+    """Where the platform has no sched_setaffinity, or a container refuses
+    it, workers run unplaced, with the same bits and nothing printed."""
+    cfg = edge_config()
+    want = run_record(hl.run_replicates(cfg, threads=1))
+    refused = []
+    if how == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        def refuse(pid, mask):
+            refused.append(mask)
+            raise OSError(how, os.strerror(how))
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_record(hl.run_replicates(cfg, threads=2)) == want
+    assert capsys.readouterr() == ("", "")
+    if how != "missing" and many_cpus[0] is not None:
+        assert refused
+
+
+@needs_affinity
+def test_a_one_cpu_child_writes_the_same_report_at_two_threads(tmp_path, many_cpus):
+    """A process restricted to one CPU runs 2 threads capped to one worker,
+    and writes the bytes of an unrestricted 2-thread run."""
+    argv = ["mc", "--preset", "desk", "--set", "T=100", "--set", "N=1000",
+            "--set", "replicates=24", "--threads", "2", "--out"]
+    assert main(argv + [str(tmp_path / "free")]) == 0
+    code = ("import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from hestonlab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(hl.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src)] + sys.path))
+    subprocess.run([sys.executable, "-c", code, *argv, str(tmp_path / "one")], env=env,
+                   capture_output=True, check=True, timeout=120)
+    free = sorted((tmp_path / "free").iterdir())
+    assert [f.name for f in free] == sorted(f.name for f in (tmp_path / "one").iterdir())
+    for f in free:
+        assert (tmp_path / "one" / f.name).read_bytes() == f.read_bytes(), f.name
 
 
 def test_all_replicates_failed():
