@@ -8,14 +8,20 @@
  * writes the variance and price points.  Lanes go eight at a time, a group
  * whose tile lies lane-major, [step][lane], so that every step and the
  * fold run over the group's lanes in vectors, whose arithmetic is IEEE's
- * lane by lane.  Its noise is either drawn here, a tile at a time, from
- * each lane's pair of PCG64 streams, seeded here from their seed words, or
- * read from given (steps,) rows of eta and zeta.  On a CPU with AVX-512 F,
- * DQ, VL and BW, which it asks at run time, a group draws its eta streams
- * as one vector of 8 and its zeta streams as another, and folds a whole
- * group's tile in one vector of 8; elsewhere, and in a build with
- * HL_PORTABLE defined, it draws one stream at a time and folds in SSE2
- * vectors.  Both give the same bits.
+ * lane by lane.  A tile's steps are one loop, each step one pass: it draws
+ * its noise row from each lane's pair of PCG64 streams, seeded here from
+ * their seed words, or reads it from given (steps,) rows of eta and zeta;
+ * it takes the variance step; and it takes the price step, whose square
+ * root sqrt(max(Y, 0)) the variance step holds: the root that AVE, TE and
+ * SE take, or for DESRE and DISRE |Z| wherever Y = Z * Z is a normal
+ * double, a correctly rounded root of a correctly rounded square being
+ * |Z| there.  So the draws' chain of LCG steps and the steps' chain of
+ * divisions and square roots overlap.  On a CPU with AVX-512 F, DQ, VL and
+ * BW, which it asks at run time, a group draws its eta streams as one
+ * vector of 8 and its zeta streams as another, takes a whole group's steps
+ * in one vector of 8 and folds its tile in one vector of 8; elsewhere, and
+ * in a build with HL_PORTABLE defined, it draws one stream at a time and
+ * steps and folds in SSE2 vectors.  Both give the same bits.
  * It gives the bits of the numpy pipeline of hestonlab (draw_normals, then
  * simulate's step loop and price_block, then estimate.PathSums.fold a tile
  * at a time, in blocks or in one piece), so every operation below is the
@@ -107,9 +113,9 @@ enum { AVE, TE, SE, DESRE, DISRE };
 #define TILE 128
 
 /* The lanes of a group, hestonlab.kernel.GROUP.  A group's tile holds its
-   noise and points lane-major, as [step][lane] arrays, so that each
-   variance step, price step and fold term is one pass over the lanes of
-   the group, in vectors; the draws of the group's 2 * GROUP streams go
+   noise and points lane-major, as [step][lane] rows, so that each variance
+   step, price step and fold term is one pass over the lanes of the group,
+   in vectors; the draws of the group's 2 * GROUP streams go
    side by side, as two AVX-512 vectors of GROUP streams or interleaved one
    stream at a time, so that one stream's chain of 128-bit LCG steps
    overlaps the others'. */
@@ -122,8 +128,9 @@ enum { AVE, TE, SE, DESRE, DISRE };
  * Four lanes, an AVX2 register, timed the same in a build for AVX2 CPUs,
  * as divisions and square roots bound the steps and retire about as many
  * lanes a cycle at either width, and far slower without AVX2, where gcc
- * splits a compare of four lanes into scalar ones.  The draws and the fold
- * of a whole group go GROUP lanes a vector on AVX-512 CPUs (below).  A
+ * splits a compare of four lanes into scalar ones.  The draws, the steps
+ * and the fold of a whole group go GROUP lanes a vector on AVX-512 CPUs
+ * (below), where the draws' operations fill the ports beside the steps'.  A
  * tile's row, [lane], is read and written by vectors, VEC(&row[h]) for
  * h = 0, VW, ...: VW doubles at a double's alignment and of any type. */
 #define VW 2
@@ -145,106 +152,148 @@ INLINE void sqrt_vec(vec_d *v)
         (*v)[j] = sqrt((*v)[j]);
 }
 
-/* fabs of each lane: its sign bit cleared */
-#define FABS_VEC(v) ((vec_d)((vec_i)(v) & INT64_MAX))
-
-/* np.maximum(y, 0.0) of each lane of a vector y: +0.0 for y <= 0, -0.0
-   included, and a NaN kept */
-#define MAX0_VEC(y) ((vec_d)((vec_i)(y) & ~((y) <= 0.0)))
-
-/* The scheme constants k[] and the price constants p[] are those of
- * simulate.step_constants; a group's tile holds its noise and points
- * lane-major, [step][lane].
- *
- * Variance steps of the first w lanes of a group, w a multiple of VW, from
- * their states s[] (Y, or Z for DESRE and DISRE) over eta[0..n-1] into the
- * points y[1..n].  A DESRE lane whose Z is
- * <= 0 at step i of the tile gets hit[] = first + i + 1 unless it has a hit
- * already; its later points are not used.  The states go in vectors,
- * z[h / VW] for the lanes h, h + 1, ... */
-INLINE void euler_steps(int scheme, const double *k, vec_d *z, const double (*eta)[GROUP],
-                        int64_t n, int w, double (*y)[GROUP])
+/* The vector of the VW doubles at r, read one at a time: each step reads
+   its noise row so, which the draws have just written a lane at a time and
+   which a vector's load could not take from those stores */
+INLINE vec_d lanes_of(const double *r)
 {
-    vec_d v, g;
-    int64_t i;
-    int h;
-    for (i = 0; i < n; i++)
+    vec_d v;
+    int j;
+    for (j = 0; j < VW; j++)
+        v[j] = r[j];
+    return v;
+}
+
+/* The lane-wise operations of a vector of doubles v of any width, through
+   its int64 lanes, of the type IVEC(v): fabs, its sign bit cleared;
+   np.maximum(y, 0.0), +0.0 for y <= 0, -0.0 included, and a NaN kept; and
+   sqrt(max(y, 0)) of AVE, TE and SE states y from the root g that their
+   step takes, sqrt(|y|), sqrt(max(y, 0)) or sqrt(y): +0.0 where y <= 0,
+   else g with the sign of y, which is g but for a NaN, whose sign
+   sqrt(max(y, 0)) keeps */
+#define IVEC(v) __typeof__((v) <= 0.0)
+#define FABS_VEC(v) ((__typeof__(v))((IVEC(v))(v) & INT64_MAX))
+#define MAX0_VEC(y) ((__typeof__(y))((IVEC(y))(y) & ~((y) <= 0.0)))
+#define EULER_ROOT(g, y) \
+    ((__typeof__(g))(((IVEC(y))(g) | ((IVEC(y))(y) & INT64_MIN)) & ~((y) <= 0.0)))
+
+/* The steps of a vector of lanes, on vectors of any width, with the scheme
+ * constants k[] and the price constants p[] of simulate.step_constants,
+ * each evaluated left to right as the simulate module docstring writes
+ * it: AVE, TE and SE from Y over the noise e with the root g that the
+ * scheme takes; DESRE from Z; DISRE's u, whose Z is then u + sqrt(u u +
+ * k[1]); and the price from x over the last variance point y with its root
+ * sqrt(max(y, 0)) and the noise e and f. */
+#define EULER_STEP(v, g, e, k) \
+    (((v) + ((k)[0] - (k)[1] * (v)) * (k)[2]) + (((k)[3] * (g)) * (k)[4]) * (e))
+#define DESRE_STEP(v, e, k) (((v) + ((k)[0] / (v) - (k)[1] * (v)) * (k)[2]) + (k)[3] * (e))
+#define DISRE_U(v, e, k) (((v) + (k)[2] * (e)) / (k)[0])
+#define PRICE_STEP(x, y, root, e, f, p) \
+    ((x) + (((p)[2] - (p)[3] * (y)) * (p)[4]      \
+            + (((p)[5] * (root)) * (p)[6]) * ((p)[0] * (e) + (p)[1] * (f))))
+
+/* What a group's steps carry from one step to the next, each in vectors of
+ * its lanes, z[h / VW] for the lanes h, h + 1, ...: each lane's state z (Y,
+ * or Z for DESRE and DISRE), its last variance and price points y and x,
+ * and for DESRE the lanes that have a hit, dead, as a mask, which bitwise
+ * operations keep, and their hits.  Each tile loop copies the carry into a
+ * local of its own, which the compiler keeps in registers. */
+struct carry {
+    vec_d z[GROUP / VW], y[GROUP / VW], x[GROUP / VW];
+    vec_i dead[GROUP / VW], hit[GROUP / VW];
+};
+
+/* A lane group's tile, lane-major, [step][lane], of n steps after `first`:
+ * its points y[0..n] and x[0..n], y[0] and x[0] those of the last tile, for
+ * the fold; the noise row of the step being taken, which each step draws
+ * or reads and then takes at once; the scheme constants k[] and the price
+ * constants p[] of simulate.step_constants; and the carry of the lanes
+ * that the steps take, the first w, a multiple of VW. */
+struct tile {
+    double row[2][GROUP] __attribute__((aligned(64))); /* eta, then zeta */
+    double y[TILE + 1][GROUP], x[TILE + 1][GROUP];
+    const double *k, *p;
+    struct carry c;
+    int64_t n, first;
+    int w;
+};
+
+/* sqrt(max(y, 0)) of the last points y = Z * Z of the first w lanes of a
+   group whose DESRE or DISRE states are Z, into root[]: |Z| where each
+   lane's y is a normal double, since a correctly rounded square root of the
+   correctly rounded Z * Z is |Z| there, and where Z is sqrt(y), a lane's
+   state at the start of a path; else, where any lane's y is subnormal, 0,
+   inf or a NaN, the square roots themselves */
+INLINE void roots_of_squares(const struct carry *c, int w, vec_d *root)
+{
+    vec_i normal = (vec_i){0} == 0;
+    int64_t all = -1;
+    int h, j;
+    for (h = 0; h < w; h += VW) {
+        normal &= (c->y[h / VW] >= DBL_MIN) & (c->y[h / VW] <= DBL_MAX);
+        root[h / VW] = FABS_VEC(c->z[h / VW]);
+    }
+    for (j = 0; j < VW; j++)
+        all &= normal[j];
+    if (__builtin_expect(all == 0, 0))
         for (h = 0; h < w; h += VW) {
-            v = z[h / VW];
-            g = scheme == AVE ? FABS_VEC(v) : scheme == TE ? MAX0_VEC(v) : v;
-            sqrt_vec(&g);
-            v = (v + (k[0] - k[1] * v) * k[2]) + ((k[3] * g) * k[4]) * VEC(&eta[i][h]);
-            z[h / VW] = VEC(&y[i + 1][h]) = scheme == SE ? FABS_VEC(v) : v;
+            root[h / VW] = MAX0_VEC(c->y[h / VW]);
+            sqrt_vec(&root[h / VW]);
         }
 }
 
-INLINE void variance_steps(int scheme, const double *k, double *s, const double (*eta)[GROUP],
-                           int64_t n, int w, double (*y)[GROUP], int64_t first, int64_t *hit)
+/* Step number `step`, from 1, of the first w lanes of a group, w a multiple
+ * of VW, from the carry c over the noise row[0] (eta) and row[1] (zeta):
+ * the variance step of each vector of lanes from its state, then its price
+ * step from its last points, into y_next[] and x_next[].  The price takes
+ * the root sqrt(max(y, 0)) of the last variance point y that the variance
+ * step holds, or finds without a square root of its own: roots_of_squares
+ * for DESRE and DISRE, EULER_ROOT for the others.  A DESRE lane whose Z
+ * falls to 0 or below gets its first hit, hit = step; its later points are
+ * not used. */
+INLINE void lane_step(int scheme, const double *k, const double *p, struct carry *c, int w,
+                      const double (*row)[GROUP], int64_t step, double *y_next, double *x_next)
 {
-    vec_d z[GROUP / VW], v, u;
-    vec_i now, dead[GROUP / VW];
-    int64_t i;
+    vec_d v, u, g, e, root[GROUP / VW];
+    vec_i now;
     int h;
-    for (h = 0; h < w; h += VW)
-        z[h / VW] = VEC(&s[h]);
     switch (scheme) {
     case DESRE:
-        /* the lanes with a hit, as a mask, which bitwise operations keep */
-        for (h = 0; h < w; h += VW)
-            dead[h / VW] = VEC_I(&hit[h]) != 0;
-        for (i = 0; i < n; i++)
-            for (h = 0; h < w; h += VW) {
-                v = z[h / VW];
-                v = (v + (k[0] / v - k[1] * v) * k[2]) + k[3] * VEC(&eta[i][h]);
-                now = (v <= 0.0) & ~dead[h / VW];
-                dead[h / VW] |= now;
-                VEC_I(&hit[h]) |= (first + i + 1) & now;
-                VEC(&y[i + 1][h]) = v * v;
-                z[h / VW] = v;
-            }
+        roots_of_squares(c, w, root);
+        for (h = 0; h < w; h += VW) {
+            v = DESRE_STEP(c->z[h / VW], lanes_of(&row[0][h]), k);
+            now = (v <= 0.0) & ~c->dead[h / VW];
+            c->dead[h / VW] |= now;
+            c->hit[h / VW] |= step & now;
+            c->z[h / VW] = v;
+        }
         break;
     case DISRE:
-        for (i = 0; i < n; i++)
-            for (h = 0; h < w; h += VW) {
-                u = (z[h / VW] + k[2] * VEC(&eta[i][h])) / k[0];
-                v = u * u + k[1];
-                sqrt_vec(&v);
-                v = u + v;
-                VEC(&y[i + 1][h]) = v * v;
-                z[h / VW] = v;
-            }
-        break;
-    /* one loop for each scheme, so that none tests the scheme per step */
-    case AVE:
-        euler_steps(AVE, k, z, eta, n, w, y);
-        break;
-    case TE:
-        euler_steps(TE, k, z, eta, n, w, y);
+        roots_of_squares(c, w, root);
+        for (h = 0; h < w; h += VW) {
+            u = DISRE_U(c->z[h / VW], lanes_of(&row[0][h]), k);
+            v = u * u + k[1];
+            sqrt_vec(&v);
+            c->z[h / VW] = u + v;
+        }
         break;
     default:
-        euler_steps(SE, k, z, eta, n, w, y);
-    }
-    for (h = 0; h < w; h += VW)
-        VEC(&s[h]) = z[h / VW];
-}
-
-/* Euler log-price points x[1..n] of the first w lanes of a group from x[0]
-   over the variance points y[0..n-1] */
-INLINE void price_steps(const double *p, const double (*y)[GROUP], const double (*eta)[GROUP],
-                        const double (*zeta)[GROUP], int64_t n, int w, double (*x)[GROUP])
-{
-    vec_d yi, root;
-    int64_t i;
-    int h;
-    for (i = 0; i < n; i++)
         for (h = 0; h < w; h += VW) {
-            yi = VEC(&y[i][h]);
-            root = MAX0_VEC(yi);
-            sqrt_vec(&root);
-            VEC(&x[i + 1][h]) = VEC(&x[i][h]) + ((p[2] - p[3] * yi) * p[4]
-                                + ((p[5] * root) * p[6]) * (p[0] * VEC(&eta[i][h])
-                                                            + p[1] * VEC(&zeta[i][h])));
+            v = c->z[h / VW];
+            g = scheme == AVE ? FABS_VEC(v) : scheme == TE ? MAX0_VEC(v) : v;
+            sqrt_vec(&g);
+            root[h / VW] = EULER_ROOT(g, v);
+            v = EULER_STEP(v, g, lanes_of(&row[0][h]), k);
+            c->z[h / VW] = scheme == SE ? FABS_VEC(v) : v;
         }
+    }
+    for (h = 0; h < w; h += VW) {
+        e = lanes_of(&row[0][h]);
+        c->x[h / VW] = VEC(&x_next[h]) = PRICE_STEP(c->x[h / VW], c->y[h / VW], root[h / VW], e,
+                                                    lanes_of(&row[1][h]), p);
+        v = c->z[h / VW];
+        c->y[h / VW] = VEC(&y_next[h]) = scheme == DESRE || scheme == DISRE ? v * v : v;
+    }
 }
 
 /* The terms that PathSums.fold sums over step i of lane j, from the points
@@ -524,25 +573,66 @@ static inline double normal(struct pcg64 *g, const struct ziggurat *z)
     return normal_rare(g, z, idx, rabs, x);
 }
 
-/* The next n normals of each of m streams into out[0..m-1][0..n-1], at
- * stride GROUP (a stream's column of a lane-major tile), the streams' draws
- * interleaved, so that one stream's chain of 128-bit steps overlaps the
- * others'; each stream's draws keep their own order. */
-INLINE void draw_tile(struct pcg64 *g, int m, double *const *out, int64_t n,
-                      const struct ziggurat *z)
+/* The steps of tile t, one loop: each step draws its noise row, then takes
+ * lane_step.  The row comes from the m streams g[s], each into *out[s], the
+ * streams interleaved, so that one stream's chain of 128-bit steps overlaps
+ * the others' (each stream's draws keep their own order), the rows of the
+ * lanes with no stream kept; or, where given is not NULL, from the given
+ * draws of the first real lanes, given[0][j] and given[1][j] being lane
+ * j's eta and zeta at the tile's first step. */
+INLINE void tile_loop(int scheme, int w, struct tile *t, struct pcg64 *g, double *const *out,
+                      int m, const double *(*given)[GROUP], int real, const struct ziggurat *z)
 {
-    int64_t i;
-    int s;
-    for (i = 0; i < n; i++)
-        for (s = 0; s < m; s++)
-            out[s][i * GROUP] = normal(&g[s], z);
+    struct carry c = t->c;
+    int64_t i, n = t->n, first = t->first;
+    int s, j;
+    for (i = 0; i < n; i++) {
+        if (given != NULL)
+            for (j = 0; j < real; j++) {
+                t->row[0][j] = given[0][j][i];
+                t->row[1][j] = given[1][j][i];
+            }
+        else
+            for (s = 0; s < m; s++)
+                *out[s] = normal(&g[s], z);
+        lane_step(scheme, t->k, t->p, &c, w, t->row, first + i + 1, t->y[i + 1], t->x[i + 1]);
+    }
+    t->c = c;
+}
+
+/* tile_loop of the streams of the real lanes in `live`, gen[2 j] and gen[2 j
+   + 1] lane j's eta and zeta, where given is NULL; a whole group's steps
+   take a constant width, whose carry the compiler keeps in registers.  Out
+   of line, which takes the compiler less time than hl_lane_block with it. */
+static __attribute__((noinline)) void tile_steps(int scheme, struct tile *t, struct pcg64 *gen,
+                                                 unsigned live, int real,
+                                                 const double *(*given)[GROUP],
+                                                 const struct ziggurat *z)
+{
+    struct pcg64 g[2 * GROUP];
+    double *out[2 * GROUP];
+    int m = 0, j, s;
+    if (given == NULL)
+        for (j = 0; j < real; j++)
+            for (s = 0; s < 2 && (live >> j & 1); s++) {
+                g[m] = gen[2 * j + s];
+                out[m++] = &t->row[s][j];
+            }
+    if (t->w == GROUP)
+        tile_loop(scheme, GROUP, t, g, out, m, given, real, z);
+    else
+        tile_loop(scheme, t->w, t, g, out, m, given, real, z);
+    if (given == NULL)
+        for (j = m = 0; j < real; j++)
+            for (s = 0; s < 2 && (live >> j & 1); s++)
+                gen[2 * j + s] = g[m++];
 }
 
 /* ---------------------------------------------------------------------------
- * Wide draws and fold, for x86-64 CPUs with AVX-512 F, DQ, VL and BW, which
- * hl_lane_block asks the CPU for at run time, so that one build without
- * -march serves every CPU; HL_PORTABLE, a test build's define, leaves them
- * out, as does any other platform.
+ * Wide draws, steps and fold, for x86-64 CPUs with AVX-512 F, DQ, VL and
+ * BW, which hl_lane_block asks the CPU for at run time, so that one build
+ * without -march serves every CPU; HL_PORTABLE, a test build's define,
+ * leaves them out, as does any other platform.
  */
 
 /* the fewest live lanes whose group draws in vectors: with fewer, their
@@ -608,6 +698,66 @@ WIDE_INLINE __mmask8 point_x8(struct pcg64_x8 *g, __mmask8 live, double *row,
 #define LANE_OF(v, j) ((uint64_t)_mm_cvtsi128_si64(_mm512_castsi512_si128( \
     _mm512_permutexvar_epi64(_mm512_set1_epi64(j), (v)))))
 
+/* A whole group's lanes as one vector, for lane_step_x8, and its carry, the
+   bytes of a struct carry */
+typedef double vec8_d __attribute__((vector_size(GROUP * sizeof(double))));
+typedef int64_t vec8_i __attribute__((vector_size(GROUP * sizeof(int64_t))));
+struct carry_x8 {
+    vec8_d z, y, x;
+    vec8_i dead, hit;
+};
+typedef char carry_x8_is_a_carry[sizeof(struct carry_x8) == sizeof(struct carry) ? 1 : -1];
+
+/* libm's sqrt of each lane of v, correctly rounded */
+#define SQRT_X8(v) ((vec8_d)_mm512_sqrt_pd((__m512d)(v)))
+
+/* roots_of_squares of a whole group: its states z and last points y */
+WIDE_INLINE vec8_d roots_of_squares_x8(vec8_d z, vec8_d y)
+{
+    __mmask8 normal = _mm512_cmp_pd_mask((__m512d)y, _mm512_set1_pd(DBL_MIN), _CMP_GE_OQ)
+                      & _mm512_cmp_pd_mask((__m512d)y, _mm512_set1_pd(DBL_MAX), _CMP_LE_OQ);
+    return __builtin_expect(normal == 0xff, 1) ? FABS_VEC(z) : SQRT_X8(MAX0_VEC(y));
+}
+
+/* lane_step of a whole group, its GROUP lanes in one vector: no more than
+   one vector division and two square roots a step, and a fraction of the
+   other operations, which a group's draws need too */
+WIDE_INLINE void lane_step_x8(int scheme, const double *k, const double *p, struct carry_x8 *c,
+                              const double (*row)[GROUP], int64_t step, double *y_next,
+                              double *x_next)
+{
+    vec8_d v = c->z, e, f, g, u, root;
+    vec8_i now;
+    memcpy(&e, row[0], sizeof e);
+    memcpy(&f, row[1], sizeof f);
+    switch (scheme) {
+    case DESRE:
+        root = roots_of_squares_x8(v, c->y);
+        v = DESRE_STEP(v, e, k);
+        now = (v <= 0.0) & ~c->dead;
+        c->dead |= now;
+        c->hit |= step & now;
+        c->z = v;
+        v = v * v;
+        break;
+    case DISRE:
+        root = roots_of_squares_x8(v, c->y);
+        u = DISRE_U(v, e, k);
+        c->z = v = u + SQRT_X8(u * u + k[1]);
+        v = v * v;
+        break;
+    default:
+        g = SQRT_X8(scheme == AVE ? FABS_VEC(v) : scheme == TE ? MAX0_VEC(v) : v);
+        root = EULER_ROOT(g, v);
+        v = EULER_STEP(v, g, e, k);
+        c->z = v = scheme == SE ? FABS_VEC(v) : v;
+    }
+    c->x = PRICE_STEP(c->x, c->y, root, e, f, p);
+    c->y = v;
+    memcpy(y_next, &c->y, sizeof c->y);
+    memcpy(x_next, &c->x, sizeof c->x);
+}
+
 /* normal_rare of the `rare` lanes of g, whose words were `word`, each on its
    own stream, taken out of the vectors (its increment from inc[2 j], which
    does not change) and put back, into row[j] */
@@ -628,18 +778,37 @@ WIDE_INLINE void rare_x8(struct pcg64_x8 *g, __mmask8 rare, __m512i word, const 
     }
 }
 
-/* draw_tile of a group's 2 * GROUP streams, gen[2 j] and gen[2 j + 1] lane
-   j's eta and zeta, into noise[0] and noise[1], rows of 64 bytes at a
-   multiple of 64: the streams of the lanes in `live` draw, the others keep
-   their states and their rows */
-WIDE_TARGET static void draw_tile_x8(struct pcg64 *gen, unsigned live, double (*noise)[TILE][GROUP],
-                                     int64_t n, const struct ziggurat *z)
+/* tile_loop with each step's rows drawn by a group's 2 * GROUP streams as
+   two vectors, g[0] the eta streams and g[1] the zeta ones, gen[2 j] and
+   gen[2 j + 1] being lane j's: the streams of the lanes in `live` draw, the
+   others keep their states and their rows; and its steps by lane_step_x8 */
+WIDE_INLINE void tile_loop_x8(int scheme, struct tile *t, struct pcg64_x8 *g, __mmask8 live,
+                              const struct pcg64 *gen, const struct ziggurat *z)
+{
+    struct carry_x8 c;
+    __m512i word[2];
+    __mmask8 rare[2];
+    int64_t i, n = t->n, first = t->first;
+    memcpy(&c, &t->c, sizeof c);
+    for (i = 0; i < n; i++) {
+        rare[0] = point_x8(&g[0], live, t->row[0], z, &word[0]);
+        rare[1] = point_x8(&g[1], live, t->row[1], z, &word[1]);
+        if (__builtin_expect(rare[0] | rare[1], 0)) {
+            rare_x8(&g[0], rare[0], word[0], gen, t->row[0], z);
+            rare_x8(&g[1], rare[1], word[1], gen + 1, t->row[1], z);
+        }
+        lane_step_x8(scheme, t->k, t->p, &c, t->row, first + i + 1, t->y[i + 1], t->x[i + 1]);
+    }
+    memcpy(&t->c, &c, sizeof c);
+}
+
+/* tile_steps of a group's streams, whose states go into vectors for the
+   tile and back */
+WIDE_TARGET static void tile_steps_x8(int scheme, struct tile *t, struct pcg64 *gen, unsigned live,
+                                      const struct ziggurat *z)
 {
     uint64_t w[2][4][GROUP] __attribute__((aligned(64)));
     struct pcg64_x8 g[2];
-    __m512i word[2];
-    __mmask8 rare[2];
-    int64_t i;
     int j, s;
     for (s = 0; s < 2; s++) {
         for (j = 0; j < GROUP; j++) {
@@ -653,14 +822,7 @@ WIDE_TARGET static void draw_tile_x8(struct pcg64 *gen, unsigned live, double (*
         g[s].ih = _mm512_load_si512(w[s][2]);
         g[s].il = _mm512_load_si512(w[s][3]);
     }
-    for (i = 0; i < n; i++) {
-        rare[0] = point_x8(&g[0], (__mmask8)live, noise[0][i], z, &word[0]);
-        rare[1] = point_x8(&g[1], (__mmask8)live, noise[1][i], z, &word[1]);
-        if (__builtin_expect(rare[0] | rare[1], 0)) {
-            rare_x8(&g[0], rare[0], word[0], gen, noise[0][i], z);
-            rare_x8(&g[1], rare[1], word[1], gen + 1, noise[1][i], z);
-        }
-    }
+    tile_loop_x8(scheme, t, g, (__mmask8)live, gen, z);
     for (s = 0; s < 2; s++) {
         _mm512_store_si512(w[s][0], g[s].sh);
         _mm512_store_si512(w[s][1], g[s].sl);
@@ -676,7 +838,7 @@ WIDE_TARGET static void fold_tile_x8(const double *y, const double *x, int64_t n
     fold_tile(y, x, GROUP, GROUP, n, done, y_start, s, mean, m2);
 }
 
-/* whether this CPU takes the wide draws and fold */
+/* whether this CPU takes the wide draws, steps and fold */
 static int wide_cpu(void)
 {
     __builtin_cpu_init();
@@ -685,12 +847,12 @@ static int wide_cpu(void)
 }
 #else
 #define wide_cpu() 0
-#define draw_tile_x8(gen, live, noise, n, z) ((void)0)
+#define tile_steps_x8(scheme, t, gen, live, z) ((void)0)
 #define fold_tile_x8(y, x, n, done, y_start, s, mean, m2) ((void)0)
 #endif
 
-/* 1 where hl_lane_block draws and folds whole groups in AVX-512 vectors on
-   this CPU, else 0 */
+/* 1 where hl_lane_block draws, steps and folds whole groups in AVX-512
+   vectors on this CPU, else 0 */
 int64_t hl_wide_draws(void)
 {
     return wide_cpu();
@@ -700,20 +862,20 @@ int64_t hl_wide_draws(void)
  * its start y_end, x_end (Z = sqrt(y_end) for DESRE and DISRE), which the
  * caller sets to y0, x0.  The noise comes from streams, (lanes, 2, 4)
  * row-major, the seed words of each lane's eta and zeta PCG64 streams,
- * which receive the streams' last states: for each tile, each live lane
- * draws its tile's eta normals and its zeta normals, the live streams of a
- * group of lanes side by side, with the ziggurat tables (3, 256): ki, then
- * wi and fi as the bits of doubles.  Where streams is NULL it is read from
- * eta and zeta, (lanes, steps), row-major.  y_start, y_end, x_end, mean, m2
- * and aborted are (lanes,), and sums is (6, lanes), row-major: the arrays
- * of a fresh PathSums, updated in place.  Tiles are TILE steps, the last
- * one possibly short.  Unless they are NULL, y_out and x_out, (lanes,
- * steps + 1) row-major, receive each lane's variance and price points, its
- * start first, tile by tile while the lane is live.  Lanes go GROUP at a
- * time; a last short group takes whole vectors of lanes, padded with
- * copies of its first lane, which never draw (their noise is 0) and whose
- * results are dropped; so are an aborted lane's, whose steps run on with
- * its group. */
+ * which receive the streams' last states: at each step of a tile, each
+ * lane live at the tile's start draws its eta normal and its zeta normal,
+ * the live streams of a group of lanes side by side, with the ziggurat
+ * tables (3, 256): ki, then wi and fi as the bits of doubles.  Where
+ * streams is NULL it is read from eta and zeta, (lanes, steps), row-major.
+ * y_start, y_end, x_end, mean, m2 and aborted are (lanes,), and sums is
+ * (6, lanes), row-major: the arrays of a fresh PathSums, updated in
+ * place.  Tiles are TILE steps, the last one possibly short.  Unless they
+ * are NULL, y_out and x_out, (lanes, steps + 1) row-major, receive each
+ * lane's variance and price points, its start first, tile by tile while
+ * the lane is live.  Lanes go GROUP at a time; a last short group takes
+ * whole vectors of lanes, padded with copies of its first lane, which
+ * never draw (their noise is 0) and whose results are dropped; so are an
+ * aborted lane's, whose steps run on with its group. */
 void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lanes, int64_t steps,
                    uint64_t *streams, const uint64_t *tables, const double *eta,
                    const double *zeta, const double *y_start, double *y_end, double *x_end,
@@ -730,24 +892,24 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
     }
     for (g0 = 0; g0 < lanes; g0 += GROUP) {
         int real = lanes - g0 < GROUP ? (int)(lanes - g0) : GROUP, live = real;
+        /* the group's tile and its lanes' sums */
+        struct tile t;
+        double ys[GROUP], fs[6][GROUP], fmean[GROUP], fm2[GROUP], s[GROUP];
+        struct pcg64 gen[2 * GROUP];
+        const double *given[2][GROUP];
+        int64_t lane[GROUP], hit[GROUP] = {0};
+        memset(t.row, 0, sizeof t.row);
+        memset(gen, 0, sizeof gen); /* padding lanes' streams, carried masked */
+        t.k = k;
+        t.p = p;
         /* the lanes that the steps and the fold take, in whole vectors: a
            short group, as a single path's, takes no more than it needs */
-        int w = (real + VW - 1) / VW * VW;
-        /* the group's tile, lane-major, and its lanes' sums */
-        double noise[2][TILE][GROUP] __attribute__((aligned(64)));
-        double y[TILE + 1][GROUP], x[TILE + 1][GROUP];
-        double ys[GROUP], fs[6][GROUP], fmean[GROUP], fm2[GROUP];
-        struct pcg64 gen[2 * GROUP];
-        int64_t lane[GROUP];
-        double s[GROUP];
-        int64_t hit[GROUP] = {0};
-        memset(noise, 0, sizeof noise);
-        memset(gen, 0, sizeof gen); /* padding lanes' streams, carried masked */
+        t.w = (real + VW - 1) / VW * VW;
         for (j = 0; j < GROUP; j++) {
             int64_t l = lane[j] = g0 + (j < real ? j : 0);
             s[j] = scheme == DESRE || scheme == DISRE ? sqrt(y_end[l]) : y_end[l];
-            y[0][j] = y_end[l];
-            x[0][j] = x_end[l];
+            t.y[0][j] = y_end[l];
+            t.x[0][j] = x_end[l];
             ys[j] = y_start[l];
             for (q = 0; q < 6; q++)
                 fs[q][j] = sums[q * lanes + l];
@@ -765,45 +927,35 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
                 }
             }
         }
+        for (j = 0; j < GROUP; j += VW) {
+            t.c.z[j / VW] = VEC(&s[j]);
+            t.c.y[j / VW] = VEC(&t.y[0][j]);
+            t.c.x[j / VW] = VEC(&t.x[0][j]);
+            t.c.dead[j / VW] = t.c.hit[j / VW] = (vec_i){0};
+        }
         for (t0 = 0; t0 < steps && live; t0 += TILE) {
-            int64_t n = steps - t0 < TILE ? steps - t0 : TILE;
+            /* the lanes that draw this tile: a lane whose hit comes in it
+               draws to its end */
+            unsigned mask = 0;
+            t.n = steps - t0 < TILE ? steps - t0 : TILE;
+            t.first = t0;
+            for (j = 0; j < real; j++)
+                mask |= (unsigned)!hit[j] << j;
             if (streams != NULL && wide && live >= WIDE_LIVE) {
-                unsigned mask = 0;
-                for (j = 0; j < real; j++)
-                    mask |= (unsigned)!hit[j] << j;
-                draw_tile_x8(gen, mask, noise, n, &z);
-            } else if (streams != NULL) {
-                /* the live lanes' streams, side by side */
-                struct pcg64 g[2 * GROUP];
-                double *out[2 * GROUP];
-                int m = 0;
-                for (j = 0; j < real; j++)
-                    if (!hit[j]) {
-                        g[m] = gen[2 * j];
-                        out[m++] = &noise[0][0][j];
-                        g[m] = gen[2 * j + 1];
-                        out[m++] = &noise[1][0][j];
-                    }
-                draw_tile(g, m, out, n, &z);
-                m = 0;
-                for (j = 0; j < real; j++)
-                    if (!hit[j]) {
-                        gen[2 * j] = g[m++];
-                        gen[2 * j + 1] = g[m++];
-                    }
+                tile_steps_x8((int)scheme, &t, gen, mask, &z);
             } else {
-                for (j = 0; j < real; j++)
-                    for (i = 0; i < n; i++) {
-                        noise[0][i][j] = eta[lane[j] * steps + t0 + i];
-                        noise[1][i][j] = zeta[lane[j] * steps + t0 + i];
-                    }
+                for (j = 0; j < real && streams == NULL; j++) {
+                    given[0][j] = eta + lane[j] * steps + t0;
+                    given[1][j] = zeta + lane[j] * steps + t0;
+                }
+                tile_steps((int)scheme, &t, gen, mask, real, streams == NULL ? given : NULL, &z);
             }
-            variance_steps((int)scheme, k, s, noise[0], n, w, y, t0, hit);
-            price_steps(p, y, noise[0], noise[1], n, w, x);
-            if (wide && w == GROUP)
-                fold_tile_x8(&y[0][0], &x[0][0], n, t0, ys, &fs[0][0], fmean, fm2);
+            for (j = 0; j < GROUP; j += VW)
+                VEC_I(&hit[j]) = t.c.hit[j / VW];
+            if (wide && t.w == GROUP)
+                fold_tile_x8(&t.y[0][0], &t.x[0][0], t.n, t0, ys, &fs[0][0], fmean, fm2);
             else
-                fold_tile(&y[0][0], &x[0][0], GROUP, w, n, t0, ys, &fs[0][0], fmean, fm2);
+                fold_tile(&t.y[0][0], &t.x[0][0], GROUP, t.w, t.n, t0, ys, &fs[0][0], fmean, fm2);
             for (j = 0; j < real; j++)
                 if (hit[j] && !aborted[lane[j]]) {
                     aborted[lane[j]] = hit[j];
@@ -812,12 +964,12 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
             if (y_out != NULL)
                 for (j = 0; j < real; j++)
                     if (!hit[j])
-                        for (i = 1; i <= n; i++) {
-                            y_out[lane[j] * (steps + 1) + t0 + i] = y[i][j];
-                            x_out[lane[j] * (steps + 1) + t0 + i] = x[i][j];
+                        for (i = 1; i <= t.n; i++) {
+                            y_out[lane[j] * (steps + 1) + t0 + i] = t.y[i][j];
+                            x_out[lane[j] * (steps + 1) + t0 + i] = t.x[i][j];
                         }
-            memcpy(y[0], y[n], sizeof y[0]);
-            memcpy(x[0], x[n], sizeof x[0]);
+            memcpy(t.y[0], t.y[t.n], sizeof t.y[0]);
+            memcpy(t.x[0], t.x[t.n], sizeof t.x[0]);
         }
         for (j = 0; j < real; j++) {
             int64_t l = lane[j];
@@ -827,8 +979,8 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
             }
             if (hit[j])
                 continue;
-            y_end[l] = y[0][j];
-            x_end[l] = x[0][j];
+            y_end[l] = t.y[0][j];
+            x_end[l] = t.x[0][j];
             for (q = 0; q < 6; q++)
                 sums[q * lanes + l] = fs[q][j];
             mean[l] = fmean[j];
@@ -836,7 +988,6 @@ void hl_lane_block(int64_t scheme, const double *k, const double *p, int64_t lan
         }
     }
 }
-
 
 /* PathSums.fold of one lane's whole path of `steps` steps, points y[0..steps]
  * and x[0..steps], into the arrays of a fresh one-lane PathSums: sums (6,),

@@ -5,12 +5,15 @@
 any scheme, the log-price recursion and the fold of each summation tile
 into the group's :class:`~hestonlab.estimate.PathSums`, with the constants
 of :func:`~hestonlab.simulate.step_constants`, ``GROUP`` lanes at a time,
-whose steps and fold run side by side in vectors.
+whose steps and fold run side by side in vectors.  Each step of a tile is
+one pass: its noise, then its variance step, then its price step, which
+takes the square root that the variance step holds.
 :meth:`LaneKernel.seed` hashes each lane's stream seeds as numpy's
 ``SeedSequence`` does, and :meth:`LaneKernel.draw` seeds each lane's pair
-of PCG64 streams from those words and draws the normals itself, a tile at
+of PCG64 streams from those words and draws the normals itself, a step at
 a time, through numpy's ziggurat, inlined, on AVX-512 CPUs eight streams a
-vector (:attr:`LaneKernel.wide_draws`): so no block of draws and no
+vector, a whole group's steps in one vector too
+(:attr:`LaneKernel.wide_draws`): so no block of draws and no
 numpy ``Generator`` is ever held, and
 :func:`~hestonlab.simulate.advance_lanes` takes a lane group through its
 path in one drawing call, which writes its points as well for single
@@ -107,8 +110,9 @@ COMPILER = "cc"
 # give numpy's bits; no errno for sqrt to set, which changes no bit and lets
 # -O3 take square roots in vectors; no -march, so a cached build runs on any
 # CPU of the platform: on x86-64 its steps run in SSE2 vectors, which every
-# one has, and its draws and fold in AVX-512 ones only where the CPU has
-# them, which the kernel asks at run time (LaneKernel.wide_draws)
+# one has, and a whole group's draws, steps and fold in AVX-512 ones only
+# where the CPU has them, which the kernel asks at run time
+# (LaneKernel.wide_draws)
 FLAGS = ("-O3", "-std=c99", "-fno-fast-math", "-fno-math-errno", "-ffp-contract=off", "-fPIC",
          "-shared")
 # the lanes kernel.c takes side by side, its GROUP
@@ -509,8 +513,8 @@ class LaneKernel:
 
     @property
     def wide_draws(self) -> bool:
-        """Whether this CPU takes the kernel's AVX-512 draws and fold of
-        whole lane groups, which give the bits of its portable code."""
+        """Whether this CPU takes the kernel's AVX-512 draws, steps and fold
+        of whole lane groups, which give the bits of its portable code."""
         return bool(self.wide_fn())
 
     def seed(self, master_seed: int, index) -> np.ndarray:

@@ -154,11 +154,11 @@ def _write_replicates_csv(path: Path, results: ReplicateTable) -> None:
     write_csv(path, _REPLICATE_COLUMNS, _REPLICATE_CELLS, columns)
 
 
-def _read_report_file(path: Path) -> str:
-    """The text of a stored report file, or ``ReportNotFound`` where it,
-    or its directory, does not exist."""
+def _read_report_file(path: Path, read=Path.read_text):
+    """The text of a stored report file, or what ``read`` gives of it, or
+    ``ReportNotFound`` where it, or its directory, does not exist."""
     try:
-        return path.read_text()
+        return read(path)
     except FileNotFoundError as exc:
         raise ReportNotFound(exc.errno, exc.strerror, exc.filename) from None
 
@@ -166,15 +166,24 @@ def _read_report_file(path: Path) -> str:
 def _read_replicates_csv(path: Path, config: ExperimentConfig) -> ReplicateTable:
     """Rebuild the replicate table from the stored functionals.
 
+    The file is read as bytes, which the kernel reads where they lie.
+
     Raises:
-        CsvFormatError: as :func:`~hestonlab.simulate.parse_csv`, or a stored
-            estimate that differs from the one its row's functionals give.
+        CsvFormatError: as :func:`~hestonlab.simulate.parse_csv`; bytes that
+            are not UTF-8, naming the line; or a stored estimate that differs
+            from the one its row's functionals give.
         ReportNotFound: no such file.
     """
-    (index, *columns), lines = parse_csv(
-        _read_report_file(path), _REPLICATE_COLUMNS,
-        (int,) + (float,) * (len(_REPLICATE_COLUMNS) - 1), str(path), "replicate-file",
-    )
+    data = _read_report_file(path, Path.read_bytes)
+    try:
+        (index, *columns), lines = parse_csv(
+            data, _REPLICATE_COLUMNS, (int,) + (float,) * (len(_REPLICATE_COLUMNS) - 1),
+            str(path), "replicate-file",
+        )
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"{path}: line {line}: bytes that are not UTF-8 text "
+                             f"({exc.reason})") from None
     stored = np.column_stack(columns[:4])
     params, grid = config.params, config.grid
     f = PathFunctionals(

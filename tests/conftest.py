@@ -10,7 +10,7 @@ import hestonlab.kernel as kernel
 @pytest.fixture(scope="session")
 def portable_build(tmp_path_factory):
     """The kernel built with the test-only define HL_PORTABLE, which leaves
-    out the AVX-512 draws, fold and CSV steps, into a cache of its
+    out the AVX-512 draws, lane steps, fold and CSV steps, into a cache of its
     own, where load() runs every check on it; skipped where the kernel does
     not build, and failing where it builds but a check fails."""
     if kernel.lane_kernel() is None:

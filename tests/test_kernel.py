@@ -21,6 +21,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,13 +99,13 @@ def numpy_block(params, dt, scheme, eta, zeta, state, sums):
     return state, aborted
 
 
-def both_routes(params, dt, scheme, blocks):
-    """Run a path of (eta, zeta) blocks through the kernel, the blocks
-    joined into one call, and through numpy block by block, dropping the
-    lanes that abort at the end of their block, as advance_lanes does;
-    assert that both give the same bits, and return the abort steps (by
-    lane, counted from the path's start; 0 for none)."""
-    steps_k, sums_k = lane_kernel_or_skip()(
+def both_routes(params, dt, scheme, blocks, k=None):
+    """Run a path of (eta, zeta) blocks through the kernel k (the default
+    build's if None), the blocks joined into one call, and through numpy
+    block by block, dropping the lanes that abort at the end of their block,
+    as advance_lanes does; assert that both give the same bits, and return
+    the abort steps (by lane, counted from the path's start; 0 for none)."""
+    steps_k, sums_k = (k or lane_kernel_or_skip())(
         params, dt, scheme, *(np.concatenate(b, axis=1) for b in zip(*blocks)))
     lanes = blocks[0][0].shape[0]
     sums_n = PathSums(np.full(lanes, params.y0), np.full(lanes, params.x0))
@@ -199,6 +200,60 @@ def test_overflowing_variance_gives_numpy_bits(scheme):
                             rho=0.2, y0=0.2, x0=0.1)
     rng = np.random.default_rng(9)
     both_routes(params, 0.1, scheme, draws(rng, 10, *[1024] * 7, 832))
+
+
+# DESRE with b * dt = 2: a Z so large that level / Z is below half its unit
+# in the last place steps to exactly 0 plus its noise, sigma1 / 2 * eta
+ROOT_EDGE = hl.ModelParams(a=0.5, b=2.0, alpha=0.0, beta=0.0, sigma1=0.4, sigma2=0.3, rho=0.2,
+                           y0=1e-24, x0=0.0)
+ROOT_CASES = {
+    # Z goes from 1e-12 to 2.3e11, then to 1e-160, whose square 1e-320 is
+    # subnormal, so sqrt(Y) is not |Z|; a zeta of 1e150 then carries that
+    # root into a price that no drift hides
+    "subnormal": (ROOT_EDGE, [0.0, 5e-160, 0.0], [0.0, 0.0, 1e150]),
+    # Z goes from 1e-155 to 2.3e154, whose square overflows, so sqrt(Y) is
+    # inf: the price step's -inf drift meets +inf noise in a NaN, where
+    # |Z| would leave -inf
+    "overflow": (replace(ROOT_EDGE, alpha=0.1, beta=0.15, y0=1e-310, x0=0.1), [0.0, 1.0],
+                 [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", ROOT_CASES)
+def test_desre_prices_from_the_square_root_where_z_squared_leaves_the_normal_range(build, case):
+    """The price step takes sqrt(max(Y, 0)) as |Z| only where Y = Z * Z is
+    a normal double: a subnormal Y and an infinite one give numpy's bits."""
+    params, eta, zeta = ROOT_CASES[case]
+    steps = both_routes(params, 1.0, hl.Scheme.DESRE,
+                        [(np.array([eta] * 2), np.array([zeta] * 2))], k=build)
+    assert steps.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("scheme", [hl.Scheme.AVE, hl.Scheme.TE, hl.Scheme.SE],
+                         ids=lambda s: s.value)
+def test_euler_prices_from_zero_where_the_variance_is_not_positive(build, scheme):
+    """Draws that take Y below zero (lane 0), to -inf and then NaN (lane 1)
+    and to NaN (lane 2): the price step takes sqrt(max(Y, 0)), 0 for a
+    negative Y and NaN for a NaN, as numpy does, not the root sqrt(|Y|)
+    that AVE's variance step takes."""
+    rng = np.random.default_rng(41)
+    blocks = draws(rng, 3, SUM_TILE + 9)
+    eta = blocks[0][0]
+    eta[0, 3] = -1e3
+    eta[1, 60] = -math.inf
+    eta[2, SUM_TILE + 2] = math.nan
+    both_routes(NEAR_ZERO, 0.1, scheme, blocks, k=build)
+
+
+def test_a_drawn_group_prices_from_the_square_root_where_z_squared_overflows(build):
+    """A whole group from a subnormal y0, whose Z * Z overflows at the first
+    step in every lane and stays inf for a few steps while Z shrinks by
+    0.85 a step: the draws taken in the group's vectors, and priced in its
+    vector steps on AVX-512 CPUs, give the bits of the same draws given,
+    which the test above holds to numpy's."""
+    params = replace(ROOT_CASES["overflow"][0], b=0.3)
+    aborted = drawn_against_given(params, 1.0, hl.Scheme.DESRE, kernel.GROUP, 40, seed=7, k=build)
+    assert not aborted.any()
 
 
 def test_desre_aborts_at_a_block_start_and_in_a_partial_tile():
@@ -414,6 +469,25 @@ def test_a_desre_group_whose_lanes_abort_in_different_tiles_ends_as_the_portable
     tiles = sorted((step - 1) // SUM_TILE for step in runs[0][0] if step)
     assert len(set(tiles)) >= 3 and tiles.count(tiles[0]) <= kernel.GROUP - WIDE_LIVE, tiles
     drawn_against_given(NEAR_ZERO, 0.2, hl.Scheme.DESRE, kernel.GROUP, 2000, seed=seed, k=wide)
+
+
+# sha256 of the stream states that the group above hands back, by seed: the
+# states of a kernel whose dead lanes draw to the end of their abort's tile
+ABORT_STREAMS_SHA256 = {
+    21: "b7b59d1e3586ee870669f79f500248ddfc424c7edf3bb95577465974a41fcc29",
+    26: "08b7429be9838b0e7f38a2c9b34747076a06b60f0f3593c7bce908c65ac97ed2",
+    31: "60ce48a769f9dadf954ba835dc4f633658e6df89f5e69e4acce474f15063a245",
+}
+
+
+@pytest.mark.parametrize("seed", ABORT_STREAMS_SHA256)
+def test_a_desre_group_whose_lanes_abort_leaves_its_streams_in_the_pinned_states(build, seed):
+    """The group of the test above, on each build alone: a draw loop that
+    stopped a dead lane's streams inside its abort's tile, or drew past it,
+    would move these states on both builds at once."""
+    streams = build.seed(seed, range(kernel.GROUP))
+    build.draw(NEAR_ZERO, 0.2, hl.Scheme.DESRE, streams, 2000)
+    assert hashlib.sha256(streams.tobytes()).hexdigest() == ABORT_STREAMS_SHA256[seed]
 
 
 # the fewest live lanes whose group the kernel draws in vectors, kernel.c's WIDE_LIVE

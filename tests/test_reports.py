@@ -96,6 +96,21 @@ def test_a_non_finite_functional_fails_its_row(tmp_path, report_dir):
     assert str(exc.value) == f"{out / 'replicates.csv'}: line 4: non-finite value"
 
 
+@pytest.mark.parametrize("line", [1, 4], ids=["header", "row"])
+def test_replicates_csv_that_is_not_utf8_names_the_file_and_the_line(tmp_path, report_dir, line):
+    """The file is read as bytes; a byte that is not UTF-8 fails its line
+    with a CsvFormatError, as a path file's does."""
+    out = tmp_path / "rep"
+    shutil.copytree(report_dir, out)
+    lines = (out / "replicates.csv").read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(b",", b"\xff,", 1)
+    (out / "replicates.csv").write_bytes(b"".join(lines))
+    with pytest.raises(hl.CsvFormatError) as exc:
+        regenerate_report(out)
+    assert str(exc.value).startswith(
+        f"{out / 'replicates.csv'}: line {line}: bytes that are not UTF-8 text")
+
+
 def test_replicates_csv_reads_blank_lines_and_spaced_cells(tmp_path, report_dir):
     original = (report_dir / "replicates.csv").read_bytes()
 
